@@ -607,14 +607,27 @@ class ArraySource(GradedSource):
             self._sorted_grades = values
             self._sorted_ids: List[ObjectId] = list(ids)
         else:
-            # One argsort replaces N log N Python comparisons.  lexsort's
-            # last key is primary: descending grade, then ascending
-            # str(id) — the exact GradedItem sort key, so ties break as
-            # ListSource's do.
-            tie_break = _np.asarray([str(obj) for obj in ids])
-            order = _np.lexsort((tie_break, -values))
-            self._sorted_grades = values[order]
-            self._sorted_ids = [ids[j] for j in order]
+            # One argsort on the grades replaces N log N Python
+            # comparisons; only the runs of *equal* grades are then put
+            # in ascending (str(id), input position) order — the exact
+            # GradedItem sort key under a stable sort, so ties break as
+            # ListSource's do — which spares the N-string key array.
+            order = _np.argsort(-values)
+            ranked = values[order]
+            equal = ranked[1:] == ranked[:-1]
+            tied = _np.zeros(len(order), dtype=bool)
+            tied[1:] = equal
+            tied[:-1] |= equal
+            slots = _np.nonzero(tied)[0]
+            if len(slots):
+                rows = order[slots]
+                keys = _np.asarray([str(ids[j]) for j in rows.tolist()])
+                # Grades are nonincreasing along the slots, so sorting
+                # on them first permutes rows within their own run only.
+                order[slots] = rows[_np.lexsort((rows, keys, -ranked[slots]))]
+                ranked = values[order]  # 0.0 and -0.0 share a run
+            self._sorted_grades = ranked
+            self._sorted_ids = [ids[j] for j in order.tolist()]
         self._grades: Dict[ObjectId, float] = dict(zip(ids, values.tolist()))
 
     def _item_at(self, index: int) -> Optional[GradedItem]:

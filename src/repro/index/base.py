@@ -51,6 +51,18 @@ def euclidean_distances(vectors, query: np.ndarray):
     return np.sqrt(squared.sum(axis=1))
 
 
+def require_finite(vectors: np.ndarray) -> None:
+    """Reject NaN/inf coordinates (checked in row blocks, so a memmap
+    matrix is streamed rather than mirrored by a full-size mask).
+
+    A non-finite coordinate has no meaningful distance: NaN compares
+    false with every bound, so it would slip through pruning checks and
+    be emitted at an arbitrary rank."""
+    for start in range(0, len(vectors), 65536):
+        if not np.isfinite(vectors[start : start + 65536]).all():
+            raise IndexError_("index vectors must be finite (no NaN or inf)")
+
+
 def canonical_tie_array(object_ids) -> np.ndarray:
     """``str(id)`` per object as a numpy array — the canonical tie key."""
     return np.asarray([str(object_id) for object_id in object_ids])
@@ -179,6 +191,7 @@ class VectorIndex(ABC):
             raise IndexError_(
                 f"expected a {self.dimension}-vector, got shape {array.shape}"
             )
+        require_finite(array)
         return array
 
     @abstractmethod
@@ -278,6 +291,7 @@ class LinearScanIndex(VectorIndex):
             raise IndexError_(
                 f"{len(ids)} ids for {len(matrix)} vectors"
             )
+        require_finite(matrix)
         index = cls(matrix.shape[1])
         index._ids = ids
         index._matrix = matrix
@@ -285,9 +299,10 @@ class LinearScanIndex(VectorIndex):
         return index
 
     def insert(self, object_id: object, vector) -> None:
+        point = self._check_vector(vector)  # before any state changes
         self._positions[object_id] = len(self._ids)
         self._ids.append(object_id)
-        self._extra.append(self._check_vector(vector))
+        self._extra.append(point)
         self._matrix_cache = None
         self._tie_cache = None
 

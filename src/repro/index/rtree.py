@@ -38,6 +38,7 @@ from repro.index.base import (
     Neighbor,
     VectorIndex,
     euclidean_distances,
+    require_finite,
 )
 
 
@@ -70,10 +71,15 @@ class _BBox:
         return bool(np.all(self.upper >= lower) and np.all(self.lower <= upper))
 
     def mindist(self, point: np.ndarray) -> float:
-        """Distance from a point to the nearest point of the box."""
-        below = np.clip(self.lower - point, 0.0, None)
-        above = np.clip(point - self.upper, 0.0, None)
-        return float(np.sqrt(np.sum(below**2) + np.sum(above**2)))
+        """Distance from a point to the nearest point of the box.
+
+        Computed by the shared kernel on the clipped point, so it is a
+        lower bound of the *computed* distance of every point inside
+        the box (each ``|x - q|`` term is no smaller than the clipped
+        one, and the kernel's rounding and summation are monotone) —
+        never one ulp above it, which would emit a tied neighbour late."""
+        nearest = np.clip(point, self.lower, self.upper)
+        return euclidean_distances(nearest, point)
 
 
 class _Node:
@@ -220,6 +226,7 @@ class RTree(VectorIndex):
         ids = list(object_ids)
         if len(ids) != len(matrix):
             raise IndexError_(f"{len(ids)} ids for {len(matrix)} vectors")
+        require_finite(matrix)
         tree = cls(matrix.shape[1], max_entries=max_entries)
         size = len(ids)
         if size == 0:

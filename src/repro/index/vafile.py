@@ -11,12 +11,21 @@ approximation* of every vector (a few bits per dimension) and scan the
 approximations.  Each approximation yields lower/upper bounds on the
 true distance, so most full vectors are never touched:
 
-1. scan phase — one vectorized pass over the ``[n, d]`` code matrix
-   computes every lower/upper bound; a partitioned selection of the
-   k-th upper bound prunes the candidate set in one mask;
+1. scan phase — the grid is fixed, so a cell's squared contribution
+   to a bound depends only on ``(dimension, cell)``: per-query
+   ``[d, 2^bits]`` tables of those squared gaps (a few KB) are gathered
+   through the ``[n, d]`` code matrix and row-summed — integer lookups
+   instead of float arithmetic per stored coordinate.  Batch ``knn``
+   prunes with a partitioned selection of the k-th upper bound; the
+   stream needs the lower table only;
 2. refine phase — visit candidates in canonical ``(lower, str(id))``
    order, computing true distances in vectorized blocks, stopping when
-   the next lower bound exceeds the k-th true distance.
+   the next lower bound exceeds the k-th true distance.  The stream
+   sorts that order lazily, a slice of the smallest lower bounds at a
+   time, since sorted access only ever needs its front.
+
+Bounds are bounds of the *computed* distance: every comparison of a
+bound with a distance carries :data:`EPS` slack, erring toward refining.
 
 Unlike partitioning indexes the scan cost never *explodes* with
 dimension — it degrades gracefully toward the linear scan — which is
@@ -27,8 +36,8 @@ float matrix (a numpy memmap stays out of core) plus one ``[n, d]``
 uint code matrix; per-item :meth:`VAFile.insert` remains as the
 incremental path and consolidates lazily.  :meth:`VAFile.knn_stream`
 exposes the same scan/refine machinery as a lazy nearest-first stream:
-the scan phase runs on the first pop, then candidates refine in small
-blocks only as far as emission requires.
+the scan phase runs on the first pop, then candidates are ordered and
+refined in small blocks only as far as emission requires.
 """
 
 from __future__ import annotations
@@ -51,11 +60,16 @@ from repro.index.base import (
 #: bound kernel can never prune a true neighbour (errs toward refining).
 EPS = 1e-12
 
-#: Rows per vectorized chunk in the scan phase (bounds temp memory).
-SCAN_CHUNK = 65536
+#: Rows per vectorized chunk in the scan phase: bounds temp memory, and
+#: keeps a chunk's ``[rows, d]`` temporaries cache-resident (the scan is
+#: ~1.7x slower at 65536 rows, whose temporaries are 4 MB each at d=8).
+SCAN_CHUNK = 8192
 
 #: Candidates refined per vectorized block in the refine phase.
 REFINE_BLOCK = 64
+
+#: Rows the stream orders at first; the slice doubles on every refill.
+ORDER_SLICE = 1024
 
 #: Refine block for the incremental stream (smaller: streams usually
 #: stop after a handful of pops).
@@ -65,8 +79,12 @@ STREAM_BLOCK = 32
 class _VAFileStream(KnnStream):
     """Lazy scan-then-refine stream over a VA-file.
 
-    The approximation scan (all n bounds) runs on the first pop; after
-    that, candidates are refined in blocks of :data:`STREAM_BLOCK`,
+    The approximation scan (all n lower bounds) runs on the first pop.
+    Candidates are then ordered lazily: only the :data:`ORDER_SLICE`
+    rows with the smallest lower bounds are sorted on ``(lower,
+    str(id))`` (the slice doubles on every refill and takes every row
+    tied at its threshold, so the slices concatenate to the one
+    canonical order), and refined in blocks of :data:`STREAM_BLOCK`,
     only while the next unrefined lower bound could still beat the best
     refined-but-unemitted distance.  Emission order is the canonical
     ``(distance, str(id))`` order.
@@ -76,38 +94,73 @@ class _VAFileStream(KnnStream):
         super().__init__()
         self._va = vafile
         self._query = query
-        self._started = False
-        self._order: Optional[np.ndarray] = None  # rows by (lower, tie)
-        self._lowers: Optional[np.ndarray] = None  # lower bound per order slot
+        self._lower: Optional[np.ndarray] = None  # lower bound per row
+        #: rows with ``lower <= _floor`` are ordered already; inf = all
+        self._floor = -np.inf
+        self._slice = ORDER_SLICE
+        self._order = np.empty(0, dtype=int)  # current slice, by (lower, tie)
+        self._lowers = np.empty(0)  # lower bound per order slot
         self._position = 0
+        self._in_block = 0  # rows refined so far in the current STREAM_BLOCK
         #: refined-but-unemitted: (distance, tie, row) min-heap
         self._refined: List[Tuple[float, str, int]] = []
 
     def _start(self) -> None:
-        self._started = True
-        size = len(self._va)
-        if size == 0:
-            self._order = np.empty(0, dtype=int)
-            self._lowers = np.empty(0)
-            return
-        lower, _ = self._va._all_bounds(self._query)
-        self._va.stats.record_nodes(size)
-        order = np.lexsort((self._va._tie_array(), lower))
-        self._order = order
-        self._lowers = lower[order]
+        self._lower, _ = self._va._table_bounds(
+            self._va._codes(), self._query, upper=False
+        )
+        self._va.stats.record_nodes(len(self._lower))
+
+    def _refill(self) -> None:
+        """Order the next slice: the rows whose lower bound lies in
+        ``(floor, threshold]``, the threshold being the ``_slice``-th
+        smallest lower bound still unordered (ties at it all included)."""
+        lower = self._lower
+        pending = lower > self._floor
+        if np.count_nonzero(pending) > self._slice:
+            self._floor = np.partition(lower[pending], self._slice - 1)[
+                self._slice - 1
+            ]
+            pending &= lower <= self._floor
+        else:
+            self._floor = np.inf
+        rows = np.nonzero(pending)[0]
+        lowers = lower[rows]
+        order = np.lexsort((self._va._tie_array()[rows], lowers))
+        self._order = rows[order]
+        self._lowers = lowers[order]
+        self._position = 0
+        self._slice *= 2
 
     def _advance(self) -> Optional[Neighbor]:
-        if not self._started:
+        if self._lower is None:
             self._start()
         matrix = self._va._matrix()
         ties = self._va._tie_array()
-        total = len(self._order)
-        while self._position < total and (
-            not self._refined
-            or self._lowers[self._position] <= self._refined[0][0] + EPS
-        ):
-            rows = self._order[self._position : self._position + STREAM_BLOCK]
+        while True:
+            # Stop once the next unrefined lower bound — at the end of
+            # a slice, the floor every unordered row lies above — cannot
+            # beat the heap top.  Tested between whole blocks only, and
+            # a block cut short by a slice boundary resumes after the
+            # refill: blocks are blocks of the total order.
+            exhausted = self._position >= len(self._order)
+            bound = self._floor if exhausted else self._lowers[self._position]
+            if (
+                self._refined
+                and not self._in_block
+                and bound > self._refined[0][0] + EPS
+            ):
+                break
+            if exhausted:
+                if self._floor == np.inf:
+                    break
+                self._refill()
+                continue
+            rows = self._order[
+                self._position : self._position + STREAM_BLOCK - self._in_block
+            ]
             self._position += len(rows)
+            self._in_block = (self._in_block + len(rows)) % STREAM_BLOCK
             distances = euclidean_distances(matrix[rows], self._query)
             self._va.stats.record_distances(len(rows))
             for row, distance in zip(rows, distances):
@@ -162,7 +215,7 @@ class VAFile(VectorIndex):
         codes = np.empty(matrix.shape, dtype=va._code_dtype)
         for start in range(0, len(matrix), chunk):
             block = matrix[start : start + chunk]
-            if np.any(block < 0) or np.any(block > 1):
+            if not ((block >= 0) & (block <= 1)).all():  # NaN fails too
                 raise IndexError_("VA-file stores points in the unit cube only")
             np.clip(
                 (block * va.cells).astype(np.int64),
@@ -182,7 +235,7 @@ class VAFile(VectorIndex):
 
     def insert(self, object_id: object, vector) -> None:
         point = self._check_vector(vector)
-        if np.any(point < 0) or np.any(point > 1):
+        if not ((point >= 0) & (point <= 1)).all():
             raise IndexError_("VA-file stores points in the unit cube only")
         self._positions[object_id] = len(self._ids)
         self._ids.append(object_id)
@@ -250,40 +303,49 @@ class VAFile(VectorIndex):
     # ------------------------------------------------------------------
     # Distance bounds
     # ------------------------------------------------------------------
+    def _table_bounds(
+        self, codes: np.ndarray, query: np.ndarray, *, upper: bool = True
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The one bound kernel: lower (and, if asked, upper) bounds on
+        the distance from ``query`` to any point in each code row's cell.
+
+        Builds the ``[d, cells]`` tables of squared per-dimension gaps
+        once, then gathers them through the ``[n, d]`` codes and
+        row-sums, :data:`SCAN_CHUNK` rows at a time.  Codes index the
+        tables: they must lie in ``[0, cells)``, as construction ensures."""
+        cell = np.arange(self.cells)
+        cell_low = cell / self.cells
+        cell_high = (cell + 1.0) / self.cells
+        column = query[:, None]
+        below = np.clip(cell_low - column, 0.0, None)
+        above = np.clip(column - cell_high, 0.0, None)
+        gap = np.maximum(below, above)
+        tables = [(gap * gap).ravel()]
+        if upper:
+            farthest = np.maximum(
+                np.abs(column - cell_low), np.abs(column - cell_high)
+            )
+            tables.append((farthest * farthest).ravel())
+        bounds = [np.empty(len(codes)) for _ in tables]
+        offsets = np.arange(self.dimension) * self.cells
+        for start in range(0, len(codes), SCAN_CHUNK):
+            slots = codes[start : start + SCAN_CHUNK] + offsets
+            for table, out in zip(tables, bounds):
+                np.sqrt(
+                    table.take(slots).sum(axis=1),
+                    out=out[start : start + SCAN_CHUNK],
+                )
+        return bounds[0], bounds[1] if upper else None
+
     def _bounds(self, approximation: np.ndarray, query: np.ndarray) -> Tuple[float, float]:
         """Lower/upper bounds on the distance from query to any point in
-        the approximation's grid cell."""
-        cell_low = approximation / self.cells
-        cell_high = (approximation + 1.0) / self.cells
-        below = np.clip(cell_low - query, 0.0, None)
-        above = np.clip(query - cell_high, 0.0, None)
-        lower = float(np.sqrt(np.sum(np.maximum(below, above) ** 2)))
-        farthest = np.maximum(np.abs(query - cell_low), np.abs(query - cell_high))
-        upper = float(np.sqrt(np.sum(farthest**2)))
-        return lower, upper
+        one approximation's grid cell."""
+        lower, upper = self._table_bounds(approximation[None, :], query)
+        return float(lower[0]), float(upper[0])
 
     def _all_bounds(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized scan phase: lower/upper bounds for every stored
-        approximation, computed in chunks of :data:`SCAN_CHUNK` rows."""
-        codes = self._codes()
-        size = len(codes)
-        lower = np.empty(size)
-        upper = np.empty(size)
-        for start in range(0, size, SCAN_CHUNK):
-            block = codes[start : start + SCAN_CHUNK]
-            cell_low = block / self.cells
-            cell_high = (block + 1.0) / self.cells
-            below = np.clip(cell_low - query, 0.0, None)
-            above = np.clip(query - cell_high, 0.0, None)
-            gap = np.maximum(below, above)
-            lower[start : start + SCAN_CHUNK] = np.sqrt((gap * gap).sum(axis=1))
-            farthest = np.maximum(
-                np.abs(query - cell_low), np.abs(query - cell_high)
-            )
-            upper[start : start + SCAN_CHUNK] = np.sqrt(
-                (farthest * farthest).sum(axis=1)
-            )
-        return lower, upper
+        """Scan phase: lower/upper bounds for every stored approximation."""
+        return self._table_bounds(self._codes(), query)
 
     # ------------------------------------------------------------------
     # Queries

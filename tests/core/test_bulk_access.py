@@ -9,6 +9,7 @@ silently degrade bulk reads to per-item calls or, worse, change what a
 wrapper charges or records.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,15 +166,25 @@ def test_batch_size_never_changes_cost_on_plain_sources(backend):
 # ----------------------------------------------------------------------
 # ArraySource: a drop-in ListSource replacement, object-for-object
 # ----------------------------------------------------------------------
-@given(table=tables(1, values=tied_grades, max_objects=60))
-@settings(max_examples=50, deadline=None)
-def test_array_source_order_matches_list_source(table):
-    column = {oid: vector[0] for oid, vector in table.items()}
+#: ids whose ``str`` collide (``1`` and ``"1"``) tie on the whole
+#: ``(grade, str(id))`` key, so only input order is left to break them
+colliding_ids = st.one_of(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30).map(str),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+@given(column=st.dictionaries(colliding_ids, tied_grades, min_size=1, max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_array_source_order_matches_list_source(column):
     from_list = ListSource(column).cursor().next_batch(len(column) + 1)
-    from_array = ArraySource(column).cursor().next_batch(len(column) + 1)
-    assert [(i.object_id, i.grade) for i in from_list] == [
-        (i.object_id, i.grade) for i in from_array
-    ]
+    expected = [(i.object_id, i.grade) for i in from_list]
+    bulk = ArraySource.from_arrays(list(column), list(column.values()))
+    for source in (ArraySource(column), bulk):
+        from_array = source.cursor().next_batch(len(column) + 1)
+        assert [(i.object_id, i.grade) for i in from_array] == expected
+        assert source.as_graded_set().as_dict() == column
 
 
 @given(table=tables(3))
@@ -223,6 +234,14 @@ def test_array_source_from_arrays():
         ArraySource.from_arrays(["x"], [0.2, 0.8])
     with pytest.raises(UnknownObjectError):
         source.random_access("missing")
+
+
+def test_from_arrays_keeps_each_object_its_own_zero():
+    # 0.0 and -0.0 tie, so str(id) orders them; each keeps its sign bit
+    source = ArraySource.from_arrays(["b", "a", "c"], [0.0, -0.0, 0.5])
+    ids, column = source._columns_range(0, 3)
+    assert ids == ["c", "a", "b"]
+    assert np.signbit(column).tolist() == [False, True, False]
 
 
 def test_from_arrays_validates_grade_range():

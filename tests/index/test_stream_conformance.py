@@ -10,8 +10,9 @@ order, bit-identical distances — and a stream is resumable: popping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.errors import IndexError_
 from repro.index import (
     INDEX_KINDS,
     LinearScanIndex,
@@ -37,13 +38,34 @@ def scan_oracle(ids, matrix, query, k):
     return LinearScanIndex.bulk_load(ids, matrix).knn(query, k)
 
 
+def thirds_corpus(seed):
+    """36 points off the {0, 1/3, 2/3} grid in 5-d and an off-grid
+    query: many exact distance ties between points of different R-tree
+    nodes.  Seed 19 is the corpus on which a MINDIST summed in another
+    order than the shared kernel landed one ulp above a tied point's
+    distance and emitted ``o0`` after ``o21``."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, (36, 5)) / 3
+    return [f"o{i}" for i in range(36)], points, rng.random(5)
+
+
 @pytest.mark.parametrize("kind", INDEX_KINDS)
 @given(corpus=corpora(), k=st.integers(min_value=1, max_value=70))
+@example(corpus=thirds_corpus(19), k=15)
 @settings(max_examples=60, deadline=None)
 def test_batch_knn_matches_scan_oracle(kind, corpus, k):
     ids, matrix, query = corpus
     index = build_knn_index(kind, ids, matrix, max_entries=4)
     assert index.knn(query, k) == scan_oracle(ids, matrix, query, k)
+
+
+def test_rtree_tie_order_sweep():
+    """4,000 deterministic tie-heavy corpora (9 of them failed before
+    MINDIST became a bound of the computed distance)."""
+    for seed in range(4000):
+        ids, points, query = thirds_corpus(seed)
+        tree = build_knn_index("rtree", ids, points, max_entries=4)
+        assert tree.knn(query, 15) == scan_oracle(ids, points, query, 15), seed
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
@@ -90,3 +112,23 @@ def test_duplicate_vectors_break_ties_by_id(kind):
     assert [obj for obj, _ in index.knn(np.zeros(2), 5)] == [
         "a", "b", "c", "d", "e"
     ]
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vectors_are_rejected(kind, bad):
+    """NaN compares false with every bound, so a NaN row or target would
+    be ranked arbitrarily: bulk load, insert and queries all refuse."""
+    ids = [f"obj{i}" for i in range(6)]
+    matrix = np.full((6, 3), 0.25)
+    index = build_knn_index(kind, ids, matrix, max_entries=4)
+    with pytest.raises(IndexError_):
+        index.insert("late", [0.5, bad, 0.5])
+    with pytest.raises(IndexError_):
+        index.knn_stream([bad, 0.5, 0.5])
+    with pytest.raises(IndexError_):
+        index.knn([0.5, 0.5, bad], 2)
+    assert len(index) == 6
+    matrix[4, 1] = bad
+    with pytest.raises(IndexError_):
+        build_knn_index(kind, ids, matrix, max_entries=4)
