@@ -729,25 +729,25 @@ def resume_from_snapshot(
     (or re-relaxes) honestly rather than inheriting anything from the
     fill run.
     """
-    from repro.core.threshold import _NraState, _nra_run
-    from repro.kernels import resolve_kernel
+    from repro.core.threshold import _nra_run
+    from repro.kernels import bounds_state, resolve_kernel
 
     cursors = []
     for source, position in zip(sources, snapshot["positions"]):
         cursor = source.cursor()
         cursor.position = position
         cursors.append(cursor)
-    states: Dict[object, _NraState] = {}
-    for object_id, known in snapshot["states"].items():
-        state = _NraState()
-        state.known.update(known)
-        states[object_id] = state
     return _nra_run(
         sources,
         rule,
         k,
         cursors=cursors,
-        states=states,
+        # a fresh copy: the snapshot stays valid for later resumes
+        bounds=bounds_state(
+            resolve_kernel(kernel, sources, rule),
+            len(sources),
+            {obj: dict(known) for obj, known in snapshot["states"].items()},
+        ),
         bottoms=list(snapshot["bottoms"]),
         exhausted=list(snapshot["exhausted"]),
         meter=CostMeter(sources),
@@ -759,7 +759,6 @@ def resume_from_snapshot(
         tracer=tracer,
         executor=executor,
         stop_check_growth=snapshot["stop_check_growth"],
-        kernel=resolve_kernel(kernel, sources, rule),
         rounds=snapshot["rounds"],
         next_check=snapshot["next_check"],
         initial_check=True,

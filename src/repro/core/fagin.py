@@ -47,9 +47,9 @@ from repro.core.sources import (
     SortedCursor,
     check_same_objects,
 )
-from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _NraState, _nra_run
+from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
 from repro.errors import MonotonicityError, ScoringError
-from repro.kernels import _np, resolve_kernel
+from repro.kernels import bounds_state, resolve_kernel
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
@@ -124,11 +124,11 @@ class FaginAlgorithm:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         #: "scalar" or "vector", resolved once at construction (see
-        #: :func:`repro.kernels.resolve_kernel`).  The vector kernel
-        #: keeps the same ``_known`` dict-of-dicts bookkeeping (next_k
-        #: restartability depends on it) but reads sorted windows
-        #: columnar and folds the compute phase through
-        #: ``combine_matrix``.
+        #: :func:`repro.kernels.resolve_kernel`).  Either way the
+        #: bookkeeping is the ``_known`` dict-of-dicts (next_k
+        #: restartability depends on it); the kernel picks the bounds
+        #: state (:func:`repro.kernels.bounds_state`) the compute phase
+        #: and a degraded NRA continuation fold it through.
         self.kernel = resolve_kernel(kernel, self.sources, self.scoring)
         self._cursors: List[SortedCursor] = [s.cursor() for s in self.sources]
         #: grades learned so far: object -> {source index -> grade}
@@ -164,16 +164,16 @@ class FaginAlgorithm:
     def _sorted_phase(self, needed_matches: int) -> None:
         """Round-robin sorted access until L holds ``needed_matches`` objects.
 
-        Bulk form of the paper's parallel scan: peek one window per list
-        (side-effect- and charge-free), replay the one-item-per-list
-        round robin over the windows, and consume exactly the rows the
-        round robin processed with one ``next_batch`` per list.  The
-        per-item algorithm checks the stopping condition between rounds
-        and otherwise takes one item from every list, so draining whole
-        rounds in bulk charges exactly the same sorted accesses.
+        Bulk form of the paper's parallel scan: peek one columnar window
+        per list (side-effect- and charge-free, no
+        :class:`GradedItem` boxing on array backends), replay the
+        one-item-per-list round robin over the windows, and consume
+        exactly the rows the round robin processed with one
+        ``next_batch_columns`` per list.  The per-item algorithm checks
+        the stopping condition between rounds and otherwise takes one
+        item from every list, so draining whole rounds in bulk charges
+        exactly the same sorted accesses.
         """
-        if self.kernel == "vector":
-            return self._sorted_phase_vector(needed_matches)
         sightings = self._sightings
         known = self._known
         tracer = self.tracer
@@ -182,77 +182,6 @@ class FaginAlgorithm:
                 for i, source in enumerate(self.sources):
                     # free shard-aware hint: warm the upcoming peek
                     # window, overlapping per-shard reads on the executor
-                    source.prefetch_sorted(
-                        self._cursors[i].position + self.batch_size,
-                        executor=self.executor,
-                    )
-                windows = [
-                    cursor.peek_batch(self.batch_size) for cursor in self._cursors
-                ]
-                rows = max((len(window) for window in windows), default=0)
-                if rows == 0:
-                    break  # every list exhausted
-                consumed = 0
-                while consumed < rows and self._match_count() < needed_matches:
-                    row = consumed
-                    for i, window in enumerate(windows):
-                        if row >= len(window):
-                            continue
-                        item = window[row]
-                        if tracer is not None:
-                            tracer.record_sorted(
-                                self.sources[i].name,
-                                item.object_id,
-                                item.grade,
-                                position=self._cursors[i].position + row + 1,
-                            )
-                        object_id = item.object_id
-                        if object_id not in self._seen_by_source[i]:
-                            self._seen_by_source[i].add(object_id)
-                            seen = sightings.get(object_id, 0) + 1
-                            sightings[object_id] = seen
-                            if seen == self.m:
-                                self._matched += 1
-                        grades = known.get(object_id)
-                        if grades is None:
-                            grades = known[object_id] = {}
-                        grades[i] = item.grade
-                        self._bottoms[i] = item.grade
-                    consumed += 1
-                takers = [
-                    i
-                    for i in range(self.m)
-                    if min(consumed, len(windows[i])) > 0
-                ]
-                outcomes = fan_out(
-                    self.executor,
-                    [
-                        (
-                            lambda c=self._cursors[i],
-                            t=min(consumed, len(windows[i])): c.next_batch(t)
-                        )
-                        for i in takers
-                    ],
-                )
-                for outcome in outcomes:
-                    if outcome.error is not None:
-                        raise outcome.error
-                if tracer is not None:
-                    tracer.sample("a0.matched", float(self._matched))
-                    tracer.sample("a0.seen", float(len(known)))
-
-    def _sorted_phase_vector(self, needed_matches: int) -> None:
-        """Columnar :meth:`_sorted_phase`: identical round robin over
-        ``peek_batch_columns`` windows — no :class:`GradedItem` boxing
-        on array backends, python floats via one ``tolist`` per window,
-        the same accesses charged in the same order."""
-        sightings = self._sightings
-        known = self._known
-        tracer = self.tracer
-        with nullcontext() if tracer is None else tracer.phase("sorted-phase"):
-            while self._match_count() < needed_matches:
-                for i, source in enumerate(self.sources):
-                    # free shard-aware window warm-up (see scalar phase)
                     source.prefetch_sorted(
                         self._cursors[i].position + self.batch_size,
                         executor=self.executor,
@@ -359,10 +288,7 @@ class FaginAlgorithm:
 
     def _compute_phase(self) -> GradedSet:
         """Overall grades for every fully-known seen object."""
-        if self.kernel == "vector":
-            return self._compute_phase_vector()
         tracer = self.tracer
-        result = GradedSet()
         with nullcontext() if tracer is None else tracer.phase("compute-phase"):
             for object_id, grades in self._known.items():
                 if len(grades) != self.m:
@@ -370,34 +296,9 @@ class FaginAlgorithm:
                         f"object {object_id!r} has incomplete grades after "
                         "the random-access phase"
                     )
-                vector = [grades[i] for i in range(self.m)]
-                result[object_id] = self.scoring(vector)
-        return result
-
-    def _compute_phase_vector(self) -> GradedSet:
-        """Columnar :meth:`_compute_phase`: every seen object's grade in
-        one ``combine_matrix`` fold instead of per-object rule calls."""
-        tracer = self.tracer
-        m = self.m
-        with nullcontext() if tracer is None else tracer.phase("compute-phase"):
-            ids = list(self._known.keys())
-            matrix = _np.empty((len(ids), m))
-            for row, object_id in enumerate(ids):
-                grades = self._known[object_id]
-                if len(grades) != m:
-                    raise ScoringError(
-                        f"object {object_id!r} has incomplete grades after "
-                        "the random-access phase"
-                    )
-                values = matrix[row]
-                for i in range(m):
-                    values[i] = grades[i]
-            scores = (
-                self.scoring.combine_matrix(matrix)
-                if len(ids)
-                else _np.empty(0)
-            )
-            return GradedSet(zip(ids, scores.tolist()))
+            # every grade is known, so the lower bounds are exact
+            bounds = bounds_state(self.kernel, self.m, self._known)
+            return GradedSet(zip(*bounds.scores(self.scoring)))
 
     def _pruned_selection(self, k: int) -> GradedSet:
         """Phase 2+3 with upper-bound pruning of random accesses.
@@ -492,11 +393,11 @@ class FaginAlgorithm:
         """Continue as NRA over the state phase 1 (and any successful
         probes) already accumulated.
 
-        The NRA continuation shares this algorithm's cursors, bottoms,
-        and per-list grade dictionaries, so no sorted access is re-paid
-        and everything the continuation learns flows back into
-        ``_known`` for later ``next_k`` calls (which will re-attempt
-        random access and degrade again if it is still down).
+        The NRA continuation shares this algorithm's cursors and
+        bottoms and starts from ``_known``, so no sorted access is
+        re-paid, and everything the continuation learns is read back
+        into ``_known`` for later ``next_k`` calls (which will
+        re-attempt random access and degrade again if it is still down).
         """
         if self.tracer is not None:
             self.tracer.event(
@@ -507,18 +408,14 @@ class FaginAlgorithm:
                     getattr(error, "source_name", "random access"): str(error)
                 },
             )
-        states: Dict[ObjectId, _NraState] = {}
-        for object_id, grades in self._known.items():
-            state = _NraState()
-            state.known = grades  # shared dict: NRA updates reach _known
-            states[object_id] = state
+        bounds = bounds_state(self.kernel, self.m, self._known)
         k_total = min(len(self._emitted) + k, self.database_size)
         result = _nra_run(
             self.sources,
             self.scoring,
             k_total,
             cursors=self._cursors,
-            states=states,
+            bounds=bounds,
             bottoms=self._bottoms,
             exhausted=[False for _ in self.sources],
             meter=meter,
@@ -531,15 +428,8 @@ class FaginAlgorithm:
             tracer=self.tracer,
             phase_name="nra-fallback",
             executor=self.executor,
-            kernel=self.kernel,
-            # The scalar continuation updates the shared ``known`` dicts
-            # in place; the vector continuation works columnar and must
-            # flush what it learned back into them on exit.
-            writeback_states=True,
         )
-        for object_id, state in states.items():
-            if object_id not in self._known:
-                self._known[object_id] = state.known
+        self._known = bounds.known_states()
         fresh = {
             item.object_id: item.grade
             for item in result.answers

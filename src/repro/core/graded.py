@@ -16,6 +16,7 @@ The module provides:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -160,6 +161,20 @@ class GradedSet:
         """Alias for iteration in nonincreasing grade order."""
         return iter(self)
 
+    def _best(self, k: int) -> List[Tuple[ObjectId, float]]:
+        """The k best ``(object, grade)`` pairs in sorted-list order.
+
+        Selects instead of sorting everything unless the sorted view is
+        already cached: ``heapq.nsmallest`` is documented equal to
+        ``sorted(...)[:k]`` — same ``GradedItem._sort_key``, same
+        stability — so the pairs are exactly ``_sorted_items()[:k]``.
+        """
+        if self._sorted_cache is not None:
+            return [(item.object_id, item.grade) for item in self._sorted_cache[:k]]
+        return heapq.nsmallest(
+            k, self._grades.items(), key=lambda pair: (-pair[1], str(pair[0]))
+        )
+
     def top(self, k: int) -> "GradedSet":
         """Return a new graded set holding the ``k`` best-graded objects.
 
@@ -168,7 +183,7 @@ class GradedSet:
         """
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
-        return GradedSet(self._sorted_items()[:k])
+        return GradedSet(self._best(k))
 
     def best(self) -> Optional[GradedItem]:
         """Return the best-graded item, or None if the set is empty."""
@@ -179,8 +194,8 @@ class GradedSet:
         """Grade of the k-th best object (1-based); 0.0 if fewer than k."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        items = self._sorted_items()
-        return items[k - 1].grade if len(items) >= k else 0.0
+        best = self._best(k)
+        return best[k - 1][1] if len(best) >= k else 0.0
 
     # ------------------------------------------------------------------
     # Fuzzy set algebra

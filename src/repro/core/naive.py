@@ -15,18 +15,13 @@ oracle in the test suite.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.core.cost import CostMeter
-from repro.core.graded import GradedSet, ObjectId
+from repro.core.graded import GradedSet
 from repro.core.result import TopKResult
 from repro.core.sources import GradedSource, _fast_item, check_same_objects
-from repro.kernels import (
-    GradeMatrix,
-    _np,
-    resolve_kernel,
-    top_k_from_arrays,
-)
+from repro.kernels import bounds_state, resolve_kernel
 from repro.parallel import fan_out, raise_first_error
 from repro.scoring.base import as_scoring_function
 
@@ -37,19 +32,8 @@ _DRAIN_CHUNK = 4096
 
 
 def _drain(source: GradedSource):
-    """Stream one list to exhaustion; returns ``(position, batch)`` runs."""
-    cursor = source.cursor()
-    runs = []
-    while True:
-        position = cursor.position
-        batch = cursor.next_batch(_DRAIN_CHUNK)
-        if not batch:
-            return runs
-        runs.append((position, batch))
-
-
-def _drain_columns(source: GradedSource):
-    """Columnar :func:`_drain`: ``(position, ids, grades)`` runs."""
+    """Stream one list to exhaustion; returns ``(position, ids,
+    grades)`` columnar runs."""
     cursor = source.cursor()
     runs = []
     while True:
@@ -79,75 +63,22 @@ def naive_top_k(
     :class:`~repro.parallel.ParallelAccessExecutor`; the m full-list
     drains are independent, so they fan out whole — the merge into the
     grade table happens in source order either way.  ``kernel`` selects
-    the scalar or vectorized grading path (``None`` = configured
-    default); the naive scan charges ``m * N`` either way, so the kernel
-    only changes how the grade table is stored and folded.
+    the bounds state the grade table lives in (``None`` = configured
+    default, see :func:`repro.kernels.bounds_state`); the naive scan
+    charges ``m * N`` either way, so the kernel only changes how the
+    table is stored and folded.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     rule = as_scoring_function(scoring)
     database_size = check_same_objects(sources)
-    if resolve_kernel(kernel, sources, rule) == "vector":
-        return _naive_top_k_vector(
-            sources,
-            rule,
-            k,
-            database_size=database_size,
-            tracer=tracer,
-            executor=executor,
-        )
     meter = CostMeter(sources)
-
-    grades: Dict[ObjectId, List[float]] = {}
-    m = len(sources)
+    table = bounds_state(
+        resolve_kernel(kernel, sources, rule), len(sources), capacity=database_size
+    )
     with nullcontext() if tracer is None else tracer.phase("naive-scan"):
         outcomes = fan_out(
             executor, [(lambda s=source: _drain(s)) for source in sources]
-        )
-        raise_first_error(outcomes)
-        for i, (source, outcome) in enumerate(zip(sources, outcomes)):
-            for position, batch in outcome.value:
-                if tracer is not None:
-                    tracer.record_sorted_batch(source.name, batch, position)
-                for item in batch:
-                    grades.setdefault(item.object_id, [0.0] * m)[i] = item.grade
-
-    overall = GradedSet()
-    with nullcontext() if tracer is None else tracer.phase("naive-compute"):
-        for object_id, vector in grades.items():
-            overall[object_id] = rule(vector)
-
-    return TopKResult(
-        answers=overall.top(min(k, database_size)),
-        cost=meter.report(),
-        algorithm="naive",
-        sorted_depth=database_size,
-    )
-
-
-def _naive_top_k_vector(
-    sources: Sequence[GradedSource],
-    rule,
-    k: int,
-    *,
-    database_size: int,
-    tracer=None,
-    executor=None,
-) -> TopKResult:
-    """Columnar naive scan: drain every list into a
-    :class:`~repro.kernels.GradeMatrix`, grade all rows with one
-    ``combine_matrix`` fold, rank with one lexsort.
-
-    Access-identical to the scalar path (same drains, same charges,
-    same trace records); grades match exactly for batch-exact rules
-    because a missing grade defaults to 0.0 on both paths.
-    """
-    meter = CostMeter(sources)
-    m = len(sources)
-    matrix = GradeMatrix(m, capacity=max(database_size, 16))
-    with nullcontext() if tracer is None else tracer.phase("naive-scan"):
-        outcomes = fan_out(
-            executor, [(lambda s=source: _drain_columns(s)) for source in sources]
         )
         raise_first_error(outcomes)
         for i, (source, outcome) in enumerate(zip(sources, outcomes)):
@@ -161,18 +92,12 @@ def _naive_top_k_vector(
                         ],
                         position,
                     )
-                matrix.add_column_batch(i, ids, grades)
+                table.add_batch(i, ids, grades)
 
     with nullcontext() if tracer is None else tracer.phase("naive-compute"):
-        # Same convention as the scalar grade table: a grade no list
-        # delivered (impossible once every list drained, but cheap to
-        # honor) counts as 0.
-        scores = matrix.lower_bounds(rule)
-        answers = GradedSet(
-            top_k_from_arrays(
-                matrix.ids, matrix.str_keys(), scores, min(k, database_size)
-            )
-        )
+        # A grade no list delivered (impossible once every list drained,
+        # but cheap to honor) counts as 0: the lower bound.
+        answers = GradedSet(zip(*table.ranked(rule, min(k, database_size))))
 
     return TopKResult(
         answers=answers,

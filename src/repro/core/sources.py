@@ -32,14 +32,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.cost import AccessCounter
 from repro.core.graded import GradedItem, GradedSet, ObjectId, validate_grade
 from repro.errors import AccessError, GradeError, UnknownObjectError
-
-try:  # numpy is a declared dependency, but keep the core importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: Default window size for the algorithms' bulk sorted access.  One
 #: ``next_batch`` per list per round replaces ``batch_size`` Python call
@@ -58,8 +55,6 @@ def validate_grade_array(values, name: str, *, require_sorted: bool = False):
     bulk load fails loudly instead of silently producing wrong bounds
     downstream.  Returns the validated array.
     """
-    if _np is None:  # pragma: no cover - exercised only without numpy
-        raise AccessError("array-backed sources require numpy")
     try:
         values = _np.asarray(values, dtype=_np.float64)
     except (TypeError, ValueError) as exc:
@@ -592,10 +587,6 @@ class ArraySource(GradedSource):
     def _init_from_arrays(
         self, ids: List[ObjectId], grades, name: str, *, presorted: bool = False
     ) -> None:
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise AccessError(
-                "ArraySource requires numpy; install it or use ListSource"
-            )
         super().__init__(name)
         values = validate_grade_array(grades, name, require_sorted=presorted)
         if len(ids) != values.shape[0]:
@@ -848,8 +839,7 @@ def sources_from_columns(
     :class:`~repro.storage.memmap.MemmapSource` columns under
     ``directory`` (a temporary directory owned by the sources when
     omitted).  All backends produce the same sorted order and the same
-    accounting; without numpy the array backend silently degrades to
-    lists so callers never have to care.
+    accounting.
 
     ``shards > 1`` hash-partitions every column into that many shards
     of the chosen backend behind a
@@ -885,7 +875,7 @@ def sources_from_columns(
             directory=directory,
         )
     sources: List[GradedSource] = []
-    if backend == "array" and _np is not None and m > 0:
+    if backend == "array" and m > 0:
         objects = list(grades_by_object.keys())
         try:
             matrix = _np.asarray(

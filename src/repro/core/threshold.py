@@ -35,12 +35,13 @@ static property but a runtime one: a subsystem's random access can die
 mid-query (its circuit breaker opens, see
 :mod:`repro.middleware.resilience`).  The NRA core here is therefore a
 resumable continuation, :func:`_nra_run`, that can start from *any*
-accumulated :class:`_NraState` bookkeeping; TA maintains that
-bookkeeping as it goes, and when a random probe fails degradably it
-hands its cursors, bottoms, and states to the NRA continuation instead
-of aborting.  If sorted streams later die too, the continuation returns
-a best-effort partial answer carrying NRA lower/upper grade bounds and a
-structured :class:`~repro.core.result.DegradedResult` report.
+accumulated bounds state (:func:`repro.kernels.bounds_state`); TA
+maintains that bookkeeping as it goes, and when a random probe fails
+degradably it hands its cursors, bottoms, and seen grades to the NRA
+continuation instead of aborting.  If sorted streams later die too, the
+continuation returns a best-effort partial answer carrying NRA
+lower/upper grade bounds and a structured
+:class:`~repro.core.result.DegradedResult` report.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ from repro.core.sources import (
 )
 from repro.kernels import (
     GradeMatrix,
+    _DictBounds,
     _np,
+    bounds_state,
     iter_str_keys,
     resolve_kernel,
     top_k_from_arrays,
@@ -96,74 +99,13 @@ def _require_monotone(rule: ScoringFunction, algorithm: str) -> None:
         )
 
 
-class _NraState:
-    """Bookkeeping for one seen object during NRA."""
-
-    __slots__ = ("known",)
-
-    def __init__(self) -> None:
-        self.known: Dict[int, float] = {}
-
-    def lower(self, rule: ScoringFunction, m: int) -> float:
-        vector = [self.known.get(j, 0.0) for j in range(m)]
-        return rule(vector)
-
-    def upper(self, rule: ScoringFunction, m: int, bottoms: List[float]) -> float:
-        vector = [self.known.get(j, bottoms[j]) for j in range(m)]
-        return rule(vector)
-
-    def complete(self, m: int) -> bool:
-        return len(self.known) == m
-
-
-def _fill_nra_snapshot(
-    snapshot: Dict,
-    *,
-    states: Dict,
-    bottoms: List[float],
-    positions: List[int],
-    exhausted: List[bool],
-    depth: int,
-    rounds: int,
-    next_check: int,
-    batch_size: int,
-    stop_check_growth: float,
-    exact_grades: bool,
-    tol: float,
-) -> None:
-    """Record a finished NRA run's resumable state into ``snapshot``.
-
-    Everything is copied into plain built-in containers: the snapshot
-    must stay valid (and immutable in practice) after the run's own
-    bookkeeping is garbage-collected or mutated by a later continuation.
-    ``states`` maps object id -> {list index -> known grade} in
-    first-seen order, which is exactly the insertion order a resumed
-    run's bookkeeping must reproduce.
-    """
-    snapshot.clear()
-    snapshot.update(
-        kind="nra",
-        states=states,
-        bottoms=list(bottoms),
-        positions=list(positions),
-        exhausted=list(exhausted),
-        depth=depth,
-        rounds=rounds,
-        next_check=next_check,
-        batch_size=batch_size,
-        stop_check_growth=stop_check_growth,
-        exact_grades=exact_grades,
-        tol=tol,
-    )
-
-
 def _nra_run(
     sources: Sequence[GradedSource],
     rule: ScoringFunction,
     k: int,
     *,
     cursors,
-    states: Dict[ObjectId, _NraState],
+    bounds,
     bottoms: List[float],
     exhausted: List[bool],
     meter: CostMeter,
@@ -179,9 +121,6 @@ def _nra_run(
     phase_name: str = "nra",
     executor=None,
     stop_check_growth: float = 2.0,
-    kernel: str = "scalar",
-    grade_matrix: Optional[GradeMatrix] = None,
-    writeback_states: bool = False,
     rounds: int = 0,
     next_check: int = 1,
     initial_check: bool = False,
@@ -189,10 +128,18 @@ def _nra_run(
 ) -> TopKResult:
     """The NRA main loop, resumable from arbitrary accumulated state.
 
-    :func:`nra_top_k` calls it with fresh cursors and empty state; the
-    degradation paths of TA and A0 call it mid-query with everything
-    they already learned (their cursors keep their positions, so sorted
-    work is never re-paid).
+    :func:`nra_top_k` calls it with fresh cursors and an empty
+    ``bounds`` state; the degradation paths of TA and A0 call it
+    mid-query with everything they already learned (their cursors keep
+    their positions, so sorted work is never re-paid).
+
+    ``bounds`` is the seen set — a :class:`~repro.kernels._DictBounds`
+    or a :class:`~repro.kernels.GradeMatrix`, see
+    :func:`repro.kernels.bounds_state` — and the only thing that differs
+    between the scalar and vector kernels: the loop, its accesses,
+    answers and traces are the same code for both, and the two states
+    fold the same IEEE-754 operations under the same ``(-grade,
+    str(id))`` answer order.
 
     The stopping condition is evaluated on a geometric schedule
     controlled by ``stop_check_growth``: after a check at round r, the
@@ -206,20 +153,12 @@ def _nra_run(
     at the minimal depth); the default leaves the cost's asymptotic
     shape intact.
 
-    ``kernel`` selects the implementation: ``"scalar"`` is this
-    per-object dict loop, ``"vector"`` the columnar numpy kernel
-    (:func:`_nra_run_vector`) with byte-identical accesses, answers and
-    traces.  ``grade_matrix`` optionally seeds the vector kernel with
-    already-columnar state (TA's vectorized fallback path);
-    ``writeback_states`` makes the vector kernel flush what it learned
-    back into ``states`` on exit (A0's degradation path reads it).
-
     Because the stop test only ever runs at those scheduled rounds, the
-    rounds between two checks can be drained with one ``next_batch`` per
-    list — there is no decision to make in between, so bulk draining
-    consumes (and charges) exactly the same accesses as item-at-a-time
-    draining.  ``batch_size`` merely caps how many rounds one request
-    may cover.
+    rounds between two checks can be drained with one
+    ``next_batch_columns`` per list — there is no decision to make in
+    between, so bulk draining consumes (and charges) exactly the same
+    accesses as item-at-a-time draining.  ``batch_size`` merely caps how
+    many rounds one request may cover.
 
     A sorted stream that fails with one of
     :data:`DEGRADABLE_ACCESS_ERRORS` is marked dead: its bottom freezes
@@ -259,35 +198,6 @@ def _nra_run(
         raise ValueError(
             f"stop_check_growth must be >= 1, got {stop_check_growth}"
         )
-    if kernel == "vector":
-        return _nra_run_vector(
-            sources,
-            rule,
-            k,
-            cursors=cursors,
-            states=states,
-            bottoms=bottoms,
-            exhausted=exhausted,
-            meter=meter,
-            depth=depth,
-            exact_grades=exact_grades,
-            tol=tol,
-            theta=theta,
-            batch_size=batch_size,
-            algorithm=algorithm,
-            prior_failures=prior_failures,
-            failed_sorted=failed_sorted,
-            tracer=tracer,
-            phase_name=phase_name,
-            executor=executor,
-            stop_check_growth=stop_check_growth,
-            grade_matrix=grade_matrix,
-            writeback_states=writeback_states,
-            rounds=rounds,
-            next_check=next_check,
-            initial_check=initial_check,
-            snapshot_out=snapshot_out,
-        )
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
@@ -301,46 +211,31 @@ def _nra_run(
     stop_kth = 0.0
     stop_bound = 0.0
 
-    def rivals_bound(top) -> float:
-        """The best overall grade any object outside ``top`` could have."""
-        bound = rule(bottoms) if len(states) < database_size else 0.0
-        for obj, state in states.items():
-            if obj in top:
-                continue
-            bound = max(bound, state.upper(rule, m, bottoms))
-        return bound
+    def view_bounds():
+        """The state's stop view, and the best overall grade any object
+        outside its top k — seen or not — could still have."""
+        view = bounds.stop_view(rule, bottoms, k)
+        unseen = rule(bottoms) if bounds.count < database_size else 0.0
+        return view, max(unseen, view.rival_upper)
 
     def evaluate_stop() -> Optional[GradedSet]:
         nonlocal converged, stop_kth, stop_bound
-        if len(states) < k:
+        if bounds.count < k:
             return None
-        scored = GradedSet(
-            {obj: state.lower(rule, m) for obj, state in states.items()}
-        )
-        top = scored.top(k)
-        kth_lower = top.kth_grade(k)
-        # The best any *unseen* object could achieve.
-        rivals_upper = rivals_bound(top)
+        view, rivals_upper = view_bounds()
         if tracer is not None:
-            tracer.sample("nra.kth_lower", kth_lower)
+            tracer.sample("nra.kth_lower", view.kth_lower)
             tracer.sample("nra.rivals_upper", rivals_upper)
-            tracer.sample("nra.buffer_objects", float(len(states)))
-        if theta * kth_lower + tol < rivals_upper:
+            tracer.sample("nra.buffer_objects", float(bounds.count))
+        if theta * view.kth_lower + tol < rivals_upper:
             return None
-        if exact_grades and theta == 1.0:
-            for item in top:
-                state = states[item.object_id]
-                if state.upper(rule, m, bottoms) - item.grade > tol:
-                    return None
-            converged = True
-        else:
-            converged = all(
-                states[item.object_id].upper(rule, m, bottoms) - item.grade <= tol
-                for item in top
-            )
-        stop_kth = kth_lower
+        gaps_converged = view.gap <= tol
+        if exact_grades and theta == 1.0 and not gaps_converged:
+            return None
+        converged = gaps_converged
+        stop_kth = view.kth_lower
         stop_bound = rivals_upper
-        return top
+        return GradedSet(zip(view.ids, view.lowers))
 
     with nullcontext() if tracer is None else tracer.phase(phase_name):
         if initial_check:
@@ -371,7 +266,7 @@ def _nra_run(
             outcomes = fan_out(
                 executor,
                 [
-                    (lambda c=cursors[i], w=window: c.next_batch(w))
+                    (lambda c=cursors[i], w=window: c.next_batch_columns(w))
                     for i in active
                 ],
             )
@@ -381,242 +276,6 @@ def _nra_run(
                         raise outcome.error
                     # Dead stream: freeze its bottom (a sound upper bound
                     # for everything it never delivered) and carry on.
-                    exhausted[i] = True
-                    sorted_failures[i] = str(outcome.error)
-                    if tracer is not None:
-                        tracer.event(
-                            "sorted-stream-failed",
-                            source=sources[i].name,
-                            reason=str(outcome.error),
-                        )
-                    continue
-                batch = outcome.value
-                cursor = cursors[i]
-                if not batch:
-                    exhausted[i] = True
-                    bottoms[i] = 0.0
-                    continue
-                progressed = True
-                if tracer is not None:
-                    tracer.record_sorted_batch(
-                        sources[i].name, batch, cursor.position - len(batch)
-                    )
-                bottoms[i] = batch[-1].grade
-                depth = max(depth, cursor.position)
-                drained = max(drained, len(batch))
-                for item in batch:
-                    states.setdefault(item.object_id, _NraState()).known[i] = item.grade
-            rounds += drained if progressed else 1
-            if rounds >= next_check or not progressed:
-                answers = evaluate_stop()
-                next_check = max(int(rounds * stop_check_growth), rounds + 1)
-            if not progressed and answers is None:
-                # Nothing can progress.  Without failures every grade is
-                # known (the lists were fully drained), so the lower bounds
-                # are the true grades; with dead streams this is the
-                # best-effort ranking by lower bound.
-                scored = GradedSet(
-                    {obj: state.lower(rule, m) for obj, state in states.items()}
-                )
-                answers = scored.top(k)
-                stop_kth = answers.kth_grade(k) if len(answers) >= k else 0.0
-                if sorted_failures:
-                    partial = True
-                    converged = False
-                    stop_bound = rivals_bound(answers)
-                else:
-                    converged = True
-                    stop_bound = stop_kth
-
-    failures: Dict[str, str] = dict(prior_failures or {})
-    for i, reason in sorted_failures.items():
-        failures[sources[i].name] = reason
-    degraded: Optional[DegradedResult] = None
-    if failures:
-        degraded = DegradedResult(
-            failed_sources=failures,
-            fallback="partial-bounds" if partial else "nra-sorted-only",
-            complete=not partial,
-            bounds={
-                item.object_id: (
-                    states[item.object_id].lower(rule, m),
-                    states[item.object_id].upper(rule, m, bottoms),
-                )
-                for item in answers
-            },
-        )
-
-    if snapshot_out is not None and not failures:
-        _fill_nra_snapshot(
-            snapshot_out,
-            states={obj: dict(state.known) for obj, state in states.items()},
-            bottoms=bottoms,
-            positions=[cursor.position for cursor in cursors],
-            exhausted=exhausted,
-            depth=depth,
-            rounds=rounds,
-            next_check=next_check,
-            batch_size=batch_size,
-            stop_check_growth=stop_check_growth,
-            exact_grades=exact_grades,
-            tol=tol,
-        )
-
-    certificate: Optional[ApproximationCertificate] = None
-    if partial or theta > 1.0:
-        certificate = ApproximationCertificate.build(
-            theta=theta,
-            kth_grade=stop_kth,
-            bound=stop_bound,
-            intervals={
-                item.object_id: (
-                    states[item.object_id].lower(rule, m),
-                    states[item.object_id].upper(rule, m, bottoms),
-                )
-                for item in answers
-            },
-            anytime=partial,
-        )
-        if tracer is not None and theta > 1.0:
-            tracer.event(
-                "theta-certified",
-                theta=theta,
-                achieved=certificate.achieved,
-                kth=certificate.kth_grade,
-                bound=certificate.bound,
-                anytime=certificate.anytime,
-            )
-
-    return TopKResult(
-        answers=answers,
-        cost=meter.report(),
-        algorithm=algorithm,
-        sorted_depth=depth,
-        grades_exact=converged,
-        degraded=degraded,
-        approximation=certificate,
-    )
-
-
-def _nra_run_vector(
-    sources: Sequence[GradedSource],
-    rule: ScoringFunction,
-    k: int,
-    *,
-    cursors,
-    states: Dict[ObjectId, _NraState],
-    bottoms: List[float],
-    exhausted: List[bool],
-    meter: CostMeter,
-    depth: int = 0,
-    exact_grades: bool = True,
-    tol: float = 1e-12,
-    theta: float = 1.0,
-    batch_size: int = 4096,
-    algorithm: str = "nra",
-    prior_failures: Optional[Dict[str, str]] = None,
-    failed_sorted: Optional[Dict[int, str]] = None,
-    tracer=None,
-    phase_name: str = "nra",
-    executor=None,
-    stop_check_growth: float = 2.0,
-    grade_matrix: Optional[GradeMatrix] = None,
-    writeback_states: bool = False,
-    rounds: int = 0,
-    next_check: int = 1,
-    initial_check: bool = False,
-    snapshot_out: Optional[Dict] = None,
-) -> TopKResult:
-    """Columnar NRA: the same loop as :func:`_nra_run`, with the seen
-    set in a :class:`~repro.kernels.GradeMatrix` and every stop check a
-    handful of array operations.
-
-    Byte-identity with the scalar loop is structural, not approximate:
-    sorted draining follows the identical window/check schedule (so the
-    charged accesses and trace records match item for item), lower and
-    upper bounds are the same IEEE-754 folds via
-    ``ScoringFunction.combine_matrix``, and the top-k selection uses the
-    same ``(-grade, str(id))`` key through ``numpy.lexsort``.
-    """
-    database_size = check_same_objects(sources)
-    k = min(k, database_size)
-    m = len(sources)
-    matrix = (
-        grade_matrix
-        if grade_matrix is not None
-        else GradeMatrix.from_states(states, m)
-    )
-    sorted_failures: Dict[int, str] = dict(failed_sorted or {})
-    answers: Optional[GradedSet] = None
-    answer_rows = None
-    converged = True
-    partial = False
-    stop_kth = 0.0
-    stop_bound = 0.0
-
-    def evaluate_stop() -> Optional[GradedSet]:
-        nonlocal converged, answer_rows, stop_kth, stop_bound
-        if matrix.count < k:
-            return None
-        lower = matrix.lower_bounds(rule)
-        upper = matrix.upper_bounds(rule, bottoms)
-        order = matrix.top_order(lower)
-        kth_lower = float(lower[order[k - 1]])
-        # The best any *unseen* object could achieve.
-        rivals_upper = rule(bottoms) if matrix.count < database_size else 0.0
-        rest = order[k:]
-        if rest.size:
-            rivals_upper = max(rivals_upper, float(upper[rest].max()))
-        if tracer is not None:
-            tracer.sample("nra.kth_lower", kth_lower)
-            tracer.sample("nra.rivals_upper", rivals_upper)
-            tracer.sample("nra.buffer_objects", float(matrix.count))
-        if theta * kth_lower + tol < rivals_upper:
-            return None
-        top_rows = order[:k]
-        gaps_converged = bool(
-            ((upper[top_rows] - lower[top_rows]) <= tol).all()
-        )
-        if exact_grades and theta == 1.0:
-            if not gaps_converged:
-                return None
-            converged = True
-        else:
-            converged = gaps_converged
-        stop_kth = kth_lower
-        stop_bound = rivals_upper
-        answer_rows = top_rows
-        values = lower[top_rows].tolist()
-        return GradedSet(
-            {matrix.ids[row]: values[i] for i, row in enumerate(top_rows.tolist())}
-        )
-
-    with nullcontext() if tracer is None else tracer.phase(phase_name):
-        if initial_check:
-            # See the scalar loop: replay the snapshot's final stop check
-            # without advancing the schedule.
-            answers = evaluate_stop()
-        while answers is None:
-            window = min(max(next_check - rounds, 1), batch_size)
-            progressed = False
-            drained = 0
-            active = [i for i in range(m) if not exhausted[i]]
-            for i in active:
-                # free shard-aware hint (see the scalar NRA loop)
-                sources[i].prefetch_sorted(
-                    cursors[i].position + window, executor=executor
-                )
-            outcomes = fan_out(
-                executor,
-                [
-                    (lambda c=cursors[i], w=window: c.next_batch_columns(w))
-                    for i in active
-                ],
-            )
-            for i, outcome in zip(active, outcomes):
-                if outcome.error is not None:
-                    if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                        raise outcome.error
                     exhausted[i] = True
                     sorted_failures[i] = str(outcome.error)
                     if tracer is not None:
@@ -645,35 +304,23 @@ def _nra_run_vector(
                 bottoms[i] = float(grades[-1])
                 depth = max(depth, cursor.position)
                 drained = max(drained, len(ids))
-                matrix.add_column_batch(i, ids, grades)
+                bounds.add_batch(i, ids, grades)
             rounds += drained if progressed else 1
             if rounds >= next_check or not progressed:
                 answers = evaluate_stop()
                 next_check = max(int(rounds * stop_check_growth), rounds + 1)
             if not progressed and answers is None:
-                lower = matrix.lower_bounds(rule)
-                order = matrix.top_order(lower)
-                answer_rows = order[:k]
-                values = lower[answer_rows].tolist()
-                answers = GradedSet(
-                    {
-                        matrix.ids[row]: values[i]
-                        for i, row in enumerate(answer_rows.tolist())
-                    }
-                )
-                stop_kth = (
-                    float(lower[order[k - 1]]) if matrix.count >= k else 0.0
-                )
+                # Nothing can progress.  Without failures every grade is
+                # known (the lists were fully drained), so the lower bounds
+                # are the true grades; with dead streams this is the
+                # best-effort ranking by lower bound.
+                view, rivals_upper = view_bounds()
+                answers = GradedSet(zip(view.ids, view.lowers))
+                stop_kth = view.kth_lower
                 if sorted_failures:
                     partial = True
                     converged = False
-                    upper = matrix.upper_bounds(rule, bottoms)
-                    stop_bound = (
-                        rule(bottoms) if matrix.count < database_size else 0.0
-                    )
-                    rest = order[k:]
-                    if rest.size:
-                        stop_bound = max(stop_bound, float(upper[rest].max()))
+                    stop_bound = rivals_upper
                 else:
                     converged = True
                     stop_bound = stop_kth
@@ -681,36 +328,33 @@ def _nra_run_vector(
     failures: Dict[str, str] = dict(prior_failures or {})
     for i, reason in sorted_failures.items():
         failures[sources[i].name] = reason
+    intervals: Dict = {}
+    if failures or partial or theta > 1.0:
+        intervals = bounds.intervals(rule, bottoms, answers.objects())
     degraded: Optional[DegradedResult] = None
     if failures:
-        final_lower = matrix.lower_bounds(rule)
-        final_upper = matrix.upper_bounds(rule, bottoms)
         degraded = DegradedResult(
             failed_sources=failures,
             fallback="partial-bounds" if partial else "nra-sorted-only",
             complete=not partial,
-            bounds={
-                matrix.ids[row]: (float(final_lower[row]), float(final_upper[row]))
-                for row in answer_rows.tolist()
-            },
+            bounds=dict(intervals),
         )
 
-    if writeback_states:
-        matrix.flush_to_states(states, _NraState)
-
     if snapshot_out is not None and not failures:
-        # ``flush_to_states`` into a scratch dict converts the columnar
-        # seen-set to the same {id: {column: grade}} shape the scalar
-        # loop snapshots, appending rows in first-seen order — so a
-        # snapshot restores identically whichever kernel wrote it.
-        scratch: Dict[ObjectId, _NraState] = {}
-        matrix.flush_to_states(scratch, _NraState)
-        _fill_nra_snapshot(
-            snapshot_out,
-            states={obj: dict(state.known) for obj, state in scratch.items()},
-            bottoms=bottoms,
+        # Everything is copied into plain built-in containers: the
+        # snapshot must stay valid (and immutable in practice) after the
+        # run's own bookkeeping is garbage-collected or mutated by a
+        # later continuation.  ``states`` maps object id -> {list index
+        # -> known grade} in first-seen order, which is exactly the
+        # insertion order a resumed run's bookkeeping must reproduce —
+        # whichever bounds state wrote it.
+        snapshot_out.clear()
+        snapshot_out.update(
+            kind="nra",
+            states=bounds.known_states(),
+            bottoms=list(bottoms),
             positions=[cursor.position for cursor in cursors],
-            exhausted=exhausted,
+            exhausted=list(exhausted),
             depth=depth,
             rounds=rounds,
             next_check=next_check,
@@ -722,19 +366,11 @@ def _nra_run_vector(
 
     certificate: Optional[ApproximationCertificate] = None
     if partial or theta > 1.0:
-        cert_lower = matrix.lower_bounds(rule)
-        cert_upper = matrix.upper_bounds(rule, bottoms)
         certificate = ApproximationCertificate.build(
             theta=theta,
             kth_grade=stop_kth,
             bound=stop_bound,
-            intervals={
-                matrix.ids[row]: (
-                    float(cert_lower[row]),
-                    float(cert_upper[row]),
-                )
-                for row in answer_rows.tolist()
-            },
+            intervals=intervals,
             anytime=partial,
         )
         if tracer is not None and theta > 1.0:
@@ -756,6 +392,7 @@ def _nra_run_vector(
         degraded=degraded,
         approximation=certificate,
     )
+
 
 
 def threshold_top_k(
@@ -850,9 +487,10 @@ def threshold_top_k(
     cursors = [s.cursor() for s in sources]
     others = [[j for j in range(m) if j != i] for i in range(m)]
     bottoms = [1.0] * m
-    #: NRA-style per-list bookkeeping, doubling as TA's seen-set; kept
-    #: current so a mid-query fallback starts fully informed.
-    states: Dict[ObjectId, _NraState] = {}
+    #: NRA-style per-list bookkeeping ({object: {list index: grade}}),
+    #: doubling as TA's seen-set; kept current so a mid-query fallback
+    #: starts fully informed.
+    states: Dict[ObjectId, Dict[int, float]] = {}
     overall: Dict[ObjectId, float] = {}
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
@@ -913,7 +551,7 @@ def threshold_top_k(
             rule,
             k,
             cursors=cursors,
-            states=states,
+            bounds=_DictBounds(m, states),
             bottoms=bottoms,
             exhausted=pre_exhausted,
             meter=meter,
@@ -960,11 +598,11 @@ def threshold_top_k(
                             position=cursors[i].position + row + 1,
                         )
                     bottoms[i] = item.grade
-                    state = states.get(item.object_id)
-                    if state is None:
-                        state = states[item.object_id] = _NraState()
+                    known = states.get(item.object_id)
+                    if known is None:
+                        known = states[item.object_id] = {}
                         fresh.append((item.object_id, i))
-                    state.known[i] = item.grade
+                    known[i] = item.grade
                 consumed = row + 1
                 if fresh:
                     needed: List[List[ObjectId]] = [[] for _ in range(m)]
@@ -1007,9 +645,9 @@ def threshold_top_k(
                                     sources[j].name, object_id, fetched[object_id]
                                 )
                         for object_id, grade in fetched.items():
-                            states[object_id].known[j] = grade
+                            states[object_id][j] = grade
                     for object_id, _ in fresh:
-                        known = states[object_id].known
+                        known = states[object_id]
                         grade = rule([known[j] for j in range(m)])
                         overall[object_id] = grade
                         if len(best_k) < k:
@@ -1119,7 +757,7 @@ def _threshold_top_k_vector(
     when a degradable failure forces the NRA fallback, the log is
     replayed into a :class:`~repro.kernels.GradeMatrix` (content equals
     the scalar states; row order is unobservable through NRA's total
-    answer order) and handed to :func:`_nra_run_vector`.
+    answer order) and handed to :func:`_nra_run`.
     """
     database_size = check_same_objects(sources)
     k = min(k, database_size)
@@ -1281,16 +919,16 @@ def _threshold_top_k_vector(
             depth = max(depth, cursors[i].position)
         matrix = GradeMatrix(m, capacity=max(len(seen), 16))
         for i, ids, grades in sorted_log:
-            matrix.add_column_batch(i, ids, grades)
+            matrix.add_batch(i, ids, grades)
         for j, fetched in probe_log:
             for object_id, grade in fetched.items():
                 matrix.set_grade(object_id, j, grade)
-        return _nra_run_vector(
+        return _nra_run(
             sources,
             rule,
             k,
             cursors=cursors,
-            states={},
+            bounds=matrix,
             bottoms=bottoms,
             exhausted=pre_exhausted,
             meter=meter,
@@ -1303,7 +941,6 @@ def _threshold_top_k_vector(
             tracer=tracer,
             phase_name="nra-fallback",
             executor=executor,
-            grade_matrix=matrix,
         )
 
     with nullcontext() if tracer is None else tracer.phase("ta"):
@@ -1562,8 +1199,8 @@ def nra_top_k(
     ``stop_check_growth`` controls the geometric stop-check schedule
     (see :func:`_nra_run`); ``theta`` the Fagin–Lotem–Naor
     θ-approximation knob (1.0 = exact; see :func:`_nra_run`); ``kernel``
-    selects the scalar or vectorized implementation (``None`` =
-    configured default, resolved by
+    selects the dict-backed or columnar bounds state the loop runs over
+    (``None`` = configured default, resolved by
     :func:`repro.kernels.resolve_kernel`).  ``snapshot_out`` captures a
     clean run's resumable state for the result cache's warm-start tier
     (see :func:`_nra_run`).
@@ -1583,7 +1220,7 @@ def nra_top_k(
         rule,
         k,
         cursors=[s.cursor() for s in sources],
-        states={},
+        bounds=bounds_state(resolve_kernel(kernel, sources, rule), m),
         bottoms=[1.0] * m,
         exhausted=[False] * m,
         meter=CostMeter(sources),
@@ -1594,7 +1231,6 @@ def nra_top_k(
         tracer=tracer,
         executor=executor,
         stop_check_growth=stop_check_growth,
-        kernel=resolve_kernel(kernel, sources, rule),
         snapshot_out=snapshot_out,
     )
 
@@ -1615,12 +1251,20 @@ def combined_top_k(
     ``ratio`` models how much more a random access costs than a sorted
     access; CA performs one resolution step — completing the incomplete
     object with the highest upper bound via random access — only every
-    ``ceil(ratio)`` sorted rounds, so the random-access budget tracks
-    the sorted-access budget scaled by the price ratio.
+    ``h = floor(ratio)`` sorted rounds (Fagin–Lotem–Naor's
+    ``h = ⌊c_R / c_S⌋``), so the random-access budget tracks the
+    sorted-access budget scaled by the price ratio.
 
     Correctness mirrors NRA: the algorithm stops once the k best
     *exactly known* grades dominate both every incomplete object's upper
     bound and the unseen threshold ``t(bottoms)``.
+
+    CA's sorted rounds are inherently one item per list (the resolution
+    budget is metered per round); the O(seen * m) work — the stop test
+    and the best-incomplete selection scan every seen object's upper
+    bound — goes through the bounds state ``kernel`` selects
+    (:func:`repro.kernels.bounds_state`), with byte-identical decisions
+    on either.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -1629,10 +1273,6 @@ def combined_top_k(
     rule = as_scoring_function(scoring)
     if require_monotone:
         _require_monotone(rule, "CA")
-    if resolve_kernel(kernel, sources, rule) == "vector":
-        return _combined_top_k_vector(
-            sources, rule, k, ratio=ratio, tracer=tracer, executor=executor
-        )
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
@@ -1641,7 +1281,7 @@ def combined_top_k(
     cursors = [s.cursor() for s in sources]
     exhausted = [False] * m
     bottoms = [1.0] * m
-    states: Dict[ObjectId, _NraState] = {}
+    bounds = bounds_state(resolve_kernel(kernel, sources, rule), m)
     complete: Dict[ObjectId, float] = {}
     best_k: List[float] = []
     resolve_every = max(1, int(ratio))
@@ -1657,19 +1297,12 @@ def combined_top_k(
             heapq.heapreplace(best_k, grade)
 
     def resolve_best_incomplete() -> None:
-        best_id = None
-        best_upper = -1.0
-        for object_id, state in states.items():
-            if object_id in complete:
-                continue
-            upper = state.upper(rule, m, bottoms)
-            if upper > best_upper:
-                best_upper = upper
-                best_id = object_id
-        if best_id is None:
+        best = bounds.best_incomplete(rule, bottoms)
+        if best is None:
             return
-        grades = states[best_id].known
-        missing = [j for j in range(m) if j not in grades]
+        best_id = best[0]
+        grades = bounds.grades_of(best_id)
+        missing = [j for j in range(m) if grades[j] is None]
         probe_outcomes = fan_out(
             executor,
             [
@@ -1684,170 +1317,19 @@ def combined_top_k(
             if outcome.error is not None:
                 raise outcome.error
             grades[j] = outcome.value
-            if tracer is not None:
-                tracer.record_random(sources[j].name, best_id, grades[j])
-        record_complete(best_id, rule([grades[j] for j in range(m)]))
-
-    def should_stop() -> bool:
-        if len(best_k) < k:
-            return False
-        kth = best_k[0]
-        if len(states) < database_size and rule(bottoms) > kth:
-            return False
-        for object_id, state in states.items():
-            if object_id in complete:
-                continue
-            if state.upper(rule, m, bottoms) > kth:
-                return False
-        return True
-
-    with nullcontext() if tracer is None else tracer.phase("ca"):
-        while True:
-            progressed = False
-            active = [i for i in range(m) if not exhausted[i]]
-            round_outcomes = fan_out(
-                executor,
-                [(lambda c=cursors[i]: c.next()) for i in active],
-                stop_on_error=True,
-            )
-            for i, outcome in zip(active, round_outcomes):
-                if not outcome.ran:
-                    break
-                if outcome.error is not None:
-                    raise outcome.error
-                item = outcome.value
-                cursor = cursors[i]
-                if item is None:
-                    exhausted[i] = True
-                    bottoms[i] = 0.0
-                    continue
-                progressed = True
-                if tracer is not None:
-                    tracer.record_sorted(
-                        sources[i].name,
-                        item.object_id,
-                        item.grade,
-                        position=cursor.position,
-                    )
-                bottoms[i] = item.grade
-                depth = max(depth, cursor.position)
-                state = states.setdefault(item.object_id, _NraState())
-                state.known[i] = item.grade
-                if item.object_id not in complete and state.complete(m):
-                    record_complete(
-                        item.object_id,
-                        rule([state.known[j] for j in range(m)]),
-                    )
-            rounds += 1
-            if rounds % resolve_every == 0:
-                resolve_best_incomplete()
-            if rounds >= next_check or not progressed:
-                if should_stop():
-                    break
-                next_check = rounds * 2
-            if not progressed:
-                # Lists exhausted: every grade known via sorted access.
-                for object_id, state in states.items():
-                    if object_id not in complete:
-                        record_complete(
-                            object_id, rule([state.known[j] for j in range(m)])
-                        )
-                break
-
-    return TopKResult(
-        answers=GradedSet(complete).top(k),
-        cost=meter.report(),
-        algorithm="combined-ca",
-        sorted_depth=depth,
-    )
-
-
-def _combined_top_k_vector(
-    sources: Sequence[GradedSource],
-    rule: ScoringFunction,
-    k: int,
-    *,
-    ratio: float = 8.0,
-    tracer=None,
-    executor=None,
-) -> TopKResult:
-    """Columnar CA: :func:`combined_top_k` with the per-object
-    bookkeeping in a :class:`~repro.kernels.GradeMatrix`.
-
-    CA's sorted rounds are inherently one item per list (the resolution
-    budget is metered per round), so the round loop stays; what gets
-    vectorized is the O(seen * m) work — the stop test and the
-    best-incomplete selection scan every seen object's upper bound,
-    which here become single ``combine_matrix`` folds plus an argmax.
-    Scalar iteration order (dict insertion order) equals matrix row
-    order, so "first strict maximum" resolves the same object and the
-    stop decisions are byte-identical.
-    """
-    database_size = check_same_objects(sources)
-    k = min(k, database_size)
-    m = len(sources)
-    meter = CostMeter(sources)
-
-    cursors = [s.cursor() for s in sources]
-    exhausted = [False] * m
-    bottoms = [1.0] * m
-    matrix = GradeMatrix(m)
-    complete: Dict[ObjectId, float] = {}
-    best_k: List[float] = []
-    resolve_every = max(1, int(ratio))
-    depth = 0
-    rounds = 0
-    next_check = 1
-    combine = rule._combine
-
-    def record_complete(object_id: ObjectId, grade: float) -> None:
-        complete[object_id] = grade
-        if len(best_k) < k:
-            heapq.heappush(best_k, grade)
-        elif grade > best_k[0]:
-            heapq.heapreplace(best_k, grade)
-
-    def resolve_best_incomplete() -> None:
-        incomplete_rows = _np.nonzero(~matrix.complete_mask())[0]
-        if not incomplete_rows.size:
-            return
-        upper = matrix.upper_bounds(rule, bottoms)
-        # argmax = first occurrence of the maximum, in row (= insertion)
-        # order — the same object the scalar strict-max scan picks.
-        best_row = int(incomplete_rows[int(_np.argmax(upper[incomplete_rows]))])
-        best_id = matrix.ids[best_row]
-        row_values = matrix.known()[best_row]
-        missing = [j for j in range(m) if row_values[j] != row_values[j]]
-        probe_outcomes = fan_out(
-            executor,
-            [
-                (lambda s=sources[j], o=best_id: s.random_access(o))
-                for j in missing
-            ],
-            stop_on_error=True,
-        )
-        for j, outcome in zip(missing, probe_outcomes):
-            if not outcome.ran:
-                break
-            if outcome.error is not None:
-                raise outcome.error
-            row_values[j] = outcome.value
+            bounds.set_grade(best_id, j, outcome.value)
             if tracer is not None:
                 tracer.record_random(sources[j].name, best_id, outcome.value)
-        record_complete(best_id, combine(tuple(row_values.tolist())))
+        record_complete(best_id, rule(grades))
 
     def should_stop() -> bool:
         if len(best_k) < k:
             return False
         kth = best_k[0]
-        if matrix.count < database_size and rule(bottoms) > kth:
+        if bounds.count < database_size and rule(bottoms) > kth:
             return False
-        incomplete = ~matrix.complete_mask()
-        if incomplete.any():
-            upper = matrix.upper_bounds(rule, bottoms)
-            if float(upper[incomplete].max()) > kth:
-                return False
-        return True
+        best = bounds.best_incomplete(rule, bottoms)
+        return best is None or best[1] <= kth
 
     with nullcontext() if tracer is None else tracer.phase("ca"):
         while True:
@@ -1855,7 +1337,7 @@ def _combined_top_k_vector(
             active = [i for i in range(m) if not exhausted[i]]
             round_outcomes = fan_out(
                 executor,
-                [(lambda c=cursors[i]: c.next()) for i in active],
+                [(lambda c=cursors[i]: c.next_batch_columns(1)) for i in active],
                 stop_on_error=True,
             )
             for i, outcome in zip(active, round_outcomes):
@@ -1863,28 +1345,28 @@ def _combined_top_k_vector(
                     break
                 if outcome.error is not None:
                     raise outcome.error
-                item = outcome.value
+                ids, column = outcome.value
                 cursor = cursors[i]
-                if item is None:
+                if not ids:
                     exhausted[i] = True
                     bottoms[i] = 0.0
                     continue
                 progressed = True
+                object_id, grade = ids[0], float(column[0])
                 if tracer is not None:
                     tracer.record_sorted(
                         sources[i].name,
-                        item.object_id,
-                        item.grade,
+                        object_id,
+                        grade,
                         position=cursor.position,
                     )
-                bottoms[i] = item.grade
+                bottoms[i] = grade
                 depth = max(depth, cursor.position)
-                object_id = item.object_id
-                row = matrix.row_of(object_id)
-                values = matrix.known()[row]
-                values[i] = item.grade
-                if object_id not in complete and not _np.isnan(values).any():
-                    record_complete(object_id, combine(tuple(values.tolist())))
+                bounds.set_grade(object_id, i, grade)
+                if object_id not in complete:
+                    grades = bounds.grades_of(object_id)
+                    if None not in grades:
+                        record_complete(object_id, rule(grades))
             rounds += 1
             if rounds % resolve_every == 0:
                 resolve_best_incomplete()
@@ -1894,13 +1376,9 @@ def _combined_top_k_vector(
                 next_check = rounds * 2
             if not progressed:
                 # Lists exhausted: every grade known via sorted access.
-                known = matrix.known()
-                for row in range(matrix.count):
-                    object_id = matrix.ids[row]
+                for object_id, grade in zip(*bounds.scores(rule)):
                     if object_id not in complete:
-                        record_complete(
-                            object_id, combine(tuple(known[row].tolist()))
-                        )
+                        record_complete(object_id, grade)
                 break
 
     return TopKResult(

@@ -43,13 +43,10 @@ from abc import ABC, abstractmethod
 from functools import reduce
 from typing import Callable, Sequence
 
+import numpy as _np
+
 from repro.grades import validate_grade
 from repro.errors import GradeError, ScoringError
-
-try:  # numpy is optional at runtime; scalar scoring never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 class ScoringFunction(ABC):
@@ -112,11 +109,6 @@ class ScoringFunction(ABC):
         in [0, 1] (:class:`GradeError` otherwise), and an empty grade
         tuple (m == 0) raises :class:`ScoringError`.
         """
-        if _np is None:  # pragma: no cover - exercised on numpy-free installs
-            raise ScoringError(
-                f"{self.name}: combine_matrix requires numpy; "
-                "use the scalar __call__ path instead"
-            )
         matrix = _np.asarray(grades, dtype=_np.float64)
         if matrix.ndim != 2:
             raise ScoringError(

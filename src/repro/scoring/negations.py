@@ -10,13 +10,10 @@ parametric examples.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.errors import GradeError
 from repro.grades import validate_grade
-
-try:  # numpy is optional; scalar negation never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 class Negation:
@@ -37,8 +34,6 @@ class Negation:
         the base implementation loops the scalar rule, so every negation
         supports the API.
         """
-        if _np is None:  # pragma: no cover - exercised on numpy-free installs
-            raise GradeError(f"{self.name}: negate_matrix requires numpy")
         values = _np.asarray(grades, dtype=_np.float64)
         if values.size and (
             not _np.isfinite(values).all()

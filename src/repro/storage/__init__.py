@@ -25,6 +25,8 @@ import os
 import tempfile
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as _np
+
 from repro.core.graded import ObjectId
 from repro.core.sources import (
     BACKEND_CHOICES,
@@ -43,11 +45,6 @@ from repro.storage.memmap import (
     verify_memmap,
 )
 from repro.storage.sharded import ShardedSource, hash_router
-
-try:  # pragma: no cover - numpy is a baked-in dependency in practice
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -133,8 +130,6 @@ def build_column_sources(
         )
     if shards < 1:
         raise AccessError(f"shards must be >= 1, got {shards}")
-    if _np is None:  # pragma: no cover - numpy-less installs
-        raise StorageError("the storage backends require numpy")
     m = len(labels)
     if m == 0:
         return []

@@ -50,14 +50,11 @@ import mmap as _mmap_module
 import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.graded import GradedItem, GradedSet, ObjectId
 from repro.core.sources import GradedSource, _fast_item, validate_grade_array
 from repro.errors import StorageError, UnknownObjectError
-
-try:  # pragma: no cover - numpy is a baked-in dependency in practice
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: manifest file name inside a source directory
 MANIFEST_NAME = "manifest.json"
@@ -65,11 +62,6 @@ MANIFEST_NAME = "manifest.json"
 MEMMAP_FORMAT = "repro-memmap-v1"
 
 _REQUIRED_FILES = ("ids", "grades", "lookup_ids", "lookup_grades")
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - numpy-less installs
-        raise StorageError("the memmap storage backend requires numpy")
 
 
 def _id_column(ids: List[ObjectId], name: str):
@@ -136,7 +128,6 @@ class MemmapSource(GradedSource):
     supports_columnar = True
 
     def __init__(self, directory: str, *, name: Optional[str] = None) -> None:
-        _require_numpy()
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
@@ -354,7 +345,6 @@ def build_memmap(
     tool, not a query path); for datasets too large for that, write the
     columns incrementally like :func:`build_synthetic_memmap` does.
     """
-    _require_numpy()
     ids = list(object_ids)
     values = validate_grade_array(grades, name)
     if len(ids) != values.shape[0]:
@@ -447,7 +437,6 @@ def build_synthetic_memmap(
     This is the 10⁸ spot-check builder for benchmark E24; it never holds
     more than ``chunk`` elements in RAM.
     """
-    _require_numpy()
     if count < 0:
         raise StorageError(f"count must be >= 0, got {count}")
     os.makedirs(directory, exist_ok=True)
@@ -582,15 +571,21 @@ def verify_memmap(
         positions = _np.unique(
             _np.linspace(0, count - 1, num=min(samples, count)).astype(_np.int64)
         )
-        for position in positions.tolist():
-            object_id = source._sorted_ids[position].item()
-            expected = float(source._sorted_grades[position])
-            actual = source._grade_of(object_id)
-            if actual != expected:
-                raise StorageError(
-                    f"{directory}: random access for {object_id!r} returned "
-                    f"{actual!r}, sorted position {position} says {expected!r}"
-                )
+        # random access's own binary search, over every sample at once
+        probe = source._sorted_ids[positions]
+        expected = source._sorted_grades[positions]
+        slots = _np.minimum(_np.searchsorted(source._lookup_ids, probe), count - 1)
+        found = source._lookup_ids[slots] == probe
+        actual = source._lookup_grades[slots]
+        bad = ~found | (actual != expected)
+        if bool(bad.any()):
+            first = int(_np.argmax(bad))
+            returned = repr(float(actual[first])) if found[first] else "no such object"
+            raise StorageError(
+                f"{directory}: random access for {probe[first].item()!r} returned "
+                f"{returned}, sorted position {int(positions[first])} says "
+                f"{float(expected[first])!r}"
+            )
     checks.append("random-vs-sorted-sample")
 
     return {

@@ -52,16 +52,13 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.graded import GradedItem, GradedSet, ObjectId
 from repro.core.sources import GradedSource, _fast_item
-from repro.errors import AccessError, StorageError, UnknownObjectError
+from repro.errors import AccessError, UnknownObjectError
 from repro.kernels import merge_sorted_shard_blocks
 from repro.parallel import fan_out, raise_first_error
-
-try:  # pragma: no cover - numpy is a baked-in dependency in practice
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: default per-shard buffer target for one merge round
 DEFAULT_MERGE_BLOCK = 1024
@@ -110,8 +107,6 @@ class ShardedSource(GradedSource):
         router: Optional[Callable[[ObjectId], int]] = None,
         merge_block: int = DEFAULT_MERGE_BLOCK,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy-less installs
-            raise StorageError("the sharded storage backend requires numpy")
         if not shards:
             raise AccessError("ShardedSource requires at least one shard")
         if merge_block < 1:

@@ -12,8 +12,11 @@ import random
 import pytest
 
 from repro.core.planner import Strategy
+from repro.core.query import Scored
+from repro.scoring import means
 from tests.cache.helpers import (
     answer_pairs,
+    atom,
     conjunction,
     engine_from_table,
 )
@@ -106,3 +109,31 @@ def test_all_tiers_match_cold_reference(
     assert stats["warm_hits"] == 1
     assert stats["misses"] == 3  # theta fill, fill, the warm probe's miss
     assert stats["fills"] == 3
+
+
+@pytest.mark.parametrize("rule", [None, means.MEAN], ids=["min", "mean"])
+@pytest.mark.parametrize("resume_kernel", ["scalar", "vector"])
+@pytest.mark.parametrize("fill_kernel", ["scalar", "vector"])
+def test_warm_start_resumes_under_the_other_kernel(fill_kernel, resume_kernel, rule):
+    """A snapshot is plain data: whichever bounds state wrote it, either
+    one resumes it, and fill + marginal accesses equal a cold run's."""
+    table = make_table()
+    query = (
+        conjunction(M)
+        if rule is None
+        else Scored(rule, tuple(atom(column) for column in range(M)))
+    )
+    cold = engine_from_table(table, M).top_k(query, k=25, prefer=Strategy.NRA)
+
+    engine = engine_from_table(table, M, backend="array")
+    engine.configure_cache()
+    fill = engine.top_k(query, k=10, prefer=Strategy.NRA, kernel=fill_kernel)
+    warm = engine.top_k(query, k=25, prefer=Strategy.NRA, kernel=resume_kernel)
+    assert warm.extras["cache"]["tier"] == "warm"
+    assert answer_pairs(warm) == answer_pairs(cold)
+    assert warm.cost == cold.cost
+    marginal = warm.extras["cache"]["marginal_sorted"]
+    assert (
+        fill.cost.sorted_access_cost + marginal
+        == cold.cost.sorted_access_cost
+    )

@@ -101,6 +101,37 @@ def test_best_and_kth():
     assert GradedSet().best() is None
 
 
+@given(
+    st.lists(
+        st.tuples(
+            # few distinct ids whose str() collide (1 / "1"), few grade
+            # levels incl. both zeros: full ties are the common case
+            st.sampled_from((1, "1", 2, "2", "10", 10, "a", "b", "c", 3.0, "3.0")),
+            st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)),
+        ),
+        max_size=11,
+    ),
+    st.booleans(),
+)
+def test_top_selects_exactly_the_sorted_prefix(pairs, sorted_first):
+    """top(k) / kth_grade(k) select; the full sort is the reference —
+    same objects, same grades (sign of zero included), same insertion
+    order, whether or not the sorted view is already cached."""
+    gs = GradedSet(pairs)
+    reference = sorted(GradedItem(obj, g) for obj, g in gs.as_dict().items())
+    if sorted_first:
+        list(gs)
+    n = len(gs)
+    for k in (0, 1, n, n + 3):
+        expected = [(i.object_id, repr(i.grade)) for i in reference[:k]]
+        top = gs.top(k)
+        assert [(o, repr(top[o])) for o in top.objects()] == expected
+        assert [(i.object_id, repr(i.grade)) for i in top] == expected
+        if k:
+            kth = reference[k - 1].grade if n >= k else 0.0
+            assert repr(gs.kth_grade(k)) == repr(kth)
+
+
 # ----------------------------------------------------------------------
 # Fuzzy algebra (Zadeh defaults)
 # ----------------------------------------------------------------------

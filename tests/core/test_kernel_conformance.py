@@ -10,14 +10,14 @@ plumbing, degradation parity, and the ``stop_check_growth`` schedule.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.naive import naive_top_k
-from repro.core.sources import sources_from_columns
+from repro.core.sources import GradedSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
-from repro.errors import ReproError
+from repro.errors import ReproError, TransientAccessError
 from repro.kernels import configure_kernel, default_kernel, resolve_kernel
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import VirtualClock
@@ -116,6 +116,45 @@ def assert_identical(name, scalar, vector, scalar_trace, vector_trace):
     assert vector_trace == scalar_trace, name
 
 
+def edge_table(rows):
+    return {f"o{i:02d}": list(row) for i, row in enumerate(rows)}, len(rows[0])
+
+
+DENORMAL = 5e-324
+BELOW_ONE = 1.0 - 2.0**-53
+
+#: the hand-offs between the two bounds states most likely to diverge:
+#: a single list, k past N, nothing but ties, constant columns, and
+#: grades at the edges of float64's [0, 1]
+EDGE_DATABASES = (
+    edge_table([(0.5,), (0.9,), (0.5,), (0.0,)]),
+    edge_table([(0.5, 0.5, 0.5)] * 6),
+    edge_table([(0.0, 0.0)] * 5),
+    edge_table([(1.0, 1.0)] * 5),
+    edge_table([(0.0, 1.0), (0.0, 0.25), (0.0, 1.0), (0.0, 0.75)]),
+    edge_table([(1.0, 0.1), (1.0, 0.9), (1.0, 0.9)]),
+    edge_table(
+        [
+            (DENORMAL, BELOW_ONE),
+            (BELOW_ONE, DENORMAL),
+            (0.0, BELOW_ONE),
+            (DENORMAL, DENORMAL),
+            (BELOW_ONE, BELOW_ONE),
+            (1.0, DENORMAL),
+        ]
+    ),
+)
+
+
+def edge_examples(test):
+    for database in EDGE_DATABASES:
+        for rule_index in (0, 1, 2):
+            for selector in (0, 1, 2):
+                test = example(database, rule_index, selector, "array")(test)
+        test = example(database, 4, 2, "list")(test)
+    return test
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     graded_databases(),
@@ -123,6 +162,7 @@ def assert_identical(name, scalar, vector, scalar_trace, vector_trace):
     st.integers(min_value=0, max_value=2),
     st.sampled_from(("array", "list")),
 )
+@edge_examples
 def test_vector_kernel_is_byte_identical(database, rule_index, selector, backend):
     table, m = database
     rule = pick_rule(m, rule_index)
@@ -332,6 +372,69 @@ def test_a0_paging_after_degradation_matches_across_kernels():
             (item.object_id, item.grade) for item in vector_page.answers
         ] == [(item.object_id, item.grade) for item in scalar_page.answers]
         assert vector_page.cost == scalar_page.cost
+        # what the NRA continuation learned is read back into ``_known``
+        # identically from either bounds state, first-seen order included
+        scalar_known, vector_known = (handle._known for handle in handles)
+        assert vector_known == scalar_known
+        assert list(vector_known) == list(scalar_known)
+
+
+class SortedStreamDies(GradedSource):
+    """Sorted access fails for good past ``limit`` deliveries; random
+    access keeps working."""
+
+    def __init__(self, inner, limit):
+        super().__init__(inner.name)
+        self._inner = inner
+        self._limit = limit
+        self.counter = inner.counter
+
+    def _refuse_past_limit(self, end):
+        if end > self._limit:
+            raise TransientAccessError(f"{self.name}: sorted stream is gone")
+
+    def _item_at(self, index):
+        self._refuse_past_limit(index + 1)
+        return self._inner._item_at(index)
+
+    def _items_range(self, start, count):
+        self._refuse_past_limit(start + count)
+        return self._inner._items_range(start, count)
+
+    def _peek_at(self, index):
+        return self._inner._peek_at(index)
+
+    def _peek_range(self, start, count):
+        return self._inner._peek_range(start, count)
+
+    def _grade_of(self, object_id):
+        return self._inner._grade_of(object_id)
+
+    def _grades_of_many(self, object_ids):
+        return self._inner._grades_of_many(object_ids)
+
+    def __len__(self):
+        return len(self._inner)
+
+
+@pytest.mark.parametrize("rule", (tnorms.MIN, means.MEAN), ids=("min", "mean"))
+def test_ta_hands_a_dead_sorted_stream_to_nra_identically(rule):
+    """TA's sorted consume fails while its probes still succeed: the
+    per-object loop hands NRA a dict state, the bulk loop a matrix, and
+    the continuation must not be able to tell."""
+    runs = []
+    for kernel in ("scalar", "vector"):
+        sources = sources_from_columns(independent(200, 3, seed=11))
+        sources[1] = SortedStreamDies(sources[1], 20)
+        tracer = QueryTracer()
+        result = threshold_top_k(
+            sources, rule, K, batch_size=8, tracer=tracer, kernel=kernel
+        )
+        runs.append((result, tracer.to_json()))
+    (scalar, scalar_trace), (vector, vector_trace) = runs
+    assert scalar.algorithm == "threshold-ta+nra"
+    assert list(scalar.degraded.failed_sources) == [sources[1].name]
+    assert_degraded_identical(scalar, vector, scalar_trace, vector_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,56 @@ def test_verify_detects_corruption(tmp_path):
         verify_memmap(directory)
 
 
+def _spaced_directory(tmp_path, count=4000):
+    """Even int ids (room to swap one for an odd neighbour) with
+    distinct, shuffled grades, so lookup order != sorted order."""
+    ids = list(range(0, 2 * count, 2))
+    grades = [((i * 7919) % count) / count for i in range(count)]
+    build_memmap(str(tmp_path / "spaced"), ids, grades, name="spaced")
+    return str(tmp_path / "spaced")
+
+
+def _sampled_object(directory, samples):
+    """(sorted position, id) of a mid-list object the sampled
+    cross-check probes."""
+    source = open_memmap(directory)
+    count = len(source)
+    positions = np.unique(
+        np.linspace(0, count - 1, num=samples).astype(np.int64)
+    )
+    position = int(positions[len(positions) // 2])
+    return position, int(source._sorted_ids[position])
+
+
+def test_verify_cross_checks_lookup_grades_at_sampled_positions(tmp_path):
+    directory = _spaced_directory(tmp_path)
+    position, object_id = _sampled_object(directory, samples=64)
+    lookup_ids = np.fromfile(os.path.join(directory, "lookup_ids.dat"), dtype=np.int64)
+    grades_file = os.path.join(directory, "lookup_grades.dat")
+    lookup_grades = np.fromfile(grades_file, dtype=np.float64)
+    slot = int(np.searchsorted(lookup_ids, object_id))
+    # still a legal grade: only the sorted-vs-random cross-check can tell
+    lookup_grades[slot] = 1.0 - lookup_grades[slot]
+    lookup_grades.tofile(grades_file)
+    with pytest.raises(StorageError) as excinfo:
+        verify_memmap(directory, samples=64)
+    message = str(excinfo.value)
+    assert f"random access for {object_id!r}" in message
+    assert f"sorted position {position}" in message
+
+
+def test_verify_detects_a_sampled_id_missing_from_lookup(tmp_path):
+    directory = _spaced_directory(tmp_path)
+    _, object_id = _sampled_object(directory, samples=64)
+    ids_file = os.path.join(directory, "lookup_ids.dat")
+    lookup_ids = np.fromfile(ids_file, dtype=np.int64)
+    # an odd neighbour keeps the column strictly increasing
+    lookup_ids[int(np.searchsorted(lookup_ids, object_id))] = object_id + 1
+    lookup_ids.tofile(ids_file)
+    with pytest.raises(StorageError):
+        verify_memmap(directory, samples=64)
+
+
 def test_source_verify_method(tmp_path):
     source = build(tmp_path)
     assert source.verify()["count"] == len(COLUMN)
