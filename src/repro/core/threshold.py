@@ -64,15 +64,13 @@ from repro.core.sources import (
     check_same_objects,
 )
 from repro.kernels import (
-    GradeMatrix,
-    _DictBounds,
     _np,
     bounds_state,
     iter_str_keys,
     resolve_kernel,
     top_k_from_arrays,
 )
-from repro.parallel import fan_out, raise_first_error
+from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -97,6 +95,23 @@ def _require_monotone(rule: ScoringFunction, algorithm: str) -> None:
             f"scoring function {rule.name!r} is declared non-monotone; "
             f"{algorithm} is only correct for monotone rules"
         )
+
+
+def _certify(tracer, **fields) -> ApproximationCertificate:
+    """Build a run's certificate from ``ApproximationCertificate.build``'s
+    fields and, for a θ > 1 run under a tracer, emit it as the
+    ``theta-certified`` event."""
+    certificate = ApproximationCertificate.build(**fields)
+    if tracer is not None and certificate.theta > 1.0:
+        tracer.event(
+            "theta-certified",
+            theta=certificate.theta,
+            achieved=certificate.achieved,
+            kth=certificate.kth_grade,
+            bound=certificate.bound,
+            anytime=certificate.anytime,
+        )
+    return certificate
 
 
 def _nra_run(
@@ -366,22 +381,14 @@ def _nra_run(
 
     certificate: Optional[ApproximationCertificate] = None
     if partial or theta > 1.0:
-        certificate = ApproximationCertificate.build(
+        certificate = _certify(
+            tracer,
             theta=theta,
             kth_grade=stop_kth,
             bound=stop_bound,
             intervals=intervals,
             anytime=partial,
         )
-        if tracer is not None and theta > 1.0:
-            tracer.event(
-                "theta-certified",
-                theta=theta,
-                achieved=certificate.achieved,
-                kth=certificate.kth_grade,
-                bound=certificate.bound,
-                anytime=certificate.anytime,
-            )
 
     return TopKResult(
         answers=answers,
@@ -392,7 +399,6 @@ def _nra_run(
         degraded=degraded,
         approximation=certificate,
     )
-
 
 
 def threshold_top_k(
@@ -415,25 +421,49 @@ def threshold_top_k(
     one-item-per-list rounds over the windows in memory — issuing the
     random probes for each round's newly seen objects as one bulk
     request per list — and then consumes exactly the rounds processed
-    with one ``next_batch`` per list.  The stopping rule is still
-    evaluated between rounds, so the access counts are identical to
-    item-at-a-time TA for every ``batch_size`` (1 reproduces the
+    with one ``next_batch_columns`` per list.  The stopping rule is
+    still evaluated between rounds, so the access counts are identical
+    to item-at-a-time TA for every ``batch_size`` (1 reproduces the
     per-item pattern exactly).
 
-    TA keeps NRA's per-list bookkeeping as it goes, so when ``degrade``
-    is True (the default) and a random probe fails with one of
-    :data:`DEGRADABLE_ACCESS_ERRORS` — e.g. the source's random-access
-    circuit breaker opened — the execution does not abort: it consumes
-    the sorted rows it already used and continues as an NRA run over the
-    same cursors and accumulated state, still returning correct top-k
-    answers from sorted access alone.  With ``degrade=False`` the error
+    There is one loop; ``kernel`` (``None`` means the configured
+    default, see :func:`repro.kernels.resolve_kernel`) decides three
+    things inside it, none of which changes an answer, a charged access
+    or a trace byte for a batch-exact rule:
+
+    * **τ.**  ``"scalar"``, the reference, evaluates ``t(bottoms)`` once
+      per round, and only when the stop test or a tracer reads it;
+      ``"vector"`` folds a whole window's threshold trajectory in one
+      ``combine_matrix`` call over the forward-filled bottoms matrix.
+    * **Bare-columnar shortcuts** — ``"vector"`` only, and only when
+      every source ``supports_columnar``: such backends cannot fail and
+      serve random access from memory, so probe grades are read once per
+      window through the free ``_grades_of_many`` path and charged,
+      probe for probe and in the same order, by
+      ``_record_random_probes``; with a batch-exact rule and no tracer
+      the whole window is scored at once (``bulk_round``).  Anything
+      wrapped keeps one ``random_access_many`` per list per round, so
+      wrapper accounting and fault behaviour observe every probe.
+    * **The bounds state** the NRA continuation receives on fall-back
+      (:func:`repro.kernels.bounds_state`).
+
+    TA logs the sorted rows and probe results it has used, so when
+    ``degrade`` is True (the default) and a random probe fails with one
+    of :data:`DEGRADABLE_ACCESS_ERRORS` — e.g. the source's
+    random-access circuit breaker opened — the execution does not abort:
+    it consumes the sorted rows it already used, replays the log into a
+    bounds state and continues as an NRA run over the same cursors,
+    still returning correct top-k answers from sorted access alone; a
+    sorted stream that dies during a consume is frozen in place and
+    handed over the same way.  With ``degrade=False`` the error
     propagates (the E20 ablation).
 
     Under a ``tracer``, accesses are emitted at *logical* time — each
     row's sorted deliveries as TA's round processes them (even though
     the underlying cursor consumes them in bulk afterwards), each random
     probe when its grade arrives — and the threshold trajectory is
-    sampled as ``ta.tau`` / ``ta.kth_grade`` once per round.
+    sampled as ``ta.tau`` / ``ta.kth_grade`` once per round, with the
+    value the stop test uses.
 
     ``executor`` is an optional
     :class:`~repro.parallel.ParallelAccessExecutor`: each round's bulk
@@ -442,12 +472,6 @@ def threshold_top_k(
     order in the coordinating thread, so answers, cost, and traces are
     identical to serial execution.  ``None`` keeps the classic serial
     path.
-
-    ``kernel`` selects the implementation (``None`` means the configured
-    default): ``"scalar"`` is this per-object loop, ``"vector"`` the
-    columnar kernel (:func:`_threshold_top_k_vector`), ``"auto"`` picks
-    vector exactly when byte-identity is guaranteed (batch-exact rule,
-    columnar sources) — see :func:`repro.kernels.resolve_kernel`.
 
     **θ-approximation (TA-θ).**  ``theta >= 1.0`` relaxes the stopping
     rule to ``theta * kth_grade >= τ`` (Fagin–Lotem–Naor): every
@@ -468,17 +492,8 @@ def threshold_top_k(
     rule = as_scoring_function(scoring)
     if require_monotone:
         _require_monotone(rule, "TA")
-    if resolve_kernel(kernel, sources, rule) == "vector":
-        return _threshold_top_k_vector(
-            sources,
-            rule,
-            k,
-            batch_size=batch_size,
-            degrade=degrade,
-            theta=theta,
-            tracer=tracer,
-            executor=executor,
-        )
+    kernel = resolve_kernel(kernel, sources, rule)
+    vector = kernel == "vector"
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
@@ -486,11 +501,20 @@ def threshold_top_k(
 
     cursors = [s.cursor() for s in sources]
     others = [[j for j in range(m) if j != i] for i in range(m)]
+    #: the access failures this run outlives by handing over to NRA;
+    #: anything else — everything, with ``degrade=False`` — propagates
+    survivable = DEGRADABLE_ACCESS_ERRORS if degrade else ()
+    columnar = (
+        vector
+        and m > 1
+        and all(getattr(source, "supports_columnar", False) for source in sources)
+    )
     bottoms = [1.0] * m
-    #: NRA-style per-list bookkeeping ({object: {list index: grade}}),
-    #: doubling as TA's seen-set; kept current so a mid-query fallback
-    #: starts fully informed.
-    states: Dict[ObjectId, Dict[int, float]] = {}
+    #: overall grade of every object sorted access has delivered, in
+    #: first-seen (row-major) order — TA's seen-set.  An object enters
+    #: at first sight, before its probes, and gets its grade once they
+    #: return, so at a probe failure the keys are exactly the seen
+    #: objects in the order the NRA continuation must see them.
     overall: Dict[ObjectId, float] = {}
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
@@ -498,299 +522,12 @@ def threshold_top_k(
     depth = 0
     stop = False
     stop_tau = 0.0
-
-    def fall_back(
-        consumed_rows: int,
-        windows,
-        prior_failures: Dict[str, str],
-        dead: Optional[Dict[int, str]] = None,
-    ) -> TopKResult:
-        """Consume the sorted rows already used, then continue as NRA.
-
-        A stream that dies while shipping those rows (``dead``, or a
-        fresh failure during the consume here) is frozen in place and
-        handed to the continuation as already-exhausted; the surviving
-        lists carry the query.
-        """
-        nonlocal depth
-        if tracer is not None:
-            tracer.event(
-                "degraded",
-                algorithm="threshold-ta",
-                fallback="nra",
-                failures={**prior_failures, **{sources[i].name: r for i, r in (dead or {}).items()}},
-            )
-        failed_sorted: Dict[int, str] = dict(dead or {})
-        pre_exhausted = [i in failed_sorted for i in range(m)]
-        takers = [
-            i
-            for i in range(m)
-            if not pre_exhausted[i] and min(consumed_rows, len(windows[i])) > 0
-        ]
-        consume_outcomes = fan_out(
-            executor,
-            [
-                (
-                    lambda c=cursors[i], t=min(consumed_rows, len(windows[i])): (
-                        c.next_batch(t)
-                    )
-                )
-                for i in takers
-            ],
-        )
-        for i, outcome in zip(takers, consume_outcomes):
-            if outcome.error is not None:
-                if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                    raise outcome.error
-                failed_sorted[i] = str(outcome.error)
-                pre_exhausted[i] = True
-                continue
-            depth = max(depth, cursors[i].position)
-        return _nra_run(
-            sources,
-            rule,
-            k,
-            cursors=cursors,
-            bounds=_DictBounds(m, states),
-            bottoms=bottoms,
-            exhausted=pre_exhausted,
-            meter=meter,
-            depth=depth,
-            theta=theta,
-            batch_size=max(batch_size, 1),
-            algorithm="threshold-ta+nra",
-            prior_failures=prior_failures,
-            failed_sorted=failed_sorted,
-            tracer=tracer,
-            phase_name="nra-fallback",
-            executor=executor,
-        )
-
-    with nullcontext() if tracer is None else tracer.phase("ta"):
-        while not stop:
-            for i in range(m):
-                # free shard-aware hint: warm the upcoming peek window
-                # (memmap pages, shard-merge buffers), overlapping
-                # per-shard reads on the executor when one is configured
-                sources[i].prefetch_sorted(
-                    cursors[i].position + batch_size, executor=executor
-                )
-            windows = [cursor.peek_batch(batch_size) for cursor in cursors]
-            rows = max((len(window) for window in windows), default=0)
-            if rows == 0:
-                break  # no list can progress: exhausted
-            consumed = 0
-            for row in range(rows):
-                # One TA round: the row-th item of every list, with bulk
-                # random probes for the objects this round saw first.
-                # Under a tracer each delivery is recorded here, at
-                # logical access time, not at the deferred bulk consume.
-                fresh: List[tuple] = []
-                for i, window in enumerate(windows):
-                    if row >= len(window):
-                        continue
-                    item = window[row]
-                    if tracer is not None:
-                        tracer.record_sorted(
-                            sources[i].name,
-                            item.object_id,
-                            item.grade,
-                            position=cursors[i].position + row + 1,
-                        )
-                    bottoms[i] = item.grade
-                    known = states.get(item.object_id)
-                    if known is None:
-                        known = states[item.object_id] = {}
-                        fresh.append((item.object_id, i))
-                    known[i] = item.grade
-                consumed = row + 1
-                if fresh:
-                    needed: List[List[ObjectId]] = [[] for _ in range(m)]
-                    for object_id, first in fresh:
-                        for j in others[first]:
-                            needed[j].append(object_id)
-                    # The round's random probes are one bulk request per
-                    # list: fan them out, merge grades (and emit trace
-                    # events) in list order.  The first failure, taken
-                    # in list order, is handled exactly as serial TA
-                    # handles it; probes beyond it are discarded.
-                    targets = [(j, ids) for j, ids in enumerate(needed) if ids]
-                    probe_outcomes = fan_out(
-                        executor,
-                        [
-                            (lambda s=sources[j], i=ids: s.random_access_many(i))
-                            for j, ids in targets
-                        ],
-                        stop_on_error=True,
-                    )
-                    for (j, ids), outcome in zip(targets, probe_outcomes):
-                        if not outcome.ran:
-                            break
-                        if outcome.error is not None:
-                            if not isinstance(
-                                outcome.error, DEGRADABLE_ACCESS_ERRORS
-                            ):
-                                raise outcome.error
-                            if not degrade:
-                                raise outcome.error
-                            return fall_back(
-                                consumed,
-                                windows,
-                                {sources[j].name: str(outcome.error)},
-                            )
-                        fetched = outcome.value
-                        if tracer is not None:
-                            for object_id in ids:
-                                tracer.record_random(
-                                    sources[j].name, object_id, fetched[object_id]
-                                )
-                        for object_id, grade in fetched.items():
-                            states[object_id][j] = grade
-                    for object_id, _ in fresh:
-                        known = states[object_id]
-                        grade = rule([known[j] for j in range(m)])
-                        overall[object_id] = grade
-                        if len(best_k) < k:
-                            heapq.heappush(best_k, grade)
-                        elif grade > best_k[0]:
-                            heapq.heapreplace(best_k, grade)
-                if tracer is not None:
-                    tracer.sample("ta.tau", rule(bottoms))
-                    if len(best_k) >= k:
-                        tracer.sample("ta.kth_grade", best_k[0])
-                if len(best_k) >= k and theta * best_k[0] >= rule(bottoms):
-                    stop = True
-                    stop_tau = rule(bottoms)
-                    if tracer is not None:
-                        if theta > 1.0:
-                            tracer.event(
-                                "stop", tau=stop_tau, kth=best_k[0], theta=theta
-                            )
-                        else:
-                            tracer.event("stop", tau=stop_tau, kth=best_k[0])
-                    break
-            died: Dict[int, str] = {}
-            takers = [
-                i for i in range(m) if min(consumed, len(windows[i])) > 0
-            ]
-            consume_outcomes = fan_out(
-                executor,
-                [
-                    (
-                        lambda c=cursors[i], t=min(consumed, len(windows[i])): (
-                            c.next_batch(t)
-                        )
-                    )
-                    for i in takers
-                ],
-            )
-            for i, outcome in zip(takers, consume_outcomes):
-                if outcome.error is not None:
-                    if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                        raise outcome.error
-                    if not degrade:
-                        raise outcome.error
-                    died[i] = str(outcome.error)
-                    continue
-                depth = max(depth, cursors[i].position)
-            if died and not stop:
-                # A sorted stream died mid-round; its cursor is stuck, so the
-                # next peek would replay the same rows forever.  Hand the
-                # accumulated state to NRA with the dead list frozen out.
-                return fall_back(0, windows, {}, dead=died)
-
-    answers = GradedSet(overall).top(k)
-    certificate: Optional[ApproximationCertificate] = None
-    if theta > 1.0:
-        # TA's reported grades are exact, so the k-th answer grade IS
-        # the proven k-th best; exhaustion (no θ-stop) means exact.
-        kth = best_k[0] if len(best_k) >= k else 0.0
-        certificate = ApproximationCertificate.build(
-            theta=theta,
-            kth_grade=kth,
-            bound=stop_tau if stop else kth,
-        )
-        if tracer is not None:
-            tracer.event(
-                "theta-certified",
-                theta=theta,
-                achieved=certificate.achieved,
-                kth=certificate.kth_grade,
-                bound=certificate.bound,
-                anytime=False,
-            )
-    return TopKResult(
-        answers=answers,
-        cost=meter.report(),
-        algorithm="threshold-ta",
-        sorted_depth=depth,
-        approximation=certificate,
-    )
-
-
-def _threshold_top_k_vector(
-    sources: Sequence[GradedSource],
-    rule: ScoringFunction,
-    k: int,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    degrade: bool = True,
-    theta: float = 1.0,
-    tracer=None,
-    executor=None,
-) -> TopKResult:
-    """Columnar TA: the same super-round structure as
-    :func:`threshold_top_k` with the per-object bookkeeping vectorized.
-
-    Per super-round the peeked windows stay columnar (no
-    :class:`GradedItem` boxing on array backends), the whole window's
-    threshold trajectory ``tau[row] = t(bottoms at row)`` is one
-    ``combine_matrix`` call over the forward-filled bottoms matrix, and
-    the final answer ranking is one lexsort instead of a full
-    ``GradedSet`` sort.  The row loop itself — freshness detection,
-    bulk random probes, the stop test against ``tau[row]`` — replays
-    TA's rounds exactly, so accesses are charged in the same order and
-    quantity as the scalar path and traces match record for record.
-
-    Instead of maintaining NRA states dicts as it goes, the kernel keeps
-    an append-only log of consumed window slices and probe results;
-    when a degradable failure forces the NRA fallback, the log is
-    replayed into a :class:`~repro.kernels.GradeMatrix` (content equals
-    the scalar states; row order is unobservable through NRA's total
-    answer order) and handed to :func:`_nra_run`.
-    """
-    database_size = check_same_objects(sources)
-    k = min(k, database_size)
-    m = len(sources)
-    meter = CostMeter(sources)
-
-    cursors = [s.cursor() for s in sources]
-    others = [[j for j in range(m) if j != i] for i in range(m)]
-    # Bare columnar backends cannot fail and serve random access from an
-    # in-memory map, so each super-round's probe grades can be read in
-    # bulk through the free peek-style path up front; the row loop then
-    # charges the counters and emits the trace events for exactly the
-    # probes the scalar path would perform, in the same order.  Wrapped
-    # sources keep the per-row random_access_many calls so their
-    # accounting (and fault behavior) observes every probe.
-    columnar = m > 1 and all(
-        getattr(source, "supports_columnar", False) for source in sources
-    )
-    bottoms = [1.0] * m
-    seen = set()
-    overall_ids: List[ObjectId] = []
-    overall_grades: List[float] = []
-    best_k: List[float] = []
-    depth = 0
-    stop = False
-    stop_tau = 0.0
-    #: consumed sorted deliveries, (list index, ids, grades) per window
-    #: slice, in consumption order — replayed into a GradeMatrix if the
-    #: run has to degrade to NRA.
+    #: sorted deliveries TA has used, (list index, ids, grades) per
+    #: window slice — replayed into a bounds state if the run has to
+    #: degrade to NRA.
     sorted_log: List[tuple] = []
     #: applied random-probe results, (list index, {id: grade}).
     probe_log: List[tuple] = []
-    combine = rule._combine
 
     def bulk_round(windows, lengths, rows, tau, grades_lists):
         """One whole super-round without per-object Python: discover the
@@ -815,7 +552,7 @@ def _threshold_top_k_vector(
                 if row >= lengths[i]:
                     continue
                 object_id = windows[i][0][row]
-                if object_id in seen or object_id in window_seen:
+                if object_id in overall or object_id in window_seen:
                     continue
                 window_seen.add(object_id)
                 fresh_by_row[row].append(len(window_fresh))
@@ -845,14 +582,12 @@ def _threshold_top_k_vector(
         for row in range(consumed):
             for index in fresh_by_row[row]:
                 object_id, first = window_fresh[index]
-                seen.add(object_id)
-                overall_ids.append(object_id)
-                overall_grades.append(scores[index])
+                overall[object_id] = scores[index]
                 for j in others[first]:
                     probe_ids[j].append(object_id)
         for j in range(m):
             # single charge point for the prefetched reads: charges the
-            # probes the scalar path would perform and attributes them
+            # probes the per-row path would perform and attributes them
             # to composite backends' physical shards
             sources[j]._record_random_probes(probe_ids[j])
         for i in range(m):
@@ -861,83 +596,90 @@ def _threshold_top_k_vector(
                 bottoms[i] = grades_lists[i][rows_used - 1]
         return consumed, stop_row is not None
 
-    def fall_back(
-        windows,
-        consume_rows: int,
-        state_rows: int,
-        prior_failures: Dict[str, str],
-        dead: Optional[Dict[int, str]] = None,
-    ) -> TopKResult:
-        """Consume the sorted rows already used, replay the access log
-        into columnar NRA state, and continue as vectorized NRA.
+    def consume(windows, rows: int) -> Dict[int, str]:
+        """Log the first ``rows`` rows of every window as used by TA,
+        then consume them with one ``next_batch_columns`` per list.
 
-        ``consume_rows`` is how many rows of the current windows still
-        need consuming (0 when the failure happened *during* the
-        consume); ``state_rows`` how many were processed into TA state
-        and so must be replayed regardless.
+        Returns ``{list index: reason}`` for the streams that died
+        shipping them (their rows are in TA's state, and so in the log,
+        regardless).
         """
         nonlocal depth
+        takers = []
+        for i, (window_ids, window_grades) in enumerate(windows):
+            rows_used = min(rows, len(window_ids))
+            if rows_used:
+                takers.append((i, rows_used))
+                sorted_log.append(
+                    (i, window_ids[:rows_used], window_grades[:rows_used])
+                )
+        outcomes = fan_out(
+            executor,
+            [(lambda c=cursors[i], t=t: c.next_batch_columns(t)) for i, t in takers],
+        )
+        died: Dict[int, str] = {}
+        for (i, _), outcome in zip(takers, outcomes):
+            if outcome.error is not None:
+                if not isinstance(outcome.error, survivable):
+                    raise outcome.error
+                died[i] = str(outcome.error)
+                continue
+            depth = max(depth, cursors[i].position)
+        return died
+
+    def fall_back(
+        prior_failures: Dict[str, str],
+        dead: Dict[int, str],
+        unconsumed=None,
+    ) -> TopKResult:
+        """Replay the access log into a bounds state and continue as NRA.
+
+        After a probe failure the rows TA already used are still
+        ``unconsumed`` — ``(windows, rows)`` — and are consumed first; a
+        stream that dies shipping them, like one that died in the main
+        loop's consume (``dead``), is frozen in place and handed to the
+        continuation as already-exhausted.  The surviving lists carry
+        the query.
+        """
         if tracer is not None:
             tracer.event(
                 "degraded",
                 algorithm="threshold-ta",
                 fallback="nra",
-                failures={**prior_failures, **{sources[i].name: r for i, r in (dead or {}).items()}},
+                failures={
+                    **prior_failures,
+                    **{sources[i].name: reason for i, reason in dead.items()},
+                },
             )
-        for i, (window_ids, window_grades) in enumerate(windows):
-            rows_used = min(state_rows, len(window_ids))
-            if rows_used:
-                sorted_log.append(
-                    (i, window_ids[:rows_used], window_grades[:rows_used])
-                )
-        failed_sorted: Dict[int, str] = dict(dead or {})
-        pre_exhausted = [i in failed_sorted for i in range(m)]
-        takers = [
-            i
-            for i in range(m)
-            if not pre_exhausted[i]
-            and min(consume_rows, len(windows[i][0])) > 0
-        ]
-        consume_outcomes = fan_out(
-            executor,
-            [
-                (
-                    lambda c=cursors[i], t=min(consume_rows, len(windows[i][0])): (
-                        c.next_batch_columns(t)
-                    )
-                )
-                for i in takers
-            ],
+        if unconsumed is not None:
+            dead = consume(*unconsumed)
+        # Rows are created in TA's first-seen order before the log fills
+        # them in: that is the order a live per-object seen-set would
+        # have, and NRA's stable (-grade, str(id)) ranking can tell it
+        # from the log's list-major order when two ids share a ``str``.
+        bounds = bounds_state(
+            kernel, m, {object_id: {} for object_id in overall}
         )
-        for i, outcome in zip(takers, consume_outcomes):
-            if outcome.error is not None:
-                if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                    raise outcome.error
-                failed_sorted[i] = str(outcome.error)
-                pre_exhausted[i] = True
-                continue
-            depth = max(depth, cursors[i].position)
-        matrix = GradeMatrix(m, capacity=max(len(seen), 16))
         for i, ids, grades in sorted_log:
-            matrix.add_batch(i, ids, grades)
+            bounds.add_batch(i, ids, grades)
         for j, fetched in probe_log:
             for object_id, grade in fetched.items():
-                matrix.set_grade(object_id, j, grade)
+                bounds.set_grade(object_id, j, grade)
         return _nra_run(
             sources,
             rule,
             k,
             cursors=cursors,
-            bounds=matrix,
+            bounds=bounds,
             bottoms=bottoms,
-            exhausted=pre_exhausted,
+            exhausted=[i in dead for i in range(m)],
             meter=meter,
             depth=depth,
             theta=theta,
-            batch_size=max(batch_size, 1),
+            batch_size=batch_size,
             algorithm="threshold-ta+nra",
             prior_failures=prior_failures,
-            failed_sorted=failed_sorted,
+            failed_sorted=dead,
             tracer=tracer,
             phase_name="nra-fallback",
             executor=executor,
@@ -946,7 +688,9 @@ def _threshold_top_k_vector(
     with nullcontext() if tracer is None else tracer.phase("ta"):
         while not stop:
             for i in range(m):
-                # free shard-aware window warm-up (see scalar loop)
+                # free shard-aware hint: warm the upcoming peek window
+                # (memmap pages, shard-merge buffers), overlapping
+                # per-shard reads on the executor when one is configured
                 sources[i].prefetch_sorted(
                     cursors[i].position + batch_size, executor=executor
                 )
@@ -955,42 +699,47 @@ def _threshold_top_k_vector(
             rows = max(lengths, default=0)
             if rows == 0:
                 break  # no list can progress: exhausted
-            # tau for every prospective row of this super-round in one
-            # batched fold: forward-fill each list's grades over rows it
-            # cannot serve (its bottom freezes), then combine rows.
-            bottoms_matrix = _np.empty((rows, m))
-            for i, (window_ids, window_grades) in enumerate(windows):
-                length = lengths[i]
-                if length:
-                    bottoms_matrix[:length, i] = window_grades
-                    bottoms_matrix[length:, i] = window_grades[length - 1]
-                else:
-                    bottoms_matrix[:, i] = bottoms[i]
-            tau = rule.combine_matrix(bottoms_matrix).tolist()
             grades_lists = [grades.tolist() for _, grades in windows]
+            tau: List[float] = []
+            if vector:
+                # tau for every prospective row of this super-round in
+                # one batched fold: forward-fill each list's grades over
+                # rows it cannot serve (its bottom freezes), then
+                # combine rows.
+                bottoms_matrix = _np.empty((rows, m))
+                for i, (window_ids, window_grades) in enumerate(windows):
+                    length = lengths[i]
+                    if length:
+                        bottoms_matrix[:length, i] = window_grades
+                        bottoms_matrix[length:, i] = window_grades[length - 1]
+                    else:
+                        bottoms_matrix[:, i] = bottoms[i]
+                tau = rule.combine_matrix(bottoms_matrix).tolist()
             scan_rows = rows
+            consumed = 0
             prefetched = None
             if columnar and tracer is None and rule.batch_exact:
                 consumed, stop = bulk_round(
                     windows, lengths, rows, tau, grades_lists
                 )
                 scan_rows = 0  # the bulk round already did the row scan
-            else:
-                consumed = 0
-                if columnar:
-                    candidates = [
-                        object_id
-                        for window_ids, _ in windows
-                        for object_id in window_ids
-                        if object_id not in seen
+            elif columnar:
+                candidates = [
+                    object_id
+                    for window_ids, _ in windows
+                    for object_id in window_ids
+                    if object_id not in overall
+                ]
+                if candidates:
+                    candidates = list(dict.fromkeys(candidates))
+                    prefetched = [
+                        source._grades_of_many(candidates) for source in sources
                     ]
-                    if candidates:
-                        candidates = list(dict.fromkeys(candidates))
-                        prefetched = [
-                            source._grades_of_many(candidates)
-                            for source in sources
-                        ]
             for row in range(scan_rows):
+                # One TA round: the row-th item of every list, with bulk
+                # random probes for the objects this round saw first.
+                # Under a tracer each delivery is recorded here, at
+                # logical access time, not at the deferred bulk consume.
                 fresh: List[tuple] = []
                 fresh_known: Dict[ObjectId, Dict[int, float]] = {}
                 for i in range(m):
@@ -1006,8 +755,8 @@ def _threshold_top_k_vector(
                             position=cursors[i].position + row + 1,
                         )
                     bottoms[i] = grade
-                    if object_id not in seen:
-                        seen.add(object_id)
+                    if object_id not in overall:
+                        overall[object_id] = 0.0  # graded below, once probed
                         fresh.append((object_id, i))
                         fresh_known[object_id] = {i: grade}
                     elif object_id in fresh_known:
@@ -1020,31 +769,14 @@ def _threshold_top_k_vector(
                     for object_id, first in fresh:
                         for j in others[first]:
                             needed[j].append(object_id)
+                    # The round's random probes are one bulk request per
+                    # list: fan them out, merge grades (and emit trace
+                    # events) in list order.  The first failure, taken
+                    # in list order, is handled exactly as serial TA
+                    # handles it; probes beyond it are discarded.
                     targets = [(j, ids) for j, ids in enumerate(needed) if ids]
-                    if prefetched is not None:
-                        # Replay the prefetched bulk reads: same per-
-                        # source charge, same trace events, same grades
-                        # and ordering as random_access_many would give
-                        # on this backend — without a Python call fan
-                        # per row.
-                        for j, ids in targets:
-                            lookup = prefetched[j]
-                            fetched = {
-                                object_id: lookup[object_id]
-                                for object_id in ids
-                            }
-                            sources[j]._record_random_probes(ids)
-                            if tracer is not None:
-                                for object_id in ids:
-                                    tracer.record_random(
-                                        sources[j].name,
-                                        object_id,
-                                        fetched[object_id],
-                                    )
-                            probe_log.append((j, fetched))
-                            for object_id, grade in fetched.items():
-                                fresh_known[object_id][j] = grade
-                    else:
+                    probe_outcomes: Sequence = ()
+                    if prefetched is None:
                         probe_outcomes = fan_out(
                             executor,
                             [
@@ -1053,118 +785,88 @@ def _threshold_top_k_vector(
                             ],
                             stop_on_error=True,
                         )
-                        for (j, ids), outcome in zip(targets, probe_outcomes):
+                    for index, (j, ids) in enumerate(targets):
+                        if prefetched is not None:
+                            # Replay the prefetched bulk reads: same per-
+                            # source charge, same trace events, same
+                            # grades and ordering as random_access_many
+                            # would give on this backend — without a
+                            # Python call fan per row.
+                            sources[j]._record_random_probes(ids)
+                            lookup = prefetched[j]
+                            fetched = {
+                                object_id: lookup[object_id] for object_id in ids
+                            }
+                        else:
+                            outcome = probe_outcomes[index]
                             if not outcome.ran:
                                 break
                             if outcome.error is not None:
-                                if not isinstance(
-                                    outcome.error, DEGRADABLE_ACCESS_ERRORS
-                                ):
-                                    raise outcome.error
-                                if not degrade:
+                                if not isinstance(outcome.error, survivable):
                                     raise outcome.error
                                 return fall_back(
-                                    windows,
-                                    consumed,
-                                    consumed,
                                     {sources[j].name: str(outcome.error)},
+                                    {},
+                                    unconsumed=(windows, consumed),
                                 )
                             fetched = outcome.value
-                            if tracer is not None:
-                                for object_id in ids:
-                                    tracer.record_random(
-                                        sources[j].name,
-                                        object_id,
-                                        fetched[object_id],
-                                    )
-                            probe_log.append((j, fetched))
-                            for object_id, grade in fetched.items():
-                                fresh_known[object_id][j] = grade
+                        if tracer is not None:
+                            for object_id in ids:
+                                tracer.record_random(
+                                    sources[j].name, object_id, fetched[object_id]
+                                )
+                        probe_log.append((j, fetched))
+                        for object_id, grade in fetched.items():
+                            fresh_known[object_id][j] = grade
                     for object_id, _ in fresh:
                         known = fresh_known[object_id]
-                        grade = combine(tuple(known[j] for j in range(m)))
-                        overall_ids.append(object_id)
-                        overall_grades.append(grade)
+                        grade = rule([known[j] for j in range(m)])
+                        overall[object_id] = grade
                         if len(best_k) < k:
                             heapq.heappush(best_k, grade)
                         elif grade > best_k[0]:
                             heapq.heapreplace(best_k, grade)
+                full = len(best_k) >= k
+                if vector:
+                    tau_row = tau[row]
+                elif full or tracer is not None:
+                    # the reference: t(bottoms), once per round, and
+                    # only when the stop test or the tracer reads it
+                    tau_row = rule(bottoms)
                 if tracer is not None:
-                    tracer.sample("ta.tau", tau[row])
-                    if len(best_k) >= k:
+                    tracer.sample("ta.tau", tau_row)
+                    if full:
                         tracer.sample("ta.kth_grade", best_k[0])
-                if len(best_k) >= k and theta * best_k[0] >= tau[row]:
+                if full and theta * best_k[0] >= tau_row:
                     stop = True
-                    stop_tau = tau[row]
+                    stop_tau = tau_row
                     if tracer is not None:
-                        if theta > 1.0:
-                            tracer.event(
-                                "stop", tau=tau[row], kth=best_k[0], theta=theta
-                            )
-                        else:
-                            tracer.event("stop", tau=tau[row], kth=best_k[0])
+                        relaxed = {"theta": theta} if theta > 1.0 else {}
+                        tracer.event("stop", tau=stop_tau, kth=best_k[0], **relaxed)
                     break
-            died: Dict[int, str] = {}
-            takers = [i for i in range(m) if min(consumed, lengths[i]) > 0]
-            consume_outcomes = fan_out(
-                executor,
-                [
-                    (
-                        lambda c=cursors[i], t=min(consumed, lengths[i]): (
-                            c.next_batch_columns(t)
-                        )
-                    )
-                    for i in takers
-                ],
-            )
-            for i, outcome in zip(takers, consume_outcomes):
-                if outcome.error is not None:
-                    if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                        raise outcome.error
-                    if not degrade:
-                        raise outcome.error
-                    died[i] = str(outcome.error)
-                    continue
-                depth = max(depth, cursors[i].position)
+            died = consume(windows, consumed)
             if died and not stop:
-                return fall_back(windows, 0, consumed, {}, dead=died)
-            for i in range(m):
-                rows_used = min(consumed, lengths[i])
-                if rows_used:
-                    sorted_log.append(
-                        (i, windows[i][0][:rows_used], windows[i][1][:rows_used])
-                    )
+                # A sorted stream died mid-round; its cursor is stuck, so the
+                # next peek would replay the same rows forever.  Hand the
+                # accumulated state to NRA with the dead list frozen out.
+                return fall_back({}, died)
 
-    if overall_ids:
-        answers = GradedSet(
-            top_k_from_arrays(
-                overall_ids,
-                iter_str_keys(overall_ids),
-                _np.asarray(overall_grades, dtype=_np.float64),
-                k,
-            )
+    answers = GradedSet(
+        top_k_from_arrays(
+            list(overall),
+            iter_str_keys(overall),
+            _np.fromiter(overall.values(), _np.float64, len(overall)),
+            k,
         )
-    else:
-        answers = GradedSet()
+    )
     certificate: Optional[ApproximationCertificate] = None
     if theta > 1.0:
-        # See the scalar path: TA grades are exact, and exhaustion
-        # without a θ-stop certifies the answer as exact (ratio 1.0).
+        # TA's reported grades are exact, so the k-th answer grade IS
+        # the proven k-th best; exhaustion (no θ-stop) means exact.
         kth = best_k[0] if len(best_k) >= k else 0.0
-        certificate = ApproximationCertificate.build(
-            theta=theta,
-            kth_grade=kth,
-            bound=stop_tau if stop else kth,
+        certificate = _certify(
+            tracer, theta=theta, kth_grade=kth, bound=stop_tau if stop else kth
         )
-        if tracer is not None:
-            tracer.event(
-                "theta-certified",
-                theta=theta,
-                achieved=certificate.achieved,
-                kth=certificate.kth_grade,
-                bound=certificate.bound,
-                anytime=False,
-            )
     return TopKResult(
         answers=answers,
         cost=meter.report(),

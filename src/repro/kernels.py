@@ -28,10 +28,14 @@ Kernel selection
 Three kernel names, resolved by :func:`resolve_kernel`:
 
 ``scalar``
-    The dict-backed reference state (and TA's per-object loop).
+    The dict-backed reference state (in TA: the threshold from one
+    ``rule(bottoms)`` per round, every probe through
+    ``random_access_many``).
 ``vector``
-    The numpy fast path.  It works over any source (item-based
-    fallbacks keep wrapper accounting intact).
+    The numpy fast path (in TA: a window's thresholds in one
+    ``combine_matrix``, bulk reads on bare columnar backends).  It
+    works over any source (item-based fallbacks keep wrapper accounting
+    intact).
 ``auto`` (the default)
     Picks ``vector`` exactly when it is both profitable and provably
     byte-identical: every source columnar
@@ -408,59 +412,6 @@ class GradeMatrix:
             }
             for object_id, row in zip(self.ids, self._matrix[: self.count].tolist())
         }
-
-    def copy(self) -> "GradeMatrix":
-        """A deep, independent snapshot of the seen set.
-
-        The clone shares no mutable storage with the original: the
-        backing array is reallocated, so growth on either side (``_ensure``
-        replaces ``_matrix`` wholesale) can never write through to the
-        other.  The stale-array-after-growth hazard that ``set_grade``
-        documents applies equally to restored snapshots, which is why
-        aliasing the array — even read-only at copy time — is not an
-        option here.
-        """
-        clone = GradeMatrix.__new__(GradeMatrix)
-        clone.m = self.m
-        clone.count = self.count
-        clone.ids = list(self.ids)
-        clone._rows = dict(self._rows)
-        clone._strs = list(self._strs)
-        fresh = _np.full((max(self.count, 1), self.m), _np.nan)
-        fresh[: self.count] = self._matrix[: self.count]
-        clone._matrix = fresh
-        clone._str_cache = None
-        return clone
-
-    def state_dict(self) -> Dict:
-        """A plain-data snapshot: row ids plus a [count, m] grade list
-        with ``None`` for unlearned cells.  Everything is built-in types,
-        so the result can live in a cache entry or travel as JSON and be
-        restored with :meth:`from_state_dict`."""
-        known = self._matrix[: self.count].tolist()
-        return {
-            "m": self.m,
-            "ids": list(self.ids),
-            "grades": [
-                [None if value != value else value for value in row]
-                for row in known
-            ],
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Dict) -> "GradeMatrix":
-        """Rebuild a matrix from :meth:`state_dict` output.  Rows are
-        re-created in the recorded order, so first-seen row assignment —
-        the property every ordering in the repo leans on — survives the
-        round trip."""
-        ids = state["ids"]
-        matrix = cls(state["m"], capacity=max(len(ids), 16))
-        for object_id, row_values in zip(ids, state["grades"]):
-            row = matrix.row_of(object_id)
-            for column, value in enumerate(row_values):
-                if value is not None:
-                    matrix._matrix[row, column] = value
-        return matrix
 
 
 def bounds_state(kernel: str, m: int, known: Optional[Dict] = None, *, capacity: int = 1024):

@@ -63,11 +63,17 @@ def run_a0(sources, rule, k, tracer, executor, kernel):
     )
 
 
-def run_ta(sources, rule, k, tracer, executor, kernel):
-    return threshold_top_k(
-        sources, rule, k, batch_size=3, tracer=tracer, executor=executor,
-        kernel=kernel,
-    )
+def ta_with_window(batch_size):
+    def run(sources, rule, k, tracer, executor, kernel):
+        return threshold_top_k(
+            sources, rule, k, batch_size=batch_size, tracer=tracer,
+            executor=executor, kernel=kernel,
+        )
+
+    return run
+
+
+run_ta = ta_with_window(3)
 
 
 def run_nra(sources, rule, k, tracer, executor, kernel):
@@ -133,6 +139,9 @@ EDGE_DATABASES = (
     edge_table([(1.0, 1.0)] * 5),
     edge_table([(0.0, 1.0), (0.0, 0.25), (0.0, 1.0), (0.0, 0.75)]),
     edge_table([(1.0, 0.1), (1.0, 0.9), (1.0, 0.9)]),
+    # one object surfacing in two lists in the same TA round (row 0,
+    # then row 1), the others in different rounds
+    edge_table([(0.9, 0.8), (0.7, 0.6), (0.2, 0.4), (0.3, 0.1)]),
     edge_table(
         [
             (DENORMAL, BELOW_ONE),
@@ -417,24 +426,210 @@ class SortedStreamDies(GradedSource):
         return len(self._inner)
 
 
+def run_faulty_ta(kernel, rule, *, traced, degrade, batch_size, sorted_limit,
+                  random_breaks_after=None):
+    """TA over 200 x 3 lists whose list 1 stops shipping sorted rows past
+    ``sorted_limit`` and whose list 2, optionally, loses random access
+    after ``random_breaks_after`` probes.  Returns what the two kernels
+    must agree on: the result (or the propagated error), the trace, and
+    every source's charged accesses."""
+    sources = sources_from_columns(independent(200, 3, seed=11))
+    sources[1] = SortedStreamDies(sources[1], sorted_limit)
+    if random_breaks_after is not None:
+        sources[2] = FaultInjectingSource(
+            sources[2],
+            FaultProfile(break_random_after=random_breaks_after),
+            clock=VirtualClock(),
+        )
+    tracer = QueryTracer() if traced else None
+    try:
+        outcome = threshold_top_k(
+            sources, rule, K, batch_size=batch_size, degrade=degrade,
+            tracer=tracer, kernel=kernel,
+        )
+    except TransientAccessError as error:
+        outcome = error
+    charged = [
+        (source.counter.sorted_accesses, source.counter.random_accesses)
+        for source in sources
+    ]
+    return outcome, tracer.to_json() if traced else None, charged
+
+
+def assert_faulty_runs_identical(scalar_run, vector_run, *, degrade):
+    __tracebackhide__ = True
+    (scalar, scalar_trace, scalar_charged) = scalar_run
+    (vector, vector_trace, vector_charged) = vector_run
+    assert vector_charged == scalar_charged
+    if degrade:
+        assert scalar.algorithm == "threshold-ta+nra"
+        assert vector.sorted_depth == scalar.sorted_depth
+        assert_degraded_identical(scalar, vector, scalar_trace, vector_trace)
+    else:
+        assert isinstance(scalar, TransientAccessError)
+        assert type(vector) is type(scalar) and str(vector) == str(scalar)
+        assert vector_trace == scalar_trace
+
+
 @pytest.mark.parametrize("rule", (tnorms.MIN, means.MEAN), ids=("min", "mean"))
 def test_ta_hands_a_dead_sorted_stream_to_nra_identically(rule):
     """TA's sorted consume fails while its probes still succeed: the
-    per-object loop hands NRA a dict state, the bulk loop a matrix, and
-    the continuation must not be able to tell."""
-    runs = []
+    access log is replayed into a dict state or a matrix, and the
+    continuation must not be able to tell — traced or not; with
+    ``degrade=False`` the same error propagates after the same charges."""
+    for degrade in (True, False):
+        for traced in (True, False):
+            scalar_run, vector_run = (
+                run_faulty_ta(
+                    kernel, rule, traced=traced, degrade=degrade, batch_size=8,
+                    sorted_limit=20,
+                )
+                for kernel in ("scalar", "vector")
+            )
+            if degrade:
+                assert list(scalar_run[0].degraded.failed_sources) == ["A2"]
+            assert_faulty_runs_identical(scalar_run, vector_run, degrade=degrade)
+
+
+@pytest.mark.parametrize("traced", (True, False), ids=("traced", "untraced"))
+@pytest.mark.parametrize("degrade", (True, False), ids=("degrade", "propagate"))
+@pytest.mark.parametrize("batch_size", (4, 64))
+def test_ta_probe_failure_mid_window_with_a_stream_dying_in_the_consume(
+    batch_size, degrade, traced
+):
+    """List 2's random access breaks on a row > 0 of a window; consuming
+    the rows TA already used then kills list 1's sorted stream, so the
+    continuation starts with one failure of each kind."""
+    scalar_run, vector_run = (
+        run_faulty_ta(
+            kernel, tnorms.MIN, traced=traced, degrade=degrade,
+            batch_size=batch_size, sorted_limit=1, random_breaks_after=5,
+        )
+        for kernel in ("scalar", "vector")
+    )
+    if degrade:
+        assert sorted(scalar_run[0].degraded.failed_sources) == ["A2", "faulty(A3)"]
+        _, _, charged = scalar_run
+        assert charged[1] == (0, 6)  # list 1 never shipped a sorted row
+    assert_faulty_runs_identical(scalar_run, vector_run, degrade=degrade)
+
+
+@pytest.mark.parametrize("backend", ("array", "list"))
+def test_ta_hands_nra_its_first_seen_order(backend):
+    """Ids ``1`` and ``"1"`` tie on NRA's whole ``(-grade, str(id))``
+    answer key, so their order shows the first-seen order of the state
+    TA handed over.  TA saw ``1`` first (row 0 of list 1; ``"1"`` is row
+    1 of list 0) — a per-list replay of the window would say ``"1"``."""
+    table = {
+        "a": [0.9, 0.1],
+        "1": [0.75, 0.5],
+        "b": [0.6, 0.05],
+        1: [0.5, 0.75],
+        "c": [0.05, 0.7],
+        "d": [0.04, 0.65],
+        "e": [0.03, 0.02],
+        "f": [0.02, 0.01],
+    }
     for kernel in ("scalar", "vector"):
-        sources = sources_from_columns(independent(200, 3, seed=11))
-        sources[1] = SortedStreamDies(sources[1], 20)
+        sources = sources_from_columns(table, backend=backend)
+        sources[1] = SortedStreamDies(sources[1], 2)
+        result = threshold_top_k(sources, means.MEAN, 3, batch_size=3, kernel=kernel)
+        assert result.algorithm == "threshold-ta+nra"
+        assert [(item.object_id, item.grade) for item in result.answers] == [
+            (1, 0.625), ("1", 0.625), ("a", 0.5),
+        ], kernel
+
+
+# ---------------------------------------------------------------------------
+# TA's window mechanics: where a stop falls in a window, and what a
+# tracer sees of tau.
+
+
+STOP_ROW_KS = (1, 2, 3, 4, 5, 6)
+
+
+def stop_row_table():
+    return independent(40, 2, seed=5)
+
+
+@pytest.mark.parametrize("k", STOP_ROW_KS)
+def test_ta_stop_row_is_independent_of_the_window(k):
+    """batch_size 1, 2 and N put the same stop on the only row, the last
+    or the first row, and the middle of a window."""
+    table = stop_row_table()
+    baseline, baseline_trace = run_once(
+        ta_with_window(1), table, tnorms.MIN, k, "array", "scalar"
+    )
+    for batch_size in (1, 2, len(table)):
+        for kernel in ("scalar", "vector"):
+            for traced in (True, False):
+                result, trace = run_once(
+                    ta_with_window(batch_size), table, tnorms.MIN, k, "array",
+                    kernel, traced=traced,
+                )
+                assert_identical(
+                    f"batch={batch_size}/{kernel}/traced={traced}",
+                    baseline, result, baseline_trace if traced else None, trace,
+                )
+
+
+def test_ta_stop_rows_cover_both_window_edges():
+    """The k values above stop at odd and at even depths, i.e. with
+    ``batch_size=2`` on the first and on the last row of a window."""
+    depths = {
+        run_once(
+            run_ta, stop_row_table(), tnorms.MIN, k, "array", "scalar", traced=False
+        )[0].sorted_depth % 2
+        for k in STOP_ROW_KS
+    }
+    assert depths == {0, 1}
+
+
+class CountingMin(tnorms.MinimumTNorm):
+    """``min`` that counts its scalar evaluations."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def _combine(self, grades):
+        self.calls += 1
+        return super()._combine(grades)
+
+
+@pytest.mark.parametrize("theta", (1.0, 1.5))
+def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
+    table = independent(60, 2, seed=2)
+    trajectories = []
+    for kernel in ("scalar", "vector"):
+        rule = CountingMin()
+        sources = sources_from_columns(table, backend="list")
         tracer = QueryTracer()
         result = threshold_top_k(
-            sources, rule, K, batch_size=8, tracer=tracer, kernel=kernel
+            sources, rule, 4, batch_size=7, theta=theta, tracer=tracer,
+            kernel=kernel,
         )
-        runs.append((result, tracer.to_json()))
-    (scalar, scalar_trace), (vector, vector_trace) = runs
-    assert scalar.algorithm == "threshold-ta+nra"
-    assert list(scalar.degraded.failed_sources) == [sources[1].name]
-    assert_degraded_identical(scalar, vector, scalar_trace, vector_trace)
+        taus = [value for _, value in tracer.samples("ta.tau")]
+        assert len(taus) == result.sorted_depth
+        (stop,) = [
+            event for event in tracer.events
+            if event["type"] == "event" and event["name"] == "stop"
+        ]
+        assert stop["attrs"]["tau"] == taus[-1]
+        assert theta * stop["attrs"]["kth"] >= taus[-1]
+        if theta > 1.0:
+            assert result.approximation.bound == taus[-1]
+        if kernel == "scalar":
+            # the reference evaluates t once per seen object and once
+            # per row — not again for the stop test or the certificate
+            seen = {
+                item.object_id
+                for source in sources
+                for item in source.cursor().peek_batch(result.sorted_depth)
+            }
+            assert rule.calls == len(seen) + result.sorted_depth
+        trajectories.append(taus)
+    assert trajectories[0] == trajectories[1]
 
 
 # ---------------------------------------------------------------------------

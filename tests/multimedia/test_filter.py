@@ -90,6 +90,83 @@ def test_search_matches_linear_scan_exactly(setup):
     )
 
 
+def tight_pair(palette, similarity, seed):
+    """A two-object corpus built to expose a false dismissal in computed
+    values.  ``x`` differs from the target by a vector in the span of
+    ``A^{-1} C``, where Eq. 2 is tight, so rounding can put its computed
+    bound a few ulps *above* its computed distance.  ``y`` has a
+    marginally smaller bound (visited first) plus a component in the
+    null space of ``C^T`` — invisible to the bound — bisected so that
+    ``d(x) < d(y) < d^(x)`` whenever that window is open: a filter that
+    prunes on a bare ``d^ > D_k`` then returns ``y`` for k = 1, the
+    linear scan ``x``.
+    """
+    distance = QuadraticFormDistance(similarity)
+    filt = DistanceBoundingFilter(palette, distance)
+    centers = palette.centers
+    rng = np.random.default_rng(seed)
+    target = rng.random(palette.k)
+    target /= target.sum()
+    tight = 0.01 * np.linalg.solve(similarity, centers @ rng.normal(size=3))
+    hidden = np.linalg.svd(centers.T)[2][-1]
+    x = target + tight
+    x_distance = distance(x, target)
+    x_bound = filt.lower_bound(filt.summarize(x), filt.summarize(target))
+    low, high = 0.0, 1e-3
+    for _ in range(200):
+        y = target + tight * (1 - 1e-9) + 0.5 * (low + high) * hidden
+        y_distance = distance(y, target)
+        if y_distance <= x_distance:
+            low = 0.5 * (low + high)
+        elif y_distance >= x_bound:
+            high = 0.5 * (low + high)
+        else:
+            break
+    return distance, filt, target, {"x": x, "y": y}
+
+
+def test_search_has_no_false_dismissal_in_computed_values():
+    """Where the window opens — the computed bound of ``x`` exceeds its
+    computed distance and ``y`` sits in between (seed 0 and about two
+    seeds in five on OpenBLAS) — pruning on a bare ``bound > cutoff``
+    dismisses the true nearest neighbour."""
+    palette = Palette.rgb_cube(4)
+    similarity = laplacian_similarity(palette)
+    witnesses = 0
+    for seed in range(40):
+        distance, filt, target, corpus = tight_pair(palette, similarity, seed)
+        x_bound = filt.lower_bound(
+            filt.summarize(corpus["x"]), filt.summarize(target)
+        )
+        if not distance(corpus["x"], target) < distance(corpus["y"], target) < x_bound:
+            continue
+        witnesses += 1
+        scan = linear_scan_knn(corpus, target, 1, distance)
+        assert scan[0][0] == "x"
+        assert filt.search(corpus, target, 1).neighbors == scan, seed
+    assert witnesses > 0
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    matrix=st.sampled_from(("laplacian", "ridged-qbic", "identity")),
+    wheel=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_equals_linear_scan_on_tight_corpora(seed, matrix, wheel):
+    palette = Palette.hue_wheel(24) if wheel else Palette.rgb_cube(4)
+    similarity = {
+        "laplacian": laplacian_similarity,
+        "ridged-qbic": lambda p: qbic_similarity(p, ridge=1e-6),
+        "identity": lambda p: np.eye(p.k),
+    }[matrix](palette)
+    distance, filt, target, corpus = tight_pair(palette, similarity, seed)
+    for k in (1, 2):
+        assert filt.search(corpus, target, k).neighbors == linear_scan_knn(
+            corpus, target, k, distance
+        )
+
+
 def test_search_prunes_a_meaningful_fraction(setup):
     """With a concentrated target (a query color with planted near
     matches), the k-th distance is small and the bound prunes most of

@@ -183,71 +183,3 @@ def test_grade_matrix_top_order_breaks_ties_like_graded_item():
     scores = np.asarray([0.5, 0.5, 0.9, 0.5])
     order = matrix.top_order(scores)
     assert [matrix.ids[row] for row in order] == ["c", "a", "b", "d"]
-
-
-# ---------------------------------------------------------------------------
-# GradeMatrix snapshots: copy()/state_dict() and the growth hazard.
-#
-# The stale-array-after-growth bug class (the PR 5 fix set_grade's
-# docstring warns about): _ensure replaces _matrix wholesale, so any
-# snapshot that aliased the old array would silently stop seeing — or
-# worse, keep writing — grades after either side grows.  These tests
-# grow both sides past the shared capacity and assert full isolation.
-
-
-def _grade_rows(matrix):
-    return {
-        object_id: [
-            None if value != value else value
-            for value in matrix._matrix[matrix._rows[object_id]]
-        ]
-        for object_id in matrix.ids
-    }
-
-
-def test_grade_matrix_copy_is_growth_safe():
-    original = GradeMatrix(2, capacity=2)
-    original.set_grade("a", 0, 0.9)
-    original.set_grade("b", 1, 0.4)
-    clone = original.copy()
-    before = _grade_rows(original)
-    assert _grade_rows(clone) == before
-
-    # Grow and mutate both sides well past the snapshot capacity.
-    for index in range(20):
-        original.set_grade(f"orig{index}", 0, 0.1)
-        clone.set_grade(f"clone{index}", 1, 0.2)
-    original.set_grade("a", 1, 1.0)
-    clone.set_grade("b", 0, 0.3)
-
-    # Neither side saw the other's writes, pre- or post-growth.
-    assert _grade_rows(original)["a"] == [0.9, 1.0]
-    assert _grade_rows(original)["b"] == [None, 0.4]
-    assert _grade_rows(clone)["a"] == [0.9, None]
-    assert _grade_rows(clone)["b"] == [0.3, 0.4]
-    assert all(key.startswith(("a", "b", "orig")) for key in _grade_rows(original))
-    assert all(key.startswith(("a", "b", "clone")) for key in _grade_rows(clone))
-
-
-def test_grade_matrix_state_dict_round_trip_preserves_row_order():
-    matrix = GradeMatrix(3, capacity=2)
-    matrix.set_grade("b", 0, 0.5)
-    matrix.row_of("a")  # seen, nothing learned: must survive the trip
-    matrix.set_grade("c", 2, 0.75)
-    matrix.set_grade("b", 1, 0.9)
-
-    state = matrix.state_dict()
-    # Plain built-ins only: cache entries and JSON both accept it.
-    import json
-
-    restored = GradeMatrix.from_state_dict(json.loads(json.dumps(state)))
-    assert restored.ids == matrix.ids  # first-seen row order
-    assert _grade_rows(restored) == _grade_rows(matrix)
-
-    # Restored matrices are live, not frozen views: growth after restore
-    # must not disturb the restored grades (the same hazard as copy()).
-    for index in range(20):
-        restored.set_grade(f"new{index}", 0, 0.1)
-    assert _grade_rows(restored)["b"] == [0.5, 0.9, None]
-    assert _grade_rows(restored)["c"] == [None, None, 0.75]
-    assert _grade_rows(matrix) == _grade_rows(GradeMatrix.from_state_dict(state))
