@@ -8,22 +8,26 @@ function, and :class:`~repro.core.query.Weighted` nodes by the
 Fagin–Wimmers formula.
 
 :func:`compile_query` turns a query over *distinct* atoms into a single
-m-ary :class:`~repro.scoring.base.ScoringFunction` of the atom grades —
-the form the top-k algorithms of section 4 consume.  The compiled
-function's ``is_monotone`` / ``is_strict`` flags are derived structurally
-(conservatively for strictness), because the algorithms' correctness and
-optimality depend on exactly those properties.
+m-ary :class:`CompiledScoring` of the atom grades — the form the top-k
+algorithms of section 4 consume.  Section 3's point is that such a
+Boolean combination *is* one m-ary scoring function, so the AST is
+walked once: every atom becomes an argument position and every node a
+scalar and an ``[n, m]`` matrix form built from the catalog rules' own,
+so the vector kernels can score a whole window of objects per call.  The
+compiled function's ``is_monotone`` / ``is_strict`` flags are derived
+structurally (conservatively for strictness), because the algorithms'
+correctness and optimality depend on exactly those properties.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 from repro.core import query as q
 from repro.core.graded import validate_grade
 from repro.errors import ScoringError
-from repro.scoring.base import FunctionScoring, ScoringFunction
-from repro.scoring.weighted import weighted_score
+from repro.scoring.base import ScoringFunction, _np
+from repro.scoring.weighted import WeightedScoring, weighted_score
 from repro.scoring.zadeh import ZADEH, FuzzySemantics
 
 #: How callers supply atom grades: a mapping keyed by Atomic (or by
@@ -70,81 +74,144 @@ def evaluate(
     raise ScoringError(f"unknown query node {node!r}")
 
 
+def _node_rule(node: q.Query, semantics: FuzzySemantics) -> ScoringFunction:
+    """The rule an n-ary node applies to its children's grades: the
+    semantics' t-norm / co-norm, a Scored node's own rule, or the
+    Fagin–Wimmers weighting of a Weighted node's base."""
+    if isinstance(node, q.And):
+        return semantics.conjunction
+    if isinstance(node, q.Or):
+        return semantics.disjunction
+    if isinstance(node, q.Scored):
+        return node.scoring
+    if isinstance(node, q.Weighted):
+        return WeightedScoring(node.base, node.weights)
+    raise ScoringError(f"unknown query node {node!r}")
+
+
 def _structural_flags(node: q.Query, semantics: FuzzySemantics) -> tuple:
     """Return (is_monotone, is_strict) derived from the AST.
 
     Monotone: every connective on the path is monotone and there is no
     negation.  Strict (conservative): atoms are strict; an And/Scored/
-    Weighted node is strict iff its rule is strict and all children are;
-    an Or node is never credited with strictness (max reaches 1 off the
-    corner).  Conservative means we may under-claim strictness, never
-    over-claim it.
+    Weighted node is strict iff its rule is strict and all children are
+    (a Weighted rule is strict only when every weight is positive —
+    zero-weight children are droppable, per [FW97]); an Or node is never
+    credited with strictness (no co-norm is strict: max reaches 1 off
+    the corner).  Conservative means we may under-claim strictness,
+    never over-claim it.
     """
     if isinstance(node, q.Atomic):
         return True, True
     if isinstance(node, q.Not):
         return False, False
-    child_flags = [
-        _structural_flags(c, semantics)
-        for c in getattr(node, "children", ())
-    ]
-    children_monotone = all(f[0] for f in child_flags)
-    children_strict = all(f[1] for f in child_flags)
-    if isinstance(node, q.And):
-        rule = semantics.conjunction
-    elif isinstance(node, q.Or):
-        rule = semantics.disjunction
-    elif isinstance(node, q.Scored):
-        rule = node.scoring
-    elif isinstance(node, q.Weighted):
-        # Weighted inherits from its base per [FW97]; strict only when
-        # every weight is positive (zero-weight children are droppable).
-        monotone = node.base.is_monotone and children_monotone
-        strict = (
-            node.base.is_strict
-            and children_strict
-            and all(w > 0 for w in node.weights)
-        )
-        return monotone, strict
-    else:
-        raise ScoringError(f"unknown query node {node!r}")
+    rule = _node_rule(node, semantics)
+    child_flags = [_structural_flags(c, semantics) for c in node.children]
     return (
-        rule.is_monotone and children_monotone,
-        rule.is_strict and children_strict,
+        rule.is_monotone and all(f[0] for f in child_flags),
+        rule.is_strict and all(f[1] for f in child_flags),
     )
+
+
+def _compile_node(node: q.Query, positions: Mapping, semantics: FuzzySemantics):
+    """``(scalar, matrix, native, exact)`` for one node.
+
+    ``scalar`` maps one object's validated grade tuple to the node's
+    grade, ``matrix`` an ``[n, m]`` grade matrix to the node's n grades;
+    ``native`` / ``exact`` say whether every rule and negation in the
+    subtree has a native batch form / is batch-exact.  Rules are called
+    through their public, validating ``__call__`` / ``combine_matrix``
+    (``negate_matrix`` for negation), so every intermediate grade is
+    checked as :func:`evaluate` checks it.
+    """
+    if isinstance(node, q.Atomic):
+        p = positions[node]
+        # a copy, not a view: a bare atom's column is the whole result of
+        # a single-atom query and must not alias the caller's matrix
+        return (lambda g: g[p]), (lambda grades: grades[:, p].copy()), True, True
+    if isinstance(node, q.Not):
+        scalar, matrix, native, exact = _compile_node(node.child, positions, semantics)
+        negation = semantics.negation
+        return (
+            lambda g: negation(scalar(g)),
+            lambda grades: negation.negate_matrix(matrix(grades)),
+            native and negation.supports_batch,
+            exact and negation.batch_exact,
+        )
+    rule = _node_rule(node, semantics)
+    parts = [_compile_node(c, positions, semantics) for c in node.children]
+    scalars = [part[0] for part in parts]
+    matrices = [part[1] for part in parts]
+    return (
+        lambda g: rule([scalar(g) for scalar in scalars]),
+        lambda grades: rule.combine_matrix(
+            _np.column_stack([matrix(grades) for matrix in matrices])
+        ),
+        rule.supports_batch and all(part[2] for part in parts),
+        rule.batch_exact and all(part[3] for part in parts),
+    )
+
+
+class CompiledScoring(ScoringFunction):
+    """A query compiled once into a positional m-ary scoring function.
+
+    Argument i is the grade of the i-th atom of ``node.atoms()``; the
+    atoms must be distinct (an atom occurring twice would receive two
+    independent argument slots, changing the semantics).  Every tree
+    folds its compiled nodes (see :func:`_compile_node`), so the result
+    is bit for bit :func:`evaluate` on the same grades.
+
+    ``supports_batch`` holds when every rule and negation in the tree
+    has a native batch form, ``batch_exact`` when every one of them is
+    batch-exact — what lets :func:`repro.kernels.resolve_kernel` pick
+    the vector kernel for a compiled query.
+    """
+
+    is_symmetric = False
+
+    def __init__(self, node: q.Query, semantics: FuzzySemantics = ZADEH) -> None:
+        atoms = node.atoms()
+        if len(set(atoms)) != len(atoms):
+            raise ScoringError(
+                "compile_query requires distinct atoms; "
+                f"duplicates in {[str(a) for a in atoms]}"
+            )
+        self.arity = len(atoms)
+        self.name = f"compiled[{node}]"
+        self.is_monotone, self.is_strict = _structural_flags(node, semantics)
+        positions = {atom: i for i, atom in enumerate(atoms)}
+        self._scalar, self._matrix, self._native, self._exact = _compile_node(
+            node, positions, semantics
+        )
+
+    @property
+    def supports_batch(self) -> bool:
+        return self._native
+
+    @property
+    def batch_exact(self) -> bool:
+        return self._exact
+
+    def _check_arity(self, count: int) -> None:
+        if count != self.arity:
+            raise ScoringError(f"expected {self.arity} grades, got {count}")
+
+    def _combine(self, grades: tuple) -> float:
+        self._check_arity(len(grades))
+        return self._scalar(grades)
+
+    def _combine_matrix(self, matrix):
+        self._check_arity(matrix.shape[1])
+        return self._matrix(matrix)
 
 
 def compile_query(
     node: q.Query, semantics: FuzzySemantics = ZADEH
-) -> ScoringFunction:
+) -> CompiledScoring:
     """Compile a query into one m-ary scoring function over its atoms.
 
-    The atoms are taken in ``node.atoms()`` order and must be distinct
-    (an atom occurring twice would receive two independent argument
-    slots, changing the semantics).  The result is what the section-4
-    algorithms take as their scoring function ``t``.
+    The atoms are taken in ``node.atoms()`` order and must be distinct.
+    The result is what the section-4 algorithms take as their scoring
+    function ``t`` (see :class:`CompiledScoring`).
     """
-    atoms = node.atoms()
-    if len(set(atoms)) != len(atoms):
-        raise ScoringError(
-            "compile_query requires distinct atoms; "
-            f"duplicates in {[str(a) for a in atoms]}"
-        )
-    positions = {atom: i for i, atom in enumerate(atoms)}
-
-    def combined(grades: Sequence[float]) -> float:
-        if len(grades) != len(atoms):
-            raise ScoringError(
-                f"expected {len(atoms)} grades, got {len(grades)}"
-            )
-        assignment = {atom: grades[i] for atom, i in positions.items()}
-        return evaluate(node, assignment, semantics)
-
-    monotone, strict = _structural_flags(node, semantics)
-    return FunctionScoring(
-        combined,
-        name=f"compiled[{node}]",
-        is_monotone=monotone,
-        is_strict=strict,
-        is_symmetric=False,
-    )
+    return CompiledScoring(node, semantics)

@@ -129,10 +129,13 @@ class KnnSource(GradedSource):
             batch = self._stream.next_batch(need)
             if len(batch) < need:
                 self._stream_done = True
-            for object_id, distance in batch:
-                self._prefix_ids.append(object_id)
-                self._prefix_grades.append(
-                    distance_to_grade(distance, scale=self._scale)
+            if batch:
+                ids, distances = zip(*batch)
+                self._prefix_ids.extend(ids)
+                self._prefix_grades.extend(
+                    distance_to_grade(
+                        np.asarray(distances, dtype=np.float64), self._scale
+                    ).tolist()
                 )
 
     # -- GradedSource hooks ---------------------------------------------------
@@ -166,6 +169,18 @@ class KnnSource(GradedSource):
         self._index.stats.record_distances()
         distance = euclidean_distances(vector, self._target)
         return distance_to_grade(distance, scale=self._scale)
+
+    def _grades_of_many(self, object_ids) -> Dict[object, float]:
+        # One distance block for the whole request through the shared
+        # kernel and ``distance_to_grade``, both elementwise, so every
+        # grade is bit for bit what ``_grade_of`` returns.
+        ids = list(object_ids)
+        if not ids:
+            return {}
+        block = np.stack([self._index.vector_of(object_id) for object_id in ids])
+        self._index.stats.record_distances(len(ids))
+        distances = euclidean_distances(block, self._target)
+        return dict(zip(ids, distance_to_grade(distances, self._scale).tolist()))
 
     def __len__(self) -> int:
         return len(self._index)

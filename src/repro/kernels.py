@@ -38,10 +38,13 @@ Three kernel names, resolved by :func:`resolve_kernel`:
     intact).
 ``auto`` (the default)
     Picks ``vector`` exactly when it is both profitable and provably
-    byte-identical: every source columnar
-    (``supports_columnar``, i.e. a bare :class:`ArraySource`), and the
-    rule natively batch-capable *and* batch-exact
-    (:attr:`ScoringFunction.batch_exact`).  Otherwise ``scalar``.
+    byte-identical: every source columnar (``supports_columnar`` — a
+    bare ``ArraySource``, ``MemmapSource``, ``ShardedSource`` or
+    ``KnnSource``, not a wrapper), and the rule natively batch-capable
+    *and* batch-exact (:attr:`ScoringFunction.batch_exact`).  Otherwise
+    ``scalar``.  A query the engine or SQL compiles over catalog rules
+    (:func:`repro.core.evaluation.compile_query`) is natively
+    batch-exact, so over columnar bindings it runs ``vector``.
 
 Determinism contract
 --------------------
@@ -102,8 +105,9 @@ def resolve_kernel(kernel: Optional[str], sources: Sequence, rule) -> str:
     ``kernel=None`` means "use the configured default".  ``auto`` picks
     the vector kernel only when it is guaranteed byte-identical *and*
     actually fast: a natively batch-exact rule, and all sources
-    columnar.  Forcing ``vector`` bypasses the profitability checks
-    (item-based fallbacks still keep it correct).
+    columnar (bare array, memmap, sharded or kNN-index backends; any
+    wrapper opts out).  Forcing ``vector`` bypasses the profitability
+    checks (item-based fallbacks still keep it correct).
     """
     name = _validate_name(kernel if kernel is not None else _default_kernel)
     if name != "auto":

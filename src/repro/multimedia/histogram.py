@@ -166,12 +166,16 @@ class QuadraticFormDistance:
         return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def distance_to_grade(distance: float, scale: float = 1.0) -> float:
+def distance_to_grade(distance, scale: float = 1.0):
     """Map a distance to a grade in [0, 1] via ``exp(-d / scale)``.
 
     Monotone decreasing with d, grade 1 iff d = 0 — the natural bridge
-    from "closeness of color" to the graded sets of section 3.
+    from "closeness of color" to the graded sets of section 3.  A scalar
+    distance gives a float; an array gives the array of grades, each bit
+    for bit the scalar result (the same elementwise operations), so a
+    bulk probe grades exactly as one probe at a time does.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    return float(np.exp(-max(0.0, distance) / scale))
+    grades = np.exp(-np.maximum(0.0, distance) / scale)
+    return float(grades) if np.ndim(grades) == 0 else grades

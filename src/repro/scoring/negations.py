@@ -21,11 +21,27 @@ class Negation:
 
     name = "negation"
 
+    #: True when the native ``_negate_matrix`` override is bit-identical
+    #: to the scalar rule (same IEEE operations) — the flag
+    #: :class:`~repro.scoring.base.ScoringFunction` carries for rules.
+    _batch_exact: bool = False
+
     def __call__(self, grade: float) -> float:
         return validate_grade(self._negate(validate_grade(grade)))
 
     def _negate(self, grade: float) -> float:
         raise NotImplementedError
+
+    @property
+    def supports_batch(self) -> bool:
+        """True when the family has a native array rule."""
+        return type(self)._negate_matrix is not Negation._negate_matrix
+
+    @property
+    def batch_exact(self) -> bool:
+        """True when ``negate_matrix`` is bit-identical to per-element
+        ``__call__`` (trivially so for the scalar-loop fallback)."""
+        return not self.supports_batch or self._batch_exact
 
     def negate_matrix(self, grades):
         """Batch form of ``__call__`` over a float64 array of any shape.
@@ -74,6 +90,7 @@ class StandardNegation(Negation):
     """Zadeh's rule: ``n(x) = 1 - x``.  A strong negation."""
 
     name = "standard"
+    _batch_exact = True
 
     def _negate(self, grade: float) -> float:
         return 1.0 - grade
@@ -88,6 +105,8 @@ class SugenoNegation(Negation):
     ``lam = 0`` recovers the standard negation.  Every member is a strong
     negation (an involution).
     """
+
+    _batch_exact = True
 
     def __init__(self, lam: float = 0.0) -> None:
         if lam <= -1.0:
@@ -105,7 +124,9 @@ class SugenoNegation(Negation):
 class YagerNegation(Negation):
     """Yager family: ``n(x) = (1 - x^w)^(1/w)`` with ``w > 0``.
 
-    ``w = 1`` recovers the standard negation.
+    ``w = 1`` recovers the standard negation.  The array rule goes
+    through numpy's ``**``, which is not ulp-identical to Python's, so
+    the family is not batch-exact.
     """
 
     def __init__(self, w: float = 1.0) -> None:

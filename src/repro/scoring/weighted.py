@@ -71,8 +71,13 @@ def weighted_score(rule, weights: Sequence[float], grades: Sequence[float]) -> f
     sorted by descending weight first, which is valid because the paper's
     framework assumes a symmetric underlying rule.
     """
-    f = as_scoring_function(rule)
-    theta = validate_weighting(weights)
+    return _fagin_wimmers(
+        as_scoring_function(rule), validate_weighting(weights), grades
+    )
+
+
+def _fagin_wimmers(f: ScoringFunction, theta: Tuple[float, ...], grades) -> float:
+    """Equation 5 over an already-validated weighting ``theta``."""
     xs = tuple(float(g) for g in grades)
     if len(theta) != len(xs):
         raise WeightingError(
@@ -129,8 +134,11 @@ class WeightedScoring(ScoringFunction):
         # rule is; the formula's own arithmetic mirrors the scalar fold.
         self._batch_exact = self.base.batch_exact
 
+    # Both paths use the weighting validated once above, so the rule is
+    # bit for bit ``weighted_score(base, weights, ·)``: normalizing again
+    # moves a coefficient by an ulp when the weights do not sum to 1.0.
     def _combine(self, grades: tuple) -> float:
-        return weighted_score(self.base, self.weights, grades)
+        return _fagin_wimmers(self.base, self.weights, grades)
 
     def _combine_matrix(self, matrix):
         if matrix.shape[1] != len(self.weights):
@@ -138,9 +146,7 @@ class WeightedScoring(ScoringFunction):
                 f"weighting has {len(self.weights)} entries but "
                 f"{matrix.shape[1]} grades given"
             )
-        # Re-run the exact normalization/ordering weighted_score performs
-        # so coefficients match the scalar path bit for bit.
-        theta = validate_weighting(self.weights)
+        theta = self.weights
         order = sorted(range(len(theta)), key=lambda i: -theta[i])
         theta_sorted = tuple(theta[i] for i in order)
         columns = matrix[:, order]

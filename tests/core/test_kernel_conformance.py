@@ -9,23 +9,33 @@ runs; deterministic tests pin down kernel resolution, the engine/CLI
 plumbing, degradation parity, and the ``stop_check_growth`` schedule.
 """
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.evaluation import compile_query
 from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.naive import naive_top_k
-from repro.core.sources import GradedSource, sources_from_columns
+from repro.core.planner import Strategy
+from repro.core.query import Atomic, Scored
+from repro.core.sources import ArraySource, GradedSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import ReproError, TransientAccessError
+from repro.index import KnnSubsystem
 from repro.kernels import configure_kernel, default_kernel, resolve_kernel
+from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
+from repro.middleware.interface import Subsystem
 from repro.middleware.resilience import VirtualClock
 from repro.observability import QueryTracer
 from repro.parallel import ParallelAccessExecutor
 from repro.scoring import means, tnorms
 from repro.scoring.owa import owa_mean
 from repro.scoring.weighted import WeightedScoring
+from repro.sql.compiler import compile_sql
 from repro.workloads.graded_lists import independent
 from tests.strategies import graded_databases as shared_graded_databases
 from tests.strategies import pick_k
@@ -692,7 +702,6 @@ def test_stop_check_growth_answers_and_kernels_agree(growth):
 
 def build_engine(n=40):
     from repro.middleware.list_subsystem import ListSubsystem
-    from repro.middleware.engine import MiddlewareEngine
     import random
 
     rng = random.Random(9)
@@ -714,8 +723,6 @@ def test_engine_configure_kernel_validates_and_sticks():
 
 
 def test_engine_kernel_results_identical():
-    from repro.core.query import Atomic
-
     query = Atomic("Color", "red") & Atomic("Shape", "round")
     baseline = build_engine().top_k(query, 5)
     pairs = [(item.object_id, item.grade) for item in baseline.answers]
@@ -728,6 +735,119 @@ def test_engine_kernel_results_identical():
         # per-query override beats the session default
         override = session.top_k(query, 5, kernel="scalar")
         assert [(i.object_id, i.grade) for i in override.answers] == pairs
+
+
+class ColumnSubsystem(Subsystem):
+    """Serves every ``<column> = <anything>`` atom as a bare ArraySource."""
+
+    def __init__(self, ids, columns):
+        super().__init__("columns")
+        self._ids = ids
+        self._columns = columns
+
+    def attributes(self):
+        return frozenset(self._columns)
+
+    def _bind(self, atom):
+        return ArraySource.from_arrays(
+            self._ids, self._columns[atom.attribute], name=str(atom)
+        )
+
+
+def columnar_engine(n=400, seed=3):
+    """In-RAM columns c0..c2 plus a VA-file kNN subsystem over ``Near``:
+    every binding columnar, as in the end-to-end benchmark."""
+    rng = np.random.default_rng(seed)
+    ids = [f"o{i}" for i in range(n)]
+    engine = MiddlewareEngine()
+    engine.register(
+        ColumnSubsystem(ids, {f"c{j}": rng.random(n) for j in range(3)})
+    )
+    engine.register(KnnSubsystem("knn", ids, rng.random((n, 4)), index="vafile"))
+    return engine
+
+
+#: the query shapes of the end-to-end benchmark, as SQL: a conjunction
+#: under min, a USING rule, a kNN atom next to a column, and an
+#: NRA-preferred conjunction
+BENCH_SHAPES = (
+    ("SELECT * FROM t WHERE c0 = 'x' AND c1 = 'x' STOP AFTER 10", None),
+    (
+        "SELECT * FROM t WHERE c0 = 'x' AND c1 = 'x' AND c2 = 'x' "
+        "USING mean STOP AFTER 10",
+        None,
+    ),
+    ("SELECT * FROM t WHERE c0 = 'x' AND c1 = 'x' USING product STOP AFTER 20", None),
+    ("SELECT * FROM t WHERE Near = 'sunset' AND c0 = 'x' STOP AFTER 10", None),
+    ("SELECT * FROM t WHERE c0 = 'x' AND c1 = 'x' STOP AFTER 10", Strategy.NRA),
+)
+
+
+def split_physical_work(trace_json):
+    """The trace with the index's distance-evaluation counters blanked,
+    and those counters' values in trace order.
+
+    They count physical work, not charged accesses: the vector kernel
+    grades a window's candidates in one block, including objects past
+    TA's stop row, so the counters may grow while every access event
+    stays identical."""
+    trace = json.loads(trace_json)
+    evaluations = []
+    for event in trace["events"]:
+        if event.get("name") == "index_breakdown":
+            evaluations.append(event["attrs"]["distance_evals"])
+            event["attrs"]["distance_evals"] = None
+        elif event.get("name") == "index.distance_evals":
+            evaluations.append(event["value"])
+            event["value"] = None
+    return trace, evaluations
+
+
+@pytest.mark.parametrize("sql, prefer", BENCH_SHAPES)
+def test_engine_sql_shapes_identical_across_kernels(sql, prefer):
+    """SQL through ``engine.top_k`` under every kernel name: same
+    answers, costs, algorithm and trace.  The one relaxation is the kNN
+    shape's distance-evaluation counters, which may only grow past the
+    reference kernel's; every shape without a kNN atom is byte-identical."""
+    query = compile_sql(sql)
+    runs = []
+    for kernel in ("scalar", "vector", "auto"):
+        tracer = QueryTracer()
+        result = columnar_engine().top_k(
+            query, 10, prefer=prefer, kernel=kernel, tracer=tracer
+        )
+        runs.append((result, tracer.to_json()))
+    (scalar, scalar_trace), *others = runs
+    scalar_masked, scalar_evaluations = split_physical_work(scalar_trace)
+    assert bool(scalar_evaluations) == ("Near" in sql)
+    for (result, trace), kernel in zip(others, ("vector", "auto")):
+        masked, evaluations = split_physical_work(trace)
+        assert_identical(kernel, scalar, result, scalar_masked, masked)
+        assert len(evaluations) == len(scalar_evaluations), kernel
+        assert all(
+            ours >= reference
+            for ours, reference in zip(evaluations, scalar_evaluations)
+        ), kernel
+        if "Near" not in sql:
+            assert trace == scalar_trace, kernel
+
+
+@pytest.mark.parametrize("sql, prefer", BENCH_SHAPES)
+def test_compiled_sql_resolves_auto_to_vector_over_columnar_sources(sql, prefer):
+    """A compiled catalog-rule query is natively batch-exact, so ``auto``
+    runs the vector kernel over columnar bindings (ArraySource, KnnSource)."""
+    engine = columnar_engine()
+    query = compile_sql(sql)
+    sources = engine.bind_all(query)
+    assert resolve_kernel(None, sources, compile_query(query, engine.semantics)) == "vector"
+
+
+def test_compiled_conjunction_and_using_resolve_to_vector_over_array_sources():
+    a, b = Atomic("a", "x"), Atomic("b", "x")
+    for query in (a & b, Scored(means.MEAN, (a, b))):
+        assert resolve_kernel(None, _array_sources(), compile_query(query)) == "vector"
+    # still scalar wherever auto's other clauses say so
+    assert resolve_kernel(None, _list_sources(), compile_query(a & b)) == "scalar"
 
 
 def test_cli_kernel_flag_round_trips(capsys):

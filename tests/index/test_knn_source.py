@@ -64,6 +64,45 @@ def test_random_access_charges_counter_and_index():
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_bulk_random_access_matches_one_at_a_time(kind):
+    """``_grades_of_many`` is ``_grade_of`` per id, bit for bit, with the
+    same ``distance_evaluations`` charge; an unknown id is refused."""
+    ids, matrix = corpus(n=300, dim=8)
+    rng = np.random.default_rng(5)
+    wanted = [ids[i] for i in rng.permutation(len(ids))[:200]]
+    for target in rng.random((5, 8)):
+        source = make_source(kind, ids, matrix, target)
+        stats = source._index.stats
+        _, before = stats.snapshot()
+        one_at_a_time = {object_id: source._grade_of(object_id) for object_id in wanted}
+        _, middle = stats.snapshot()
+        bulk = source._grades_of_many(wanted)
+        _, after = stats.snapshot()
+        assert list(bulk) == wanted
+        assert bulk == one_at_a_time
+        assert after - middle == middle - before == len(wanted)
+        assert source._grades_of_many([]) == {}
+        with pytest.raises(UnknownObjectError):
+            source._grades_of_many([ids[0], "nope"])
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_sorted_grades_equal_probe_grades(kind):
+    """The stream grades each pulled batch in one array call; every
+    sorted grade is bit for bit the random-access grade of that object,
+    which TA relies on when it meets an object both ways."""
+    ids, matrix = corpus(n=300, dim=8)
+    for target in np.random.default_rng(6).random((3, 8)):
+        stream = make_source(kind, ids, matrix, target, batch=7)
+        items = stream.cursor().next_batch(len(ids))
+        probe = make_source(kind, ids, matrix, target)
+        assert len(items) == len(ids)
+        assert [item.grade for item in items] == [
+            probe._grade_of(item.object_id) for item in items
+        ]
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
 def test_columnar_matches_item_path(kind):
     ids, matrix = corpus()
     target = np.full(4, 0.25)

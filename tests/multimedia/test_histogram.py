@@ -153,3 +153,19 @@ def test_grade_bridge_properties():
     assert distance_to_grade(0.5) > distance_to_grade(1.0)
     with pytest.raises(ValueError):
         distance_to_grade(1.0, scale=0.0)
+    with pytest.raises(ValueError):
+        distance_to_grade(np.ones(3), scale=-1.0)
+
+
+def test_grade_bridge_array_form_is_the_scalar_form_elementwise():
+    rng = np.random.default_rng(11)
+    distances = np.concatenate(
+        [rng.random(2000) * 4, [0.0, -0.0, -1.0, 5e-324, 1e-300, 700.0, 1e4]]
+    )
+    for scale in (1.0, 0.3, 2.5):
+        grades = distance_to_grade(distances, scale)
+        assert isinstance(grades, np.ndarray) and grades.shape == distances.shape
+        one_at_a_time = [distance_to_grade(float(d), scale) for d in distances]
+        assert all(type(g) is float for g in one_at_a_time)
+        assert grades.tobytes() == np.asarray(one_at_a_time).tobytes()
+    assert distance_to_grade(-1.0) == 1.0
