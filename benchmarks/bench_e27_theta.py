@@ -8,10 +8,9 @@ end.  This experiment measures the trade at scale:
 
 * a **θ sweep** over {1.0, 1.01, 1.05, 1.1, 1.5, 2.0} for TA-θ and
   NRA-θ at N = 10^6 under the paper's independence model, for the min
-  and mean combining rules, across kernel/backend configurations
-  (scalar over list sources, vector over columnar arrays, vector over
-  out-of-core memmaps): per point, the charged accesses, sorted depth,
-  achieved ratio, and wall time;
+  and mean combining rules, across storage backends (item-based list
+  sources, columnar arrays, out-of-core memmaps): per point, the
+  charged accesses, sorted depth, achieved ratio, and wall time;
 * the **exactness gate**: θ = 1.0 must be byte-identical (answers and
   costs) to not passing θ at all — the knob costs nothing when off;
 * the **certificate oracle**: every θ > 1 run is audited against the
@@ -62,8 +61,8 @@ RULES = (("min", tnorms.MIN), ("mean", means.MEAN))
 #: the module docstring for why NRA under min never stops early.
 STRICT_REDUCTION_EXEMPT = {("nra", "min")}
 
-FULL_CONFIGS = (("scalar", "list"), ("vector", "array"), ("vector", "memmap"))
-SMOKE_CONFIGS = (("scalar", "list"), ("vector", "array"))
+FULL_CONFIGS = ("list", "array", "memmap")
+SMOKE_CONFIGS = ("list", "array")
 
 
 def answer_key(result):
@@ -113,7 +112,7 @@ def audit(result, theta, truth, ranked, kth_exact):
     return violations
 
 
-def run_config(kernel, backend, table, oracles, directory):
+def run_config(backend, table, oracles, directory):
     kwargs = {"backend": backend}
     if backend == "memmap":
         kwargs["directory"] = directory
@@ -122,18 +121,13 @@ def run_config(kernel, backend, table, oracles, directory):
     for rule_name, rule in RULES:
         truth, ranked, kth_exact = oracles[rule_name]
         for name, algo, algo_kwargs in ALGORITHMS:
-            baseline = algo(
-                sources, rule, K, kernel=kernel, **algo_kwargs
-            )
+            baseline = algo(sources, rule, K, **algo_kwargs)
             costs = []
             for theta in THETAS:
                 started = time.perf_counter()
-                result = algo(
-                    sources, rule, K, theta=theta, kernel=kernel,
-                    **algo_kwargs,
-                )
+                result = algo(sources, rule, K, theta=theta, **algo_kwargs)
                 elapsed = time.perf_counter() - started
-                label = f"{name}/{rule_name}/{kernel}/{backend}"
+                label = f"{name}/{rule_name}/{backend}"
                 if theta == 1.0:
                     assert answer_key(result) == answer_key(baseline), (
                         f"{label}: theta=1.0 answers differ from the "
@@ -150,7 +144,6 @@ def run_config(kernel, backend, table, oracles, directory):
                     {
                         "algorithm": name,
                         "rule": rule_name,
-                        "kernel": kernel,
                         "backend": backend,
                         "theta": theta,
                         "cost": result.database_access_cost,
@@ -179,16 +172,14 @@ def run(configs, n, *, smoke=False):
     oracles = {name: oracle(table, rule) for name, rule in RULES}
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-e27-") as scratch:
-        for index, (kernel, backend) in enumerate(configs):
+        for index, backend in enumerate(configs):
             directory = str(Path(scratch) / f"cfg{index}")
-            rows.extend(
-                run_config(kernel, backend, table, oracles, directory)
-            )
+            rows.extend(run_config(backend, table, oracles, directory))
     for row in rows:
         achieved = row["achieved"] if row["achieved"] is not None else "-"
         print(
             f"{row['algorithm']:>4}/{row['rule']:<4} "
-            f"{row['kernel']:>6}/{row['backend']:<6} "
+            f"{row['backend']:<6} "
             f"theta {row['theta']:>5}: cost {row['cost']:>8} "
             f"(depth {row['depth']:>6})  achieved {achieved:>9}  "
             f"violations {row['violations']}  {row['seconds']:.3f}s"
@@ -202,19 +193,18 @@ def run(configs, n, *, smoke=False):
             for rule_name, _ in RULES:
                 if (name, rule_name) in STRICT_REDUCTION_EXEMPT:
                     continue
-                for kernel, backend in configs:
+                for backend in configs:
                     mine = [
                         row
                         for row in rows
                         if row["algorithm"] == name
                         and row["rule"] == rule_name
-                        and row["kernel"] == kernel
                         and row["backend"] == backend
                     ]
                     exact_cost = mine[0]["cost"]
                     loosest_cost = mine[-1]["cost"]
                     assert loosest_cost < exact_cost, (
-                        f"{name}/{rule_name}/{kernel}/{backend}: theta=2.0 "
+                        f"{name}/{rule_name}/{backend}: theta=2.0 "
                         f"cost {loosest_cost} shows no reduction from "
                         f"exact {exact_cost}"
                     )
@@ -227,7 +217,7 @@ def run(configs, n, *, smoke=False):
             "seed": SEED,
             "thetas": list(THETAS),
             "rules": [name for name, _ in RULES],
-            "configs": [list(config) for config in configs],
+            "configs": list(configs),
             "strict_reduction_exempt": sorted(
                 list(pair) for pair in STRICT_REDUCTION_EXEMPT
             ),

@@ -29,7 +29,7 @@ sources* feeding the paper's own top-k machinery:
   kinds must return byte-identical answers at every theta;
 * the **engine gate**: ``build_image_database(knn_index=...)`` answers
   for a mixed Near-plus-relational query are byte-identical across
-  index kinds x kernels (scalar, vector) x worker counts (1, 4).
+  index kinds x worker counts (1, 4).
 
 Results land in BENCH_knn.json next to this file.  ``--smoke`` runs a
 CI-sized corpus with the same gates minus the 10x ratio floors (which
@@ -326,38 +326,35 @@ def theta_section(n, dim, *, smoke):
 
 
 def engine_section(n):
-    """Byte-identity of engine answers across index x kernel x workers."""
+    """Byte-identity of engine answers across index x workers."""
     query = Atomic("Near", "sunset") & Atomic("Category", "product")
     baseline = None
     rows = []
     for kind in ("scan", "vafile", "rtree"):
         engine = build_image_database(n, seed=0, knn_index=kind)
         try:
-            for kernel in ("scalar", "vector"):
-                for workers in (1, 4):
-                    engine.configure_kernel(kernel)
-                    engine.configure_parallelism(workers)
-                    result = engine.top_k(query, ENGINE_K)
-                    key = (answer_key(result), cost_key(result))
-                    if baseline is None:
-                        baseline = key
-                    assert key == baseline, (
-                        f"{kind}/{kernel}/w{workers}: engine answers or "
-                        "costs differ from the scan baseline"
-                    )
-                    rows.append(
-                        {
-                            "section": "engine",
-                            "index": kind,
-                            "kernel": kernel,
-                            "workers": workers,
-                            "cost": result.database_access_cost,
-                        }
-                    )
+            for workers in (1, 4):
+                engine.configure_parallelism(workers)
+                result = engine.top_k(query, ENGINE_K)
+                key = (answer_key(result), cost_key(result))
+                if baseline is None:
+                    baseline = key
+                assert key == baseline, (
+                    f"{kind}/w{workers}: engine answers or costs differ "
+                    "from the scan baseline"
+                )
+                rows.append(
+                    {
+                        "section": "engine",
+                        "index": kind,
+                        "workers": workers,
+                        "cost": result.database_access_cost,
+                    }
+                )
         finally:
             engine.close()
     print(
-        f"engine: {len(rows)} index x kernel x worker configs "
+        f"engine: {len(rows)} index x worker configs "
         "byte-identical"
     )
     return rows

@@ -56,7 +56,6 @@ from repro.core import (
     top_k,
 )
 from repro.errors import AdmissionError, ReproError, ShedError
-from repro.kernels import KERNEL_CHOICES, configure_kernel, default_kernel
 from repro.parallel import ParallelAccessExecutor
 from repro.observability import (
     MetricsRegistry,
@@ -118,9 +117,6 @@ __all__ = [
     "FairShareExecutor",
     "AdmissionError",
     "ShedError",
-    "KERNEL_CHOICES",
-    "configure_kernel",
-    "default_kernel",
     "QueryTracer",
     "MetricsRegistry",
     "TracingSource",

@@ -708,7 +708,6 @@ def resume_from_snapshot(
     theta: float = 1.0,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
     snapshot_out: Optional[Dict] = None,
 ) -> TopKResult:
     """Continue a finished NRA run at a deeper k from its snapshot.
@@ -730,7 +729,7 @@ def resume_from_snapshot(
     fill run.
     """
     from repro.core.threshold import _nra_run
-    from repro.kernels import bounds_state, resolve_kernel
+    from repro.kernels import GradeMatrix
 
     cursors = []
     for source, position in zip(sources, snapshot["positions"]):
@@ -742,12 +741,9 @@ def resume_from_snapshot(
         rule,
         k,
         cursors=cursors,
-        # a fresh copy: the snapshot stays valid for later resumes
-        bounds=bounds_state(
-            resolve_kernel(kernel, sources, rule),
-            len(sources),
-            {obj: dict(known) for obj, known in snapshot["states"].items()},
-        ),
+        # the matrix copies the states: the snapshot stays valid for
+        # later resumes
+        bounds=GradeMatrix.from_known(snapshot["states"], len(sources)),
         bottoms=list(snapshot["bottoms"]),
         exhausted=list(snapshot["exhausted"]),
         meter=CostMeter(sources),

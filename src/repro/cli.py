@@ -91,13 +91,6 @@ def _apply_parallelism(engine: MiddlewareEngine, args: argparse.Namespace) -> No
         engine.configure_parallelism(max_workers)
 
 
-def _apply_kernel(engine: MiddlewareEngine, args: argparse.Namespace) -> None:
-    """Wire --kernel into the engine, if given."""
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        engine.configure_kernel(kernel)
-
-
 def _apply_storage(engine: MiddlewareEngine, args: argparse.Namespace) -> None:
     """Wire --backend / --shards / --storage-dir into the engine."""
     backend = getattr(args, "backend", None)
@@ -210,7 +203,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         _apply_resilience(engine, args)
         _apply_storage(engine, args)
         _apply_parallelism(engine, args)
-        _apply_kernel(engine, args)
         _apply_cache(engine, args)
         _apply_theta(engine, args)
         tracer = _apply_observability(engine, args)
@@ -236,7 +228,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         _apply_resilience(engine, args)
         _apply_storage(engine, args)
         _apply_parallelism(engine, args)
-        _apply_kernel(engine, args)
         _apply_cache(engine, args)
         _apply_theta(engine, args)
         tracer = _apply_observability(engine, args)
@@ -278,7 +269,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         _apply_resilience(engine, args)
         _apply_storage(engine, args)
-        _apply_kernel(engine, args)
         _apply_cache(engine, args)
         query = Atomic("Artist", "Beatles") & Atomic("AlbumColor", "red")
         config = ServiceConfig(
@@ -398,13 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fan each algorithm round's subsystem accesses across "
             "N threads (1 = serial; answers, costs, and traces are "
             "identical either way)",
-        )
-        command.add_argument(
-            "--kernel", choices=("auto", "vector", "scalar"), default=None,
-            help="scoring kernel: 'vector' forces the columnar numpy "
-            "fast path, 'scalar' the classic per-object loops, 'auto' "
-            "picks vector whenever it is provably byte-identical "
-            "(default: auto)",
         )
         command.add_argument(
             "--backend", choices=("list", "array", "memmap"), default=None,

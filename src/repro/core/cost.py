@@ -19,12 +19,48 @@ skewed measures (ablation in E1/E12).
 access methods themselves — algorithms cannot forget to pay.
 :class:`CostReport` aggregates counters across the sources an algorithm
 touched.
+
+Sources are shared by concurrent queries, so every counter also tallies
+its accesses per *billed thread* (:func:`billed_thread`): the thread
+that runs the query, including accesses a fan-out worker performs on
+its behalf.  :class:`CostMeter` reads only its own thread's tallies, so
+a query's report never includes another query's accesses.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
+
+T = TypeVar("T")
+
+
+class _Billing(threading.local):
+    """Per thread: the thread its charged accesses are billed to."""
+
+    def __init__(self) -> None:
+        self.thread = threading.get_ident()
+
+
+_billing = _Billing()
+
+
+def billed_thread() -> int:
+    """The thread the current thread's accesses are billed to: itself,
+    or the coordinating thread while running a thunk via
+    :func:`run_billed_to`."""
+    return _billing.thread
+
+
+def run_billed_to(thread: int, thunk: Callable[[], T]) -> T:
+    """Run ``thunk`` with every access it charges billed to ``thread``."""
+    previous = _billing.thread
+    _billing.thread = thread
+    try:
+        return thunk()
+    finally:
+        _billing.thread = previous
 
 
 @dataclass
@@ -33,12 +69,25 @@ class AccessCounter:
 
     sorted_accesses: int = 0
     random_accesses: int = 0
+    #: the same tallies per billed thread, ``[sorted, random]``
+    by_thread: Dict[int, List[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def _billed(self) -> List[int]:
+        thread = _billing.thread
+        tally = self.by_thread.get(thread)
+        if tally is None:
+            tally = self.by_thread[thread] = [0, 0]
+        return tally
 
     def record_sorted(self, n: int = 1) -> None:
         self.sorted_accesses += n
+        self._billed()[0] += n
 
     def record_random(self, n: int = 1) -> None:
         self.random_accesses += n
+        self._billed()[1] += n
 
     @property
     def database_access_cost(self) -> int:
@@ -48,9 +97,14 @@ class AccessCounter:
     def snapshot(self) -> Tuple[int, int]:
         return (self.sorted_accesses, self.random_accesses)
 
+    def billed_snapshot(self, thread: int) -> Tuple[int, int]:
+        """``snapshot()`` restricted to accesses billed to ``thread``."""
+        return tuple(self.by_thread.get(thread, (0, 0)))
+
     def reset(self) -> None:
         self.sorted_accesses = 0
         self.random_accesses = 0
+        self.by_thread.clear()
 
     def __add__(self, other: "AccessCounter") -> "AccessCounter":
         return AccessCounter(
@@ -138,24 +192,28 @@ class CostMeter:
     """Snapshot-based delta measurement over a collection of sources.
 
     Algorithms wrap their work in a meter so the report reflects only
-    their own accesses even when sources are shared or reused::
+    their own accesses even when sources are shared or reused — by
+    queries running concurrently on other threads, too::
 
         meter = CostMeter(sources)
         ... run algorithm ...
         report = meter.report()
+
+    The meter counts the accesses billed to the thread that created it.
     """
 
     def __init__(self, sources: Iterable) -> None:
         self._sources = list(sources)
+        self._thread = billed_thread()
         self._baseline: Mapping[int, Tuple[int, int]] = {
-            id(s): s.counter.snapshot() for s in self._sources
+            id(s): s.counter.billed_snapshot(self._thread) for s in self._sources
         }
 
     def report(self) -> CostReport:
         per_source: Dict[str, AccessCounter] = {}
         for source in self._sources:
             base_sorted, base_random = self._baseline[id(source)]
-            now_sorted, now_random = source.counter.snapshot()
+            now_sorted, now_random = source.counter.billed_snapshot(self._thread)
             name = source.name
             # Distinct sources may share a display name; disambiguate.
             if name in per_source:

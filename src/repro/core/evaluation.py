@@ -13,7 +13,8 @@ algorithms of section 4 consume.  Section 3's point is that such a
 Boolean combination *is* one m-ary scoring function, so the AST is
 walked once: every atom becomes an argument position and every node a
 scalar and an ``[n, m]`` matrix form built from the catalog rules' own,
-so the vector kernels can score a whole window of objects per call.  The
+so the bounds state and TA's threshold score a whole window of objects
+per call.  The
 compiled function's ``is_monotone`` / ``is_strict`` flags are derived
 structurally (conservatively for strictness), because the algorithms'
 correctness and optimality depend on exactly those properties.
@@ -114,29 +115,26 @@ def _structural_flags(node: q.Query, semantics: FuzzySemantics) -> tuple:
 
 
 def _compile_node(node: q.Query, positions: Mapping, semantics: FuzzySemantics):
-    """``(scalar, matrix, native, exact)`` for one node.
+    """``(scalar, matrix)`` for one node.
 
     ``scalar`` maps one object's validated grade tuple to the node's
-    grade, ``matrix`` an ``[n, m]`` grade matrix to the node's n grades;
-    ``native`` / ``exact`` say whether every rule and negation in the
-    subtree has a native batch form / is batch-exact.  Rules are called
-    through their public, validating ``__call__`` / ``combine_matrix``
-    (``negate_matrix`` for negation), so every intermediate grade is
-    checked as :func:`evaluate` checks it.
+    grade, ``matrix`` an ``[n, m]`` grade matrix to the node's n grades.
+    Rules are called through their public, validating ``__call__`` /
+    ``combine_matrix`` (``negate_matrix`` for negation), so every
+    intermediate grade is checked as :func:`evaluate` checks it, and the
+    matrix form is bit for bit the scalar one.
     """
     if isinstance(node, q.Atomic):
         p = positions[node]
         # a copy, not a view: a bare atom's column is the whole result of
         # a single-atom query and must not alias the caller's matrix
-        return (lambda g: g[p]), (lambda grades: grades[:, p].copy()), True, True
+        return (lambda g: g[p]), (lambda grades: grades[:, p].copy())
     if isinstance(node, q.Not):
-        scalar, matrix, native, exact = _compile_node(node.child, positions, semantics)
+        scalar, matrix = _compile_node(node.child, positions, semantics)
         negation = semantics.negation
         return (
             lambda g: negation(scalar(g)),
             lambda grades: negation.negate_matrix(matrix(grades)),
-            native and negation.supports_batch,
-            exact and negation.batch_exact,
         )
     rule = _node_rule(node, semantics)
     parts = [_compile_node(c, positions, semantics) for c in node.children]
@@ -147,8 +145,6 @@ def _compile_node(node: q.Query, positions: Mapping, semantics: FuzzySemantics):
         lambda grades: rule.combine_matrix(
             _np.column_stack([matrix(grades) for matrix in matrices])
         ),
-        rule.supports_batch and all(part[2] for part in parts),
-        rule.batch_exact and all(part[3] for part in parts),
     )
 
 
@@ -159,12 +155,8 @@ class CompiledScoring(ScoringFunction):
     atoms must be distinct (an atom occurring twice would receive two
     independent argument slots, changing the semantics).  Every tree
     folds its compiled nodes (see :func:`_compile_node`), so the result
-    is bit for bit :func:`evaluate` on the same grades.
-
-    ``supports_batch`` holds when every rule and negation in the tree
-    has a native batch form, ``batch_exact`` when every one of them is
-    batch-exact — what lets :func:`repro.kernels.resolve_kernel` pick
-    the vector kernel for a compiled query.
+    is bit for bit :func:`evaluate` on the same grades, row by row or as
+    a matrix.
     """
 
     is_symmetric = False
@@ -180,17 +172,7 @@ class CompiledScoring(ScoringFunction):
         self.name = f"compiled[{node}]"
         self.is_monotone, self.is_strict = _structural_flags(node, semantics)
         positions = {atom: i for i, atom in enumerate(atoms)}
-        self._scalar, self._matrix, self._native, self._exact = _compile_node(
-            node, positions, semantics
-        )
-
-    @property
-    def supports_batch(self) -> bool:
-        return self._native
-
-    @property
-    def batch_exact(self) -> bool:
-        return self._exact
+        self._scalar, self._matrix = _compile_node(node, positions, semantics)
 
     def _check_arity(self, count: int) -> None:
         if count != self.arity:

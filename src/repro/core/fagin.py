@@ -36,7 +36,7 @@ already-emitted objects.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.core.cost import CostMeter
 from repro.core.graded import GradedSet, ObjectId
@@ -49,7 +49,7 @@ from repro.core.sources import (
 )
 from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
 from repro.errors import MonotonicityError, ScoringError
-from repro.kernels import bounds_state, resolve_kernel
+from repro.kernels import GradeMatrix
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
@@ -90,7 +90,6 @@ class FaginAlgorithm:
         degrade: bool = True,
         tracer=None,
         executor=None,
-        kernel: Optional[str] = None,
     ) -> None:
         #: optional QueryTracer; phases and accesses are emitted at
         #: logical access time (see the paper's phase structure), not at
@@ -123,15 +122,11 @@ class FaginAlgorithm:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
-        #: "scalar" or "vector", resolved once at construction (see
-        #: :func:`repro.kernels.resolve_kernel`).  Either way the
-        #: bookkeeping is the ``_known`` dict-of-dicts (next_k
-        #: restartability depends on it); the kernel picks the bounds
-        #: state (:func:`repro.kernels.bounds_state`) the compute phase
-        #: and a degraded NRA continuation fold it through.
-        self.kernel = resolve_kernel(kernel, self.sources, self.scoring)
         self._cursors: List[SortedCursor] = [s.cursor() for s in self.sources]
-        #: grades learned so far: object -> {source index -> grade}
+        #: grades learned so far: object -> {source index -> grade}.
+        #: next_k restartability depends on this plain mapping; the
+        #: compute phase and a degraded NRA continuation fold it through
+        #: a :class:`~repro.kernels.GradeMatrix` built from it.
         self._known: Dict[ObjectId, Dict[int, float]] = {}
         #: objects delivered by sorted access, per source
         self._seen_by_source: List[Set[ObjectId]] = [set() for _ in self.sources]
@@ -297,7 +292,7 @@ class FaginAlgorithm:
                         "the random-access phase"
                     )
             # every grade is known, so the lower bounds are exact
-            bounds = bounds_state(self.kernel, self.m, self._known)
+            bounds = GradeMatrix.from_known(self._known, self.m)
             return GradedSet(zip(*bounds.scores(self.scoring)))
 
     def _pruned_selection(self, k: int) -> GradedSet:
@@ -408,7 +403,7 @@ class FaginAlgorithm:
                     getattr(error, "source_name", "random access"): str(error)
                 },
             )
-        bounds = bounds_state(self.kernel, self.m, self._known)
+        bounds = GradeMatrix.from_known(self._known, self.m)
         k_total = min(len(self._emitted) + k, self.database_size)
         result = _nra_run(
             self.sources,
@@ -522,7 +517,6 @@ def fagin_top_k(
     degrade: bool = True,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
 ) -> TopKResult:
     """One-shot convenience wrapper: the top k answers via algorithm A0."""
     algorithm = FaginAlgorithm(
@@ -534,6 +528,5 @@ def fagin_top_k(
         degrade=degrade,
         tracer=tracer,
         executor=executor,
-        kernel=kernel,
     )
     return algorithm.next_k(k)

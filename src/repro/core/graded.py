@@ -48,8 +48,7 @@ class GradedItem:
 
     ``slots=True`` matters at scale: algorithms materialize one item per
     delivered row, so dropping the per-item ``__dict__`` cuts both
-    memory and attribute-access time on the hot paths (measured in
-    benchmarks/bench_e23_kernels.py's notes).
+    memory and attribute-access time on the hot paths.
     """
 
     object_id: ObjectId

@@ -21,7 +21,7 @@ from repro.core.cost import CostMeter
 from repro.core.graded import GradedSet
 from repro.core.result import TopKResult
 from repro.core.sources import GradedSource, _fast_item, check_same_objects
-from repro.kernels import bounds_state, resolve_kernel
+from repro.kernels import GradeMatrix
 from repro.parallel import fan_out, raise_first_error
 from repro.scoring.base import as_scoring_function
 
@@ -51,7 +51,6 @@ def naive_top_k(
     *,
     tracer=None,
     executor=None,
-    kernel=None,
 ) -> TopKResult:
     """Top k answers by exhaustively scanning every list (cost m * N).
 
@@ -62,20 +61,15 @@ def naive_top_k(
     to the hot path.  ``executor`` is an optional
     :class:`~repro.parallel.ParallelAccessExecutor`; the m full-list
     drains are independent, so they fan out whole — the merge into the
-    grade table happens in source order either way.  ``kernel`` selects
-    the bounds state the grade table lives in (``None`` = configured
-    default, see :func:`repro.kernels.bounds_state`); the naive scan
-    charges ``m * N`` either way, so the kernel only changes how the
-    table is stored and folded.
+    grade table happens in source order either way.  The grade table is
+    a :class:`~repro.kernels.GradeMatrix`, ranked in one fold.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     rule = as_scoring_function(scoring)
     database_size = check_same_objects(sources)
     meter = CostMeter(sources)
-    table = bounds_state(
-        resolve_kernel(kernel, sources, rule), len(sources), capacity=database_size
-    )
+    table = GradeMatrix(len(sources), capacity=database_size)
     with nullcontext() if tracer is None else tracer.phase("naive-scan"):
         outcomes = fan_out(
             executor, [(lambda s=source: _drain(s)) for source in sources]

@@ -238,7 +238,7 @@ def execute(
     *,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
+    kernel=None,  # inert; bench/layers.py is its only reader
     nra_snapshot: Optional[Dict] = None,
 ) -> TopKResult:
     """Run a plan produced by :func:`plan_top_k` over the same sources.
@@ -249,10 +249,7 @@ def execute(
     ``executor`` (an optional
     :class:`~repro.parallel.ParallelAccessExecutor`) overlaps each
     round's independent subsystem accesses; results are byte-identical
-    to serial execution.  ``kernel`` (``"auto"``/``"vector"``/
-    ``"scalar"``, ``None`` = configured default) selects the scoring
-    kernel for the algorithms that have a vectorized implementation —
-    see :mod:`repro.kernels`.  ``nra_snapshot`` (a dict) collects a
+    to serial execution.  ``nra_snapshot`` (a dict) collects a
     clean NRA run's resumable state for the result cache's warm-start
     tier; it is ignored by every other strategy.
     """
@@ -263,7 +260,6 @@ def execute(
             plan.k,
             tracer=tracer,
             executor=executor,
-            kernel=kernel,
         )
     if plan.strategy is Strategy.DISJUNCTION:
         return disjunction_top_k(sources, plan.k, tracer=tracer, executor=executor)
@@ -274,7 +270,6 @@ def execute(
             plan.k,
             tracer=tracer,
             executor=executor,
-            kernel=kernel,
         )
     if plan.strategy is Strategy.THRESHOLD:
         return threshold_top_k(
@@ -284,7 +279,6 @@ def execute(
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
-            kernel=kernel,
         )
     if plan.strategy is Strategy.NRA:
         return nra_top_k(
@@ -294,7 +288,6 @@ def execute(
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
-            kernel=kernel,
             snapshot_out=nra_snapshot,
         )
     if plan.strategy is Strategy.BOOLEAN_FIRST:
@@ -320,7 +313,6 @@ def top_k(
     theta: float = 1.0,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
 ) -> TopKResult:
     """Plan and execute in one call — the library's main entry point."""
     plan = plan_top_k(sources, scoring, k, prefer=prefer, theta=theta)
@@ -336,4 +328,4 @@ def top_k(
             k=plan.k,
             **extra,
         )
-    return execute(plan, sources, tracer=tracer, executor=executor, kernel=kernel)
+    return execute(plan, sources, tracer=tracer, executor=executor)

@@ -232,9 +232,9 @@ class GradedSource(ABC):
     #: True only for bare columnar backends whose sorted prefix can be
     #: read as raw (ids, grades-array) columns (``_columns_range``).
     #: Wrappers deliberately leave this False: their per-item side
-    #: effects must observe every delivery, so the vector kernels fall
-    #: back to item-based access through them, and ``auto`` kernel
-    #: selection only goes vectorized over all-columnar sources.
+    #: effects must observe every delivery, so the algorithms fall back
+    #: to item-based access through them, and TA takes its bulk
+    #: shortcuts only over all-columnar sources.
     supports_columnar = False
 
     def __init__(self, name: str) -> None:
@@ -324,11 +324,11 @@ class GradedSource(ABC):
         """Charge random accesses whose grades were already read through
         the free bulk path.
 
-        The vector kernels prefetch probe grades via
-        :meth:`_grades_of_many` (free) and then charge exactly the
-        probes the scalar path would have performed; this is the single
-        charge point for that replay, so composite backends keep their
-        per-constituent accounting in sync with the paper's measure.
+        TA prefetches probe grades via :meth:`_grades_of_many` (free)
+        and then charges exactly the probes the per-row path would have
+        performed; this is the single charge point for that replay, so
+        composite backends keep their per-constituent accounting in sync
+        with the paper's measure.
         """
         if object_ids:
             self.counter.record_random(len(object_ids))
@@ -639,7 +639,7 @@ class ArraySource(GradedSource):
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
         """Raw columnar sorted prefix: (ids, float64 grade array).
 
-        The vector kernels' zero-boxing read path (``SortedCursor.
+        The algorithms' zero-boxing read path (``SortedCursor.
         next_batch_columns``); charge-free by itself — the cursor does
         the accounting, exactly as with ``_items_range``.
         """

@@ -35,7 +35,7 @@ static property but a runtime one: a subsystem's random access can die
 mid-query (its circuit breaker opens, see
 :mod:`repro.middleware.resilience`).  The NRA core here is therefore a
 resumable continuation, :func:`_nra_run`, that can start from *any*
-accumulated bounds state (:func:`repro.kernels.bounds_state`); TA
+accumulated bounds state (a :class:`~repro.kernels.GradeMatrix`); TA
 maintains that bookkeeping as it goes, and when a random probe fails
 degradably it hands its cursors, bottoms, and seen grades to the NRA
 continuation instead of aborting.  If sorted streams later die too, the
@@ -63,13 +63,7 @@ from repro.core.sources import (
     _fast_item,
     check_same_objects,
 )
-from repro.kernels import (
-    _np,
-    bounds_state,
-    iter_str_keys,
-    resolve_kernel,
-    top_k_from_arrays,
-)
+from repro.kernels import GradeMatrix, _np, iter_str_keys, top_k_from_arrays
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -148,13 +142,9 @@ def _nra_run(
     mid-query with everything they already learned (their cursors keep
     their positions, so sorted work is never re-paid).
 
-    ``bounds`` is the seen set — a :class:`~repro.kernels._DictBounds`
-    or a :class:`~repro.kernels.GradeMatrix`, see
-    :func:`repro.kernels.bounds_state` — and the only thing that differs
-    between the scalar and vector kernels: the loop, its accesses,
-    answers and traces are the same code for both, and the two states
-    fold the same IEEE-754 operations under the same ``(-grade,
-    str(id))`` answer order.
+    ``bounds`` is the seen set, a :class:`~repro.kernels.GradeMatrix`:
+    every bound it reports is exactly the per-object ``rule(...)`` fold,
+    ranked under the ``(-grade, str(id))`` answer order.
 
     The stopping condition is evaluated on a geometric schedule
     controlled by ``stop_check_growth``: after a check at round r, the
@@ -412,7 +402,6 @@ def threshold_top_k(
     theta: float = 1.0,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
 ) -> TopKResult:
     """Top k answers via the threshold algorithm (TA).
 
@@ -426,26 +415,18 @@ def threshold_top_k(
     to item-at-a-time TA for every ``batch_size`` (1 reproduces the
     per-item pattern exactly).
 
-    There is one loop; ``kernel`` (``None`` means the configured
-    default, see :func:`repro.kernels.resolve_kernel`) decides three
-    things inside it, none of which changes an answer, a charged access
-    or a trace byte for a batch-exact rule:
-
-    * **τ.**  ``"scalar"``, the reference, evaluates ``t(bottoms)`` once
-      per round, and only when the stop test or a tracer reads it;
-      ``"vector"`` folds a whole window's threshold trajectory in one
-      ``combine_matrix`` call over the forward-filled bottoms matrix.
-    * **Bare-columnar shortcuts** — ``"vector"`` only, and only when
-      every source ``supports_columnar``: such backends cannot fail and
-      serve random access from memory, so probe grades are read once per
-      window through the free ``_grades_of_many`` path and charged,
-      probe for probe and in the same order, by
-      ``_record_random_probes``; with a batch-exact rule and no tracer
-      the whole window is scored at once (``bulk_round``).  Anything
-      wrapped keeps one ``random_access_many`` per list per round, so
-      wrapper accounting and fault behaviour observe every probe.
-    * **The bounds state** the NRA continuation receives on fall-back
-      (:func:`repro.kernels.bounds_state`).
+    There is one loop.  τ for every row of a window comes from one
+    ``combine_matrix`` call over the forward-filled bottoms matrix
+    (bit-identical to ``t(bottoms)`` per round; a rule without a native
+    batch form is therefore evaluated on up to one window of rows past
+    the stop row).  When m > 1 and every source ``supports_columnar``
+    — bare backends that cannot fail and serve random access from
+    memory — probe grades are read once per window through the free
+    ``_grades_of_many`` path and charged, probe for probe and in the
+    same order, by ``_record_random_probes``; without a tracer the whole
+    window is then scored at once (``bulk_round``).  Anything wrapped
+    keeps one ``random_access_many`` per list per round, so wrapper
+    accounting and fault behaviour observe every probe.
 
     TA logs the sorted rows and probe results it has used, so when
     ``degrade`` is True (the default) and a random probe fails with one
@@ -492,8 +473,6 @@ def threshold_top_k(
     rule = as_scoring_function(scoring)
     if require_monotone:
         _require_monotone(rule, "TA")
-    kernel = resolve_kernel(kernel, sources, rule)
-    vector = kernel == "vector"
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
@@ -504,10 +483,8 @@ def threshold_top_k(
     #: the access failures this run outlives by handing over to NRA;
     #: anything else — everything, with ``degrade=False`` — propagates
     survivable = DEGRADABLE_ACCESS_ERRORS if degrade else ()
-    columnar = (
-        vector
-        and m > 1
-        and all(getattr(source, "supports_columnar", False) for source in sources)
+    columnar = m > 1 and all(
+        getattr(source, "supports_columnar", False) for source in sources
     )
     bottoms = [1.0] * m
     #: overall grade of every object sorted access has delivered, in
@@ -539,9 +516,9 @@ def threshold_top_k(
         are byte-identical to the row-at-a-time path.
 
         Taken only for bare columnar backends (reads are free to
-        prefetch, accesses cannot fail) with a batch-exact rule and no
-        tracer (per-access events would reintroduce the per-object
-        loop).  Returns ``(consumed_rows, stopped)``.
+        prefetch, accesses cannot fail) and no tracer (per-access events
+        would reintroduce the per-object loop).  Returns
+        ``(consumed_rows, stopped)``.
         """
         nonlocal stop_tau
         window_fresh: List[tuple] = []
@@ -657,8 +634,8 @@ def threshold_top_k(
         # them in: that is the order a live per-object seen-set would
         # have, and NRA's stable (-grade, str(id)) ranking can tell it
         # from the log's list-major order when two ids share a ``str``.
-        bounds = bounds_state(
-            kernel, m, {object_id: {} for object_id in overall}
+        bounds = GradeMatrix.from_known(
+            {object_id: {} for object_id in overall}, m
         )
         for i, ids, grades in sorted_log:
             bounds.add_batch(i, ids, grades)
@@ -700,25 +677,22 @@ def threshold_top_k(
             if rows == 0:
                 break  # no list can progress: exhausted
             grades_lists = [grades.tolist() for _, grades in windows]
-            tau: List[float] = []
-            if vector:
-                # tau for every prospective row of this super-round in
-                # one batched fold: forward-fill each list's grades over
-                # rows it cannot serve (its bottom freezes), then
-                # combine rows.
-                bottoms_matrix = _np.empty((rows, m))
-                for i, (window_ids, window_grades) in enumerate(windows):
-                    length = lengths[i]
-                    if length:
-                        bottoms_matrix[:length, i] = window_grades
-                        bottoms_matrix[length:, i] = window_grades[length - 1]
-                    else:
-                        bottoms_matrix[:, i] = bottoms[i]
-                tau = rule.combine_matrix(bottoms_matrix).tolist()
+            # tau for every prospective row of this super-round in one
+            # batched fold: forward-fill each list's grades over rows it
+            # cannot serve (its bottom freezes), then combine rows.
+            bottoms_matrix = _np.empty((rows, m))
+            for i, (window_ids, window_grades) in enumerate(windows):
+                length = lengths[i]
+                if length:
+                    bottoms_matrix[:length, i] = window_grades
+                    bottoms_matrix[length:, i] = window_grades[length - 1]
+                else:
+                    bottoms_matrix[:, i] = bottoms[i]
+            tau = rule.combine_matrix(bottoms_matrix).tolist()
             scan_rows = rows
             consumed = 0
             prefetched = None
-            if columnar and tracer is None and rule.batch_exact:
+            if columnar and tracer is None:
                 consumed, stop = bulk_round(
                     windows, lengths, rows, tau, grades_lists
                 )
@@ -827,12 +801,7 @@ def threshold_top_k(
                         elif grade > best_k[0]:
                             heapq.heapreplace(best_k, grade)
                 full = len(best_k) >= k
-                if vector:
-                    tau_row = tau[row]
-                elif full or tracer is not None:
-                    # the reference: t(bottoms), once per round, and
-                    # only when the stop test or the tracer reads it
-                    tau_row = rule(bottoms)
+                tau_row = tau[row]
                 if tracer is not None:
                     tracer.sample("ta.tau", tau_row)
                     if full:
@@ -889,7 +858,6 @@ def nra_top_k(
     tracer=None,
     executor=None,
     stop_check_growth: float = 2.0,
-    kernel: Optional[str] = None,
     snapshot_out: Optional[Dict] = None,
 ) -> TopKResult:
     """Top k answers using sorted access only (NRA).
@@ -900,12 +868,9 @@ def nra_top_k(
 
     ``stop_check_growth`` controls the geometric stop-check schedule
     (see :func:`_nra_run`); ``theta`` the Fagin–Lotem–Naor
-    θ-approximation knob (1.0 = exact; see :func:`_nra_run`); ``kernel``
-    selects the dict-backed or columnar bounds state the loop runs over
-    (``None`` = configured default, resolved by
-    :func:`repro.kernels.resolve_kernel`).  ``snapshot_out`` captures a
-    clean run's resumable state for the result cache's warm-start tier
-    (see :func:`_nra_run`).
+    θ-approximation knob (1.0 = exact; see :func:`_nra_run`).
+    ``snapshot_out`` captures a clean run's resumable state for the
+    result cache's warm-start tier (see :func:`_nra_run`).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -922,7 +887,7 @@ def nra_top_k(
         rule,
         k,
         cursors=[s.cursor() for s in sources],
-        bounds=bounds_state(resolve_kernel(kernel, sources, rule), m),
+        bounds=GradeMatrix(m),
         bottoms=[1.0] * m,
         exhausted=[False] * m,
         meter=CostMeter(sources),
@@ -946,7 +911,6 @@ def combined_top_k(
     require_monotone: bool = True,
     tracer=None,
     executor=None,
-    kernel: Optional[str] = None,
 ) -> TopKResult:
     """Top k answers via the combined algorithm (CA).
 
@@ -964,9 +928,7 @@ def combined_top_k(
     CA's sorted rounds are inherently one item per list (the resolution
     budget is metered per round); the O(seen * m) work — the stop test
     and the best-incomplete selection scan every seen object's upper
-    bound — goes through the bounds state ``kernel`` selects
-    (:func:`repro.kernels.bounds_state`), with byte-identical decisions
-    on either.
+    bound — goes through one :class:`~repro.kernels.GradeMatrix`.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -983,7 +945,7 @@ def combined_top_k(
     cursors = [s.cursor() for s in sources]
     exhausted = [False] * m
     bottoms = [1.0] * m
-    bounds = bounds_state(resolve_kernel(kernel, sources, rule), m)
+    bounds = GradeMatrix(m)
     complete: Dict[ObjectId, float] = {}
     best_k: List[float] = []
     resolve_every = max(1, int(ratio))

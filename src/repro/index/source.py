@@ -19,7 +19,7 @@ Access-mode mapping (section 4):
 * **random access** is a direct distance evaluation against the stored
   vector (one ``distance_evaluations`` tick on the index);
 * the bulk/columnar contract (``_items_range``, ``_columns_range``,
-  ``supports_columnar``) is implemented, so the vector kernels, storage
+  ``supports_columnar``) is implemented, so the algorithms, storage
   wrappers, tracer accounting, and resilience middleware compose
   unchanged.
 

@@ -79,7 +79,7 @@ def _emit_shard_breakdown(sources, tracer) -> None:
     (duck-typed by ``shard_stats``) emit anything, so traces of
     non-sharded runs — including every golden trace — are unchanged.
     The per-shard tallies are the attributed counters, which are
-    deterministic across kernels and worker counts.
+    deterministic across worker counts.
     """
     from repro.core.sources import iter_wrapper_chain
 
@@ -159,9 +159,6 @@ class MiddlewareEngine:
         #: session-level ParallelAccessExecutor set by
         #: configure_parallelism; None means the classic serial path.
         self._executor: Optional[ParallelAccessExecutor] = None
-        #: session-level kernel choice set by configure_kernel; None
-        #: defers to the process-wide default in :mod:`repro.kernels`.
-        self._kernel: Optional[str] = None
         #: session-level θ-approximation knob set by
         #: configure_approximation; 1.0 (the default) runs exact.
         self._theta: float = 1.0
@@ -231,32 +228,10 @@ class MiddlewareEngine:
         """The session-level access executor, or None for serial."""
         return self._executor
 
-    # ------------------------------------------------------------------
-    # Kernel selection
-    # ------------------------------------------------------------------
-    def configure_kernel(self, kernel: Optional[str] = "auto") -> Optional[str]:
-        """Install the session-level scoring kernel.
-
-        ``"auto"`` (the default) picks the vectorized numpy kernel per
-        query whenever it is provably byte-identical to the scalar path;
-        ``"vector"`` forces it (requires numpy); ``"scalar"`` forces the
-        classic per-object loops; ``None`` clears the session setting so
-        queries fall back to the process-wide default
-        (:func:`repro.kernels.configure_kernel`).  Returns the installed
-        name.  See :mod:`repro.kernels` for the selection rules and the
-        determinism contract.
-        """
-        if kernel is not None:
-            from repro.kernels import _validate_name
-
-            _validate_name(kernel)
-        self._kernel = kernel
-        return kernel
-
     @property
-    def kernel(self) -> Optional[str]:
-        """The session-level kernel name, or None for the global default."""
-        return self._kernel
+    def kernel(self) -> None:
+        # Inert; bench/layers.py is its only reader.
+        return None
 
     # ------------------------------------------------------------------
     # Approximation
@@ -641,7 +616,6 @@ class MiddlewareEngine:
         prefer: Optional[Strategy] = None,
         tracer=None,
         max_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
         executor=None,
         deadline: Optional[float] = None,
         cache=None,
@@ -653,8 +627,7 @@ class MiddlewareEngine:
         :meth:`configure_observability` for this one query; with neither,
         the query runs with zero instrumentation overhead.
         ``max_workers`` likewise overrides the session parallelism
-        (:meth:`configure_parallelism`) for this one query, and
-        ``kernel`` the session kernel (:meth:`configure_kernel`).
+        (:meth:`configure_parallelism`) for this one query.
         ``executor`` passes an explicit
         :class:`~repro.parallel.ParallelAccessExecutor` (or fair-share
         view) to run under — the query service's shared-pool hook; it is
@@ -687,7 +660,6 @@ class MiddlewareEngine:
         whose recorded achieved ratio qualifies.
         """
         tracer = tracer if tracer is not None else self._tracer
-        kernel = kernel if kernel is not None else self._kernel
         theta = float(theta) if theta is not None else self._theta
         if theta < 1.0:
             raise ValueError(f"theta must be >= 1.0, got {theta}")
@@ -719,7 +691,6 @@ class MiddlewareEngine:
                     sources,
                     deadline,
                     executor=executor,
-                    kernel=kernel,
                     cache_ctx=cache_ctx,
                 )
             else:
@@ -747,7 +718,6 @@ class MiddlewareEngine:
                         deadline,
                         tracer=tracer,
                         executor=executor,
-                        kernel=kernel,
                         cache_ctx=cache_ctx,
                     )
                     _emit_shard_breakdown(sources, tracer)
@@ -797,7 +767,6 @@ class MiddlewareEngine:
         *,
         tracer=None,
         executor=None,
-        kernel=None,
         cache_ctx=None,
     ) -> TopKResult:
         """Execute a plan, with caching and deadline degradation.
@@ -825,7 +794,6 @@ class MiddlewareEngine:
                         sources,
                         tracer=tracer,
                         executor=executor,
-                        kernel=kernel,
                     )
                 snapshot = {}
             result = self._run_plan(
@@ -834,13 +802,12 @@ class MiddlewareEngine:
                 deadline,
                 tracer=tracer,
                 executor=executor,
-                kernel=kernel,
                 nra_snapshot=snapshot,
             )
             cache.store(key, atoms, sources, result, snapshot=snapshot)
             return result
         return self._run_plan(
-            plan, sources, deadline, tracer=tracer, executor=executor, kernel=kernel
+            plan, sources, deadline, tracer=tracer, executor=executor
         )
 
     def _resume_cached(
@@ -854,7 +821,6 @@ class MiddlewareEngine:
         *,
         tracer=None,
         executor=None,
-        kernel=None,
     ) -> TopKResult:
         """Warm-start a deeper-k NRA run from a cached fill (tier 3).
 
@@ -890,7 +856,6 @@ class MiddlewareEngine:
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
-            kernel=kernel,
             snapshot_out=snapshot_out,
         )
         marginal = result.cost
@@ -913,7 +878,6 @@ class MiddlewareEngine:
         *,
         tracer=None,
         executor=None,
-        kernel=None,
         nra_snapshot=None,
     ) -> TopKResult:
         """Execute a plan; under a deadline, degrade instead of raising.
@@ -933,7 +897,6 @@ class MiddlewareEngine:
                 sources,
                 tracer=tracer,
                 executor=executor,
-                kernel=kernel,
                 nra_snapshot=nra_snapshot,
             )
         from repro.core.cost import CostMeter
@@ -948,7 +911,6 @@ class MiddlewareEngine:
                 sources,
                 tracer=tracer,
                 executor=executor,
-                kernel=kernel,
                 nra_snapshot=nra_snapshot,
             )
         except DEGRADABLE_ACCESS_ERRORS as error:
@@ -996,17 +958,14 @@ class MiddlewareEngine:
         if not run:
             return explain_report(str(query), plan, sources)
         tracer = QueryTracer()
-        result = execute(plan, sources, tracer=tracer, kernel=self._kernel)
+        result = execute(plan, sources, tracer=tracer)
         return explain_report(
             str(query), plan, sources, result=result, tracer=tracer
         )
 
-    def open_query(
-        self, query: Query, *, tracer=None, kernel: Optional[str] = None
-    ) -> "QueryHandle":
+    def open_query(self, query: Query, *, tracer=None) -> "QueryHandle":
         """A resumable handle: fetch the top k, then the next k, etc."""
         tracer = tracer if tracer is not None else self._tracer
-        kernel = kernel if kernel is not None else self._kernel
         sources = self.bind_all(query)
         compiled = self._compile(query)
         return QueryHandle(
@@ -1015,7 +974,6 @@ class MiddlewareEngine:
                 compiled,
                 tracer=tracer,
                 executor=self._executor,
-                kernel=kernel,
             ),
             sources,
         )

@@ -23,9 +23,11 @@ Determinism contract
 --------------------
 * Thunks are independent: none waits on another, so any worker count
   ``>= 1`` drains a fan-out without deadlock.
-* Workers only *perform accesses*.  All state merging — grade
-  bookkeeping, trace emission, cost interpretation — happens in the
-  coordinating thread, in submission order, after the join.
+* Workers only *perform accesses*, billed to the coordinating thread
+  (:func:`repro.core.cost.run_billed_to`), so its cost meters count
+  them.  All state merging — grade bookkeeping, trace emission, cost
+  interpretation — happens in the coordinating thread, in submission
+  order, after the join.
 * Exceptions are captured per thunk and surfaced in submission order;
   the first failing index is handled exactly as serial execution would
   handle it (degradation, fallback, or re-raise).  Under faults a
@@ -47,7 +49,10 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, List, Optional, Sequence, TypeVar
+
+from repro.core.cost import billed_thread, run_billed_to
 
 T = TypeVar("T")
 
@@ -174,8 +179,11 @@ class ParallelAccessExecutor:
                     failed = True
             return outcomes
         pool = self._ensure_pool()
+        thread = billed_thread()
         futures = [
-            pool.submit(_run_one, thunk, hook, index)
+            pool.submit(
+                run_billed_to, thread, partial(_run_one, thunk, hook, index)
+            )
             for index, thunk in enumerate(thunks)
         ]
         return [future.result() for future in futures]

@@ -24,17 +24,16 @@ Batch evaluation
 ----------------
 :meth:`ScoringFunction.combine_matrix` scores a whole ``[n, m]`` grade
 matrix at once — one row per object, one column per subquery — and is
-the scoring half of the vectorized kernels (:mod:`repro.kernels`).  The
-base implementation loops :meth:`_combine` row by row, so every rule
-supports the API; catalog rules override :meth:`_combine_matrix` (or
-:meth:`BinaryScoringFunction.pair_matrix`) with native numpy code.  A
-native override that folds the same IEEE-754 operations in the same
-order as the scalar rule is *batch-exact*: bit-identical to per-row
-``__call__``, which is what lets the vector kernels reproduce scalar
-stop decisions byte for byte.  Rules whose scalar path goes through
-``math.pow``/``math.log`` (Yager, Frank, power mean, ...) cannot make
-that promise against numpy's SIMD transcendentals and leave
-``_batch_exact`` False; they still agree to within 1e-12.
+the scoring half of the bounds state (:class:`repro.kernels.GradeMatrix`)
+and of TA's threshold.  It is bit-identical to per-row ``__call__``, by
+construction: the base implementation loops :meth:`_combine` row by
+row, and a rule may override :meth:`_combine_matrix` (or
+:meth:`BinaryScoringFunction.pair_matrix`) with native numpy code only
+when that code folds the same IEEE-754 operations in the same order as
+its scalar rule.  A native batch form is bit-exact or absent: rules
+whose scalar path goes through ``math.pow``/``math.log`` (Yager, Frank,
+the geometric and power means, ...) cannot match numpy's SIMD
+transcendentals ulp for ulp, so they keep the row loop.
 """
 
 from __future__ import annotations
@@ -82,24 +81,6 @@ class ScoringFunction(ABC):
     def _combine(self, grades: tuple) -> float:
         """Combine a validated, nonempty tuple of grades."""
 
-    #: True when the native ``_combine_matrix`` override is guaranteed
-    #: bit-identical to the scalar path (same IEEE operations, same
-    #: order).  Meaningless unless :attr:`supports_batch` is True.
-    _batch_exact: bool = False
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when the rule has a *native* vectorized implementation
-        (so batch evaluation is actually faster than the scalar loop)."""
-        return type(self)._combine_matrix is not ScoringFunction._combine_matrix
-
-    @property
-    def batch_exact(self) -> bool:
-        """True when ``combine_matrix`` is bit-identical to per-row
-        ``__call__``.  The scalar-loop fallback is trivially exact; a
-        native override must declare exactness via ``_batch_exact``."""
-        return not self.supports_batch or self._batch_exact
-
     def combine_matrix(self, grades):
         """Batch form of ``__call__``: score an ``[n, m]`` grade matrix.
 
@@ -134,9 +115,10 @@ class ScoringFunction(ABC):
     def _combine_matrix(self, matrix):
         """Combine a validated ``[n, m]`` float64 matrix row by row.
 
-        Override hook for native vectorized rules.  The base version is
-        the scalar fallback: it calls ``_combine`` per row, so it is
-        always available and always bit-identical to ``__call__``.
+        Override hook for native vectorized rules, which must be
+        bit-identical to ``_combine`` per row.  The base version is the
+        scalar fallback: it calls ``_combine`` per row, so it is always
+        available and exact.
         """
         combine = self._combine
         rows = matrix.tolist()
@@ -155,10 +137,10 @@ class BinaryScoringFunction(ScoringFunction):
 
     Subclasses implement :meth:`pair`; ``_combine`` left-folds it, which
     is well-defined for associative rules (all t-norms and t-co-norms).
-    Subclasses with a vectorized pairwise form implement
-    :meth:`pair_matrix` over float64 arrays; ``_combine_matrix`` then
-    left-folds it column by column, mirroring the scalar fold op for op
-    (which is what makes elementwise-arithmetic rules batch-exact).
+    Subclasses whose pair is elementwise arithmetic implement
+    :meth:`pair_matrix` over float64 arrays with the same operations;
+    ``_combine_matrix`` then left-folds it column by column, mirroring
+    the scalar fold op for op.
     """
 
     def pair(self, a: float, b: float) -> float:
@@ -171,15 +153,6 @@ class BinaryScoringFunction(ScoringFunction):
     # Subclasses (or instances) set ``pair_matrix`` to the vectorized
     # pairwise rule: (ndarray[n], ndarray[n]) -> ndarray[n].
     pair_matrix: "Callable" = None
-
-    @property
-    def supports_batch(self) -> bool:
-        if getattr(self, "pair_matrix", None) is not None:
-            return True
-        return (
-            type(self)._combine_matrix
-            is not BinaryScoringFunction._combine_matrix
-        )
 
     def _combine_matrix(self, matrix):
         pair_matrix = getattr(self, "pair_matrix", None)

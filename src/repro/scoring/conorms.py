@@ -35,7 +35,6 @@ class MaximumConorm(BinaryScoringFunction):
 
     name = "max"
     is_strict = False
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return a if a >= b else b
@@ -49,7 +48,6 @@ class ProbabilisticSumConorm(BinaryScoringFunction):
 
     name = "probabilistic-sum"
     is_strict = False
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return a + b - a * b
@@ -63,7 +61,6 @@ class BoundedSumConorm(BinaryScoringFunction):
 
     name = "bounded-sum"
     is_strict = False
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return min(1.0, a + b)
@@ -77,7 +74,6 @@ class DrasticConorm(BinaryScoringFunction):
 
     name = "drastic-conorm"
     is_strict = False
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         if a == 0.0:
@@ -102,11 +98,10 @@ class DualConorm(BinaryScoringFunction):
     def __init__(self, tnorm: BinaryScoringFunction) -> None:
         self._tnorm = tnorm
         self.name = f"dual({tnorm.name})"
-        inner = getattr(tnorm, "pair_matrix", None)
+        inner = tnorm.pair_matrix
         if inner is not None:
-            # Instance-level vectorized form; exact iff the norm's is.
+            # Instance-level vectorized form, exact because the norm's is.
             self.pair_matrix = lambda a, b: 1.0 - inner(1.0 - a, 1.0 - b)
-            self._batch_exact = tnorm.batch_exact
 
     def pair(self, a: float, b: float) -> float:
         return 1.0 - self._tnorm.pair(1.0 - a, 1.0 - b)

@@ -42,7 +42,6 @@ class ArithmeticMean(ScoringFunction):
 
     name = "mean"
     is_strict = True
-    _batch_exact = True
 
     def _combine(self, grades: tuple) -> float:
         return sum(grades) / len(grades)
@@ -67,25 +66,12 @@ class GeometricMean(ScoringFunction):
             return 0.0
         return math.exp(sum(math.log(g) for g in grades) / len(grades))
 
-    # log/exp go through numpy's SIMD routines, which are not
-    # ulp-identical to libm — native but not batch-exact.
-    def _combine_matrix(self, matrix):
-        zero = (matrix == 0.0).any(axis=1)
-        safe = _np.where(matrix == 0.0, 1.0, matrix)
-        total = _np.log(safe[:, 0])
-        for column in range(1, matrix.shape[1]):
-            total += _np.log(safe[:, column])
-        out = _np.exp(total / matrix.shape[1])
-        out[zero] = 0.0
-        return out
-
 
 class HarmonicMean(ScoringFunction):
     """Unweighted harmonic mean (0 when any grade is 0)."""
 
     name = "harmonic-mean"
     is_strict = True
-    _batch_exact = True
 
     def _combine(self, grades: tuple) -> float:
         if any(g == 0.0 for g in grades):
@@ -95,10 +81,13 @@ class HarmonicMean(ScoringFunction):
     def _combine_matrix(self, matrix):
         zero = (matrix == 0.0).any(axis=1)
         safe = _np.where(matrix == 0.0, 1.0, matrix)
-        total = 1.0 / safe[:, 0]
-        for column in range(1, matrix.shape[1]):
-            total += 1.0 / safe[:, column]
-        out = matrix.shape[1] / total
+        # 1 / a denormal grade overflows to inf and the mean to 0.0, as
+        # in the scalar fold; numpy would only warn about it
+        with _np.errstate(over="ignore", divide="ignore"):
+            total = 1.0 / safe[:, 0]
+            for column in range(1, matrix.shape[1]):
+                total += 1.0 / safe[:, column]
+            out = matrix.shape[1] / total
         out[zero] = 0.0
         return out
 
@@ -127,21 +116,6 @@ class PowerMean(ScoringFunction):
         total = sum(g**self.p for g in grades) / len(grades)
         return min(1.0, total ** (1.0 / self.p))
 
-    def _combine_matrix(self, matrix):
-        if self.p < 0:
-            zero = (matrix < 1e-9).any(axis=1)
-            safe = _np.where(matrix < 1e-9, 1.0, matrix)
-        else:
-            zero = None
-            safe = matrix
-        total = safe[:, 0] ** self.p
-        for column in range(1, matrix.shape[1]):
-            total = total + safe[:, column] ** self.p
-        out = _np.minimum(1.0, (total / matrix.shape[1]) ** (1.0 / self.p))
-        if zero is not None:
-            out[zero] = 0.0
-        return out
-
 
 class WeightedArithmeticMean(ScoringFunction):
     """Fixed-weight arithmetic mean ``sum(theta_i * x_i)``.
@@ -159,8 +133,6 @@ class WeightedArithmeticMean(ScoringFunction):
         self.weights = _normalized_weights(weights, len(tuple(weights)))
         self.is_strict = all(w > 0 for w in self.weights)
         self.name = f"weighted-mean({', '.join(f'{w:.3g}' for w in self.weights)})"
-
-    _batch_exact = True
 
     def _combine(self, grades: tuple) -> float:
         if len(grades) != len(self.weights):
@@ -192,7 +164,6 @@ class MedianScoring(ScoringFunction):
 
     name = "median"
     is_strict = False
-    _batch_exact = True
 
     def _combine(self, grades: tuple) -> float:
         ordered = sorted(grades)

@@ -60,8 +60,6 @@ class OwaScoring(ScoringFunction):
         # float-epsilon overshoot.
         return min(1.0, max(0.0, total))
 
-    _batch_exact = True
-
     def _combine_matrix(self, matrix):
         if matrix.shape[1] != len(self.weights):
             raise WeightingError(

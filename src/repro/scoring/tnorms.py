@@ -32,7 +32,6 @@ class MinimumTNorm(BinaryScoringFunction):
 
     name = "min"
     is_strict = True
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return a if a <= b else b
@@ -46,7 +45,6 @@ class ProductTNorm(BinaryScoringFunction):
 
     name = "product"
     is_strict = True
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return a * b
@@ -65,7 +63,6 @@ class LukasiewiczTNorm(BinaryScoringFunction):
 
     name = "lukasiewicz"
     is_strict = True
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return max(0.0, a + b - 1.0)
@@ -82,7 +79,6 @@ class DrasticTNorm(BinaryScoringFunction):
 
     name = "drastic"
     is_strict = True
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         if b == 1.0:
@@ -109,8 +105,6 @@ class HamacherTNorm(BinaryScoringFunction):
         self.name = f"hamacher(p={p:g})"
         self.is_strict = True
 
-    _batch_exact = True
-
     def pair(self, a: float, b: float) -> float:
         denom = self.p + (1.0 - self.p) * (a + b - a * b)
         if denom == 0.0:
@@ -130,7 +124,6 @@ class EinsteinTNorm(BinaryScoringFunction):
 
     name = "einstein"
     is_strict = True
-    _batch_exact = True
 
     def pair(self, a: float, b: float) -> float:
         return (a * b) / (1.0 + (1.0 - a) * (1.0 - b))
@@ -156,12 +149,6 @@ class YagerTNorm(BinaryScoringFunction):
         s = (1.0 - a) ** self.w + (1.0 - b) ** self.w
         return max(0.0, 1.0 - s ** (1.0 / self.w))
 
-    # numpy's vectorized pow is not ulp-identical to math.pow, so this
-    # native form stays _batch_exact = False (1e-12 agreement only).
-    def pair_matrix(self, a, b):
-        s = (1.0 - a) ** self.w + (1.0 - b) ** self.w
-        return _np.maximum(0.0, 1.0 - s ** (1.0 / self.w))
-
 
 class FrankTNorm(BinaryScoringFunction):
     """Frank family: ``t(a,b) = log_s(1 + (s^a - 1)(s^b - 1)/(s - 1))``.
@@ -183,13 +170,6 @@ class FrankTNorm(BinaryScoringFunction):
         # Guard tiny negative drift from floating point before the log.
         value = max(value, 1e-300)
         return min(1.0, max(0.0, math.log(value, s)))
-
-    def pair_matrix(self, a, b):
-        s = self.s
-        value = 1.0 + (s**a - 1.0) * (s**b - 1.0) / (s - 1.0)
-        value = _np.maximum(value, 1e-300)
-        logs = _np.log(value) / math.log(s)
-        return _np.minimum(1.0, _np.maximum(0.0, logs))
 
 
 class SchweizerSklarTNorm(BinaryScoringFunction):
@@ -217,11 +197,6 @@ class SchweizerSklarTNorm(BinaryScoringFunction):
         if base <= 0.0:
             return 0.0
         return base ** (1.0 / self.p)
-
-    def pair_matrix(self, a, b):
-        base = a**self.p + b**self.p - 1.0
-        powed = _np.maximum(base, 0.0) ** (1.0 / self.p)
-        return _np.where(b == 1.0, a, _np.where(a == 1.0, b, powed))
 
 
 #: Singleton instances for the parameter-free norms.

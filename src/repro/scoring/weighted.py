@@ -130,9 +130,6 @@ class WeightedScoring(ScoringFunction):
         self.is_strict = self.base.is_strict and all(w > 0 for w in self.weights)
         pretty = ", ".join(f"{w:.3g}" for w in self.weights)
         self.name = f"weighted[{self.base.name}]({pretty})"
-        # Batch evaluation is exact iff every prefix call to the base
-        # rule is; the formula's own arithmetic mirrors the scalar fold.
-        self._batch_exact = self.base.batch_exact
 
     # Both paths use the weighting validated once above, so the rule is
     # bit for bit ``weighted_score(base, weights, ·)``: normalizing again

@@ -16,7 +16,7 @@ for, behind the exact same seam the in-RAM backends use:
 selection; it shares one hash assignment across all m columns so every
 column partitions identically.  Conformance bar for everything here:
 answers, tie-breaks, charged access counts, and traces byte-identical
-across backends, shard counts, kernels, and worker counts.
+across backends, shard counts, and worker counts.
 """
 
 from __future__ import annotations

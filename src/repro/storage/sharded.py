@@ -91,7 +91,7 @@ class ShardedSource(GradedSource):
     collection.
 
     The source is columnar (``supports_columnar``): the merged prefix
-    lives in growing id/grade/shard columns, so the vector kernels read
+    lives in growing id/grade/shard columns, so the algorithms read
     it exactly as they read an :class:`~repro.core.sources.ArraySource`.
     Shards of any backend work — the merge peeks them through their own
     free bulk paths.

@@ -18,7 +18,6 @@ def engine_from_table(
     shards=1,
     directory=None,
     max_workers=None,
-    kernel=None,
 ):
     """A fresh engine serving ``m`` ranked lists from ``table``."""
     engine = MiddlewareEngine()
@@ -34,8 +33,6 @@ def engine_from_table(
         engine.configure_storage(backend, shards=shards, directory=directory)
     if max_workers is not None:
         engine.configure_parallelism(max_workers)
-    if kernel is not None:
-        engine.configure_kernel(kernel)
     return engine
 
 

@@ -1,25 +1,31 @@
-"""Cache tiers across kernels x storage backends x worker counts.
+"""Cache tiers across combine forms x storage backends x worker counts.
 
 The cache key deliberately excludes the physical configuration — the
-storage/kernel conformance suites prove answers byte-identical across
+storage/combine conformance suites prove answers byte-identical across
 all of it — so one deterministic workload exercises every tier under
 each layout and checks the served answers against a single cold
-reference (list backend, scalar kernel, serial).
+reference (list backend, min conjunction, serial).  ``combine`` is
+``tests.strategies.COMBINES``: the query's rule scored natively or
+through the per-row loop of a user rule.
 """
 
 import random
 
 import pytest
 
+from repro.cache import resume_from_snapshot
 from repro.core.planner import Strategy
 from repro.core.query import Scored
-from repro.scoring import means
+from repro.core.sources import sources_from_columns
+from repro.core.threshold import nra_top_k
+from repro.scoring import means, tnorms
 from tests.cache.helpers import (
     answer_pairs,
     atom,
     conjunction,
     engine_from_table,
 )
+from tests.strategies import COMBINES, with_combine
 
 N = 60
 M = 2
@@ -41,20 +47,22 @@ LAYOUTS = (
 )
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+@pytest.mark.parametrize("combine", COMBINES)
 @pytest.mark.parametrize("workers", [None, 4])
 @pytest.mark.parametrize("label,backend,shards", LAYOUTS)
 def test_all_tiers_match_cold_reference(
-    label, backend, shards, workers, kernel, tmp_path
+    label, backend, shards, workers, combine, tmp_path
 ):
     table = make_table()
-    query = conjunction(M)
+    query = Scored(
+        with_combine(tnorms.MIN, combine), tuple(atom(c) for c in range(M))
+    )
     directory = str(tmp_path / label) if backend == "memmap" else None
 
     reference = engine_from_table(table, M)
-    cold_10 = reference.top_k(query, k=10, prefer=Strategy.NRA)
-    cold_4 = reference.top_k(query, k=4, prefer=Strategy.NRA)
-    cold_25 = reference.top_k(query, k=25, prefer=Strategy.NRA)
+    cold_10 = reference.top_k(conjunction(M), k=10, prefer=Strategy.NRA)
+    cold_4 = reference.top_k(conjunction(M), k=4, prefer=Strategy.NRA)
+    cold_25 = reference.top_k(conjunction(M), k=25, prefer=Strategy.NRA)
 
     engine = engine_from_table(
         table,
@@ -63,7 +71,6 @@ def test_all_tiers_match_cold_reference(
         shards=shards,
         directory=directory,
         max_workers=workers,
-        kernel=kernel,
     )
     cache = engine.configure_cache()
 
@@ -111,29 +118,22 @@ def test_all_tiers_match_cold_reference(
     assert stats["fills"] == 3
 
 
-@pytest.mark.parametrize("rule", [None, means.MEAN], ids=["min", "mean"])
-@pytest.mark.parametrize("resume_kernel", ["scalar", "vector"])
-@pytest.mark.parametrize("fill_kernel", ["scalar", "vector"])
-def test_warm_start_resumes_under_the_other_kernel(fill_kernel, resume_kernel, rule):
-    """A snapshot is plain data: whichever bounds state wrote it, either
+@pytest.mark.parametrize("rule", [tnorms.MIN, means.MEAN], ids=["min", "mean"])
+@pytest.mark.parametrize("resume_combine", COMBINES)
+@pytest.mark.parametrize("fill_combine", COMBINES)
+def test_warm_start_resumes_under_the_other_kernel(fill_combine, resume_combine, rule):
+    """A snapshot is plain data: whichever combine form filled it, either
     one resumes it, and fill + marginal accesses equal a cold run's."""
     table = make_table()
-    query = (
-        conjunction(M)
-        if rule is None
-        else Scored(rule, tuple(atom(column) for column in range(M)))
-    )
-    cold = engine_from_table(table, M).top_k(query, k=25, prefer=Strategy.NRA)
+    cold = nra_top_k(sources_from_columns(table, backend="list"), rule, 25)
 
-    engine = engine_from_table(table, M, backend="array")
-    engine.configure_cache()
-    fill = engine.top_k(query, k=10, prefer=Strategy.NRA, kernel=fill_kernel)
-    warm = engine.top_k(query, k=25, prefer=Strategy.NRA, kernel=resume_kernel)
-    assert warm.extras["cache"]["tier"] == "warm"
-    assert answer_pairs(warm) == answer_pairs(cold)
-    assert warm.cost == cold.cost
-    marginal = warm.extras["cache"]["marginal_sorted"]
-    assert (
-        fill.cost.sorted_access_cost + marginal
-        == cold.cost.sorted_access_cost
+    sources = sources_from_columns(table, backend="array")
+    snapshot = {}
+    fill = nra_top_k(
+        sources, with_combine(rule, fill_combine), 10, snapshot_out=snapshot
     )
+    warm = resume_from_snapshot(
+        sources, with_combine(rule, resume_combine), 25, snapshot
+    )
+    assert answer_pairs(warm) == answer_pairs(cold)
+    assert fill.cost.merged(warm.cost) == cold.cost

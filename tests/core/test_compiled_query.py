@@ -2,11 +2,11 @@
 
 Random query trees (And / Or / Not / Scored / Weighted, depth <= 3,
 distinct atoms) under every classical semantics, with the catalog's
-t-norms, co-norms, means and negations — batch-exact or not — plus a
-user rule with no native batch form.  The compiled function must agree
+t-norms, co-norms, means and negations — with a native batch form or
+not — plus a user rule with none.  The compiled function must agree
 with the reference evaluator on every grade tuple and every error, its
-matrix form must agree with its scalar form, and its flags must say
-what the tree is made of.
+matrix form must agree with its scalar form bit for bit, and its flags
+must say what the tree is made of.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from repro.core.evaluation import (
 from repro.core.query import And, Atomic, Not, Or, Scored, Weighted
 from repro.errors import GradeError, ReproError, ScoringError
 from repro.scoring import conorms, means, tnorms
-from repro.scoring.base import FunctionScoring
+from repro.scoring.base import FunctionScoring, ScoringFunction
 from repro.scoring.negations import negation_catalog
 from repro.scoring.weighted import WeightedScoring, weighted_score
 from repro.scoring.zadeh import ALL_SEMANTICS
@@ -106,25 +106,6 @@ def queries(draw):
     return query, semantics
 
 
-def components(node, semantics):
-    """Every rule and negation the query applies, root first."""
-    if isinstance(node, Atomic):
-        return []
-    if isinstance(node, Not):
-        return [semantics.negation] + components(node.child, semantics)
-    if isinstance(node, And):
-        rule = semantics.conjunction
-    elif isinstance(node, Or):
-        rule = semantics.disjunction
-    elif isinstance(node, Scored):
-        rule = node.scoring
-    else:
-        rule = WeightedScoring(node.base, node.weights)
-    return [rule] + [
-        part for child in node.children for part in components(child, semantics)
-    ]
-
-
 def outcome(function, *args):
     """``("ok", exact bits)`` or ``("error", class)`` of one call."""
     try:
@@ -169,17 +150,13 @@ def test_compiled_is_evaluate_bit_for_bit(case, data):
     with pytest.raises(ScoringError):
         compiled.combine_matrix(np.full((2, m + 1), 0.5))
 
-    # the matrix form against per-row __call__
+    # the matrix form against per-row __call__, bit for bit
     if all(status == "ok" for status, _ in expected):
         batch = compiled.combine_matrix(np.asarray(rows, dtype=np.float64))
-        scalar = [float.fromhex(bits) for _, bits in expected]
-        if compiled.batch_exact:
-            assert [value.hex() for value in batch.tolist()] == [
-                bits for _, bits in expected
-            ]
-        else:
-            assert batch.tolist() == pytest.approx(scalar, abs=1e-12)
-    elif compiled.batch_exact:
+        assert [value.hex() for value in batch.tolist()] == [
+            bits for _, bits in expected
+        ]
+    else:
         failure = next(error for status, error in expected if status == "error")
         with pytest.raises(failure):
             compiled.combine_matrix(np.asarray(rows, dtype=np.float64))
@@ -197,9 +174,6 @@ def test_compiled_flags_say_what_the_tree_is_made_of(case):
     assert (compiled.is_monotone, compiled.is_strict) == _structural_flags(
         query, semantics
     )
-    parts = components(query, semantics)
-    assert compiled.supports_batch == all(part.supports_batch for part in parts)
-    assert compiled.batch_exact == all(part.batch_exact for part in parts)
     if not query.is_positive:
         assert not compiled.is_monotone
 
@@ -215,31 +189,51 @@ A, B, C = Atomic("A", 1), Atomic("B", 1), Atomic("C", 1)
     (A & B, A | B, Scored(means.MEAN, (A, B, C)), Weighted((A, B), (0.7, 0.3))),
     ids=("and", "or", "using", "weight"),
 )
-def test_sql_shapes_are_native_and_batch_exact(query):
+def test_sql_shapes_are_native_and_batch_exact(query, monkeypatch):
     """Every flat shape repro.sql emits scores through its catalog rule's
-    own batch form."""
+    own batch form — never the per-row loop — bit for bit ``__call__``."""
+
+    def row_loop(self, matrix):
+        raise AssertionError(f"{self.name} fell back to the per-row loop")
+
+    monkeypatch.setattr(ScoringFunction, "_combine_matrix", row_loop)
     compiled = compile_query(query)
-    assert compiled.supports_batch and compiled.batch_exact
+    grades = np.random.default_rng(7).random((64, len(query.atoms())))
+    assert [value.hex() for value in compiled.combine_matrix(grades).tolist()] == [
+        compiled(row).hex() for row in grades.tolist()
+    ]
 
 
 def test_negation_batch_flags():
-    standard, sugeno_a, sugeno_b, sugeno_c, yager_a, yager_b = negation_catalog()
-    for negation in (standard, sugeno_a, sugeno_b, sugeno_c):
-        assert negation.supports_batch and negation.batch_exact
-    for negation in (yager_a, yager_b):
-        assert negation.supports_batch and not negation.batch_exact
-    semantics = dataclasses.replace(ALL_SEMANTICS[0], negation=yager_a)
-    assert not compile_query(A & ~B, semantics).batch_exact
-    assert compile_query(A & ~B).batch_exact
+    """Every catalog negation's array form is its scalar rule bit for bit
+    (the Yager family through the per-element loop), and so is a query
+    negating through it."""
+    values = np.random.default_rng(3).random(257)
+    values[:3] = (0.0, 1.0, 5e-324)
+    for negation in negation_catalog():
+        assert [value.hex() for value in negation.negate_matrix(values).tolist()] == [
+            negation(value).hex() for value in values.tolist()
+        ], negation.name
+        semantics = dataclasses.replace(ALL_SEMANTICS[0], negation=negation)
+        compiled = compile_query(A & ~B, semantics)
+        grades = values[:256].reshape(128, 2)
+        assert compiled.combine_matrix(grades).tolist() == [
+            compiled(row) for row in grades.tolist()
+        ], negation.name
 
 
 def test_user_rule_keeps_a_query_off_the_native_path():
-    compiled = compile_query(Scored(USER_MEAN, (A, B)) & C)
-    assert not compiled.supports_batch and compiled.batch_exact
+    calls = []
+    user_mean = FunctionScoring(
+        lambda g: calls.append(g) or sum(g) / len(g), "counting-mean"
+    )
+    compiled = compile_query(Scored(user_mean, (A, B)) & C)
     grades = np.array([[0.2, 0.4, 0.9], [0.8, 0.6, 0.5]])
     assert compiled.combine_matrix(grades).tolist() == [
         compiled(row) for row in grades.tolist()
     ]
+    # the matrix form ran the user rule once per row, as __call__ did
+    assert len(calls) == 2 * len(grades)
 
 
 def test_single_atom_matrix_is_a_copy():

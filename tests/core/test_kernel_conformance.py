@@ -1,12 +1,17 @@
-"""Differential conformance for the vectorized kernels (repro.kernels).
+"""Differential conformance for the one bounds state and its combines.
 
-The contract: for batch-exact rules the vector kernel is byte-identical
-to the scalar kernel — same answers, same tie-breaks, same charged
-access counts, same traces, same degradation behavior — at every
-algorithm, over both columnar (ArraySource) and item-based (ListSource)
-backends, serial and parallel.  Hypothesis drives the differential
-runs; deterministic tests pin down kernel resolution, the engine/CLI
-plumbing, degradation parity, and the ``stop_check_growth`` schedule.
+Every algorithm folds its bounds through one
+:class:`~repro.kernels.GradeMatrix` and scores batches through
+``combine_matrix``, which is a rule's native numpy form or the exact
+per-row loop.  The contract: the two forms are interchangeable — same
+answers, same tie-breaks, same charged access counts, same traces, same
+degradation behavior — at every algorithm, over columnar (ArraySource)
+and item-based (ListSource) backends, traced and untraced, serial and
+parallel.  ``combine`` below is that axis (``tests.strategies.COMBINES``:
+``"scalar"`` is the per-row loop, ``"vector"`` the native form).
+Hypothesis drives the differential runs; deterministic tests pin down
+degradation parity, TA's window mechanics, the engine's columnar and
+item-based paths, and the ``stop_check_growth`` schedule.
 """
 
 import json
@@ -16,16 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluation import compile_query
 from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.naive import naive_top_k
 from repro.core.planner import Strategy
 from repro.core.query import Atomic, Scored
-from repro.core.sources import ArraySource, GradedSource, sources_from_columns
+from repro.core.sources import ArraySource, GradedSource, ListSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
-from repro.errors import ReproError, TransientAccessError
+from repro.errors import TransientAccessError
 from repro.index import KnnSubsystem
-from repro.kernels import configure_kernel, default_kernel, resolve_kernel
 from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.interface import Subsystem
@@ -37,8 +40,8 @@ from repro.scoring.owa import owa_mean
 from repro.scoring.weighted import WeightedScoring
 from repro.sql.compiler import compile_sql
 from repro.workloads.graded_lists import independent
+from tests.strategies import COMBINES, pick_k, with_combine
 from tests.strategies import graded_databases as shared_graded_databases
-from tests.strategies import pick_k
 
 
 def graded_databases(min_m=1, max_m=3, max_n=16):
@@ -48,8 +51,8 @@ def graded_databases(min_m=1, max_m=3, max_n=16):
 
 
 def pick_rule(m, index):
-    """Batch-exact rules only: the byte-identity contract applies to
-    these (pow/log rules agree to 1e-12 and are excluded from auto)."""
+    """Rules with a native batch form first, then rules whose batch form
+    is the per-row loop (pow/log folds numpy cannot match ulp for ulp)."""
     weights = ((1.0,), (0.7, 0.3), (0.5, 0.3, 0.2))[m - 1]
     rules = (
         tnorms.MIN,
@@ -57,27 +60,25 @@ def pick_rule(m, index):
         means.MEAN,
         owa_mean(m),
         WeightedScoring(tnorms.MIN, weights),
+        tnorms.YagerTNorm(2.0),
+        means.GEOMETRIC_MEAN,
     )
     return rules[index % len(rules)]
 
 
-def run_naive(sources, rule, k, tracer, executor, kernel):
-    return naive_top_k(
-        sources, rule, k, tracer=tracer, executor=executor, kernel=kernel
-    )
+def run_naive(sources, rule, k, tracer, executor):
+    return naive_top_k(sources, rule, k, tracer=tracer, executor=executor)
 
 
-def run_a0(sources, rule, k, tracer, executor, kernel):
-    return fagin_top_k(
-        sources, rule, k, tracer=tracer, executor=executor, kernel=kernel
-    )
+def run_a0(sources, rule, k, tracer, executor):
+    return fagin_top_k(sources, rule, k, tracer=tracer, executor=executor)
 
 
 def ta_with_window(batch_size):
-    def run(sources, rule, k, tracer, executor, kernel):
+    def run(sources, rule, k, tracer, executor):
         return threshold_top_k(
             sources, rule, k, batch_size=batch_size, tracer=tracer,
-            executor=executor, kernel=kernel,
+            executor=executor,
         )
 
     return run
@@ -86,17 +87,15 @@ def ta_with_window(batch_size):
 run_ta = ta_with_window(3)
 
 
-def run_nra(sources, rule, k, tracer, executor, kernel):
+def run_nra(sources, rule, k, tracer, executor):
     return nra_top_k(
-        sources, rule, k, batch_size=3, tracer=tracer, executor=executor,
-        kernel=kernel,
+        sources, rule, k, batch_size=3, tracer=tracer, executor=executor
     )
 
 
-def run_ca(sources, rule, k, tracer, executor, kernel):
+def run_ca(sources, rule, k, tracer, executor):
     return combined_top_k(
-        sources, rule, k, ratio=3.0, tracer=tracer, executor=executor,
-        kernel=kernel,
+        sources, rule, k, ratio=3.0, tracer=tracer, executor=executor
     )
 
 
@@ -109,14 +108,15 @@ ALGORITHMS = (
 )
 
 
-def run_once(algorithm, table, rule, k, backend, kernel, workers=1, traced=True):
+def run_once(algorithm, table, rule, k, backend, combine, workers=1, traced=True):
     sources = sources_from_columns(table, backend=backend)
+    rule = with_combine(rule, combine)
     tracer = QueryTracer() if traced else None
     if workers == 1:
-        result = algorithm(sources, rule, k, tracer, None, kernel)
+        result = algorithm(sources, rule, k, tracer, None)
     else:
         with ParallelAccessExecutor(workers) as executor:
-            result = algorithm(sources, rule, k, tracer, executor, kernel)
+            result = algorithm(sources, rule, k, tracer, executor)
     return result, tracer.to_json() if traced else None
 
 
@@ -139,7 +139,7 @@ def edge_table(rows):
 DENORMAL = 5e-324
 BELOW_ONE = 1.0 - 2.0**-53
 
-#: the hand-offs between the two bounds states most likely to diverge:
+#: the inputs where the two combine forms are most likely to diverge:
 #: a single list, k past N, nothing but ties, constant columns, and
 #: grades at the edges of float64's [0, 1]
 EDGE_DATABASES = (
@@ -171,13 +171,14 @@ def edge_examples(test):
             for selector in (0, 1, 2):
                 test = example(database, rule_index, selector, "array")(test)
         test = example(database, 4, 2, "list")(test)
+        test = example(database, 6, 1, "array")(test)
     return test
 
 
 @settings(deadline=None, max_examples=40)
 @given(
     graded_databases(),
-    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
     st.integers(min_value=0, max_value=2),
     st.sampled_from(("array", "list")),
 )
@@ -190,7 +191,7 @@ def test_vector_kernel_is_byte_identical(database, rule_index, selector, backend
         scalar, scalar_trace = run_once(algorithm, table, rule, k, backend, "scalar")
         vector, vector_trace = run_once(algorithm, table, rule, k, backend, "vector")
         assert_identical(name, scalar, vector, scalar_trace, vector_trace)
-        # the untraced vector path (TA's bulk super-round, no per-access
+        # untraced (on array sources TA's bulk super-round, no per-access
         # events) must produce the same answers and charges
         untraced, _ = run_once(
             algorithm, table, rule, k, backend, "vector", traced=False
@@ -199,9 +200,9 @@ def test_vector_kernel_is_byte_identical(database, rule_index, selector, backend
 
 
 @settings(deadline=None, max_examples=8)
-@given(graded_databases(min_m=2), st.integers(min_value=0, max_value=4))
+@given(graded_databases(min_m=2), st.integers(min_value=0, max_value=6))
 def test_kernels_and_workers_commute(database, rule_index):
-    """kernel x workers {1,4}: all four runs produce the same bytes."""
+    """combine x workers {1,4}: all four runs produce the same bytes."""
     table, m = database
     rule = pick_rule(m, rule_index)
     k = min(len(table), 5)
@@ -209,103 +210,17 @@ def test_kernels_and_workers_commute(database, rule_index):
         baseline, baseline_trace = run_once(
             algorithm, table, rule, k, "array", "scalar", workers=1
         )
-        for kernel in ("scalar", "vector"):
+        for combine in COMBINES:
             for workers in (1, 4):
                 result, trace = run_once(
-                    algorithm, table, rule, k, "array", kernel, workers=workers
+                    algorithm, table, rule, k, "array", combine, workers=workers
                 )
-                label = f"{name}/{kernel}/workers={workers}"
+                label = f"{name}/{combine}/workers={workers}"
                 assert_identical(label, baseline, result, baseline_trace, trace)
 
 
-@settings(deadline=None, max_examples=20)
-@given(graded_databases(), st.integers(min_value=0, max_value=4))
-def test_auto_kernel_matches_forced_kernels(database, rule_index):
-    """auto resolves to one of the two and therefore agrees with both."""
-    table, m = database
-    rule = pick_rule(m, rule_index)
-    k = min(len(table), 4)
-    for backend in ("array", "list"):
-        scalar, scalar_trace = run_once(run_nra, table, rule, k, backend, "scalar")
-        auto, auto_trace = run_once(run_nra, table, rule, k, backend, "auto")
-        assert_identical("nra/auto", scalar, auto, scalar_trace, auto_trace)
-
-
 # ---------------------------------------------------------------------------
-# resolve_kernel / configure_kernel
-
-
-def _array_sources():
-    return sources_from_columns({"a": [0.5, 0.2], "b": [0.1, 0.9]}, backend="array")
-
-
-def _list_sources():
-    return sources_from_columns({"a": [0.5, 0.2], "b": [0.1, 0.9]}, backend="list")
-
-
-def test_auto_picks_vector_for_columnar_batch_exact():
-    assert resolve_kernel("auto", _array_sources(), tnorms.MIN) == "vector"
-
-
-def test_auto_falls_back_for_item_backed_sources():
-    assert resolve_kernel("auto", _list_sources(), tnorms.MIN) == "scalar"
-
-
-def test_auto_falls_back_for_non_batch_exact_rules():
-    assert not means.GEOMETRIC_MEAN.batch_exact
-    assert resolve_kernel("auto", _array_sources(), means.GEOMETRIC_MEAN) == "scalar"
-
-
-def test_auto_falls_back_for_wrapped_sources():
-    clock = VirtualClock()
-    wrapped = [
-        FaultInjectingSource(source, FaultProfile(), clock=clock)
-        for source in _array_sources()
-    ]
-    assert resolve_kernel("auto", wrapped, tnorms.MIN) == "scalar"
-
-
-def test_forced_kernels_resolve_anywhere():
-    assert resolve_kernel("vector", _list_sources(), means.GEOMETRIC_MEAN) == "vector"
-    assert resolve_kernel("scalar", _array_sources(), tnorms.MIN) == "scalar"
-
-
-def test_unknown_kernel_name_rejected():
-    with pytest.raises(ReproError):
-        resolve_kernel("simd", _array_sources(), tnorms.MIN)
-    with pytest.raises(ReproError):
-        configure_kernel("simd")
-
-
-def test_configure_kernel_sets_the_default():
-    assert default_kernel() == "auto"
-    try:
-        assert configure_kernel("scalar") == "scalar"
-        assert default_kernel() == "scalar"
-        assert resolve_kernel(None, _array_sources(), tnorms.MIN) == "scalar"
-        configure_kernel("vector")
-        assert resolve_kernel(None, _list_sources(), means.GEOMETRIC_MEAN) == "vector"
-    finally:
-        configure_kernel("auto")
-    assert resolve_kernel(None, _array_sources(), tnorms.MIN) == "vector"
-
-
-def test_forced_vector_result_matches_scalar_on_non_exact_rule():
-    """Forcing vector on a non-batch-exact rule is allowed; answers agree
-    to 1e-12 even though auto would decline the pairing."""
-    table = {f"o{i:02d}": [((i * 7) % 10) / 10.0, ((i * 3) % 10) / 10.0]
-             for i in range(12)}
-    scalar, _ = run_once(run_nra, table, means.GEOMETRIC_MEAN, 4, "array", "scalar")
-    vector, _ = run_once(run_nra, table, means.GEOMETRIC_MEAN, 4, "array", "vector")
-    assert [item.object_id for item in vector.answers] == [
-        item.object_id for item in scalar.answers
-    ]
-    for ours, theirs in zip(vector.answers, scalar.answers):
-        assert ours.grade == pytest.approx(theirs.grade, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Degradation parity: kernels make the same fallback decisions.
+# Degradation parity: both combine forms make the same fallback decisions.
 
 K = 8
 
@@ -319,11 +234,11 @@ def faulty_sources(profile, only, n=200, m=3, seed=11):
     ]
 
 
-def run_degraded(algorithm, profile, only, kernel, **kwargs):
+def run_degraded(algorithm, profile, only, combine, **kwargs):
     tracer = QueryTracer()
     result = algorithm(
-        faulty_sources(profile, only), tnorms.MIN, K, tracer=tracer,
-        kernel=kernel, **kwargs,
+        faulty_sources(profile, only), with_combine(tnorms.MIN, combine), K,
+        tracer=tracer, **kwargs,
     )
     return result, tracer.to_json()
 
@@ -366,15 +281,13 @@ def test_total_source_death_degrades_identically(algorithm, kwargs):
 
 
 def test_a0_propagates_total_death_identically():
-    """A0 treats a dead sorted stream as fatal on both kernels (only
-    random-access loss degrades); the error must not depend on kernel."""
-    from repro.errors import TransientAccessError
-
+    """A0 treats a dead sorted stream as fatal under either combine form
+    (only random-access loss degrades); the error must not depend on it."""
     profile = FaultProfile(kill_after=40)
     messages = []
-    for kernel in ("scalar", "vector"):
+    for combine in COMBINES:
         with pytest.raises(TransientAccessError) as excinfo:
-            run_degraded(fagin_top_k, profile, {2}, kernel)
+            run_degraded(fagin_top_k, profile, {2}, combine)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
 
@@ -382,8 +295,10 @@ def test_a0_propagates_total_death_identically():
 def test_a0_paging_after_degradation_matches_across_kernels():
     profile = FaultProfile(break_random_after=5)
     handles = [
-        FaginAlgorithm(faulty_sources(profile, {2}), tnorms.MIN, kernel=kernel)
-        for kernel in ("scalar", "vector")
+        FaginAlgorithm(
+            faulty_sources(profile, {2}), with_combine(tnorms.MIN, combine)
+        )
+        for combine in COMBINES
     ]
     for _ in range(3):
         scalar_page, vector_page = (handle.next_k(4) for handle in handles)
@@ -392,7 +307,7 @@ def test_a0_paging_after_degradation_matches_across_kernels():
         ] == [(item.object_id, item.grade) for item in scalar_page.answers]
         assert vector_page.cost == scalar_page.cost
         # what the NRA continuation learned is read back into ``_known``
-        # identically from either bounds state, first-seen order included
+        # identically under either combine form, first-seen order included
         scalar_known, vector_known = (handle._known for handle in handles)
         assert vector_known == scalar_known
         assert list(vector_known) == list(scalar_known)
@@ -436,13 +351,13 @@ class SortedStreamDies(GradedSource):
         return len(self._inner)
 
 
-def run_faulty_ta(kernel, rule, *, traced, degrade, batch_size, sorted_limit,
+def run_faulty_ta(combine, rule, *, traced, degrade, batch_size, sorted_limit,
                   random_breaks_after=None):
     """TA over 200 x 3 lists whose list 1 stops shipping sorted rows past
     ``sorted_limit`` and whose list 2, optionally, loses random access
-    after ``random_breaks_after`` probes.  Returns what the two kernels
-    must agree on: the result (or the propagated error), the trace, and
-    every source's charged accesses."""
+    after ``random_breaks_after`` probes.  Returns what the two combine
+    forms must agree on: the result (or the propagated error), the trace,
+    and every source's charged accesses."""
     sources = sources_from_columns(independent(200, 3, seed=11))
     sources[1] = SortedStreamDies(sources[1], sorted_limit)
     if random_breaks_after is not None:
@@ -454,8 +369,8 @@ def run_faulty_ta(kernel, rule, *, traced, degrade, batch_size, sorted_limit,
     tracer = QueryTracer() if traced else None
     try:
         outcome = threshold_top_k(
-            sources, rule, K, batch_size=batch_size, degrade=degrade,
-            tracer=tracer, kernel=kernel,
+            sources, with_combine(rule, combine), K, batch_size=batch_size,
+            degrade=degrade, tracer=tracer,
         )
     except TransientAccessError as error:
         outcome = error
@@ -484,17 +399,18 @@ def assert_faulty_runs_identical(scalar_run, vector_run, *, degrade):
 @pytest.mark.parametrize("rule", (tnorms.MIN, means.MEAN), ids=("min", "mean"))
 def test_ta_hands_a_dead_sorted_stream_to_nra_identically(rule):
     """TA's sorted consume fails while its probes still succeed: the
-    access log is replayed into a dict state or a matrix, and the
-    continuation must not be able to tell — traced or not; with
-    ``degrade=False`` the same error propagates after the same charges."""
+    access log is replayed into the bounds state, and the continuation
+    must not be able to tell which combine form folds it — traced or
+    not; with ``degrade=False`` the same error propagates after the same
+    charges."""
     for degrade in (True, False):
         for traced in (True, False):
             scalar_run, vector_run = (
                 run_faulty_ta(
-                    kernel, rule, traced=traced, degrade=degrade, batch_size=8,
+                    combine, rule, traced=traced, degrade=degrade, batch_size=8,
                     sorted_limit=20,
                 )
-                for kernel in ("scalar", "vector")
+                for combine in COMBINES
             )
             if degrade:
                 assert list(scalar_run[0].degraded.failed_sources) == ["A2"]
@@ -512,10 +428,10 @@ def test_ta_probe_failure_mid_window_with_a_stream_dying_in_the_consume(
     continuation starts with one failure of each kind."""
     scalar_run, vector_run = (
         run_faulty_ta(
-            kernel, tnorms.MIN, traced=traced, degrade=degrade,
+            combine, tnorms.MIN, traced=traced, degrade=degrade,
             batch_size=batch_size, sorted_limit=1, random_breaks_after=5,
         )
-        for kernel in ("scalar", "vector")
+        for combine in COMBINES
     )
     if degrade:
         assert sorted(scalar_run[0].degraded.failed_sources) == ["A2", "faulty(A3)"]
@@ -540,14 +456,16 @@ def test_ta_hands_nra_its_first_seen_order(backend):
         "e": [0.03, 0.02],
         "f": [0.02, 0.01],
     }
-    for kernel in ("scalar", "vector"):
+    for combine in COMBINES:
         sources = sources_from_columns(table, backend=backend)
         sources[1] = SortedStreamDies(sources[1], 2)
-        result = threshold_top_k(sources, means.MEAN, 3, batch_size=3, kernel=kernel)
+        result = threshold_top_k(
+            sources, with_combine(means.MEAN, combine), 3, batch_size=3
+        )
         assert result.algorithm == "threshold-ta+nra"
         assert [(item.object_id, item.grade) for item in result.answers] == [
             (1, 0.625), ("1", 0.625), ("a", 0.5),
-        ], kernel
+        ], combine
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +489,14 @@ def test_ta_stop_row_is_independent_of_the_window(k):
         ta_with_window(1), table, tnorms.MIN, k, "array", "scalar"
     )
     for batch_size in (1, 2, len(table)):
-        for kernel in ("scalar", "vector"):
+        for combine in COMBINES:
             for traced in (True, False):
                 result, trace = run_once(
                     ta_with_window(batch_size), table, tnorms.MIN, k, "array",
-                    kernel, traced=traced,
+                    combine, traced=traced,
                 )
                 assert_identical(
-                    f"batch={batch_size}/{kernel}/traced={traced}",
+                    f"batch={batch_size}/{combine}/traced={traced}",
                     baseline, result, baseline_trace if traced else None, trace,
                 )
 
@@ -611,13 +529,12 @@ class CountingMin(tnorms.MinimumTNorm):
 def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
     table = independent(60, 2, seed=2)
     trajectories = []
-    for kernel in ("scalar", "vector"):
+    for backend in ("list", "array"):
         rule = CountingMin()
-        sources = sources_from_columns(table, backend="list")
+        sources = sources_from_columns(table, backend=backend)
         tracer = QueryTracer()
         result = threshold_top_k(
-            sources, rule, 4, batch_size=7, theta=theta, tracer=tracer,
-            kernel=kernel,
+            sources, rule, 4, batch_size=7, theta=theta, tracer=tracer
         )
         taus = [value for _, value in tracer.samples("ta.tau")]
         assert len(taus) == result.sorted_depth
@@ -629,15 +546,15 @@ def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
         assert theta * stop["attrs"]["kth"] >= taus[-1]
         if theta > 1.0:
             assert result.approximation.bound == taus[-1]
-        if kernel == "scalar":
-            # the reference evaluates t once per seen object and once
-            # per row — not again for the stop test or the certificate
-            seen = {
-                item.object_id
-                for source in sources
-                for item in source.cursor().peek_batch(result.sorted_depth)
-            }
-            assert rule.calls == len(seen) + result.sorted_depth
+        # t runs once per seen object — not again for the stop test or
+        # the certificate — and tau never calls it: min's native batch
+        # form folds a window's thresholds without ``_combine``
+        seen = {
+            item.object_id
+            for source in sources
+            for item in source.cursor().peek_batch(result.sorted_depth)
+        }
+        assert rule.calls == len(seen)
         trajectories.append(taus)
     assert trajectories[0] == trajectories[1]
 
@@ -646,11 +563,11 @@ def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
 # stop_check_growth (satellite): the documented doubling schedule.
 
 
-def nra_depth(growth, kernel="scalar", n=120, m=3, seed=3):
+def nra_depth(growth, combine="vector", n=120, m=3, seed=3):
     sources = sources_from_columns(independent(n, m, seed=seed))
     result = nra_top_k(
-        sources, tnorms.MIN, 5, batch_size=1, stop_check_growth=growth,
-        kernel=kernel,
+        sources, with_combine(tnorms.MIN, combine), 5, batch_size=1,
+        stop_check_growth=growth,
     )
     return result
 
@@ -683,8 +600,8 @@ def test_stop_check_growth_default_is_doubling():
 
 @pytest.mark.parametrize("growth", (1.0, 1.5, 2.0, 4.0))
 def test_stop_check_growth_answers_and_kernels_agree(growth):
-    scalar = nra_depth(growth, kernel="scalar")
-    vector = nra_depth(growth, kernel="vector")
+    scalar = nra_depth(growth, combine="scalar")
+    vector = nra_depth(growth, combine="vector")
     truth = nra_depth(1.0)
     assert [(i.object_id, i.grade) for i in scalar.answers] == [
         (i.object_id, i.grade) for i in truth.answers
@@ -697,7 +614,7 @@ def test_stop_check_growth_answers_and_kernels_agree(growth):
 
 
 # ---------------------------------------------------------------------------
-# Engine plumbing: configure_kernel and per-query override.
+# The engine: item-based and columnar bindings, catalog and user rules.
 
 
 def build_engine(n=40):
@@ -713,55 +630,54 @@ def build_engine(n=40):
     return engine
 
 
-def test_engine_configure_kernel_validates_and_sticks():
-    engine = build_engine()
-    assert engine.kernel is None
-    assert engine.configure_kernel("vector") == "vector"
-    assert engine.kernel == "vector"
-    with pytest.raises(ReproError):
-        engine.configure_kernel("simd")
-
-
 def test_engine_kernel_results_identical():
-    query = Atomic("Color", "red") & Atomic("Shape", "round")
-    baseline = build_engine().top_k(query, 5)
+    """List bindings (TA reads them row by row), array bindings (TA
+    scores a window at a time) and sharded ones, under min and under a
+    user rule computing min: one set of answers and costs."""
+    atoms = (Atomic("Color", "red"), Atomic("Shape", "round"))
+    baseline = build_engine().top_k(atoms[0] & atoms[1], 5)
     pairs = [(item.object_id, item.grade) for item in baseline.answers]
-    for kernel in ("auto", "vector", "scalar"):
-        session = build_engine()
-        session.configure_kernel(kernel)
-        result = session.top_k(query, 5)
-        assert [(i.object_id, i.grade) for i in result.answers] == pairs
-        assert result.cost == baseline.cost
-        # per-query override beats the session default
-        override = session.top_k(query, 5, kernel="scalar")
-        assert [(i.object_id, i.grade) for i in override.answers] == pairs
+    for backend, shards in ((None, 1), ("array", 1), ("array", 3)):
+        for combine in COMBINES:
+            session = build_engine()
+            if backend is not None:
+                session.configure_storage(backend, shards=shards)
+            query = Scored(with_combine(tnorms.MIN, combine), atoms)
+            result = session.top_k(query, 5)
+            label = f"{backend}/{shards}/{combine}"
+            assert [(i.object_id, i.grade) for i in result.answers] == pairs, label
+            assert result.cost == baseline.cost, label
 
 
 class ColumnSubsystem(Subsystem):
-    """Serves every ``<column> = <anything>`` atom as a bare ArraySource."""
+    """Serves every ``<column> = <anything>`` atom as a bare ArraySource
+    (``backend="array"``) or a ListSource (``backend="list"``)."""
 
-    def __init__(self, ids, columns):
+    def __init__(self, ids, columns, backend):
         super().__init__("columns")
         self._ids = ids
         self._columns = columns
+        self._backend = backend
 
     def attributes(self):
         return frozenset(self._columns)
 
     def _bind(self, atom):
-        return ArraySource.from_arrays(
-            self._ids, self._columns[atom.attribute], name=str(atom)
-        )
+        column = self._columns[atom.attribute]
+        if self._backend == "list":
+            return ListSource(dict(zip(self._ids, column.tolist())), name=str(atom))
+        return ArraySource.from_arrays(self._ids, column, name=str(atom))
 
 
-def columnar_engine(n=400, seed=3):
+def columnar_engine(backend="array", n=400, seed=3):
     """In-RAM columns c0..c2 plus a VA-file kNN subsystem over ``Near``:
-    every binding columnar, as in the end-to-end benchmark."""
+    with ``backend="array"`` every binding is columnar, as in the
+    end-to-end benchmark."""
     rng = np.random.default_rng(seed)
     ids = [f"o{i}" for i in range(n)]
     engine = MiddlewareEngine()
     engine.register(
-        ColumnSubsystem(ids, {f"c{j}": rng.random(n) for j in range(3)})
+        ColumnSubsystem(ids, {f"c{j}": rng.random(n) for j in range(3)}, backend)
     )
     engine.register(KnnSubsystem("knn", ids, rng.random((n, 4)), index="vafile"))
     return engine
@@ -787,10 +703,10 @@ def split_physical_work(trace_json):
     """The trace with the index's distance-evaluation counters blanked,
     and those counters' values in trace order.
 
-    They count physical work, not charged accesses: the vector kernel
-    grades a window's candidates in one block, including objects past
-    TA's stop row, so the counters may grow while every access event
-    stays identical."""
+    They count physical work, not charged accesses: over columnar
+    bindings TA grades a window's candidates in one block, including
+    objects past its stop row, so the counters may grow while every
+    access event stays identical."""
     trace = json.loads(trace_json)
     evaluations = []
     for event in trace["events"]:
@@ -805,58 +721,30 @@ def split_physical_work(trace_json):
 
 @pytest.mark.parametrize("sql, prefer", BENCH_SHAPES)
 def test_engine_sql_shapes_identical_across_kernels(sql, prefer):
-    """SQL through ``engine.top_k`` under every kernel name: same
-    answers, costs, algorithm and trace.  The one relaxation is the kNN
-    shape's distance-evaluation counters, which may only grow past the
-    reference kernel's; every shape without a kNN atom is byte-identical."""
+    """SQL through ``engine.top_k`` over list bindings (TA's per-row
+    path) and over columnar ones (prefetched probes; untraced, the bulk
+    round): same answers, costs, algorithm and trace.  The one
+    relaxation is the kNN shape's distance-evaluation counters, which
+    may only grow past the list run's; every shape without a kNN atom
+    is byte-identical."""
     query = compile_sql(sql)
     runs = []
-    for kernel in ("scalar", "vector", "auto"):
+    for backend in ("list", "array"):
         tracer = QueryTracer()
-        result = columnar_engine().top_k(
-            query, 10, prefer=prefer, kernel=kernel, tracer=tracer
+        result = columnar_engine(backend).top_k(
+            query, 10, prefer=prefer, tracer=tracer
         )
         runs.append((result, tracer.to_json()))
-    (scalar, scalar_trace), *others = runs
-    scalar_masked, scalar_evaluations = split_physical_work(scalar_trace)
-    assert bool(scalar_evaluations) == ("Near" in sql)
-    for (result, trace), kernel in zip(others, ("vector", "auto")):
-        masked, evaluations = split_physical_work(trace)
-        assert_identical(kernel, scalar, result, scalar_masked, masked)
-        assert len(evaluations) == len(scalar_evaluations), kernel
-        assert all(
-            ours >= reference
-            for ours, reference in zip(evaluations, scalar_evaluations)
-        ), kernel
-        if "Near" not in sql:
-            assert trace == scalar_trace, kernel
-
-
-@pytest.mark.parametrize("sql, prefer", BENCH_SHAPES)
-def test_compiled_sql_resolves_auto_to_vector_over_columnar_sources(sql, prefer):
-    """A compiled catalog-rule query is natively batch-exact, so ``auto``
-    runs the vector kernel over columnar bindings (ArraySource, KnnSource)."""
-    engine = columnar_engine()
-    query = compile_sql(sql)
-    sources = engine.bind_all(query)
-    assert resolve_kernel(None, sources, compile_query(query, engine.semantics)) == "vector"
-
-
-def test_compiled_conjunction_and_using_resolve_to_vector_over_array_sources():
-    a, b = Atomic("a", "x"), Atomic("b", "x")
-    for query in (a & b, Scored(means.MEAN, (a, b))):
-        assert resolve_kernel(None, _array_sources(), compile_query(query)) == "vector"
-    # still scalar wherever auto's other clauses say so
-    assert resolve_kernel(None, _list_sources(), compile_query(a & b)) == "scalar"
-
-
-def test_cli_kernel_flag_round_trips(capsys):
-    from repro.cli import main
-
-    outputs = []
-    for kernel in ("scalar", "vector"):
-        assert main(["sql", "--size", "50", "-k", "3", "--kernel", kernel,
-                     "SELECT * FROM albums WHERE AlbumColor = 'red' "
-                     "STOP AFTER 3"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    (reference, reference_trace), (result, trace) = runs
+    reference_masked, reference_evaluations = split_physical_work(reference_trace)
+    assert bool(reference_evaluations) == ("Near" in sql)
+    masked, evaluations = split_physical_work(trace)
+    assert_identical("array", reference, result, reference_masked, masked)
+    assert len(evaluations) == len(reference_evaluations)
+    assert all(
+        ours >= theirs for ours, theirs in zip(evaluations, reference_evaluations)
+    )
+    if "Near" not in sql:
+        assert trace == reference_trace
+    untraced = columnar_engine().top_k(query, 10, prefer=prefer)
+    assert_identical("array/untraced", reference, untraced, None, None)

@@ -5,7 +5,7 @@ graded databases:
 
 * **θ = 1.0 is free.**  Passing ``theta=1.0`` is byte-identical to not
   passing it at all — same answers, same charged costs, same traces —
-  across kernels, storage backends, and worker counts.  The knob must
+  across combine forms, storage backends, and worker counts.  The knob must
   cost nothing when it is off.
 * **θ > 1 keeps the FLN guarantee on true grades.**  For every returned
   object y and every excluded object z, ``theta * grade(y) >= grade(z)``
@@ -29,12 +29,13 @@ from repro.parallel import ParallelAccessExecutor
 from repro.scoring import means, tnorms
 from repro.scoring.owa import owa_mean
 from tests.cache.helpers import answer_pairs
-from tests.strategies import graded_databases, pick_k
+from tests.strategies import graded_databases, pick_k, with_combine
 
 THETAS = (1.01, 1.05, 1.1, 1.5, 2.0)
 
-#: (kernel, backend, workers) — a small cross-section of the execution
-#: matrix; the dedicated kernel/storage suites cover each axis in depth.
+#: (combine, backend, workers) — a small cross-section of the execution
+#: matrix (``combine`` as in ``tests.strategies.COMBINES``); the
+#: dedicated combine/storage suites cover each axis in depth.
 CONFIGS = (
     ("scalar", "list", 1),
     ("scalar", "array", 3),
@@ -44,26 +45,24 @@ CONFIGS = (
 
 
 def pick_rule(m, index):
-    """Batch-exact monotone rules (the byte-identity regime)."""
+    """Monotone catalog rules with a native batch form."""
     rules = (tnorms.MIN, tnorms.PRODUCT, means.MEAN, owa_mean(m))
     return rules[index % len(rules)]
 
 
-def run_ta(sources, rule, k, *, theta=None, tracer=None, executor=None,
-           kernel=None):
+def run_ta(sources, rule, k, *, theta=None, tracer=None, executor=None):
     kwargs = {} if theta is None else {"theta": theta}
     return threshold_top_k(
         sources, rule, k, batch_size=3, tracer=tracer, executor=executor,
-        kernel=kernel, **kwargs,
+        **kwargs,
     )
 
 
-def run_nra(sources, rule, k, *, theta=None, tracer=None, executor=None,
-            kernel=None):
+def run_nra(sources, rule, k, *, theta=None, tracer=None, executor=None):
     kwargs = {} if theta is None else {"theta": theta}
     return nra_top_k(
         sources, rule, k, batch_size=3, tracer=tracer, executor=executor,
-        kernel=kernel, **kwargs,
+        **kwargs,
     )
 
 
@@ -92,17 +91,17 @@ def scrub(events):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel,backend,workers", CONFIGS)
+@pytest.mark.parametrize("combine,backend,workers", CONFIGS)
 @settings(deadline=None, max_examples=15)
 @given(
     data=graded_databases(max_n=16),
     rule_index=st.integers(0, 3),
     k_selector=st.integers(0, 2),
 )
-def test_theta_one_is_byte_identical(kernel, backend, workers, data,
+def test_theta_one_is_byte_identical(combine, backend, workers, data,
                                      rule_index, k_selector):
     table, m = data
-    rule = pick_rule(m, rule_index)
+    rule = with_combine(pick_rule(m, rule_index), combine)
     k = pick_k(table, k_selector)
     executor = ParallelAccessExecutor(workers) if workers > 1 else None
     try:
@@ -110,14 +109,14 @@ def test_theta_one_is_byte_identical(kernel, backend, workers, data,
             reference_tracer = QueryTracer()
             reference = run(
                 sources_from_columns(table, backend=backend), rule, k,
-                tracer=reference_tracer, executor=executor, kernel=kernel,
+                tracer=reference_tracer, executor=executor,
             )
             tracer = QueryTracer()
             result = run(
                 sources_from_columns(table, backend=backend), rule, k,
-                theta=1.0, tracer=tracer, executor=executor, kernel=kernel,
+                theta=1.0, tracer=tracer, executor=executor,
             )
-            label = f"{name} kernel={kernel} backend={backend} workers={workers}"
+            label = f"{name} combine={combine} backend={backend} workers={workers}"
             assert answer_pairs(result) == answer_pairs(reference), label
             assert result.cost == reference.cost, label
             assert result.sorted_depth == reference.sorted_depth, label

@@ -9,8 +9,10 @@ where it lives.
 """
 
 import random
+import sys
 import threading
 
+from repro.core.planner import Strategy
 from repro.core.query import Atomic
 from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.list_subsystem import ListSubsystem
@@ -68,6 +70,32 @@ def test_concurrent_top_k_identical_answers():
     for result in results:
         assert [(i.object_id, i.grade) for i in result.answers] == want
         assert result.algorithm == expected.algorithm
+    engine.close()
+
+
+def test_concurrent_queries_each_report_their_own_cost():
+    """Queries racing over the same bindings, and fanning their accesses
+    out to one shared pool, each report exactly the serial run's cost:
+    a query's meter counts only the accesses billed to that query."""
+    engine = build_engine()
+    engine.configure_storage("array")  # numpy releases the lock mid-query
+    engine.configure_parallelism(3)
+    expected = {
+        prefer: engine.top_k(QUERY, 5, prefer=prefer).cost
+        for prefer in (None, Strategy.NRA)
+    }
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+
+        def work(index):
+            prefer = (None, Strategy.NRA)[index % 2]
+            for _ in range(ROUNDS):
+                assert engine.top_k(QUERY, 5, prefer=prefer).cost == expected[prefer]
+
+        hammer(engine, work)
+    finally:
+        sys.setswitchinterval(previous)
     engine.close()
 
 

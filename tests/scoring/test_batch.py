@@ -1,19 +1,22 @@
 """Batch scoring (``combine_matrix`` / ``negate_matrix``) vs the scalar
 path, across the whole rule catalog.
 
-Two tiers of agreement (see repro/scoring/base.py):
-
-* every rule agrees with per-row ``__call__`` to within 1e-12;
-* rules declaring ``batch_exact`` are *bit-identical* — that stronger
-  promise is what lets the vector kernels reproduce scalar stop
-  decisions byte for byte.
+Every batch form is *bit-identical* to per-row ``__call__`` (see
+repro/scoring/base.py): a native numpy form folds the same IEEE-754
+operations as its scalar rule, and everything else is the per-row loop.
+That is what lets the bounds state and TA's threshold reproduce scalar
+stop decisions byte for byte.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.evaluation import compile_query
+from repro.core.query import Atomic, Not, Scored
 from repro.errors import GradeError, ScoringError
 from repro.kernels import GradeMatrix
 from repro.scoring import (
@@ -23,6 +26,9 @@ from repro.scoring import (
     tnorm_catalog,
 )
 from repro.scoring.base import FunctionScoring
+from repro.scoring.means import HARMONIC_MEAN
+from repro.scoring.negations import YagerNegation
+from repro.scoring.zadeh import ZADEH
 from repro.scoring.owa import OwaScoring, owa_mean
 from repro.scoring.tnorms import MIN, PRODUCT
 from repro.scoring.weighted import WeightedScoring
@@ -43,6 +49,8 @@ NON_SYMMETRIC = (
 ALL_RULES = CATALOG + NON_SYMMETRIC
 
 GRADE_LEVELS = (0.0, 1e-9, 0.1, 0.25, 0.5, 1 / 3, 0.75, 0.9, 1.0 - 1e-9, 1.0)
+DENORMAL = 5e-324
+BELOW_ONE = 1.0 - 2.0**-53
 
 
 def arity_of(rule):
@@ -56,7 +64,7 @@ def grade_matrices(draw, rule):
     m = arity_of(rule) or draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=0, max_value=12))
     grades = st.one_of(
-        st.sampled_from(GRADE_LEVELS),
+        st.sampled_from(GRADE_LEVELS + (DENORMAL, BELOW_ONE)),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     )
     rows = draw(st.lists(st.lists(grades, min_size=m, max_size=m),
@@ -75,11 +83,32 @@ def test_combine_matrix_matches_scalar(rule, data):
     batch = rule.combine_matrix(matrix)
     assert batch.shape == (len(rows),)
     for i, row in enumerate(rows):
-        expected = rule(row)
-        if rule.batch_exact:
-            assert batch[i] == expected, (rule.name, row)
-        else:
-            assert batch[i] == pytest.approx(expected, abs=1e-12), (rule.name, row)
+        assert batch[i].hex() == rule(row).hex(), (rule.name, row)
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda rule: rule.name)
+def test_compiled_query_matrix_matches_scalar(rule):
+    """The same promise through compile_query: a USING node over the
+    rule whose first argument is negated by the (per-element) Yager
+    negation."""
+    m = arity_of(rule) or 3
+    atoms = tuple(Atomic(f"a{i}", "x") for i in range(m))
+    semantics = dataclasses.replace(ZADEH, negation=YagerNegation(2.0))
+    compiled = compile_query(Scored(rule, (Not(atoms[0]),) + atoms[1:]), semantics)
+    grades = np.random.default_rng(m).random((50, m))
+    grades[0] = DENORMAL
+    grades[1] = BELOW_ONE
+    assert [value.hex() for value in compiled.combine_matrix(grades).tolist()] == [
+        compiled(row).hex() for row in grades.tolist()
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_harmonic_mean_of_a_denormal_grade_is_silent():
+    """1 / 5e-324 overflows to inf and the mean to 0.0 — in the scalar
+    fold and in the matrix form alike, without a numpy warning."""
+    batch = HARMONIC_MEAN.combine_matrix(np.asarray([[DENORMAL, 0.5]]))
+    assert batch.tolist() == [HARMONIC_MEAN([DENORMAL, 0.5])] == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -123,11 +152,13 @@ def test_rule_escaping_the_unit_interval_rejected():
 
 
 def test_function_scoring_uses_the_exact_scalar_fallback():
-    rule = FunctionScoring(lambda grades: max(grades) * 0.5, name="half-max")
-    assert not rule.supports_batch
-    assert rule.batch_exact  # the row loop IS the scalar path
+    rows = []
+    rule = FunctionScoring(
+        lambda grades: rows.append(grades) or max(grades) * 0.5, name="half-max"
+    )
     matrix = np.asarray([[0.2, 0.8], [1.0, 0.3], [0.0, 0.0]])
     batch = rule.combine_matrix(matrix)
+    assert rows == [tuple(row) for row in matrix.tolist()]  # the row loop
     for row, got in zip(matrix.tolist(), batch):
         assert got == rule(row)
 
@@ -137,7 +168,7 @@ def test_negate_matrix_matches_scalar(negation):
     values = np.asarray(GRADE_LEVELS)
     batch = negation.negate_matrix(values)
     for grade, got in zip(GRADE_LEVELS, batch):
-        assert got == pytest.approx(negation(grade), abs=1e-12)
+        assert got.hex() == negation(grade).hex()
     # shape-preserving over matrices too
     square = values.reshape(2, 5)
     assert negation.negate_matrix(square).shape == (2, 5)

@@ -1,16 +1,19 @@
 """Shared Hypothesis generators for the differential conformance suites.
 
-Every conformance family (core algorithms, scoring kernels, storage
+Every conformance family (core algorithms, the bounds state, storage
 backends, the result cache) samples from the same universe of small
 graded databases: clustered grade levels so exact ties and duplicate
 grades — the regime where ordering differences between implementations
 would surface — are common.  This module is the single home for those
-generators; per-suite rule pickers stay local because each suite locks
-down a different rule family (oracle-agreement rules vs batch-exact
-kernel rules vs storage smoke rules).
+generators and for the combine axis (:func:`with_combine`); per-suite
+rule pickers stay local because each suite locks down a different rule
+family (oracle-agreement rules vs combine-axis rules vs storage smoke
+rules).
 """
 
 from hypothesis import strategies as st
+
+from repro.scoring.base import FunctionScoring
 
 #: Discrete grade levels: few enough that random databases are dense
 #: with exact ties and duplicate grades.
@@ -51,6 +54,27 @@ def boolean_databases(draw, max_n=20):
         )
         rows.append((crisp,) + fuzzy)
     return {f"o{i:02d}": row for i, row in enumerate(rows)}, m
+
+
+#: The two ways a rule's ``combine_matrix`` can run: ``"vector"`` is the
+#: rule as given (its native numpy form, where it has one), ``"scalar"``
+#: the exact per-row loop.  Every result must be byte-identical under both.
+COMBINES = ("scalar", "vector")
+
+
+def with_combine(rule, combine):
+    """``rule`` with its batch form chosen from :data:`COMBINES`:
+    ``"scalar"`` wraps it as a user :class:`FunctionScoring`, whose
+    ``combine_matrix`` loops ``rule(...)`` row by row."""
+    if combine == "vector":
+        return rule
+    return FunctionScoring(
+        rule,
+        name=rule.name,
+        is_monotone=rule.is_monotone,
+        is_strict=rule.is_strict,
+        is_symmetric=rule.is_symmetric,
+    )
 
 
 def pick_k(table, selector):
