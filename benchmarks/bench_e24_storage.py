@@ -126,7 +126,7 @@ def child_build_shards(params):
 
 def load_array_source(directory, name):
     """The in-RAM representation: ids and grades pulled fully off disk
-    into an ArraySource (python id list + grade dict + numpy column)."""
+    into an ArraySource (python id lists + object codes + numpy columns)."""
     source = open_memmap(directory)
     ids = np.asarray(source._sorted_ids).tolist()
     grades = np.asarray(source._sorted_grades).copy()

@@ -37,6 +37,7 @@ import numpy as _np
 from repro.core.cost import AccessCounter
 from repro.core.graded import GradedItem, GradedSet, ObjectId, validate_grade
 from repro.errors import AccessError, GradeError, UnknownObjectError
+from repro.kernels import ObjectCodes, str_ranks
 
 #: Default window size for the algorithms' bulk sorted access.  One
 #: ``next_batch`` per list per round replaces ``batch_size`` Python call
@@ -320,19 +321,41 @@ class GradedSource(ABC):
         if inner is not None:
             inner._attribute_random(object_ids)
 
-    def _record_random_probes(self, object_ids: Sequence[ObjectId]) -> None:
-        """Charge random accesses whose grades were already read through
-        the free bulk path.
+    def _record_random_probes(self, count: int, object_ids: Iterable[ObjectId]) -> None:
+        """Charge ``count`` random accesses, of ``object_ids``, whose
+        grades were already read through the free bulk path.
 
-        TA prefetches probe grades via :meth:`_grades_of_many` (free)
-        and then charges exactly the probes the per-row path would have
-        performed; this is the single charge point for that replay, so
-        composite backends keep their per-constituent accounting in sync
-        with the paper's measure.
+        TA prefetches probe grades via :meth:`_grades_of_many` or
+        :meth:`_grades_of_codes` (free) and then charges exactly the
+        probes the per-row path would have performed; this is the single
+        charge point for that replay, so composite backends keep their
+        per-constituent accounting in sync with the paper's measure.
+        ``object_ids`` is only iterated by sources that attribute probes
+        (a lazy iterable spares the others decoding codes to ids).
         """
-        if object_ids:
-            self.counter.record_random(len(object_ids))
+        if count:
+            self.counter.record_random(count)
             self._attribute_random(object_ids)
+
+    # -- object-code hooks -------------------------------------------------------
+    # TA's bulk round reads columnar sources by dense object code (a
+    # :class:`~repro.kernels.ObjectCodes` index shared by the query's
+    # sources).  These defaults go through ids and ``_columns_range``;
+    # ArraySource overrides both to slice and gather when the index is
+    # its own.
+    def _codes_range(self, codes: ObjectCodes, start: int, count: int):
+        """Columnar sorted prefix by code: (int32 codes, float64 grades)
+        of positions ``start .. start+count-1``, charge-free like
+        ``_columns_range``; ids ``codes`` has not seen get new codes."""
+        ids, grades = self._columns_range(start, count)
+        return codes.encode(ids), grades
+
+    def _grades_of_codes(self, codes: ObjectCodes, coded):
+        """Grades (float64, request order) of the objects with codes
+        ``coded``, without accounting — ``_grades_of_many`` by code."""
+        ids = codes.decode(coded)
+        fetched = self._grades_of_many(ids)
+        return _np.array([fetched[object_id] for object_id in ids], dtype=_np.float64)
 
     def prefetch_sorted(self, depth: int, *, executor=None) -> None:
         """Free hint: the caller will soon read the sorted prefix up to
@@ -528,6 +551,12 @@ class ArraySource(GradedSource):
     is where the bulk-access protocol's wall-clock win comes from on
     large synthetic workloads (benchmark E19).
 
+    Grades are held by object code (:class:`~repro.kernels.ObjectCodes`),
+    not in an id -> grade dict: a random access is one dict lookup and a
+    gather, and TA's bulk round slices sorted codes and gathers grades
+    without touching ids.  Sources built separately over one object set
+    settle on one shared index (:func:`shared_object_codes`).
+
     Accounting is identical to :class:`ListSource`: the base class
     charges one sorted access per delivered item and one random access
     per probed object, whichever access form the caller uses.
@@ -574,11 +603,10 @@ class ArraySource(GradedSource):
         to match the canonical order; the grade order itself is always
         checked.
         """
+        ids = list(object_ids)
         source = cls.__new__(cls)
-        source._init_from_arrays(
-            list(object_ids), grades, name, presorted=presorted
-        )
-        if len(source._grades) != len(source._sorted_ids):
+        source._init_from_arrays(ids, grades, name, presorted=presorted)
+        if len(set(ids)) != len(ids):
             raise AccessError(
                 f"source {name!r}: duplicate object ids in from_arrays input"
             )
@@ -595,6 +623,7 @@ class ArraySource(GradedSource):
                 f"{len(ids)} ids and shape {values.shape} grades"
             )
         if presorted:
+            order = _np.arange(len(ids))
             self._sorted_grades = values
             self._sorted_ids: List[ObjectId] = list(ids)
         else:
@@ -612,14 +641,40 @@ class ArraySource(GradedSource):
             slots = _np.nonzero(tied)[0]
             if len(slots):
                 rows = order[slots]
-                keys = _np.asarray([str(ids[j]) for j in rows.tolist()])
+                keys = str_ranks([ids[j] for j in rows.tolist()])
                 # Grades are nonincreasing along the slots, so sorting
                 # on them first permutes rows within their own run only.
                 order[slots] = rows[_np.lexsort((rows, keys, -ranked[slots]))]
                 ranked = values[order]  # 0.0 and -0.0 share a run
             self._sorted_grades = ranked
             self._sorted_ids = [ids[j] for j in order.tolist()]
-        self._grades: Dict[ObjectId, float] = dict(zip(ids, values.tolist()))
+        #: ``(codes, sorted_codes, grade_by_code)``: an id's code is its
+        #: input position until :meth:`_adopt` re-codes the source; one
+        #: attribute, so a reader always sees one consistent snapshot.
+        self._coded = (ObjectCodes(ids), order.astype(_np.int32), values)
+
+    def _adopt(self, codes: ObjectCodes) -> bool:
+        """Re-code this source into the older index ``codes``.
+
+        Declines (False) unless ``codes`` is at least as old as the
+        current index, is the same size and codes every id of this
+        source; N dict lookups, once per source.  A source only ever
+        moves to an older index, so a set of sources adopting their
+        oldest one converges.
+        """
+        current, sorted_codes, grade_by_code = self._coded
+        if current is codes:
+            return True
+        if codes.serial > current.serial or len(codes) != len(current):
+            return False
+        try:
+            recode = codes.lookup(current.ids)
+        except KeyError:
+            return False
+        by_new_code = _np.empty_like(grade_by_code)
+        by_new_code[recode] = grade_by_code
+        self._coded = (codes, recode[sorted_codes], by_new_code)
+        return True
 
     def _item_at(self, index: int) -> Optional[GradedItem]:
         if 0 <= index < len(self._sorted_ids):
@@ -649,27 +704,43 @@ class ArraySource(GradedSource):
         )
 
     def _grade_of(self, object_id: ObjectId) -> float:
+        codes, _, grade_by_code = self._coded
         try:
-            return self._grades[object_id]
+            code = codes[object_id]
         except KeyError:
             raise UnknownObjectError(
                 f"source {self.name!r} holds no object {object_id!r}"
             ) from None
+        return float(grade_by_code[code])
 
     def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
-        grades = self._grades
+        codes, _, grade_by_code = self._coded
         try:
-            return {object_id: grades[object_id] for object_id in object_ids}
+            coded = codes.lookup(object_ids)
         except KeyError as exc:
             raise UnknownObjectError(
                 f"source {self.name!r} holds no object {exc.args[0]!r}"
             ) from None
+        return dict(zip(object_ids, grade_by_code[coded].tolist()))
+
+    def _codes_range(self, codes: ObjectCodes, start: int, count: int):
+        own, sorted_codes, _ = self._coded
+        if codes is not own:
+            return super()._codes_range(codes, start, count)
+        stop = start + count
+        return sorted_codes[start:stop], self._sorted_grades[start:stop]
+
+    def _grades_of_codes(self, codes: ObjectCodes, coded):
+        own, _, grade_by_code = self._coded
+        if codes is not own:
+            return super()._grades_of_codes(codes, coded)
+        return grade_by_code[coded]
 
     def object_ids(self) -> Iterable[ObjectId]:
         return iter(self._sorted_ids)
 
     def as_graded_set(self) -> GradedSet:
-        return GradedSet(self._grades)
+        return GradedSet(zip(self._sorted_ids, self._sorted_grades.tolist()))
 
     def __len__(self) -> int:
         return len(self._sorted_ids)
@@ -911,6 +982,25 @@ def iter_wrapper_chain(source: GradedSource):
     while node is not None:
         yield node
         node = getattr(node, "_inner", None)
+
+
+def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
+    """The :class:`~repro.kernels.ObjectCodes` index a query's sources
+    are read by in TA's bulk round.
+
+    A set of :class:`ArraySource` s over one object set shares the
+    oldest of their indexes, once every one has adopted it
+    (:meth:`ArraySource._adopt`).  Any other set — memmap, sharded,
+    kNN, mixed, or array sources over different object sets — gets a
+    fresh per-run index that the sources' id-based hooks fill.
+    """
+    if all(isinstance(source, ArraySource) for source in sources):
+        oldest = min(
+            (source._coded[0] for source in sources), key=lambda codes: codes.serial
+        )
+        if all(source._adopt(oldest) for source in sources):
+            return oldest
+    return ObjectCodes()
 
 
 def check_same_objects(sources: Sequence[GradedSource]) -> int:

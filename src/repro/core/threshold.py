@@ -46,6 +46,7 @@ lower/upper grade bounds and a structured
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
@@ -62,8 +63,9 @@ from repro.core.sources import (
     GradedSource,
     _fast_item,
     check_same_objects,
+    shared_object_codes,
 )
-from repro.kernels import GradeMatrix, _np, iter_str_keys, top_k_from_arrays
+from repro.kernels import GradeMatrix, _np, str_ranks, top_k_from_arrays
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -420,13 +422,14 @@ def threshold_top_k(
     (bit-identical to ``t(bottoms)`` per round; a rule without a native
     batch form is therefore evaluated on up to one window of rows past
     the stop row).  When m > 1 and every source ``supports_columnar``
-    — bare backends that cannot fail and serve random access from
-    memory — probe grades are read once per window through the free
-    ``_grades_of_many`` path and charged, probe for probe and in the
-    same order, by ``_record_random_probes``; without a tracer the whole
-    window is then scored at once (``bulk_round``).  Anything wrapped
-    keeps one ``random_access_many`` per list per round, so wrapper
-    accounting and fault behaviour observe every probe.
+    (bare backends that cannot fail), probe grades are read once per
+    window through the free ``_grades_of_many`` (by code in the bulk
+    round) and charged, probe for probe, by ``_record_random_probes``.  Without a tracer the whole
+    window is one ``bulk_round`` of integer array operations over object
+    codes: a set of ArraySources shares one ``ObjectCodes`` index, any
+    other set codes its ids per run.  Anything wrapped keeps one
+    ``random_access_many`` per list per round, so wrapper accounting and
+    fault behaviour observe every probe.
 
     TA logs the sorted rows and probe results it has used, so when
     ``degrade`` is True (the default) and a random probe fails with one
@@ -493,6 +496,11 @@ def threshold_top_k(
     #: return, so at a probe failure the keys are exactly the seen
     #: objects in the order the NRA continuation must see them.
     overall: Dict[ObjectId, float] = {}
+    #: the bulk round's object codes (None on the per-row path) and its
+    #: seen-set: a bitmap by code, and each window's (codes, grades).
+    object_codes = shared_object_codes(sources) if columnar and tracer is None else None
+    seen = _np.zeros(0, dtype=bool)
+    seen_log = [(_np.empty(0, dtype=_np.int32), _np.empty(0))]
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
     best_k: List[float] = []
@@ -500,78 +508,86 @@ def threshold_top_k(
     stop = False
     stop_tau = 0.0
     #: sorted deliveries TA has used, (list index, ids, grades) per
-    #: window slice — replayed into a bounds state if the run has to
-    #: degrade to NRA.
+    #: window slice (codes, not ids, in the bulk round) — replayed into
+    #: a bounds state if the run has to degrade to NRA.
     sorted_log: List[tuple] = []
     #: applied random-probe results, (list index, {id: grade}).
     probe_log: List[tuple] = []
 
+    def admit(grade: float) -> None:
+        if len(best_k) < k:
+            heapq.heappush(best_k, grade)
+        elif grade > best_k[0]:
+            heapq.heapreplace(best_k, grade)
+
     def bulk_round(windows, lengths, rows, tau, grades_lists):
-        """One whole super-round without per-object Python: discover the
-        window's fresh objects, score them in one ``combine_matrix``
-        call, and replay TA's per-row heap/stop protocol over the
-        precomputed grades.  Only objects first delivered at or before
-        the stop row are committed, and the random-probe charge equals
-        the per-row charge op for op, so cost accounting and answers
-        are byte-identical to the row-at-a-time path.
+        """One whole super-round as integer array operations over object
+        codes: the seen bitmap and ``np.unique(..., return_index=True)``
+        over the ``rows × m`` code matrix give the fresh objects in
+        row-major first-seen order, one gather per source and one
+        ``combine_matrix`` score them, and the stop row is a search, not
+        a scan (the k-th best grade never falls and τ never rises down a
+        window; a non-monotone rule scans).  Only objects first delivered
+        at or before the stop row are committed and charged, probe for
+        probe as the per-row path, so costs and answers are identical.
 
         Taken only for bare columnar backends (reads are free to
-        prefetch, accesses cannot fail) and no tracer (per-access events
-        would reintroduce the per-object loop).  Returns
+        prefetch, accesses cannot fail) and no tracer; returns
         ``(consumed_rows, stopped)``.
         """
-        nonlocal stop_tau
-        window_fresh: List[tuple] = []
-        fresh_by_row: List[List[int]] = [[] for _ in range(rows)]
-        window_seen = set()
-        for row in range(rows):
-            for i in range(m):
-                if row >= lengths[i]:
-                    continue
-                object_id = windows[i][0][row]
-                if object_id in overall or object_id in window_seen:
-                    continue
-                window_seen.add(object_id)
-                fresh_by_row[row].append(len(window_fresh))
-                window_fresh.append((object_id, i))
-        scores: List[float] = []
-        if window_fresh:
-            fresh_ids = [object_id for object_id, _ in window_fresh]
-            matrix = _np.empty((len(fresh_ids), m))
+        nonlocal seen, stop_tau
+        if seen.size < len(object_codes):  # a per-run index coded new ids
+            seen = _np.concatenate((seen, _np.zeros(len(object_codes) - seen.size, bool)))
+        matrix = _np.full((rows, m), -1, dtype=_np.int32)
+        for i, (codes, _) in enumerate(windows):
+            matrix[: lengths[i], i] = codes
+        flat = matrix.ravel()
+        where = _np.flatnonzero((flat >= 0) & ~seen[flat])  # -1 pads short windows
+        _, first = _np.unique(flat[where], return_index=True)
+        where = where[_np.sort(first)]  # each fresh object's first sighting
+        fresh = flat[where]
+        fresh_row, first_list = _np.divmod(where, m)
+        scores = _np.empty(0)
+        if fresh.size:
+            grades = _np.empty((fresh.size, m))
             for j, source in enumerate(sources):
-                fetched = source._grades_of_many(fresh_ids)
-                matrix[:, j] = [fetched[object_id] for object_id in fresh_ids]
-            scores = rule.combine_matrix(matrix).tolist()
-        stop_row = None
-        for row in range(rows):
-            for index in fresh_by_row[row]:
-                grade = scores[index]
-                if len(best_k) < k:
-                    heapq.heappush(best_k, grade)
-                elif grade > best_k[0]:
-                    heapq.heapreplace(best_k, grade)
-            if len(best_k) >= k and theta * best_k[0] >= tau[row]:
-                stop_row = row
-                stop_tau = tau[row]
-                break
-        consumed = rows if stop_row is None else stop_row + 1
-        probe_ids: List[List[ObjectId]] = [[] for _ in range(m)]
-        for row in range(consumed):
-            for index in fresh_by_row[row]:
-                object_id, first = window_fresh[index]
-                overall[object_id] = scores[index]
-                for j in others[first]:
-                    probe_ids[j].append(object_id)
-        for j in range(m):
-            # single charge point for the prefetched reads: charges the
-            # probes the per-row path would perform and attributes them
-            # to composite backends' physical shards
-            sources[j]._record_random_probes(probe_ids[j])
+                grades[:, j] = source._grades_of_codes(object_codes, fresh)
+            scores = rule.combine_matrix(grades)
+        through = _np.searchsorted(fresh_row, _np.arange(rows), side="right")
+        kept = _np.asarray(best_k)
+
+        def reach(row: int) -> float:  # θ × the k-th best grade after row
+            pool = _np.concatenate((kept, scores[: through[row]]))
+            cut = pool.size - k
+            return theta * _np.partition(pool, cut)[cut] if cut >= 0 else -_np.inf
+
+        if (_np.diff(tau) > 0).any():  # a non-monotone rule: scan
+            stop_row = next((r for r in range(rows) if reach(r) >= tau[r]), rows)
+        else:  # no row stops before τ falls to the window's final reach
+            last = reach(rows - 1)
+            stop_row = bisect.bisect_left(range(rows), True, key=lambda r: last >= tau[r])
+            if stop_row < rows and reach(stop_row) < tau[stop_row]:
+                stop_row = bisect.bisect_left(
+                    range(rows), True, lo=stop_row + 1, key=lambda r: reach(r) >= tau[r]
+                )
+        consumed = min(stop_row + 1, rows)
+        count = through[consumed - 1]
+        committed, committed_scores = fresh[:count], scores[:count]
+        seen[committed] = True
+        seen_log.append((committed, committed_scores))
+        if len(best_k) >= k:  # the rest cannot enter the heap
+            committed_scores = committed_scores[committed_scores > best_k[0]]
+        for grade in committed_scores.tolist():
+            admit(grade)
+        for j, source in enumerate(sources):
+            probes = committed[first_list[:count] != j]  # all but the first list
+            source._record_random_probes(probes.size, object_codes.decoded(probes))
         for i in range(m):
             rows_used = min(consumed, lengths[i])
             if rows_used:
                 bottoms[i] = grades_lists[i][rows_used - 1]
-        return consumed, stop_row is not None
+        stop_tau = tau[consumed - 1]
+        return consumed, stop_row < rows
 
     def consume(windows, rows: int) -> Dict[int, str]:
         """Log the first ``rows`` rows of every window as used by TA,
@@ -634,6 +650,10 @@ def threshold_top_k(
         # them in: that is the order a live per-object seen-set would
         # have, and NRA's stable (-grade, str(id)) ranking can tell it
         # from the log's list-major order when two ids share a ``str``.
+        if object_codes is not None:  # the bulk round keeps codes
+            seen_codes = _np.concatenate([codes for codes, _ in seen_log])
+            overall.update(dict.fromkeys(object_codes.decode(seen_codes)))
+            sorted_log[:] = [(i, object_codes.decode(c), g) for i, c, g in sorted_log]
         bounds = GradeMatrix.from_known(
             {object_id: {} for object_id in overall}, m
         )
@@ -671,7 +691,12 @@ def threshold_top_k(
                 sources[i].prefetch_sorted(
                     cursors[i].position + batch_size, executor=executor
                 )
-            windows = [cursor.peek_batch_columns(batch_size) for cursor in cursors]
+            windows = [
+                cursor.peek_batch_columns(batch_size)
+                if object_codes is None
+                else source._codes_range(object_codes, cursor.position, batch_size)
+                for source, cursor in zip(sources, cursors)
+            ]
             lengths = [len(window_ids) for window_ids, _ in windows]
             rows = max(lengths, default=0)
             if rows == 0:
@@ -692,7 +717,7 @@ def threshold_top_k(
             scan_rows = rows
             consumed = 0
             prefetched = None
-            if columnar and tracer is None:
+            if object_codes is not None:
                 consumed, stop = bulk_round(
                     windows, lengths, rows, tau, grades_lists
                 )
@@ -766,7 +791,7 @@ def threshold_top_k(
                             # grades and ordering as random_access_many
                             # would give on this backend — without a
                             # Python call fan per row.
-                            sources[j]._record_random_probes(ids)
+                            sources[j]._record_random_probes(len(ids), ids)
                             lookup = prefetched[j]
                             fetched = {
                                 object_id: lookup[object_id] for object_id in ids
@@ -796,10 +821,7 @@ def threshold_top_k(
                         known = fresh_known[object_id]
                         grade = rule([known[j] for j in range(m)])
                         overall[object_id] = grade
-                        if len(best_k) < k:
-                            heapq.heappush(best_k, grade)
-                        elif grade > best_k[0]:
-                            heapq.heapreplace(best_k, grade)
+                        admit(grade)
                 full = len(best_k) >= k
                 tau_row = tau[row]
                 if tracer is not None:
@@ -820,14 +842,17 @@ def threshold_top_k(
                 # accumulated state to NRA with the dead list frozen out.
                 return fall_back({}, died)
 
-    answers = GradedSet(
-        top_k_from_arrays(
-            list(overall),
-            iter_str_keys(overall),
-            _np.fromiter(overall.values(), _np.float64, len(overall)),
-            k,
-        )
-    )
+    if object_codes is None:
+        ids, codes = list(overall), _np.arange(len(overall))
+        grades = _np.fromiter(overall.values(), _np.float64, len(overall))
+    else:  # the bulk round decodes only the candidates below
+        ids = object_codes.ids
+        codes, grades = (_np.concatenate(column) for column in zip(*seen_log))
+    # only objects graded at least the k-th best grade can be answers
+    cut = _np.partition(grades, -k)[-k] if grades.size > k else -_np.inf
+    rows = _np.flatnonzero(grades >= cut)
+    picked = [ids[code] for code in codes[rows].tolist()]
+    answers = GradedSet(top_k_from_arrays(picked, str_ranks(picked), grades[rows], k))
     certificate: Optional[ApproximationCertificate] = None
     if theta > 1.0:
         # TA's reported grades are exact, so the k-th answer grade IS

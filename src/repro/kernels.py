@@ -19,6 +19,10 @@ NRA's stop test reads), ``best_incomplete`` (CA's resolution target),
 hand-offs, as plain ``{object_id: {column: grade}}`` data), and
 ``from_known`` to rebuild a state from that data.
 
+TA keeps no bounds state: its bulk round works on :class:`ObjectCodes`,
+dense int32 codes for a query's object ids, and decodes ids only for
+its answer candidates, ranked by :func:`str_ranks`.
+
 Determinism contract
 --------------------
 Every bound is exactly the per-object fold ``rule([...])`` would give:
@@ -34,7 +38,8 @@ per-object fold.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -238,15 +243,83 @@ class GradeMatrix:
 def top_k_from_arrays(ids: Sequence, str_ids, grades, k: int) -> List:
     """The k best ``(object_id, grade)`` pairs under the canonical
     ``(-grade, str(object_id))`` order, via one lexsort — the vectorized
-    equivalent of ``GradedSet(...).top(k)``."""
+    equivalent of ``GradedSet(...).top(k)``.  ``str_ids`` orders like
+    ``str(object_id)`` (e.g. :func:`str_ranks`); equal keys keep their
+    ``ids`` order."""
     order = _np.lexsort((str_ids, -grades))[:k]
     values = grades[order].tolist()
     return [(ids[row], values[i]) for i, row in enumerate(order.tolist())]
 
 
-def iter_str_keys(ids: Iterable) -> "object":
-    """``str()`` per object id, as a numpy array."""
-    return _np.asarray([str(object_id) for object_id in ids])
+def str_ranks(ids: Iterable):
+    """The rank of ``str(object_id)`` per id, in Python string order, as
+    an int64 array; ids with equal strings (``1`` and ``"1"``) share a
+    rank.  (Numpy ``<U`` keys would drop a trailing ``"\\x00"``; Python's
+    ``sorted`` keeps it.)"""
+    strs = [str(object_id) for object_id in ids]
+    rank = {text: position for position, text in enumerate(sorted(set(strs)))}
+    return _np.array([rank[text] for text in strs], dtype=_np.int64)
+
+
+class ObjectCodes:
+    """Dense int32 codes for object ids: an id -> code dict and the
+    ``ids`` decode list.
+
+    ``ObjectCodes(ids)`` codes distinct ``ids`` by position.  The dict
+    is built on first use, so of a set of sources that settle on one
+    index only that index ever builds one.  :meth:`encode` gives an id
+    the next code the first time it sees it, which is how a per-run
+    index grows; :meth:`lookup` never grows.  An
+    :class:`~repro.core.sources.ArraySource` holds its grades by code,
+    and a set of them settles on the one index with the smallest
+    ``serial`` (the oldest), so TA's bulk round works on codes alone.
+    """
+
+    __slots__ = ("serial", "ids", "_codes")
+
+    _serials = itertools.count()
+
+    def __init__(self, ids: Iterable = ()) -> None:
+        self.serial = next(ObjectCodes._serials)
+        self.ids: List = list(ids)
+        self._codes: Optional[Dict] = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _table(self) -> Dict:
+        # Two threads may both build it; either dict is the same table.
+        if self._codes is None:
+            self._codes = dict(zip(self.ids, range(len(self.ids))))
+        return self._codes
+
+    def __getitem__(self, object_id) -> int:
+        """The code of ``object_id``; ``KeyError`` if it has none."""
+        return self._table()[object_id]
+
+    def lookup(self, ids: Iterable):
+        """The codes of ``ids`` (int32); ``KeyError`` names the first id
+        without one."""
+        codes = self._table()
+        return _np.array([codes[object_id] for object_id in ids], dtype=_np.int32)
+
+    def encode(self, ids: Sequence):
+        """The codes of ``ids`` (int32), coding unseen ids in order."""
+        codes = self._table()
+        new = [object_id for object_id in dict.fromkeys(ids) if object_id not in codes]
+        if new:
+            codes.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
+            self.ids.extend(new)
+        return self.lookup(ids)
+
+    def decode(self, codes) -> List:
+        """The ids of an array of codes."""
+        ids = self.ids
+        return [ids[code] for code in codes.tolist()]
+
+    def decoded(self, codes) -> Iterator:
+        """:meth:`decode`, done only once the result is iterated."""
+        yield from self.decode(codes)
 
 
 def merge_sorted_shard_blocks(

@@ -71,6 +71,16 @@ def _id_column(ids: List[ObjectId], name: str):
     build rejects them loudly rather than guessing.
     """
     if all(isinstance(i, str) for i in ids):
+        # A <U column drops trailing NULs, so such an id would come back
+        # as another id or none; one scan of the joined ids spares the
+        # per-id test unless some id holds a NUL at all.
+        if "\x00" in "".join(ids):
+            for object_id in ids:
+                if object_id.endswith("\x00"):
+                    raise StorageError(
+                        f"source {name!r}: object id {object_id!r} ends in "
+                        "NUL, which memmap storage cannot represent"
+                    )
         return _np.asarray(ids) if ids else _np.asarray([], dtype="<U1"), "str"
     if all(isinstance(i, int) and not isinstance(i, bool) for i in ids):
         return _np.asarray(ids, dtype=_np.int64), "int"
@@ -339,7 +349,8 @@ def build_memmap(
     ordering is the canonical construction lexsort — descending grade,
     ties by ascending ``str(id)`` — exactly as :class:`ArraySource`
     computes it, so the two backends are interchangeable
-    object-for-object.  Ids must be all-str or all-int and distinct.
+    object-for-object.  Ids must be all-str or all-int and distinct, and
+    no str id may end in ``"\\x00"`` (its ``<U`` column would drop it).
 
     The build materializes the columns in RAM once (it is a loading
     tool, not a query path); for datasets too large for that, write the

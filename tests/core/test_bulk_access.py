@@ -244,6 +244,14 @@ def test_from_arrays_keeps_each_object_its_own_zero():
     assert np.signbit(column).tolist() == [False, True, False]
 
 
+def test_from_arrays_ranks_tied_ids_in_python_string_order():
+    # numpy <U keys drop a trailing NUL, which would tie "a\x00" with "a"
+    ids, grades = ["a\x00", "a", "b"], [0.5, 0.5, 0.5]
+    array = ArraySource.from_arrays(ids, grades)
+    listed = ListSource(dict(zip(ids, grades)))
+    assert list(array.object_ids()) == list(listed.object_ids()) == ["a", "a\x00", "b"]
+
+
 def test_from_arrays_validates_grade_range():
     # GradeError is a ValueError, and the message names the source and
     # the first offending position so a bad column is findable

@@ -1,0 +1,310 @@
+"""Dense object codes: :class:`~repro.kernels.ObjectCodes` and TA's bulk
+round over them.
+
+TA's bulk round reads columnar sources by int32 object code.  A set of
+``ArraySource`` s shares one index (the oldest, which the others adopt);
+sharded and memmap sources get an index coded per run through their
+id-based hooks.  Both must reproduce the per-row path over
+``ListSource`` exactly: answers in order, their grades, costs, sorted
+depth, the θ certificate, and per-shard access attribution.  (A grade's
+sign of zero is not compared: the batch forms of min, max and the means
+can return -0.0 where the scalar rule returns 0.0.)
+"""
+
+import os
+import sys
+import tempfile
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.sources import ArraySource, ListSource, shared_object_codes
+from repro.core.threshold import threshold_top_k
+from repro.errors import UnknownObjectError
+from repro.kernels import ObjectCodes, str_ranks
+from repro.observability import QueryTracer
+from repro.scoring import means, tnorms
+from repro.scoring.base import FunctionScoring
+from repro.storage import ShardedSource
+from tests.strategies import with_combine
+
+# ----------------------------------------------------------------------
+# ObjectCodes
+# ----------------------------------------------------------------------
+
+
+def test_encode_codes_unseen_ids_in_order_and_decode_inverts_it():
+    codes = ObjectCodes()
+    assert codes.encode(["b", 1, "b", "1"]).tolist() == [0, 1, 0, 2]
+    assert codes.encode([1, "c"]).tolist() == [1, 3]
+    assert codes.encode([]).dtype == np.int32
+    assert len(codes) == 4
+    assert codes.decode(np.array([3, 0, 2, 1])) == ["c", "b", "1", 1]
+    assert list(codes.decoded(np.array([1]))) == [1]
+
+
+def test_positional_codes_and_lookup_never_grows():
+    codes = ObjectCodes(["x", "y"])
+    assert codes["y"] == 1
+    assert codes.lookup(["y", "x"]).tolist() == [1, 0]
+    with pytest.raises(KeyError, match="'z'"):
+        codes.lookup(["x", "z"])
+    assert len(codes) == 2
+
+
+ID_POOL = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.text(alphabet="ab1\x00", max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(ID_POOL, unique=True, max_size=25))
+@example(["a\x00", "a", 1, "1", "10", 2])
+def test_str_ranks_are_python_string_order(ids):
+    rank = str_ranks(ids)
+    by_rank = np.argsort(rank, kind="stable")
+    assert [str(ids[row]) for row in by_rank] == sorted(map(str, ids))
+    # equal strings (1 and "1") share a rank, so a stable sort keeps
+    # them in input order
+    strs = [str(object_id) for object_id in ids]
+    for a in range(len(ids)):
+        for b in range(len(ids)):
+            assert (rank[a] == rank[b]) == (strs[a] == strs[b])
+
+
+# ----------------------------------------------------------------------
+# TA: bulk round over codes vs the per-row path over ListSource
+# ----------------------------------------------------------------------
+
+#: every int 0..19 next to its string twin, plus ids whose str ends in NUL
+MIXED_IDS = [i for n in range(20) for i in (n, str(n))] + ["a", "a\x00"]
+INT_IDS = list(range(40))
+STR_IDS = [f"s{n}" for n in range(40)]
+#: signed zeros, the smallest denormal and the largest grade below 1
+GRADES = (0.0, -0.0, 5e-324, 1 - 2**-53, 1.0, 0.5)
+RULES = (tnorms.MIN, tnorms.PRODUCT, means.MEAN, with_combine(means.MEAN, "scalar"))
+
+
+@st.composite
+def instances(draw):
+    pool = draw(st.sampled_from((MIXED_IDS, INT_IDS, STR_IDS)))
+    n = draw(st.integers(min_value=1, max_value=16))
+    ids = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    m = draw(st.integers(min_value=2, max_value=3))
+    if draw(st.booleans()):  # all ties
+        level = draw(st.sampled_from(GRADES))
+        columns = [[level] * n for _ in range(m)]
+    else:
+        cells = st.lists(st.sampled_from(GRADES), min_size=n, max_size=n)
+        columns = [draw(cells) for _ in range(m)]
+    k = draw(st.sampled_from((1, 2, n, n + 3)))
+    return (
+        ids,
+        columns,
+        draw(st.sampled_from(RULES)),
+        k,
+        draw(st.sampled_from((1, 7, 128))),
+        draw(st.sampled_from((1.0, 1.3))),
+    )
+
+
+def build(kind, ids, columns, directory):
+    names = [f"L{i}" for i in range(len(columns))]
+    if kind == "list":
+        return [ListSource(dict(zip(ids, c)), name=n) for n, c in zip(names, columns)]
+    if kind == "array":
+        # built separately: the bulk round makes them adopt one index
+        return [ArraySource.from_arrays(ids, c, name=n) for n, c in zip(names, columns)]
+    backend = kind.split("-")[1]
+    return [
+        ShardedSource.partition(
+            zip(ids, c), 3, name=n, backend=backend,
+            directory=os.path.join(directory, n),
+        )
+        for n, c in zip(names, columns)
+    ]
+
+
+def outcome(sources, rule, k, batch_size, theta, traced=False):
+    result = threshold_top_k(
+        sources, rule, k, batch_size=batch_size, theta=theta,
+        tracer=QueryTracer() if traced else None,
+    )
+    return (
+        [(item.object_id, item.grade) for item in result.answers],
+        result.cost,
+        result.sorted_depth,
+        result.approximation,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances())
+@example((["a\x00", "a", 1, "1"], [[0.5] * 4, [0.5] * 4], tnorms.MIN, 2, 7, 1.0))
+@example(([0, 1, 2], [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], tnorms.MIN, 2, 1, 1.3))
+def test_bulk_round_over_codes_matches_the_per_row_path(instance):
+    ids, columns, rule, k, batch_size, theta = instance
+    reference = outcome(build("list", ids, columns, None), rule, k, batch_size, theta)
+    array = build("array", ids, columns, None)
+    assert outcome(array, rule, k, batch_size, theta) == reference
+    assert len({id(source._coded[0]) for source in array}) == 1
+    kinds = []
+    if not any(str(i).endswith("\x00") for i in ids):
+        kinds.append("sharded-array")  # the shard merge keys on numpy strings
+        if len({type(i) for i in ids}) == 1:
+            kinds.append("sharded-memmap")  # all-str or all-int ids only
+    with tempfile.TemporaryDirectory() as directory:
+        for kind in kinds:
+            bulk = build(kind, ids, columns, os.path.join(directory, "bulk"))
+            per_row = build(kind, ids, columns, os.path.join(directory, "row"))
+            assert outcome(bulk, rule, k, batch_size, theta) == reference, kind
+            assert (
+                outcome(per_row, rule, k, batch_size, theta, traced=True) == reference
+            ), kind
+            assert [s.shard_stats() for s in bulk] == [
+                s.shard_stats() for s in per_row
+            ], kind
+            for source in bulk + per_row:
+                source.close()
+
+
+def test_a_non_monotone_rule_matches_the_per_row_path():
+    # τ can rise down a window, so the bulk round scans for the stop row
+    # (on the first instance a binary search would stop elsewhere)
+    rule = FunctionScoring(lambda g: abs(g[0] - g[1]), name="gap", is_monotone=False)
+    rng = np.random.default_rng(7)
+    cases = [
+        (
+            [[0.3, 0.1, 0.9, 0.1, 0.3, 0.6, 0.9, 0.6, 0.9],
+             [0.1, 0.3, 0.6, 0.3, 0.3, 0.3, 0.1, 0.1, 0.6]],
+            2, 128,
+        )
+    ] + [
+        ([rng.choice((0.1, 0.3, 0.6, 0.9), 80).tolist() for _ in range(2)], k, batch)
+        for k, batch in ((1, 7), (5, 128), (20, 1))
+    ]
+    for columns, k, batch_size in cases:
+        ids = [f"o{i}" for i in range(len(columns[0]))]
+        list_run, array_run = (
+            threshold_top_k(
+                build(kind, ids, columns, None), rule, k,
+                batch_size=batch_size, require_monotone=False,
+            )
+            for kind in ("list", "array")
+        )
+        assert [(i.object_id, i.grade) for i in array_run.answers] == [
+            (i.object_id, i.grade) for i in list_run.answers
+        ]
+        assert array_run.cost == list_run.cost
+        assert array_run.sorted_depth == list_run.sorted_depth
+
+
+# ----------------------------------------------------------------------
+# Adoption
+# ----------------------------------------------------------------------
+
+
+def shuffled_sources(count, n=60, seed=5):
+    """``count`` ArraySources over one object set, each built separately
+    from its own input order (so each codes the ids differently)."""
+    rng = np.random.default_rng(seed)
+    ids = [f"o{i}" for i in range(n)]
+    sources = []
+    for index in range(count):
+        order = rng.permutation(n)
+        sources.append(
+            ArraySource.from_arrays(
+                [ids[j] for j in order], rng.random(n), name=f"A{index}"
+            )
+        )
+    return ids, sources
+
+
+def test_separately_built_sources_converge_on_the_oldest_index():
+    ids, sources = shuffled_sources(3)
+    before = [source._grades_of_many(ids) for source in sources]
+    single = [[source._grade_of(object_id) for object_id in ids] for source in sources]
+    graded = [source.as_graded_set() for source in sources]
+    oldest = sources[0]._coded[0]
+    assert len({id(source._coded[0]) for source in sources}) == 3
+
+    threshold_top_k(sources[::-1], tnorms.MIN, 5)
+    assert all(source._coded[0] is oldest for source in sources)
+    assert shared_object_codes(sources) is oldest
+    assert [source._grades_of_many(ids) for source in sources] == before
+    assert [
+        [source._grade_of(object_id) for object_id in ids] for source in sources
+    ] == single
+    assert [source.as_graded_set() for source in sources] == graded
+    # a source never moves to a newer index
+    _, (newer,) = shuffled_sources(1)
+    assert not sources[0]._adopt(newer._coded[0])
+    assert newer._adopt(oldest)
+
+
+def test_different_object_sets_decline_adoption_with_the_old_error():
+    a = ArraySource.from_arrays(["x", "y", "z"], [0.9, 0.5, 0.1], name="A")
+    b = ArraySource.from_arrays(["x", "y", "w"], [0.8, 0.6, 0.2], name="B")
+    assert not b._adopt(a._coded[0])
+    with pytest.raises(UnknownObjectError) as error:
+        threshold_top_k([a, b], tnorms.MIN, 3)
+    assert str(error.value) == "\"source 'A' holds no object 'w'\""
+    with pytest.raises(UnknownObjectError) as error:
+        threshold_top_k([b, a], tnorms.MIN, 3)
+    assert str(error.value) == "\"source 'B' holds no object 'z'\""
+
+
+def test_concurrent_queries_over_unadopted_sources_match_serial():
+    """8 threads run TA over shared sources that have not adopted an
+    index yet.  Every thread walks pairs from the newest sources to the
+    oldest, so sources keep moving to older indexes while other threads
+    query them: every answer and cost must equal the serial run's."""
+    count = 12
+    pairs = [(i, i + 1) for i in reversed(range(count - 1))]
+    pairs += [(i, i + 2) for i in reversed(range(count - 2))]
+    rules = ((tnorms.MIN, 3), (means.MEAN, 8))
+
+    def snapshot(result):
+        return [(i.object_id, i.grade) for i in result.answers], result.cost
+
+    _, serial_sources = shuffled_sources(count, n=300)
+    serial = {
+        (pair, rule.name): snapshot(
+            threshold_top_k([serial_sources[i] for i in pair], rule, k)
+        )
+        for pair in pairs
+        for rule, k in rules
+    }
+    mismatches, finished = [], []
+
+    def client(sources, offset):
+        for step, pair in enumerate(pairs[offset:] + pairs[:offset]):
+            rule, k = rules[(offset + step) % 2]
+            got = snapshot(threshold_top_k([sources[i] for i in pair], rule, k))
+            if got != serial[pair, rule.name]:
+                mismatches.append((pair, rule.name))
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            _, sources = shuffled_sources(count, n=300)
+            threads = [
+                threading.Thread(target=client, args=(sources, offset))
+                for offset in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len({id(source._coded[0]) for source in sources}) == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(finished) == 4 * 8
+    assert mismatches == []

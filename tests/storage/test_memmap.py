@@ -122,6 +122,15 @@ def test_build_rejects_mixed_id_types(tmp_path):
         build_memmap(str(tmp_path / "x"), ["a", 1], [0.5, 0.4], name="x")
 
 
+def test_build_rejects_ids_ending_in_nul(tmp_path):
+    # a <U column would store "a\x00" as "a": the id could never be found
+    with pytest.raises(StorageError, match=r"'a\\x00'"):
+        build_memmap(str(tmp_path / "n"), ["a\x00", "b"], [0.5, 0.4], name="n")
+    source = build_memmap(str(tmp_path / "ok"), ["a\x00b", "b"], [0.5, 0.4])
+    assert source.random_access("a\x00b") == 0.5
+    source.close()
+
+
 def test_build_rejects_out_of_range_grades(tmp_path):
     with pytest.raises(GradeError):
         build_memmap(str(tmp_path / "g"), ["a", "b"], [0.5, 1.4], name="g")
