@@ -21,42 +21,29 @@ trade-off experiment E15 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
 
-from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource, SortedCursor
+from repro.core.cost import AccessCounter
+from repro.core.sources import GradedSource, SortedCursor, WrapperSource
 
 
 class _BatchCursor(SortedCursor):
     """Sorted access that pays per *batch fetched*, not per item.
 
-    The batch charge happens inside :meth:`BatchedSource._item_at` (and
-    its bulk form ``_items_range``) when the read position crosses the
-    fetched window, so the counter always equals the number of items the
-    repository has shipped — overshoot included.  Items inside an
-    already-fetched window are free.
+    The batch charge happens inside :meth:`BatchedSource._consume` when
+    the read position crosses the fetched window, so the counter always
+    equals the number of items the repository has shipped — overshoot
+    included.  Items inside an already-fetched window are free.
     """
 
-    def next(self) -> Optional[GradedItem]:
-        item = self._source._item_at(self.position)
-        if item is None:
-            return None
-        self.position += 1
-        return item
-
-    def next_batch(self, n: int) -> List[GradedItem]:
-        if n <= 0:
-            return []
-        items = self._source._items_range(self.position, n)
-        self.position += len(items)
-        return items
+    def _charge(self, count: int) -> None:
+        pass
 
 
-class BatchedSource(GradedSource):
+class BatchedSource(WrapperSource):
     """A source whose sorted access fetches whole batches.
 
-    Reading past the fetched window pays, on this source's counter, for
-    the entire next batch — the overshoot is the price of the batch
+    Reading past the fetched window pays, on this source's own counter,
+    for the entire next batch — the overshoot is the price of the batch
     interface.  The fetched window is shared by all cursors (the
     middleware caches what the repository already shipped).  Random
     access passes through unchanged.  ``requests`` counts round trips.
@@ -65,56 +52,25 @@ class BatchedSource(GradedSource):
     def __init__(self, inner: GradedSource, batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(f"batched[{batch_size}]({inner.name})")
-        self._inner = inner
+        super().__init__(inner, f"batched[{batch_size}]({inner.name})")
+        self.counter = AccessCounter()
         self.batch_size = batch_size
         #: items already fetched and paid for (batch multiples, capped at N)
         self.fetched = 0
         #: batch round trips made so far
         self.requests = 0
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
 
     def cursor(self) -> _BatchCursor:
         return _BatchCursor(self)
 
-    def _charge_through(self, index: int) -> None:
-        """Fetch (and pay for) whole batches until ``index`` is covered."""
-        while index >= self.fetched:
+    def _consume(self, start: int, count: int) -> None:
+        """Fetch (and pay for) whole batches until the read is covered."""
+        self._inner._consume(start, count)
+        while count and start + count > self.fetched:
             batch = min(self.batch_size, len(self._inner) - self.fetched)
             self.requests += 1
             self.fetched += batch
             self.counter.record_sorted(batch)
-
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        item = self._inner._item_at(index)
-        if item is None:
-            return None
-        self._charge_through(index)
-        return item
-
-    def _items_range(self, start: int, count: int):
-        items = self._inner._items_range(start, count)
-        if items:
-            self._charge_through(start + len(items) - 1)
-        return items
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        # Peeking never extends the fetched window — only a consuming
-        # read makes the repository ship (and charge for) a batch.
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int):
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        return self._inner._grade_of(object_id)
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
-        return self._inner._grades_of_many(object_ids)
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
 
 @dataclass(frozen=True)

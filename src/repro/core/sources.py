@@ -36,8 +36,8 @@ import numpy as _np
 
 from repro.core.cost import AccessCounter
 from repro.core.graded import GradedItem, GradedSet, ObjectId, validate_grade
-from repro.errors import AccessError, GradeError, UnknownObjectError
-from repro.kernels import ObjectCodes, str_ranks
+from repro.errors import AccessError, GradeError, UnknownObjectError, UnsupportedAccessError
+from repro.kernels import ObjectCodes, canonical_order
 
 #: Default window size for the algorithms' bulk sorted access.  One
 #: ``next_batch`` per list per round replaces ``batch_size`` Python call
@@ -116,6 +116,13 @@ class SortedCursor:
     measure.  ``peek_batch(n)`` is the accounting-free, side-effect-free
     lookahead the algorithms use to decide how much of a batch to
     actually consume.
+
+    Every access is one columnar read of the source
+    (``_columns_range``); a consuming read then calls the source's
+    ``_consume`` (delivery side effects, which may refuse the delivery
+    by raising) before charging and advancing.  The ``_columns`` forms
+    hand the (ids, float64 grades) window over as is; the others box it
+    into :class:`GradedItem` s.
     """
 
     __slots__ = ("_source", "position")
@@ -124,81 +131,47 @@ class SortedCursor:
         self._source = source
         self.position = 0
 
-    def next(self) -> Optional[GradedItem]:
-        item = self._source._item_at(self.position)
-        if item is None:
-            return None
+    def next_batch_columns(self, n: int) -> Tuple[List[ObjectId], "object"]:
+        """The next ``n`` items in sorted order as parallel (ids, float64
+        grades), charging one sorted access per item delivered.  Short
+        only when the list runs out; an exhausted cursor returns empty
+        columns — after still calling ``_consume`` with a count of 0,
+        since asking a repository for more is itself an access."""
+        if n <= 0:
+            return [], _np.empty(0)
         start = self.position
-        self.position += 1
-        self._source.counter.record_sorted()
-        self._source._attribute_sorted(start, 1)
-        return item
+        ids, grades = self._source._columns_range(start, n)
+        self._source._consume(start, len(ids))
+        if ids:
+            self._charge(len(ids))
+            self.position += len(ids)
+        return ids, grades
+
+    def _charge(self, count: int) -> None:
+        self._source.counter.record_sorted(count)
 
     def next_batch(self, n: int) -> List[GradedItem]:
-        """The next ``n`` items in sorted order (charging one sorted
-        access per item delivered).  Returns fewer than ``n`` items only
-        when the list runs out; an exhausted cursor returns ``[]``."""
-        if n <= 0:
-            return []
-        start = self.position
-        items = self._source._items_range(start, n)
-        if items:
-            self.position += len(items)
-            self._source.counter.record_sorted(len(items))
-            self._source._attribute_sorted(start, len(items))
-        return items
+        """:meth:`next_batch_columns`, boxed into items."""
+        return _boxed(*self.next_batch_columns(n))
 
-    def peek_batch(self, n: int) -> List[GradedItem]:
-        """Up to ``n`` upcoming items, without paying or advancing.
+    def next(self) -> Optional[GradedItem]:
+        items = self.next_batch(1)
+        return items[0] if items else None
+
+    def peek_batch_columns(self, n: int) -> Tuple[List[ObjectId], "object"]:
+        """Up to ``n`` upcoming items as (ids, float64 grades), without
+        paying or advancing.
 
         Peeks are side-effect-free: no counter is charged, no wrapper
         state (verification history, batch windows, caches) moves.
         """
         if n <= 0:
-            return []
-        return self._source._peek_range(self.position, n)
-
-    def next_batch_columns(self, n: int) -> Tuple[List[ObjectId], "object"]:
-        """Columnar :meth:`next_batch`: parallel (ids, float64 grades).
-
-        Identical accounting and delivery semantics — one sorted access
-        charged per delivered item, position advanced — but the grades
-        stay in an array instead of being boxed into per-item
-        :class:`GradedItem` objects.  Only bare columnar backends
-        (``supports_columnar``) expose the raw hook; anything wrapped
-        (verification, fault injection, tracing, ...) falls back to
-        :meth:`next_batch` so wrapper bookkeeping observes every
-        delivered item exactly as on the scalar path.
-        """
-        if n <= 0:
             return [], _np.empty(0)
-        hook = getattr(self._source, "_columns_range", None)
-        if hook is None:
-            items = self.next_batch(n)
-            return (
-                [item.object_id for item in items],
-                _np.asarray([item.grade for item in items], dtype=_np.float64),
-            )
-        start = self.position
-        ids, grades = hook(start, n)
-        if ids:
-            self.position += len(ids)
-            self._source.counter.record_sorted(len(ids))
-            self._source._attribute_sorted(start, len(ids))
-        return ids, grades
+        return self._source._columns_range(self.position, n)
 
-    def peek_batch_columns(self, n: int) -> Tuple[List[ObjectId], "object"]:
-        """Columnar :meth:`peek_batch`: charge-free, position unchanged."""
-        if n <= 0:
-            return [], _np.empty(0)
-        hook = getattr(self._source, "_columns_range", None)
-        if hook is None:
-            items = self.peek_batch(n)
-            return (
-                [item.object_id for item in items],
-                _np.asarray([item.grade for item in items], dtype=_np.float64),
-            )
-        return hook(self.position, n)
+    def peek_batch(self, n: int) -> List[GradedItem]:
+        """:meth:`peek_batch_columns`, boxed into items."""
+        return _boxed(*self.peek_batch_columns(n))
 
     def peek_grade(self) -> Optional[float]:
         """Grade the next sorted access would return, without paying.
@@ -206,20 +179,28 @@ class SortedCursor:
         Not part of the paper's access model — used by the algorithms'
         batch planning, tests, and internal invariant checks.
         """
-        item = self._source._peek_at(self.position)
-        return None if item is None else item.grade
+        ids, grades = self.peek_batch_columns(1)
+        return float(grades[0]) if ids else None
 
     @property
     def exhausted(self) -> bool:
-        return self._source._peek_at(self.position) is None
+        return not self.peek_batch_columns(1)[0]
+
+
+def _boxed(ids: List[ObjectId], grades) -> List[GradedItem]:
+    return [_fast_item(object_id, grade) for object_id, grade in zip(ids, grades.tolist())]
 
 
 class GradedSource(ABC):
     """One ranked list with sorted and random access, cost-accounted.
 
-    Subclasses implement :meth:`_item_at` (the i-th best item, 0-based)
-    and :meth:`_grade_of` (the grade of a named object); the public
-    methods layer the accounting on top.
+    A source implements two charge-free array hooks —
+    :meth:`_columns_range` (a window of the sorted list) and
+    :meth:`_grades_of_many` (grades of named objects) — plus
+    ``__len__``.  Every public access is derived from them here and in
+    :class:`SortedCursor`, which layer the accounting on top.  Delivery
+    side effects (fault injection, verification, batch charging, ...)
+    go in the optional :meth:`_consume`.
     """
 
     #: False for repositories reachable only through sorted access
@@ -230,12 +211,10 @@ class GradedSource(ABC):
     #: predicate such as Artist='Beatles').  The planner uses this to
     #: pick the Boolean-conjunct-first strategy of section 4.1.
     is_boolean = False
-    #: True only for bare columnar backends whose sorted prefix can be
-    #: read as raw (ids, grades-array) columns (``_columns_range``).
-    #: Wrappers deliberately leave this False: their per-item side
-    #: effects must observe every delivery, so the algorithms fall back
-    #: to item-based access through them, and TA takes its bulk
-    #: shortcuts only over all-columnar sources.
+    #: True when reads are free and accesses cannot fail, so TA may read
+    #: whole windows and probe grades ahead of charging for them (its
+    #: bulk round).  Wrappers leave it False: their side effects must
+    #: observe every access as it is charged.
     supports_columnar = False
 
     def __init__(self, name: str) -> None:
@@ -247,79 +226,32 @@ class GradedSource(ABC):
 
     # -- implementation hooks -------------------------------------------------
     @abstractmethod
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        """The index-th item of the sorted list, or None past the end."""
+    def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
+        """Positions ``start .. start+count-1`` of the sorted list (short
+        at the end) as (ids list, float64 grade array).  Never charges
+        and never moves wrapper state."""
 
     @abstractmethod
-    def _grade_of(self, object_id: ObjectId) -> float:
-        """The grade of the object; raise UnknownObjectError if absent."""
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
+        """Grades of the named objects as a float64 array in request
+        order, without accounting; raise UnknownObjectError naming the
+        first missing id in request order."""
 
     @abstractmethod
     def __len__(self) -> int:
         """Number of objects in the list (the database size N)."""
 
-    # -- bulk implementation hooks --------------------------------------------
-    # Wrappers MUST override these to delegate to the wrapped source's
-    # bulk hooks; otherwise wrapping silently degrades bulk access back
-    # to one Python call per item.  Backends (ListSource, ArraySource)
-    # override them with slice/vector implementations.
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        """Items ``start .. start+count-1`` of the sorted list (short at
-        the end).  May carry the same side effects as ``_item_at``
-        (verification, batch-window charging, cache extension)."""
-        items: List[GradedItem] = []
-        for index in range(start, start + count):
-            item = self._item_at(index)
-            if item is None:
-                break
-            items.append(item)
-        return items
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        """Like ``_item_at`` but guaranteed side-effect- and charge-free.
-
-        The default assumes ``_item_at`` is already pure (true for plain
-        backends); stateful wrappers override this to bypass their
-        delivery bookkeeping.
-        """
-        return self._item_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        """Bulk, side-effect-free lookahead (see :meth:`_peek_at`)."""
-        items: List[GradedItem] = []
-        for index in range(start, start + count):
-            item = self._peek_at(index)
-            if item is None:
-                break
-            items.append(item)
-        return items
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
-        """Grades of the named objects, without accounting (bulk form of
-        ``_grade_of``); raise UnknownObjectError if any is absent."""
-        return {object_id: self._grade_of(object_id) for object_id in object_ids}
-
-    # -- storage attribution hooks ---------------------------------------------
-    # Composite backends (ShardedSource) break charged totals down to
-    # their physical constituents.  Both hooks forward along the wrapper
-    # chain by default, so a sharded source keeps exact per-shard
-    # accounting no matter how deep it sits in a wrapper stack; wrappers
-    # that *translate* object ids (MappedSource) override the random
-    # hook to translate before forwarding.  Neither hook charges the
-    # source's own counter — that already happened at the call site.
-    def _attribute_sorted(self, start: int, count: int) -> None:
-        """Attribute ``count`` consumed sorted accesses from position
-        ``start`` to the owning physical constituents, if any."""
-        inner = getattr(self, "_inner", None)
-        if inner is not None:
-            inner._attribute_sorted(start, count)
+    def _consume(self, start: int, count: int) -> None:
+        """Delivery side effects of a consuming sorted read of positions
+        ``start .. start+count-1`` (``count`` is 0 for an empty read at
+        the end of the list).  Raising refuses the delivery: the cursor
+        neither charges nor advances."""
 
     def _attribute_random(self, object_ids: Sequence[ObjectId]) -> None:
         """Attribute charged random probes of ``object_ids`` to the
-        owning physical constituents, if any."""
-        inner = getattr(self, "_inner", None)
-        if inner is not None:
-            inner._attribute_random(object_ids)
+        owning physical constituents, if any (sharded backends; wrappers
+        forward it, translating ids if they rename them).  The source's
+        own counter was already charged at the call site."""
 
     def _record_random_probes(self, count: int, object_ids: Iterable[ObjectId]) -> None:
         """Charge ``count`` random accesses, of ``object_ids``, whose
@@ -340,9 +272,8 @@ class GradedSource(ABC):
     # -- object-code hooks -------------------------------------------------------
     # TA's bulk round reads columnar sources by dense object code (a
     # :class:`~repro.kernels.ObjectCodes` index shared by the query's
-    # sources).  These defaults go through ids and ``_columns_range``;
-    # ArraySource overrides both to slice and gather when the index is
-    # its own.
+    # sources).  These defaults go through ids; ArraySource overrides
+    # both to slice and gather when the index is its own.
     def _codes_range(self, codes: ObjectCodes, start: int, count: int):
         """Columnar sorted prefix by code: (int32 codes, float64 grades)
         of positions ``start .. start+count-1``, charge-free like
@@ -353,9 +284,7 @@ class GradedSource(ABC):
     def _grades_of_codes(self, codes: ObjectCodes, coded):
         """Grades (float64, request order) of the objects with codes
         ``coded``, without accounting — ``_grades_of_many`` by code."""
-        ids = codes.decode(coded)
-        fetched = self._grades_of_many(ids)
-        return _np.array([fetched[object_id] for object_id in ids], dtype=_np.float64)
+        return self._grades_of_many(codes.decode(coded))
 
     def prefetch_sorted(self, depth: int, *, executor=None) -> None:
         """Free hint: the caller will soon read the sorted prefix up to
@@ -365,12 +294,9 @@ class GradedSource(ABC):
         may use it to warm caches (memmap pages, shard-merge buffers),
         optionally overlapping per-constituent reads on ``executor`` (a
         :class:`~repro.parallel.ParallelAccessExecutor`; must only be
-        driven from the coordinating thread).  The default forwards
-        along the wrapper chain; plain backends ignore it.
+        driven from the coordinating thread).  Plain backends ignore it;
+        wrappers forward it.
         """
-        inner = getattr(self, "_inner", None)
-        if inner is not None:
-            inner.prefetch_sorted(depth, executor=executor)
 
     # -- public access modes ---------------------------------------------------
     def cursor(self) -> SortedCursor:
@@ -390,7 +316,7 @@ class GradedSource(ABC):
 
     def random_access(self, object_id: ObjectId) -> float:
         """Grade of ``object_id`` under this source's query (one access)."""
-        grade = self._grade_of(object_id)
+        grade = float(self._grades_of_many([object_id])[0])
         self.counter.record_random()
         self._attribute_random((object_id,))
         return grade
@@ -416,67 +342,38 @@ class GradedSource(ABC):
         grades = self._grades_of_many(ids)
         self.counter.record_random(len(ids))
         self._attribute_random(ids)
-        return grades
+        return dict(zip(ids, grades.tolist()))
 
     # -- conveniences ----------------------------------------------------------
-    def object_ids(self) -> Iterable[ObjectId]:
-        """All object ids, in sorted-list order.  Free (used by tests
-        and the naive baseline's result checking, not by algorithms);
-        routed through the peek path so no wrapper charges for it.
-
-        Columnar backends (``_columns_range``) stream raw id chunks
-        instead of boxing one :class:`GradedItem` per object — on an
-        N=10^7 source that is the difference between a flat generator
-        and tens of millions of throwaway objects.
-        """
+    def _chunks(self):
+        """The whole sorted list as charge-free (ids, grades) chunks."""
         chunk_size = self._MATERIALIZE_CHUNK
-        hook = getattr(self, "_columns_range", None)
         index = 0
-        if hook is not None:
-            while True:
-                ids, _ = hook(index, chunk_size)
-                yield from ids
-                if len(ids) < chunk_size:
-                    return
-                index += chunk_size
         while True:
-            chunk = self._peek_range(index, chunk_size)
-            for item in chunk:
-                yield item.object_id
-            if len(chunk) < chunk_size:
+            ids, grades = self._columns_range(index, chunk_size)
+            yield ids, grades
+            if len(ids) < chunk_size:
                 return
             index += chunk_size
 
-    def as_graded_set(self) -> GradedSet:
-        """Materialize the full list as a graded set (accounting-free).
+    def object_ids(self) -> Iterable[ObjectId]:
+        """All object ids, in sorted-list order.  Free (used by tests
+        and the naive baseline's result checking, not by algorithms),
+        and streamed in raw id chunks — on an N=10^7 source that is the
+        difference between a flat generator and tens of millions of
+        throwaway :class:`GradedItem` s."""
+        for ids, _ in self._chunks():
+            yield from ids
 
-        Uses the side-effect-free peek path, so it stays free even
-        through wrappers with their own charging rules (e.g. a
-        :class:`~repro.core.batching.BatchedSource` charging whole
-        batches per read).  Columnar backends skip the per-item
-        :class:`GradedItem` boxing entirely: chunks of raw (id, grade)
-        columns land straight in the result's mapping — the grades were
-        already validated in bulk when the backend was built.
-        """
+    def as_graded_set(self) -> GradedSet:
+        """Materialize the full list as a graded set (accounting-free,
+        even through wrappers with their own charging rules).  Chunks of
+        raw (id, grade) columns land straight in the result's mapping —
+        the grades were already validated when the backend was built."""
         result = GradedSet()
-        chunk_size = self._MATERIALIZE_CHUNK
-        hook = getattr(self, "_columns_range", None)
-        index = 0
-        if hook is not None:
-            grades_map = result._grades
-            while True:
-                ids, grades = hook(index, chunk_size)
-                grades_map.update(zip(ids, grades.tolist()))
-                if len(ids) < chunk_size:
-                    return result
-                index += chunk_size
-        while True:
-            chunk = self._peek_range(index, chunk_size)
-            for item in chunk:
-                result[item.object_id] = item.grade
-            if len(chunk) < chunk_size:
-                return result
-            index += chunk_size
+        for ids, grades in self._chunks():
+            result._grades.update(zip(ids, grades.tolist()))
+        return result
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} n={len(self)}>"
@@ -488,6 +385,8 @@ class ListSource(GradedSource):
     Accepts a :class:`GradedSet`, a mapping, or ``(object, grade)`` pairs.
     Sorted order is computed once; random access is a dict lookup.  Ties
     are ordered deterministically (by object id) so runs are repeatable.
+    It leaves ``supports_columnar`` off, so TA runs its per-row path over
+    it: the reference the bulk round is checked against.
     """
 
     def __init__(
@@ -496,60 +395,43 @@ class ListSource(GradedSource):
         name: str = "list",
     ) -> None:
         super().__init__(name)
-        if isinstance(items, GradedSet):
-            graded = items
-        else:
-            graded = GradedSet(items)
-        self._sorted: List[GradedItem] = list(graded)
+        graded = items if isinstance(items, GradedSet) else GradedSet(items)
+        ordered = list(graded)
+        self._sorted_ids: List[ObjectId] = [item.object_id for item in ordered]
+        self._sorted_grades = _np.array([item.grade for item in ordered], dtype=_np.float64)
         self._grades: Dict[ObjectId, float] = graded.as_dict()
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        if 0 <= index < len(self._sorted):
-            return self._sorted[index]
-        return None
+    def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
+        stop = start + count
+        return self._sorted_ids[start:stop], self._sorted_grades[start:stop]
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._sorted[start : start + count]
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._sorted[start : start + count]
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        try:
-            return self._grades[object_id]
-        except KeyError:
-            raise UnknownObjectError(
-                f"source {self.name!r} holds no object {object_id!r}"
-            ) from None
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         grades = self._grades
         try:
-            return {object_id: grades[object_id] for object_id in object_ids}
+            return _np.array(
+                [grades[object_id] for object_id in object_ids], dtype=_np.float64
+            )
         except KeyError as exc:
             raise UnknownObjectError(
                 f"source {self.name!r} holds no object {exc.args[0]!r}"
             ) from None
 
-    def as_graded_set(self) -> GradedSet:
-        return GradedSet(self._grades)
-
     def __len__(self) -> int:
-        return len(self._sorted)
+        return len(self._sorted_ids)
 
 
 class ArraySource(GradedSource):
     """Columnar, numpy-backed graded list — a drop-in ListSource alternative.
 
     Grades live in one contiguous ``float64`` array; sorted order is one
-    ``argsort`` at construction (descending grade, ties by stringified
-    object id — exactly :class:`ListSource`'s order, so the two backends
-    are interchangeable object-for-object, not just grade-for-grade).
-    Bulk sorted access (``_items_range``/``_peek_range``) is an array
-    slice instead of one Python call per item, and grade validation is a
-    single vectorized check instead of N ``validate_grade`` calls, which
-    is where the bulk-access protocol's wall-clock win comes from on
-    large synthetic workloads (benchmark E19).
+    :func:`~repro.kernels.canonical_order` at construction (descending
+    grade, ties by stringified object id — exactly :class:`ListSource`'s
+    order, so the two backends are interchangeable object-for-object,
+    not just grade-for-grade).  Sorted access is an array slice instead
+    of one Python call per item, and grade validation is a single
+    vectorized check instead of N ``validate_grade`` calls, which is
+    where the bulk-access protocol's wall-clock win comes from on large
+    synthetic workloads (benchmark E19).
 
     Grades are held by object code (:class:`~repro.kernels.ObjectCodes`),
     not in an id -> grade dict: a random access is one dict lookup and a
@@ -596,7 +478,7 @@ class ArraySource(GradedSource):
         they are rejected loudly).
 
         ``presorted=True`` trusts the *order* of the input — skipping
-        the construction lexsort — but still validates that the grades
+        the construction sort — but still validates that the grades
         are sorted nonincreasing (again a clear ``GradeError`` instead
         of silently wrong bounds downstream).  The caller must also
         have broken grade ties by ascending ``str(id)`` for the source
@@ -622,32 +504,9 @@ class ArraySource(GradedSource):
                 f"source {name!r}: expected one grade per object, got "
                 f"{len(ids)} ids and shape {values.shape} grades"
             )
-        if presorted:
-            order = _np.arange(len(ids))
-            self._sorted_grades = values
-            self._sorted_ids: List[ObjectId] = list(ids)
-        else:
-            # One argsort on the grades replaces N log N Python
-            # comparisons; only the runs of *equal* grades are then put
-            # in ascending (str(id), input position) order — the exact
-            # GradedItem sort key under a stable sort, so ties break as
-            # ListSource's do — which spares the N-string key array.
-            order = _np.argsort(-values)
-            ranked = values[order]
-            equal = ranked[1:] == ranked[:-1]
-            tied = _np.zeros(len(order), dtype=bool)
-            tied[1:] = equal
-            tied[:-1] |= equal
-            slots = _np.nonzero(tied)[0]
-            if len(slots):
-                rows = order[slots]
-                keys = str_ranks([ids[j] for j in rows.tolist()])
-                # Grades are nonincreasing along the slots, so sorting
-                # on them first permutes rows within their own run only.
-                order[slots] = rows[_np.lexsort((rows, keys, -ranked[slots]))]
-                ranked = values[order]  # 0.0 and -0.0 share a run
-            self._sorted_grades = ranked
-            self._sorted_ids = [ids[j] for j in order.tolist()]
+        order = _np.arange(len(ids)) if presorted else canonical_order(ids, values)
+        self._sorted_grades = values[order]
+        self._sorted_ids: List[ObjectId] = [ids[j] for j in order.tolist()]
         #: ``(codes, sorted_codes, grade_by_code)``: an id's code is its
         #: input position until :meth:`_adopt` re-codes the source; one
         #: attribute, so a reader always sees one consistent snapshot.
@@ -676,44 +535,11 @@ class ArraySource(GradedSource):
         self._coded = (codes, recode[sorted_codes], by_new_code)
         return True
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        if 0 <= index < len(self._sorted_ids):
-            return _fast_item(
-                self._sorted_ids[index], float(self._sorted_grades[index])
-            )
-        return None
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        ids = self._sorted_ids[start : start + count]
-        grades = self._sorted_grades[start : start + count].tolist()
-        return [_fast_item(obj, grade) for obj, grade in zip(ids, grades)]
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._items_range(start, count)
-
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
-        """Raw columnar sorted prefix: (ids, float64 grade array).
+        stop = start + count
+        return self._sorted_ids[start:stop], self._sorted_grades[start:stop]
 
-        The algorithms' zero-boxing read path (``SortedCursor.
-        next_batch_columns``); charge-free by itself — the cursor does
-        the accounting, exactly as with ``_items_range``.
-        """
-        return (
-            self._sorted_ids[start : start + count],
-            self._sorted_grades[start : start + count],
-        )
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        codes, _, grade_by_code = self._coded
-        try:
-            code = codes[object_id]
-        except KeyError:
-            raise UnknownObjectError(
-                f"source {self.name!r} holds no object {object_id!r}"
-            ) from None
-        return float(grade_by_code[code])
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         codes, _, grade_by_code = self._coded
         try:
             coded = codes.lookup(object_ids)
@@ -721,7 +547,7 @@ class ArraySource(GradedSource):
             raise UnknownObjectError(
                 f"source {self.name!r} holds no object {exc.args[0]!r}"
             ) from None
-        return dict(zip(object_ids, grade_by_code[coded].tolist()))
+        return grade_by_code[coded]
 
     def _codes_range(self, codes: ObjectCodes, start: int, count: int):
         own, sorted_codes, _ = self._coded
@@ -736,17 +562,55 @@ class ArraySource(GradedSource):
             return super()._grades_of_codes(codes, coded)
         return grade_by_code[coded]
 
-    def object_ids(self) -> Iterable[ObjectId]:
-        return iter(self._sorted_ids)
-
-    def as_graded_set(self) -> GradedSet:
-        return GradedSet(zip(self._sorted_ids, self._sorted_grades.tolist()))
-
     def __len__(self) -> int:
         return len(self._sorted_ids)
 
 
-class SortedOnlySource(GradedSource):
+class WrapperSource(GradedSource):
+    """Pass-through base of the wrappers over one ``inner`` source.
+
+    Forwards ``__len__``, both array hooks, ``_consume``,
+    ``_attribute_random`` and ``prefetch_sorted`` to the wrapped source,
+    shares its counter (a wrapper that keeps its own replaces it) and
+    copies the protocol flags the planner reads, so a wrapper overrides
+    only what it changes.  Wrappers that set ``_copies_positive_count``
+    also pass the Boolean selectivity on; the others hide it, which keeps
+    the planner's Boolean-first strategy (it has no degradation path)
+    off failure-capable stacks.
+    """
+
+    _copies_positive_count = False
+
+    def __init__(self, inner: GradedSource, name: Optional[str] = None) -> None:
+        super().__init__(inner.name if name is None else name)
+        self._inner = inner
+        self.counter = inner.counter
+        self.supports_random_access = inner.supports_random_access
+        self.is_boolean = inner.is_boolean
+        positive = getattr(inner, "positive_count", None)
+        if positive is not None and self._copies_positive_count:
+            self.positive_count = positive
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+    def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
+        return self._inner._columns_range(start, count)
+
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
+        return self._inner._grades_of_many(object_ids)
+
+    def _consume(self, start: int, count: int) -> None:
+        self._inner._consume(start, count)
+
+    def _attribute_random(self, object_ids: Sequence[ObjectId]) -> None:
+        self._inner._attribute_random(object_ids)
+
+    def prefetch_sorted(self, depth: int, *, executor=None) -> None:
+        self._inner.prefetch_sorted(depth, executor=executor)
+
+
+class SortedOnlySource(WrapperSource):
     """A source whose repository supports only sorted access.
 
     Some multimedia repositories expose data "in only limited ways"
@@ -756,46 +620,17 @@ class SortedOnlySource(GradedSource):
     copes with such sources.
     """
 
-    supports_random_access = False
-
     def __init__(self, inner: GradedSource) -> None:
-        super().__init__(f"sorted-only({inner.name})")
-        self._inner = inner
-        # Share the inner counter so costs are attributed consistently.
-        self.counter = inner.counter
+        super().__init__(inner, f"sorted-only({inner.name})")
+        self.supports_random_access = False
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._item_at(index)
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._items_range(start, count)
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        from repro.errors import UnsupportedAccessError
-
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         raise UnsupportedAccessError(
             f"source {self.name!r} does not support random access"
         )
 
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
-        # Bulk random access is just as unsupported as the single form.
-        from repro.errors import UnsupportedAccessError
 
-        raise UnsupportedAccessError(
-            f"source {self.name!r} does not support random access"
-        )
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-
-class VerifyingSource(GradedSource):
+class VerifyingSource(WrapperSource):
     """A defensive wrapper over an untrusted subsystem's ranked list.
 
     Section 4.2's real-world issues include subsystems the middleware
@@ -810,78 +645,46 @@ class VerifyingSource(GradedSource):
       sorted stream already delivered for the same object.
 
     The checks are O(1) per access; the counter is shared with the
-    wrapped source so accounting is unchanged.
+    wrapped source so accounting is unchanged.  Peeks are not
+    deliveries: no verification state moves, so a peek can never alter
+    what a later random access is checked against.
     """
 
     def __init__(self, inner: GradedSource, *, tolerance: float = 1e-9) -> None:
-        super().__init__(f"verified({inner.name})")
-        self._inner = inner
+        super().__init__(inner, f"verified({inner.name})")
         self._tolerance = tolerance
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
         #: grades already delivered under sorted access, for consistency
         self._delivered: Dict[ObjectId, float] = {}
         self._max_position_grade: Optional[Tuple[int, float]] = None
 
-    def _observe_delivery(self, index: int, item: GradedItem) -> None:
-        """Record one sorted delivery, raising on an order violation."""
-        if self._max_position_grade is not None:
-            deepest, grade_there = self._max_position_grade
-            if index > deepest and item.grade > grade_there + self._tolerance:
-                raise AccessError(
-                    f"subsystem {self._inner.name!r} violated sorted order: "
-                    f"grade {item.grade} at position {index} exceeds "
-                    f"{grade_there} at position {deepest}"
-                )
-        if self._max_position_grade is None or index > self._max_position_grade[0]:
-            self._max_position_grade = (index, item.grade)
-        self._delivered[item.object_id] = item.grade
+    def _consume(self, start: int, count: int) -> None:
+        """Record the delivered window, raising on an order violation."""
+        self._inner._consume(start, count)
+        ids, grades = self._columns_range(start, count)
+        for index, object_id, grade in zip(range(start, start + count), ids, grades.tolist()):
+            if self._max_position_grade is not None:
+                deepest, grade_there = self._max_position_grade
+                if index > deepest and grade > grade_there + self._tolerance:
+                    raise AccessError(
+                        f"subsystem {self._inner.name!r} violated sorted order: "
+                        f"grade {grade} at position {index} exceeds "
+                        f"{grade_there} at position {deepest}"
+                    )
+            if self._max_position_grade is None or index > self._max_position_grade[0]:
+                self._max_position_grade = (index, grade)
+            self._delivered[object_id] = grade
 
-    def _check_consistent(self, object_id: ObjectId, grade: float) -> None:
-        seen = self._delivered.get(object_id)
-        if seen is not None and abs(seen - grade) > self._tolerance:
-            raise AccessError(
-                f"subsystem {self._inner.name!r} is inconsistent: object "
-                f"{object_id!r} graded {seen} under sorted access but "
-                f"{grade} under random access"
-            )
-
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        item = self._inner._item_at(index)
-        if item is None:
-            return None
-        self._observe_delivery(index, item)
-        return item
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        items = self._inner._items_range(start, count)
-        for offset, item in enumerate(items):
-            self._observe_delivery(start + offset, item)
-        return items
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        # Peeks are not deliveries: no verification state moves, so a
-        # peek can never alter what a later random access is checked
-        # against (the algorithms only ever *pay* for what they use).
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        grade = self._inner._grade_of(object_id)
-        self._check_consistent(object_id, grade)
-        return grade
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         grades = self._inner._grades_of_many(object_ids)
-        for object_id, grade in grades.items():
-            self._check_consistent(object_id, grade)
+        for object_id, grade in zip(object_ids, grades.tolist()):
+            seen = self._delivered.get(object_id)
+            if seen is not None and abs(seen - grade) > self._tolerance:
+                raise AccessError(
+                    f"subsystem {self._inner.name!r} is inconsistent: object "
+                    f"{object_id!r} graded {seen} under sorted access but "
+                    f"{grade} under random access"
+                )
         return grades
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
 
 #: backend names accepted by :func:`sources_from_columns` and the

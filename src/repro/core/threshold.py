@@ -65,7 +65,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import GradeMatrix, _np, str_ranks, top_k_from_arrays
+from repro.kernels import GradeMatrix, _np, canonical_order
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -486,9 +486,7 @@ def threshold_top_k(
     #: the access failures this run outlives by handing over to NRA;
     #: anything else — everything, with ``degrade=False`` — propagates
     survivable = DEGRADABLE_ACCESS_ERRORS if degrade else ()
-    columnar = m > 1 and all(
-        getattr(source, "supports_columnar", False) for source in sources
-    )
+    columnar = m > 1 and all(source.supports_columnar for source in sources)
     bottoms = [1.0] * m
     #: overall grade of every object sorted access has delivered, in
     #: first-seen (row-major) order — TA's seen-set.  An object enters
@@ -732,7 +730,8 @@ def threshold_top_k(
                 if candidates:
                     candidates = list(dict.fromkeys(candidates))
                     prefetched = [
-                        source._grades_of_many(candidates) for source in sources
+                        dict(zip(candidates, source._grades_of_many(candidates).tolist()))
+                        for source in sources
                     ]
             for row in range(scan_rows):
                 # One TA round: the row-th item of every list, with bulk
@@ -851,8 +850,9 @@ def threshold_top_k(
     # only objects graded at least the k-th best grade can be answers
     cut = _np.partition(grades, -k)[-k] if grades.size > k else -_np.inf
     rows = _np.flatnonzero(grades >= cut)
-    picked = [ids[code] for code in codes[rows].tolist()]
-    answers = GradedSet(top_k_from_arrays(picked, str_ranks(picked), grades[rows], k))
+    picked, candidates = [ids[code] for code in codes[rows].tolist()], grades[rows]
+    top = canonical_order(picked, candidates)[:k]
+    answers = GradedSet(zip([picked[i] for i in top.tolist()], candidates[top].tolist()))
     certificate: Optional[ApproximationCertificate] = None
     if theta > 1.0:
         # TA's reported grades are exact, so the k-th answer grade IS

@@ -18,8 +18,9 @@ Access-mode mapping (section 4):
   of the index fast path);
 * **random access** is a direct distance evaluation against the stored
   vector (one ``distance_evaluations`` tick on the index);
-* the bulk/columnar contract (``_items_range``, ``_columns_range``,
-  ``supports_columnar``) is implemented, so the algorithms, storage
+* it implements the two array hooks every source does
+  (``_columns_range``, ``_grades_of_many``) and is ``supports_columnar``
+  (free reads, accesses that cannot fail), so the algorithms, storage
   wrappers, tracer accounting, and resilience middleware compose
   unchanged.
 
@@ -42,7 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.core.query import Atomic
-from repro.core.sources import GradedSource, _fast_item
+from repro.core.sources import GradedSource
 from repro.errors import IndexError_
 from repro.index.base import (
     LinearScanIndex,
@@ -139,23 +140,6 @@ class KnnSource(GradedSource):
                 )
 
     # -- GradedSource hooks ---------------------------------------------------
-    def _item_at(self, index: int):
-        self._materialize_to(index)
-        if index >= len(self._prefix_ids):
-            return None
-        return _fast_item(self._prefix_ids[index], self._prefix_grades[index])
-
-    def _items_range(self, start: int, count: int):
-        self._materialize_to(start + count - 1)
-        end = min(start + count, len(self._prefix_ids))
-        return [
-            _fast_item(self._prefix_ids[i], self._prefix_grades[i])
-            for i in range(start, end)
-        ]
-
-    def _peek_range(self, start: int, count: int):
-        return self._items_range(start, count)
-
     def _columns_range(self, start: int, count: int) -> Tuple[List[object], np.ndarray]:
         self._materialize_to(start + count - 1)
         end = min(start + count, len(self._prefix_ids))
@@ -164,23 +148,17 @@ class KnnSource(GradedSource):
             np.asarray(self._prefix_grades[start:end], dtype=np.float64),
         )
 
-    def _grade_of(self, object_id: object) -> float:
-        vector = self._index.vector_of(object_id)
-        self._index.stats.record_distances()
-        distance = euclidean_distances(vector, self._target)
-        return distance_to_grade(distance, scale=self._scale)
-
-    def _grades_of_many(self, object_ids) -> Dict[object, float]:
+    def _grades_of_many(self, object_ids) -> np.ndarray:
         # One distance block for the whole request through the shared
         # kernel and ``distance_to_grade``, both elementwise, so every
-        # grade is bit for bit what ``_grade_of`` returns.
+        # grade is bit for bit what probing one id at a time gives.
         ids = list(object_ids)
         if not ids:
-            return {}
+            return np.empty(0)
         block = np.stack([self._index.vector_of(object_id) for object_id in ids])
         self._index.stats.record_distances(len(ids))
         distances = euclidean_distances(block, self._target)
-        return dict(zip(ids, distance_to_grade(distances, self._scale).tolist()))
+        return np.asarray(distance_to_grade(distances, self._scale), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._index)

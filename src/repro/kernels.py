@@ -21,7 +21,7 @@ hand-offs, as plain ``{object_id: {column: grade}}`` data), and
 
 TA keeps no bounds state: its bulk round works on :class:`ObjectCodes`,
 dense int32 codes for a query's object ids, and decodes ids only for
-its answer candidates, ranked by :func:`str_ranks`.
+its answer candidates, ranked by :func:`canonical_order`.
 
 Determinism contract
 --------------------
@@ -30,7 +30,7 @@ Every bound is exactly the per-object fold ``rule([...])`` would give:
 IEEE-754 operations in the same order as its scalar path, or the exact
 per-row loop (see :mod:`repro.scoring.base`).  Answers are ordered by the
 same ``(-grade, str(object_id))`` key as ``GradedItem`` (via
-``numpy.lexsort``, stable in first-seen order), so answers, tie-breaks,
+:func:`canonical_order`, stable in first-seen order), so answers, tie-breaks,
 charged access counts and traces do not depend on how the bounds are
 stored.  tests/core/test_grade_matrix.py holds every method to that
 per-object fold.
@@ -38,6 +38,7 @@ per-object fold.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -69,12 +70,12 @@ class GradeMatrix:
     bound a numpy fold.
 
     Rows are assigned in first-seen order; NaN marks a grade not yet
-    learned.  String object-id keys are cached per row because every ordering in the
-    repo tie-breaks on ``str(object_id)`` ascending after grade
-    descending (``GradedItem._sort_key``).
+    learned.  ``str(object_id)`` is cached per row because every ordering
+    in the repo tie-breaks on it ascending after grade descending
+    (``GradedItem._sort_key``).
     """
 
-    __slots__ = ("m", "count", "ids", "_rows", "_strs", "_matrix", "_str_cache")
+    __slots__ = ("m", "count", "ids", "_rows", "_strs", "_matrix")
 
     def __init__(self, m: int, capacity: int = 1024) -> None:
         self.m = m
@@ -83,7 +84,6 @@ class GradeMatrix:
         self._rows: Dict = {}
         self._strs: List[str] = []
         self._matrix = _np.full((max(capacity, 1), m), _np.nan)
-        self._str_cache = None
 
     @classmethod
     def from_known(cls, known: Dict, m: int, capacity: int = 1024) -> "GradeMatrix":
@@ -115,7 +115,6 @@ class GradeMatrix:
             self._strs.append(str(object_id))
             self._ensure(row + 1)
             self.count = row + 1
-            self._str_cache = None
         return row
 
     def __contains__(self, object_id) -> bool:
@@ -146,12 +145,6 @@ class GradeMatrix:
         values = self._matrix[self._rows[object_id]].tolist()
         return [None if value != value else value for value in values]
 
-    def str_keys(self):
-        """``str(object_id)`` per row, as a numpy array (cached)."""
-        if self._str_cache is None or len(self._str_cache) != self.count:
-            self._str_cache = _np.asarray(self._strs[: self.count])
-        return self._str_cache
-
     def _fold(self, rule, fill, rows=None):
         """``rule`` over every row (or just ``rows``), missing grades
         read from ``fill``: a rule without a native batch form runs once
@@ -174,11 +167,25 @@ class GradeMatrix:
         """True per row when every grade is known."""
         return ~_np.isnan(self.known()).any(axis=1)
 
-    def top_order(self, scores):
-        """Row indices sorted by the repo's canonical answer order:
-        grade descending, then ``str(object_id)`` ascending — exactly
-        ``GradedItem._sort_key``."""
-        return _np.lexsort((self.str_keys(), -scores))
+    def top_order(self, scores, k: int):
+        """The (up to) ``k`` best rows by ``scores`` in the repo's
+        canonical answer order: grade descending, then ``str(object_id)``
+        ascending — exactly ``GradedItem._sort_key`` — then first seen.
+        Only the rows that can make the cut are ordered: those scoring
+        above the k-th best, and of those tied with it the ones with the
+        smallest strings (a bound state's lower bounds tie at 0 by the
+        thousand)."""
+        strs = self._strs
+        rows = _np.arange(self.count)
+        if k < self.count:
+            kth = _np.partition(scores, self.count - k)[self.count - k]
+            above = _np.flatnonzero(scores > kth)
+            tied = heapq.nsmallest(
+                k - above.size, _np.flatnonzero(scores == kth).tolist(), key=strs.__getitem__
+            )
+            rows = _np.sort(_np.concatenate((above, _np.array(tied, dtype=above.dtype))))
+        order = canonical_order([strs[row] for row in rows.tolist()], scores[rows])
+        return rows[order]
 
     def scores(self, rule) -> Tuple[List, List[float]]:
         """Every seen object's lower bound (its exact grade once all m
@@ -188,20 +195,21 @@ class GradeMatrix:
     def ranked(self, rule, k: int) -> Tuple[List, List[float]]:
         """The k best seen objects by lower bound, canonical order."""
         lower = self.lower_bounds(rule)
-        top = self.top_order(lower)[:k]
+        top = self.top_order(lower, k)
         return [self.ids[row] for row in top.tolist()], lower[top].tolist()
 
     def stop_view(self, rule, bottoms: Sequence[float], k: int) -> StopView:
         lower = self.lower_bounds(rule)
         upper = self.upper_bounds(rule, bottoms)
-        order = self.top_order(lower)
-        top, rest = order[:k], order[k:]
+        top = self.top_order(lower, k)
+        rest = _np.ones(self.count, dtype=bool)
+        rest[top] = False
         lowers = lower[top].tolist()
         return StopView(
             [self.ids[row] for row in top.tolist()],
             lowers,
             lowers[k - 1] if len(lowers) >= k else 0.0,
-            float(upper[rest].max()) if rest.size else 0.0,
+            float(upper[rest].max()) if rest.any() else 0.0,
             float((upper[top] - lower[top]).max()) if top.size else 0.0,
         )
 
@@ -240,17 +248,6 @@ class GradeMatrix:
         }
 
 
-def top_k_from_arrays(ids: Sequence, str_ids, grades, k: int) -> List:
-    """The k best ``(object_id, grade)`` pairs under the canonical
-    ``(-grade, str(object_id))`` order, via one lexsort — the vectorized
-    equivalent of ``GradedSet(...).top(k)``.  ``str_ids`` orders like
-    ``str(object_id)`` (e.g. :func:`str_ranks`); equal keys keep their
-    ``ids`` order."""
-    order = _np.lexsort((str_ids, -grades))[:k]
-    values = grades[order].tolist()
-    return [(ids[row], values[i]) for i, row in enumerate(order.tolist())]
-
-
 def str_ranks(ids: Iterable):
     """The rank of ``str(object_id)`` per id, in Python string order, as
     an int64 array; ids with equal strings (``1`` and ``"1"``) share a
@@ -259,6 +256,28 @@ def str_ranks(ids: Iterable):
     strs = [str(object_id) for object_id in ids]
     rank = {text: position for position, text in enumerate(sorted(set(strs)))}
     return _np.array([rank[text] for text in strs], dtype=_np.int64)
+
+
+def canonical_order(ids: Sequence, grades):
+    """The permutation putting ``(ids, grades)`` in the canonical order:
+    grade descending, then ``str(object_id)`` ascending in Python string
+    order, then input position — ``GradedItem``'s order under a stable
+    sort.  One argsort on the grades; only the runs of *equal* grades pay
+    for :func:`str_ranks`, so untied columns build no string keys."""
+    order = _np.argsort(-grades)
+    ranked = grades[order]
+    equal = ranked[1:] == ranked[:-1]  # 0.0 and -0.0 share a run
+    tied = _np.zeros(len(order), dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
+    slots = _np.flatnonzero(tied)
+    if slots.size:
+        rows = order[slots]
+        keys = str_ranks([ids[j] for j in rows.tolist()])
+        # Grades are nonincreasing along the slots, so sorting on them
+        # first permutes rows within their own run only.
+        order[slots] = rows[_np.lexsort((rows, keys, -ranked[slots]))]
+    return order
 
 
 class ObjectCodes:
@@ -322,18 +341,14 @@ class ObjectCodes:
         yield from self.decode(codes)
 
 
-def merge_sorted_shard_blocks(
-    ids_per_shard: Sequence[Sequence],
-    strs_per_shard: Sequence,
-    grades_per_shard: Sequence,
-):
+def merge_sorted_shard_blocks(ids_per_shard: Sequence[Sequence], grades_per_shard: Sequence):
     """K-way merge of per-shard sorted columnar blocks, columnar-side.
 
     Each shard contributes a block of its sorted prefix as parallel
-    (ids, ``str(id)`` keys, float64 grades) columns, already in
-    canonical order within the shard.  One ``lexsort`` over the
-    concatenation — the same ``(-grade, str(id))`` key every ordering
-    in the repo uses — yields the exact global sorted order, so a
+    (ids, float64 grades) columns, already in canonical order within the
+    shard.  One :func:`canonical_order` over the concatenation — the
+    ``(-grade, str(id))`` key every ordering in the repo uses — yields
+    the exact global sorted order, so a
     :class:`~repro.storage.sharded.ShardedSource` built over K shards
     delivers byte-identical answers and tie-breaks to the monolithic
     backend.  Returns ``(merged_ids, merged_grades, shard_of)`` where
@@ -350,10 +365,9 @@ def merge_sorted_shard_blocks(
     grades = _np.concatenate(
         [_np.asarray(block, dtype=_np.float64) for block in grades_per_shard]
     )
-    strs = _np.concatenate([_np.asarray(block) for block in strs_per_shard])
     flat_ids: List = []
     for block in ids_per_shard:
         flat_ids.extend(block)
-    order = _np.lexsort((strs, -grades))
+    order = canonical_order(flat_ids, grades)
     merged_ids = [flat_ids[j] for j in order.tolist()]
     return merged_ids, grades[order], shard_of[order]

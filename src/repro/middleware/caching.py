@@ -18,77 +18,65 @@ middlewares keep such lookups in the query cache.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource
+import numpy as _np
+
+from repro.core.cost import AccessCounter
+from repro.core.graded import ObjectId
+from repro.core.sources import GradedSource, WrapperSource
 
 
-class CachedSource(GradedSource):
+class CachedSource(WrapperSource):
     """A ranked list with a middleware-side prefix + probe cache.
 
-    Bulk access composes with the cache: ``_items_range`` serves the
-    cached prefix and extends it with one bulk request to the repository
-    (same hit/miss tallies and repository charges as item-at-a-time
-    reads), and peeks never extend the cache — looking ahead must not
-    make the repository ship anything.
+    A consuming read serves the cached prefix and extends it with one
+    bulk request to the repository (the same hit/miss tallies and
+    repository charges as item-at-a-time reads), and peeks never extend
+    the cache — looking ahead must not make the repository ship
+    anything, so past the prefix a peek reads the wrapped source's own
+    free window.
     """
 
     def __init__(self, inner: GradedSource) -> None:
-        super().__init__(f"cached({inner.name})")
-        self._inner = inner
+        super().__init__(inner, f"cached({inner.name})")
+        self.counter = AccessCounter()
         self._inner_cursor = inner.cursor()
-        self._prefix: List[GradedItem] = []
+        self._prefix_ids: List[ObjectId] = []
+        self._prefix_grades: List[float] = []
         self._probes: Dict[ObjectId, float] = {}
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
         #: reads served from the cache (no repository charge)
         self.hits = 0
         #: reads that had to extend the repository stream / probe it
         self.misses = 0
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        if index < len(self._prefix):
-            self.hits += 1
-            return self._prefix[index]
-        while index >= len(self._prefix):
-            item = self._inner_cursor.next()  # charges the inner counter
-            if item is None:
-                return None
-            self._prefix.append(item)
-            self._probes.setdefault(item.object_id, item.grade)
-            self.misses += 1
-        return self._prefix[index]
+    def _columns_range(self, start: int, count: int):
+        stop = start + count
+        ids = self._prefix_ids[start:stop]
+        grades = self._prefix_grades[start:stop]
+        if len(ids) < count:
+            more_ids, more_grades = self._inner._columns_range(
+                start + len(ids), count - len(ids)
+            )
+            ids = ids + more_ids
+            grades = grades + more_grades.tolist()
+        return ids, _np.array(grades, dtype=_np.float64)
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        end = start + count
-        cached = len(self._prefix)
-        if end > cached:
-            fetched = self._inner_cursor.next_batch(end - cached)
-            for item in fetched:
-                self._prefix.append(item)
-                self._probes.setdefault(item.object_id, item.grade)
-            self.misses += len(fetched)
+    def _consume(self, start: int, count: int) -> None:
+        cached = len(self._prefix_ids)
+        fetch = start + count - cached
+        if fetch > 0 or not count:  # an empty read at the end still asks
+            ids, grades = self._inner_cursor.next_batch_columns(max(fetch, 1))
+            grades = grades.tolist()
+            self._prefix_ids.extend(ids)
+            self._prefix_grades.extend(grades)
+            for object_id, grade in zip(ids, grades):
+                self._probes.setdefault(object_id, grade)
+            self.misses += len(ids)
         # Positions already cached before this read count as hits, the
         # newly fetched ones as misses — the same tallies an
         # item-at-a-time read of the range would have produced.
-        self.hits += max(0, min(cached, end) - min(start, cached))
-        return self._prefix[start:end]
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        # Peeks never extend (or charge) the repository stream, and they
-        # do not touch the hit/miss statistics: only consuming reads do.
-        if index < len(self._prefix):
-            return self._prefix[index]
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        end = start + count
-        window = self._prefix[start:end]
-        missing = end - (start + len(window))
-        if missing > 0:
-            window = window + self._inner._peek_range(start + len(window), missing)
-        return window
+        self.hits += max(0, min(cached, start + count) - min(start, cached))
 
     def random_access(self, object_id: ObjectId) -> float:
         """Memoized probe: repeated lookups charge the repository once.
@@ -139,14 +127,6 @@ class CachedSource(GradedSource):
             self.counter.record_random(len(ids))
         return result
 
-    def _grade_of(self, object_id: ObjectId) -> float:  # pragma: no cover
-        # random_access is fully overridden; this hook is unreachable,
-        # but keep it correct for direct calls.
-        return self._inner._grade_of(object_id)
-
     def repository_cost(self) -> int:
         """What the repository actually served (the inner counter)."""
         return self._inner.counter.database_access_cost
-
-    def __len__(self) -> int:
-        return len(self._inner)

@@ -22,11 +22,13 @@ access is charged to this source's counter.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.graded import GradedItem, ObjectId
+import numpy as _np
+
+from repro.core.graded import ObjectId
 from repro.core.sources import GradedSource
-from repro.errors import IdMappingError
+from repro.errors import IdMappingError, UnknownObjectError
 
 
 class Containment:
@@ -88,7 +90,8 @@ class PromotedSource(GradedSource):
         self._child_source = child_source
         self._containment = containment
         self._child_cursor = child_source.cursor()
-        self._discovered: List[GradedItem] = []
+        self._parent_ids: List[ObjectId] = []
+        self._parent_grades: List[float] = []
         self._emitted: Set[ObjectId] = set()
         # Two accounting levels: this source's own counter tallies
         # parent-level accesses (what the algorithm asked for), while the
@@ -97,24 +100,36 @@ class PromotedSource(GradedSource):
         # the child source to see the real repository load.
         self.supports_random_access = child_source.supports_random_access
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        while len(self._discovered) <= index:
+    def _columns_range(self, start: int, count: int):
+        # Parents are discovered by pulling the child stream one child at
+        # a time, so the child counter grows with discovery (peeks
+        # included); this source's own counter charges only deliveries.
+        stop = start + count
+        while len(self._parent_ids) < stop:
             child_item = self._child_cursor.next()
             if child_item is None:
-                return None
+                break
             for parent in self._containment.parents_of(child_item.object_id):
                 if parent not in self._emitted:
                     self._emitted.add(parent)
-                    self._discovered.append(
-                        GradedItem(parent, child_item.grade)
-                    )
-        return self._discovered[index]
-
-    def _grade_of(self, parent: ObjectId) -> float:
-        children = self._containment.children_of(parent)
-        return max(
-            self._child_source._grade_of(child) for child in children
+                    self._parent_ids.append(parent)
+                    self._parent_grades.append(child_item.grade)
+        return (
+            self._parent_ids[start:stop],
+            _np.array(self._parent_grades[start:stop], dtype=_np.float64),
         )
+
+    def _grades_of_many(self, parents: Sequence[ObjectId]):
+        grades = []
+        for parent in parents:
+            try:
+                children = self._containment.children_of(parent)
+            except IdMappingError:
+                raise UnknownObjectError(
+                    f"source {self.name!r} holds no object {parent!r}"
+                ) from None
+            grades.append(max(self._child_source._grades_of_many(children).tolist()))
+        return _np.array(grades, dtype=_np.float64)
 
     def random_access(self, object_id: ObjectId) -> float:
         """Grade of a parent: max over its children, one probe per child.

@@ -35,8 +35,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource
+from repro.core.graded import ObjectId
+from repro.core.sources import GradedSource, WrapperSource
 from repro.errors import AccessError, TransientAccessError
 from repro.middleware.resilience import VirtualClock
 
@@ -142,7 +142,7 @@ class FaultStats:
         }
 
 
-class FaultInjectingSource(GradedSource):
+class FaultInjectingSource(WrapperSource):
     """A graded source that misbehaves on a deterministic schedule.
 
     The schedule is a function of ``(profile.seed, inner.name)`` (via a
@@ -165,11 +165,7 @@ class FaultInjectingSource(GradedSource):
         *,
         clock=None,
     ) -> None:
-        super().__init__(f"faulty({inner.name})")
-        self._inner = inner
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
+        super().__init__(inner, f"faulty({inner.name})")
         self.profile = profile
         self.clock = clock if clock is not None else VirtualClock()
         self._rng = random.Random(
@@ -233,46 +229,19 @@ class FaultInjectingSource(GradedSource):
     # Each holds the per-source lock for the whole access — a subsystem
     # serves one request at a time, and the seeded schedule stays in
     # access order under concurrent fan-outs from other sources.
-    def _item_at(self, index: int) -> Optional[GradedItem]:
+    def _consume(self, start: int, count: int) -> None:
         with self._lock:
-            self._maybe_fail("sorted")
-            item = self._inner._item_at(index)
-            if item is not None:
-                self.served += 1
-            return item
+            # Roll for the true batch size (short at the end of the list)
+            # so a final short batch is not refused for items it would
+            # not ship; an empty read at the end still asks once.
+            self._maybe_fail("sorted", max(count, 1))
+            self._inner._consume(start, count)
+            self.served += count
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         with self._lock:
-            # Probe the true batch size (short at the end of the list) so a
-            # final short batch is not refused for items it would not ship.
-            prospective = len(self._inner._peek_range(start, count))
-            self._maybe_fail("sorted", max(prospective, 1))
-            items = self._inner._items_range(start, count)
-            self.served += len(items)
-            return items
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        with self._lock:
-            self._maybe_fail("random")
-            grade = self._inner._grade_of(object_id)
-            self.served += 1
-            self.random_served += 1
-            return grade
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
-        with self._lock:
-            self._maybe_fail("random", max(len(list(object_ids)), 1))
+            self._maybe_fail("random", max(len(object_ids), 1))
             grades = self._inner._grades_of_many(object_ids)
             self.served += len(grades)
             self.random_served += len(grades)
             return grades
-
-    # -- fault-free paths ------------------------------------------------------
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def __len__(self) -> int:
-        return len(self._inner)

@@ -16,10 +16,10 @@ guard against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping
 
-from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource
+from repro.core.graded import ObjectId
+from repro.core.sources import GradedSource, WrapperSource
 from repro.errors import IdMappingError
 
 
@@ -73,7 +73,7 @@ class IdMapping:
         return len(self._to_local)
 
 
-class MappedSource(GradedSource):
+class MappedSource(WrapperSource):
     """A subsystem's ranked list re-keyed to global object ids.
 
     Sorted access translates local -> global on each delivered item;
@@ -82,54 +82,20 @@ class MappedSource(GradedSource):
     place no matter which view an algorithm uses.
     """
 
+    _copies_positive_count = True
+
     def __init__(self, inner: GradedSource, mapping: IdMapping) -> None:
-        super().__init__(inner.name)
-        self._inner = inner
+        super().__init__(inner)
         self._mapping = mapping
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
-        positive = getattr(inner, "positive_count", None)
-        if positive is not None:
-            self.positive_count = positive
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        item = self._inner._item_at(index)
-        if item is None:
-            return None
-        return GradedItem(self._mapping.to_global(item.object_id), item.grade)
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
+    def _columns_range(self, start: int, count: int):
+        ids, grades = self._inner._columns_range(start, count)
         to_global = self._mapping.to_global
-        return [
-            GradedItem(to_global(item.object_id), item.grade)
-            for item in self._inner._items_range(start, count)
-        ]
+        return [to_global(object_id) for object_id in ids], grades
 
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        item = self._inner._peek_at(index)
-        if item is None:
-            return None
-        return GradedItem(self._mapping.to_global(item.object_id), item.grade)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        to_global = self._mapping.to_global
-        return [
-            GradedItem(to_global(item.object_id), item.grade)
-            for item in self._inner._peek_range(start, count)
-        ]
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        return self._inner._grade_of(self._mapping.to_local(object_id))
-
-    def _grades_of_many(self, object_ids) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids):
         to_local = self._mapping.to_local
-        local_ids = [to_local(object_id) for object_id in object_ids]
-        local_grades = self._inner._grades_of_many(local_ids)
-        return {
-            global_id: local_grades[local_id]
-            for global_id, local_id in zip(object_ids, local_ids)
-        }
+        return self._inner._grades_of_many([to_local(object_id) for object_id in object_ids])
 
     def _attribute_random(self, object_ids) -> None:
         # Storage attribution must see the ids the physical layer owns:
@@ -140,6 +106,3 @@ class MappedSource(GradedSource):
         self._inner._attribute_random(
             [to_local(object_id) for object_id in object_ids]
         )
-
-    def __len__(self) -> int:
-        return len(self._inner)

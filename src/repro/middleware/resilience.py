@@ -52,8 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource, iter_wrapper_chain
+from repro.core.graded import ObjectId
+from repro.core.sources import GradedSource, WrapperSource, iter_wrapper_chain
 from repro.errors import (
     AccessError,
     CircuitOpenError,
@@ -300,7 +300,7 @@ class ResilienceStats:
         }
 
 
-class ResilientSource(GradedSource):
+class ResilientSource(WrapperSource):
     """Retry + circuit-breaking wrapper over one subsystem's ranked list.
 
     Every charged access (sorted deliveries and random probes) runs
@@ -331,11 +331,7 @@ class ResilientSource(GradedSource):
         *,
         clock=None,
     ) -> None:
-        super().__init__(f"resilient({inner.name})")
-        self._inner = inner
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
+        super().__init__(inner, f"resilient({inner.name})")
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.clock = clock if clock is not None else VirtualClock()
         self._rng = random.Random(self.policy.retry.seed)
@@ -415,45 +411,22 @@ class ResilientSource(GradedSource):
         return self.supports_random_access and self.random_breaker.allow()
 
     # -- access hooks ----------------------------------------------------------
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        return self._call(
+    def _consume(self, start: int, count: int) -> None:
+        self._call(
             self.sorted_breaker,
-            lambda: self._inner._item_at(index),
+            lambda: self._inner._consume(start, count),
             "sorted access",
         )
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._call(
-            self.sorted_breaker,
-            lambda: self._inner._items_range(start, count),
-            "sorted access",
-        )
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        return self._call(
-            self.random_breaker,
-            lambda: self._inner._grade_of(object_id),
-            "random access",
-        )
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         return self._call(
             self.random_breaker,
             lambda: self._inner._grades_of_many(object_ids),
             "random access",
         )
 
-    def __len__(self) -> int:
-        return len(self._inner)
 
-
-class DeadlineGuard(GradedSource):
+class DeadlineGuard(WrapperSource):
     """Per-query end-to-end deadline enforcement over one binding.
 
     Wraps a (possibly shared, cached) source for the duration of a
@@ -476,17 +449,12 @@ class DeadlineGuard(GradedSource):
     discard, while breaker/fault state lives in the shared inner chain.
     """
 
+    _copies_positive_count = True
+
     def __init__(
         self, inner: GradedSource, deadline_at: float, *, clock=None
     ) -> None:
-        super().__init__(inner.name)
-        self._inner = inner
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
-        positive = getattr(inner, "positive_count", None)
-        if positive is not None:
-            self.positive_count = positive
+        super().__init__(inner)
         self.deadline_at = float(deadline_at)
         self.clock = clock if clock is not None else MonotonicClock()
 
@@ -509,31 +477,13 @@ class DeadlineGuard(GradedSource):
         return self._inner.random_access_available()
 
     # -- charged access hooks (guarded) ---------------------------------------
-    def _item_at(self, index: int) -> Optional[GradedItem]:
+    def _consume(self, start: int, count: int) -> None:
         self._check("sorted access")
-        return self._inner._item_at(index)
+        self._inner._consume(start, count)
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        self._check("sorted access")
-        return self._inner._items_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        self._check("random access")
-        return self._inner._grade_of(object_id)
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         self._check("random access")
         return self._inner._grades_of_many(object_ids)
-
-    # -- free paths (unguarded) -----------------------------------------------
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
 
 def guard_deadline(

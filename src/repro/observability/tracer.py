@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.graded import GradedItem, ObjectId
-from repro.core.sources import GradedSource, iter_wrapper_chain
+from repro.core.sources import GradedSource, WrapperSource, iter_wrapper_chain
 from repro.errors import TraceError
 
 #: bumped when the event schema changes incompatibly
@@ -289,7 +289,7 @@ def validate_trace(payload: Dict[str, object]) -> None:
         raise TraceError(f"unclosed phases at end of trace: {open_phases}")
 
 
-class TracingSource(GradedSource):
+class TracingSource(WrapperSource):
     """Source-level access recorder, transparent to cost and planning.
 
     Wraps one :class:`~repro.core.sources.GradedSource` and records every
@@ -298,11 +298,10 @@ class TracingSource(GradedSource):
     is shared with the wrapped source and the name is kept, so cost
     reports, planner probes, and resilience reports are unchanged.
 
-    Peeks (``_peek_at`` / ``_peek_range``) and the accounting-free
-    materialization paths delegate straight to the wrapped source and
-    record **nothing**: like :class:`~repro.core.sources.VerifyingSource`
-    the wrapper is strictly side-effect-free for reads the paper's cost
-    measure does not charge.
+    Peeks and the accounting-free materialization paths read the wrapped
+    source's columns and record **nothing**: like
+    :class:`~repro.core.sources.VerifyingSource` the wrapper is strictly
+    side-effect-free for reads the paper's cost measure does not charge.
 
     Note on windowed algorithms: TA and A0 drain sorted access in bulk
     *after* processing peeked windows, so a source-level recorder would
@@ -312,52 +311,26 @@ class TracingSource(GradedSource):
     code paths (naive scans, cursors driven by external code, tests).
     """
 
+    _copies_positive_count = True
+
     def __init__(self, inner: GradedSource, tracer: QueryTracer) -> None:
-        super().__init__(inner.name)
-        self._inner = inner
+        super().__init__(inner)
         self.tracer = tracer
-        self.counter = inner.counter
-        self.supports_random_access = inner.supports_random_access
-        self.is_boolean = inner.is_boolean
-        positive = getattr(inner, "positive_count", None)
-        if positive is not None:
-            self.positive_count = positive
 
     def random_access_available(self) -> bool:
         return self._inner.random_access_available()
 
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        item = self._inner._item_at(index)
-        if item is not None:
-            self.tracer.record_sorted(
-                self.name, item.object_id, item.grade, position=index + 1
-            )
-        return item
+    def _consume(self, start: int, count: int) -> None:
+        self._inner._consume(start, count)
+        ids, grades = self._columns_range(start, count)
+        for offset, (object_id, grade) in enumerate(zip(ids, grades.tolist())):
+            self.tracer.record_sorted(self.name, object_id, grade, position=start + offset + 1)
 
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        items = self._inner._items_range(start, count)
-        self.tracer.record_sorted_batch(self.name, items, start)
-        return items
-
-    def _peek_at(self, index: int) -> Optional[GradedItem]:
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        grade = self._inner._grade_of(object_id)
-        self.tracer.record_random(self.name, object_id, grade)
-        return grade
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         grades = self._inner._grades_of_many(object_ids)
-        for object_id in object_ids:
-            self.tracer.record_random(self.name, object_id, grades[object_id])
+        for object_id, grade in zip(object_ids, grades.tolist()):
+            self.tracer.record_random(self.name, object_id, grade)
         return grades
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
 
 def traced(sources: Iterable[GradedSource], tracer: QueryTracer) -> List[GradedSource]:

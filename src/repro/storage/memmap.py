@@ -37,7 +37,7 @@ access agrees with sorted access.
 
 Accounting and determinism are inherited wholesale: the cursor and the
 :class:`~repro.core.sources.GradedSource` base class charge accesses
-exactly as for every other backend, and the construction lexsort is the
+exactly as for every other backend, and the construction order is the
 one :class:`ArraySource` uses, so answers, tie-breaks, costs, and traces
 are byte-identical across the two (the storage conformance suite
 enforces this differentially).
@@ -52,9 +52,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as _np
 
-from repro.core.graded import GradedItem, GradedSet, ObjectId
-from repro.core.sources import GradedSource, _fast_item, validate_grade_array
+from repro.core.graded import GradedSet, ObjectId
+from repro.core.sources import GradedSource, validate_grade_array
 from repro.errors import StorageError, UnknownObjectError
+from repro.kernels import canonical_order
 
 #: manifest file name inside a source directory
 MANIFEST_NAME = "manifest.json"
@@ -62,6 +63,8 @@ MANIFEST_NAME = "manifest.json"
 MEMMAP_FORMAT = "repro-memmap-v1"
 
 _REQUIRED_FILES = ("ids", "grades", "lookup_ids", "lookup_grades")
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _id_column(ids: List[ObjectId], name: str):
@@ -194,22 +197,6 @@ class MemmapSource(GradedSource):
         self._warmed = 0
 
     # -- sorted access ---------------------------------------------------------
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        if 0 <= index < self._count:
-            return _fast_item(
-                self._sorted_ids[index].item(),
-                float(self._sorted_grades[index]),
-            )
-        return None
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        ids = self._sorted_ids[start : start + count].tolist()
-        grades = self._sorted_grades[start : start + count].tolist()
-        return [_fast_item(obj, grade) for obj, grade in zip(ids, grades)]
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        return self._items_range(start, count)
-
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
         """Raw columnar sorted prefix, straight off the mapped files.
 
@@ -223,58 +210,35 @@ class MemmapSource(GradedSource):
         )
 
     # -- random access ---------------------------------------------------------
-    def _lookup_index(self, object_id: ObjectId) -> Optional[int]:
-        """Position of ``object_id`` in the lookup columns, or None."""
-        if self._count == 0:
-            return None
-        if self._id_kind == "str":
-            if not isinstance(object_id, str):
-                return None
-            probe = object_id
-        else:
-            if not isinstance(object_id, int) or isinstance(object_id, bool):
-                return None
-            probe = object_id
-        try:
-            index = int(_np.searchsorted(self._lookup_ids, probe))
-        except (OverflowError, ValueError):  # e.g. int beyond int64
-            return None
-        if index < self._count and self._lookup_ids[index].item() == object_id:
-            return index
-        return None
-
-    def _grade_of(self, object_id: ObjectId) -> float:
-        index = self._lookup_index(object_id)
-        if index is None:
-            raise UnknownObjectError(
-                f"source {self.name!r} holds no object {object_id!r}"
-            )
-        return float(self._lookup_grades[index])
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
+        """One binary search over the lookup columns for the whole
+        request.  An id of the wrong type (or an int beyond int64) can
+        only be an unknown object."""
         ids = list(object_ids)
-        if not ids:
-            return {}
-        want_str = self._id_kind == "str"
-        typed = all(
-            isinstance(i, str) if want_str
-            else (isinstance(i, int) and not isinstance(i, bool))
-            for i in ids
-        )
-        if not typed or self._count == 0:
-            # a wrongly-typed probe can only be an unknown object
-            return {object_id: self._grade_of(object_id) for object_id in ids}
-        probe = _np.asarray(ids) if want_str else _np.asarray(ids, dtype=_np.int64)
-        indices = _np.searchsorted(self._lookup_ids, probe)
-        clipped = _np.minimum(indices, self._count - 1)
-        found = (indices < self._count) & (self._lookup_ids[clipped] == probe)
-        if not bool(found.all()):
-            missing = ids[int(_np.argmin(found))]
-            raise UnknownObjectError(
-                f"source {self.name!r} holds no object {missing!r}"
+        if self._id_kind == "str":
+            rows = [row for row, i in enumerate(ids) if isinstance(i, str)]
+        else:
+            rows = [
+                row
+                for row, i in enumerate(ids)
+                if isinstance(i, int) and not isinstance(i, bool) and _INT64_MIN <= i <= _INT64_MAX
+            ]
+        found = _np.zeros(len(ids), dtype=bool)
+        grades = _np.zeros(len(ids))
+        if rows and self._count:
+            probe = _np.asarray(
+                ids if len(rows) == len(ids) else [ids[row] for row in rows],
+                dtype=None if self._id_kind == "str" else _np.int64,
             )
-        grades = self._lookup_grades[clipped]
-        return dict(zip(ids, grades.tolist()))
+            indices = _np.searchsorted(self._lookup_ids, probe)
+            clipped = _np.minimum(indices, self._count - 1)
+            found[rows] = (indices < self._count) & (self._lookup_ids[clipped] == probe)
+            grades[rows] = self._lookup_grades[clipped]
+        if not found.all():
+            raise UnknownObjectError(
+                f"source {self.name!r} holds no object {ids[int(_np.argmin(found))]!r}"
+            )
+        return grades
 
     # -- hints -----------------------------------------------------------------
     def prefetch_sorted(self, depth: int, *, executor=None) -> None:
@@ -346,8 +310,8 @@ def build_memmap(
     """Write a :class:`MemmapSource` directory and open it.
 
     Grades are validated in one vectorized pass ([0, 1], finite);
-    ordering is the canonical construction lexsort — descending grade,
-    ties by ascending ``str(id)`` — exactly as :class:`ArraySource`
+    ordering is :func:`~repro.kernels.canonical_order` — descending
+    grade, ties by ascending ``str(id)`` — exactly as :class:`ArraySource`
     computes it, so the two backends are interchangeable
     object-for-object.  Ids must be all-str or all-int and distinct, and
     no str id may end in ``"\\x00"`` (its ``<U`` column would drop it).
@@ -376,11 +340,7 @@ def build_memmap(
         lookup_grades = values[lookup_order]
     else:
         lookup_ids, lookup_grades = ids_column, values
-    if id_kind == "str":
-        tie_break = ids_column
-    else:
-        tie_break = _np.asarray([str(i) for i in ids]) if ids else ids_column
-    order = _np.lexsort((tie_break, -values)) if len(ids) else _np.empty(0, _np.intp)
+    order = canonical_order(ids, values)
     sorted_ids = ids_column[order]
     sorted_grades = values[order]
 

@@ -13,15 +13,15 @@ Sorted access is an exact K-way grade-order merge.  Rather than a
 per-item heap, the merge is columnar and batched: each shard's sorted
 prefix is *peeked* (free, side-effect-free) into a per-shard buffer of
 at least ``merge_block`` items, and one
-:func:`~repro.kernels.merge_sorted_shard_blocks` lexsort — the same
+:func:`~repro.kernels.merge_sorted_shard_blocks` — the same
 ``(-grade, str(id))`` key every ordering in the repo uses — merges the
 buffers.  The merged prefix is only committed up to the *emit
 threshold*: the smallest last-buffered key among shards that still have
 unpeeked items, since any deeper position could still be preempted by
 an unseen item.  The threshold shard's whole buffer commits each round,
 so every round makes at least ``merge_block`` progress.  Committed
-positions record their owning shard, which is what rolls charged sorted
-accesses down to per-shard counters exactly.
+positions record their owning shard, which is what rolls consumed sorted
+accesses down to per-shard counters exactly (``_consume``).
 
 Random access hash-routes to the owning shard in O(1) via the
 partitioner's router (:func:`hash_router` — crc32, not Python's
@@ -54,8 +54,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as _np
 
-from repro.core.graded import GradedItem, GradedSet, ObjectId
-from repro.core.sources import GradedSource, _fast_item
+from repro.core.graded import GradedSet, ObjectId
+from repro.core.sources import GradedSource
 from repro.errors import AccessError, UnknownObjectError
 from repro.kernels import merge_sorted_shard_blocks
 from repro.parallel import fan_out, raise_first_error
@@ -129,7 +129,6 @@ class ShardedSource(GradedSource):
         count = len(self._shards)
         self._peeked = [0] * count
         self._buf_ids: List[List[ObjectId]] = [[] for _ in range(count)]
-        self._buf_strs: List[Optional[object]] = [None] * count
         self._buf_grades: List[Optional[object]] = [None] * count
         self._no_more = [len(shard) == 0 for shard in self._shards]
         self._done = self._total == 0
@@ -221,18 +220,7 @@ class ShardedSource(GradedSource):
         shard = self._shards[index]
         position = self._peeked[index]
         shard.prefetch_sorted(position + want)
-        hook = getattr(shard, "_columns_range", None)
-        if hook is not None:
-            ids, grades = hook(position, want)
-            grades = _np.asarray(grades, dtype=_np.float64)
-        else:
-            items = shard._peek_range(position, want)
-            ids = [item.object_id for item in items]
-            grades = _np.asarray(
-                [item.grade for item in items], dtype=_np.float64
-            )
-        strs = _np.asarray([str(object_id) for object_id in ids]) if ids else None
-        return ids, strs, grades
+        return shard._columns_range(position, want)
 
     def _merge_round(self, executor=None) -> None:
         """Refill shard buffers (optionally fanned out) and commit the
@@ -256,20 +244,16 @@ class ShardedSource(GradedSource):
             )
             raise_first_error(outcomes)
             for index, want, outcome in zip(needy, wants, outcomes):
-                ids, strs, grades = outcome.value
+                ids, grades = outcome.value
                 if ids:
                     self._peeked[index] += len(ids)
                     if self._buf_ids[index]:
                         self._buf_ids[index].extend(ids)
-                        self._buf_strs[index] = _np.concatenate(
-                            [self._buf_strs[index], strs]
-                        )
                         self._buf_grades[index] = _np.concatenate(
                             [self._buf_grades[index], grades]
                         )
                     else:
                         self._buf_ids[index] = list(ids)
-                        self._buf_strs[index] = strs
                         self._buf_grades[index] = grades
                 if len(ids) < want:
                     self._no_more[index] = True
@@ -282,7 +266,6 @@ class ShardedSource(GradedSource):
             return
         merged_ids, merged_grades, block_of = merge_sorted_shard_blocks(
             [self._buf_ids[index] for index in participating],
-            [self._buf_strs[index] for index in participating],
             [self._buf_grades[index] for index in participating],
         )
         shard_of = _np.asarray(participating, dtype=_np.intp)[block_of]
@@ -294,7 +277,7 @@ class ShardedSource(GradedSource):
                 active,
                 key=lambda index: (
                     -float(self._buf_grades[index][-1]),
-                    str(self._buf_strs[index][-1]),
+                    str(self._buf_ids[index][-1]),
                 ),
             )
             positions = _np.nonzero(shard_of == threshold_shard)[0]
@@ -311,7 +294,6 @@ class ShardedSource(GradedSource):
                 # Committed entries are exactly the buffer's prefix:
                 # within a shard the canonical key strictly increases.
                 self._buf_ids[index] = self._buf_ids[index][consumed:]
-                self._buf_strs[index] = self._buf_strs[index][consumed:]
                 self._buf_grades[index] = self._buf_grades[index][consumed:]
         if not active and not any(self._buf_ids):
             self._done = True
@@ -340,114 +322,86 @@ class ShardedSource(GradedSource):
             self._merge_round(executor)
 
     # -- sorted access ---------------------------------------------------------
-    def _item_at(self, index: int) -> Optional[GradedItem]:
-        if index < 0 or index >= self._total:
-            return None
-        self._extend_merged(index + 1)
-        return _fast_item(self._m_ids[index], float(self._m_grades[index]))
-
-    def _items_range(self, start: int, count: int) -> List[GradedItem]:
-        self._extend_merged(start + count)
-        stop = min(start + count, self._m_count)
-        if start >= stop:
-            return []
-        grades = self._m_grades[start:stop].tolist()
-        return [
-            _fast_item(object_id, grade)
-            for object_id, grade in zip(self._m_ids[start:stop], grades)
-        ]
-
-    def _peek_range(self, start: int, count: int) -> List[GradedItem]:
-        # Peeks only grow the internal merge cache (the BatchedSource
-        # precedent: cache growth is not a side effect callers observe).
-        return self._items_range(start, count)
-
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
+        # Reads only grow the internal merge cache, which no caller
+        # observes: the merged prefix is the same whoever extends it.
         self._extend_merged(start + count)
         stop = min(start + count, self._m_count)
         if start >= stop:
             return [], _np.empty(0)
         return self._m_ids[start:stop], self._m_grades[start:stop]
 
-    # -- random access ---------------------------------------------------------
-    def _route(self, object_id: ObjectId) -> Optional[int]:
-        if self._router is None:
-            return None
-        shard = self._router(object_id)
-        if not 0 <= shard < len(self._shards):
-            raise AccessError(
-                f"source {self.name!r}: router sent {object_id!r} to shard "
-                f"{shard}, which does not exist"
+    def _consume(self, start: int, count: int) -> None:
+        """Attribute the delivered positions to their owning shards."""
+        if count:
+            taken = _np.bincount(
+                self._m_shard[start : start + count], minlength=len(self._shards)
             )
-        return shard
+            for index, consumed in enumerate(taken.tolist()):
+                if consumed:
+                    self._shards[index].counter.record_sorted(consumed)
 
-    def _find_owner(self, object_id: ObjectId) -> Optional[int]:
-        """Owning shard index by (free) probing, routerless fallback."""
+    # -- random access ---------------------------------------------------------
+    def _owners(self, ids: List[ObjectId]):
+        """The owning shard of each id (an intp array): the router's
+        pick, or, without a router, the first shard that holds it (-1
+        when none does)."""
+        if self._router is None:
+            return _np.array([self._probe_owner(object_id) for object_id in ids], dtype=_np.intp)
+        owners = _np.fromiter(map(self._router, ids), dtype=_np.intp, count=len(ids))
+        bad = (owners < 0) | (owners >= len(self._shards))
+        if bad.any():
+            first = int(bad.argmax())
+            raise AccessError(
+                f"source {self.name!r}: router sent {ids[first]!r} to shard "
+                f"{int(owners[first])}, which does not exist"
+            )
+        return owners
+
+    def _probe_owner(self, object_id: ObjectId) -> int:
         for index, shard in enumerate(self._shards):
             try:
-                shard._grade_of(object_id)
+                shard._grades_of_many([object_id])
             except UnknownObjectError:
                 continue
             return index
-        return None
+        return -1
 
-    def _grade_of(self, object_id: ObjectId) -> float:
-        shard = self._route(object_id)
-        if shard is not None:
-            try:
-                return self._shards[shard]._grade_of(object_id)
-            except UnknownObjectError:
-                pass
-        else:
-            owner = self._find_owner(object_id)
-            if owner is not None:
-                return self._shards[owner]._grade_of(object_id)
-        raise UnknownObjectError(
-            f"source {self.name!r} holds no object {object_id!r}"
-        )
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, float]:
+    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         ids = list(object_ids)
-        if self._router is None:
-            return {object_id: self._grade_of(object_id) for object_id in ids}
-        by_shard: Dict[int, List[ObjectId]] = {}
-        for object_id in ids:
-            by_shard.setdefault(self._route(object_id), []).append(object_id)
-        gathered: Dict[ObjectId, float] = {}
-        for shard, members in by_shard.items():
-            try:
-                gathered.update(self._shards[shard]._grades_of_many(members))
-            except UnknownObjectError:
-                # re-probe one by one so the error names the missing id
-                # with the logical source's name, not the shard's
-                for object_id in members:
-                    gathered[object_id] = self._grade_of(object_id)
-        # request order, like every other backend's bulk form
-        return {object_id: gathered[object_id] for object_id in ids}
+        owners = self._owners(ids)
+        grades = _np.empty(len(ids))
+        try:
+            if (owners < 0).any():
+                raise UnknownObjectError()
+            for index, shard in enumerate(self._shards):
+                positions = _np.flatnonzero(owners == index)
+                if positions.size:
+                    grades[positions] = shard._grades_of_many(
+                        [ids[position] for position in positions.tolist()]
+                    )
+        except UnknownObjectError:
+            # Name the first missing id in request order, under the
+            # logical source's name rather than a shard's.
+            for object_id, index in zip(ids, owners.tolist()):
+                try:
+                    if index >= 0:
+                        self._shards[index]._grades_of_many([object_id])
+                        continue
+                except UnknownObjectError:
+                    pass
+                raise UnknownObjectError(
+                    f"source {self.name!r} holds no object {object_id!r}"
+                ) from None
+        return grades
 
     # -- accounting attribution ------------------------------------------------
-    def _attribute_sorted(self, start: int, count: int) -> None:
-        self._extend_merged(start + count)
-        stop = min(start + count, self._m_count)
-        if start >= stop:
-            return
-        taken = _np.bincount(
-            self._m_shard[start:stop], minlength=len(self._shards)
-        )
-        for index, consumed in enumerate(taken.tolist()):
-            if consumed:
-                self._shards[index].counter.record_sorted(consumed)
-
     def _attribute_random(self, object_ids: Sequence[ObjectId]) -> None:
-        counts: Dict[int, int] = {}
-        for object_id in object_ids:
-            shard = self._route(object_id)
-            if shard is None:
-                shard = self._find_owner(object_id)
-            if shard is not None:
-                counts[shard] = counts.get(shard, 0) + 1
-        for shard, probes in counts.items():
-            self._shards[shard].counter.record_random(probes)
+        owners = self._owners(list(object_ids))
+        taken = _np.bincount(owners[owners >= 0], minlength=len(self._shards))
+        for index, probes in enumerate(taken.tolist()):
+            if probes:
+                self._shards[index].counter.record_random(probes)
 
     # -- hints -----------------------------------------------------------------
     def prefetch_sorted(self, depth: int, *, executor=None) -> None:

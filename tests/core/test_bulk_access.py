@@ -289,11 +289,8 @@ def test_empty_bulk_random_access_is_free_even_when_unsupported():
 class _InconsistentSource(ListSource):
     """Random access disagrees with the sorted stream for every object."""
 
-    def _grade_of(self, object_id):
-        return max(0.0, super()._grade_of(object_id) - 0.5)
-
     def _grades_of_many(self, object_ids):
-        return {oid: self._grade_of(oid) for oid in object_ids}
+        return np.maximum(0.0, super()._grades_of_many(object_ids) - 0.5)
 
 
 def test_verifying_peek_records_no_delivery():
@@ -315,9 +312,8 @@ def test_verifying_source_still_catches_order_violation_in_bulk():
     class _Unsorted(ListSource):
         def __init__(self):
             super().__init__({})
-            from repro.core.graded import GradedItem
-
-            self._sorted = [GradedItem("a", 0.3), GradedItem("b", 0.8)]
+            self._sorted_ids = ["a", "b"]
+            self._sorted_grades = np.array([0.3, 0.8])
             self._grades = {"a": 0.3, "b": 0.8}
 
     verified = VerifyingSource(_Unsorted())

@@ -27,7 +27,7 @@ DENORMAL = 5e-324
 BELOW_ONE = 1.0 - 2.0**-53
 
 GRADES = (0.0, -0.0, DENORMAL, 0.25, 0.5, BELOW_ONE, 1.0)
-IDS = (1, "1", 2, "2", "a", "b", 10, "10")
+IDS = (1, "1", 2, "2", "a", "a\x00", "b", 10, "10")
 
 RULES = (
     tnorms.MIN,

@@ -25,7 +25,7 @@ from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.naive import naive_top_k
 from repro.core.planner import Strategy
 from repro.core.query import Atomic, Scored
-from repro.core.sources import ArraySource, GradedSource, ListSource, sources_from_columns
+from repro.core.sources import ArraySource, ListSource, WrapperSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import TransientAccessError
 from repro.index import KnnSubsystem
@@ -313,42 +313,18 @@ def test_a0_paging_after_degradation_matches_across_kernels():
         assert list(vector_known) == list(scalar_known)
 
 
-class SortedStreamDies(GradedSource):
+class SortedStreamDies(WrapperSource):
     """Sorted access fails for good past ``limit`` deliveries; random
     access keeps working."""
 
     def __init__(self, inner, limit):
-        super().__init__(inner.name)
-        self._inner = inner
+        super().__init__(inner)
         self._limit = limit
-        self.counter = inner.counter
 
-    def _refuse_past_limit(self, end):
-        if end > self._limit:
+    def _consume(self, start, count):
+        if start + count > self._limit:
             raise TransientAccessError(f"{self.name}: sorted stream is gone")
-
-    def _item_at(self, index):
-        self._refuse_past_limit(index + 1)
-        return self._inner._item_at(index)
-
-    def _items_range(self, start, count):
-        self._refuse_past_limit(start + count)
-        return self._inner._items_range(start, count)
-
-    def _peek_at(self, index):
-        return self._inner._peek_at(index)
-
-    def _peek_range(self, start, count):
-        return self._inner._peek_range(start, count)
-
-    def _grade_of(self, object_id):
-        return self._inner._grade_of(object_id)
-
-    def _grades_of_many(self, object_ids):
-        return self._inner._grades_of_many(object_ids)
-
-    def __len__(self):
-        return len(self._inner)
+        self._inner._consume(start, count)
 
 
 def run_faulty_ta(combine, rule, *, traced, degrade, batch_size, sorted_limit,

@@ -21,8 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.sources import ArraySource, ListSource, shared_object_codes
-from repro.core.threshold import threshold_top_k
+from repro.core.fagin import fagin_top_k
+from repro.core.graded import GradedSet
+from repro.core.naive import naive_top_k
+from repro.core.sources import ArraySource, ListSource, shared_object_codes, sources_from_columns
+from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import UnknownObjectError
 from repro.kernels import ObjectCodes, str_ranks
 from repro.observability import QueryTracer
@@ -74,6 +77,23 @@ def test_str_ranks_are_python_string_order(ids):
     for a in range(len(ids)):
         for b in range(len(ids)):
             assert (rank[a] == rank[b]) == (strs[a] == strs[b])
+
+
+@pytest.mark.parametrize("backend", ["list", "array", "sharded"])
+def test_nul_suffixed_ids_tie_break_alike_in_every_algorithm(backend):
+    # "a" and "a\x00" tie at 0.8 under min; Python string order puts
+    # "a" first, where numpy <U keys (which drop the NUL) saw a tie
+    table = {"a\x00": (0.9, 0.8), "a": (0.8, 0.9), "c": (0.1, 0.1)}
+    for algorithm in (naive_top_k, fagin_top_k, threshold_top_k, nra_top_k, combined_top_k):
+        sources = sources_from_columns(
+            table,
+            backend="list" if backend == "list" else "array",
+            shards=3 if backend == "sharded" else 1,
+        )
+        result = algorithm(sources, tnorms.MIN, 1)
+        assert [item.object_id for item in result.answers] == ["a"], algorithm.__name__
+    graded = GradedSet({object_id: min(grades) for object_id, grades in table.items()})
+    assert [item.object_id for item in graded.top(1)] == ["a"]
 
 
 # ----------------------------------------------------------------------
@@ -226,8 +246,8 @@ def shuffled_sources(count, n=60, seed=5):
 
 def test_separately_built_sources_converge_on_the_oldest_index():
     ids, sources = shuffled_sources(3)
-    before = [source._grades_of_many(ids) for source in sources]
-    single = [[source._grade_of(object_id) for object_id in ids] for source in sources]
+    before = [source._grades_of_many(ids).tolist() for source in sources]
+    single = [[source.random_access(object_id) for object_id in ids] for source in sources]
     graded = [source.as_graded_set() for source in sources]
     oldest = sources[0]._coded[0]
     assert len({id(source._coded[0]) for source in sources}) == 3
@@ -235,9 +255,9 @@ def test_separately_built_sources_converge_on_the_oldest_index():
     threshold_top_k(sources[::-1], tnorms.MIN, 5)
     assert all(source._coded[0] is oldest for source in sources)
     assert shared_object_codes(sources) is oldest
-    assert [source._grades_of_many(ids) for source in sources] == before
+    assert [source._grades_of_many(ids).tolist() for source in sources] == before
     assert [
-        [source._grade_of(object_id) for object_id in ids] for source in sources
+        [source.random_access(object_id) for object_id in ids] for source in sources
     ] == single
     assert [source.as_graded_set() for source in sources] == graded
     # a source never moves to a newer index

@@ -65,8 +65,8 @@ def test_random_access_charges_counter_and_index():
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
 def test_bulk_random_access_matches_one_at_a_time(kind):
-    """``_grades_of_many`` is ``_grade_of`` per id, bit for bit, with the
-    same ``distance_evaluations`` charge; an unknown id is refused."""
+    """``_grades_of_many`` is ``random_access`` per id, bit for bit, with
+    the same ``distance_evaluations`` charge; an unknown id is refused."""
     ids, matrix = corpus(n=300, dim=8)
     rng = np.random.default_rng(5)
     wanted = [ids[i] for i in rng.permutation(len(ids))[:200]]
@@ -74,14 +74,14 @@ def test_bulk_random_access_matches_one_at_a_time(kind):
         source = make_source(kind, ids, matrix, target)
         stats = source._index.stats
         _, before = stats.snapshot()
-        one_at_a_time = {object_id: source._grade_of(object_id) for object_id in wanted}
+        one_at_a_time = [source.random_access(object_id) for object_id in wanted]
         _, middle = stats.snapshot()
         bulk = source._grades_of_many(wanted)
         _, after = stats.snapshot()
-        assert list(bulk) == wanted
-        assert bulk == one_at_a_time
+        assert bulk.dtype == np.float64
+        assert bulk.tolist() == one_at_a_time
         assert after - middle == middle - before == len(wanted)
-        assert source._grades_of_many([]) == {}
+        assert source._grades_of_many([]).size == 0
         with pytest.raises(UnknownObjectError):
             source._grades_of_many([ids[0], "nope"])
 
@@ -98,7 +98,7 @@ def test_sorted_grades_equal_probe_grades(kind):
         probe = make_source(kind, ids, matrix, target)
         assert len(items) == len(ids)
         assert [item.grade for item in items] == [
-            probe._grade_of(item.object_id) for item in items
+            probe.random_access(item.object_id) for item in items
         ]
 
 

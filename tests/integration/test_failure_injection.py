@@ -1,9 +1,9 @@
 """Failure injection: misbehaving subsystems and how the stack reacts."""
 
+import numpy as np
 import pytest
 
 from repro.core.fagin import fagin_top_k
-from repro.core.graded import GradedItem
 from repro.core.sources import GradedSource, ListSource, VerifyingSource
 from repro.errors import AccessError, GradeError
 from repro.scoring import tnorms
@@ -16,29 +16,25 @@ class OutOfOrderSource(GradedSource):
 
     def __init__(self) -> None:
         super().__init__("liar")
-        self._items = [
-            GradedItem("a", 0.9),
-            GradedItem("b", 0.4),
-            GradedItem("c", 0.8),  # inversion
-            GradedItem("d", 0.2),
-        ]
-        self._grades = {i.object_id: i.grade for i in self._items}
+        self._ids = ["a", "b", "c", "d"]
+        self._column = np.array([0.9, 0.4, 0.8, 0.2])  # inversion at c
+        self._grades = dict(zip(self._ids, self._column.tolist()))
 
-    def _item_at(self, index):
-        return self._items[index] if index < len(self._items) else None
+    def _columns_range(self, start, count):
+        return self._ids[start : start + count], self._column[start : start + count]
 
-    def _grade_of(self, object_id):
-        return self._grades[object_id]
+    def _grades_of_many(self, object_ids):
+        return np.array([self._grades[object_id] for object_id in object_ids])
 
     def __len__(self):
-        return len(self._items)
+        return len(self._ids)
 
 
 class InconsistentSource(ListSource):
     """Random access disagrees with the sorted stream (§4.2's ID worry)."""
 
-    def _grade_of(self, object_id):
-        return super()._grade_of(object_id) * 0.5
+    def _grades_of_many(self, object_ids):
+        return super()._grades_of_many(object_ids) * 0.5
 
 
 def test_verifier_passes_well_behaved_sources():

@@ -95,7 +95,7 @@ def test_deadline_budget_ignores_wall_clock_jumps(monkeypatch):
     monkeypatch.setattr(time_module, "sleep", fake_sleep)
 
     class AlwaysTransient(ListSource):
-        def _grade_of(self, object_id):
+        def _grades_of_many(self, object_ids):
             raise TransientAccessError("flaky forever")
 
     inner = AlwaysTransient(

@@ -8,9 +8,9 @@ has many thousands of chances per run while the suite stays fast.
 
 import threading
 
+import numpy as np
 import pytest
 
-from repro.core.graded import GradedItem
 from repro.core.sources import GradedSource
 from repro.errors import CircuitOpenError, TransientAccessError
 from repro.middleware.resilience import (
@@ -146,14 +146,14 @@ class AlwaysTransientSource(GradedSource):
     def __init__(self):
         super().__init__("always-down")
 
-    def _grade_of(self, object_id):
+    def _grades_of_many(self, object_ids):
         raise TransientAccessError("down")
 
-    def _item_at(self, index):
+    def _consume(self, start, count):
         raise TransientAccessError("down")
 
-    def _peek_at(self, index):
-        return GradedItem("x", 1.0)
+    def _columns_range(self, start, count):
+        return ["x"][start : start + count], np.array([1.0])[start : start + count]
 
     def __len__(self):
         return 1

@@ -212,5 +212,7 @@ def test_grade_matrix_top_order_breaks_ties_like_graded_item():
     for object_id in ("b", "a", "c", "d"):
         matrix.row_of(object_id)
     scores = np.asarray([0.5, 0.5, 0.9, 0.5])
-    order = matrix.top_order(scores)
+    order = matrix.top_order(scores, 4)
     assert [matrix.ids[row] for row in order] == ["c", "a", "b", "d"]
+    # a cut inside the tied run orders only the rows that reach it
+    assert [matrix.ids[row] for row in matrix.top_order(scores, 2)] == ["c", "a"]

@@ -51,17 +51,8 @@ class GateSource(ListSource):
         if not self._gate.wait(timeout=30.0):
             raise TimeoutError("gate never opened")
 
-    def _item_at(self, index):
+    def _consume(self, start, count):
         self._blocked()
-        return super()._item_at(index)
-
-    def _items_range(self, start, count):
-        self._blocked()
-        return super()._items_range(start, count)
-
-    def _grade_of(self, object_id):
-        self._blocked()
-        return super()._grade_of(object_id)
 
     def _grades_of_many(self, object_ids):
         self._blocked()

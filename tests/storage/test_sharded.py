@@ -114,6 +114,16 @@ def test_shard_stats_shape():
 # -------------------------------------------------------------- routing
 
 
+@pytest.mark.parametrize("shards", [2, 3, 4])
+def test_merge_ties_nul_suffixed_ids_in_python_string_order(shards):
+    # numpy <U keys drop a trailing NUL, which tied "a\x00" with "a"
+    column = {"a\x00": 0.5, "a": 0.5, "b\x00": 0.5, "b": 0.5}
+    source = ShardedSource.partition(column, shards)
+    expected = list(ListSource(column).object_ids())
+    assert expected == ["a", "a\x00", "b", "b\x00"]
+    assert list(source.object_ids()) == expected
+
+
 def test_hash_router_is_stable_and_bounded():
     route = hash_router(5)
     for obj in ("a", "b", 17, "obj001"):

@@ -6,7 +6,8 @@ The seam contract: every wrapper (`SortedOnlySource`, `MappedSource`,
 counters, free peeks, and random-access attribution that reaches the
 owning shard even when a mapping layer renames every object on the way
 down.  Also home of the columnar-materialization regression guards
-(`object_ids` / `as_graded_set` must not box one item per object).
+(`object_ids` / `as_graded_set` must read whole chunks and never take a
+charged path).
 """
 
 import random
@@ -76,8 +77,9 @@ def test_peeks_stay_free_through_wrappers(tmp_path, kind):
 
 
 def test_wrapped_cursor_falls_back_from_columnar(tmp_path):
-    # SortedOnlySource does not advertise supports_columnar, so the
-    # cursor's columnar batch must transparently unbox items instead
+    # SortedOnlySource does not advertise supports_columnar (TA keeps its
+    # per-row path over it), yet the cursor's columnar batch reads the
+    # wrapped backend's columns straight through it
     column = make_column(12)
     inner = backends(tmp_path, column)["sharded"]
     source = SortedOnlySource(inner)
@@ -161,27 +163,34 @@ def test_free_reads_charge_nothing_through_full_stack(tmp_path):
 # ----------------------------------------- materialization memory guard
 
 
-def _forbid_item_paths(source):
-    def boom(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError(
-            "columnar backend materialized through the per-item path"
-        )
+def _forbid_charged_paths(source):
+    """Fail on any charged path; record the size of every columnar read."""
 
-    source._items_range = boom
-    source._peek_range = boom
-    source._item_at = boom
-    source._peek_at = boom
+    def boom(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("materialization took a charged access path")
+
+    reads = []
+    columns_range = source._columns_range
+
+    def recording(start, count):
+        reads.append(count)
+        return columns_range(start, count)
+
+    source._consume = boom
+    source._grades_of_many = boom
+    source._columns_range = recording
+    return reads
 
 
 @pytest.mark.parametrize("kind", ["array", "memmap", "sharded"])
 def test_materialization_avoids_per_item_boxing(tmp_path, kind):
     column = make_column(30, seed=3)
     source = backends(tmp_path, column)[kind]
-    if kind == "sharded":
-        source._extend_merged(len(column))  # merge first: it uses peeks
-    _forbid_item_paths(source)
+    reads = _forbid_charged_paths(source)
     assert set(source.object_ids()) == set(column)
     assert {i.object_id: i.grade for i in source.as_graded_set()} == column
+    # whole chunks, one read per chunk — never one read per object
+    assert reads == [source._MATERIALIZE_CHUNK] * 2
 
 
 def test_materialization_memory_stays_columnar():
