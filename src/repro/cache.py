@@ -1,13 +1,11 @@
-"""Semantic top-k result cache with incremental re-answering.
+"""Semantic top-k result cache.
 
 Production traffic is dominated by repeated and near-duplicate ranked
 queries, and the paper's graded model makes reuse principled: the top k
 answers under a monotone rule are a *prefix* of the top k' answers for
 any k' >= k (exact grades plus the repo's canonical total order — grade
 descending, then ``str(object_id)`` ascending — make the ranking
-algorithm-independent), and a finished NRA run's bound bookkeeping is a
-certified continuation point for a deeper query (Fagin–Lotem–Naor's
-resumption invariants).  :class:`QueryCache` exploits both, in three
+algorithm-independent).  :class:`QueryCache` exploits that in three
 tiers:
 
 1. **Exact hit** — a query whose normalized plan and effective k match a
@@ -23,25 +21,22 @@ tiers:
    permits arbitrary choice among equals, and cold runs at different k
    exercise that freedom too.  The served cost report is all-zero
    because nothing was touched.
-3. **Warm-start resumption** — ``k > k'`` on an NRA plan feeds the
-   fill run's snapshot (per-object known grades, cursor positions, list
-   bottoms, stop-schedule position) back into the resumable
-   :func:`~repro.core.threshold._nra_run` continuation.  The resumed
-   run pays only the *marginal* accesses past the fill's depth, yet its
-   access stream — and therefore the merged fill+marginal cost the
-   result reports — is byte-identical to a cold run at the deeper k.
+3. **θ-approximate repeats** — a θ > 1 fill's result is stored under
+   its own extended key together with its
+   :class:`~repro.core.result.ApproximationCertificate`, and a later
+   request at the *same k* whose requested θ' is at least the recorded
+   *achieved* ratio replays it (the certificate proves the cached
+   answers already meet the θ' guarantee).  Same-k only: a prefix of a
+   θ-certified set is *not* θ-certified (a strong answer inside the
+   prefix proves nothing about the weakly-bounded answers sliced off).
+   Exact (θ = 1) entries, by contrast, serve *any* requested θ' through
+   the tiers above — exact answers trivially satisfy every θ ≥ 1.
 
-A fourth tier serves **θ-approximate** repeats: a θ > 1 fill's result is
-stored under its own extended key together with its
-:class:`~repro.core.result.ApproximationCertificate`, and a later
-request at the *same k* whose requested θ' is at least the recorded
-*achieved* ratio replays it (the certificate proves the cached answers
-already meet the θ' guarantee).  Same-k only: a prefix of a θ-certified
-set is *not* θ-certified (a strong answer inside the prefix proves
-nothing about the weakly-bounded answers sliced off), and θ entries
-carry no warm-start snapshots.  Exact (θ = 1) entries, by contrast,
-serve *any* requested θ' through the tiers above — exact answers
-trivially satisfy every θ ≥ 1.
+A request deeper than every cached fill is an ordinary miss: it runs
+cold — byte-identical to a cache-off run — and its deeper fill replaces
+the entry, so the entry then serves both depths.  Continuing a ranking
+*within* one query is the cursor's job
+(:class:`~repro.core.sources.SortedCursor`), not the cache's.
 
 **Keying.**  Entries are keyed on a normalized plan: the query AST with
 children of symmetric connectives (And/Or under a symmetric rule,
@@ -75,7 +70,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.cost import AccessCounter, CostMeter, CostReport
+from repro.core.cost import AccessCounter, CostReport
 from repro.core.graded import GradedSet
 from repro.core.query import And, Atomic, Not, Or, Query, Scored, Weighted
 from repro.core.result import TopKResult
@@ -90,7 +85,6 @@ __all__ = [
     "plan_key",
     "key_digest",
     "fingerprint",
-    "resume_from_snapshot",
 ]
 
 
@@ -243,7 +237,7 @@ def fingerprint(source: GradedSource) -> SourceFingerprint:
 # Entries
 # ----------------------------------------------------------------------
 class CacheEntry:
-    """One cached fill: the certified answers plus resumable state.
+    """One cached fill: the certified answers and the fill run's cost.
 
     Immutable after construction; the cache replaces entries wholesale,
     so concurrent readers can use an entry without holding the cache
@@ -253,7 +247,6 @@ class CacheEntry:
     __slots__ = (
         "key",
         "digest",
-        "atoms",
         "atom_set",
         "fingerprints",
         "k",
@@ -263,7 +256,6 @@ class CacheEntry:
         "algorithm",
         "sorted_depth",
         "cost",
-        "snapshot",
         "certificate",
         "grades_exact",
     )
@@ -272,7 +264,6 @@ class CacheEntry:
         self,
         *,
         key: Tuple,
-        atoms: Sequence[Atomic],
         fingerprints: Sequence[Tuple[Atomic, SourceFingerprint]],
         k: int,
         n: int,
@@ -280,15 +271,13 @@ class CacheEntry:
         algorithm: str,
         sorted_depth: int,
         cost: Dict[str, Tuple[int, int]],
-        snapshot: Optional[Dict],
         certificate=None,
         grades_exact: bool = True,
     ) -> None:
         self.key = key
         self.digest = key_digest(key)
-        self.atoms = tuple(atoms)
-        self.atom_set = frozenset(atoms)
         self.fingerprints = tuple(fingerprints)
+        self.atom_set = frozenset(atom for atom, _ in self.fingerprints)
         self.k = k
         self.n = n
         self.answers = answers
@@ -299,7 +288,6 @@ class CacheEntry:
         self.algorithm = algorithm
         self.sorted_depth = sorted_depth
         self.cost = cost
-        self.snapshot = snapshot
         #: the fill run's ApproximationCertificate for θ-tier entries;
         #: None for exact entries.
         self.certificate = certificate
@@ -320,15 +308,38 @@ class CacheEntry:
         return CostReport({name: AccessCounter() for name in self.cost})
 
 
+def _entry_for(
+    key: Tuple, atoms, sources, result: TopKResult, certificate=None
+) -> CacheEntry:
+    """The entry recording ``result``, fingerprinting its bound sources."""
+    return CacheEntry(
+        key=key,
+        fingerprints=[
+            (atom, fingerprint(source)) for atom, source in zip(atoms, sources)
+        ],
+        k=len(result.answers),
+        n=len(sources[0]) if sources else 0,
+        answers=tuple((item.object_id, item.grade) for item in result.answers),
+        algorithm=result.algorithm,
+        sorted_depth=result.sorted_depth,
+        cost={
+            name: (counter.sorted_accesses, counter.random_accesses)
+            for name, counter in result.cost.per_source.items()
+        },
+        certificate=certificate,
+        grades_exact=result.grades_exact,
+    )
+
+
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
 class QueryCache:
     """Thread-safe LRU cache of certified top-k fills.
 
-    ``stats()`` exposes probe-level counters: ``hits`` (exact + prefix),
-    ``warm_hits``, ``misses``, ``stale`` (entry found but its source
-    fingerprints no longer match — evicted, never served), ``fills``,
+    ``stats()`` exposes probe-level counters: ``hits`` (exact, prefix
+    and θ), ``theta_hits``, ``misses``, ``stale`` (entry found but its
+    source fingerprints no longer match — evicted, never served), ``fills``,
     ``fill_races`` (a concurrent fill already stored an entry at least
     as deep; the late result was discarded), ``evictions`` (LRU), and
     ``invalidations``.
@@ -341,7 +352,6 @@ class QueryCache:
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
-        self.warm_hits = 0
         self.theta_hits = 0
         self.misses = 0
         self.stale = 0
@@ -359,7 +369,8 @@ class QueryCache:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
-                "warm_hits": self.warm_hits,
+                # Always 0; bench/layers.py is its only reader.
+                "warm_hits": 0,
                 "theta_hits": self.theta_hits,
                 "misses": self.misses,
                 "stale": self.stale,
@@ -394,10 +405,10 @@ class QueryCache:
         """Tier-1/2 (and, for θ > 1, θ-tier) lookup: ``(result, status)``.
 
         ``status`` is ``"exact"`` or ``"prefix"`` with a served result,
-        ``"miss"`` (no entry, or the entry is too shallow — the caller
-        may still warm-start), or ``"stale"`` (entry evicted after a
-        fingerprint mismatch).  A served result is freshly built on
-        every call; callers may mutate it freely.
+        ``"miss"`` (no entry, or the entry is too shallow), or
+        ``"stale"`` (entry evicted after a fingerprint mismatch).  A
+        served result is freshly built on every call; callers may mutate
+        it freely.
 
         ``theta`` is the request's approximation knob.  Exact entries
         serve any θ (an exact answer satisfies every θ ≥ 1), so the
@@ -535,29 +546,6 @@ class QueryCache:
         }
         return result
 
-    def warm_entry(
-        self, key: Tuple, k: int, atoms, sources
-    ) -> Optional[CacheEntry]:
-        """The entry to warm-start from for a deeper-k NRA query, if any.
-
-        Requires a resumable snapshot and the *same atom order* as the
-        fill (the snapshot's per-list state is positional); symmetric
-        reorderings still get tier 1/2 service but restart cold for
-        deeper k.
-        """
-        entry = self._validated(key, atoms, sources)
-        if entry is None or entry.snapshot is None:
-            return None
-        if min(k, entry.n) <= entry.k:
-            return None
-        if tuple(atoms) != entry.atoms:
-            return None
-        with self._lock:
-            if self._entries.get(key) is entry:
-                self._entries.move_to_end(key)
-            self.warm_hits += 1
-        return entry
-
     # -- fill ----------------------------------------------------------
     def store(
         self,
@@ -565,19 +553,16 @@ class QueryCache:
         atoms,
         sources,
         result: TopKResult,
-        *,
-        snapshot: Optional[Dict] = None,
     ) -> bool:
         """Record a finished run.  Returns True when an entry was stored.
 
-        Clean exact-grade results (no certificate) fill the tier-1/2/3
+        Clean exact-grade results (no certificate) fill the exact/prefix
         entry for their plan key.  Clean θ-certified results fill a
         *θ entry* under the extended same-k key — answers, certificate,
-        and cost, but never a warm-start snapshot (the continuation
-        contract is exact-only).  Degraded runs, anytime stops, and
-        uncertified inexact results are never cached.  False means a
-        concurrent fill already stored something at least as good
-        (counted ``fill_races``) or the result is not cacheable.
+        and cost.  Degraded runs, anytime stops, and uncertified inexact
+        results are never cached.  False means a concurrent fill already
+        stored something at least as good (counted ``fill_races``) or
+        the result is not cacheable.
         """
         if result.degraded is not None:
             return False
@@ -588,37 +573,13 @@ class QueryCache:
             return self._store_theta(key, atoms, sources, result, certificate)
         if not result.grades_exact:
             return False
-        entry = CacheEntry(
-            key=key,
-            atoms=atoms,
-            fingerprints=[
-                (atom, fingerprint(source))
-                for atom, source in zip(atoms, sources)
-            ],
-            k=len(result.answers),
-            n=len(sources[0]) if sources else 0,
-            answers=tuple(
-                (item.object_id, item.grade) for item in result.answers
-            ),
-            algorithm=result.algorithm,
-            sorted_depth=result.sorted_depth,
-            cost={
-                name: (counter.sorted_accesses, counter.random_accesses)
-                for name, counter in result.cost.per_source.items()
-            },
-            snapshot=snapshot if snapshot else None,
-        )
+        entry = _entry_for(key, atoms, sources, result)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None and existing.k >= entry.k:
                 self.fill_races += 1
                 return False
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self.fills += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._insert(key, entry)
         return True
 
     def _store_theta(
@@ -633,28 +594,7 @@ class QueryCache:
         if not certificate.achieved < float("inf"):
             return False
         theta_key = self._theta_key(key, len(result.answers))
-        entry = CacheEntry(
-            key=theta_key,
-            atoms=atoms,
-            fingerprints=[
-                (atom, fingerprint(source))
-                for atom, source in zip(atoms, sources)
-            ],
-            k=len(result.answers),
-            n=len(sources[0]) if sources else 0,
-            answers=tuple(
-                (item.object_id, item.grade) for item in result.answers
-            ),
-            algorithm=result.algorithm,
-            sorted_depth=result.sorted_depth,
-            cost={
-                name: (counter.sorted_accesses, counter.random_accesses)
-                for name, counter in result.cost.per_source.items()
-            },
-            snapshot=None,
-            certificate=certificate,
-            grades_exact=result.grades_exact,
-        )
+        entry = _entry_for(theta_key, atoms, sources, result, certificate)
         with self._lock:
             existing = self._entries.get(theta_key)
             if (
@@ -664,13 +604,18 @@ class QueryCache:
             ):
                 self.fill_races += 1
                 return False
-            self._entries[theta_key] = entry
-            self._entries.move_to_end(theta_key)
-            self.fills += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._insert(theta_key, entry)
         return True
+
+    def _insert(self, key: Tuple, entry: CacheEntry) -> None:
+        """Store ``entry`` as most recently used and evict LRU overflow.
+        The caller holds the lock."""
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        self.fills += 1
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     # -- invalidation --------------------------------------------------
     def invalidate(self, atom: Optional[Atomic] = None) -> int:
@@ -694,69 +639,3 @@ class QueryCache:
 
     def clear(self) -> None:
         self.invalidate()
-
-
-# ----------------------------------------------------------------------
-# Warm-start resumption
-# ----------------------------------------------------------------------
-def resume_from_snapshot(
-    sources: Sequence[GradedSource],
-    rule,
-    k: int,
-    snapshot: Dict,
-    *,
-    theta: float = 1.0,
-    tracer=None,
-    executor=None,
-    snapshot_out: Optional[Dict] = None,
-) -> TopKResult:
-    """Continue a finished NRA run at a deeper k from its snapshot.
-
-    Cursors are re-created at the recorded positions *without* charging:
-    the fill run already paid for that prefix, and the returned result's
-    cost report covers only this continuation's marginal accesses (the
-    engine merges the fill cost back in, so the total equals a cold
-    run's).  ``initial_check=True`` replays the fill's final stop check
-    first — the point where a cold deeper-k run would also test and
-    fail — keeping the access stream byte-identical to cold.
-
-    ``theta`` is the *new* request's approximation knob, not the
-    fill's: snapshots are θ-agnostic resumable state (positions, known
-    grades, schedule), and the replayed stop check — plus any
-    certificate the continuation attaches — is evaluated fresh under
-    this θ from the live bounds.  A θ > 1 resume therefore re-tightens
-    (or re-relaxes) honestly rather than inheriting anything from the
-    fill run.
-    """
-    from repro.core.threshold import _nra_run
-    from repro.kernels import GradeMatrix
-
-    cursors = []
-    for source, position in zip(sources, snapshot["positions"]):
-        cursor = source.cursor()
-        cursor.position = position
-        cursors.append(cursor)
-    return _nra_run(
-        sources,
-        rule,
-        k,
-        cursors=cursors,
-        # the matrix copies the states: the snapshot stays valid for
-        # later resumes
-        bounds=GradeMatrix.from_known(snapshot["states"], len(sources)),
-        bottoms=list(snapshot["bottoms"]),
-        exhausted=list(snapshot["exhausted"]),
-        meter=CostMeter(sources),
-        depth=snapshot["depth"],
-        exact_grades=snapshot["exact_grades"],
-        tol=snapshot["tol"],
-        theta=theta,
-        batch_size=snapshot["batch_size"],
-        tracer=tracer,
-        executor=executor,
-        stop_check_growth=snapshot["stop_check_growth"],
-        rounds=snapshot["rounds"],
-        next_check=snapshot["next_check"],
-        initial_check=True,
-        snapshot_out=snapshot_out,
-    )

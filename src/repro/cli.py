@@ -160,14 +160,8 @@ def _print_result(result) -> None:
               f"theta={certificate.theta:g}, certified ratio {achieved}")
     cache_info = result.extras.get("cache")
     if cache_info:
-        line = (f"cache: {cache_info['tier']} "
-                f"(k'={cache_info['k_cached']}")
-        if cache_info["tier"] == "warm":
-            line += (f", marginal sorted {cache_info['marginal_sorted']} "
-                     f"random {cache_info['marginal_random']}")
-        else:
-            line += f", tau={cache_info['tau']:.4f}"
-        print(line + ")")
+        print(f"cache: {cache_info['tier']} "
+              f"(k'={cache_info['k_cached']}, tau={cache_info['tau']:.4f})")
     resilience = result.extras.get("resilience")
     if resilience:
         for name, entry in sorted(resilience.items()):
@@ -410,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", action="store_true",
             help="enable the semantic result cache: repeated or "
             "contained (smaller-k) queries are served from certified "
-            "cached answers with zero repository accesses, and "
-            "deeper-k NRA queries warm-start from the cached run",
+            "cached answers with zero repository accesses; a deeper-k "
+            "query runs cold and replaces the cached run",
         )
         command.add_argument(
             "--theta", metavar="T", type=float, default=None,

@@ -167,19 +167,6 @@ class CostReport:
         """Total charge under an arbitrary cost model."""
         return sum(model.cost(c) for c in self.per_source.values())
 
-    def merged(self, other: "CostReport") -> "CostReport":
-        """Combine two reports (e.g. a resumed run's phases)."""
-        merged: Dict[str, AccessCounter] = {
-            name: AccessCounter(*counter.snapshot())
-            for name, counter in self.per_source.items()
-        }
-        for name, counter in other.per_source.items():
-            if name in merged:
-                merged[name] = merged[name] + counter
-            else:
-                merged[name] = AccessCounter(*counter.snapshot())
-        return CostReport(merged)
-
     def __repr__(self) -> str:
         return (
             f"CostReport(sorted={self.sorted_access_cost}, "

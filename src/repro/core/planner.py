@@ -239,7 +239,6 @@ def execute(
     tracer=None,
     executor=None,
     kernel=None,  # inert; bench/layers.py is its only reader
-    nra_snapshot: Optional[Dict] = None,
 ) -> TopKResult:
     """Run a plan produced by :func:`plan_top_k` over the same sources.
 
@@ -249,9 +248,7 @@ def execute(
     ``executor`` (an optional
     :class:`~repro.parallel.ParallelAccessExecutor`) overlaps each
     round's independent subsystem accesses; results are byte-identical
-    to serial execution.  ``nra_snapshot`` (a dict) collects a
-    clean NRA run's resumable state for the result cache's warm-start
-    tier; it is ignored by every other strategy.
+    to serial execution.
     """
     if plan.strategy is Strategy.NAIVE:
         return naive_top_k(
@@ -288,7 +285,6 @@ def execute(
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
-            snapshot_out=nra_snapshot,
         )
     if plan.strategy is Strategy.BOOLEAN_FIRST:
         if plan.boolean_index is None:

@@ -105,7 +105,8 @@ class SortedCursor:
 
     ``next()`` returns the next :class:`GradedItem` in nonincreasing
     grade order (charging one sorted access), or ``None`` once the list
-    is exhausted.  ``position`` counts items already delivered.
+    is exhausted.  ``position`` (read-only) counts items already
+    delivered: a cursor moves only by a charged delivery.
 
     ``next_batch(n)`` is the bulk form of the same access mode — the
     paper's "ask the subsystem for, say, the top 10 objects … then
@@ -125,11 +126,15 @@ class SortedCursor:
     into :class:`GradedItem` s.
     """
 
-    __slots__ = ("_source", "position")
+    __slots__ = ("_source", "_position")
 
     def __init__(self, source: "GradedSource") -> None:
         self._source = source
-        self.position = 0
+        self._position = 0
+
+    @property
+    def position(self) -> int:
+        return self._position
 
     def next_batch_columns(self, n: int) -> Tuple[List[ObjectId], "object"]:
         """The next ``n`` items in sorted order as parallel (ids, float64
@@ -139,12 +144,12 @@ class SortedCursor:
         since asking a repository for more is itself an access."""
         if n <= 0:
             return [], _np.empty(0)
-        start = self.position
+        start = self._position
         ids, grades = self._source._columns_range(start, n)
         self._source._consume(start, len(ids))
         if ids:
             self._charge(len(ids))
-            self.position += len(ids)
+            self._position += len(ids)
         return ids, grades
 
     def _charge(self, count: int) -> None:

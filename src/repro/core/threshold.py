@@ -132,10 +132,6 @@ def _nra_run(
     phase_name: str = "nra",
     executor=None,
     stop_check_growth: float = 2.0,
-    rounds: int = 0,
-    next_check: int = 1,
-    initial_check: bool = False,
-    snapshot_out: Optional[Dict] = None,
 ) -> TopKResult:
     """The NRA main loop, resumable from arbitrary accumulated state.
 
@@ -175,18 +171,6 @@ def _nra_run(
     top k by *lower* bound is returned with ``grades_exact=False`` and a
     ``partial-bounds`` :class:`~repro.core.result.DegradedResult`.
 
-    **Warm-start continuations** (the result cache's tier 3) hand back a
-    finished run's position on the stop-check schedule via ``rounds`` and
-    ``next_check``, and set ``initial_check=True`` so the continuation
-    replays the stop check its snapshot was taken at — for a shallower k
-    the fill run stopped there, and a cold run at the deeper k evaluates
-    that same check at the same depth before draining further, so the
-    resumed access stream stays byte-identical to cold.  ``snapshot_out``
-    (a dict, filled in place) captures the finished run's resumable state
-    — per-object known grades, list bottoms/positions, schedule position
-    — when the run completed cleanly; nothing is written after a
-    degraded run, whose frozen streams cannot be resumed faithfully.
-
     **θ-approximation (NRA-θ).**  ``theta >= 1.0`` relaxes the stop
     test to the Fagin–Lotem–Naor rule: accept as soon as ``theta *
     kth_lower >= rivals_upper`` (and, for θ > 1, without waiting for
@@ -217,6 +201,8 @@ def _nra_run(
     partial = False
     stop_kth = 0.0
     stop_bound = 0.0
+    rounds = 0
+    next_check = 1
 
     def view_bounds():
         """The state's stop view, and the best overall grade any object
@@ -245,12 +231,6 @@ def _nra_run(
         return GradedSet(zip(view.ids, view.lowers))
 
     with nullcontext() if tracer is None else tracer.phase(phase_name):
-        if initial_check:
-            # Replay the check the snapshot was taken at, WITHOUT moving
-            # the schedule: the fill run already advanced next_check past
-            # this round, and a cold run at the deeper k fails this very
-            # check before draining on.
-            answers = evaluate_stop()
         while answers is None:
             # Drain everything up to the next scheduled stop check in one
             # batch per list; nothing is decided between checks, so this is
@@ -345,30 +325,6 @@ def _nra_run(
             fallback="partial-bounds" if partial else "nra-sorted-only",
             complete=not partial,
             bounds=dict(intervals),
-        )
-
-    if snapshot_out is not None and not failures:
-        # Everything is copied into plain built-in containers: the
-        # snapshot must stay valid (and immutable in practice) after the
-        # run's own bookkeeping is garbage-collected or mutated by a
-        # later continuation.  ``states`` maps object id -> {list index
-        # -> known grade} in first-seen order, which is exactly the
-        # insertion order a resumed run's bookkeeping must reproduce —
-        # whichever bounds state wrote it.
-        snapshot_out.clear()
-        snapshot_out.update(
-            kind="nra",
-            states=bounds.known_states(),
-            bottoms=list(bottoms),
-            positions=[cursor.position for cursor in cursors],
-            exhausted=list(exhausted),
-            depth=depth,
-            rounds=rounds,
-            next_check=next_check,
-            batch_size=batch_size,
-            stop_check_growth=stop_check_growth,
-            exact_grades=exact_grades,
-            tol=tol,
         )
 
     certificate: Optional[ApproximationCertificate] = None
@@ -883,7 +839,6 @@ def nra_top_k(
     tracer=None,
     executor=None,
     stop_check_growth: float = 2.0,
-    snapshot_out: Optional[Dict] = None,
 ) -> TopKResult:
     """Top k answers using sorted access only (NRA).
 
@@ -894,8 +849,6 @@ def nra_top_k(
     ``stop_check_growth`` controls the geometric stop-check schedule
     (see :func:`_nra_run`); ``theta`` the Fagin–Lotem–Naor
     θ-approximation knob (1.0 = exact; see :func:`_nra_run`).
-    ``snapshot_out`` captures a clean run's resumable state for the
-    result cache's warm-start tier (see :func:`_nra_run`).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -923,7 +876,6 @@ def nra_top_k(
         tracer=tracer,
         executor=executor,
         stop_check_growth=stop_check_growth,
-        snapshot_out=snapshot_out,
     )
 
 

@@ -15,8 +15,8 @@ Its small interface is all the algorithm loops use: ``count``,
 object's m grades, ``None`` where unknown), ``scores``/``ranked``
 (lower bounds, unordered / best k), ``stop_view`` (the :class:`StopView`
 NRA's stop test reads), ``best_incomplete`` (CA's resolution target),
-``intervals`` and ``known_states`` (certificates, snapshots and
-hand-offs, as plain ``{object_id: {column: grade}}`` data), and
+``intervals`` and ``known_states`` (certificates and A0's paging
+hand-off, as plain ``{object_id: {column: grade}}`` data), and
 ``from_known`` to rebuild a state from that data.
 
 TA keeps no bounds state: its bulk round works on :class:`ObjectCodes`,
@@ -237,9 +237,8 @@ class GradeMatrix:
 
     def known_states(self) -> Dict:
         """A plain-data copy of the seen set, ``{object_id: {column:
-        grade}}`` in first-seen order — independent of this state, so a
-        snapshot of it survives later continuations, and
-        :meth:`from_known` restores it row for row."""
+        grade}}`` in first-seen order — independent of this state, which
+        :meth:`from_known` restores row for row."""
         return {
             object_id: {
                 column: value for column, value in enumerate(row) if value == value

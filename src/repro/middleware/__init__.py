@@ -3,7 +3,6 @@ the monotonicity guard, the integration engine, the resilience layer
 (fault injection, retry/backoff, circuit breakers), and the cost-aware
 optimizer (paper section 4)."""
 
-from repro.middleware.caching import CachedSource
 from repro.middleware.complex_objects import Containment, PromotedSource
 from repro.middleware.engine import MiddlewareEngine, QueryHandle
 from repro.middleware.faults import FaultInjectingSource, FaultProfile, FaultStats
@@ -43,7 +42,6 @@ __all__ = [
     "MappedSource",
     "Containment",
     "PromotedSource",
-    "CachedSource",
     "ensure_monotone",
     "MiddlewareEngine",
     "QueryHandle",

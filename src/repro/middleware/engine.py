@@ -267,8 +267,8 @@ class MiddlewareEngine:
 
         With a cache installed, every :meth:`top_k` first probes for a
         reusable certified answer — an exact hit, a prefix of a deeper
-        cached run, or (for NRA plans) a warm-start continuation — and
-        records clean exact-grade results for future reuse; see
+        cached run, or a qualifying θ-certified repeat — and records
+        clean exact or θ-certified results for future reuse; see
         :mod:`repro.cache` for the tier and invalidation contracts.
         ``cache`` accepts a pre-built :class:`~repro.cache.QueryCache`
         (e.g. shared across engines) — positionally or by keyword;
@@ -738,10 +738,10 @@ class MiddlewareEngine:
         Returns ``(result, status)`` — a tier-1/2 (exact/prefix) served
         result with its status, or ``(None, status)`` for
         ``"miss"``/``"stale"``/``"off"``.  The query service calls this
-        at admission so hits skip the queue entirely; warm-start
-        (tier 3) still requires a real execution slot and is left to
-        :meth:`top_k`.  ``theta`` mirrors :meth:`top_k`'s knob: a θ > 1
-        probe may also be served by a qualifying θ-certified entry.
+        at admission so hits skip the queue entirely; misses need a real
+        execution slot and are left to :meth:`top_k`.  ``theta`` mirrors
+        :meth:`top_k`'s knob: a θ > 1 probe may also be served by a
+        qualifying θ-certified entry.
         """
         cache = self._cache
         if cache is None:
@@ -772,102 +772,18 @@ class MiddlewareEngine:
         """Execute a plan, with caching and deadline degradation.
 
         ``cache_ctx`` (``(cache, key, atoms)``, set only on a cache
-        miss) routes the run through the result cache: an NRA plan
-        first tries a warm-start continuation from a shallower cached
-        fill, and every clean exact-grade result is recorded — with its
-        resumable snapshot when the plan was NRA — for future reuse.
-        The fill path adds no trace events and changes no accesses, so
-        a cache-enabled miss stays byte-identical to a cold run.
+        miss) routes the run through the result cache: every clean
+        exact or θ-certified result is recorded for future reuse
+        (:meth:`~repro.cache.QueryCache.store`).  The fill path adds no
+        trace events and changes no accesses, so a cache-enabled miss
+        stays byte-identical to a cold run.
         """
-        if cache_ctx is not None:
-            cache, key, atoms = cache_ctx
-            snapshot = None
-            if plan.strategy is Strategy.NRA:
-                entry = cache.warm_entry(key, plan.k, atoms, sources)
-                if entry is not None:
-                    return self._resume_cached(
-                        cache,
-                        key,
-                        atoms,
-                        entry,
-                        plan,
-                        sources,
-                        tracer=tracer,
-                        executor=executor,
-                    )
-                snapshot = {}
-            result = self._run_plan(
-                plan,
-                sources,
-                deadline,
-                tracer=tracer,
-                executor=executor,
-                nra_snapshot=snapshot,
-            )
-            cache.store(key, atoms, sources, result, snapshot=snapshot)
-            return result
-        return self._run_plan(
+        result = self._run_plan(
             plan, sources, deadline, tracer=tracer, executor=executor
         )
-
-    def _resume_cached(
-        self,
-        cache,
-        key,
-        atoms,
-        entry,
-        plan,
-        sources,
-        *,
-        tracer=None,
-        executor=None,
-    ) -> TopKResult:
-        """Warm-start a deeper-k NRA run from a cached fill (tier 3).
-
-        The continuation pays only the marginal accesses past the fill's
-        depth; the returned cost report merges the fill's tallies back
-        in, so it equals — byte for byte — what a cold run at this k
-        would have reported, while ``extras["cache"]`` records what was
-        actually charged now.
-
-        Snapshots are θ-agnostic resumable state: the continuation runs
-        under the *new* request's θ (``plan.theta``), re-evaluating the
-        stop test — and computing any certificate — from the live
-        bounds, so a θ > 1 resume can never inherit a stale certificate
-        from the (always exact) fill run.
-        """
-        from repro.cache import resume_from_snapshot
-
-        if tracer is not None:
-            tracer.event(
-                "cache",
-                tier="warm",
-                key=entry.digest,
-                k=plan.k,
-                k_cached=entry.k,
-                tau=entry.tau,
-            )
-        snapshot_out: dict = {}
-        result = resume_from_snapshot(
-            sources,
-            plan.scoring,
-            plan.k,
-            entry.snapshot,
-            theta=plan.theta,
-            tracer=tracer,
-            executor=executor,
-            snapshot_out=snapshot_out,
-        )
-        marginal = result.cost
-        result.cost = entry.cost_report().merged(marginal)
-        result.extras["cache"] = {
-            "tier": "warm",
-            "key": entry.digest,
-            "k_cached": entry.k,
-            "marginal_sorted": marginal.sorted_access_cost,
-            "marginal_random": marginal.random_access_cost,
-        }
-        cache.store(key, atoms, sources, result, snapshot=snapshot_out)
+        if cache_ctx is not None:
+            cache, key, atoms = cache_ctx
+            cache.store(key, atoms, sources, result)
         return result
 
     def _run_plan(
@@ -878,7 +794,6 @@ class MiddlewareEngine:
         *,
         tracer=None,
         executor=None,
-        nra_snapshot=None,
     ) -> TopKResult:
         """Execute a plan; under a deadline, degrade instead of raising.
 
@@ -892,13 +807,7 @@ class MiddlewareEngine:
         Without a deadline the behaviour is exactly as before.
         """
         if deadline is None:
-            return execute(
-                plan,
-                sources,
-                tracer=tracer,
-                executor=executor,
-                nra_snapshot=nra_snapshot,
-            )
+            return execute(plan, sources, tracer=tracer, executor=executor)
         from repro.core.cost import CostMeter
         from repro.core.graded import GradedSet
         from repro.core.result import DegradedResult
@@ -906,13 +815,7 @@ class MiddlewareEngine:
 
         meter = CostMeter(sources)
         try:
-            return execute(
-                plan,
-                sources,
-                tracer=tracer,
-                executor=executor,
-                nra_snapshot=nra_snapshot,
-            )
+            return execute(plan, sources, tracer=tracer, executor=executor)
         except DEGRADABLE_ACCESS_ERRORS as error:
             degraded = DegradedResult(
                 failed_sources={

@@ -297,8 +297,7 @@ class QueryService:
         the cache is consulted right here at admission: an exact or
         prefix hit completes the ticket immediately — no queue slot, no
         tenant quota, no worker — and counts ``service.cache.hit``.
-        Misses (and warm-startable deeper-k queries) go through normal
-        admission and execution.
+        Misses go through normal admission and execution.
         """
         self._count("service.submitted", tenant=tenant)
         theta = float(theta) if theta is not None else self.config.default_theta
@@ -465,8 +464,7 @@ class QueryService:
         """Serve an admission-time cache hit, or None to admit normally.
 
         Only the zero-execution tiers (exact/prefix, plus θ-certified
-        replays when the request tolerates them) short-circuit here;
-        warm starts need an execution slot and stay on the normal path.
+        replays when the request tolerates them) short-circuit here.
         Binding or planning errors are swallowed: the normal submission
         path will surface them with proper accounting.
         """
@@ -604,8 +602,8 @@ class QueryService:
             self._count("service.degraded", tenant=ticket.tenant)
         cache_info = result.extras.get("cache")
         if cache_info is not None:
-            # Served (or warm-started) from the result cache at
-            # execution time — e.g. filled between admission and here.
+            # Served from the result cache at execution time — e.g.
+            # filled between admission and here.
             self._count(
                 "service.cache.served",
                 tenant=ticket.tenant,

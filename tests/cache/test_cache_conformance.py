@@ -12,10 +12,9 @@ byte-identical data:
   equals the oracle's (object choice among boundary ties follows the
   cached run — the freedom the paper grants), at an all-zero cost
   report;
-* a **warm start** resumes NRA at deeper k with answers and merged
-  cost byte-identical to a cold deep run, and the concatenation of the
-  fill's and the resumption's access streams equals the cold run's
-  access stream event for event.
+* a **deepened** NRA query (deeper than every cached fill) is an
+  ordinary miss: it runs cold, its access stream equals a cold run's
+  event for event, and its fill then serves the deep k as an exact hit.
 """
 
 from hypothesis import given, settings
@@ -152,7 +151,7 @@ def test_prefix_hit_is_an_exact_top_k_at_zero_cost(
     query_index=st.integers(0, 2),
     split=st.integers(1, 8),
 )
-def test_warm_start_is_byte_identical_to_a_cold_deep_run(
+def test_deepened_nra_query_is_a_miss_with_cold_access_events(
     data, query_index, split
 ):
     table, m = data
@@ -171,27 +170,19 @@ def test_warm_start_is_byte_identical_to_a_cold_deep_run(
 
     engine = engine_from_table(table, m)
     cache = engine.configure_cache()
-    fill_tracer = QueryTracer()
-    engine.top_k(query, k=shallow, prefer=Strategy.NRA, tracer=fill_tracer)
+    engine.top_k(query, k=shallow, prefer=Strategy.NRA)
 
-    warm_tracer = QueryTracer()
-    warm = engine.top_k(
-        query, k=deep, prefer=Strategy.NRA, tracer=warm_tracer
+    deep_tracer = QueryTracer()
+    deeper = engine.top_k(
+        query, k=deep, prefer=Strategy.NRA, tracer=deep_tracer
     )
 
-    assert warm.extras["cache"]["tier"] == "warm"
-    assert answer_pairs(warm) == answer_pairs(cold)
-    assert warm.cost == cold.cost
-    assert warm.sorted_depth == cold.sorted_depth
-    # Fill accesses ++ marginal accesses == the cold run's stream, so
-    # nothing was re-read and nothing was skipped.
-    assert (
-        access_events(fill_tracer) + access_events(warm_tracer)
-        == access_events(cold_tracer)
-    )
-    assert cache.stats()["warm_hits"] == 1
+    assert "cache" not in deeper.extras
+    assert_byte_identical("deepened vs cold", cold, deeper)
+    assert access_events(deep_tracer) == access_events(cold_tracer)
+    assert cache.stats()["misses"] == 2
 
-    # And the refreshed entry now serves the deep k as an exact hit.
+    # The deeper fill replaced the entry: it serves the deep k exactly.
     again = engine.top_k(query, k=deep, prefer=Strategy.NRA)
     assert again.extras["cache"]["tier"] == "exact"
-    assert_byte_identical("re-hit vs warm", warm, again)
+    assert_byte_identical("re-hit vs deepened", deeper, again)

@@ -1,11 +1,11 @@
 """θ-tier cache semantics: certified reuse, qualification, isolation.
 
-The fourth tier's contract (see :mod:`repro.cache`): a clean θ-certified
+The θ tier's contract (see :mod:`repro.cache`): a clean θ-certified
 fill is stored under an extended *same-k* key and replays for a later
 request exactly when the recorded achieved ratio covers the requested
 θ'; exact (θ = 1) entries serve any θ' through tiers 1/2; θ = 1.0 probes
-never touch θ entries at all; θ entries carry no warm-start snapshots;
-fingerprint invalidation covers them like every other entry; and
+never touch θ entries at all; a θ request deeper than every entry runs
+fresh; fingerprint invalidation covers them like every other entry; and
 degraded / anytime / unprovable results are never cached.
 """
 
@@ -125,18 +125,14 @@ def test_theta_entries_are_same_k_only():
     )
 
 
-def test_theta_entries_carry_no_snapshot():
+def test_theta_fill_stores_only_a_same_k_certified_entry():
     engine, cache = cached_engine()
     query = conjunction(M)
     engine.top_k(query, 5, prefer=Strategy.NRA, theta=1.5)
-    theta_entries = [
-        entry
-        for key, entry in cache._entries.items()
-        if entry.certificate is not None
-    ]
-    assert theta_entries, "the θ fill must have stored a θ entry"
-    for entry in theta_entries:
-        assert entry.snapshot is None
+    (entry,) = cache._entries.values()
+    assert entry.key == plan_key(query, ZADEH, Strategy.NRA) + ("theta", 5)
+    assert entry.k == 5
+    assert entry.certificate is not None and entry.certificate.theta == 1.5
 
 
 # ---------------------------------------------------------------- invalidation
@@ -211,29 +207,36 @@ def test_store_keeps_tighter_achieved_on_race():
     assert entry.certificate.achieved == tight.achieved
 
 
-# ---------------------------------------------------------------- warm start
+# ---------------------------------------------------------------- deeper k
 
 
-def test_deeper_theta_request_warm_starts_and_recertifies():
-    """The warm-start audit: a θ > 1 resume from an exact fill evaluates
-    its stop test and certificate fresh from the live bounds — it never
-    inherits anything stale from the (exact, certificate-free) fill."""
+def test_deeper_theta_request_after_exact_fill_runs_fresh_and_certifies():
+    """A θ > 1 request deeper than the exact fill is a miss: it runs
+    fresh, byte-identical to a cache-off run, and certifies from its own
+    live bounds — nothing is inherited from the (exact,
+    certificate-free) fill."""
     table = make_table()
     engine, cache = cached_engine(table)
     query = conjunction(M)
-    fill = engine.top_k(query, 5, prefer=Strategy.NRA)  # exact, snapshotted
+    fill = engine.top_k(query, 5, prefer=Strategy.NRA)  # exact
     assert fill.approximation is None
 
-    resumed = engine.top_k(query, 15, prefer=Strategy.NRA, theta=1.5)
-    assert resumed.extras["cache"]["tier"] == "warm"
-    certificate = resumed.approximation
+    deeper = engine.top_k(query, 15, prefer=Strategy.NRA, theta=1.5)
+    assert "cache" not in deeper.extras
+    cold = engine_from_table(table, M).top_k(
+        query, 15, prefer=Strategy.NRA, theta=1.5
+    )
+    assert answer_pairs(deeper) == answer_pairs(cold)
+    assert deeper.cost == cold.cost
+    assert deeper.approximation == cold.approximation
+    certificate = deeper.approximation
     assert certificate is not None
     assert certificate.theta == 1.5
     assert not certificate.anytime
 
     # Certificate soundness against the true grades (Zadeh min rule).
     truth = {obj: min(row) for obj, row in table.items()}
-    returned = {item.object_id for item in resumed.answers}
+    returned = {item.object_id for item in deeper.answers}
     excluded_best = max(
         (grade for obj, grade in truth.items() if obj not in returned),
         default=0.0,
@@ -241,13 +244,13 @@ def test_deeper_theta_request_warm_starts_and_recertifies():
     if certificate.kth_grade > 0:
         assert certificate.achieved <= 1.5 + 1e-6
     if certificate.achieved != float("inf"):
-        for item in resumed.answers:
+        for item in deeper.answers:
             assert (
                 certificate.achieved * truth[item.object_id]
                 >= excluded_best - 1e-9
             )
 
-    # The θ resume stored a θ entry at k=15; a repeat replays it while
+    # The fresh θ run stored a θ entry at k=15; a repeat replays it while
     # the exact k=5 entry still serves exact traffic untouched.
     repeat = engine.top_k(query, 15, prefer=Strategy.NRA, theta=1.5)
     assert repeat.extras["cache"]["tier"] == "theta"

@@ -25,7 +25,6 @@ from repro.core.sources import (
 )
 from repro.core.threshold import nra_top_k, threshold_top_k
 from repro.errors import AccessError, GradeError, UnknownObjectError
-from repro.middleware.caching import CachedSource
 from repro.middleware.idmap import IdMapping, MappedSource
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
@@ -328,61 +327,18 @@ def _materialization_stack():
     inner = ListSource({f"o{i}": (10 - i) / 10 for i in range(8)}, name="L")
     mapped = MappedSource(inner, IdMapping.identity(f"o{i}" for i in range(8)))
     batched = BatchedSource(mapped, 3)
-    cached = CachedSource(batched)
-    return inner, batched, cached
+    return inner, batched, VerifyingSource(batched)
 
 
 def test_as_graded_set_and_object_ids_are_free_through_wrappers():
-    inner, batched, cached = _materialization_stack()
-    materialized = cached.as_graded_set()
-    ids = list(cached.object_ids())
+    inner, batched, verified = _materialization_stack()
+    materialized = verified.as_graded_set()
+    ids = list(verified.object_ids())
     assert len(materialized) == 8
     assert ids == [f"o{i}" for i in range(8)]
     # No layer paid: not the logical counters, not the repository, and
     # the batch window never shipped anything.
-    for source in (inner, batched, cached):
+    for source in (inner, batched, verified):
         assert source.counter.snapshot() == (0, 0)
     assert batched.fetched == 0 and batched.requests == 0
-    assert cached.hits == 0 and cached.misses == 0
-
-
-def test_cached_source_peeks_do_not_touch_repository():
-    inner = ListSource({"a": 0.9, "b": 0.5, "c": 0.1})
-    cached = CachedSource(inner)
-    cursor = cached.cursor()
-    assert [i.grade for i in cursor.peek_batch(3)] == [0.9, 0.5, 0.1]
-    assert inner.counter.snapshot() == (0, 0)
-    assert (cached.hits, cached.misses) == (0, 0)
-    # Consuming reads pay normally afterwards.
-    cursor.next_batch(2)
-    assert inner.counter.sorted_accesses == 2
-    assert cached.misses == 2
-
-
-def test_cached_source_bulk_reads_match_per_item_statistics():
-    def run(bulk):
-        inner = ListSource({f"o{i}": (9 - i) / 9 for i in range(9)})
-        cached = CachedSource(inner)
-        first = cached.cursor()
-        if bulk:
-            first.next_batch(5)
-        else:
-            for _ in range(5):
-                first.next()
-        second = cached.cursor()  # replays the prefix, then extends
-        if bulk:
-            second.next_batch(7)
-            cached.random_access_many(["o0", "o8", "o0"])
-        else:
-            for _ in range(7):
-                second.next()
-            for oid in ("o0", "o8", "o0"):
-                cached.random_access(oid)
-        return (
-            cached.hits,
-            cached.misses,
-            cached.counter.snapshot(),
-            inner.counter.snapshot(),
-        )
-
-    assert run(bulk=True) == run(bulk=False)
+    assert not verified._delivered

@@ -44,16 +44,11 @@ def test_skewed_models():
     assert custom.cost(counter) == 5 * 2.5 + 7 * 0.5
 
 
-def test_report_totals_and_merge():
+def test_report_totals():
     report = CostReport({"a": AccessCounter(2, 1), "b": AccessCounter(3, 0)})
     assert report.sorted_access_cost == 5
     assert report.random_access_cost == 1
     assert report.database_access_cost == 6
-    other = CostReport({"a": AccessCounter(1, 1), "c": AccessCounter(0, 2)})
-    merged = report.merged(other)
-    assert merged.per_source["a"].snapshot() == (3, 2)
-    assert merged.per_source["c"].snapshot() == (0, 2)
-    assert merged.database_access_cost == 6 + 4
 
 
 def test_meter_measures_only_the_delta():

@@ -31,7 +31,6 @@ from repro.core.sources import (
 )
 from repro.errors import DeadlineExceededError, UnknownObjectError, UnsupportedAccessError
 from repro.index.source import KnnSource, build_knn_index
-from repro.middleware.caching import CachedSource
 from repro.middleware.complex_objects import Containment, PromotedSource
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.idmap import IdMapping, MappedSource
@@ -81,7 +80,6 @@ WRAPPERS = {
     "sorted-only": SortedOnlySource,
     "verifying": VerifyingSource,
     "batched": lambda inner: BatchedSource(inner, 1),
-    "cached": CachedSource,
     "mapped": lambda inner: MappedSource(
         inner, IdMapping({f"g-{object_id}": object_id for object_id in IDS})
     ),
@@ -116,8 +114,6 @@ def state(source):
                       node.random_breaker.opens]
         if isinstance(node, VerifyingSource):
             entry += [dict(node._delivered), node._max_position_grade]
-        if isinstance(node, CachedSource):
-            entry += [node.hits, node.misses, list(node._prefix_ids), dict(node._probes)]
         if isinstance(node, BatchedSource):
             entry += [node.requests, node.fetched]
         if isinstance(node, TracingSource):

@@ -47,6 +47,22 @@ def test_independent_cursors_resume_independently():
     assert first.position == 2 and second.position == 1
 
 
+@pytest.mark.parametrize("batch", [None, 2])
+def test_cursor_position_is_read_only(batch):
+    """A cursor moves only by a charged delivery, never by assignment."""
+    from repro.core.batching import BatchedSource
+
+    source = ListSource({"a": 0.9, "b": 0.5, "c": 0.1}, name="L")
+    if batch is not None:
+        source = BatchedSource(source, batch)
+    cursor = source.cursor()
+    cursor.next()
+    with pytest.raises(AttributeError):
+        cursor.position = 0
+    assert cursor.position == 1
+    assert cursor.next().object_id == "b"
+
+
 def test_peek_does_not_pay():
     source = ListSource({"a": 0.9}, name="L")
     cursor = source.cursor()
