@@ -37,7 +37,7 @@ import numpy as _np
 from repro.core.cost import AccessCounter
 from repro.core.graded import GradedItem, GradedSet, ObjectId, validate_grade
 from repro.errors import AccessError, GradeError, UnknownObjectError, UnsupportedAccessError
-from repro.kernels import ObjectCodes, canonical_order
+from repro.kernels import ColumnCodes, ObjectCodes, canonical_order
 
 #: Default window size for the algorithms' bulk sorted access.  One
 #: ``next_batch`` per list per round replaces ``batch_size`` Python call
@@ -258,27 +258,43 @@ class GradedSource(ABC):
         forward it, translating ids if they rename them).  The source's
         own counter was already charged at the call site."""
 
-    def _record_random_probes(self, count: int, object_ids: Iterable[ObjectId]) -> None:
-        """Charge ``count`` random accesses, of ``object_ids``, whose
-        grades were already read through the free bulk path.
-
-        TA prefetches probe grades via :meth:`_grades_of_many` or
-        :meth:`_grades_of_codes` (free) and then charges exactly the
-        probes the per-row path would have performed; this is the single
-        charge point for that replay, so composite backends keep their
-        per-constituent accounting in sync with the paper's measure.
-        ``object_ids`` is only iterated by sources that attribute probes
-        (a lazy iterable spares the others decoding codes to ids).
-        """
-        if count:
-            self.counter.record_random(count)
+    def _charge_random(self, object_ids: Sequence[ObjectId]) -> None:
+        """Charge one random access per id in ``object_ids`` and
+        attribute them; the grades were already read."""
+        if object_ids:
+            self.counter.record_random(len(object_ids))
             self._attribute_random(object_ids)
 
+    def _record_random_probes(self, codes: ObjectCodes, coded) -> None:
+        """Charge one random access per code in ``coded``, whose grades
+        TA's bulk round already read through the free
+        :meth:`_grades_of_codes`.
+
+        The bulk round charges exactly the probes the per-row path would
+        have performed, here, so composite backends keep their
+        per-constituent accounting in sync with the paper's measure.
+        Codes are decoded (lazily) only for :meth:`_attribute_random`;
+        a source that attributes by code overrides this instead.
+        """
+        if len(coded):
+            self.counter.record_random(len(coded))
+            self._attribute_random(codes.decoded(coded))
+
     # -- object-code hooks -------------------------------------------------------
-    # TA's bulk round reads columnar sources by dense object code (a
-    # :class:`~repro.kernels.ObjectCodes` index shared by the query's
-    # sources).  These defaults go through ids; ArraySource overrides
-    # both to slice and gather when the index is its own.
+    # TA's bulk round reads columnar sources by dense object code (an
+    # index shared by the query's sources: see shared_object_codes).
+    # These defaults go through ids; ArraySource overrides both to slice
+    # and gather when the index is its own, and the storage backends
+    # when it is the universe their codes were written against.
+    def _stored_codes(self) -> Optional[ColumnCodes]:
+        """The codes this source's storage wrote at build time, if any."""
+        return None
+
+    def _owns_codes(self, codes) -> bool:
+        """Whether ``codes`` codes objects as this source's storage does."""
+        stored = self._stored_codes()
+        return stored is not None and codes.fingerprint == stored.fingerprint
+
     def _codes_range(self, codes: ObjectCodes, start: int, count: int):
         """Columnar sorted prefix by code: (int32 codes, float64 grades)
         of positions ``start .. start+count-1``, charge-free like
@@ -310,8 +326,7 @@ class GradedSource(ABC):
     def random_access(self, object_id: ObjectId) -> float:
         """Grade of ``object_id`` under this source's query (one access)."""
         grade = float(self._grades_of_many([object_id])[0])
-        self.counter.record_random()
-        self._attribute_random((object_id,))
+        self._charge_random((object_id,))
         return grade
 
     def random_access_many(
@@ -333,8 +348,7 @@ class GradedSource(ABC):
         if not ids:
             return {}
         grades = self._grades_of_many(ids)
-        self.counter.record_random(len(ids))
-        self._attribute_random(ids)
+        self._charge_random(ids)
         return dict(zip(ids, grades.tolist()))
 
     # -- conveniences ----------------------------------------------------------
@@ -783,9 +797,13 @@ def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
 
     A set of :class:`ArraySource` s over one object set shares the
     oldest of their indexes, once every one has adopted it
-    (:meth:`ArraySource._adopt`).  Any other set — memmap, sharded,
-    kNN, mixed, or array sources over different object sets — gets a
-    fresh per-run index that the sources' id-based hooks fill.
+    (:meth:`ArraySource._adopt`).  A set whose storage wrote codes at
+    build time (memmap sources, or sharded sources over memmap shards)
+    shares them when every universe has the same fingerprint: the same
+    lookup ids, shard for shard.  Any other set — kNN, mixed, lists
+    partitioned differently, memmaps built before codes were stored, or
+    sources over different object sets — gets a fresh per-run index
+    that the sources' id-based hooks fill.
     """
     if all(isinstance(source, ArraySource) for source in sources):
         oldest = min(
@@ -793,6 +811,9 @@ def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
         )
         if all(source._adopt(oldest) for source in sources):
             return oldest
+    stored = sources[0]._stored_codes()
+    if stored is not None and all(source._owns_codes(stored) for source in sources):
+        return stored
     return ObjectCodes()
 
 

@@ -65,7 +65,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import GradeMatrix, _np, canonical_order
+from repro.kernels import GradeMatrix, ObjectCodes, _np, canonical_order
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -372,10 +372,12 @@ def threshold_top_k(
     the stop row).  When m > 1 and every source ``supports_columnar``
     (bare backends that cannot fail), probe grades are read once per
     window through the free ``_grades_of_many`` (by code in the bulk
-    round) and charged, probe for probe, by ``_record_random_probes``.  Without a tracer the whole
-    window is one ``bulk_round`` of integer array operations over object
-    codes: a set of ArraySources shares one ``ObjectCodes`` index, any
-    other set codes its ids per run.  Anything wrapped keeps one
+    round) and charged, probe for probe, as ``random_access_many`` would
+    charge them.  Without a tracer the whole window is one
+    ``bulk_round`` of integer array operations over object codes: a set
+    of ArraySources shares one ``ObjectCodes`` index, memmap and sharded
+    memmap lists partitioned alike share the codes their storage wrote,
+    any other set codes its ids per run.  Anything wrapped keeps one
     ``random_access_many`` per list per round, so wrapper accounting and
     fault behaviour observe every probe.
 
@@ -527,7 +529,7 @@ def threshold_top_k(
             admit(grade)
         for j, source in enumerate(sources):
             probes = committed[first_list[:count] != j]  # all but the first list
-            source._record_random_probes(probes.size, object_codes.decoded(probes))
+            source._record_random_probes(object_codes, probes)
         for i in range(m):
             rows_used = min(consumed, lengths[i])
             if rows_used:
@@ -731,7 +733,7 @@ def threshold_top_k(
                             # grades and ordering as random_access_many
                             # would give on this backend — without a
                             # Python call fan per row.
-                            sources[j]._record_random_probes(len(ids), ids)
+                            sources[j]._charge_random(ids)
                             lookup = prefetched[j]
                             fetched = {
                                 object_id: lookup[object_id] for object_id in ids
@@ -783,15 +785,14 @@ def threshold_top_k(
                 return fall_back({}, died)
 
     if object_codes is None:
-        ids, codes = list(overall), _np.arange(len(overall))
+        object_codes, codes = ObjectCodes(overall), _np.arange(len(overall))
         grades = _np.fromiter(overall.values(), _np.float64, len(overall))
     else:  # the bulk round decodes only the candidates below
-        ids = object_codes.ids
         codes, grades = (_np.concatenate(column) for column in zip(*seen_log))
     # only objects graded at least the k-th best grade can be answers
     cut = _np.partition(grades, -k)[-k] if grades.size > k else -_np.inf
     rows = _np.flatnonzero(grades >= cut)
-    picked, candidates = [ids[code] for code in codes[rows].tolist()], grades[rows]
+    picked, candidates = object_codes.decode(codes[rows]), grades[rows]
     top = canonical_order(picked, candidates)[:k]
     answers = GradedSet(zip([picked[i] for i in top.tolist()], candidates[top].tolist()))
     certificate: Optional[ApproximationCertificate] = None

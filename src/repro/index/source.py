@@ -37,6 +37,7 @@ subsystem: it bulk-loads one index over a feature corpus and binds
 
 from __future__ import annotations
 
+import threading
 import zlib
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -89,6 +90,10 @@ class KnnSource(GradedSource):
     bit-identical distances through the shared Euclidean kernel, two
     :class:`KnnSource`\\ s over different index kinds produce
     byte-identical ranked lists.
+
+    Concurrent queries may read one binding from several threads: a
+    lock, held by sorted reads and random access, serializes them on
+    the stream, so every reader sees the one serial ranked list.
     """
 
     supports_columnar = True
@@ -117,6 +122,7 @@ class KnnSource(GradedSource):
         self._prefix_ids: List[object] = []
         self._prefix_grades: List[float] = []
         self._stream_done = False
+        self._lock = threading.Lock()
 
     # -- lazy materialization -------------------------------------------------
     def _materialize_to(self, position: int) -> None:
@@ -141,12 +147,13 @@ class KnnSource(GradedSource):
 
     # -- GradedSource hooks ---------------------------------------------------
     def _columns_range(self, start: int, count: int) -> Tuple[List[object], np.ndarray]:
-        self._materialize_to(start + count - 1)
-        end = min(start + count, len(self._prefix_ids))
-        return (
-            self._prefix_ids[start:end],
-            np.asarray(self._prefix_grades[start:end], dtype=np.float64),
-        )
+        with self._lock:
+            self._materialize_to(start + count - 1)
+            end = min(start + count, len(self._prefix_ids))
+            return (
+                self._prefix_ids[start:end],
+                np.asarray(self._prefix_grades[start:end], dtype=np.float64),
+            )
 
     def _grades_of_many(self, object_ids) -> np.ndarray:
         # One distance block for the whole request through the shared
@@ -155,9 +162,10 @@ class KnnSource(GradedSource):
         ids = list(object_ids)
         if not ids:
             return np.empty(0)
-        block = np.stack([self._index.vector_of(object_id) for object_id in ids])
-        self._index.stats.record_distances(len(ids))
-        distances = euclidean_distances(block, self._target)
+        with self._lock:
+            block = np.stack([self._index.vector_of(object_id) for object_id in ids])
+            self._index.stats.record_distances(len(ids))
+            distances = euclidean_distances(block, self._target)
         return np.asarray(distance_to_grade(distances, self._scale), dtype=np.float64)
 
     def __len__(self) -> int:

@@ -19,9 +19,10 @@ NRA's stop test reads), ``best_incomplete`` (CA's resolution target),
 hand-off, as plain ``{object_id: {column: grade}}`` data), and
 ``from_known`` to rebuild a state from that data.
 
-TA keeps no bounds state: its bulk round works on :class:`ObjectCodes`,
-dense int32 codes for a query's object ids, and decodes ids only for
-its answer candidates, ranked by :func:`canonical_order`.
+TA keeps no bounds state: its bulk round works on dense int32 codes for
+a query's object ids — an :class:`ObjectCodes` index, or the
+:class:`ColumnCodes` a memmap build wrote — and decodes ids only for its
+answer candidates, ranked by :func:`canonical_order`.
 
 Determinism contract
 --------------------
@@ -296,6 +297,8 @@ class ObjectCodes:
     __slots__ = ("serial", "ids", "_codes")
 
     _serials = itertools.count()
+    #: codes are assigned per index, not read off stored columns
+    fingerprint = None
 
     def __init__(self, ids: Iterable = ()) -> None:
         self.serial = next(ObjectCodes._serials)
@@ -338,6 +341,55 @@ class ObjectCodes:
     def decoded(self, codes) -> Iterator:
         """:meth:`decode`, done only once the result is iterated."""
         yield from self.decode(codes)
+
+
+class ColumnCodes:
+    """Object codes written at build time: the code of an object is its
+    row in a stored id column, plus that column's offset.
+
+    ``columns`` are id columns in ascending id order (a memmap source's
+    lookup ids; a sharded source's, shard after shard), and
+    ``fingerprint`` names their content: two universes with equal
+    fingerprints code every object alike, so sources over them share
+    codes without building a dict.  Decoding gathers from the columns
+    once per code and keeps the id, so every decode of a code returns
+    the one id object, as sorted access's id lists do.
+    """
+
+    __slots__ = ("fingerprint", "columns", "offsets", "_decoded")
+
+    def __init__(self, fingerprint: tuple, columns: Sequence) -> None:
+        self.fingerprint = fingerprint
+        self.columns = list(columns)
+        #: ``offsets[c]`` is column ``c``'s first code; the last is the size
+        self.offsets = _np.cumsum([0] + [len(column) for column in self.columns])
+        self._decoded: Dict = {}
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def owners(self, coded):
+        """The column each code falls in (an intp array)."""
+        return _np.searchsorted(self.offsets, coded, side="right") - 1
+
+    def decode(self, coded) -> List:
+        """The ids of an array of codes."""
+        # Two threads may both decode a code; either id is the same id.
+        decoded = self._decoded
+        codes = coded.tolist()
+        new = _np.array([code for code in codes if code not in decoded], dtype=_np.int64)
+        if new.size:
+            owners = self.owners(new)
+            for column, column_ids in enumerate(self.columns):
+                mine = new[owners == column]
+                if mine.size:
+                    rows = mine - self.offsets[column]
+                    decoded.update(zip(mine.tolist(), column_ids[rows].tolist()))
+        return [decoded[code] for code in codes]
+
+    def decoded(self, coded) -> Iterator:
+        """:meth:`decode`, done only once the result is iterated."""
+        yield from self.decode(coded)
 
 
 def merge_sorted_shard_blocks(ids_per_shard: Sequence[Sequence], grades_per_shard: Sequence):

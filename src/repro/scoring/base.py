@@ -193,6 +193,19 @@ class FunctionScoring(ScoringFunction):
         return self._func(grades)
 
 
+def left_sum(values) -> float:
+    """``0.0 + v0 + v1 + ...``, added left to right.
+
+    The scalar form of every sum a batch form folds column by column
+    from ``0.0`` (``sum()`` compensates its rounding on Python >= 3.12,
+    and ``0.0 + -0.0`` is ``0.0``, so both forms give a signed zero
+    alike)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def as_scoring_function(rule) -> ScoringFunction:
     """Coerce ``rule`` (a ScoringFunction or a callable) to a ScoringFunction."""
     if isinstance(rule, ScoringFunction):

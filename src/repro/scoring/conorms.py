@@ -40,7 +40,8 @@ class MaximumConorm(BinaryScoringFunction):
         return a if a >= b else b
 
     def pair_matrix(self, a, b):
-        return _np.maximum(a, b)
+        # not np.maximum, which picks b on a tie of 0.0 and -0.0
+        return _np.where(a >= b, a, b)
 
 
 class ProbabilisticSumConorm(BinaryScoringFunction):

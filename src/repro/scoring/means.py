@@ -20,7 +20,7 @@ import math
 from typing import Optional, Sequence
 
 from repro.errors import WeightingError
-from repro.scoring.base import ScoringFunction, _np
+from repro.scoring.base import ScoringFunction, _np, left_sum
 
 
 def _normalized_weights(weights: Sequence[float], arity: int) -> tuple:
@@ -44,12 +44,12 @@ class ArithmeticMean(ScoringFunction):
     is_strict = True
 
     def _combine(self, grades: tuple) -> float:
-        return sum(grades) / len(grades)
+        return left_sum(grades) / len(grades)
 
     def _combine_matrix(self, matrix):
         # Column-by-column fold: same additions in the same order as
-        # the scalar sum(), so the result is bit-identical.
-        total = matrix[:, 0].copy()
+        # the scalar left_sum(), so the result is bit-identical.
+        total = 0.0 + matrix[:, 0]
         for column in range(1, matrix.shape[1]):
             total += matrix[:, column]
         return total / matrix.shape[1]
@@ -140,7 +140,7 @@ class WeightedArithmeticMean(ScoringFunction):
                 f"{self.name}: expected {len(self.weights)} grades, "
                 f"got {len(grades)}"
             )
-        return sum(w * g for w, g in zip(self.weights, grades))
+        return left_sum(w * g for w, g in zip(self.weights, grades))
 
     def _combine_matrix(self, matrix):
         if matrix.shape[1] != len(self.weights):
@@ -148,7 +148,7 @@ class WeightedArithmeticMean(ScoringFunction):
                 f"{self.name}: expected {len(self.weights)} grades, "
                 f"got {matrix.shape[1]}"
             )
-        total = self.weights[0] * matrix[:, 0]
+        total = 0.0 + self.weights[0] * matrix[:, 0]
         for column in range(1, matrix.shape[1]):
             total += self.weights[column] * matrix[:, column]
         return total

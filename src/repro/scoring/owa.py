@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.errors import WeightingError
-from repro.scoring.base import ScoringFunction, _np
+from repro.scoring.base import ScoringFunction, _np, left_sum
 from repro.scoring.weighted import validate_weighting
 
 
@@ -54,7 +54,7 @@ class OwaScoring(ScoringFunction):
                 f"got {len(grades)}"
             )
         ordered = sorted(grades, reverse=True)
-        total = sum(w * g for w, g in zip(self.weights, ordered))
+        total = left_sum(w * g for w, g in zip(self.weights, ordered))
         # A convex combination of [0, 1] grades is bounded in [0, 1];
         # normalized weights can still sum to 1 + ulp, so clamp the
         # float-epsilon overshoot.
@@ -67,7 +67,7 @@ class OwaScoring(ScoringFunction):
                 f"got {matrix.shape[1]}"
             )
         ordered = _np.sort(matrix, axis=1)[:, ::-1]
-        total = self.weights[0] * ordered[:, 0]
+        total = 0.0 + self.weights[0] * ordered[:, 0]
         for column in range(1, matrix.shape[1]):
             total += self.weights[column] * ordered[:, column]
         # Same float-epsilon clamp as the scalar path (weights may sum

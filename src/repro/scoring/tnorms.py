@@ -37,7 +37,8 @@ class MinimumTNorm(BinaryScoringFunction):
         return a if a <= b else b
 
     def pair_matrix(self, a, b):
-        return _np.minimum(a, b)
+        # not np.minimum, which picks b on a tie of -0.0 and 0.0
+        return _np.where(a <= b, a, b)
 
 
 class ProductTNorm(BinaryScoringFunction):

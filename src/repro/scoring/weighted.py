@@ -147,14 +147,13 @@ class WeightedScoring(ScoringFunction):
         order = sorted(range(len(theta)), key=lambda i: -theta[i])
         theta_sorted = tuple(theta[i] for i in order)
         columns = matrix[:, order]
-        total = None
+        total = 0.0  # as in the scalar fold: 0.0 + -0.0 is 0.0
         m = len(theta_sorted)
         for i in range(1, m + 1):
             theta_next = theta_sorted[i] if i < m else 0.0
             coefficient = i * (theta_sorted[i - 1] - theta_next)
             if coefficient != 0.0:
-                term = coefficient * self.base.combine_matrix(columns[:, :i])
-                total = term if total is None else total + term
+                total = total + coefficient * self.base.combine_matrix(columns[:, :i])
         return _np.minimum(1.0, _np.maximum(0.0, total))
 
 

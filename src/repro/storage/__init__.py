@@ -9,7 +9,8 @@ for, behind the exact same seam the in-RAM backends use:
   graded lists on disk (build/open/verify tooling in the same module);
 * :class:`~repro.storage.sharded.ShardedSource` — one logical list over
   K physical shards with an exact K-way grade-order merge and
-  hash-routed random access, per-shard accounting rolled up exactly.
+  hash-routed random access by id (by stored object code in TA's bulk
+  round), per-shard accounting rolled up exactly.
 
 :func:`build_column_sources` is the factory behind
 :func:`repro.core.sources.sources_from_columns` ``backend=``/``shards=``

@@ -37,6 +37,20 @@ owning shard's counter through the
 holds at every instant — the invariant the storage conformance suite
 checks, and what EXPLAIN's shard breakdown reports.
 
+TA's bulk round goes by object code instead.  When every shard is a
+memmap (which stores its codes: code = lookup row), the sharded source's code
+is the shard's offset plus the shard's code, so one ``searchsorted``
+over the K+1 offsets names each code's shard.  The merge carries the
+codes next to the ids, a window of the merged list is a slice of them,
+a random probe is one gather per shard, and probe attribution is a
+``bincount`` over the owning shards: no router runs in that round.
+Lists partitioned alike (equal shard fingerprints, in shard order)
+share their codes; any other set codes ids per run and routes them as
+above.  The router is consulted only by id: a router that disagrees
+with where an object actually lies makes id-shaped random access
+report it unknown, while the coded round reads it from the shard that
+holds it.
+
 Shard refills run serially, on whichever thread reads the source.  The
 algorithms' cross-list fan-out may read different lists on different
 threads, but never nests a fan-out inside one list; concurrent queries
@@ -54,7 +68,7 @@ import numpy as _np
 from repro.core.graded import GradedSet, ObjectId
 from repro.core.sources import GradedSource
 from repro.errors import AccessError, UnknownObjectError
-from repro.kernels import merge_sorted_shard_blocks
+from repro.kernels import ColumnCodes, merge_sorted_shard_blocks
 
 #: default per-shard buffer target for one merge round
 DEFAULT_MERGE_BLOCK = 1024
@@ -130,6 +144,17 @@ class ShardedSource(GradedSource):
         self._done = self._total == 0
         # concurrent queries may read one binding from several threads
         self._merge_lock = threading.Lock()
+        # Stored codes, one column per shard: None unless every shard is
+        # a single stored column (a memmap)
+        stored = [shard._stored_codes() for shard in self._shards]
+        self._stored: Optional[ColumnCodes] = None
+        self._m_codes = None
+        if all(codes is not None and len(codes.columns) == 1 for codes in stored):
+            self._stored = ColumnCodes(
+                sum((codes.fingerprint for codes in stored), ()),
+                [codes.columns[0] for codes in stored],
+            )
+            self._m_codes = _np.empty(self._m_grades.shape[0], dtype=_np.int32)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -264,10 +289,10 @@ class ShardedSource(GradedSource):
             cutoff = int(positions[-1]) + 1
         else:
             cutoff = len(merged_ids)
-        self._append_merged(
-            merged_ids[:cutoff], merged_grades[:cutoff], shard_of[:cutoff]
-        )
         taken = _np.bincount(shard_of[:cutoff], minlength=len(self._shards))
+        self._append_merged(
+            merged_ids[:cutoff], merged_grades[:cutoff], shard_of[:cutoff], taken
+        )
         for index in participating:
             consumed = int(taken[index])
             if consumed:
@@ -278,7 +303,9 @@ class ShardedSource(GradedSource):
         if not active and not any(self._buf_ids):
             self._done = True
 
-    def _append_merged(self, ids: List[ObjectId], grades, shard_of) -> None:
+    def _append_merged(self, ids: List[ObjectId], grades, shard_of, taken) -> None:
+        """Commit merged positions: ``taken[s]`` of them from shard ``s``,
+        each the next of that shard's buffered prefix."""
         added = len(ids)
         if not added:
             return
@@ -286,14 +313,20 @@ class ShardedSource(GradedSource):
         capacity = self._m_grades.shape[0]
         if needed > capacity:
             new_capacity = max(needed, capacity * 2)
-            grown_grades = _np.empty(new_capacity, dtype=_np.float64)
-            grown_grades[: self._m_count] = self._m_grades[: self._m_count]
-            self._m_grades = grown_grades
-            grown_shard = _np.empty(new_capacity, dtype=_np.intp)
-            grown_shard[: self._m_count] = self._m_shard[: self._m_count]
-            self._m_shard = grown_shard
+            self._m_grades = _grown(self._m_grades, self._m_count, new_capacity)
+            self._m_shard = _grown(self._m_shard, self._m_count, new_capacity)
+            if self._m_codes is not None:
+                self._m_codes = _grown(self._m_codes, self._m_count, new_capacity)
         self._m_grades[self._m_count : needed] = grades
         self._m_shard[self._m_count : needed] = shard_of
+        if self._m_codes is not None:
+            codes = self._m_codes[self._m_count : needed]
+            for index, count in enumerate(taken.tolist()):
+                if count:
+                    shard = self._shards[index]
+                    start = self._peeked[index] - len(self._buf_ids[index])
+                    shard_codes, _ = shard._codes_range(shard._stored_codes(), start, count)
+                    codes[shard_of == index] = shard_codes + self._stored.offsets[index]
         self._m_ids.extend(ids)
         self._m_count = needed
 
@@ -312,6 +345,16 @@ class ShardedSource(GradedSource):
                 return [], _np.empty(0)
             return self._m_ids[start:stop], self._m_grades[start:stop]
 
+    def _codes_range(self, codes, start: int, count: int):
+        if not self._owns_codes(codes):
+            return super()._codes_range(codes, start, count)
+        with self._merge_lock:
+            self._extend_merged(start + count)
+            stop = min(start + count, self._m_count)
+            if start >= stop:
+                return _np.empty(0, dtype=_np.int32), _np.empty(0)
+            return self._m_codes[start:stop], self._m_grades[start:stop]
+
     def _consume(self, start: int, count: int) -> None:
         """Attribute the delivered positions to their owning shards."""
         if count:
@@ -323,6 +366,29 @@ class ShardedSource(GradedSource):
                     self._shards[index].counter.record_sorted(consumed)
 
     # -- random access ---------------------------------------------------------
+    def _stored_codes(self) -> Optional[ColumnCodes]:
+        return self._stored
+
+    def _grades_of_codes(self, codes, coded):
+        if not self._owns_codes(codes):
+            return super()._grades_of_codes(codes, coded)
+        owners = self._stored.owners(coded)
+        grades = _np.empty(len(coded))
+        for index, shard in enumerate(self._shards):
+            positions = _np.flatnonzero(owners == index)
+            if positions.size:
+                grades[positions] = shard._grades_of_codes(
+                    shard._stored_codes(), coded[positions] - self._stored.offsets[index]
+                )
+        return grades
+
+    def _record_random_probes(self, codes, coded) -> None:
+        if not self._owns_codes(codes):
+            return super()._record_random_probes(codes, coded)
+        if len(coded):
+            self.counter.record_random(len(coded))
+            self._tally_random(self._stored.owners(coded))
+
     def _owners(self, ids: List[ObjectId]):
         """The owning shard of each id (an intp array): the router's
         pick, or, without a router, the first shard that holds it (-1
@@ -378,7 +444,11 @@ class ShardedSource(GradedSource):
 
     # -- accounting attribution ------------------------------------------------
     def _attribute_random(self, object_ids: Sequence[ObjectId]) -> None:
-        owners = self._owners(list(object_ids))
+        self._tally_random(self._owners(list(object_ids)))
+
+    def _tally_random(self, owners) -> None:
+        """Attribute one random probe per entry of ``owners`` (shard
+        indexes; -1, an unowned id, attributes nowhere)."""
         taken = _np.bincount(owners[owners >= 0], minlength=len(self._shards))
         for index, probes in enumerate(taken.tolist()):
             if probes:
@@ -387,3 +457,10 @@ class ShardedSource(GradedSource):
     # -- conveniences ----------------------------------------------------------
     def __len__(self) -> int:
         return self._total
+
+
+def _grown(column, count: int, capacity: int):
+    """A ``capacity``-long copy of ``column``'s first ``count`` entries."""
+    grown = _np.empty(capacity, dtype=column.dtype)
+    grown[:count] = column[:count]
+    return grown

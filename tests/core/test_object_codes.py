@@ -3,12 +3,12 @@ round over them.
 
 TA's bulk round reads columnar sources by int32 object code.  A set of
 ``ArraySource`` s shares one index (the oldest, which the others adopt);
-sharded and memmap sources get an index coded per run through their
-id-based hooks.  Both must reproduce the per-row path over
-``ListSource`` exactly: answers in order, their grades, costs, sorted
-depth, the θ certificate, and per-shard access attribution.  (A grade's
-sign of zero is not compared: the batch forms of min, max and the means
-can return -0.0 where the scalar rule returns 0.0.)
+sharded memmap sources share the codes their storage wrote, and other
+sharded sources get an index coded per run through their id-based
+hooks.  All must reproduce the per-row path over ``ListSource``
+exactly: answers in order, their grades (down to the sign of a zero),
+costs, sorted depth, the θ certificate, and per-shard access
+attribution.
 """
 
 import os
@@ -29,7 +29,9 @@ from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import UnknownObjectError
 from repro.kernels import ObjectCodes, str_ranks
 from repro.observability import QueryTracer
-from repro.scoring import means, tnorms
+from repro.scoring import conorms, means, tnorms
+from repro.scoring.owa import OwaScoring
+from repro.scoring.weighted import WeightedScoring
 from repro.scoring.base import FunctionScoring
 from repro.storage import ShardedSource
 from tests.strategies import with_combine
@@ -106,7 +108,35 @@ INT_IDS = list(range(40))
 STR_IDS = [f"s{n}" for n in range(40)]
 #: signed zeros, the smallest denormal and the largest grade below 1
 GRADES = (0.0, -0.0, 5e-324, 1 - 2**-53, 1.0, 0.5)
-RULES = (tnorms.MIN, tnorms.PRODUCT, means.MEAN, with_combine(means.MEAN, "scalar"))
+RULES = (
+    tnorms.MIN,
+    tnorms.PRODUCT,
+    conorms.MAX,
+    means.MEAN,
+    with_combine(means.MEAN, "scalar"),
+    means.WeightedArithmeticMean((0.3, 0.7)),
+    WeightedScoring(tnorms.MIN, (0.3, 0.7)),
+    OwaScoring((0.6, 0.4)),
+)
+#: rules whose native batch form must keep the scalar rule's sign of zero
+SIGNED_ZERO_RULES = (
+    tnorms.MIN,
+    conorms.MAX,
+    means.MEAN,
+    means.WeightedArithmeticMean((0.3, 0.7)),
+    OwaScoring((0.6, 0.4)),
+    WeightedScoring(tnorms.MIN, (0.3, 0.7)),
+    WeightedScoring(means.MEAN, (0.5, 0.5)),
+)
+
+
+@pytest.mark.parametrize("rule", SIGNED_ZERO_RULES, ids=lambda rule: rule.name)
+def test_batch_forms_keep_the_scalar_sign_of_zero(rule):
+    rows = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0], [5e-324, -0.0]]
+    batch = rule.combine_matrix(np.array(rows))
+    scalar = np.array([rule(row) for row in rows])
+    assert batch.tolist() == scalar.tolist()
+    assert np.signbit(batch).tolist() == np.signbit(scalar).tolist()
 
 
 @st.composite
@@ -122,10 +152,12 @@ def instances(draw):
         cells = st.lists(st.sampled_from(GRADES), min_size=n, max_size=n)
         columns = [draw(cells) for _ in range(m)]
     k = draw(st.sampled_from((1, 2, n, n + 3)))
+    # a weighted rule takes exactly one grade per weight
+    rules = [rule for rule in RULES if len(getattr(rule, "weights", ())) in (0, m)]
     return (
         ids,
         columns,
-        draw(st.sampled_from(RULES)),
+        draw(st.sampled_from(rules)),
         k,
         draw(st.sampled_from((1, 7, 128))),
         draw(st.sampled_from((1.0, 1.3))),
@@ -155,7 +187,7 @@ def outcome(sources, rule, k, batch_size, theta, traced=False):
         tracer=QueryTracer() if traced else None,
     )
     return (
-        [(item.object_id, item.grade) for item in result.answers],
+        [(item.object_id, item.grade, np.signbit(item.grade)) for item in result.answers],
         result.cost,
         result.sorted_depth,
         result.approximation,

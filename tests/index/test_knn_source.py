@@ -1,6 +1,8 @@
 """KnnSource / KnnSubsystem: accounting, parity, and algorithm conformance."""
 
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -218,3 +220,45 @@ def test_build_default_indexes_propagates_unexpected_errors(monkeypatch):
     items = [(i, rng.random(2)) for i in range(5)]
     with pytest.raises(RuntimeError):
         build_default_indexes(items, 2)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_concurrent_readers_of_one_binding_see_the_serial_stream(kind):
+    """8 threads read one KnnSource, each through its own cursor in its
+    own window sizes, with random probes in between: every thread must
+    see exactly the ranked list a serial reader sees."""
+    ids, matrix = corpus(n=400, dim=4)
+    target = np.full(4, 0.3)
+    serial_ids, serial_grades = make_source(kind, ids, matrix, target, batch=3)._columns_range(0, 400)
+    expected = list(zip(serial_ids, serial_grades.tolist()))
+    failures = []
+
+    def reader(source, step):
+        cursor = source.cursor()
+        seen = []
+        while True:
+            batch_ids, batch_grades = cursor.next_batch_columns(step)
+            if not batch_ids:
+                break
+            seen.extend(zip(batch_ids, batch_grades.tolist()))
+            source.random_access_many(batch_ids[:2])
+        if seen != expected:
+            failures.append(step)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            source = make_source(kind, ids, matrix, target, batch=3)
+            threads = [
+                threading.Thread(target=reader, args=(source, step))
+                for step in (1, 2, 3, 5, 7, 11, 13, 64)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []

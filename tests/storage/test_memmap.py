@@ -84,6 +84,19 @@ def test_unknown_and_wrongly_typed_probes(tmp_path):
     numeric = build_memmap(str(tmp_path / "n"), [1, 2], [0.5, 0.4], name="n")
     with pytest.raises(UnknownObjectError):
         numeric.random_access("1")
+    with pytest.raises(UnknownObjectError):
+        numeric.random_access(2**70)  # beyond int64
+    with pytest.raises(UnknownObjectError, match="holds no object '1'"):
+        numeric.random_access_many([1, "1"])
+    # A mixed request is filtered id by id: as one array, np.asarray(["1", 1])
+    # would turn the int 1 into a probe that hits "1".
+    digits = build_memmap(str(tmp_path / "d"), ["1", "2"], [0.5, 0.4], name="d")
+    assert digits.random_access_many(["2", "1"]) == {"2": 0.4, "1": 0.5}
+    with pytest.raises(UnknownObjectError, match=r"holds no object 1\b"):
+        digits.random_access_many(["1", 1])
+    with pytest.raises(UnknownObjectError, match=r"holds no object 1\b"):
+        digits.random_access_many([1, "1"])
+    assert digits.counter.random_accesses == 2
 
 
 def test_peeks_and_prefetch_are_free(tmp_path):
