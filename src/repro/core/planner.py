@@ -232,6 +232,21 @@ def plan_top_k(
     )
 
 
+def trace_plan(tracer, plan: Plan) -> None:
+    """Emit the ``plan`` event for ``plan`` into ``tracer``."""
+    # θ is traced only when it can change the execution, so θ = 1.0
+    # traces stay byte-identical to the exact path's goldens.
+    extra = {"theta": plan.theta} if plan.theta > 1.0 else {}
+    tracer.event(
+        "plan",
+        strategy=plan.strategy.value,
+        reason=plan.reason,
+        estimated_cost=plan.estimated_cost,
+        k=plan.k,
+        **extra,
+    )
+
+
 def execute(
     plan: Plan,
     sources: Sequence[GradedSource],
@@ -313,15 +328,5 @@ def top_k(
     """Plan and execute in one call — the library's main entry point."""
     plan = plan_top_k(sources, scoring, k, prefer=prefer, theta=theta)
     if tracer is not None:
-        # θ is traced only when it can change the execution, so θ = 1.0
-        # traces stay byte-identical to the exact path's goldens.
-        extra = {"theta": theta} if theta > 1.0 else {}
-        tracer.event(
-            "plan",
-            strategy=plan.strategy.value,
-            reason=plan.reason,
-            estimated_cost=plan.estimated_cost,
-            k=plan.k,
-            **extra,
-        )
+        trace_plan(tracer, plan)
     return execute(plan, sources, tracer=tracer, executor=executor)

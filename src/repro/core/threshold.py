@@ -370,16 +370,16 @@ def threshold_top_k(
     (bit-identical to ``t(bottoms)`` per round; a rule without a native
     batch form is therefore evaluated on up to one window of rows past
     the stop row).  When m > 1 and every source ``supports_columnar``
-    (bare backends that cannot fail), probe grades are read once per
-    window through the free ``_grades_of_many`` (by code in the bulk
-    round) and charged, probe for probe, as ``random_access_many`` would
-    charge them.  Without a tracer the whole window is one
-    ``bulk_round`` of integer array operations over object codes: a set
-    of ArraySources shares one ``ObjectCodes`` index, memmap and sharded
-    memmap lists partitioned alike share the codes their storage wrote,
-    any other set codes its ids per run.  Anything wrapped keeps one
-    ``random_access_many`` per list per round, so wrapper accounting and
-    fault behaviour observe every probe.
+    (bare backends that cannot fail), the whole window is one
+    ``bulk_round`` of integer array operations over object codes, traced
+    or not: a set of ArraySources shares one ``ObjectCodes`` index,
+    memmap and sharded memmap lists partitioned alike share the codes
+    their storage wrote, any other set codes its ids per run.  Probe
+    grades are gathered by code and charged, probe for probe, as
+    ``random_access_many`` would charge them.  Anything else — a
+    ``ListSource``, anything wrapped, m = 1 — takes one TA round per
+    row, with one ``random_access_many`` per list per round, so wrapper
+    accounting and fault behaviour observe every probe.
 
     TA logs the sorted rows and probe results it has used, so when
     ``degrade`` is True (the default) and a random probe fails with one
@@ -392,12 +392,13 @@ def threshold_top_k(
     handed over the same way.  With ``degrade=False`` the error
     propagates (the E20 ablation).
 
-    Under a ``tracer``, accesses are emitted at *logical* time — each
-    row's sorted deliveries as TA's round processes them (even though
-    the underlying cursor consumes them in bulk afterwards), each random
-    probe when its grade arrives — and the threshold trajectory is
-    sampled as ``ta.tau`` / ``ta.kth_grade`` once per round, with the
-    value the stop test uses.
+    Under a ``tracer``, either path emits accesses at *logical* time, in
+    one order — each row's sorted deliveries as TA's round processes
+    them (even though the underlying cursor consumes them in bulk
+    afterwards), then the row's random probes — and samples the
+    threshold trajectory as ``ta.tau`` / ``ta.kth_grade`` once per
+    round, with the value the stop test uses.  The tracer only records:
+    a traced run executes exactly as an untraced one.
 
     ``executor`` is an optional
     :class:`~repro.parallel.ParallelAccessExecutor`: each round's bulk
@@ -446,7 +447,7 @@ def threshold_top_k(
     overall: Dict[ObjectId, float] = {}
     #: the bulk round's object codes (None on the per-row path) and its
     #: seen-set: a bitmap by code, and each window's (codes, grades).
-    object_codes = shared_object_codes(sources) if columnar and tracer is None else None
+    object_codes = shared_object_codes(sources) if columnar else None
     seen = _np.zeros(0, dtype=bool)
     seen_log = [(_np.empty(0, dtype=_np.int32), _np.empty(0))]
     # Min-heap of the k best overall grades seen so far, so the stopping
@@ -462,11 +463,22 @@ def threshold_top_k(
     #: applied random-probe results, (list index, {id: grade}).
     probe_log: List[tuple] = []
 
-    def admit(grade: float) -> None:
-        if len(best_k) < k:
-            heapq.heappush(best_k, grade)
-        elif grade > best_k[0]:
-            heapq.heapreplace(best_k, grade)
+    def admit(heap: List[float], grade: float) -> None:
+        if len(heap) < k:
+            heapq.heappush(heap, grade)
+        elif grade > heap[0]:
+            heapq.heapreplace(heap, grade)
+
+    def trace_round(tau_row: float, heap: List[float], stopped: bool) -> None:
+        """A round's threshold samples, the value its stop test uses, and
+        the ``stop`` event if the round stopped; ``heap`` is the k best
+        grades once the round's objects are graded."""
+        tracer.sample("ta.tau", tau_row)
+        if len(heap) >= k:
+            tracer.sample("ta.kth_grade", heap[0])
+        if stopped:
+            relaxed = {"theta": theta} if theta > 1.0 else {}
+            tracer.event("stop", tau=tau_row, kth=heap[0], **relaxed)
 
     def bulk_round(windows, lengths, rows, tau, grades_lists):
         """One whole super-round as integer array operations over object
@@ -479,9 +491,11 @@ def threshold_top_k(
         at or before the stop row are committed and charged, probe for
         probe as the per-row path, so costs and answers are identical.
 
-        Taken only for bare columnar backends (reads are free to
-        prefetch, accesses cannot fail) and no tracer; returns
-        ``(consumed_rows, stopped)``.
+        Taken for bare columnar backends (reads are free to prefetch,
+        accesses cannot fail), traced or not; returns
+        ``(consumed_rows, stopped)``.  Under a tracer the consumed rows'
+        events are emitted from the same arrays, in the per-row path's
+        order, at logical access time.
         """
         nonlocal seen, stop_tau
         if seen.size < len(object_codes):  # a per-run index coded new ids
@@ -495,9 +509,8 @@ def threshold_top_k(
         where = where[_np.sort(first)]  # each fresh object's first sighting
         fresh = flat[where]
         fresh_row, first_list = _np.divmod(where, m)
-        scores = _np.empty(0)
+        grades, scores = _np.empty((fresh.size, m)), _np.empty(0)
         if fresh.size:
-            grades = _np.empty((fresh.size, m))
             for j, source in enumerate(sources):
                 grades[:, j] = source._grades_of_codes(object_codes, fresh)
             scores = rule.combine_matrix(grades)
@@ -521,12 +534,34 @@ def threshold_top_k(
         consumed = min(stop_row + 1, rows)
         count = through[consumed - 1]
         committed, committed_scores = fresh[:count], scores[:count]
+        if tracer is not None:  # the per-row path's events, in its order
+            window_ids = [object_codes.decode(codes[:consumed]) for codes, _ in windows]
+            fresh_ids, firsts = object_codes.decode(committed), first_list.tolist()
+            fresh_grades, fresh_scores = grades.tolist(), scores.tolist()
+            heap = list(best_k)  # the k best grades as the rows commit
+            for row in range(consumed):
+                for i in range(m):
+                    if row < lengths[i]:
+                        tracer.record_sorted(
+                            sources[i].name,
+                            window_ids[i][row],
+                            grades_lists[i][row],
+                            position=cursors[i].position + row + 1,
+                        )
+                round_objects = range(through[row - 1] if row else 0, through[row])
+                for j in range(m):
+                    for f in round_objects:
+                        if firsts[f] != j:
+                            tracer.record_random(sources[j].name, fresh_ids[f], fresh_grades[f][j])
+                for f in round_objects:
+                    admit(heap, fresh_scores[f])
+                trace_round(tau[row], heap, row == stop_row)
         seen[committed] = True
         seen_log.append((committed, committed_scores))
         if len(best_k) >= k:  # the rest cannot enter the heap
             committed_scores = committed_scores[committed_scores > best_k[0]]
         for grade in committed_scores.tolist():
-            admit(grade)
+            admit(best_k, grade)
         for j, source in enumerate(sources):
             probes = committed[first_list[:count] != j]  # all but the first list
             source._record_random_probes(object_codes, probes)
@@ -655,69 +690,49 @@ def threshold_top_k(
                 else:
                     bottoms_matrix[:, i] = bottoms[i]
             tau = rule.combine_matrix(bottoms_matrix).tolist()
-            scan_rows = rows
-            consumed = 0
-            prefetched = None
             if object_codes is not None:
-                consumed, stop = bulk_round(
-                    windows, lengths, rows, tau, grades_lists
-                )
-                scan_rows = 0  # the bulk round already did the row scan
-            elif columnar:
-                candidates = [
-                    object_id
-                    for window_ids, _ in windows
-                    for object_id in window_ids
-                    if object_id not in overall
-                ]
-                if candidates:
-                    candidates = list(dict.fromkeys(candidates))
-                    prefetched = [
-                        dict(zip(candidates, source._grades_of_many(candidates).tolist()))
-                        for source in sources
-                    ]
-            for row in range(scan_rows):
-                # One TA round: the row-th item of every list, with bulk
-                # random probes for the objects this round saw first.
-                # Under a tracer each delivery is recorded here, at
-                # logical access time, not at the deferred bulk consume.
-                fresh: List[tuple] = []
-                fresh_known: Dict[ObjectId, Dict[int, float]] = {}
-                for i in range(m):
-                    if row >= lengths[i]:
-                        continue
-                    object_id = windows[i][0][row]
-                    grade = grades_lists[i][row]
-                    if tracer is not None:
-                        tracer.record_sorted(
-                            sources[i].name,
-                            object_id,
-                            grade,
-                            position=cursors[i].position + row + 1,
-                        )
-                    bottoms[i] = grade
-                    if object_id not in overall:
-                        overall[object_id] = 0.0  # graded below, once probed
-                        fresh.append((object_id, i))
-                        fresh_known[object_id] = {i: grade}
-                    elif object_id in fresh_known:
-                        # Same object surfacing in two lists this round:
-                        # second delivery lands in its in-flight grades.
-                        fresh_known[object_id][i] = grade
-                consumed = row + 1
-                if fresh:
-                    needed: List[List[ObjectId]] = [[] for _ in range(m)]
-                    for object_id, first in fresh:
-                        for j in others[first]:
-                            needed[j].append(object_id)
-                    # The round's random probes are one bulk request per
-                    # list: fan them out, merge grades (and emit trace
-                    # events) in list order.  The first failure, taken
-                    # in list order, is handled exactly as serial TA
-                    # handles it; probes beyond it are discarded.
-                    targets = [(j, ids) for j, ids in enumerate(needed) if ids]
-                    probe_outcomes: Sequence = ()
-                    if prefetched is None:
+                consumed, stop = bulk_round(windows, lengths, rows, tau, grades_lists)
+            else:
+                for row in range(rows):
+                    # One TA round: the row-th item of every list, with bulk
+                    # random probes for the objects this round saw first.
+                    # Under a tracer each delivery is recorded here, at
+                    # logical access time, not at the deferred bulk consume.
+                    fresh: List[tuple] = []
+                    fresh_known: Dict[ObjectId, Dict[int, float]] = {}
+                    for i in range(m):
+                        if row >= lengths[i]:
+                            continue
+                        object_id = windows[i][0][row]
+                        grade = grades_lists[i][row]
+                        if tracer is not None:
+                            tracer.record_sorted(
+                                sources[i].name,
+                                object_id,
+                                grade,
+                                position=cursors[i].position + row + 1,
+                            )
+                        bottoms[i] = grade
+                        if object_id not in overall:
+                            overall[object_id] = 0.0  # graded below, once probed
+                            fresh.append((object_id, i))
+                            fresh_known[object_id] = {i: grade}
+                        elif object_id in fresh_known:
+                            # Same object surfacing in two lists this round:
+                            # second delivery lands in its in-flight grades.
+                            fresh_known[object_id][i] = grade
+                    consumed = row + 1
+                    if fresh:
+                        needed: List[List[ObjectId]] = [[] for _ in range(m)]
+                        for object_id, first in fresh:
+                            for j in others[first]:
+                                needed[j].append(object_id)
+                        # The round's random probes are one bulk request per
+                        # list: fan them out, merge grades (and emit trace
+                        # events) in list order.  The first failure, taken
+                        # in list order, is handled exactly as serial TA
+                        # handles it; probes beyond it are discarded.
+                        targets = [(j, ids) for j, ids in enumerate(needed) if ids]
                         probe_outcomes = fan_out(
                             executor,
                             [
@@ -726,20 +741,7 @@ def threshold_top_k(
                             ],
                             stop_on_error=True,
                         )
-                    for index, (j, ids) in enumerate(targets):
-                        if prefetched is not None:
-                            # Replay the prefetched bulk reads: same per-
-                            # source charge, same trace events, same
-                            # grades and ordering as random_access_many
-                            # would give on this backend — without a
-                            # Python call fan per row.
-                            sources[j]._charge_random(ids)
-                            lookup = prefetched[j]
-                            fetched = {
-                                object_id: lookup[object_id] for object_id in ids
-                            }
-                        else:
-                            outcome = probe_outcomes[index]
+                        for (j, ids), outcome in zip(targets, probe_outcomes):
                             if not outcome.ran:
                                 break
                             if outcome.error is not None:
@@ -751,32 +753,25 @@ def threshold_top_k(
                                     unconsumed=(windows, consumed),
                                 )
                             fetched = outcome.value
-                        if tracer is not None:
-                            for object_id in ids:
-                                tracer.record_random(
-                                    sources[j].name, object_id, fetched[object_id]
-                                )
-                        probe_log.append((j, fetched))
-                        for object_id, grade in fetched.items():
-                            fresh_known[object_id][j] = grade
-                    for object_id, _ in fresh:
-                        known = fresh_known[object_id]
-                        grade = rule([known[j] for j in range(m)])
-                        overall[object_id] = grade
-                        admit(grade)
-                full = len(best_k) >= k
-                tau_row = tau[row]
-                if tracer is not None:
-                    tracer.sample("ta.tau", tau_row)
-                    if full:
-                        tracer.sample("ta.kth_grade", best_k[0])
-                if full and theta * best_k[0] >= tau_row:
-                    stop = True
-                    stop_tau = tau_row
+                            if tracer is not None:
+                                for object_id in ids:
+                                    tracer.record_random(
+                                        sources[j].name, object_id, fetched[object_id]
+                                    )
+                            probe_log.append((j, fetched))
+                            for object_id, grade in fetched.items():
+                                fresh_known[object_id][j] = grade
+                        for object_id, _ in fresh:
+                            known = fresh_known[object_id]
+                            grade = rule([known[j] for j in range(m)])
+                            overall[object_id] = grade
+                            admit(best_k, grade)
+                    stop = len(best_k) >= k and theta * best_k[0] >= tau[row]
                     if tracer is not None:
-                        relaxed = {"theta": theta} if theta > 1.0 else {}
-                        tracer.event("stop", tau=stop_tau, kth=best_k[0], **relaxed)
-                    break
+                        trace_round(tau[row], best_k, stop)
+                    if stop:
+                        stop_tau = tau[row]
+                        break
             died = consume(windows, consumed)
             if died and not stop:
                 # A sorted stream died mid-round; its cursor is stuck, so the

@@ -42,11 +42,12 @@ carries a per-source report in ``result.extras["resilience"]``.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.evaluation import compile_query
 from repro.core.fagin import FaginAlgorithm
-from repro.core.planner import Strategy, execute, plan_top_k
+from repro.core.planner import Strategy, execute, plan_top_k, trace_plan
 from repro.core.query import Atomic, Query, Scored
 from repro.core.result import TopKResult
 from repro.core.sources import GradedSource
@@ -667,31 +668,20 @@ class MiddlewareEngine:
             sources = guard_deadline(
                 sources, self._clock.now() + deadline, clock=self._clock
             )
-        if tracer is None:
-            plan = plan_top_k(sources, compiled, k, prefer=prefer, theta=theta)
-            result = self._execute_guarded(
-                plan, sources, deadline, cache_ctx=cache_ctx
-            )
-        else:
+        if tracer is not None:
             from repro.observability.tracer import attach_resilience_observers
 
             attach_resilience_observers(sources, tracer)
-            with tracer.phase("query", query=str(query), k=k):
-                plan = plan_top_k(sources, compiled, k, prefer=prefer, theta=theta)
-                # θ is traced only when it can change the execution,
-                # keeping θ = 1.0 traces byte-identical to goldens.
-                extra = {"theta": theta} if theta > 1.0 else {}
-                tracer.event(
-                    "plan",
-                    strategy=plan.strategy.value,
-                    reason=plan.reason,
-                    estimated_cost=plan.estimated_cost,
-                    k=plan.k,
-                    **extra,
-                )
-                result = self._execute_guarded(
-                    plan, sources, deadline, tracer=tracer, cache_ctx=cache_ctx
-                )
+        with nullcontext() if tracer is None else tracer.phase(
+            "query", query=str(query), k=k
+        ):
+            plan = plan_top_k(sources, compiled, k, prefer=prefer, theta=theta)
+            if tracer is not None:
+                trace_plan(tracer, plan)
+            result = self._execute_guarded(
+                plan, sources, deadline, tracer=tracer, cache_ctx=cache_ctx
+            )
+            if tracer is not None:
                 _emit_shard_breakdown(sources, tracer)
                 _emit_index_breakdown(sources, tracer)
         report = resilience_report(sources)

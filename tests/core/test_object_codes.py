@@ -182,15 +182,16 @@ def build(kind, ids, columns, directory):
 
 
 def outcome(sources, rule, k, batch_size, theta, traced=False):
+    tracer = QueryTracer() if traced else None
     result = threshold_top_k(
-        sources, rule, k, batch_size=batch_size, theta=theta,
-        tracer=QueryTracer() if traced else None,
+        sources, rule, k, batch_size=batch_size, theta=theta, tracer=tracer
     )
     return (
         [(item.object_id, item.grade, np.signbit(item.grade)) for item in result.answers],
         result.cost,
         result.sorted_depth,
         result.approximation,
+        tracer.to_json() if traced else None,
     )
 
 
@@ -200,10 +201,19 @@ def outcome(sources, rule, k, batch_size, theta, traced=False):
 @example(([0, 1, 2], [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], tnorms.MIN, 2, 1, 1.3))
 def test_bulk_round_over_codes_matches_the_per_row_path(instance):
     ids, columns, rule, k, batch_size, theta = instance
-    reference = outcome(build("list", ids, columns, None), rule, k, batch_size, theta)
+
+    def run(sources, traced=False):
+        return outcome(sources, rule, k, batch_size, theta, traced)
+
+    reference = run(build("list", ids, columns, None))
+    # the traced per-row run is the independent reference for every
+    # bulk round's events
+    traced_reference = run(build("list", ids, columns, None), traced=True)
+    assert traced_reference[:-1] == reference[:-1]
     array = build("array", ids, columns, None)
-    assert outcome(array, rule, k, batch_size, theta) == reference
+    assert run(array) == reference
     assert len({id(source._coded[0]) for source in array}) == 1
+    assert run(build("array", ids, columns, None), traced=True) == traced_reference
     kinds = []
     if not any(str(i).endswith("\x00") for i in ids):
         kinds.append("sharded-array")  # the shard merge keys on numpy strings
@@ -212,16 +222,31 @@ def test_bulk_round_over_codes_matches_the_per_row_path(instance):
     with tempfile.TemporaryDirectory() as directory:
         for kind in kinds:
             bulk = build(kind, ids, columns, os.path.join(directory, "bulk"))
-            per_row = build(kind, ids, columns, os.path.join(directory, "row"))
-            assert outcome(bulk, rule, k, batch_size, theta) == reference, kind
-            assert (
-                outcome(per_row, rule, k, batch_size, theta, traced=True) == reference
-            ), kind
+            traced = build(kind, ids, columns, os.path.join(directory, "traced"))
+            assert run(bulk) == reference, kind
+            assert run(traced, traced=True) == traced_reference, kind
             assert [s.shard_stats() for s in bulk] == [
-                s.shard_stats() for s in per_row
+                s.shard_stats() for s in traced
             ], kind
-            for source in bulk + per_row:
+            for source in bulk + traced:
                 source.close()
+
+
+def test_a_traced_run_over_arrays_never_leaves_the_bulk_round(monkeypatch):
+    # the per-row path probes through random_access_many, which reads
+    # grades by id; the bulk round gathers them by code and needs neither
+    ids = [f"o{i}" for i in range(60)]
+    columns = np.random.default_rng(5).choice(GRADES, (3, 60)).tolist()
+    reference = outcome(build("list", ids, columns, None), means.MEAN, 5, 7, 1.0, traced=True)
+
+    def refuse(self, object_ids):
+        raise AssertionError("the traced run read grades by id")
+
+    monkeypatch.setattr(ArraySource, "random_access_many", refuse)
+    monkeypatch.setattr(ArraySource, "_grades_of_many", refuse)
+    traced = outcome(build("array", ids, columns, None), means.MEAN, 5, 7, 1.0, traced=True)
+    assert traced == reference
+    assert '"type": "random"' in traced[-1]
 
 
 def test_a_non_monotone_rule_matches_the_per_row_path():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fagin import fagin_top_k
-from repro.core.sources import ArraySource, shared_object_codes
+from repro.core.sources import ArraySource, ListSource, shared_object_codes
 from repro.core.threshold import nra_top_k, threshold_top_k
 from repro.errors import StorageError, UnknownObjectError
 from repro.kernels import ColumnCodes, ObjectCodes
@@ -102,6 +102,14 @@ def array_columns(table, m):
     ]
 
 
+def list_columns(table, m):
+    """The per-row reference: one ``ListSource`` per column."""
+    return [
+        ListSource({i: grades[column] for i, grades in table.items()}, name=f"c{column}")
+        for column in range(m)
+    ]
+
+
 def reopen(sources):
     """The same directories, opened afresh (fresh counters)."""
     reopened = []
@@ -171,17 +179,17 @@ def test_coded_layouts_match_array_sources(tmp_path_factory, database, selector)
             label = f"{name}/shards={shards}"
             reference_tracer = QueryTracer()
             reference = algorithm(array_columns(table, m), rule, k, None)
-            traced_reference = algorithm(array_columns(table, m), rule, k, reference_tracer)
+            traced_reference = algorithm(list_columns(table, m), rule, k, reference_tracer)
             coded = reopen(built)
             assert snapshot(algorithm(coded, rule, k, None)) == snapshot(reference), label
             tracer = QueryTracer()
-            per_row = reopen(built)
-            assert snapshot(algorithm(per_row, rule, k, tracer)) == snapshot(
+            traced = reopen(built)
+            assert snapshot(algorithm(traced, rule, k, tracer)) == snapshot(
                 traced_reference
             ), label
             assert tracer.to_json() == reference_tracer.to_json(), label
-            assert shard_stats(coded) == shard_stats(per_row), label
-            for source in coded + per_row:
+            assert shard_stats(coded) == shard_stats(traced), label
+            for source in coded + traced:
                 source.close()
         for source in built:
             source.close()
@@ -396,8 +404,8 @@ def test_synthetic_builds_alias_the_code_column_onto_the_ids(tmp_path):
 def test_a_misplaced_id_is_unknown_by_id_and_read_by_code(tmp_path):
     """Shard 0 holds a, b, c and shard 1 holds d, e, but the router sends
     c to shard 1.  Id-shaped random access asks the router and reports
-    c unknown, as before; the coded round never consults the router and
-    reads c from the shard that holds it."""
+    c unknown, as before; the coded round, traced or not, never consults
+    the router and reads c from the shard that holds it."""
     table = {"a": (0.9, 0.2), "b": (0.5, 0.6), "c": (0.8, 0.8), "d": (0.1, 0.9), "e": (0.3, 0.3)}
     route = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}.__getitem__
     placement = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}.__getitem__
@@ -409,8 +417,8 @@ def test_a_misplaced_id_is_unknown_by_id_and_read_by_code(tmp_path):
     assert sources[0].random_access("a") == 0.9
     result = threshold_top_k(sources, tnorms.MIN, 2)
     assert snapshot(result) == snapshot(threshold_top_k(array_columns(table, 2), tnorms.MIN, 2))
-    with pytest.raises(UnknownObjectError, match="'c'"):
-        threshold_top_k(reopen(sources), tnorms.MIN, 2, tracer=QueryTracer())
+    traced = threshold_top_k(reopen(sources), tnorms.MIN, 2, tracer=QueryTracer())
+    assert snapshot(traced) == snapshot(result)
 
 
 def test_decoding_keeps_one_id_object_per_code(tmp_path):
