@@ -265,12 +265,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _apply_storage(engine, args)
         _apply_parallelism(engine, args)
         _apply_cache(engine, args)
+        _apply_theta(engine, args)
         query = Atomic("Artist", "Beatles") & Atomic("AlbumColor", "red")
         config = ServiceConfig(
             workers=args.workers,
             queue_depth=args.queue_depth,
             default_deadline=args.deadline,
-            default_theta=getattr(args, "theta", None) or 1.0,
             tenants={
                 "bronze": TenantPolicy(rate=50.0, burst=8.0, max_inflight=8),
             },

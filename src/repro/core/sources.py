@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as _np
 
 from repro.core.cost import AccessCounter
-from repro.core.graded import GradedItem, GradedSet, ObjectId, validate_grade
+from repro.core.graded import GradedItem, GradedSet, ObjectId
 from repro.errors import AccessError, GradeError, UnknownObjectError, UnsupportedAccessError
 from repro.kernels import ColumnCodes, ObjectCodes, canonical_order
 
@@ -722,7 +722,8 @@ def sources_from_columns(
     ``shards > 1`` hash-partitions every column into that many shards
     of the chosen backend behind a
     :class:`~repro.storage.sharded.ShardedSource` — answers, costs, and
-    traces stay byte-identical to the monolithic build.
+    traces stay byte-identical to the monolithic build.  Every layout
+    is built by :func:`repro.storage.build_sources`.
     """
     arities = {len(v) for v in grades_by_object.values()}
     if len(arities) > 1:
@@ -730,49 +731,23 @@ def sources_from_columns(
     m = arities.pop() if arities else 0
     if names is not None and len(names) != m:
         raise AccessError(f"expected {m} names, got {len(names)}")
-    if backend not in BACKEND_CHOICES:
-        raise AccessError(
-            f"unknown source backend {backend!r}; use "
-            + ", ".join(BACKEND_CHOICES)
-        )
-    if shards < 1:
-        raise AccessError(f"shards must be >= 1, got {shards}")
     labels = [
         names[i] if names is not None else f"A{i + 1}" for i in range(m)
     ]
-    if shards > 1 or backend == "memmap":
-        # The out-of-core and scatter-gather backends live behind the
-        # storage seam; imported lazily to keep the core dependency-free.
-        from repro.storage import build_column_sources
+    objects = list(grades_by_object.keys())
+    try:
+        matrix = _np.asarray(
+            [grades_by_object[obj] for obj in objects], dtype=_np.float64
+        ).reshape(len(objects), m)
+    except (TypeError, ValueError) as exc:
+        raise GradeError(f"grades must be real numbers: {exc}") from exc
+    # The layouts live behind the storage seam; imported lazily so
+    # ``import repro`` does not load it.
+    from repro.storage import build_sources
 
-        return build_column_sources(
-            grades_by_object,
-            labels,
-            backend=backend,
-            shards=shards,
-            directory=directory,
-        )
-    sources: List[GradedSource] = []
-    if backend == "array" and m > 0:
-        objects = list(grades_by_object.keys())
-        try:
-            matrix = _np.asarray(
-                [grades_by_object[obj] for obj in objects], dtype=_np.float64
-            )
-        except (TypeError, ValueError) as exc:
-            raise GradeError(f"grades must be real numbers: {exc}") from exc
-        for i in range(m):
-            sources.append(
-                ArraySource.from_arrays(objects, matrix[:, i], name=labels[i])
-            )
-        return sources
-    for i in range(m):
-        column = {
-            obj: validate_grade(vector[i])
-            for obj, vector in grades_by_object.items()
-        }
-        sources.append(ListSource(column, name=labels[i]))
-    return sources
+    return build_sources(
+        objects, matrix, labels, backend=backend, shards=shards, directory=directory
+    )
 
 
 def iter_wrapper_chain(source: GradedSource):

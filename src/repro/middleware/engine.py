@@ -407,49 +407,33 @@ class MiddlewareEngine:
 
     def _relocate_storage(self, source: GradedSource) -> GradedSource:
         """Rebuild one native binding on the configured backend."""
-        backend = self._storage_backend
-        shards = self._storage_shards
-        if backend is None and shards <= 1:
+        if self._storage_backend is None and self._storage_shards <= 1:
             return source
         import os
 
-        from repro.core.sources import ArraySource, ListSource
-        from repro.storage import ShardedSource, build_from_items
+        from repro.storage import build_sources
 
-        effective = backend if backend is not None else "array"
-        mapping = source.as_graded_set()
-        directory = self._storage_directory
-        if effective == "memmap":
-            if directory is None:
-                if self._storage_tmp is None:
-                    import tempfile
+        root = self._storage_directory
+        if root is None:
+            if self._storage_tmp is None:
+                import tempfile
 
-                    self._storage_tmp = tempfile.TemporaryDirectory(
-                        prefix="repro-engine-storage-"
-                    )
-                directory = self._storage_tmp.name
-            self._storage_seq += 1
-            cleaned = "".join(
-                ch if ch.isalnum() or ch in "._-" else "_"
-                for ch in source.name
-            )
-            directory = os.path.join(
-                directory, f"{self._storage_seq:03d}-{cleaned or 'atom'}"
-            )
-        if shards > 1:
-            relocated: GradedSource = ShardedSource.partition(
-                mapping,
-                shards,
-                name=source.name,
-                backend=effective,
-                directory=directory,
-            )
-        elif effective == "list":
-            relocated = ListSource(mapping, name=source.name)
-        elif effective == "memmap":
-            relocated = build_from_items(directory, mapping, name=source.name)
-        else:
-            relocated = ArraySource(mapping, name=source.name)
+                self._storage_tmp = tempfile.TemporaryDirectory(
+                    prefix="repro-engine-storage-"
+                )
+            root = self._storage_tmp.name
+        # one directory per relocation: a rebound atom never overwrites
+        # an earlier build that a live binding may still map
+        self._storage_seq += 1
+        ids, grades = source._columns_range(0, len(source))
+        (relocated,) = build_sources(
+            ids,
+            grades[:, None],
+            [source.name],
+            backend=self._storage_backend or "array",
+            shards=self._storage_shards,
+            directory=os.path.join(root, f"{self._storage_seq:03d}"),
+        )
         # The physical move must not change the protocol surface the
         # planner and algorithms read off the binding.
         relocated.is_boolean = source.is_boolean

@@ -76,13 +76,6 @@ class ServiceConfig:
     ``trace_requests``
         Attach a fresh :class:`~repro.observability.tracer.QueryTracer`
         to every request (read it off ``ticket.trace``).
-    ``default_theta``
-        Fagin–Lotem–Naor θ-approximation factor applied to requests
-        that do not bring their own (1.0 = exact answers).  A request's
-        explicit ``submit(..., theta=...)`` always wins; the service
-        knob (explicit or default) takes precedence over the engine's
-        session-level :meth:`~repro.middleware.engine.MiddlewareEngine.
-        configure_approximation` setting.
     """
 
     workers: int = 4
@@ -91,15 +84,10 @@ class ServiceConfig:
     default_tenant: TenantPolicy = TenantPolicy()
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
     trace_requests: bool = False
-    default_theta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.default_theta < 1.0:
-            raise ValueError(
-                f"default_theta must be >= 1.0, got {self.default_theta}"
-            )
 
 
 class QueryTicket:
@@ -270,9 +258,11 @@ class QueryService:
         budget includes queue wait.  ``theta`` (≥ 1.0) requests a
         θ-approximate answer with a certificate (see
         :class:`~repro.core.result.ApproximationCertificate`); it
-        defaults to ``config.default_theta``.  θ also composes with
-        deadlines: a deadline that fires mid-query yields the current
-        best-k with a certified bound rather than a bare partial.
+        defaults to the engine's session θ
+        (:meth:`~repro.middleware.engine.MiddlewareEngine.configure_approximation`).
+        θ also composes with deadlines: a deadline that fires mid-query
+        yields the current best-k with a certified bound rather than a
+        bare partial.
 
         With a result cache on the engine
         (:meth:`~repro.middleware.engine.MiddlewareEngine.configure_cache`),
@@ -282,7 +272,7 @@ class QueryService:
         Misses go through normal admission and execution.
         """
         self._count("service.submitted", tenant=tenant)
-        theta = float(theta) if theta is not None else self.config.default_theta
+        theta = float(theta) if theta is not None else self.engine.theta
         if theta < 1.0:
             raise ValueError(f"theta must be >= 1.0, got {theta}")
         if self._closing:

@@ -12,10 +12,11 @@ for, behind the exact same seam the in-RAM backends use:
   hash-routed random access by id (by stored object code in TA's bulk
   round), per-shard accounting rolled up exactly.
 
-:func:`build_column_sources` is the factory behind
-:func:`repro.core.sources.sources_from_columns` ``backend=``/``shards=``
-selection; it shares one hash assignment across all m columns so every
-column partitions identically.  Conformance bar for everything here:
+:func:`build_sources` is the one place a ``(backend, shards,
+directory)`` layout is built: :func:`repro.core.sources.sources_from_columns`
+and the engine's bind-time relocation both call it.  It scatters all m
+columns with one :func:`hash_router` assignment, so every column
+partitions identically.  Conformance bar for everything here:
 answers, tie-breaks, charged access counts, and traces byte-identical
 across backends, shard counts, and worker counts.  No backend fans out
 on its own: a sharded list refills and probes its shards serially on
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as _np
 
@@ -39,10 +40,9 @@ from repro.core.sources import (
     ListSource,
     iter_wrapper_chain,
 )
-from repro.errors import AccessError, GradeError, StorageError
+from repro.errors import AccessError
 from repro.storage.memmap import (
     MemmapSource,
-    build_from_items,
     build_memmap,
     build_synthetic_memmap,
     open_memmap,
@@ -54,9 +54,8 @@ __all__ = [
     "BACKEND_CHOICES",
     "MemmapSource",
     "ShardedSource",
-    "build_column_sources",
-    "build_from_items",
     "build_memmap",
+    "build_sources",
     "build_synthetic_memmap",
     "describe_source_storage",
     "hash_router",
@@ -77,55 +76,31 @@ def _safe_subdir(label: str, index: int) -> str:
     return f"{index:02d}-{cleaned}" if cleaned else f"{index:02d}-col"
 
 
-def _build_backend_source(
+def build_sources(
     object_ids: Sequence[ObjectId],
     grades,
-    name: str,
-    *,
-    backend: str,
-    directory: Optional[str],
-    subdir: str,
-) -> GradedSource:
-    """One physical source of the chosen backend over parallel columns."""
-    if backend == "array":
-        return ArraySource.from_arrays(list(object_ids), grades, name=name)
-    if backend == "list":
-        values = grades.tolist() if hasattr(grades, "tolist") else list(grades)
-        return ListSource(dict(zip(object_ids, values)), name=name)
-    if backend == "memmap":
-        if directory is None:
-            raise StorageError(
-                "the memmap backend needs a directory to build into"
-            )
-        return build_memmap(
-            os.path.join(directory, subdir), object_ids, grades, name=name
-        )
-    raise AccessError(
-        f"unknown source backend {backend!r}; use " + ", ".join(BACKEND_CHOICES)
-    )
-
-
-def build_column_sources(
-    grades_by_object: Mapping[ObjectId, Sequence[float]],
     labels: Sequence[str],
     *,
     backend: str = "array",
     shards: int = 1,
     directory: Optional[str] = None,
 ) -> List[GradedSource]:
-    """Build one source per grade column on the chosen physical backend.
+    """Build one source per column of an ``(n, m)`` grade array.
 
-    The storage-aware sibling of the array/list paths in
-    :func:`repro.core.sources.sources_from_columns` (which delegates
-    here exactly when ``backend='memmap'`` or ``shards > 1``).  With
-    ``shards > 1`` every column is hash-partitioned with the *same*
-    router and assignment, then wrapped in a
-    :class:`~repro.storage.sharded.ShardedSource` per column.
+    The one place a physical layout is decided: ``backend`` picks
+    :class:`~repro.core.sources.ArraySource`,
+    :class:`~repro.core.sources.ListSource` or
+    :class:`~repro.storage.memmap.MemmapSource` columns, and
+    ``shards > 1`` scatters every column with *one*
+    :func:`hash_router` assignment (so cross-column probes always route
+    to the same shard index) behind a
+    :class:`~repro.storage.sharded.ShardedSource` per column.  Row ``i``
+    of ``grades`` holds ``object_ids[i]``'s grade in every column.
 
-    ``directory`` roots the on-disk layout for the memmap backend
-    (``<directory>/<column>/[shard<i>/]``); when omitted a temporary
-    directory is created and owned by the returned sources — it lives
-    exactly as long as they do.
+    Memmap columns are written under
+    ``<directory>/<NN-label>[/shard<i>]``; when ``directory`` is
+    omitted a temporary directory is created and owned by the returned
+    sources — it lives exactly as long as they do.
     """
     if backend not in BACKEND_CHOICES:
         raise AccessError(
@@ -134,67 +109,53 @@ def build_column_sources(
         )
     if shards < 1:
         raise AccessError(f"shards must be >= 1, got {shards}")
-    m = len(labels)
-    if m == 0:
-        return []
-    objects = list(grades_by_object.keys())
-    try:
-        matrix = _np.asarray(
-            [grades_by_object[obj] for obj in objects], dtype=_np.float64
+    ids = list(object_ids)
+    matrix = _np.asarray(grades, dtype=_np.float64)
+    if matrix.shape != (len(ids), len(labels)):
+        raise AccessError(
+            f"expected a ({len(ids)}, {len(labels)}) grade array, got shape "
+            f"{matrix.shape}"
         )
-    except (TypeError, ValueError) as exc:
-        raise GradeError(f"grades must be real numbers: {exc}") from exc
     owned = None
     if backend == "memmap" and directory is None:
         owned = tempfile.TemporaryDirectory(prefix="repro-storage-")
         directory = owned.name
+    router = hash_router(shards)
+    if shards == 1:
+        parts = [(ids, slice(None))]
+    else:
+        # one assignment for every column: cross-column probes (the
+        # algorithms' random-access phase) always route alike
+        rows_by_shard: List[List[int]] = [[] for _ in range(shards)]
+        for row, object_id in enumerate(ids):
+            rows_by_shard[router(object_id)].append(row)
+        parts = [
+            ([ids[row] for row in rows], _np.asarray(rows, dtype=_np.intp))
+            for rows in rows_by_shard
+        ]
+
+    def build(part, column: int, name: str, subdir: str) -> GradedSource:
+        part_ids, rows = part
+        values = matrix[rows, column]
+        if backend == "list":
+            return ListSource(dict(zip(part_ids, values.tolist())), name=name)
+        if backend == "memmap":
+            return build_memmap(
+                os.path.join(directory, subdir), part_ids, values, name=name
+            )
+        return ArraySource.from_arrays(part_ids, values, name=name)
 
     sources: List[GradedSource] = []
-    if shards == 1:
-        for index, label in enumerate(labels):
-            sources.append(
-                _build_backend_source(
-                    objects,
-                    matrix[:, index] if objects else _np.empty(0),
-                    label,
-                    backend=backend,
-                    directory=directory,
-                    subdir=_safe_subdir(label, index),
-                )
-            )
-    else:
-        # One assignment for all columns: every column scatters the same
-        # object to the same shard index, so cross-column joins (the
-        # algorithms' random-access phase) always route consistently.
-        router = hash_router(shards)
-        ids_by_shard: List[List[ObjectId]] = [[] for _ in range(shards)]
-        rows_by_shard: List[List[int]] = [[] for _ in range(shards)]
-        for row, object_id in enumerate(objects):
-            shard = router(object_id)
-            ids_by_shard[shard].append(object_id)
-            rows_by_shard[shard].append(row)
-        row_index = [
-            _np.asarray(rows, dtype=_np.intp) for rows in rows_by_shard
+    for column, label in enumerate(labels):
+        subdir = _safe_subdir(label, column)
+        if shards == 1:
+            sources.append(build(parts[0], column, label, subdir))
+            continue
+        shard_sources = [
+            build(part, column, f"{label}.s{shard}", os.path.join(subdir, f"shard{shard}"))
+            for shard, part in enumerate(parts)
         ]
-        for index, label in enumerate(labels):
-            shard_sources = [
-                _build_backend_source(
-                    ids_by_shard[shard],
-                    matrix[row_index[shard], index]
-                    if objects
-                    else _np.empty(0),
-                    f"{label}.s{shard}",
-                    backend=backend,
-                    directory=directory,
-                    subdir=os.path.join(
-                        _safe_subdir(label, index), f"shard{shard}"
-                    ),
-                )
-                for shard in range(shards)
-            ]
-            sources.append(
-                ShardedSource(shard_sources, name=label, router=router)
-            )
+        sources.append(ShardedSource(shard_sources, name=label, router=router))
     if owned is not None:
         for source in sources:
             source._owned_tmpdir = owned

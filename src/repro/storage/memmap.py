@@ -67,11 +67,11 @@ import hashlib
 import json
 import mmap as _mmap_module
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.graded import GradedSet, ObjectId
+from repro.core.graded import ObjectId
 from repro.core.sources import GradedSource, validate_grade_array
 from repro.errors import StorageError, UnknownObjectError
 from repro.kernels import ColumnCodes, canonical_order
@@ -488,24 +488,6 @@ def build_memmap(
 def open_memmap(directory: str, *, name: Optional[str] = None) -> MemmapSource:
     """Open an existing memmap source directory."""
     return MemmapSource(directory, name=name)
-
-
-def build_from_items(
-    directory: str,
-    items: Union[GradedSet, Mapping[ObjectId, float], Iterable[Tuple[ObjectId, float]]],
-    *,
-    name: str = "memmap",
-) -> MemmapSource:
-    """:func:`build_memmap` over the mapping shapes ListSource accepts."""
-    if isinstance(items, GradedSet):
-        mapping: Dict[ObjectId, float] = items.as_dict()
-    elif isinstance(items, Mapping):
-        mapping = dict(items)
-    else:
-        mapping = dict(items)
-    return build_memmap(
-        directory, list(mapping.keys()), list(mapping.values()), name=name
-    )
 
 
 def build_synthetic_memmap(

@@ -23,8 +23,8 @@ so every round makes at least ``merge_block`` progress.  Committed
 positions record their owning shard, which is what rolls consumed sorted
 accesses down to per-shard counters exactly (``_consume``).
 
-Random access hash-routes to the owning shard in O(1) via the
-partitioner's router (:func:`hash_router` — crc32, not Python's
+Random access hash-routes to the owning shard in O(1) via the router
+the columns were scattered with (:func:`hash_router` — crc32, not Python's
 randomized ``hash``); sources assembled from pre-existing shards
 without a router fall back to probing shards in order.  Charges land on
 the sharded source's own counter (the one algorithms and
@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.graded import GradedSet, ObjectId
-from repro.core.sources import GradedSource
+from repro.core.graded import ObjectId
+from repro.core.sources import GradedSource, WrapperSource
 from repro.errors import AccessError, UnknownObjectError
 from repro.kernels import ColumnCodes, merge_sorted_shard_blocks
 
@@ -96,18 +96,18 @@ class ShardedSource(GradedSource):
 
     ``shards`` are sources over *disjoint* object sets that together
     form the logical list; ``router`` (optional) maps an object id to
-    its owning shard index for O(1) random access.  Use
-    :meth:`partition` to build both consistently from one graded
-    collection.
+    its owning shard index for O(1) random access.
+    :func:`repro.storage.build_sources` builds both consistently from
+    graded columns.
 
-    The source is columnar (``supports_columnar``): the merged prefix
-    lives in growing id/grade/shard columns, so the algorithms read
-    it exactly as they read an :class:`~repro.core.sources.ArraySource`.
-    Shards of any backend work — the merge peeks them through their own
-    free bulk paths.
+    The merged prefix lives in growing id/grade/shard columns, so the
+    algorithms read it exactly as they read an
+    :class:`~repro.core.sources.ArraySource`.  Shards of any backend
+    work — the merge peeks them through their own free bulk paths.  The
+    source is columnar (``supports_columnar``) unless a shard is a
+    wrapper: TA's bulk round probes ahead of charging, which a wrapper's
+    side effects (faults, retries, tracing) must not see.
     """
-
-    supports_columnar = True
 
     def __init__(
         self,
@@ -129,6 +129,9 @@ class ShardedSource(GradedSource):
             shard.supports_random_access for shard in self._shards
         )
         self.is_boolean = all(shard.is_boolean for shard in self._shards)
+        self.supports_columnar = not any(
+            isinstance(shard, WrapperSource) for shard in self._shards
+        )
         self._total = sum(len(shard) for shard in self._shards)
         # merged prefix: parallel columns in canonical global order
         self._m_ids: List[ObjectId] = []
@@ -189,53 +192,6 @@ class ShardedSource(GradedSource):
             closer = getattr(shard, "close", None)
             if callable(closer):
                 closer()
-
-    # -- construction ----------------------------------------------------------
-    @classmethod
-    def partition(
-        cls,
-        items: Union[GradedSet, Mapping[ObjectId, float], Iterable[Tuple[ObjectId, float]]],
-        shard_count: int,
-        *,
-        name: str = "sharded",
-        backend: str = "array",
-        directory: Optional[str] = None,
-        merge_block: int = DEFAULT_MERGE_BLOCK,
-    ) -> "ShardedSource":
-        """Hash-partition one graded collection into ``shard_count``
-        shards of the chosen backend and wrap them.
-
-        The router used to scatter is the router kept for random-access
-        gather, so the two can never disagree.  ``backend='memmap'``
-        writes each shard under ``directory`` (required in that case).
-        """
-        from repro.storage import _build_backend_source
-
-        if isinstance(items, GradedSet):
-            mapping: Dict[ObjectId, float] = items.as_dict()
-        elif isinstance(items, Mapping):
-            mapping = dict(items)
-        else:
-            mapping = dict(items)
-        router = hash_router(shard_count)
-        ids_by_shard: List[List[ObjectId]] = [[] for _ in range(shard_count)]
-        grades_by_shard: List[List[float]] = [[] for _ in range(shard_count)]
-        for object_id, grade in mapping.items():
-            shard = router(object_id)
-            ids_by_shard[shard].append(object_id)
-            grades_by_shard[shard].append(grade)
-        shards = [
-            _build_backend_source(
-                ids_by_shard[index],
-                grades_by_shard[index],
-                f"{name}.s{index}",
-                backend=backend,
-                directory=None if directory is None else directory,
-                subdir=f"shard{index}",
-            )
-            for index in range(shard_count)
-        ]
-        return cls(shards, name=name, router=router, merge_block=merge_block)
 
     # -- K-way merge -----------------------------------------------------------
     def _merge_round(self) -> None:

@@ -13,7 +13,6 @@ from repro.workloads.graded_lists import (
     boolean_column,
     correlated,
     independent,
-    make_sources,
     reversed_pair,
     workload,
     zipf_skewed,
@@ -33,7 +32,6 @@ __all__ = [
     "reversed_pair",
     "zipf_skewed",
     "boolean_column",
-    "make_sources",
     "workload",
     "Album",
     "ARTISTS",

@@ -15,8 +15,9 @@ generates that model plus the structured variants the experiments use:
   for the Beatles-style Boolean-conjunct experiments.
 
 All generators are seeded and return either the raw grade table
-(``object -> (g_1, ..., g_m)``) or ready ranked-list columns.  Columns
-are numpy-backed :class:`~repro.core.sources.ArraySource` by default
+(``object -> (g_1, ..., g_m)``) or, through :func:`workload`, ready
+ranked-list columns built by
+:func:`~repro.core.sources.sources_from_columns`.  Columns are numpy-backed :class:`~repro.core.sources.ArraySource` by default
 (one vectorized build + argsort instead of N Python calls); pass
 ``backend="list"`` for the classic :class:`ListSource`.  Both backends
 produce identical sorted order and accounting.
@@ -25,7 +26,7 @@ produce identical sorted order and accounting.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.adversary import hard_instance
 from repro.core.sources import GradedSource, ListSource, sources_from_columns
@@ -130,29 +131,6 @@ def boolean_column(
     return {name: 1.0 if name in positives else 0.0 for name in names}
 
 
-def make_sources(
-    table: GradeTable,
-    names: Optional[Sequence[str]] = None,
-    *,
-    backend: str = "array",
-    shards: int = 1,
-    directory: Optional[str] = None,
-) -> List[GradedSource]:
-    """Ranked-list columns for a generated grade table.
-
-    ``backend="array"`` (default) builds numpy-backed
-    :class:`~repro.core.sources.ArraySource` columns; ``backend="list"``
-    builds the classic :class:`ListSource`; ``backend="memmap"`` the
-    out-of-core :class:`~repro.storage.memmap.MemmapSource` (under
-    ``directory`` when given).  ``shards > 1`` hash-partitions every
-    column behind a :class:`~repro.storage.sharded.ShardedSource`.
-    All combinations produce byte-identical answers, costs, and traces.
-    """
-    return sources_from_columns(
-        table, names, backend=backend, shards=shards, directory=directory
-    )
-
-
 def workload(
     kind: str,
     n: int,
@@ -164,16 +142,17 @@ def workload(
     directory: Optional[str] = None,
 ) -> List[GradedSource]:
     """Generate sources by workload name ('independent', 'correlated',
-    'anti-correlated', 'reversed')."""
+    'anti-correlated', 'zipf', 'reversed') on the chosen layout
+    (:func:`~repro.core.sources.sources_from_columns`)."""
     build = dict(backend=backend, shards=shards, directory=directory)
     if kind == "independent":
-        return make_sources(independent(n, m, seed), **build)
+        return sources_from_columns(independent(n, m, seed), **build)
     if kind == "correlated":
-        return make_sources(correlated(n, m, seed), **build)
+        return sources_from_columns(correlated(n, m, seed), **build)
     if kind == "anti-correlated":
-        return make_sources(anti_correlated(n, m, seed), **build)
+        return sources_from_columns(anti_correlated(n, m, seed), **build)
     if kind == "zipf":
-        return make_sources(zipf_skewed(n, m, seed), **build)
+        return sources_from_columns(zipf_skewed(n, m, seed), **build)
     if kind == "reversed":
         if m != 2:
             raise ValueError("the reversed workload is defined for m = 2")

@@ -75,9 +75,9 @@ def test_memmap_manifest_change_reads_as_stale(tmp_path):
     # Rebuild-in-place: same bindings, but the on-disk manifest moved.
     # The fingerprint recorded at fill time no longer matches, so the
     # probe evicts instead of serving.
-    for name in os.listdir(tmp_path):
-        manifest = os.path.join(str(tmp_path), name, MANIFEST_NAME)
-        if os.path.exists(manifest):
+    for directory, _, files in os.walk(tmp_path):
+        if MANIFEST_NAME in files:
+            manifest = os.path.join(directory, MANIFEST_NAME)
             stamp = os.stat(manifest).st_mtime_ns + 10_000_000
             os.utime(manifest, ns=(stamp, stamp))
 

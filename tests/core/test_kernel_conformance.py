@@ -609,22 +609,29 @@ def build_engine(n=40):
 
 
 def test_engine_kernel_results_identical():
-    """List bindings (TA reads them row by row), array bindings (TA
-    scores a window at a time) and sharded ones, under min and under a
-    user rule computing min: one set of answers and costs."""
+    """List bindings (TA reads them row by row), array and memmap
+    bindings (TA scores a window at a time) and sharded ones, under min
+    and under a user rule computing min: one set of answers, costs and
+    sorted depths."""
     atoms = (Atomic("Color", "red"), Atomic("Shape", "round"))
     baseline = build_engine().top_k(atoms[0] & atoms[1], 5)
     pairs = [(item.object_id, item.grade) for item in baseline.answers]
-    for backend, shards in ((None, 1), ("array", 1), ("array", 3)):
+    layouts = [(None, 1)] + [
+        (backend, shards)
+        for backend in ("list", "array", "memmap")
+        for shards in (1, 3)
+    ]
+    for backend, shards in layouts:
         for combine in COMBINES:
-            session = build_engine()
-            if backend is not None:
-                session.configure_storage(backend, shards=shards)
-            query = Scored(with_combine(tnorms.MIN, combine), atoms)
-            result = session.top_k(query, 5)
+            with build_engine() as session:
+                if backend is not None:
+                    session.configure_storage(backend, shards=shards)
+                query = Scored(with_combine(tnorms.MIN, combine), atoms)
+                result = session.top_k(query, 5)
             label = f"{backend}/{shards}/{combine}"
             assert [(i.object_id, i.grade) for i in result.answers] == pairs, label
             assert result.cost == baseline.cost, label
+            assert result.sorted_depth == baseline.sorted_depth, label
 
 
 class ColumnSubsystem(Subsystem):

@@ -33,7 +33,7 @@ from repro.scoring import conorms, means, tnorms
 from repro.scoring.owa import OwaScoring
 from repro.scoring.weighted import WeightedScoring
 from repro.scoring.base import FunctionScoring
-from repro.storage import ShardedSource
+from repro.storage import build_sources
 from tests.strategies import with_combine
 
 # ----------------------------------------------------------------------
@@ -172,13 +172,10 @@ def build(kind, ids, columns, directory):
         # built separately: the bulk round makes them adopt one index
         return [ArraySource.from_arrays(ids, c, name=n) for n, c in zip(names, columns)]
     backend = kind.split("-")[1]
-    return [
-        ShardedSource.partition(
-            zip(ids, c), 3, name=n, backend=backend,
-            directory=os.path.join(directory, n),
-        )
-        for n, c in zip(names, columns)
-    ]
+    return build_sources(
+        ids, np.column_stack(columns), names, backend=backend, shards=3,
+        directory=directory,
+    )
 
 
 def outcome(sources, rule, k, batch_size, theta, traced=False):

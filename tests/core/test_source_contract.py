@@ -38,7 +38,8 @@ from repro.middleware.relational import BooleanSource
 from repro.middleware.resilience import DeadlineGuard, ResilientSource, VirtualClock
 from repro.observability import QueryTracer
 from repro.observability.tracer import TracingSource
-from repro.storage import ShardedSource, build_from_items
+from repro.storage import ShardedSource
+from tests.storage.helpers import column_source
 
 N = 40
 IDS = [f"o{i}" for i in range(N)]
@@ -64,10 +65,10 @@ def promoted_source():
 CONCRETE = {
     "list": lambda tmp: ListSource(COLUMN, name="col"),
     "array": lambda tmp: ArraySource(COLUMN, name="col"),
-    "memmap": lambda tmp: build_from_items(str(tmp / "mm"), COLUMN, name="col"),
-    "sharded-array": lambda tmp: ShardedSource.partition(COLUMN, 3, name="col"),
-    "sharded-memmap": lambda tmp: ShardedSource.partition(
-        COLUMN, 3, name="col", backend="memmap", directory=str(tmp / "sh")
+    "memmap": lambda tmp: column_source(COLUMN, backend="memmap", directory=str(tmp / "mm")),
+    "sharded-array": lambda tmp: column_source(COLUMN, shards=3),
+    "sharded-memmap": lambda tmp: column_source(
+        COLUMN, shards=3, backend="memmap", directory=str(tmp / "sh")
     ),
     "knn": lambda tmp: knn_source(),
     "boolean": lambda tmp: BooleanSource(

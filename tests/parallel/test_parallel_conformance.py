@@ -169,7 +169,7 @@ def test_memmap_sharded_lists_are_byte_identical_under_a_pool(tmp_path):
     """Shard refills run inside the per-list consume thunks, on pool
     threads: TA, NRA and A0 over memmap-sharded-3 lists still match the
     serial run in answers, cost, trace and per-shard tallies."""
-    from repro.storage import ShardedSource
+    from tests.storage.helpers import column_source
 
     rng = random.Random(7)
     columns = [
@@ -181,12 +181,12 @@ def test_memmap_sharded_lists_are_byte_identical_under_a_pool(tmp_path):
         nonlocal runs
         runs += 1
         sources = [
-            ShardedSource.partition(
+            column_source(
                 column,
-                3,
                 name=f"c{j}",
                 backend="memmap",
-                directory=str(tmp_path / f"run{runs}" / f"c{j}"),
+                shards=3,
+                directory=str(tmp_path / f"run{runs}"),
                 merge_block=16,
             )
             for j, column in enumerate(columns)

@@ -275,11 +275,29 @@ def test_trace_requests_config_default(engine):
     assert opt_out.trace is None
 
 
-def test_config_validation():
+def test_config_validation(engine):
     with pytest.raises(ValueError):
         ServiceConfig(workers=0)
-    with pytest.raises(ValueError):
-        ServiceConfig(default_theta=0.5)
+    # θ is the engine's knob; the service validates it per request
+    with QueryService(engine) as service:
+        with pytest.raises(ValueError):
+            service.submit(QUERY, 3, theta=0.5)
+
+
+def test_requests_default_to_the_engine_theta(engine):
+    engine.configure_approximation(1.5)
+    expected = engine.top_k(QUERY, 5)
+    assert expected.approximation is not None
+    with QueryService(engine) as service:
+        result = service.query(QUERY, 5, timeout=10)
+        exact = service.query(QUERY, 5, theta=1.0, timeout=10)
+    assert result.approximation is not None
+    assert result.approximation.theta == 1.5
+    assert result.cost == expected.cost
+    assert [(i.object_id, i.grade) for i in result.answers] == [
+        (i.object_id, i.grade) for i in expected.answers
+    ]
+    assert exact.approximation is None
 
 
 def test_failed_query_surfaces_original_error(engine):

@@ -16,12 +16,12 @@ from repro.core.sources import ArraySource
 from repro.errors import GradeError, StorageError, UnknownObjectError
 from repro.storage import (
     MemmapSource,
-    build_from_items,
     build_memmap,
     build_synthetic_memmap,
     open_memmap,
     verify_memmap,
 )
+from tests.storage.helpers import column_source
 
 COLUMN = {
     "walrus": 0.8,
@@ -119,8 +119,12 @@ def test_columnar_batch_path(tmp_path):
 # ------------------------------------------------------------- builders
 
 
-def test_build_from_items_mapping(tmp_path):
-    source = build_from_items(str(tmp_path / "m"), COLUMN, name="m")
+def test_builder_memmap_column(tmp_path):
+    source = column_source(
+        COLUMN, name="m", backend="memmap", directory=str(tmp_path / "m")
+    )
+    assert isinstance(source, MemmapSource)
+    assert source.directory == str(tmp_path / "m" / "00-m")
     assert {i.object_id: i.grade for i in source.as_graded_set()} == COLUMN
 
 

@@ -13,9 +13,13 @@ import threading
 
 import pytest
 
-from repro.core.sources import ArraySource, ListSource
-from repro.errors import AccessError, StorageError, UnknownObjectError
-from repro.storage import MemmapSource, ShardedSource, hash_router
+from repro.core.sources import ArraySource, ListSource, WrapperSource
+from repro.core.threshold import threshold_top_k
+from repro.errors import AccessError, UnknownObjectError
+from repro.middleware.faults import FaultInjectingSource, FaultProfile
+from repro.scoring import tnorms
+from repro.storage import MemmapSource, ShardedSource, build_sources, hash_router
+from tests.storage.helpers import column_source
 
 
 def make_column(n, seed=0):
@@ -30,9 +34,7 @@ def monolithic(column, name="col"):
 
 
 def sharded(column, shards, *, merge_block=4, name="col"):
-    return ShardedSource.partition(
-        column, shards, name=name, merge_block=merge_block
-    )
+    return column_source(column, name=name, shards=shards, merge_block=merge_block)
 
 
 # ---------------------------------------------------------------- merge
@@ -119,7 +121,7 @@ def test_shard_stats_shape():
 def test_merge_ties_nul_suffixed_ids_in_python_string_order(shards):
     # numpy <U keys drop a trailing NUL, which tied "a\x00" with "a"
     column = {"a\x00": 0.5, "a": 0.5, "b\x00": 0.5, "b": 0.5}
-    source = ShardedSource.partition(column, shards)
+    source = column_source(column, shards=shards)
     expected = list(ListSource(column).object_ids())
     assert expected == ["a", "a\x00", "b", "b\x00"]
     assert list(source.object_ids()) == expected
@@ -156,7 +158,7 @@ def test_unknown_object_error_names_logical_source():
     assert ".s0" not in str(excinfo.value)
 
 
-# ------------------------------------------------------------ partition
+# ------------------------------------------------------------ builder
 
 
 def test_partition_backends(tmp_path):
@@ -168,25 +170,47 @@ def test_partition_backends(tmp_path):
         ("list", None),
         ("memmap", str(tmp_path / "shards")),
     ):
-        source = ShardedSource.partition(
-            column, 3, name="col", backend=backend, directory=directory
+        source = column_source(
+            column, shards=3, backend=backend, directory=directory
         )
+        assert source.supports_columnar, backend
         got = source.cursor().next_batch(30)
         assert [(i.object_id, i.grade) for i in got] == [
             (i.object_id, i.grade) for i in want
         ], backend
-    with pytest.raises(StorageError):
-        ShardedSource.partition(column, 2, name="col", backend="memmap")
     with pytest.raises(AccessError):
-        ShardedSource.partition(column, 2, name="col", backend="paper-tape")
+        column_source(column, shards=2, backend="paper-tape")
+    with pytest.raises(AccessError):
+        column_source(column, shards=0)
 
 
 def test_partitioned_memmap_shards_are_memmaps(tmp_path):
-    source = ShardedSource.partition(
-        make_column(12), 2, name="col", backend="memmap",
-        directory=str(tmp_path / "p"),
+    source = column_source(
+        make_column(12), shards=2, backend="memmap", directory=str(tmp_path / "p")
     )
     assert all(isinstance(shard, MemmapSource) for shard in source.shards)
+    assert [shard.directory for shard in source.shards] == [
+        str(tmp_path / "p" / "00-col" / f"shard{i}") for i in range(2)
+    ]
+
+
+def test_builder_without_directory_owns_a_temporary_one():
+    # memmap columns with no directory go to a temporary directory that
+    # lives as long as the sources do
+    source = column_source(make_column(12), shards=2, backend="memmap")
+    root = source._owned_tmpdir.name
+    assert all(shard.directory.startswith(root) for shard in source.shards)
+
+
+def test_builder_routes_every_column_alike():
+    ids = [f"obj{i:03d}" for i in range(40)]
+    grades = [[(i % 7) / 7, (i % 5) / 5] for i in range(40)]
+    first, second = build_sources(ids, grades, ["a", "b"], shards=3)
+    assert [sorted(shard.object_ids()) for shard in first.shards] == [
+        sorted(shard.object_ids()) for shard in second.shards
+    ]
+    with pytest.raises(AccessError):
+        build_sources(ids, grades, ["a"])
 
 
 def test_empty_and_skewed_shards():
@@ -204,6 +228,45 @@ def test_empty_and_skewed_shards():
     assert [(i.object_id, i.grade) for i in got] == [
         (i.object_id, i.grade) for i in want
     ]
+
+
+# ------------------------------------------------------ wrapped shards
+
+
+def faulty_sharded_lists(outer):
+    """Two lists of 200, each over 3 shards whose random access breaks
+    after 3 probes, each list passed through ``outer``."""
+    rng = random.Random(3)
+    ids = [f"o{i:03d}" for i in range(200)]
+    grades = [[rng.random(), rng.random()] for _ in ids]
+    return [
+        outer(
+            ShardedSource(
+                [
+                    FaultInjectingSource(shard, FaultProfile(break_random_after=3))
+                    for shard in source.shards
+                ],
+                name=source.name,
+                router=source._router,
+            )
+        )
+        for source in build_sources(ids, grades, ["a", "b"], shards=3)
+    ]
+
+
+def test_wrapped_shards_keep_ta_degradation():
+    # TA's bulk round probes ahead of charging: over wrapped shards the
+    # failure must surface at the charged probe, where TA degrades
+    sources = faulty_sharded_lists(lambda source: source)
+    assert not any(source.supports_columnar for source in sources)
+    result = threshold_top_k(sources, tnorms.MIN, 5)
+    reference = threshold_top_k(faulty_sharded_lists(WrapperSource), tnorms.MIN, 5)
+    assert result.algorithm == reference.algorithm == "threshold-ta+nra"
+    assert result.degraded is not None
+    assert [(i.object_id, i.grade) for i in result.answers] == [
+        (i.object_id, i.grade) for i in reference.answers
+    ]
+    assert result.cost == reference.cost
 
 
 # ------------------------------------------------------------ threads

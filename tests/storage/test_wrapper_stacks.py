@@ -21,7 +21,7 @@ from repro.middleware.idmap import IdMapping, MappedSource
 from repro.middleware.resilience import ResilientSource, VirtualClock
 from repro.observability import QueryTracer
 from repro.observability.tracer import TracingSource
-from repro.storage import ShardedSource, build_from_items
+from tests.storage.helpers import column_source
 
 
 def make_column(n, seed=0):
@@ -35,8 +35,10 @@ def backends(tmp_path, column):
         "array": ArraySource.from_arrays(
             ids, [column[i] for i in ids], name="col"
         ),
-        "memmap": build_from_items(str(tmp_path / "mm"), column, name="col"),
-        "sharded": ShardedSource.partition(column, 3, name="col"),
+        "memmap": column_source(
+            column, backend="memmap", directory=str(tmp_path / "mm")
+        ),
+        "sharded": column_source(column, shards=3),
     }
 
 
@@ -106,7 +108,7 @@ def test_mapped_resilient_tracing_chain_over_sharded(tmp_path):
     # the subsystem speaks local ids; the middleware speaks global ids
     column = make_column(24, seed=5)
     local_ids = list(column.keys())
-    sharded = ShardedSource.partition(column, 3, name="col")
+    sharded = column_source(column, shards=3)
     mapping = IdMapping({f"g-{i}": i for i in local_ids})
     tracer = QueryTracer()
     stack = TracingSource(
@@ -141,7 +143,7 @@ def test_mapped_resilient_tracing_chain_over_sharded(tmp_path):
 
 def test_free_reads_charge_nothing_through_full_stack(tmp_path):
     column = make_column(18, seed=2)
-    sharded = ShardedSource.partition(column, 2, name="col")
+    sharded = column_source(column, shards=2)
     mapping = IdMapping.identity(column.keys())
     tracer = QueryTracer()
     stack = TracingSource(
@@ -152,9 +154,8 @@ def test_free_reads_charge_nothing_through_full_stack(tmp_path):
     materialized = stack.as_graded_set()
     assert {i.object_id: i.grade for i in materialized} == column
     assert list(stack.object_ids()) == [
-        i.object_id for i in ShardedSource.partition(
-            column, 2, name="col"
-        ).cursor().next_batch(18)
+        i.object_id
+        for i in column_source(column, shards=2).cursor().next_batch(18)
     ]
     assert stack.counter.snapshot() == (0, 0)
     assert tracer.events == []

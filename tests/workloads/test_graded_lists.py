@@ -4,12 +4,12 @@ import statistics
 
 import pytest
 
+from repro.core.sources import sources_from_columns
 from repro.workloads.graded_lists import (
     anti_correlated,
     boolean_column,
     correlated,
     independent,
-    make_sources,
     workload,
 )
 
@@ -54,8 +54,8 @@ def test_boolean_column_selectivity():
         boolean_column(100, 1.5)
 
 
-def test_make_sources_columns():
-    sources = make_sources(independent(50, 2, seed=7))
+def test_generated_table_columns():
+    sources = sources_from_columns(independent(50, 2, seed=7))
     assert len(sources) == 2
     assert len(sources[0]) == 50
 
