@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +188,36 @@ class VectorIndex(ABC):
         self.dimension = dimension
         self.stats = IndexStats()
 
+    @staticmethod
+    def _new_id_positions(
+        object_ids: Sequence, *stored: Container
+    ) -> Dict[object, int]:
+        """``{id: row}`` over ``object_ids``, rejecting an id repeated
+        within them or already in one of ``stored`` (the index's id
+        maps) with :class:`IndexError_`.
+
+        Every ``insert`` and bulk load calls this before any state
+        changes: one id is one stored vector, so a ranked list never
+        names an object twice and random access (``vector_of``) always
+        agrees with the neighbour sorted access emitted."""
+        positions = {object_id: row for row, object_id in enumerate(object_ids)}
+        if len(positions) < len(object_ids):  # a repeat keeps its last row
+            clashes = [
+                object_id
+                for row, object_id in enumerate(object_ids)
+                if positions[object_id] != row
+            ]
+        else:
+            clashes = [
+                object_id
+                for ids in stored
+                for object_id in positions
+                if object_id in ids
+            ]
+        if clashes:
+            raise IndexError_(f"duplicate object id: {clashes[0]!r}")
+        return positions
+
     def _check_vector(self, vector) -> np.ndarray:
         array = np.asarray(vector, dtype=float)
         if array.shape != (self.dimension,):
@@ -295,14 +325,16 @@ class LinearScanIndex(VectorIndex):
                 f"{len(ids)} ids for {len(matrix)} vectors"
             )
         require_finite(matrix)
+        positions = cls._new_id_positions(ids)
         index = cls(matrix.shape[1])
         index._ids = ids
         index._matrix = matrix
-        index._positions = {object_id: row for row, object_id in enumerate(ids)}
+        index._positions = positions
         return index
 
     def insert(self, object_id: object, vector) -> None:
         point = self._check_vector(vector)  # before any state changes
+        self._new_id_positions([object_id], self._positions)
         self._positions[object_id] = len(self._ids)
         self._ids.append(object_id)
         self._extra.append(point)

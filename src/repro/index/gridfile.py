@@ -58,6 +58,7 @@ class GridFile(VectorIndex):
         point = self._check_vector(vector)
         if np.any(point < 0) or np.any(point > 1):
             raise IndexError_("grid file stores points in the unit cube only")
+        self._new_id_positions([object_id], self._by_id)
         self._cells.setdefault(self._cell_of(point), []).append((object_id, point))
         self._by_id[object_id] = point
         self._count += 1

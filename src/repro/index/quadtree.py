@@ -71,6 +71,7 @@ class LinearQuadtree(VectorIndex):
         point = self._check_vector(vector)
         if np.any(point < 0) or np.any(point > 1):
             raise IndexError_("linear quadtree stores points in the unit cube only")
+        self._new_id_positions([object_id], self._by_id)
         code = interleave_bits(self._quantize(point), self.depth)
         position = bisect.bisect_left(self._codes, code)
         self._codes.insert(position, code)

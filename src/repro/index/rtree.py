@@ -227,6 +227,7 @@ class RTree(VectorIndex):
         if len(ids) != len(matrix):
             raise IndexError_(f"{len(ids)} ids for {len(matrix)} vectors")
         require_finite(matrix)
+        positions = cls._new_id_positions(ids)
         tree = cls(matrix.shape[1], max_entries=max_entries)
         size = len(ids)
         if size == 0:
@@ -254,7 +255,7 @@ class RTree(VectorIndex):
         tree._root = nodes[0]
         tree._count = size
         tree._bulk_matrix = matrix
-        tree._bulk_positions = {object_id: row for row, object_id in enumerate(ids)}
+        tree._bulk_positions = positions
         return tree
 
     def _str_tile(
@@ -285,6 +286,7 @@ class RTree(VectorIndex):
     # ------------------------------------------------------------------
     def insert(self, object_id: object, vector) -> None:
         point = self._check_vector(vector)
+        self._new_id_positions([object_id], self._inserted, self._bulk_positions)
         self._inserted[object_id] = point
         split = self._insert_point(self._root, object_id, point)
         if split is not None:

@@ -13,11 +13,14 @@ true distance, so most full vectors are never touched:
 
 1. scan phase — the grid is fixed, so a cell's squared contribution
    to a bound depends only on ``(dimension, cell)``: per-query
-   ``[d, 2^bits]`` tables of those squared gaps (a few KB) are gathered
-   through the ``[n, d]`` code matrix and row-summed — integer lookups
-   instead of float arithmetic per stored coordinate.  Batch ``knn``
-   prunes with a partitioned selection of the k-th upper bound; the
-   stream needs the lower table only;
+   ``[d, 2^bits]`` tables of those squared gaps (a few KB) are folded
+   column by column in numpy's own row-sum order, so each bound is bit
+   for bit ``sqrt`` of the row sum — integer lookups instead of float
+   arithmetic per stored coordinate.  Up to :data:`_PAIR_BITS` bits, each
+   add of two raw dimensions is one lookup in a pair table through a
+   cached pair-code column, so the fold reads one code per two
+   dimensions.  Batch ``knn`` prunes with a partitioned selection of
+   the k-th upper bound; the stream needs the lower tables only;
 2. refine phase — visit candidates in canonical ``(lower, str(id))``
    order, computing true distances in vectorized blocks, stopping when
    the next lower bound exceeds the k-th true distance.  The stream
@@ -60,10 +63,15 @@ from repro.index.base import (
 #: bound kernel can never prune a true neighbour (errs toward refining).
 EPS = 1e-12
 
-#: Rows per vectorized chunk in the scan phase: bounds temp memory, and
-#: keeps a chunk's ``[rows, d]`` temporaries cache-resident (the scan is
-#: ~1.7x slower at 65536 rows, whose temporaries are 4 MB each at d=8).
+#: Rows per vectorized chunk in the scan phase (and in ``bulk_load``'s
+#: coding pass): bounds temp memory, and keeps a chunk's buffers
+#: cache-resident.
 SCAN_CHUNK = 8192
+
+#: Widest grid whose dimensions are paired in the scan: a pair table
+#: has ``4**bits`` entries (128 KB at 7 bits); at 8 bits its 512 KB
+#: fall out of cache and one-dimension leaves are faster.
+_PAIR_BITS = 7
 
 #: Candidates refined per vectorized block in the refine phase.
 REFINE_BLOCK = 64
@@ -74,6 +82,61 @@ ORDER_SLICE = 1024
 #: Refine block for the incremental stream (smaller: streams usually
 #: stop after a handful of pops).
 STREAM_BLOCK = 32
+
+
+def _sum_order(dims):
+    """The order in which numpy's row sum adds ``dims``, as a binary
+    tree: a leaf is a dimension, a node a ``(left, right)`` add.
+
+    numpy sums a contiguous row of ``d`` float64s pairwise: below 8
+    terms left to right; up to 128 in eight strided accumulators
+    ``r[j] += a[i + j]`` combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    the tail then added left to right; past 128 it splits at half the
+    length, rounded down to a multiple of 8, and recurses."""
+    n = len(dims)
+    if n < 8:
+        tree = dims[0]
+        for dim in dims[1:]:
+            tree = (tree, dim)
+        return tree
+    if n <= 128:
+        stop = n - n % 8
+        r = list(dims[:8])
+        for start in range(8, stop, 8):
+            r = [(r[j], dims[start + j]) for j in range(8)]
+        tree = (((r[0], r[1]), (r[2], r[3])), ((r[4], r[5]), (r[6], r[7])))
+        for dim in dims[stop:]:
+            tree = (tree, dim)
+        return tree
+    half = n // 2
+    half -= half % 8
+    return (_sum_order(dims[:half]), _sum_order(dims[half:]))
+
+
+def _fold_plan(dimension: int, pair: bool):
+    """Compile :func:`_sum_order` into leaves and a register program.
+
+    ``leaves`` lists the dimensions each leaf reads: ``(i, j)`` for an
+    add of two raw dimensions when ``pair`` is set, else ``(i,)``.
+    ``program`` evaluates the tree on a register stack: ``(leaf, r)``
+    gathers a leaf into register ``r``, ``(None, r)`` adds register
+    ``r + 1`` into ``r``.  Register 0 ends up holding the sum."""
+    leaves: List[Tuple[int, ...]] = []
+    program: List[Tuple[Optional[int], int]] = []
+
+    def walk(node, register: int) -> None:
+        if isinstance(node, int) or (
+            pair and isinstance(node[0], int) and isinstance(node[1], int)
+        ):
+            leaves.append((node,) if isinstance(node, int) else node)
+            program.append((len(leaves) - 1, register))
+            return
+        walk(node[0], register)
+        walk(node[1], register + 1)
+        program.append((None, register))
+
+    walk(_sum_order(list(range(dimension))), 0)
+    return leaves, program
 
 
 class _VAFileStream(KnnStream):
@@ -191,7 +254,10 @@ class VAFile(VectorIndex):
         self._positions: Dict[object, int] = {}
         self._matrix_cache: Optional[np.ndarray] = None
         self._codes_cache: Optional[np.ndarray] = None
+        self._columns_cache: Optional[List[np.ndarray]] = None
         self._tie_cache: Optional[np.ndarray] = None
+        self._leaves, self._program = _fold_plan(dimension, bits <= _PAIR_BITS)
+        self._registers = max(register for _, register in self._program)
 
     # ------------------------------------------------------------------
     # Construction
@@ -211,6 +277,7 @@ class VAFile(VectorIndex):
         ids = list(object_ids)
         if len(ids) != len(matrix):
             raise IndexError_(f"{len(ids)} ids for {len(matrix)} vectors")
+        positions = cls._new_id_positions(ids)
         va = cls(matrix.shape[1], bits=bits)
         codes = np.empty(matrix.shape, dtype=va._code_dtype)
         for start in range(0, len(matrix), chunk):
@@ -227,7 +294,7 @@ class VAFile(VectorIndex):
         va._ids = ids
         va._base_matrix = matrix
         va._base_codes = codes
-        va._positions = {object_id: row for row, object_id in enumerate(ids)}
+        va._positions = positions
         return va
 
     def _approximate(self, vector: np.ndarray) -> np.ndarray:
@@ -237,12 +304,14 @@ class VAFile(VectorIndex):
         point = self._check_vector(vector)
         if not ((point >= 0) & (point <= 1)).all():
             raise IndexError_("VA-file stores points in the unit cube only")
+        self._new_id_positions([object_id], self._positions)
         self._positions[object_id] = len(self._ids)
         self._ids.append(object_id)
         self._tail_vectors.append(point)
         self._tail_codes.append(self._approximate(point).astype(self._code_dtype))
         self._matrix_cache = None
         self._codes_cache = None
+        self._columns_cache = None
         self._tie_cache = None
 
     def __len__(self) -> int:
@@ -303,6 +372,26 @@ class VAFile(VectorIndex):
     # ------------------------------------------------------------------
     # Distance bounds
     # ------------------------------------------------------------------
+    def _leaf_columns(self, codes: np.ndarray) -> List[np.ndarray]:
+        """One contiguous code column per fold leaf: a paired leaf
+        ``(i, j)`` reads the uint16 ``c_i * cells + c_j``, a single one
+        ``c_i``.  Cached for the stored codes (``insert`` drops them)."""
+        stored = codes is self._codes_cache
+        columns = self._columns_cache if stored else None
+        if columns is None:
+            columns = []
+            for leaf in self._leaves:
+                column = codes[:, leaf[0]].astype(
+                    np.uint16 if len(leaf) == 2 else codes.dtype
+                )
+                if len(leaf) == 2:
+                    column *= self.cells
+                    column += codes[:, leaf[1]]
+                columns.append(column)
+            if stored:
+                self._columns_cache = columns
+        return columns
+
     def _table_bounds(
         self, codes: np.ndarray, query: np.ndarray, *, upper: bool = True
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -310,9 +399,19 @@ class VAFile(VectorIndex):
         the distance from ``query`` to any point in each code row's cell.
 
         Builds the ``[d, cells]`` tables of squared per-dimension gaps
-        once, then gathers them through the ``[n, d]`` codes and
-        row-sums, :data:`SCAN_CHUNK` rows at a time.  Codes index the
-        tables: they must lie in ``[0, cells)``, as construction ensures."""
+        once per query, then folds them column-wise in numpy's own row
+        summation order (:func:`_sum_order`), :data:`SCAN_CHUNK` rows at
+        a time: each leaf of the fold gathers its table through its code
+        column into a chunk buffer, and each add is one in-place
+        ``np.add`` of two buffers.  The same IEEE adds run in the same
+        order as ``(gap * gap).sum(axis=1)``, so the bounds are bit for
+        bit the row-summed ones.  While a pair table stays cache-sized
+        (``bits <= _PAIR_BITS``), every add of two raw dimensions
+        ``(i, j)`` is one leaf whose table is the outer sum
+        ``sq_i[:, None] + sq_j[None, :]`` — that add done once per cell
+        pair instead of once per row — gathered through the paired code
+        ``c_i * cells + c_j``.  Codes index the tables: they must lie in
+        ``[0, cells)``, as construction ensures."""
         cell = np.arange(self.cells)
         cell_low = cell / self.cells
         cell_high = (cell + 1.0) / self.cells
@@ -320,21 +419,41 @@ class VAFile(VectorIndex):
         below = np.clip(cell_low - column, 0.0, None)
         above = np.clip(column - cell_high, 0.0, None)
         gap = np.maximum(below, above)
-        tables = [(gap * gap).ravel()]
+        squares = [gap * gap]
         if upper:
             farthest = np.maximum(
                 np.abs(column - cell_low), np.abs(column - cell_high)
             )
-            tables.append((farthest * farthest).ravel())
+            squares.append(farthest * farthest)
+        tables = [
+            [
+                square[leaf[0]]
+                if len(leaf) == 1
+                else (square[leaf[0], :, None] + square[leaf[1]]).ravel()
+                for leaf in self._leaves
+            ]
+            for square in squares
+        ]
+        columns = self._leaf_columns(codes)
         bounds = [np.empty(len(codes)) for _ in tables]
-        offsets = np.arange(self.dimension) * self.cells
+        scratch = np.empty((self._registers, min(len(codes), SCAN_CHUNK)))
         for start in range(0, len(codes), SCAN_CHUNK):
-            slots = codes[start : start + SCAN_CHUNK] + offsets
-            for table, out in zip(tables, bounds):
-                np.sqrt(
-                    table.take(slots).sum(axis=1),
-                    out=out[start : start + SCAN_CHUNK],
-                )
+            stop = min(start + SCAN_CHUNK, len(codes))
+            chunk = [column[start:stop] for column in columns]
+            for leaf_tables, out in zip(tables, bounds):
+                registers = [out[start:stop], *scratch[:, : stop - start]]
+                for leaf, register in self._program:
+                    if leaf is None:
+                        np.add(
+                            registers[register],
+                            registers[register + 1],
+                            out=registers[register],
+                        )
+                    else:  # in-range codes: "wrap" skips the raise path's copy
+                        leaf_tables[leaf].take(
+                            chunk[leaf], out=registers[register], mode="wrap"
+                        )
+                np.sqrt(registers[0], out=registers[0])
         return bounds[0], bounds[1] if upper else None
 
     def _bounds(self, approximation: np.ndarray, query: np.ndarray) -> Tuple[float, float]:

@@ -15,7 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import IndexError_
 from repro.index import (
     INDEX_KINDS,
+    GridFile,
+    LinearQuadtree,
     LinearScanIndex,
+    RTree,
+    VAFile,
     build_knn_index,
 )
 
@@ -143,3 +147,47 @@ def test_non_finite_vectors_are_rejected(kind, bad):
     matrix[4, 1] = bad
     with pytest.raises(IndexError_):
         build_knn_index(kind, ids, matrix, max_entries=4)
+
+
+def _inserted(kind):
+    """An empty index of ``kind`` for per-item inserts."""
+    return {
+        "scan": lambda: LinearScanIndex(2),
+        "vafile": lambda: VAFile(2, bits=4),
+        "rtree": lambda: RTree(2, max_entries=4),
+        "grid": lambda: GridFile(2, cells_per_dim=4),
+        "quadtree": lambda: LinearQuadtree(2, depth=3),
+    }[kind]()
+
+
+BULK_LOADS = {
+    "scan": LinearScanIndex.bulk_load,
+    "vafile": VAFile.bulk_load,
+    "rtree": RTree.bulk_load_arrays,
+    "rtree-items": lambda ids, matrix: RTree.bulk_load(list(zip(ids, matrix)), 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["scan", "vafile", "rtree", "grid", "quadtree"])
+def test_insert_rejects_a_stored_id(kind):
+    """One id is one vector: a second insert of ``a`` would list it
+    twice in the stream while ``vector_of`` answers only the second."""
+    index = _inserted(kind)
+    index.insert("a", [0.1, 0.1])
+    index.insert("b", [0.5, 0.5])
+    with pytest.raises(IndexError_, match="duplicate object id: 'a'"):
+        index.insert("a", [0.9, 0.9])
+    assert len(index) == 2
+    assert np.array_equal(index.vector_of("a"), [0.1, 0.1])
+    assert [obj for obj, _ in index.knn_stream([0.1, 0.1])] == ["a", "b"]
+
+
+@pytest.mark.parametrize("load", sorted(BULK_LOADS))
+def test_bulk_load_rejects_a_repeated_id(load):
+    matrix = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
+    with pytest.raises(IndexError_, match="duplicate object id: 'a'"):
+        BULK_LOADS[load](["a", "b", "a"], matrix)
+    index = BULK_LOADS[load](["a", "b", "c"], matrix)
+    with pytest.raises(IndexError_, match="duplicate object id: 'c'"):
+        index.insert("c", [0.2, 0.2])  # bulk-loaded ids are stored ids
+    assert len(index) == 3

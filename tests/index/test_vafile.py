@@ -213,6 +213,43 @@ def test_table_bounds_bracket_the_computed_distance(grid):
         assert va._bounds(va._approximations[row], query) == (lower[row], upper[row])
 
 
+@pytest.mark.parametrize("bits", [1, 6, 7, 8, 9])
+@pytest.mark.parametrize("dim", [1, 7, 8, 15, 16, 17, 24, 130])
+def test_fold_is_bit_identical_at_every_width(dim, bits):
+    """Every branch of numpy's summation order: a left fold (d < 8),
+    eight strided accumulators plus a tail (8 <= d <= 128) and the
+    split past 128; paired leaves up to 7 bits, single ones above."""
+    rng = np.random.default_rng(dim * 100 + bits)
+    aligned = rng.integers(0, 2**bits + 1, size=(300, dim)) / 2**bits
+    points = np.where(rng.random((300, dim)) < 0.5, aligned, rng.random((300, dim)))
+    va = VAFile.bulk_load(range(300), points, bits=bits)
+    for query in (rng.random(dim), rng.random(dim) * 3.0 - 1.0):
+        expected_lower, expected_upper = loop_bounds(va, query)
+        lower, upper = va._all_bounds(query)
+        assert np.array_equal(lower, expected_lower)
+        assert np.array_equal(upper, expected_upper)
+        only_lower, _ = va._table_bounds(va._approximations, query, upper=False)
+        assert np.array_equal(only_lower, expected_lower)
+        for row in range(0, 300, 23):
+            assert va._bounds(va._approximations[row], query) == (
+                expected_lower[row],
+                expected_upper[row],
+            )
+
+
+def test_insert_after_a_scan_rescans_the_new_row():
+    """The scan caches its leaf code columns; an insert must drop them,
+    or the new row is never bounded and never emitted."""
+    rng = np.random.default_rng(14)
+    va = VAFile.bulk_load(range(2000), rng.random((2000, 8)), bits=6)
+    query = rng.random(8)
+    assert va.knn_stream(query).next() is not None  # builds the cache
+    va.insert("new", query)
+    assert va.knn_stream(query).next() == ("new", 0.0)
+    lower, upper = va._all_bounds(query)
+    assert len(lower) == len(upper) == 2001
+
+
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
 @pytest.mark.parametrize("bits, dim", [(6, 4), (2, 2), (1, 1)])
 def test_lazy_order_is_the_full_lexsort(n, bits, dim):
