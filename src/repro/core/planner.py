@@ -265,21 +265,24 @@ def execute(
     round's independent subsystem accesses; results are byte-identical
     to serial execution.
     """
+    # plan.k is 0 only over an empty database; every algorithm clamps a
+    # valid k to the database size itself and answers it with nothing
+    k = max(plan.k, 1)
     if plan.strategy is Strategy.NAIVE:
         return naive_top_k(
             sources,
             plan.scoring,
-            plan.k,
+            k,
             tracer=tracer,
             executor=executor,
         )
     if plan.strategy is Strategy.DISJUNCTION:
-        return disjunction_top_k(sources, plan.k, tracer=tracer, executor=executor)
+        return disjunction_top_k(sources, k, tracer=tracer, executor=executor)
     if plan.strategy is Strategy.FAGIN:
         return fagin_top_k(
             sources,
             plan.scoring,
-            plan.k,
+            k,
             tracer=tracer,
             executor=executor,
         )
@@ -287,7 +290,7 @@ def execute(
         return threshold_top_k(
             sources,
             plan.scoring,
-            plan.k,
+            k,
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
@@ -296,7 +299,7 @@ def execute(
         return nra_top_k(
             sources,
             plan.scoring,
-            plan.k,
+            k,
             theta=plan.theta,
             tracer=tracer,
             executor=executor,
@@ -307,7 +310,7 @@ def execute(
         return boolean_first_top_k(
             sources,
             plan.scoring,
-            plan.k,
+            k,
             boolean_index=plan.boolean_index,
             tracer=tracer,
             executor=executor,

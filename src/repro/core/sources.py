@@ -29,6 +29,7 @@ and ``shards``.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -427,6 +428,11 @@ class ListSource(GradedSource):
         return len(self._sorted_ids)
 
 
+#: serializes :meth:`ArraySource._adopt`, so a source never moves to a
+#: newer index than one another thread adopted meanwhile
+_ADOPTION = threading.Lock()
+
+
 class ArraySource(GradedSource):
     """Columnar, numpy-backed graded list — a drop-in ListSource alternative.
 
@@ -528,19 +534,20 @@ class ArraySource(GradedSource):
         moves to an older index, so a set of sources adopting their
         oldest one converges.
         """
-        current, sorted_codes, grade_by_code = self._coded
-        if current is codes:
+        with _ADOPTION:  # check-then-act: concurrent queries adopt too
+            current, sorted_codes, grade_by_code = self._coded
+            if current is codes:
+                return True
+            if codes.serial > current.serial or len(codes) != len(current):
+                return False
+            try:
+                recode = codes.lookup(current.ids)
+            except KeyError:
+                return False
+            by_new_code = _np.empty_like(grade_by_code)
+            by_new_code[recode] = grade_by_code
+            self._coded = (codes, recode[sorted_codes], by_new_code)
             return True
-        if codes.serial > current.serial or len(codes) != len(current):
-            return False
-        try:
-            recode = codes.lookup(current.ids)
-        except KeyError:
-            return False
-        by_new_code = _np.empty_like(grade_by_code)
-        by_new_code[recode] = grade_by_code
-        self._coded = (codes, recode[sorted_codes], by_new_code)
-        return True
 
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
         stop = start + count

@@ -46,7 +46,6 @@ lower/upper grade bounds and a structured
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
@@ -356,13 +355,13 @@ def threshold_top_k(
     """Top k answers via the threshold algorithm (TA).
 
     Sorted access is drained in bulk: each super-round peeks a window of
-    ``batch_size`` upcoming items per list (free), replays TA's
-    one-item-per-list rounds over the windows in memory — issuing the
-    random probes for each round's newly seen objects as one bulk
-    request per list — and then consumes exactly the rounds processed
-    with one ``next_batch_columns`` per list.  The stopping rule is
-    still evaluated between rounds, so the access counts are identical
-    to item-at-a-time TA for every ``batch_size`` (1 reproduces the
+    upcoming items per list (free), replays TA's one-item-per-list
+    rounds over the windows in memory — issuing the random probes for
+    each round's newly seen objects as one bulk request per list — and
+    then consumes exactly the rounds processed with one
+    ``next_batch_columns`` per list.  The stopping rule is still
+    evaluated between rounds, so the access counts are identical to
+    item-at-a-time TA for every ``batch_size`` (1 reproduces the
     per-item pattern exactly).
 
     There is one loop.  τ for every row of a window comes from one
@@ -376,10 +375,15 @@ def threshold_top_k(
     memmap and sharded memmap lists partitioned alike share the codes
     their storage wrote, any other set codes its ids per run.  Probe
     grades are gathered by code and charged, probe for probe, as
-    ``random_access_many`` would charge them.  Anything else — a
-    ``ListSource``, anything wrapped, m = 1 — takes one TA round per
-    row, with one ``random_access_many`` per list per round, so wrapper
-    accounting and fault behaviour observe every probe.
+    ``random_access_many`` would charge them.  The bulk round's window
+    starts at ``batch_size`` rows and doubles after every super-round
+    that does not stop, so a stop at depth d takes about
+    ``log2(d / batch_size) + 1`` super-rounds and peeks fewer than
+    ``2d + batch_size`` rows per list.  Anything else — a ``ListSource``,
+    anything wrapped, m = 1 — takes one TA round per row over fixed
+    windows of ``batch_size`` rows, with one ``random_access_many`` per
+    list per round, so wrapper accounting and fault behaviour observe
+    every probe, and every consume is at most ``batch_size`` rows.
 
     TA logs the sorted rows and probe results it has used, so when
     ``degrade`` is True (the default) and a random probe fails with one
@@ -446,9 +450,12 @@ def threshold_top_k(
     #: objects in the order the NRA continuation must see them.
     overall: Dict[ObjectId, float] = {}
     #: the bulk round's object codes (None on the per-row path) and its
-    #: seen-set: a bitmap by code, and each window's (codes, grades).
+    #: seen-set: a bitmap by code, and each window's (codes, grades);
+    #: ``sighting`` is scratch by code, UNSEEN between rounds.
     object_codes = shared_object_codes(sources) if columnar else None
     seen = _np.zeros(0, dtype=bool)
+    sighting = _np.zeros(0, dtype=_np.intp)
+    UNSEEN = _np.iinfo(_np.intp).max
     seen_log = [(_np.empty(0, dtype=_np.int32), _np.empty(0))]
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
@@ -480,16 +487,21 @@ def threshold_top_k(
             relaxed = {"theta": theta} if theta > 1.0 else {}
             tracer.event("stop", tau=tau_row, kth=heap[0], **relaxed)
 
-    def bulk_round(windows, lengths, rows, tau, grades_lists):
+    def bulk_round(windows, lengths, rows, tau):
         """One whole super-round as integer array operations over object
-        codes: the seen bitmap and ``np.unique(..., return_index=True)``
-        over the ``rows × m`` code matrix give the fresh objects in
-        row-major first-seen order, one gather per source and one
-        ``combine_matrix`` score them, and the stop row is a search, not
-        a scan (the k-th best grade never falls and τ never rises down a
-        window; a non-monotone rule scans).  Only objects first delivered
-        at or before the stop row are committed and charged, probe for
-        probe as the per-row path, so costs and answers are identical.
+        codes.  The seen bitmap over the ``rows × m`` code matrix and one
+        ``np.minimum.at`` into a by-code position array (no sort) give
+        the fresh objects in row-major first-seen order; one gather per
+        source and one ``combine_matrix`` score them.  Row r stops iff at
+        least k grades x among the kept k best and those graded through r
+        have ``θ·x ≥ τ[r]``: that is ``θ·kth ≥ τ[r]`` exactly, since IEEE
+        ``θ·x`` is monotone.  While τ never rises down the window a grade
+        counts from the first row that has graded it and where τ has
+        fallen to it, so the stop row is the k-th smallest of those rows
+        (a non-monotone rule scans the rows).  Only objects first
+        delivered at or before the stop row are committed and charged,
+        probe for probe as the per-row path, so costs and answers are
+        identical.
 
         Taken for bare columnar backends (reads are free to prefetch,
         accesses cannot fail), traced or not; returns
@@ -497,16 +509,20 @@ def threshold_top_k(
         events are emitted from the same arrays, in the per-row path's
         order, at logical access time.
         """
-        nonlocal seen, stop_tau
-        if seen.size < len(object_codes):  # a per-run index coded new ids
-            seen = _np.concatenate((seen, _np.zeros(len(object_codes) - seen.size, bool)))
+        nonlocal seen, sighting, stop_tau
+        grow = len(object_codes) - seen.size
+        if grow:  # a per-run index coded new ids
+            seen = _np.concatenate((seen, _np.zeros(grow, bool)))
+            sighting = _np.concatenate((sighting, _np.full(grow, UNSEEN)))
         matrix = _np.full((rows, m), -1, dtype=_np.int32)
         for i, (codes, _) in enumerate(windows):
             matrix[: lengths[i], i] = codes
         flat = matrix.ravel()
         where = _np.flatnonzero((flat >= 0) & ~seen[flat])  # -1 pads short windows
-        _, first = _np.unique(flat[where], return_index=True)
-        where = where[_np.sort(first)]  # each fresh object's first sighting
+        sighted = flat[where]
+        _np.minimum.at(sighting, sighted, where)  # each object's first sighting
+        where = where[sighting[sighted] == where]
+        sighting[sighted] = UNSEEN
         fresh = flat[where]
         fresh_row, first_list = _np.divmod(where, m)
         grades, scores = _np.empty((fresh.size, m)), _np.empty(0)
@@ -515,27 +531,26 @@ def threshold_top_k(
                 grades[:, j] = source._grades_of_codes(object_codes, fresh)
             scores = rule.combine_matrix(grades)
         through = _np.searchsorted(fresh_row, _np.arange(rows), side="right")
-        kept = _np.asarray(best_k)
+        kept, reach = theta * _np.asarray(best_k), theta * scores
+        if (tau[1:] > tau[:-1]).any():  # a non-monotone rule: scan
 
-        def reach(row: int) -> float:  # θ × the k-th best grade after row
-            pool = _np.concatenate((kept, scores[: through[row]]))
-            cut = pool.size - k
-            return theta * _np.partition(pool, cut)[cut] if cut >= 0 else -_np.inf
+            def stops(row: int) -> bool:
+                bar = tau[row]
+                return (kept >= bar).sum() + (reach[: through[row]] >= bar).sum() >= k
 
-        if (_np.diff(tau) > 0).any():  # a non-monotone rule: scan
-            stop_row = next((r for r in range(rows) if reach(r) >= tau[r]), rows)
-        else:  # no row stops before τ falls to the window's final reach
-            last = reach(rows - 1)
-            stop_row = bisect.bisect_left(range(rows), True, key=lambda r: last >= tau[r])
-            if stop_row < rows and reach(stop_row) < tau[stop_row]:
-                stop_row = bisect.bisect_left(
-                    range(rows), True, lo=stop_row + 1, key=lambda r: reach(r) >= tau[r]
-                )
+            stop_row = next((r for r in range(rows) if stops(r)), rows)
+        else:  # a grade counts from its row on, once τ has fallen to it
+            starts = _np.concatenate((
+                _np.searchsorted(-tau, -kept),
+                _np.maximum(fresh_row, _np.searchsorted(-tau, -reach)),
+            ))
+            stop_row = int(_np.partition(starts, k - 1)[k - 1]) if starts.size >= k else rows
         consumed = min(stop_row + 1, rows)
         count = through[consumed - 1]
         committed, committed_scores = fresh[:count], scores[:count]
         if tracer is not None:  # the per-row path's events, in its order
             window_ids = [object_codes.decode(codes[:consumed]) for codes, _ in windows]
+            grades_lists = [window_grades.tolist() for _, window_grades in windows]
             fresh_ids, firsts = object_codes.decode(committed), first_list.tolist()
             fresh_grades, fresh_scores = grades.tolist(), scores.tolist()
             heap = list(best_k)  # the k best grades as the rows commit
@@ -555,7 +570,7 @@ def threshold_top_k(
                             tracer.record_random(sources[j].name, fresh_ids[f], fresh_grades[f][j])
                 for f in round_objects:
                     admit(heap, fresh_scores[f])
-                trace_round(tau[row], heap, row == stop_row)
+                trace_round(float(tau[row]), heap, row == stop_row)
         seen[committed] = True
         seen_log.append((committed, committed_scores))
         if len(best_k) >= k:  # the rest cannot enter the heap
@@ -565,11 +580,11 @@ def threshold_top_k(
         for j, source in enumerate(sources):
             probes = committed[first_list[:count] != j]  # all but the first list
             source._record_random_probes(object_codes, probes)
-        for i in range(m):
+        for i, (_, window_grades) in enumerate(windows):
             rows_used = min(consumed, lengths[i])
             if rows_used:
-                bottoms[i] = grades_lists[i][rows_used - 1]
-        stop_tau = tau[consumed - 1]
+                bottoms[i] = float(window_grades[rows_used - 1])
+        stop_tau = float(tau[consumed - 1])
         return consumed, stop_row < rows
 
     def consume(windows, rows: int) -> Dict[int, str]:
@@ -665,19 +680,19 @@ def threshold_top_k(
             executor=executor,
         )
 
+    window = batch_size  # the bulk round's, doubled after every round
     with nullcontext() if tracer is None else tracer.phase("ta"):
         while not stop:
             windows = [
                 cursor.peek_batch_columns(batch_size)
                 if object_codes is None
-                else source._codes_range(object_codes, cursor.position, batch_size)
+                else source._codes_range(object_codes, cursor.position, window)
                 for source, cursor in zip(sources, cursors)
             ]
             lengths = [len(window_ids) for window_ids, _ in windows]
             rows = max(lengths, default=0)
             if rows == 0:
                 break  # no list can progress: exhausted
-            grades_lists = [grades.tolist() for _, grades in windows]
             # tau for every prospective row of this super-round in one
             # batched fold: forward-fill each list's grades over rows it
             # cannot serve (its bottom freezes), then combine rows.
@@ -689,10 +704,13 @@ def threshold_top_k(
                     bottoms_matrix[length:, i] = window_grades[length - 1]
                 else:
                     bottoms_matrix[:, i] = bottoms[i]
-            tau = rule.combine_matrix(bottoms_matrix).tolist()
+            tau = rule.combine_matrix(bottoms_matrix)
             if object_codes is not None:
-                consumed, stop = bulk_round(windows, lengths, rows, tau, grades_lists)
+                consumed, stop = bulk_round(windows, lengths, rows, tau)
+                window *= 2
             else:
+                grades_lists = [grades.tolist() for _, grades in windows]
+                tau = tau.tolist()
                 for row in range(rows):
                     # One TA round: the row-th item of every list, with bulk
                     # random probes for the objects this round saw first.
@@ -947,7 +965,7 @@ def combined_top_k(
     def should_stop() -> bool:
         if len(best_k) < k:
             return False
-        kth = best_k[0]
+        kth = best_k[0] if k else 0.0  # k is 0 only over an empty database
         if bounds.count < database_size and rule(bottoms) > kth:
             return False
         best = bounds.best_incomplete(rule, bottoms)

@@ -209,7 +209,7 @@ class GradeMatrix:
         return StopView(
             [self.ids[row] for row in top.tolist()],
             lowers,
-            lowers[k - 1] if len(lowers) >= k else 0.0,
+            lowers[k - 1] if 0 < k <= len(lowers) else 0.0,
             float(upper[rest].max()) if rest.any() else 0.0,
             float((upper[top] - lower[top]).max()) if top.size else 0.0,
         )

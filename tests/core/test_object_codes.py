@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 from repro.core.fagin import fagin_top_k
 from repro.core.graded import GradedSet
 from repro.core.naive import naive_top_k
-from repro.core.sources import ArraySource, ListSource, shared_object_codes, sources_from_columns
+from repro.core.sources import (
+    ArraySource,
+    ListSource,
+    SortedCursor,
+    VerifyingSource,
+    shared_object_codes,
+    sources_from_columns,
+)
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import UnknownObjectError
 from repro.kernels import ObjectCodes, str_ranks
@@ -196,6 +203,16 @@ def outcome(sources, rule, k, batch_size, theta, traced=False):
 @given(instances())
 @example((["a\x00", "a", 1, "1"], [[0.5] * 4, [0.5] * 4], tnorms.MIN, 2, 7, 1.0))
 @example(([0, 1, 2], [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], tnorms.MIN, 2, 1, 1.3))
+@example(  # a signed-zero tie that a vectorized top-k heap gets wrong
+    (
+        [0, "0", 1, "1", 2, "2", 3, "3", 4, "4", 5],
+        [
+            [0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324],
+            [0.0, 0.0, 0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+        tnorms.MIN, 1, 1, 1.0,
+    )
+)
 def test_bulk_round_over_codes_matches_the_per_row_path(instance):
     ids, columns, rule, k, batch_size, theta = instance
 
@@ -227,6 +244,47 @@ def test_bulk_round_over_codes_matches_the_per_row_path(instance):
             ], kind
             for source in bulk + traced:
                 source.close()
+
+
+@pytest.mark.parametrize("first", (1, 3, 128))
+def test_the_bulk_round_doubles_its_window_and_the_per_row_path_does_not(
+    monkeypatch, first
+):
+    # a bare columnar set peeks b, 2b, 4b, ... rows per list, so a stop
+    # at depth d takes ceil(log2(d/b + 1)) peeks; a wrapped set takes the
+    # per-row path and peeks b rows at a time; both charge every list
+    # exactly what item-at-a-time TA charges
+    ids = list(range(3000))
+    columns = np.random.default_rng(11).random((2, len(ids)))
+
+    def run(batch_size, wrap=False):
+        sources = [ArraySource.from_arrays(ids, c, name=f"L{i}") for i, c in enumerate(columns)]
+        stack = [VerifyingSource(s) for s in sources] if wrap else sources
+        result = threshold_top_k(stack, tnorms.MIN, 40, batch_size=batch_size)
+        return result.sorted_depth, [s.counter.sorted_accesses for s in sources]
+
+    bulk_peeks, row_peeks = [], []
+    codes_range, peek = ArraySource._codes_range, SortedCursor.peek_batch_columns
+
+    def spy_codes_range(self, codes, start, count):
+        bulk_peeks.append((self.name, count))
+        return codes_range(self, codes, start, count)
+
+    def spy_peek(self, n):
+        row_peeks.append(n)
+        return peek(self, n)
+
+    item_at_a_time = run(1, wrap=True)
+    monkeypatch.setattr(ArraySource, "_codes_range", spy_codes_range)
+    monkeypatch.setattr(SortedCursor, "peek_batch_columns", spy_peek)
+    depth, counts = run(first)
+    assert (depth, counts) == item_at_a_time
+    assert depth > 2 * 128  # a stop past the second 128-row window
+    windows = [first * 2**i for i in range(int(np.ceil(np.log2(depth / first + 1))))]
+    assert bulk_peeks == [(f"L{i}", w) for w in windows for i in range(2)]
+    assert row_peeks == []
+    assert run(first, wrap=True) == item_at_a_time
+    assert row_peeks == [first] * (2 * -(-depth // first))
 
 
 def test_a_traced_run_over_arrays_never_leaves_the_bulk_round(monkeypatch):

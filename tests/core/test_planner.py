@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.naive import grade_everything
+from repro.core.fagin import fagin_top_k
+from repro.core.naive import grade_everything, naive_top_k
 from repro.core.planner import Strategy, execute, plan_top_k, top_k
-from repro.core.sources import ListSource, SortedOnlySource, sources_from_columns
+from repro.core.sources import ArraySource, ListSource, SortedOnlySource, sources_from_columns
+from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import PlanError
 from repro.middleware.relational import BooleanSource
 from repro.scoring import conorms, means, tnorms
@@ -103,3 +105,27 @@ def test_plan_repr_mentions_strategy():
 def test_k_validation():
     with pytest.raises(ValueError):
         plan_top_k(fuzzy_sources(), tnorms.MIN, 0)
+
+
+@pytest.mark.parametrize(
+    "algorithm, strategy",
+    [
+        (fagin_top_k, Strategy.FAGIN),
+        (threshold_top_k, Strategy.THRESHOLD),
+        (nra_top_k, Strategy.NRA),
+        (combined_top_k, None),  # the planner has no CA strategy
+        (naive_top_k, Strategy.NAIVE),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_an_empty_database_answers_nothing_for_free(algorithm, strategy):
+    def empty():
+        return [ArraySource.from_arrays([], [], name=name) for name in "AB"]
+
+    results = [algorithm(empty(), tnorms.MIN, 3)]
+    if strategy is not None:
+        results.append(top_k(empty(), tnorms.MIN, 3, prefer=strategy))
+    for result in results:
+        assert len(result.answers) == 0
+        assert result.cost.database_access_cost == 0
+    assert len(top_k(empty(), tnorms.MIN, 3).answers) == 0
