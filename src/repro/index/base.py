@@ -119,6 +119,10 @@ class KnnStream(ABC):
     bulk shape :class:`repro.index.source.KnnSource` feeds from.  The
     stream is resumable: popping ``j`` then ``j`` more yields exactly
     the first ``2j`` of a fresh stream.
+
+    A subclass implements ``_advance`` (one neighbour); one with a native
+    bulk emission also overrides ``_advance_many``, both then running
+    one shared emission loop.
     """
 
     def __init__(self) -> None:
@@ -127,6 +131,16 @@ class KnnStream(ABC):
     @abstractmethod
     def _advance(self) -> Optional[Neighbor]:
         """Produce the next neighbour, or ``None`` when exhausted."""
+
+    def _advance_many(self, n: int) -> List[Neighbor]:
+        """Produce the next ``n`` neighbours (fewer once exhausted)."""
+        batch: List[Neighbor] = []
+        while len(batch) < n:
+            neighbor = self._advance()
+            if neighbor is None:
+                break
+            batch.append(neighbor)
+        return batch
 
     def next(self) -> Optional[Neighbor]:
         neighbor = self._advance()
@@ -137,12 +151,8 @@ class KnnStream(ABC):
     def next_batch(self, n: int) -> List[Neighbor]:
         if n < 0:
             raise ValueError(f"batch size must be >= 0, got {n}")
-        batch: List[Neighbor] = []
-        while len(batch) < n:
-            neighbor = self.next()
-            if neighbor is None:
-                break
-            batch.append(neighbor)
+        batch = self._advance_many(n) if n else []
+        self.delivered += len(batch)
         return batch
 
     def __iter__(self) -> Iterator[Neighbor]:
@@ -259,6 +269,26 @@ class VectorIndex(ABC):
             f"{type(self).__name__} does not support vector lookup"
         )
 
+    def vectors_of(self, object_ids: Sequence) -> np.ndarray:
+        """The stored vectors of ``object_ids`` as one ``[len, d]`` float
+        block, in request order (bulk random access).  An unknown id
+        raises :class:`UnknownObjectError` naming the first one in
+        request order.  Indexes with a row-addressed matrix override
+        this with one gather."""
+        if not len(object_ids):
+            return np.empty((0, self.dimension))
+        return np.stack([self.vector_of(object_id) for object_id in object_ids])
+
+    @staticmethod
+    def _rows_of(positions: Dict[object, int], object_ids: Sequence) -> List[int]:
+        """The stored row of every id, one dict lookup each, raising
+        :class:`UnknownObjectError` on the first id not in ``positions``."""
+        rows = [positions.get(object_id) for object_id in object_ids]
+        if None in rows:
+            missing = object_ids[rows.index(None)]
+            raise UnknownObjectError(f"unknown object: {missing!r}")
+        return rows
+
 
 class _ScanStream(KnnStream):
     """Linear-scan stream: all distances on first pop, emitted lazily."""
@@ -364,6 +394,12 @@ class LinearScanIndex(VectorIndex):
             raise UnknownObjectError(f"unknown object: {object_id!r}")
         matrix = self._full_matrix()
         return np.asarray(matrix[row], dtype=float)
+
+    def vectors_of(self, object_ids: Sequence) -> np.ndarray:
+        rows = self._rows_of(self._positions, object_ids)
+        if not rows:
+            return np.empty((0, self.dimension))
+        return np.asarray(self._full_matrix()[rows], dtype=float)
 
     def range_query(self, lower, upper) -> List[object]:
         lo = self._check_vector(lower)

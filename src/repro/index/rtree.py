@@ -432,6 +432,23 @@ class RTree(VectorIndex):
             raise UnknownObjectError(f"unknown object: {object_id!r}")
         return np.asarray(self._bulk_matrix[row], dtype=float)
 
+    def vectors_of(self, object_ids: Sequence) -> np.ndarray:
+        block = np.empty((len(object_ids), self.dimension))
+        slots, rows = [], []
+        for slot, object_id in enumerate(object_ids):
+            vector = self._inserted.get(object_id)
+            if vector is not None:
+                block[slot] = vector
+                continue
+            row = self._bulk_positions.get(object_id)
+            if row is None:
+                raise UnknownObjectError(f"unknown object: {object_id!r}")
+            slots.append(slot)
+            rows.append(row)
+        if rows:
+            block[slots] = self._bulk_matrix[rows]
+        return block
+
     def __len__(self) -> int:
         return self._count
 

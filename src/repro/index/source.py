@@ -13,11 +13,12 @@ unchanged on top of a VA-file or R-tree instead of a full scan-and-sort.
 
 Access-mode mapping (section 4):
 
-* **sorted access** pops the stream (lazily, in batches — neighbours
-  past the stopping depth are never computed, which is the entire point
-  of the index fast path);
+* **sorted access** pops the stream lazily, exactly as deep as it is
+  read — neighbours past the stopping depth are never computed, which
+  is the entire point of the index fast path;
 * **random access** is a direct distance evaluation against the stored
-  vector (one ``distance_evaluations`` tick on the index);
+  vector (one ``distance_evaluations`` tick on the index), a bulk probe
+  one :meth:`~repro.index.base.VectorIndex.vectors_of` gather;
 * it implements the two array hooks every source does
   (``_columns_range``, ``_grades_of_many``) and is ``supports_columnar``
   (free reads, accesses that cannot fail), so the algorithms, storage
@@ -84,8 +85,10 @@ class KnnSource(GradedSource):
     """A ranked list served by a nearest-first index stream.
 
     The stream prefix materializes lazily (ids + grades in parallel
-    lists) as sorted positions are first touched; peeks re-read the
-    materialized prefix and stay charge-free.  Grades are
+    lists) as sorted positions are first touched: a read of positions
+    ``[start, start + count)`` pulls exactly the neighbours the prefix
+    lacks up to there, in one ``next_batch``, and nothing past them.
+    Peeks re-read the materialized prefix and stay charge-free.  Grades are
     ``distance_to_grade(distance, scale)`` — since every index computes
     bit-identical distances through the shared Euclidean kernel, two
     :class:`KnnSource`\\ s over different index kinds produce
@@ -105,18 +108,14 @@ class KnnSource(GradedSource):
         *,
         name: str = "knn",
         scale: float = 1.0,
-        batch: int = 256,
         kind: Optional[str] = None,
     ) -> None:
         super().__init__(name)
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
         self._index = index
         self._target = index._check_vector(target)
         self._scale = float(scale)
-        self._batch = int(batch)
         self._kind = kind or type(index).__name__
         self._stream = index.knn_stream(self._target)
         self._prefix_ids: List[object] = []
@@ -126,24 +125,26 @@ class KnnSource(GradedSource):
 
     # -- lazy materialization -------------------------------------------------
     def _materialize_to(self, position: int) -> None:
-        """Pull the stream until the prefix covers ``position``.
+        """Pull the stream until the prefix covers ``position``: the
+        missing neighbours only, in one pull.
 
         Charges nothing on the access counter — the cursor/random-access
         layer does that accounting; the physical pull cost lands on the
         index's own stats at the moment the work actually happens."""
-        while not self._stream_done and len(self._prefix_ids) <= position:
-            need = max(self._batch, position + 1 - len(self._prefix_ids))
-            batch = self._stream.next_batch(need)
-            if len(batch) < need:
-                self._stream_done = True
-            if batch:
-                ids, distances = zip(*batch)
-                self._prefix_ids.extend(ids)
-                self._prefix_grades.extend(
-                    distance_to_grade(
-                        np.asarray(distances, dtype=np.float64), self._scale
-                    ).tolist()
-                )
+        need = position + 1 - len(self._prefix_ids)
+        if need <= 0 or self._stream_done:
+            return
+        batch = self._stream.next_batch(need)
+        if len(batch) < need:
+            self._stream_done = True
+        if batch:
+            ids, distances = zip(*batch)
+            self._prefix_ids.extend(ids)
+            self._prefix_grades.extend(
+                distance_to_grade(
+                    np.asarray(distances, dtype=np.float64), self._scale
+                ).tolist()
+            )
 
     # -- GradedSource hooks ---------------------------------------------------
     def _columns_range(self, start: int, count: int) -> Tuple[List[object], np.ndarray]:
@@ -163,7 +164,7 @@ class KnnSource(GradedSource):
         if not ids:
             return np.empty(0)
         with self._lock:
-            block = np.stack([self._index.vector_of(object_id) for object_id in ids])
+            block = self._index.vectors_of(ids)
             self._index.stats.record_distances(len(ids))
             distances = euclidean_distances(block, self._target)
         return np.asarray(distance_to_grade(distances, self._scale), dtype=np.float64)
@@ -176,7 +177,8 @@ class KnnSource(GradedSource):
         """Physical index work behind this source (engine trace hook).
 
         Counters live on the index, so sources sharing one index report
-        the cumulative work of that index."""
+        the cumulative work of that index; a traced query reports the
+        difference across its own run."""
         nodes, distances = self._index.stats.snapshot()
         return {
             "index": self._kind,
@@ -208,13 +210,11 @@ class KnnSubsystem(Subsystem):
         scale: float = 1.0,
         bits: int = 6,
         max_entries: int = 32,
-        batch: int = 256,
     ) -> None:
         super().__init__(name)
         self.kind = index
         self._attribute = attribute
         self._scale = scale
-        self._batch = batch
         self._index = build_knn_index(
             index, object_ids, vectors, bits=bits, max_entries=max_entries
         )
@@ -242,6 +242,5 @@ class KnnSubsystem(Subsystem):
             target,
             name=f"{self._attribute}={label}",
             scale=self._scale,
-            batch=self._batch,
             kind=self.kind,
         )

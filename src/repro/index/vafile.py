@@ -25,7 +25,9 @@ true distance, so most full vectors are never touched:
    order, computing true distances in vectorized blocks, stopping when
    the next lower bound exceeds the k-th true distance.  The stream
    sorts that order lazily, a slice of the smallest lower bounds at a
-   time, since sorted access only ever needs its front.
+   time, since sorted access only ever needs its front; a pull of n
+   neighbours refines the same whole blocks as n pulls of one and
+   emits all n at once.
 
 Bounds are bounds of the *computed* distance: every comparison of a
 bound with a distance carries :data:`EPS` slack, erring toward refining.
@@ -40,13 +42,15 @@ uint code matrix; per-item :meth:`VAFile.insert` remains as the
 incremental path and consolidates lazily.  :meth:`VAFile.knn_stream`
 exposes the same scan/refine machinery as a lazy nearest-first stream:
 the scan phase runs on the first pop, then candidates are ordered and
-refined in small blocks only as far as emission requires.
+refined in small blocks only as far as emission requires, and
+``next_batch(n)`` emits n neighbours from one refinement pass.
+:meth:`VAFile.vectors_of` serves bulk random access as one row gather.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+import bisect
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,17 +144,25 @@ def _fold_plan(dimension: int, pair: bool):
 
 
 class _VAFileStream(KnnStream):
-    """Lazy scan-then-refine stream over a VA-file.
+    """Lazy scan-then-refine stream over a VA-file, emitting in bulk.
 
     The approximation scan (all n lower bounds) runs on the first pop.
     Candidates are then ordered lazily: only the :data:`ORDER_SLICE`
     rows with the smallest lower bounds are sorted on ``(lower,
     str(id))`` (the slice doubles on every refill and takes every row
     tied at its threshold, so the slices concatenate to the one
-    canonical order), and refined in blocks of :data:`STREAM_BLOCK`,
-    only while the next unrefined lower bound could still beat the best
-    refined-but-unemitted distance.  Emission order is the canonical
-    ``(distance, str(id))`` order.
+    canonical order), and refined in blocks of :data:`STREAM_BLOCK`.
+
+    Refined-but-unemitted rows wait in the canonical ``(distance,
+    str(id))`` order.  Between whole blocks, the next unrefined lower
+    bound certifies every waiting row whose distance plus :data:`EPS`
+    lies below it.  A pull of ``n`` refines whole blocks, in order, until
+    ``n`` rows are certified, then emits them.  The test is monotone in
+    the blocks refined — the ``n``-th waiting distance only falls as
+    blocks are added, the bound only rises — so a pull of ``n`` refines
+    exactly the blocks ``n`` pulls of one refine, and emits the same
+    neighbours: one refinement loop serves both, and a pull of one from
+    rows already certified refines nothing and tests nothing.
     """
 
     def __init__(self, vafile: "VAFile", query: np.ndarray) -> None:
@@ -165,8 +177,14 @@ class _VAFileStream(KnnStream):
         self._lowers = np.empty(0)  # lower bound per order slot
         self._position = 0
         self._in_block = 0  # rows refined so far in the current STREAM_BLOCK
-        #: refined-but-unemitted: (distance, tie, row) min-heap
-        self._refined: List[Tuple[float, str, int]] = []
+        #: refined rows and their distances in canonical ``(distance,
+        #: tie, row)`` order; those from ``_head`` on are unemitted
+        self._rows: List[int] = []
+        self._distances: List[float] = []
+        self._head = 0
+        #: rows before ``_certified`` can be emitted: no unrefined row
+        #: can come before them
+        self._certified = 0
 
     def _start(self) -> None:
         self._lower, _ = self._va._table_bounds(
@@ -177,17 +195,21 @@ class _VAFileStream(KnnStream):
     def _refill(self) -> None:
         """Order the next slice: the rows whose lower bound lies in
         ``(floor, threshold]``, the threshold being the ``_slice``-th
-        smallest lower bound still unordered (ties at it all included)."""
+        smallest lower bound still unordered (ties at it all included).
+        Before the first slice every row is unordered, so the bounds are
+        partitioned as they are, without a mask."""
         lower = self._lower
-        pending = lower > self._floor
-        if np.count_nonzero(pending) > self._slice:
-            self._floor = np.partition(lower[pending], self._slice - 1)[
-                self._slice - 1
-            ]
-            pending &= lower <= self._floor
+        pending = None if self._floor == -np.inf else lower > self._floor
+        unordered = lower if pending is None else lower[pending]
+        if len(unordered) > self._slice:
+            self._floor = np.partition(unordered, self._slice - 1)[self._slice - 1]
+            chosen = lower <= self._floor
+            if pending is not None:
+                chosen &= pending
         else:
             self._floor = np.inf
-        rows = np.nonzero(pending)[0]
+            chosen = pending
+        rows = np.arange(len(lower)) if chosen is None else np.flatnonzero(chosen)
         lowers = lower[rows]
         order = np.lexsort((self._va._tie_array()[rows], lowers))
         self._order = rows[order]
@@ -195,45 +217,77 @@ class _VAFileStream(KnnStream):
         self._position = 0
         self._slice *= 2
 
-    def _advance(self) -> Optional[Neighbor]:
+    def _refine(self, n: int) -> None:
+        """Refine whole blocks until ``n`` waiting rows are certified, or
+        every row is refined."""
         if self._lower is None:
             self._start()
-        matrix = self._va._matrix()
-        ties = self._va._tie_array()
-        while True:
-            # Stop once the next unrefined lower bound — at the end of
-            # a slice, the floor every unordered row lies above — cannot
-            # beat the heap top.  Tested between whole blocks only, and
-            # a block cut short by a slice boundary resumes after the
-            # refill: blocks are blocks of the total order.
+        while self._certified - self._head < n:
             exhausted = self._position >= len(self._order)
-            bound = self._floor if exhausted else self._lowers[self._position]
-            if (
-                self._refined
-                and not self._in_block
-                and bound > self._refined[0][0] + EPS
-            ):
-                break
+            if exhausted and self._floor == np.inf:
+                self._certified = len(self._rows)
+                return
+            if not self._in_block:
+                # The next unrefined lower bound — at the end of a slice,
+                # the floor every unordered row lies above — certifies
+                # each waiting distance it exceeds by more than EPS.
+                # Tested between whole blocks only, and a block cut short
+                # by a slice boundary resumes after the refill: blocks
+                # are blocks of the total order.
+                bound = self._floor if exhausted else self._lowers[self._position]
+                self._certified = bisect.bisect_left(
+                    self._distances,
+                    True,
+                    lo=self._head,
+                    key=lambda distance: not bound > distance + EPS,
+                )
+                if self._certified - self._head >= n:
+                    return
             if exhausted:
-                if self._floor == np.inf:
-                    break
                 self._refill()
                 continue
-            rows = self._order[
-                self._position : self._position + STREAM_BLOCK - self._in_block
-            ]
+            # No test passes while fewer than n rows wait: refine up to
+            # the first block end where n could, in one distance call.
+            take = max(
+                STREAM_BLOCK - self._in_block, n - (len(self._rows) - self._head)
+            )
+            take += -(self._in_block + take) % STREAM_BLOCK
+            rows = self._order[self._position : self._position + take]
             self._position += len(rows)
             self._in_block = (self._in_block + len(rows)) % STREAM_BLOCK
-            distances = euclidean_distances(matrix[rows], self._query)
+            distances = euclidean_distances(self._va._matrix()[rows], self._query)
             self._va.stats.record_distances(len(rows))
-            for row, distance in zip(rows, distances):
-                heapq.heappush(
-                    self._refined, (float(distance), ties[row], int(row))
-                )
-        if not self._refined:
-            return None
-        distance, _, row = heapq.heappop(self._refined)
-        return (self._va._ids[row], distance)
+            rows = np.concatenate(
+                (np.array(self._rows[self._head :], dtype=int), rows)
+            )
+            distances = np.concatenate((self._distances[self._head :], distances))
+            order = np.lexsort((rows, self._va._tie_array()[rows], distances))
+            self._rows = rows[order].tolist()
+            self._distances = distances[order].tolist()
+            self._head = self._certified = 0
+
+    def _advance_many(self, n: int) -> List[Neighbor]:
+        self._refine(n)
+        head = self._head
+        self._head = min(head + n, self._certified)
+        ids = self._va._ids
+        return [
+            (ids[row], distance)
+            for row, distance in zip(
+                self._rows[head : self._head], self._distances[head : self._head]
+            )
+        ]
+
+    def _advance(self) -> Optional[Neighbor]:
+        if self._head == self._certified:
+            self._refine(1)
+            if self._head == self._certified:
+                return None
+        self._head += 1
+        return (
+            self._va._ids[self._rows[self._head - 1]],
+            self._distances[self._head - 1],
+        )
 
 
 class VAFile(VectorIndex):
@@ -368,6 +422,12 @@ class VAFile(VectorIndex):
         if row is None:
             raise UnknownObjectError(f"unknown object: {object_id!r}")
         return np.asarray(self._matrix()[row], dtype=float)
+
+    def vectors_of(self, object_ids: Sequence) -> np.ndarray:
+        rows = self._rows_of(self._positions, object_ids)
+        if not rows:
+            return np.empty((0, self.dimension))
+        return np.asarray(self._matrix()[rows], dtype=float)
 
     # ------------------------------------------------------------------
     # Distance bounds

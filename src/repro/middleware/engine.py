@@ -94,32 +94,45 @@ def _emit_shard_breakdown(sources, tracer) -> None:
                 break
 
 
-def _emit_index_breakdown(sources, tracer) -> None:
-    """Emit index-work trace events for index-backed bindings.
-
-    Only sources exposing the duck-typed ``index_stats`` hook (the
+def _index_hooks(sources):
+    """The ``index_stats`` hook of each index-backed binding, as
+    ``(source, hook)`` pairs: only sources exposing it (the
     :class:`~repro.index.source.KnnSource` adapter, anywhere in the
-    wrapper chain) emit anything, so traces of non-index runs —
-    including every golden trace — are unchanged.  Each hit emits one
-    ``index_breakdown`` event plus ``index.node_accesses`` /
-    ``index.distance_evals`` samples; the counters are read through the
-    stats lock, so concurrent probes never yield a torn pair.
-    """
+    wrapper chain) take part."""
     from repro.core.sources import iter_wrapper_chain
 
+    hooks = []
     for source in sources:
         for node in iter_wrapper_chain(source):
             stats = getattr(node, "index_stats", None)
             if stats is not None:
-                info = stats()
-                tracer.event("index_breakdown", source=source.name, **info)
-                tracer.sample(
-                    "index.node_accesses", float(info["node_accesses"])
-                )
-                tracer.sample(
-                    "index.distance_evals", float(info["distance_evals"])
-                )
+                hooks.append((source, stats))
                 break
+    return hooks
+
+
+def _emit_index_breakdown(sources, tracer, before) -> None:
+    """Emit index-work trace events for index-backed bindings.
+
+    Traces of non-index runs — including every golden trace — are
+    unchanged.  Each index-backed binding emits one ``index_breakdown``
+    event plus ``index.node_accesses`` / ``index.distance_evals``
+    samples, counting the index work done since ``before`` (each hook's
+    reading at the query's start, in :func:`_index_hooks` order), so a
+    query reports its own work and not the shared index's lifetime
+    totals.  The counters live on the index, so the difference also
+    holds the work of anything else using that index meanwhile: other
+    ``Near`` atoms of the query over the same index, and queries running
+    concurrently over it.  Counters are read through the stats lock, so
+    concurrent probes never yield a torn pair.
+    """
+    for (source, stats), start in zip(_index_hooks(sources), before):
+        info = stats()
+        info["node_accesses"] -= start["node_accesses"]
+        info["distance_evals"] -= start["distance_evals"]
+        tracer.event("index_breakdown", source=source.name, **info)
+        tracer.sample("index.node_accesses", float(info["node_accesses"]))
+        tracer.sample("index.distance_evals", float(info["distance_evals"]))
 
 
 def _for_subsystem(setting, name: str):
@@ -635,6 +648,9 @@ class MiddlewareEngine:
             raise ValueError(f"theta must be >= 1.0, got {theta}")
         cache = self._resolve_cache(cache)
         sources = self.bind_all(query)
+        index_before = (
+            [] if tracer is None else [stats() for _, stats in _index_hooks(sources)]
+        )
         compiled = self._compile(query)
         cache_ctx = None
         if cache is not None:
@@ -667,7 +683,7 @@ class MiddlewareEngine:
             )
             if tracer is not None:
                 _emit_shard_breakdown(sources, tracer)
-                _emit_index_breakdown(sources, tracer)
+                _emit_index_breakdown(sources, tracer, index_before)
         report = resilience_report(sources)
         if report:
             result.extras["resilience"] = report

@@ -35,15 +35,13 @@ def test_parameters_validated():
     index = build_knn_index("scan", ids, matrix)
     with pytest.raises(ValueError):
         KnnSource(index, matrix[0], scale=0.0)
-    with pytest.raises(ValueError):
-        KnnSource(index, matrix[0], batch=0)
     with pytest.raises(IndexError_):
         build_knn_index("btree", ids, matrix)
 
 
 def test_sorted_access_charges_per_delivered_item():
     ids, matrix = corpus()
-    source = make_source("vafile", ids, matrix, np.full(4, 0.5), batch=8)
+    source = make_source("vafile", ids, matrix, np.full(4, 0.5))
     cursor = source.cursor()
     assert cursor.next_batch(10) and source.counter.sorted_accesses == 10
     assert cursor.peek_grade() is not None
@@ -95,7 +93,7 @@ def test_sorted_grades_equal_probe_grades(kind):
     which TA relies on when it meets an object both ways."""
     ids, matrix = corpus(n=300, dim=8)
     for target in np.random.default_rng(6).random((3, 8)):
-        stream = make_source(kind, ids, matrix, target, batch=7)
+        stream = make_source(kind, ids, matrix, target)
         items = stream.cursor().next_batch(len(ids))
         probe = make_source(kind, ids, matrix, target)
         assert len(items) == len(ids)
@@ -116,6 +114,42 @@ def test_columnar_matches_item_path(kind):
     )
     assert col_ids == [item.object_id for item in items]
     assert col_grades.tolist() == [item.grade for item in items]
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_reads_materialize_exactly_the_positions_read(kind):
+    """A read of positions ``[0, p)`` pulls p neighbours, no more; a
+    re-read pulls nothing and a further read pulls only what it adds."""
+    ids, matrix = corpus()
+    target = np.full(4, 0.3)
+    for p in (1, 7, 64, len(ids) - 1):
+        source = make_source(kind, ids, matrix, target)
+        assert len(source._columns_range(0, p)[0]) == p
+        assert len(source._prefix_ids) == source._stream.delivered == p
+        source._columns_range(0, p)
+        assert source._stream.delivered == p
+        source.cursor().next_batch(1)  # position 0: already there
+        assert source._stream.delivered == p
+        source._columns_range(p, 1)
+        assert len(source._prefix_ids) == source._stream.delivered == p + 1
+    source = make_source(kind, ids, matrix, target)
+    assert len(source._columns_range(0, 2 * len(ids))[0]) == len(ids)
+    assert source._columns_range(len(ids), 5)[0] == []
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_a_traced_near_alone_query_pulls_only_its_k(kind):
+    from repro.core.query import Atomic
+    from repro.middleware.engine import MiddlewareEngine
+    from repro.observability import QueryTracer
+
+    ids, matrix = corpus(n=600)
+    engine = MiddlewareEngine()
+    engine.register(KnnSubsystem("knn", ids, matrix, index=kind))
+    atom = Atomic("Near", "sunset")
+    result = engine.top_k(atom, 10, tracer=QueryTracer())
+    assert len(result.answers) == 10
+    assert engine.bind(atom)._stream.delivered == 10
 
 
 def test_grades_are_nonincreasing_and_sized():
@@ -141,7 +175,7 @@ def test_ta_over_knn_sources_matches_naive_oracle(kind):
     rng = np.random.default_rng(11)
     targets = rng.random((2, 4))
     sources = [
-        make_source(kind, ids, matrix, target, batch=16) for target in targets
+        make_source(kind, ids, matrix, target) for target in targets
     ]
     result = threshold_top_k(sources, tnorms.MIN, 7)
     assert [
@@ -156,7 +190,7 @@ def test_ta_answers_and_costs_identical_across_kinds():
     baseline = None
     for kind in INDEX_KINDS:
         sources = [
-            make_source(kind, ids, matrix, target, batch=16)
+            make_source(kind, ids, matrix, target)
             for target in targets
         ]
         result = threshold_top_k(sources, tnorms.MIN, 7)
@@ -172,7 +206,7 @@ def test_ta_answers_and_costs_identical_across_kinds():
 
 def test_index_stats_hook_shape():
     ids, matrix = corpus()
-    source = make_source("vafile", ids, matrix, np.zeros(4), batch=8)
+    source = make_source("vafile", ids, matrix, np.zeros(4))
     source.cursor().next_batch(5)
     info = source.index_stats()
     assert info["index"] == "vafile" and info["n"] == len(ids)
@@ -229,7 +263,7 @@ def test_concurrent_readers_of_one_binding_see_the_serial_stream(kind):
     see exactly the ranked list a serial reader sees."""
     ids, matrix = corpus(n=400, dim=4)
     target = np.full(4, 0.3)
-    serial_ids, serial_grades = make_source(kind, ids, matrix, target, batch=3)._columns_range(0, 400)
+    serial_ids, serial_grades = make_source(kind, ids, matrix, target)._columns_range(0, 400)
     expected = list(zip(serial_ids, serial_grades.tolist()))
     failures = []
 
@@ -249,7 +283,7 @@ def test_concurrent_readers_of_one_binding_see_the_serial_stream(kind):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            source = make_source(kind, ids, matrix, target, batch=3)
+            source = make_source(kind, ids, matrix, target)
             threads = [
                 threading.Thread(target=reader, args=(source, step))
                 for step in (1, 2, 3, 5, 7, 11, 13, 64)
@@ -262,3 +296,30 @@ def test_concurrent_readers_of_one_binding_see_the_serial_stream(kind):
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
+
+
+DEEP_PARITY_QUERY = (
+    "SELECT * FROM images WHERE Near = 'sunset' AND Color = 'red' STOP AFTER 1000"
+)
+
+
+def test_the_deep_cli_parity_query_refills_the_va_stream(monkeypatch, capsys):
+    """CI compares this query's CLI output across ``--index`` kinds at
+    ``--size 5000`` to cover the VA-file stream past its first order
+    slice; the spy confirms the stream really refills more than once."""
+    from repro.cli import main
+    from repro.index import vafile
+
+    refills = []
+    refill = vafile._VAFileStream._refill
+
+    def spy(stream):
+        refills.append(stream._slice)
+        refill(stream)
+
+    monkeypatch.setattr(vafile._VAFileStream, "_refill", spy)
+    argv = ["sql", "--database", "images", "--size", "5000", "--index", "vafile"]
+    assert main(argv + [DEEP_PARITY_QUERY]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert len(rows) == 1000
+    assert len(refills) > 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import IndexError_
+from repro.errors import IndexError_, UnknownObjectError
 from repro.index import (
     INDEX_KINDS,
     GridFile,
@@ -191,3 +191,29 @@ def test_bulk_load_rejects_a_repeated_id(load):
     with pytest.raises(IndexError_, match="duplicate object id: 'c'"):
         index.insert("c", [0.2, 0.2])  # bulk-loaded ids are stored ids
     assert len(index) == 3
+
+
+@pytest.mark.parametrize("kind", ["scan", "vafile", "rtree", "grid", "quadtree"])
+def test_vectors_of_is_stacked_vector_of(kind):
+    """Bulk random access is one gather: ``vectors_of`` equals the
+    stacked ``vector_of`` rows in request order — bulk-loaded rows and
+    inserted tail rows alike — and an unknown id raises naming the
+    first missing one in request order."""
+    rng = np.random.default_rng(21)
+    matrix = rng.random((40, 2))
+    ids = [f"o{i}" for i in range(40)]
+    if kind in BULK_LOADS:
+        index = BULK_LOADS[kind](ids[:30], matrix[:30])
+        tail = range(30, 40)
+    else:
+        index, tail = _inserted(kind), range(40)
+    for row in tail:
+        index.insert(ids[row], matrix[row])
+    wanted = [ids[i] for i in rng.permutation(40)] + ["o3", "o35", "o3"]
+    block = index.vectors_of(wanted)
+    assert block.dtype == np.float64 and block.shape == (len(wanted), 2)
+    assert np.array_equal(block, np.stack([index.vector_of(i) for i in wanted]))
+    assert np.array_equal(block[:40], matrix[[int(i[1:]) for i in wanted[:40]]])
+    assert index.vectors_of([]).shape == (0, 2)
+    with pytest.raises(UnknownObjectError, match="unknown object: 'x1'"):
+        index.vectors_of(["o1", "x1", "o39", "x2"])

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.index.base import LinearScanIndex, euclidean_distances
@@ -287,6 +287,71 @@ def test_stream_refines_exactly_as_the_eager_stream(bits, dim):
         popped += 1
     assert popped == 5000 and stream.next() is None
     assert va.stats.node_accesses == 5000
+
+
+@st.composite
+def tied_streams(draw):
+    """Tie-heavy corpora past :data:`ORDER_SLICE` — a few distinct
+    points, each stored many times, so distances and lower bounds tie
+    across block and slice boundaries — and a pop schedule mixing
+    ``next()`` (``None``) with ``next_batch(n)``."""
+    bits = draw(st.sampled_from([2, 6]))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=ORDER_SLICE + 1, max_value=3 * ORDER_SLICE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    palette = rng.random((draw(st.integers(min_value=1, max_value=24)), dim))
+    points = palette[rng.integers(0, len(palette), n)]
+    schedule = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=1500)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return points, rng.random(dim), bits, schedule
+
+
+def schedule_of(depths):
+    """A tied_streams value from explicit points (for ``@example``)."""
+    rng = np.random.default_rng(len(depths))
+    palette = rng.random((5, 2))
+    return palette[rng.integers(0, 5, 3000)], rng.random(2), 2, depths
+
+
+@given(case=tied_streams())
+@example(case=schedule_of([None, 1, 700, None, 600, 1500]))
+@example(case=schedule_of([2500, None]))
+@settings(max_examples=30, deadline=None)
+def test_bulk_emission_is_per_item_emission_is_the_oracle(case):
+    """Any mix of ``next()`` and ``next_batch(n)`` emits the linear
+    scan's stream, with, at every depth, the distance evaluations of
+    the reference that refines whole blocks of one full sort; a bulk
+    drain and a per-item drain to the same depth evaluate alike."""
+    points, query, bits, schedule = case
+    ids = [f"o{i}" for i in range(len(points))]
+    oracle = LinearScanIndex.bulk_load(ids, points).knn(query, len(points))
+    va = VAFile.bulk_load(ids, points, bits=bits)
+    reference = [evaluations for _, evaluations in eager_stream(va, query)]
+    stream = va.knn_stream(query)
+    emitted = []
+    for pull in schedule:
+        if pull is None:
+            neighbour = stream.next()
+            emitted.extend([] if neighbour is None else [neighbour])
+        else:
+            emitted.extend(stream.next_batch(pull))
+        assert emitted == oracle[: len(emitted)]
+        if emitted:
+            assert va.stats.distance_evaluations == reference[len(emitted) - 1]
+    depth = len(emitted)
+    if depth:
+        va.stats.reset()
+        assert va.knn_stream(query).next_batch(depth) == emitted
+        in_bulk = va.stats.distance_evaluations
+        va.stats.reset()
+        items = va.knn_stream(query)
+        assert [items.next() for _ in range(depth)] == emitted
+        assert va.stats.distance_evaluations == in_bulk
 
 
 def test_stream_is_resumable_across_a_refill():

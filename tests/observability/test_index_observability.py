@@ -81,3 +81,36 @@ def test_index_stats_counts_are_exact_under_threads():
     )
     stats.reset()
     assert stats.snapshot() == (0, 0)
+
+
+def index_lines(engine, statements):
+    """The EXPLAIN "accesses by index" lines of ``statements`` run in
+    order through one session tracer, as ``repro sql --explain`` does."""
+    from repro.sql.compiler import execute
+
+    tracer = engine.configure_observability(QueryTracer(metrics=MetricsRegistry()))
+    for statement in statements:
+        execute(statement, engine)
+    lines = render_trace_explain(tracer).splitlines()
+    start = lines.index("accesses by index:") + 1
+    return [line for line in lines[start:] if line.startswith("  Near=")]
+
+
+def test_a_traced_query_reports_its_own_index_work():
+    """Each query's breakdown counts the index work done during that
+    query only, not the shared index's lifetime totals: a repeat that
+    reuses its binding scans nothing, and a later query reports what it
+    reports alone in a fresh engine."""
+    sunset = "SELECT * FROM images WHERE Near = 'sunset' AND Color = 'red' STOP AFTER 3"
+    dawn = "SELECT * FROM images WHERE Near = 'dawn' AND Color = 'red' STOP AFTER 3"
+    engine = build_image_database(300, seed=0, knn_index="vafile")
+    fresh = build_image_database(300, seed=0, knn_index="vafile")
+    try:
+        first, repeat, later = index_lines(engine, [sunset, sunset, dawn])
+        (alone,) = index_lines(fresh, [dawn])
+    finally:
+        engine.close()
+        fresh.close()
+    assert "node accesses 300," in first
+    assert "node accesses 0," in repeat
+    assert later == alone
