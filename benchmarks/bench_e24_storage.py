@@ -365,7 +365,6 @@ def smoke(n=SMOKE_N):
     )
     want = [(i.object_id, i.grade) for i in reference.answers]
     for kwargs in (
-        {"backend": "list"},
         {"backend": "memmap"},
         {"shards": 3},
         {"backend": "memmap", "shards": 2},

@@ -8,8 +8,8 @@ end.  This experiment measures the trade at scale:
 
 * a **θ sweep** over {1.0, 1.01, 1.05, 1.1, 1.5, 2.0} for TA-θ and
   NRA-θ at N = 10^6 under the paper's independence model, for the min
-  and mean combining rules, across storage backends (item-based list
-  sources, columnar arrays, out-of-core memmaps): per point, the
+  and mean combining rules, across storage backends (in-RAM columnar
+  arrays, out-of-core memmaps): per point, the
   charged accesses, sorted depth, achieved ratio, and wall time;
 * the **exactness gate**: θ = 1.0 must be byte-identical (answers and
   costs) to not passing θ at all — the knob costs nothing when off;
@@ -61,8 +61,8 @@ RULES = (("min", tnorms.MIN), ("mean", means.MEAN))
 #: the module docstring for why NRA under min never stops early.
 STRICT_REDUCTION_EXEMPT = {("nra", "min")}
 
-FULL_CONFIGS = ("list", "array", "memmap")
-SMOKE_CONFIGS = ("list", "array")
+FULL_CONFIGS = ("array", "memmap")
+SMOKE_CONFIGS = ("array",)
 
 
 def answer_key(result):

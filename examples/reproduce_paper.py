@@ -30,7 +30,6 @@ from repro.harness import (
     e16_pruning,
     e17_concentration,
     e18_resumption,
-    e19_bulk_access,
     e20_resilience,
 )
 from repro.harness.reporting import format_table
@@ -55,7 +54,6 @@ FULL = (
     ("E16 — A0 random-access pruning", lambda: e16_pruning()),
     ("E17 — cost concentration (w.h.p.)", lambda: e17_concentration()),
     ("E18 — resumption amortization", lambda: e18_resumption()),
-    ("E19 — bulk access (columnar vs per-item)", lambda: e19_bulk_access()),
     ("E20 — resilience (retries, NRA fallback ablation)", lambda: e20_resilience()),
 )
 

@@ -10,10 +10,10 @@ indexes, and an SQL-like front end.
 
 Quickstart::
 
-    from repro import ListSource, fagin_top_k, scoring
+    from repro import ArraySource, fagin_top_k, scoring
 
-    color = ListSource({"a": 0.9, "b": 0.6, "c": 0.3}, name="Color=red")
-    shape = ListSource({"a": 0.5, "b": 0.8, "c": 0.4}, name="Shape=round")
+    color = ArraySource({"a": 0.9, "b": 0.6, "c": 0.3}, name="Color=red")
+    shape = ArraySource({"a": 0.5, "b": 0.8, "c": 0.4}, name="Shape=round")
     result = fagin_top_k([color, shape], scoring.MIN, k=2)
     for item in result.answers:
         print(item.object_id, item.grade)
@@ -29,7 +29,6 @@ from repro.core import (
     GradedItem,
     GradedSet,
     GradedSource,
-    ListSource,
     Not,
     Or,
     Plan,
@@ -78,7 +77,6 @@ __all__ = [
     "GradedItem",
     "GradedSet",
     "GradedSource",
-    "ListSource",
     "ArraySource",
     "SortedOnlySource",
     "sources_from_columns",

@@ -34,6 +34,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.query import Atomic
+from repro.core.sources import BACKEND_CHOICES
 from repro.errors import ReproError
 from repro.index.source import INDEX_KINDS
 from repro.middleware.engine import MiddlewareEngine
@@ -385,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
             "either way)",
         )
         command.add_argument(
-            "--backend", choices=("list", "array", "memmap"), default=None,
+            "--backend", choices=BACKEND_CHOICES, default=None,
             help="physical storage for every ranked list: in-RAM "
-            "'list'/'array' or out-of-core 'memmap' columns; answers, "
+            "'array' or out-of-core 'memmap' columns; answers, "
             "costs, and traces are identical across backends",
         )
         command.add_argument(

@@ -52,7 +52,6 @@ from repro.core.sources import (
     DEFAULT_BATCH_SIZE,
     ArraySource,
     GradedSource,
-    ListSource,
     SortedCursor,
     SortedOnlySource,
     VerifyingSource,
@@ -87,7 +86,6 @@ __all__ = [
     "SORTED_EXPENSIVE",
     "RANDOM_EXPENSIVE",
     "GradedSource",
-    "ListSource",
     "ArraySource",
     "SortedOnlySource",
     "VerifyingSource",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 
 
 def reversed_grades(n: int, *, low: float = 0.5, high: float = 1.0) -> List[Tuple[float, float]]:
@@ -46,8 +46,8 @@ def reversed_grades(n: int, *, low: float = 0.5, high: float = 1.0) -> List[Tupl
     return [(grade(i), grade(n + 1 - i)) for i in range(1, n + 1)]
 
 
-def hard_instance(n: int) -> List[ListSource]:
-    """Build the two reversed :class:`ListSource` lists over n objects.
+def hard_instance(n: int) -> List[ArraySource]:
+    """Build the two reversed :class:`ArraySource` lists over n objects.
 
     Objects are named ``x1 ... xn``; the midpoint object attains the
     best min grade.  The returned sources are ready for any section-4
@@ -58,8 +58,8 @@ def hard_instance(n: int) -> List[ListSource]:
     list_one = {f"x{i + 1}": pair[0] for i, pair in enumerate(pairs)}
     list_two = {f"x{i + 1}": pair[1] for i, pair in enumerate(pairs)}
     return [
-        ListSource(list_one, name="adversary-A1"),
-        ListSource(list_two, name="adversary-A2"),
+        ArraySource(list_one, name="adversary-A1"),
+        ArraySource(list_two, name="adversary-A2"),
     ]
 
 

@@ -17,10 +17,10 @@ resumable sorted-access stream; keeping the cursor alive across calls is
 what lets Fagin's algorithm "continue where we left off" to fetch the
 next k answers (section 4.1).
 
-:class:`ListSource` is the standard in-memory implementation used by the
-synthetic workloads; subsystems in :mod:`repro.middleware` and
-:mod:`repro.multimedia` expose their atomic queries through the same
-interface.  :mod:`repro.storage` provides the out-of-core
+:class:`ArraySource` is the one in-memory implementation: the
+synthetic workloads and every subsystem in :mod:`repro.middleware` and
+:mod:`repro.multimedia` bind their atomic queries to it.
+:mod:`repro.storage` provides the out-of-core
 (:class:`~repro.storage.memmap.MemmapSource`) and scatter-gather
 (:class:`~repro.storage.sharded.ShardedSource`) backends behind the same
 seam; :func:`sources_from_columns` selects among them via ``backend``
@@ -47,15 +47,18 @@ from repro.kernels import ColumnCodes, ObjectCodes, canonical_order
 DEFAULT_BATCH_SIZE = 128
 
 
-def validate_grade_array(values, name: str, *, require_sorted: bool = False):
+def validate_grade_array(
+    values, name: str, *, require_sorted: bool = False, ids: Optional[Sequence[ObjectId]] = None
+):
     """Validate a float64 grade array in one vectorized pass.
 
     Checks every grade is finite and lies in [0, 1]; with
     ``require_sorted`` also that the sequence is nonincreasing (the
     sorted-access contract).  Raises :class:`~repro.errors.GradeError`
-    (a ``ValueError``) naming the first offending position, so a bad
-    bulk load fails loudly instead of silently producing wrong bounds
-    downstream.  Returns the validated array.
+    (a ``ValueError``) naming the first offending grade and position —
+    and its object, when the caller passes the parallel ``ids`` — so a
+    bad bulk load fails loudly instead of silently producing wrong
+    bounds downstream.  Returns the validated array.
     """
     try:
         values = _np.asarray(values, dtype=_np.float64)
@@ -72,9 +75,11 @@ def validate_grade_array(values, name: str, *, require_sorted: bool = False):
         bad = ~((values >= 0.0) & (values <= 1.0))  # catches NaN/inf too
         if bad.any():
             index = int(bad.argmax())
+            named = ids is not None and index < len(ids)
+            owner = f" of object {ids[index]!r}" if named else ""
             raise GradeError(
-                f"source {name!r}: grade {values[index]!r} at position "
-                f"{index} is not a finite number in [0, 1]"
+                f"source {name!r}: grade {float(values[index])!r}{owner} at "
+                f"position {index} is not a finite number in [0, 1]"
             )
         if require_sorted and values.size > 1:
             rising = values[1:] > values[:-1]
@@ -387,64 +392,22 @@ class GradedSource(ABC):
         return f"<{type(self).__name__} {self.name!r} n={len(self)}>"
 
 
-class ListSource(GradedSource):
-    """In-memory graded list: the workhorse source for synthetic workloads.
-
-    Accepts a :class:`GradedSet`, a mapping, or ``(object, grade)`` pairs.
-    Sorted order is computed once; random access is a dict lookup.  Ties
-    are ordered deterministically (by object id) so runs are repeatable.
-    It leaves ``supports_columnar`` off, so TA runs its per-row path over
-    it: the reference the bulk round is checked against.
-    """
-
-    def __init__(
-        self,
-        items: Union[GradedSet, Mapping[ObjectId, float], Iterable[Tuple[ObjectId, float]]],
-        name: str = "list",
-    ) -> None:
-        super().__init__(name)
-        graded = items if isinstance(items, GradedSet) else GradedSet(items)
-        ordered = list(graded)
-        self._sorted_ids: List[ObjectId] = [item.object_id for item in ordered]
-        self._sorted_grades = _np.array([item.grade for item in ordered], dtype=_np.float64)
-        self._grades: Dict[ObjectId, float] = graded.as_dict()
-
-    def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
-        stop = start + count
-        return self._sorted_ids[start:stop], self._sorted_grades[start:stop]
-
-    def _grades_of_many(self, object_ids: Sequence[ObjectId]):
-        grades = self._grades
-        try:
-            return _np.array(
-                [grades[object_id] for object_id in object_ids], dtype=_np.float64
-            )
-        except KeyError as exc:
-            raise UnknownObjectError(
-                f"source {self.name!r} holds no object {exc.args[0]!r}"
-            ) from None
-
-    def __len__(self) -> int:
-        return len(self._sorted_ids)
-
-
 #: serializes :meth:`ArraySource._adopt`, so a source never moves to a
 #: newer index than one another thread adopted meanwhile
 _ADOPTION = threading.Lock()
 
 
 class ArraySource(GradedSource):
-    """Columnar, numpy-backed graded list — a drop-in ListSource alternative.
+    """Columnar, numpy-backed graded list: the one in-memory ranked list.
 
     Grades live in one contiguous ``float64`` array; sorted order is one
     :func:`~repro.kernels.canonical_order` at construction (descending
-    grade, ties by stringified object id — exactly :class:`ListSource`'s
-    order, so the two backends are interchangeable object-for-object,
-    not just grade-for-grade).  Sorted access is an array slice instead
-    of one Python call per item, and grade validation is a single
-    vectorized check instead of N ``validate_grade`` calls, which is
-    where the bulk-access protocol's wall-clock win comes from on large
-    synthetic workloads (benchmark E19).
+    grade, ties by stringified object id — a :class:`GradedSet`'s
+    iteration order, and the order every storage backend writes, so the
+    backends are interchangeable object-for-object, not just
+    grade-for-grade).  Sorted access is an array slice instead of one
+    Python call per item, and grade validation is a single vectorized
+    check instead of N ``validate_grade`` calls.
 
     Grades are held by object code (:class:`~repro.kernels.ObjectCodes`),
     not in an id -> grade dict: a random access is one dict lookup and a
@@ -452,9 +415,11 @@ class ArraySource(GradedSource):
     without touching ids.  Sources built separately over one object set
     settle on one shared index (:func:`shared_object_codes`).
 
-    Accounting is identical to :class:`ListSource`: the base class
-    charges one sorted access per delivered item and one random access
-    per probed object, whichever access form the caller uses.
+    The base class charges one sorted access per delivered item and one
+    random access per probed object, whichever access form the caller
+    uses.  A bare ArraySource is columnar, so TA reads a set of them (m >
+    1) in its bulk round; TA's per-row path serves only wrapped stacks
+    and m = 1 (:func:`~repro.core.threshold.threshold_top_k`).
     """
 
     supports_columnar = True
@@ -511,7 +476,7 @@ class ArraySource(GradedSource):
         self, ids: List[ObjectId], grades, name: str, *, presorted: bool = False
     ) -> None:
         super().__init__(name)
-        values = validate_grade_array(grades, name, require_sorted=presorted)
+        values = validate_grade_array(grades, name, require_sorted=presorted, ids=ids)
         if len(ids) != values.shape[0]:
             raise AccessError(
                 f"source {name!r}: expected one grade per object, got "
@@ -700,7 +665,7 @@ class VerifyingSource(WrapperSource):
 
 #: backend names accepted by :func:`sources_from_columns` and the
 #: ``--backend`` plumbing (CLI, workloads, engine).
-BACKEND_CHOICES = ("array", "list", "memmap")
+BACKEND_CHOICES = ("array", "memmap")
 
 
 def sources_from_columns(
@@ -719,7 +684,6 @@ def sources_from_columns(
 
     ``backend`` selects the storage: ``"array"`` (default) builds
     numpy-backed :class:`ArraySource` columns in one vectorized pass,
-    ``"list"`` the classic per-item :class:`ListSource`, and
     ``"memmap"`` out-of-core
     :class:`~repro.storage.memmap.MemmapSource` columns under
     ``directory`` (a temporary directory owned by the sources when

@@ -379,8 +379,8 @@ def threshold_top_k(
     starts at ``batch_size`` rows and doubles after every super-round
     that does not stop, so a stop at depth d takes about
     ``log2(d / batch_size) + 1`` super-rounds and peeks fewer than
-    ``2d + batch_size`` rows per list.  Anything else — a ``ListSource``,
-    anything wrapped, m = 1 — takes one TA round per row over fixed
+    ``2d + batch_size`` rows per list.  The per-row path serves only
+    wrapped stacks and m = 1: it takes one TA round per row over fixed
     windows of ``batch_size`` rows, with one ``random_access_many`` per
     list per round, so wrapper accounting and fault behaviour observe
     every probe, and every consume is at most ``batch_size`` rows.

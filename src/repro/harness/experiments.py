@@ -1,4 +1,4 @@
-"""The paper's experiments E1–E19, as callable functions.
+"""The paper's experiments (E1–E21), as callable functions.
 
 Each function stages one experiment from DESIGN.md's index, runs it, and
 returns a structured result (records, fits, comparisons).  The benchmark
@@ -758,72 +758,6 @@ def e18_resumption(
         notes=[
             "cumulative resumed cost equals the one-shot cost of the "
             "same depth: resuming never re-pays for sorted access",
-        ],
-    )
-
-
-# ----------------------------------------------------------------------
-# E19: bulk access — ArraySource vs ListSource wall clock at scale
-# ----------------------------------------------------------------------
-def e19_bulk_access(
-    n: int = 20000,
-    m: int = 4,
-    k: int = 10,
-    seed: int = 41,
-    repeats: int = 3,
-) -> ExperimentResult:
-    """E19: wall-clock cost of TA over columnar vs per-item sources.
-
-    The paper's cost measure charges 1 per access regardless of backend,
-    so the access counts must be *identical* between :class:`ListSource`
-    and :class:`ArraySource`; what changes is constant-factor wall-clock
-    work.  The columnar backend builds each ranked list with one
-    vectorized validate + argsort instead of N Python-level calls, and
-    serves ``next_batch``/``random_access_many`` without per-item
-    dispatch.  Rows report build time, query time, and total speedup.
-    """
-    import time
-
-    table = independent(n, m, seed=seed)
-    rows = []
-    timings: Dict[str, Tuple[float, float]] = {}
-    results = {}
-    for backend in ("list", "array"):
-        best_build = best_query = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sources = sources_from_columns(table, backend=backend)
-            built = time.perf_counter()
-            result = threshold_top_k(sources, tnorms.MIN, k)
-            done = time.perf_counter()
-            best_build = min(best_build, built - start)
-            best_query = min(best_query, done - built)
-            results[backend] = result
-        timings[backend] = (best_build, best_query)
-        rows.append(
-            (
-                backend,
-                round(best_build * 1000, 2),
-                round(best_query * 1000, 2),
-                round((best_build + best_query) * 1000, 2),
-                results[backend].database_access_cost,
-            )
-        )
-    agree = results["list"].answers.same_grade_multiset(results["array"].answers)
-    same_cost = (
-        results["list"].database_access_cost
-        == results["array"].database_access_cost
-    )
-    list_total = sum(timings["list"])
-    array_total = sum(timings["array"])
-    speedup = list_total / array_total if array_total > 0 else float("inf")
-    return ExperimentResult(
-        "E19",
-        ("backend", "build ms", "query ms", "total ms", "uniform cost"),
-        rows,
-        notes=[
-            f"answers agree: {agree}; access costs identical: {same_cost}",
-            f"total speedup (list/array): {speedup:.2f}x at N={n}, m={m}, k={k}",
         ],
     )
 

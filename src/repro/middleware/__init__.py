@@ -1,7 +1,7 @@
 """Garlic-style middleware: subsystems, ID mapping, complex objects,
 the monotonicity guard, the integration engine, the resilience layer
-(fault injection, retry/backoff, circuit breakers), and the cost-aware
-optimizer (paper section 4)."""
+(fault injection, retry/backoff, circuit breakers), and catalog
+statistics (paper section 4)."""
 
 from repro.middleware.complex_objects import Containment, PromotedSource
 from repro.middleware.engine import MiddlewareEngine, QueryHandle
@@ -19,11 +19,6 @@ from repro.middleware.resilience import (
     RetryPolicy,
     VirtualClock,
     resilience_report,
-)
-from repro.middleware.optimizer import (
-    ChargedPlan,
-    compare_under_models,
-    plan_with_charges,
 )
 from repro.middleware.relational import BooleanSource, RelationalSubsystem
 from repro.middleware.statistics import (
@@ -59,7 +54,4 @@ __all__ = [
     "GradeHistogram",
     "collect_statistics",
     "suggest_filter_threshold",
-    "ChargedPlan",
-    "plan_with_charges",
-    "compare_under_models",
 ]

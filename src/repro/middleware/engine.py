@@ -383,7 +383,7 @@ class MiddlewareEngine:
         """Relocate every binding onto a physical storage backend.
 
         ``backend`` is one of :data:`~repro.core.sources.BACKEND_CHOICES`
-        (``array``/``list``/``memmap``); ``shards > 1`` hash-partitions
+        (``array``/``memmap``); ``shards > 1`` hash-partitions
         each binding into that many shards of the chosen backend behind
         a :class:`~repro.storage.sharded.ShardedSource`.  The CLI's
         ``--backend``/``--shards`` flags land here.  Relocation happens

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Mapping, Tuple
 
-from repro.core.graded import GradedSet, ObjectId, validate_grade
+from repro.core.graded import GradedSet, ObjectId
 from repro.core.query import Atomic
-from repro.core.sources import GradedSource, ListSource
+from repro.core.sources import ArraySource, GradedSource
 from repro.errors import PlanError
 from repro.middleware.interface import Subsystem
 
@@ -56,7 +56,7 @@ class ListSubsystem(Subsystem):
             raise PlanError(
                 f"subsystem {self.name!r} has no stored list for {atom}"
             ) from None
-        return ListSource(graded, name=f"{self.name}:{atom}")
+        return ArraySource(graded, name=f"{self.name}:{atom}")
 
 
 class GraderSubsystem(Subsystem):
@@ -86,13 +86,11 @@ class GraderSubsystem(Subsystem):
 
     def _bind(self, atom: Atomic) -> GradedSource:
         grader = self._graders[atom.attribute]
-        graded = GradedSet(
-            {
-                object_id: validate_grade(grader(atom.target, features))
-                for object_id, features in self._objects.items()
-            }
-        )
-        return ListSource(graded, name=f"{self.name}:{atom}")
+        grades = {
+            object_id: grader(atom.target, features)
+            for object_id, features in self._objects.items()
+        }
+        return ArraySource(grades, name=f"{self.name}:{atom}")
 
     def object_count(self) -> int:
         return len(self._objects)

@@ -18,20 +18,22 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping
 
-from repro.core.graded import GradedSet, ObjectId
+import numpy as np
+
+from repro.core.graded import ObjectId
 from repro.core.query import Atomic
-from repro.core.sources import GradedSource, ListSource
+from repro.core.sources import ArraySource, GradedSource
 from repro.middleware.interface import Subsystem
 
 
-class BooleanSource(ListSource):
+class BooleanSource(ArraySource):
     """A ranked list whose grades are all 0 or 1."""
 
     is_boolean = True
 
     def __init__(self, grades: Mapping[ObjectId, float], name: str) -> None:
         super().__init__(grades, name=name)
-        self.positive_count = sum(1 for g in self._grades.values() if g == 1.0)
+        self.positive_count = int(np.count_nonzero(self._sorted_grades == 1.0))
 
 
 class RelationalSubsystem(Subsystem):
@@ -54,13 +56,11 @@ class RelationalSubsystem(Subsystem):
         return self._columns
 
     def _bind(self, atom: Atomic) -> GradedSource:
-        grades = GradedSet(
-            {
-                obj: 1.0 if row.get(atom.attribute) == atom.target else 0.0
-                for obj, row in self._rows.items()
-            }
-        )
-        return BooleanSource(grades.as_dict(), name=f"{self.name}:{atom}")
+        grades = {
+            obj: 1.0 if row.get(atom.attribute) == atom.target else 0.0
+            for obj, row in self._rows.items()
+        }
+        return BooleanSource(grades, name=f"{self.name}:{atom}")
 
     def select(self, attribute: str, target: object) -> frozenset:
         """The crisp satisfying set (a traditional query's answer)."""

@@ -30,9 +30,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.graded import GradedSet
 from repro.core.query import Atomic
-from repro.core.sources import GradedSource, ListSource
+from repro.core.sources import ArraySource, GradedSource
 from repro.errors import PlanError
 from repro.middleware.interface import Subsystem
 from repro.multimedia.histogram import (
@@ -223,4 +222,4 @@ class QbicSubsystem(Subsystem):
             }
         else:  # pragma: no cover - Subsystem.bind checks support first
             raise PlanError(f"QBIC does not handle attribute {atom.attribute!r}")
-        return ListSource(GradedSet(grades), name=f"{self.name}:{atom}")
+        return ArraySource(grades, name=f"{self.name}:{atom}")

@@ -37,7 +37,6 @@ from repro.core.sources import (
     BACKEND_CHOICES,
     ArraySource,
     GradedSource,
-    ListSource,
     iter_wrapper_chain,
 )
 from repro.errors import AccessError
@@ -88,8 +87,7 @@ def build_sources(
     """Build one source per column of an ``(n, m)`` grade array.
 
     The one place a physical layout is decided: ``backend`` picks
-    :class:`~repro.core.sources.ArraySource`,
-    :class:`~repro.core.sources.ListSource` or
+    :class:`~repro.core.sources.ArraySource` or
     :class:`~repro.storage.memmap.MemmapSource` columns, and
     ``shards > 1`` scatters every column with *one*
     :func:`hash_router` assignment (so cross-column probes always route
@@ -137,8 +135,6 @@ def build_sources(
     def build(part, column: int, name: str, subdir: str) -> GradedSource:
         part_ids, rows = part
         values = matrix[rows, column]
-        if backend == "list":
-            return ListSource(dict(zip(part_ids, values.tolist())), name=name)
         if backend == "memmap":
             return build_memmap(
                 os.path.join(directory, subdir), part_ids, values, name=name

@@ -431,7 +431,7 @@ def build_memmap(
     columns incrementally like :func:`build_synthetic_memmap` does.
     """
     ids = list(object_ids)
-    values = validate_grade_array(grades, name)
+    values = validate_grade_array(grades, name, ids=ids)
     if len(ids) != values.shape[0]:
         raise StorageError(
             f"source {name!r}: expected one grade per object, got "

@@ -19,8 +19,8 @@ All generators are seeded and return either the raw grade table
 ranked-list columns built by
 :func:`~repro.core.sources.sources_from_columns`.  Columns are numpy-backed :class:`~repro.core.sources.ArraySource` by default
 (one vectorized build + argsort instead of N Python calls); pass
-``backend="list"`` for the classic :class:`ListSource`.  Both backends
-produce identical sorted order and accounting.
+``backend="memmap"`` for out-of-core columns.  Both backends produce
+identical sorted order and accounting.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.adversary import hard_instance
-from repro.core.sources import GradedSource, ListSource, sources_from_columns
+from repro.core.sources import ArraySource, GradedSource, sources_from_columns
 
 GradeTable = Dict[str, Tuple[float, ...]]
 
@@ -114,7 +114,7 @@ def zipf_skewed(
     return table
 
 
-def reversed_pair(n: int) -> List[ListSource]:
+def reversed_pair(n: int) -> List[ArraySource]:
     """The linear-lower-bound adversarial instance (two reversed lists)."""
     return hard_instance(n)
 

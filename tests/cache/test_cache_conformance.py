@@ -47,7 +47,7 @@ def pick_query(m, index):
 
 
 def oracle_top(table, rule, k):
-    sources = sources_from_columns(table, backend="list")
+    sources = sources_from_columns(table)
     return grade_everything(sources, rule).top(min(k, len(table)))
 
 

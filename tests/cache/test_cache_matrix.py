@@ -4,7 +4,7 @@ The cache key deliberately excludes the physical configuration — the
 storage/combine conformance suites prove answers byte-identical across
 all of it — so one deterministic workload exercises every tier under
 each layout and checks the served answers against a single cold
-reference (list backend, min conjunction, serial).  ``combine`` is
+reference (native list bindings, min conjunction, serial).  ``combine`` is
 ``tests.strategies.COMBINES``: the query's rule scored natively or
 through the per-row loop of a user rule.
 """

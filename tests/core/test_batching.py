@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.batching import BatchedSource, LatencyModel, batched
 from repro.core.fagin import fagin_top_k
-from repro.core.sources import ListSource, sources_from_columns
+from repro.core.sources import ArraySource, sources_from_columns
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
 
 
 def source_of(n=20, seed=0):
     table = independent(n, 1, seed=seed)
-    return ListSource({k: v[0] for k, v in table.items()}, name="L")
+    return ArraySource({k: v[0] for k, v in table.items()}, name="L")
 
 
 def test_batch_size_validated():

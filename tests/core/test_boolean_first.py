@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.boolean_first import boolean_first_top_k
 from repro.core.naive import grade_everything
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import PlanError
 from repro.middleware.relational import BooleanSource
 from repro.scoring import tnorms
@@ -16,7 +16,7 @@ def build(n=200, selectivity=0.1, seed=4):
     fuzzy = {name: grades[0] for name, grades in independent(n, 1, seed=seed).items()}
     return [
         BooleanSource(crisp, name="Artist=Beatles"),
-        ListSource(fuzzy, name="AlbumColor=red"),
+        ArraySource(fuzzy, name="AlbumColor=red"),
     ]
 
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batching import BatchedSource
 from repro.core.fagin import fagin_top_k
+from repro.core.graded import GradedSet
 from repro.core.naive import grade_everything
 from repro.core.sources import (
     ArraySource,
-    ListSource,
     SortedOnlySource,
     VerifyingSource,
     sources_from_columns,
@@ -27,7 +27,9 @@ from repro.core.threshold import nra_top_k, threshold_top_k
 from repro.errors import AccessError, GradeError, UnknownObjectError
 from repro.middleware.idmap import IdMapping, MappedSource
 from repro.scoring import tnorms
+from repro.storage import build_memmap
 from repro.workloads.graded_lists import independent
+from tests.per_row import columns, per_row
 
 grades = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 #: a small grade alphabet forces heavy ties, the hard case for ordering
@@ -44,7 +46,7 @@ def tables(m, values=grades, min_objects=1, max_objects=40):
 
 
 def build_stack(table, *, wrapper_batch=5, sorted_only=False):
-    """verified ∘ batched ∘ mapped (∘ sorted-only) over a ListSource.
+    """verified ∘ batched ∘ mapped (∘ sorted-only) over an ArraySource.
 
     Each column speaks subsystem-local ids internally; the algorithms
     see global ids via the mapping, exactly the Garlic situation.
@@ -53,7 +55,7 @@ def build_stack(table, *, wrapper_batch=5, sorted_only=False):
     stack = []
     for i in range(m):
         column = {oid: vector[i] for oid, vector in table.items()}
-        inner = ListSource(
+        inner = ArraySource(
             {f"local-{oid}": grade for oid, grade in column.items()},
             name=f"L{i}",
         )
@@ -144,12 +146,12 @@ def test_nra_bulk_matches_item_at_a_time_sorted_only(
     assert bulk.answers.same_grade_multiset(expected)
 
 
-@pytest.mark.parametrize("backend", ["list", "array"])
+@pytest.mark.parametrize("backend", ["per-row", "array"])
 def test_batch_size_never_changes_cost_on_plain_sources(backend):
     table = independent(400, 3, seed=7)
     baseline = None
     for batch_size in (1, 3, 64, 4096):
-        sources = sources_from_columns(table, backend=backend)
+        sources = columns(table, backend)
         result = threshold_top_k(sources, tnorms.MIN, 10, batch_size=batch_size)
         key = (
             sorted(item.grade for item in result.answers),
@@ -163,7 +165,7 @@ def test_batch_size_never_changes_cost_on_plain_sources(backend):
 
 
 # ----------------------------------------------------------------------
-# ArraySource: a drop-in ListSource replacement, object-for-object
+# ArraySource: a GradedSet's sorted order, object-for-object
 # ----------------------------------------------------------------------
 #: ids whose ``str`` collide (``1`` and ``"1"``) tie on the whole
 #: ``(grade, str(id))`` key, so only input order is left to break them
@@ -176,9 +178,8 @@ colliding_ids = st.one_of(
 
 @given(column=st.dictionaries(colliding_ids, tied_grades, min_size=1, max_size=60))
 @settings(max_examples=100, deadline=None)
-def test_array_source_order_matches_list_source(column):
-    from_list = ListSource(column).cursor().next_batch(len(column) + 1)
-    expected = [(i.object_id, i.grade) for i in from_list]
+def test_array_source_order_matches_graded_set_order(column):
+    expected = [(i.object_id, i.grade) for i in GradedSet(column)]
     bulk = ArraySource.from_arrays(list(column), list(column.values()))
     for source in (ArraySource(column), bulk):
         from_array = source.cursor().next_batch(len(column) + 1)
@@ -189,15 +190,15 @@ def test_array_source_order_matches_list_source(column):
 @given(table=tables(3))
 @settings(max_examples=20, deadline=None)
 def test_backends_agree_on_ta_answers_and_costs(table):
-    as_list = threshold_top_k(
-        sources_from_columns(table, backend="list"), tnorms.MIN, 5
+    per_row_run = threshold_top_k(
+        per_row(sources_from_columns(table)), tnorms.MIN, 5
     )
     as_array = threshold_top_k(
         sources_from_columns(table, backend="array"), tnorms.MIN, 5
     )
-    assert as_array.answers.same_grade_multiset(as_list.answers)
-    assert as_array.cost.sorted_access_cost == as_list.cost.sorted_access_cost
-    assert as_array.cost.random_access_cost == as_list.cost.random_access_cost
+    assert as_array.answers.same_grade_multiset(per_row_run.answers)
+    assert as_array.cost.sorted_access_cost == per_row_run.cost.sorted_access_cost
+    assert as_array.cost.random_access_cost == per_row_run.cost.random_access_cost
 
 
 def test_array_source_accounting():
@@ -224,6 +225,21 @@ def test_array_source_rejects_bad_grades():
         ArraySource({"a": "not a number"})
 
 
+@pytest.mark.parametrize("build", ["mapping", "from_arrays", "memmap"])
+def test_a_bad_grade_is_printed_as_a_float_and_named_by_its_object(build, tmp_path):
+    grades = {"a": 0.2, "b": 1.5}
+    with pytest.raises(GradeError) as excinfo:
+        if build == "mapping":
+            ArraySource(grades)
+        elif build == "from_arrays":
+            ArraySource.from_arrays(list(grades), np.array(list(grades.values())))
+        else:
+            build_memmap(str(tmp_path), list(grades), np.array(list(grades.values())))
+    message = str(excinfo.value)
+    assert "'b'" in message and "1.5" in message, message
+    assert "np.float64" not in message, message
+
+
 def test_array_source_from_arrays():
     source = ArraySource.from_arrays(["x", "y"], [0.2, 0.8], name="col")
     assert [i.object_id for i in source.cursor().next_batch(2)] == ["y", "x"]
@@ -247,8 +263,8 @@ def test_from_arrays_ranks_tied_ids_in_python_string_order():
     # numpy <U keys drop a trailing NUL, which would tie "a\x00" with "a"
     ids, grades = ["a\x00", "a", "b"], [0.5, 0.5, 0.5]
     array = ArraySource.from_arrays(ids, grades)
-    listed = ListSource(dict(zip(ids, grades)))
-    assert list(array.object_ids()) == list(listed.object_ids()) == ["a", "a\x00", "b"]
+    graded = [item.object_id for item in GradedSet(dict(zip(ids, grades)))]
+    assert list(array.object_ids()) == graded == ["a", "a\x00", "b"]
 
 
 def test_from_arrays_validates_grade_range():
@@ -277,7 +293,7 @@ def test_from_arrays_presorted_validates_order():
 
 
 def test_empty_bulk_random_access_is_free_even_when_unsupported():
-    source = SortedOnlySource(ListSource({"a": 0.5}))
+    source = SortedOnlySource(ArraySource({"a": 0.5}))
     assert source.random_access_many([]) == {}
     assert source.counter.random_accesses == 0
 
@@ -285,7 +301,7 @@ def test_empty_bulk_random_access_is_free_even_when_unsupported():
 # ----------------------------------------------------------------------
 # Satellite regression: peeks are side-effect-free on VerifyingSource
 # ----------------------------------------------------------------------
-class _InconsistentSource(ListSource):
+class _InconsistentSource(ArraySource):
     """Random access disagrees with the sorted stream for every object."""
 
     def _grades_of_many(self, object_ids):
@@ -308,12 +324,11 @@ def test_verifying_peek_records_no_delivery():
 
 
 def test_verifying_source_still_catches_order_violation_in_bulk():
-    class _Unsorted(ListSource):
+    class _Unsorted(ArraySource):
         def __init__(self):
             super().__init__({})
             self._sorted_ids = ["a", "b"]
             self._sorted_grades = np.array([0.3, 0.8])
-            self._grades = {"a": 0.3, "b": 0.8}
 
     verified = VerifyingSource(_Unsorted())
     with pytest.raises(AccessError):
@@ -324,7 +339,7 @@ def test_verifying_source_still_catches_order_violation_in_bulk():
 # Satellite regression: materialization never charges, even wrapped
 # ----------------------------------------------------------------------
 def _materialization_stack():
-    inner = ListSource({f"o{i}": (10 - i) / 10 for i in range(8)}, name="L")
+    inner = ArraySource({f"o{i}": (10 - i) / 10 for i in range(8)}, name="L")
     mapped = MappedSource(inner, IdMapping.identity(f"o{i}" for i in range(8)))
     batched = BatchedSource(mapped, 3)
     return inner, batched, VerifyingSource(batched)

@@ -44,7 +44,7 @@ def pick_rule(table, index):
 
 
 def oracle_top(table, rule, k):
-    sources = sources_from_columns(table, backend="list")
+    sources = sources_from_columns(table)
     return grade_everything(sources, rule).top(min(k, len(table)))
 
 
@@ -72,7 +72,7 @@ def test_all_algorithms_agree_with_oracle(data, rule_index, k_selector):
     k = pick_k(table, k_selector)
     expected = oracle_top(table, rule, k)
     for name, run in ALGORITHMS:
-        sources = sources_from_columns(table, backend="list")
+        sources = sources_from_columns(table)
         result = run(sources, rule, k, None)
         assert result.answers.same_grade_multiset(expected), (
             f"{name} disagrees with the oracle: "
@@ -87,7 +87,7 @@ def test_disjunction_agrees_with_max_oracle(data, k_selector):
     table, _ = data
     k = pick_k(table, k_selector)
     expected = oracle_top(table, conorms.MAX, k)
-    sources = sources_from_columns(table, backend="list")
+    sources = sources_from_columns(table)
     result = disjunction_top_k(sources, k)
     assert result.answers.same_grade_multiset(expected)
 
@@ -103,7 +103,7 @@ def test_boolean_first_agrees_with_oracle(data, rule_index, k_selector):
     rule = (tnorms.MIN, tnorms.PRODUCT)[rule_index]  # annihilate at zero
     k = pick_k(table, k_selector)
     expected = oracle_top(table, rule, k)
-    sources = sources_from_columns(table, backend="list")
+    sources = sources_from_columns(table)
     result = boolean_first_top_k(sources, rule, k, boolean_index=0)
     assert result.answers.same_grade_multiset(expected)
 
@@ -116,7 +116,7 @@ def test_traced_accesses_equal_cost_report(data, rule_index, k_selector):
     rule = pick_rule(table, rule_index)
     k = pick_k(table, k_selector)
     for name, run in ALGORITHMS:
-        sources = sources_from_columns(table, backend="list")
+        sources = sources_from_columns(table)
         tracer = QueryTracer()
         result = run(sources, rule, k, tracer)
         counts = tracer.access_counts()
@@ -155,10 +155,10 @@ def test_parallel_execution_changes_nothing_observable(
     expected = oracle_top(table, rule, k)
     with ParallelAccessExecutor(workers) as executor:
         for name, run in ALGORITHMS:
-            sources = sources_from_columns(table, backend="list")
+            sources = sources_from_columns(table)
             serial_tracer = QueryTracer()
             serial = run(sources, rule, k, serial_tracer)
-            sources = sources_from_columns(table, backend="list")
+            sources = sources_from_columns(table)
             tracer = QueryTracer()
             result = run(
                 sources,
@@ -179,9 +179,9 @@ def test_tracing_does_not_change_answers_or_cost(data, k_selector):
     table, _ = data
     k = pick_k(table, k_selector)
     for name, run in ALGORITHMS:
-        plain = run(sources_from_columns(table, backend="list"), tnorms.MIN, k, None)
+        plain = run(sources_from_columns(table), tnorms.MIN, k, None)
         traced = run(
-            sources_from_columns(table, backend="list"),
+            sources_from_columns(table),
             tnorms.MIN,
             k,
             QueryTracer(),

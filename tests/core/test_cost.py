@@ -10,7 +10,7 @@ from repro.core.cost import (
     CostModel,
     CostReport,
 )
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 
 
 def test_counter_records_and_sums():
@@ -52,7 +52,7 @@ def test_report_totals():
 
 
 def test_meter_measures_only_the_delta():
-    source = ListSource({"a": 0.5, "b": 0.4}, name="L")
+    source = ArraySource({"a": 0.5, "b": 0.4}, name="L")
     cursor = source.cursor()
     cursor.next()  # pre-existing access, not ours
     meter = CostMeter([source])
@@ -63,8 +63,8 @@ def test_meter_measures_only_the_delta():
 
 
 def test_meter_disambiguates_same_name():
-    a = ListSource({"x": 0.5}, name="L")
-    b = ListSource({"x": 0.5}, name="L")
+    a = ArraySource({"x": 0.5}, name="L")
+    b = ArraySource({"x": 0.5}, name="L")
     a.cursor().next()
     meter = CostMeter([a, b])
     a.cursor().next()

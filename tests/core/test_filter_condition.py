@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.filter_condition import filter_condition_top_k, filter_retrieve
 from repro.core.naive import grade_everything
-from repro.core.sources import ListSource, sources_from_columns
+from repro.core.sources import ArraySource, sources_from_columns
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
 
 
 def test_filter_retrieve_returns_exactly_the_threshold_set():
-    source = ListSource({"a": 0.9, "b": 0.5, "c": 0.2}, name="L")
+    source = ArraySource({"a": 0.9, "b": 0.5, "c": 0.2}, name="L")
     found = filter_retrieve(source, 0.5)
     assert found == {"a": 0.9, "b": 0.5}
     # paid for the two hits plus the probe that fell below tau
@@ -18,7 +18,7 @@ def test_filter_retrieve_returns_exactly_the_threshold_set():
 
 
 def test_filter_retrieve_exhausts_short_lists():
-    source = ListSource({"a": 0.9}, name="L")
+    source = ArraySource({"a": 0.9}, name="L")
     assert filter_retrieve(source, 0.1) == {"a": 0.9}
     assert source.counter.sorted_accesses == 1
 

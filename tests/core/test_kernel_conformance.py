@@ -5,13 +5,13 @@ Every algorithm folds its bounds through one
 ``combine_matrix``, which is a rule's native numpy form or the exact
 per-row loop.  The contract: the two forms are interchangeable — same
 answers, same tie-breaks, same charged access counts, same traces, same
-degradation behavior — at every algorithm, over columnar (ArraySource)
-and item-based (ListSource) backends, traced and untraced, serial and
-parallel.  ``combine`` below is that axis (``tests.strategies.COMBINES``:
+degradation behavior — at every algorithm, over bare ArraySources
+(columnar) and wrapped ones (TA's per-row path), traced and untraced,
+serial and parallel.  ``combine`` below is that axis (``tests.strategies.COMBINES``:
 ``"scalar"`` is the per-row loop, ``"vector"`` the native form).
 Hypothesis drives the differential runs; deterministic tests pin down
-degradation parity, TA's window mechanics, the engine's columnar and
-item-based paths, and the ``stop_check_growth`` schedule.
+degradation parity, TA's window mechanics, the engine's bulk-round and
+per-row paths, and the ``stop_check_growth`` schedule.
 """
 
 import json
@@ -25,7 +25,7 @@ from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.naive import naive_top_k
 from repro.core.planner import Strategy
 from repro.core.query import Atomic, Scored
-from repro.core.sources import ArraySource, ListSource, WrapperSource, sources_from_columns
+from repro.core.sources import ArraySource, WrapperSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import TransientAccessError
 from repro.index import KnnSubsystem
@@ -40,6 +40,7 @@ from repro.scoring.owa import owa_mean
 from repro.scoring.weighted import WeightedScoring
 from repro.sql.compiler import compile_sql
 from repro.workloads.graded_lists import independent
+from tests.per_row import columns
 from tests.strategies import COMBINES, pick_k, with_combine
 from tests.strategies import graded_databases as shared_graded_databases
 
@@ -109,7 +110,7 @@ ALGORITHMS = (
 
 
 def run_once(algorithm, table, rule, k, backend, combine, workers=1, traced=True):
-    sources = sources_from_columns(table, backend=backend)
+    sources = columns(table, backend)
     rule = with_combine(rule, combine)
     tracer = QueryTracer() if traced else None
     if workers == 1:
@@ -170,7 +171,7 @@ def edge_examples(test):
         for rule_index in (0, 1, 2):
             for selector in (0, 1, 2):
                 test = example(database, rule_index, selector, "array")(test)
-        test = example(database, 4, 2, "list")(test)
+        test = example(database, 4, 2, "per-row")(test)
         test = example(database, 6, 1, "array")(test)
     return test
 
@@ -180,7 +181,7 @@ def edge_examples(test):
     graded_databases(),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=0, max_value=2),
-    st.sampled_from(("array", "list")),
+    st.sampled_from(("array", "per-row")),
 )
 @edge_examples
 def test_vector_kernel_is_byte_identical(database, rule_index, selector, backend):
@@ -416,7 +417,7 @@ def test_ta_probe_failure_mid_window_with_a_stream_dying_in_the_consume(
     assert_faulty_runs_identical(scalar_run, vector_run, degrade=degrade)
 
 
-@pytest.mark.parametrize("backend", ("array", "list"))
+@pytest.mark.parametrize("backend", ("array", "per-row"))
 def test_ta_hands_nra_its_first_seen_order(backend):
     """Ids ``1`` and ``"1"`` tie on NRA's whole ``(-grade, str(id))``
     answer key, so their order shows the first-seen order of the state
@@ -433,7 +434,7 @@ def test_ta_hands_nra_its_first_seen_order(backend):
         "f": [0.02, 0.01],
     }
     for combine in COMBINES:
-        sources = sources_from_columns(table, backend=backend)
+        sources = columns(table, backend)
         sources[1] = SortedStreamDies(sources[1], 2)
         result = threshold_top_k(
             sources, with_combine(means.MEAN, combine), 3, batch_size=3
@@ -505,9 +506,9 @@ class CountingMin(tnorms.MinimumTNorm):
 def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
     table = independent(60, 2, seed=2)
     trajectories = []
-    for backend in ("list", "array"):
+    for backend in ("per-row", "array"):
         rule = CountingMin()
-        sources = sources_from_columns(table, backend=backend)
+        sources = columns(table, backend)
         tracer = QueryTracer()
         result = threshold_top_k(
             sources, rule, 4, batch_size=7, theta=theta, tracer=tracer
@@ -522,7 +523,7 @@ def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
         assert theta * stop["attrs"]["kth"] >= taus[-1]
         if theta > 1.0:
             assert result.approximation.bound == taus[-1]
-        # On lists t runs once per seen object — not again for the stop
+        # On the per-row path t runs once per seen object — not again for the stop
         # test or the certificate — and tau never calls it: min's native
         # batch form folds a window's thresholds without ``_combine``.
         # On arrays the bulk round, traced too, scores with
@@ -532,7 +533,7 @@ def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
             for source in sources
             for item in source.cursor().peek_batch(result.sorted_depth)
         }
-        assert rule.calls == (len(seen) if backend == "list" else 0)
+        assert rule.calls == (len(seen) if backend == "per-row" else 0)
         trajectories.append(taus)
     assert trajectories[0] == trajectories[1]
 
@@ -592,7 +593,7 @@ def test_stop_check_growth_answers_and_kernels_agree(growth):
 
 
 # ---------------------------------------------------------------------------
-# The engine: item-based and columnar bindings, catalog and user rules.
+# The engine: wrapped and columnar bindings, catalog and user rules.
 
 
 def build_engine(n=40):
@@ -609,16 +610,15 @@ def build_engine(n=40):
 
 
 def test_engine_kernel_results_identical():
-    """List bindings (TA reads them row by row), array and memmap
-    bindings (TA scores a window at a time) and sharded ones, under min
-    and under a user rule computing min: one set of answers, costs and
-    sorted depths."""
+    """Native bindings, array and memmap bindings and sharded ones,
+    under min and under a user rule computing min: one set of answers,
+    costs and sorted depths."""
     atoms = (Atomic("Color", "red"), Atomic("Shape", "round"))
     baseline = build_engine().top_k(atoms[0] & atoms[1], 5)
     pairs = [(item.object_id, item.grade) for item in baseline.answers]
     layouts = [(None, 1)] + [
         (backend, shards)
-        for backend in ("list", "array", "memmap")
+        for backend in ("array", "memmap")
         for shards in (1, 3)
     ]
     for backend, shards in layouts:
@@ -636,7 +636,8 @@ def test_engine_kernel_results_identical():
 
 class ColumnSubsystem(Subsystem):
     """Serves every ``<column> = <anything>`` atom as a bare ArraySource
-    (``backend="array"``) or a ListSource (``backend="list"``)."""
+    (``backend="array"``) or one behind a pass-through wrapper
+    (``backend="per-row"``)."""
 
     def __init__(self, ids, columns, backend):
         super().__init__("columns")
@@ -649,9 +650,8 @@ class ColumnSubsystem(Subsystem):
 
     def _bind(self, atom):
         column = self._columns[atom.attribute]
-        if self._backend == "list":
-            return ListSource(dict(zip(self._ids, column.tolist())), name=str(atom))
-        return ArraySource.from_arrays(self._ids, column, name=str(atom))
+        source = ArraySource.from_arrays(self._ids, column, name=str(atom))
+        return WrapperSource(source) if self._backend == "per-row" else source
 
 
 def columnar_engine(backend="array", n=400, seed=3):
@@ -706,15 +706,15 @@ def split_physical_work(trace_json):
 
 @pytest.mark.parametrize("sql, prefer", BENCH_SHAPES)
 def test_engine_sql_shapes_identical_across_kernels(sql, prefer):
-    """SQL through ``engine.top_k`` over list bindings (TA's per-row
+    """SQL through ``engine.top_k`` over wrapped bindings (TA's per-row
     path) and over columnar ones (the bulk round): same answers, costs,
     algorithm and trace.  The one
     relaxation is the kNN shape's distance-evaluation counters, which
-    may only grow past the list run's; every shape without a kNN atom
+    may only grow past the per-row run's; every shape without a kNN atom
     is byte-identical."""
     query = compile_sql(sql)
     runs = []
-    for backend in ("list", "array"):
+    for backend in ("per-row", "array"):
         tracer = QueryTracer()
         result = columnar_engine(backend).top_k(
             query, 10, prefer=prefer, tracer=tracer

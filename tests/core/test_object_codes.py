@@ -5,8 +5,8 @@ TA's bulk round reads columnar sources by int32 object code.  A set of
 ``ArraySource`` s shares one index (the oldest, which the others adopt);
 sharded memmap sources share the codes their storage wrote, and other
 sharded sources get an index coded per run through their id-based
-hooks.  All must reproduce the per-row path over ``ListSource``
-exactly: answers in order, their grades (down to the sign of a zero),
+hooks.  All must reproduce TA's per-row path over wrapped
+``ArraySource`` s exactly: answers in order, their grades (down to the sign of a zero),
 costs, sorted depth, the θ certificate, and per-shard access
 attribution.
 """
@@ -26,7 +26,6 @@ from repro.core.graded import GradedSet
 from repro.core.naive import naive_top_k
 from repro.core.sources import (
     ArraySource,
-    ListSource,
     SortedCursor,
     VerifyingSource,
     shared_object_codes,
@@ -41,6 +40,7 @@ from repro.scoring.owa import OwaScoring
 from repro.scoring.weighted import WeightedScoring
 from repro.scoring.base import FunctionScoring
 from repro.storage import build_sources
+from tests.per_row import per_row
 from tests.strategies import with_combine
 
 # ----------------------------------------------------------------------
@@ -88,17 +88,15 @@ def test_str_ranks_are_python_string_order(ids):
             assert (rank[a] == rank[b]) == (strs[a] == strs[b])
 
 
-@pytest.mark.parametrize("backend", ["list", "array", "sharded"])
+@pytest.mark.parametrize("backend", ["per-row", "array", "sharded"])
 def test_nul_suffixed_ids_tie_break_alike_in_every_algorithm(backend):
     # "a" and "a\x00" tie at 0.8 under min; Python string order puts
     # "a" first, where numpy <U keys (which drop the NUL) saw a tie
     table = {"a\x00": (0.9, 0.8), "a": (0.8, 0.9), "c": (0.1, 0.1)}
     for algorithm in (naive_top_k, fagin_top_k, threshold_top_k, nra_top_k, combined_top_k):
-        sources = sources_from_columns(
-            table,
-            backend="list" if backend == "list" else "array",
-            shards=3 if backend == "sharded" else 1,
-        )
+        sources = sources_from_columns(table, shards=3 if backend == "sharded" else 1)
+        if backend == "per-row":
+            sources = per_row(sources)
         result = algorithm(sources, tnorms.MIN, 1)
         assert [item.object_id for item in result.answers] == ["a"], algorithm.__name__
     graded = GradedSet({object_id: min(grades) for object_id, grades in table.items()})
@@ -106,7 +104,7 @@ def test_nul_suffixed_ids_tie_break_alike_in_every_algorithm(backend):
 
 
 # ----------------------------------------------------------------------
-# TA: bulk round over codes vs the per-row path over ListSource
+# TA: bulk round over codes vs the per-row path over wrapped ArraySources
 # ----------------------------------------------------------------------
 
 #: every int 0..19 next to its string twin, plus ids whose str ends in NUL
@@ -173,8 +171,8 @@ def instances(draw):
 
 def build(kind, ids, columns, directory):
     names = [f"L{i}" for i in range(len(columns))]
-    if kind == "list":
-        return [ListSource(dict(zip(ids, c)), name=n) for n, c in zip(names, columns)]
+    if kind == "per-row":
+        return per_row(ArraySource(dict(zip(ids, c)), name=n) for n, c in zip(names, columns))
     if kind == "array":
         # built separately: the bulk round makes them adopt one index
         return [ArraySource.from_arrays(ids, c, name=n) for n, c in zip(names, columns)]
@@ -219,10 +217,10 @@ def test_bulk_round_over_codes_matches_the_per_row_path(instance):
     def run(sources, traced=False):
         return outcome(sources, rule, k, batch_size, theta, traced)
 
-    reference = run(build("list", ids, columns, None))
+    reference = run(build("per-row", ids, columns, None))
     # the traced per-row run is the independent reference for every
     # bulk round's events
-    traced_reference = run(build("list", ids, columns, None), traced=True)
+    traced_reference = run(build("per-row", ids, columns, None), traced=True)
     assert traced_reference[:-1] == reference[:-1]
     array = build("array", ids, columns, None)
     assert run(array) == reference
@@ -292,7 +290,7 @@ def test_a_traced_run_over_arrays_never_leaves_the_bulk_round(monkeypatch):
     # grades by id; the bulk round gathers them by code and needs neither
     ids = [f"o{i}" for i in range(60)]
     columns = np.random.default_rng(5).choice(GRADES, (3, 60)).tolist()
-    reference = outcome(build("list", ids, columns, None), means.MEAN, 5, 7, 1.0, traced=True)
+    reference = outcome(build("per-row", ids, columns, None), means.MEAN, 5, 7, 1.0, traced=True)
 
     def refuse(self, object_ids):
         raise AssertionError("the traced run read grades by id")
@@ -321,18 +319,18 @@ def test_a_non_monotone_rule_matches_the_per_row_path():
     ]
     for columns, k, batch_size in cases:
         ids = [f"o{i}" for i in range(len(columns[0]))]
-        list_run, array_run = (
+        row_run, array_run = (
             threshold_top_k(
                 build(kind, ids, columns, None), rule, k,
                 batch_size=batch_size, require_monotone=False,
             )
-            for kind in ("list", "array")
+            for kind in ("per-row", "array")
         )
         assert [(i.object_id, i.grade) for i in array_run.answers] == [
-            (i.object_id, i.grade) for i in list_run.answers
+            (i.object_id, i.grade) for i in row_run.answers
         ]
-        assert array_run.cost == list_run.cost
-        assert array_run.sorted_depth == list_run.sorted_depth
+        assert array_run.cost == row_run.cost
+        assert array_run.sorted_depth == row_run.sorted_depth
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.core.fagin import fagin_top_k
 from repro.core.naive import grade_everything, naive_top_k
 from repro.core.planner import Strategy, execute, plan_top_k, top_k
-from repro.core.sources import ArraySource, ListSource, SortedOnlySource, sources_from_columns
+from repro.core.sources import ArraySource, SortedOnlySource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import PlanError
 from repro.middleware.relational import BooleanSource
@@ -33,7 +33,7 @@ def test_min_rule_picks_a_sublinear_strategy():
 def test_selective_boolean_conjunct_picks_boolean_first():
     crisp = boolean_column(400, 0.02, seed=3)
     fuzzy = {k: v[0] for k, v in independent(400, 1, seed=3).items()}
-    sources = [BooleanSource(crisp, "artist"), ListSource(fuzzy, "color")]
+    sources = [BooleanSource(crisp, "artist"), ArraySource(fuzzy, "color")]
     plan = plan_top_k(sources, tnorms.MIN, 10)
     assert plan.strategy is Strategy.BOOLEAN_FIRST
     assert plan.boolean_index == 0
@@ -42,7 +42,7 @@ def test_selective_boolean_conjunct_picks_boolean_first():
 def test_unselective_boolean_conjunct_is_not_chosen():
     crisp = boolean_column(400, 0.95, seed=3)
     fuzzy = {k: v[0] for k, v in independent(400, 1, seed=3).items()}
-    sources = [BooleanSource(crisp, "artist"), ListSource(fuzzy, "color")]
+    sources = [BooleanSource(crisp, "artist"), ArraySource(fuzzy, "color")]
     plan = plan_top_k(sources, tnorms.MIN, 10)
     assert plan.strategy is not Strategy.BOOLEAN_FIRST
 
@@ -52,7 +52,7 @@ def test_boolean_first_not_offered_for_mean():
     Boolean conjunct first would be incorrect — the planner must know."""
     crisp = boolean_column(400, 0.02, seed=3)
     fuzzy = {k: v[0] for k, v in independent(400, 1, seed=3).items()}
-    sources = [BooleanSource(crisp, "artist"), ListSource(fuzzy, "color")]
+    sources = [BooleanSource(crisp, "artist"), ArraySource(fuzzy, "color")]
     with pytest.raises(PlanError):
         plan_top_k(sources, means.MEAN, 10, prefer=Strategy.BOOLEAN_FIRST)
 

@@ -3,8 +3,8 @@
 A source implements two charge-free array hooks, ``_columns_range`` and
 ``_grades_of_many``; the cursor and ``GradedSource`` derive every other
 access from them, and delivery side effects live in ``_consume``.  This
-matrix pins what that buys, on each backend (list, array, memmap,
-sharded over array and over memmap, kNN, Boolean, promoted) and each
+matrix pins what that buys, on each backend (array, memmap, sharded
+over array and over memmap, kNN, Boolean, promoted) and each
 wrapper over an array and a sharded source:
 
 * peeks and materialization charge nothing and move no wrapper state;
@@ -24,7 +24,6 @@ import pytest
 from repro.core.batching import BatchedSource
 from repro.core.sources import (
     ArraySource,
-    ListSource,
     SortedOnlySource,
     VerifyingSource,
     iter_wrapper_chain,
@@ -59,11 +58,10 @@ def knn_source():
 def promoted_source():
     children = {f"c{i}": _rng.random() for i in range(2 * N)}
     containment = Containment({IDS[i]: (f"c{i}", f"c{2 * N - 1 - i}") for i in range(N)})
-    return PromotedSource(ListSource(children, name="kids"), containment, name="promoted")
+    return PromotedSource(ArraySource(children, name="kids"), containment, name="promoted")
 
 
 CONCRETE = {
-    "list": lambda tmp: ListSource(COLUMN, name="col"),
     "array": lambda tmp: ArraySource(COLUMN, name="col"),
     "memmap": lambda tmp: column_source(COLUMN, backend="memmap", directory=str(tmp / "mm")),
     "sharded-array": lambda tmp: column_source(COLUMN, shards=3),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.sources import (
-    ListSource,
+    ArraySource,
     SortedOnlySource,
     check_same_objects,
     sources_from_columns,
@@ -12,7 +12,7 @@ from repro.errors import AccessError, UnknownObjectError, UnsupportedAccessError
 
 
 def test_sorted_access_is_nonincreasing_and_counted():
-    source = ListSource({"a": 0.3, "b": 0.9, "c": 0.6}, name="L")
+    source = ArraySource({"a": 0.3, "b": 0.9, "c": 0.6}, name="L")
     cursor = source.cursor()
     grades = [cursor.next().grade for _ in range(3)]
     assert grades == sorted(grades, reverse=True)
@@ -21,7 +21,7 @@ def test_sorted_access_is_nonincreasing_and_counted():
 
 
 def test_exhausted_cursor_costs_nothing_extra():
-    source = ListSource({"a": 0.3}, name="L")
+    source = ArraySource({"a": 0.3}, name="L")
     cursor = source.cursor()
     cursor.next()
     assert cursor.next() is None
@@ -30,7 +30,7 @@ def test_exhausted_cursor_costs_nothing_extra():
 
 
 def test_random_access_counted_and_validated():
-    source = ListSource({"a": 0.3}, name="L")
+    source = ArraySource({"a": 0.3}, name="L")
     assert source.random_access("a") == 0.3
     assert source.counter.random_accesses == 1
     with pytest.raises(UnknownObjectError):
@@ -38,7 +38,7 @@ def test_random_access_counted_and_validated():
 
 
 def test_independent_cursors_resume_independently():
-    source = ListSource({"a": 0.9, "b": 0.5, "c": 0.1}, name="L")
+    source = ArraySource({"a": 0.9, "b": 0.5, "c": 0.1}, name="L")
     first = source.cursor()
     second = source.cursor()
     assert first.next().object_id == "a"
@@ -52,7 +52,7 @@ def test_cursor_position_is_read_only(batch):
     """A cursor moves only by a charged delivery, never by assignment."""
     from repro.core.batching import BatchedSource
 
-    source = ListSource({"a": 0.9, "b": 0.5, "c": 0.1}, name="L")
+    source = ArraySource({"a": 0.9, "b": 0.5, "c": 0.1}, name="L")
     if batch is not None:
         source = BatchedSource(source, batch)
     cursor = source.cursor()
@@ -64,7 +64,7 @@ def test_cursor_position_is_read_only(batch):
 
 
 def test_peek_does_not_pay():
-    source = ListSource({"a": 0.9}, name="L")
+    source = ArraySource({"a": 0.9}, name="L")
     cursor = source.cursor()
     assert cursor.peek_grade() == 0.9
     assert source.counter.sorted_accesses == 0
@@ -72,26 +72,26 @@ def test_peek_does_not_pay():
 
 
 def test_ties_order_deterministically():
-    source = ListSource({"z": 0.5, "a": 0.5}, name="L")
+    source = ArraySource({"z": 0.5, "a": 0.5}, name="L")
     cursor = source.cursor()
     assert cursor.next().object_id == "a"
     assert cursor.next().object_id == "z"
 
 
 def test_as_graded_set_is_free():
-    source = ListSource({"a": 0.9, "b": 0.5}, name="L")
+    source = ArraySource({"a": 0.9, "b": 0.5}, name="L")
     graded = source.as_graded_set()
     assert len(graded) == 2
     assert source.counter.database_access_cost == 0
 
 
 def test_object_ids_in_sorted_order():
-    source = ListSource({"a": 0.1, "b": 0.9}, name="L")
+    source = ArraySource({"a": 0.1, "b": 0.9}, name="L")
     assert list(source.object_ids()) == ["b", "a"]
 
 
 def test_sorted_only_source_blocks_random_access():
-    inner = ListSource({"a": 0.5}, name="L")
+    inner = ArraySource({"a": 0.5}, name="L")
     limited = SortedOnlySource(inner)
     assert not limited.supports_random_access
     cursor = limited.cursor()
@@ -122,8 +122,8 @@ def test_check_same_objects():
     sources = sources_from_columns({"a": (0.1, 0.2), "b": (0.3, 0.4)})
     assert check_same_objects(sources) == 2
     mismatched = [
-        ListSource({"a": 0.1}, name="one"),
-        ListSource({"a": 0.1, "b": 0.2}, name="two"),
+        ArraySource({"a": 0.1}, name="one"),
+        ArraySource({"a": 0.1, "b": 0.2}, name="two"),
     ]
     with pytest.raises(AccessError):
         check_same_objects(mismatched)

@@ -29,18 +29,20 @@ from repro.parallel import ParallelAccessExecutor
 from repro.scoring import means, tnorms
 from repro.scoring.owa import owa_mean
 from tests.cache.helpers import answer_pairs
+from tests.per_row import columns, per_row
 from tests.strategies import graded_databases, pick_k, with_combine
 
 THETAS = (1.01, 1.05, 1.1, 1.5, 2.0)
 
 #: (combine, backend, workers) — a small cross-section of the execution
-#: matrix (``combine`` as in ``tests.strategies.COMBINES``); the
-#: dedicated combine/storage suites cover each axis in depth.
+#: matrix (``combine`` as in ``tests.strategies.COMBINES``; ``per-row``
+#: wraps the arrays, so TA takes its per-row path); the dedicated
+#: combine/storage suites cover each axis in depth.
 CONFIGS = (
-    ("scalar", "list", 1),
+    ("scalar", "per-row", 1),
     ("scalar", "array", 3),
     ("vector", "array", 1),
-    ("vector", "list", 3),
+    ("vector", "per-row", 3),
 )
 
 
@@ -108,12 +110,12 @@ def test_theta_one_is_byte_identical(combine, backend, workers, data,
         for name, run in ALGORITHMS:
             reference_tracer = QueryTracer()
             reference = run(
-                sources_from_columns(table, backend=backend), rule, k,
+                columns(table, backend), rule, k,
                 tracer=reference_tracer, executor=executor,
             )
             tracer = QueryTracer()
             result = run(
-                sources_from_columns(table, backend=backend), rule, k,
+                columns(table, backend), rule, k,
                 theta=1.0, tracer=tracer, executor=executor,
             )
             label = f"{name} combine={combine} backend={backend} workers={workers}"
@@ -151,7 +153,7 @@ def test_theta_guarantee_holds_on_true_grades(data, rule_index, k_selector,
     kth_exact = exact_kth_grade(table, rule, k)
     for name, run in ALGORITHMS:
         result = run(
-            sources_from_columns(table, backend="list"), rule, k, theta=theta,
+            per_row(sources_from_columns(table)), rule, k, theta=theta,
         )
         assert len(result.answers) == min(k, len(table)), name
         for item in result.answers:
@@ -178,7 +180,7 @@ def test_certificate_never_overstates_quality(data, rule_index, k_selector,
     truth = true_grade_table(table, rule)
     for name, run in ALGORITHMS:
         result = run(
-            sources_from_columns(table, backend="list"), rule, k, theta=theta,
+            per_row(sources_from_columns(table)), rule, k, theta=theta,
         )
         certificate = result.approximation
         assert certificate is not None, name
@@ -230,7 +232,7 @@ def test_access_cost_is_monotone_in_theta(data, rule_index, k_selector):
         costs = []
         for theta in (1.0,) + THETAS:
             result = run(
-                sources_from_columns(table, backend="list"), rule, k,
+                per_row(sources_from_columns(table)), rule, k,
                 theta=theta,
             )
             costs.append(result.database_access_cost)
@@ -247,7 +249,7 @@ def test_access_cost_is_monotone_in_theta(data, rule_index, k_selector):
 
 
 def test_theta_below_one_rejected():
-    sources = sources_from_columns({"a": (0.5, 0.5)}, backend="list")
+    sources = per_row(sources_from_columns({"a": (0.5, 0.5)}))
     with pytest.raises(ValueError):
         threshold_top_k(sources, tnorms.MIN, 1, theta=0.9)
     with pytest.raises(ValueError):
@@ -263,7 +265,7 @@ def test_theta_one_identical_on_memmap_sharded(tmp_path):
     }
     for name, run in ALGORITHMS:
         reference = run(
-            sources_from_columns(table, backend="list"), tnorms.MIN, 5,
+            per_row(sources_from_columns(table)), tnorms.MIN, 5,
         )
         result = run(
             sources_from_columns(
@@ -283,7 +285,7 @@ def test_exhausted_theta_run_certifies_exactly():
     table = {"a": (1.0, 1.0), "b": (0.5, 0.5), "c": (0.0, 0.0)}
     for name, run in ALGORITHMS:
         result = run(
-            sources_from_columns(table, backend="list"), tnorms.MIN,
+            per_row(sources_from_columns(table)), tnorms.MIN,
             len(table), theta=2.0,
         )
         certificate = result.approximation
@@ -295,10 +297,10 @@ def test_theta_trace_events_only_when_active():
     table = {f"o{i}": (0.1 * i % 1.0, 0.07 * i % 1.0) for i in range(20)}
     for name, run in ALGORITHMS:
         silent = QueryTracer()
-        run(sources_from_columns(table, backend="list"), tnorms.MIN, 3,
+        run(per_row(sources_from_columns(table)), tnorms.MIN, 3,
             theta=1.0, tracer=silent)
         active = QueryTracer()
-        run(sources_from_columns(table, backend="list"), tnorms.MIN, 3,
+        run(per_row(sources_from_columns(table)), tnorms.MIN, 3,
             theta=1.5, tracer=active)
         names = [e.get("name") for e in silent.events if e["type"] == "event"]
         assert "theta-certified" not in names, name

@@ -76,3 +76,19 @@ def test_sql_shell_exits_on_empty_line(monkeypatch, capsys):
     monkeypatch.setattr("builtins.input", lambda prompt="": next(inputs))
     assert main(["sql", "--size", "150"]) == 0
     assert "algorithm:" in capsys.readouterr().out
+
+
+def test_the_list_backend_is_rejected_with_the_remaining_choices_named(capsys):
+    import re
+
+    from repro.errors import AccessError, PlanError
+    from repro.middleware.engine import MiddlewareEngine
+    from repro.storage import build_sources
+
+    with pytest.raises(AccessError, match="use array, memmap$"):
+        build_sources(["a"], [[0.5]], ["c"], backend="list")
+    with pytest.raises(PlanError, match="use array, memmap$"):
+        MiddlewareEngine().configure_storage("list")
+    with pytest.raises(SystemExit):
+        main(["sql", "--backend", "list", "SELECT * FROM albums WHERE AlbumColor = 'red'"])
+    assert re.search(r"'list' \(choose from '?array'?, '?memmap'?\)", capsys.readouterr().err)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fagin import fagin_top_k
-from repro.core.sources import GradedSource, ListSource, VerifyingSource
+from repro.core.sources import ArraySource, GradedSource, VerifyingSource
 from repro.errors import AccessError, GradeError
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
@@ -30,7 +30,7 @@ class OutOfOrderSource(GradedSource):
         return len(self._ids)
 
 
-class InconsistentSource(ListSource):
+class InconsistentSource(ArraySource):
     """Random access disagrees with the sorted stream (§4.2's ID worry)."""
 
     def _grades_of_many(self, object_ids):
@@ -77,7 +77,7 @@ def test_unverified_misbehaving_source_corrupts_silently():
     """The motivation: without the wrapper, the same inversion produces a
     *wrong answer*, not an error."""
     bad = OutOfOrderSource()
-    good = ListSource({"a": 0.5, "b": 0.95, "c": 0.9, "d": 0.1}, name="ok")
+    good = ArraySource({"a": 0.5, "b": 0.95, "c": 0.9, "d": 0.1}, name="ok")
     result = fagin_top_k([bad, good], tnorms.MIN, 1)
     # The true best under min is c (min(0.8, 0.9) = 0.8); A0 may or may
     # not find it depending on where the inversion hides — the point is
@@ -87,22 +87,22 @@ def test_unverified_misbehaving_source_corrupts_silently():
 
 def test_grade_range_violations_surface_at_construction():
     with pytest.raises(GradeError):
-        ListSource({"a": 1.7}, name="out-of-range")
+        ArraySource({"a": 1.7}, name="out-of-range")
 
 
 def test_universe_mismatch_is_rejected_before_running():
     from repro.errors import AccessError as AE
 
     lists = [
-        ListSource({"a": 0.5, "b": 0.4}, name="two"),
-        ListSource({"a": 0.5}, name="one"),
+        ArraySource({"a": 0.5, "b": 0.4}, name="two"),
+        ArraySource({"a": 0.5}, name="one"),
     ]
     with pytest.raises(AE):
         fagin_top_k(lists, tnorms.MIN, 1)
 
 
 def test_verifier_shares_accounting():
-    inner = ListSource({"a": 0.9, "b": 0.4}, name="L")
+    inner = ArraySource({"a": 0.9, "b": 0.4}, name="L")
     source = VerifyingSource(inner)
     source.cursor().next()
     source.random_access("b")

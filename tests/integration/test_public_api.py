@@ -31,10 +31,10 @@ def test_version_is_exposed():
 
 
 def test_readme_quickstart_snippet_runs():
-    from repro import ListSource, fagin_top_k, scoring
+    from repro import ArraySource, fagin_top_k, scoring
 
-    color = ListSource({"a": 0.9, "b": 0.6, "c": 0.3}, name="Color=red")
-    shape = ListSource({"a": 0.5, "b": 0.8, "c": 0.4}, name="Shape=round")
+    color = ArraySource({"a": 0.9, "b": 0.6, "c": 0.3}, name="Color=red")
+    shape = ArraySource({"a": 0.5, "b": 0.8, "c": 0.4}, name="Shape=round")
     result = fagin_top_k([color, shape], scoring.MIN, k=2)
     answers = {item.object_id: item.grade for item in result.answers}
     assert answers == {"b": 0.6, "a": 0.5}

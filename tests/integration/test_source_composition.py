@@ -5,7 +5,7 @@ import pytest
 from repro.core.batching import BatchedSource
 from repro.core.fagin import fagin_top_k
 from repro.core.naive import grade_everything
-from repro.core.sources import ListSource, VerifyingSource, sources_from_columns
+from repro.core.sources import ArraySource, VerifyingSource, sources_from_columns
 from repro.middleware.idmap import IdMapping, MappedSource
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
@@ -26,7 +26,7 @@ def test_verified_over_batched():
 
 
 def test_mapped_over_batched():
-    local = ListSource({"l-a": 0.9, "l-b": 0.4}, name="local")
+    local = ArraySource({"l-a": 0.9, "l-b": 0.4}, name="local")
     mapping = IdMapping({"g-a": "l-a", "g-b": "l-b"})
     batched = BatchedSource(local, 2)
     stack = MappedSource(batched, mapping)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import IdMappingError
 from repro.middleware.complex_objects import Containment, PromotedSource
 
 
 def photo_source():
-    return ListSource(
+    return ArraySource(
         {"p1": 0.9, "p2": 0.7, "p3": 0.5, "p4": 0.3, "p5": 0.1},
         name="AdPhotos:red",
     )
@@ -61,7 +61,7 @@ def test_promoted_random_access_is_max_over_children():
 
 
 def test_shared_child_counts_for_both_parents():
-    photos = ListSource({"p1": 0.8, "shared": 0.9}, name="photos")
+    photos = ArraySource({"p1": 0.8, "shared": 0.9}, name="photos")
     c = Containment({"adA": ["p1", "shared"], "adB": ["shared"]})
     promoted = PromotedSource(photos, c)
     cursor = promoted.cursor()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.graded import GradedSet
 from repro.core.query import Atomic
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import DeadlineExceededError
 from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.list_subsystem import ListSubsystem
@@ -25,7 +25,7 @@ from repro.middleware.resilience import (
 
 def make_source(n=20, seed=3, name="list"):
     rng = random.Random(seed)
-    return ListSource(
+    return ArraySource(
         GradedSet({f"x{i}": rng.random() for i in range(n)}), name=name
     )
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import AccessError, TransientAccessError
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import VirtualClock
 
 
 def make_list(n=30, name="L"):
-    return ListSource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
+    return ArraySource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
 
 
 def wrap(profile, n=30, name="L", clock=None):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import IdMappingError
 from repro.middleware.idmap import IdMapping, MappedSource
 
@@ -37,7 +37,7 @@ def test_identity_mapping():
 
 
 def test_mapped_source_translates_both_directions():
-    inner = ListSource({"local-a": 0.9, "local-b": 0.4}, name="inner")
+    inner = ArraySource({"local-a": 0.9, "local-b": 0.4}, name="inner")
     mapping = IdMapping({"g1": "local-a", "g2": "local-b"})
     mapped = MappedSource(inner, mapping)
     cursor = mapped.cursor()
@@ -47,7 +47,7 @@ def test_mapped_source_translates_both_directions():
 
 
 def test_mapped_source_shares_the_counter():
-    inner = ListSource({"local-a": 0.9}, name="inner")
+    inner = ArraySource({"local-a": 0.9}, name="inner")
     mapped = MappedSource(inner, IdMapping({"g1": "local-a"}))
     mapped.cursor().next()
     mapped.random_access("g1")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import IdMappingError
 from repro.middleware.complex_objects import Containment, PromotedSource
 from repro.middleware.idmap import IdMapping, MappedSource
@@ -35,7 +35,7 @@ def test_mapping_round_trips_every_id(pairs):
 )
 @settings(max_examples=40, deadline=None)
 def test_mapped_source_preserves_ranking(grades_by_local):
-    source = ListSource(grades_by_local, name="local")
+    source = ArraySource(grades_by_local, name="local")
     mapping = IdMapping({f"g-{local}": local for local in grades_by_local})
     mapped = MappedSource(source, mapping)
     cursor = mapped.cursor()
@@ -75,7 +75,7 @@ def test_promotion_grades_are_max_over_children(children_per_parent, seed):
     child_ids = sorted({c for kids in children_per_parent.values() for c in kids})
     child_grades = {c: rng.random() for c in child_ids}
     containment = Containment(children_per_parent)
-    promoted = PromotedSource(ListSource(child_grades, name="kids"), containment)
+    promoted = PromotedSource(ArraySource(child_grades, name="kids"), containment)
     cursor = promoted.cursor()
     delivered = {}
     while True:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sources import ListSource, sources_from_columns
+from repro.core.sources import ArraySource, sources_from_columns
 from repro.core.threshold import threshold_top_k
 from repro.errors import (
     AccessError,
@@ -25,7 +25,7 @@ from repro.workloads.graded_lists import independent
 
 
 def make_list(n=30, name="L"):
-    return ListSource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
+    return ArraySource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
 
 
 def resilient(profile, policy=None, n=30, clock=None):

@@ -74,7 +74,7 @@ def test_deadline_budget_ignores_wall_clock_jumps(monkeypatch):
     import time as time_module
 
     from repro.core.graded import GradedSet
-    from repro.core.sources import ListSource
+    from repro.core.sources import ArraySource
     from repro.errors import DeadlineExceededError, TransientAccessError
     from repro.middleware.resilience import (
         MonotonicClock,
@@ -94,7 +94,7 @@ def test_deadline_budget_ignores_wall_clock_jumps(monkeypatch):
 
     monkeypatch.setattr(time_module, "sleep", fake_sleep)
 
-    class AlwaysTransient(ListSource):
+    class AlwaysTransient(ArraySource):
         def _grades_of_many(self, object_ids):
             raise TransientAccessError("flaky forever")
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.filter_condition import filter_condition_top_k
-from repro.core.sources import ListSource, sources_from_columns
+from repro.core.sources import ArraySource, sources_from_columns
 from repro.errors import PlanError
 from repro.middleware.statistics import (
     GradeHistogram,
@@ -15,7 +15,7 @@ from repro.workloads.graded_lists import independent
 
 def uniform_histogram(n=1000, bins=20, seed=0):
     table = independent(n, 1, seed=seed)
-    source = ListSource({k: v[0] for k, v in table.items()}, name="L")
+    source = ArraySource({k: v[0] for k, v in table.items()}, name="L")
     return GradeHistogram.from_source(source, bins)
 
 
@@ -24,7 +24,7 @@ def test_histogram_construction_validates():
         GradeHistogram([])
     with pytest.raises(PlanError):
         GradeHistogram([0, 0, 0])
-    empty = ListSource({}, name="empty")
+    empty = ArraySource({}, name="empty")
     with pytest.raises(PlanError):
         GradeHistogram.from_source(empty)
 
@@ -55,7 +55,7 @@ def test_quantile_inverts_survival():
 
 def test_skewed_distribution():
     grades = {f"o{i}": 0.9 + 0.01 * (i % 10) for i in range(100)}
-    histogram = GradeHistogram.from_source(ListSource(grades, name="hi"))
+    histogram = GradeHistogram.from_source(ArraySource(grades, name="hi"))
     assert histogram.survival(0.5) == 1.0
     assert histogram.survival(0.95) < 1.0
 

@@ -95,3 +95,43 @@ def test_invalidate_drops_every_binding():
 
 def test_repr_mentions_name_and_attributes():
     assert "colors" in repr(make_list_subsystem())
+
+
+def test_every_subsystem_binds_a_columnar_source():
+    # a bare in-RAM binding is an ArraySource (or a kNN stream): columnar,
+    # so TA reads a conjunction of them in its bulk round
+    import numpy as np
+
+    from repro.core.sources import ArraySource
+    from repro.index import KnnSubsystem
+    from repro.middleware.relational import BooleanSource, RelationalSubsystem
+    from repro.multimedia.images import ImageGenerator
+    from repro.multimedia.qbic import QbicSubsystem
+    from repro.multimedia.video import VideoGenerator, VideoSubsystem
+
+    ids = ["a", "b", "c"]
+    grader = GraderSubsystem(
+        "graded", {i: n / 4 for n, i in enumerate(ids)}, {"Near": lambda target, value: value}
+    )
+    relational = RelationalSubsystem(
+        "rdbms", {"a": {"Artist": "Beatles"}, "b": {"Artist": "Kinks"}}
+    )
+    qbic = QbicSubsystem("qbic", ImageGenerator(1).corpus(4))
+    video = VideoSubsystem("video", VideoGenerator(2).corpus(4))
+    bindings = [
+        (make_list_subsystem(), Atomic("Color", "red")),
+        (grader, Atomic("Near", 0)),
+        (relational, Atomic("Artist", "Beatles")),
+        (qbic, Atomic("Color", "red")),
+        (qbic, Atomic("Shape", "round")),
+        (qbic, Atomic("Texture", "smooth")),
+        (video, Atomic("ClipColor", "red")),
+        (video, Atomic("MotionEnergy", "still")),
+        (KnnSubsystem("knn", ids, np.eye(3), index="vafile"), Atomic("Near", "sunset")),
+    ]
+    for subsystem, atom in bindings:
+        source = subsystem.bind(atom)
+        assert source.supports_columnar, (subsystem.name, atom)
+    boolean = relational.bind(Atomic("Artist", "Beatles"))
+    assert isinstance(boolean, BooleanSource) and isinstance(boolean, ArraySource)
+    assert boolean.positive_count == 1

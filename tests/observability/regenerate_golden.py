@@ -38,7 +38,7 @@ K = 2
 
 
 def build_sources():
-    return sources_from_columns(TABLE, names=("color", "shape"), backend="list")
+    return sources_from_columns(TABLE, names=("color", "shape"))
 
 
 def record_a0() -> QueryTracer:

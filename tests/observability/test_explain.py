@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.query import Atomic
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.list_subsystem import ListSubsystem
 from repro.middleware.relational import BooleanSource, RelationalSubsystem
@@ -40,13 +40,13 @@ ARTIST = Atomic("Artist", "Beatles")
 
 
 def test_describe_sources_reports_stats_and_chain():
-    fuzzy = ListSource({"a": 0.5, "b": 0.2}, name="Color")
+    fuzzy = ArraySource({"a": 0.5, "b": 0.2}, name="Color")
     crisp = BooleanSource({"a": 1.0, "b": 0.0}, name="Artist")
     fuzzy_stats, crisp_stats = describe_sources([fuzzy, crisp])
     assert fuzzy_stats.name == "Color"
     assert fuzzy_stats.size == 2
     assert not fuzzy_stats.is_boolean
-    assert fuzzy_stats.wrappers == ("ListSource",)
+    assert fuzzy_stats.wrappers == ("ArraySource",)
     assert crisp_stats.is_boolean
     assert crisp_stats.positive_count == 1
     assert "boolean, 1 positive" in crisp_stats.describe()

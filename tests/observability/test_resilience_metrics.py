@@ -9,7 +9,7 @@ that retried before the tracer was installed) is never lost.
 
 import pytest
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.errors import CircuitOpenError, TransientAccessError
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import (
@@ -27,7 +27,7 @@ from repro.observability import (
 
 
 def make_list(n=30, name="L"):
-    return ListSource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
+    return ArraySource({f"x{i}": (n - i) / n for i in range(n)}, name=name)
 
 
 def resilient(profile, policy=None, n=30, name="L"):

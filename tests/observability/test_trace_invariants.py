@@ -19,10 +19,11 @@ from repro.middleware.relational import BooleanSource
 from repro.observability import QueryTracer, validate_trace
 from repro.scoring import tnorms
 from repro.workloads.graded_lists import independent
+from tests.per_row import per_row
 
 
-def build(n=40, m=3, seed=7, backend="list"):
-    return sources_from_columns(independent(n, m, seed), backend=backend)
+def build(n=40, m=3, seed=7):
+    return per_row(sources_from_columns(independent(n, m, seed)))
 
 
 def run_traced(run, sources, *args, **kwargs):
@@ -140,7 +141,7 @@ def test_filter_condition_cost_matches_trace(k):
 @pytest.mark.parametrize("k", [1, 2, 6])
 def test_boolean_first_cost_matches_trace(k):
     n = 18
-    fuzzy = sources_from_columns(independent(n, 1, seed=3), backend="list")[0]
+    fuzzy = sources_from_columns(independent(n, 1, seed=3))[0]
     names = sorted(fuzzy.object_ids())
     rows = {name: {"Artist": "B" if i % 5 == 0 else "X"} for i, name in enumerate(names)}
     boolean = BooleanSource(

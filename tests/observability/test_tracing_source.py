@@ -1,6 +1,6 @@
 """TracingSource: records exactly the charged accesses, nothing else."""
 
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.observability import QueryTracer, TracingSource, traced, validate_trace
 
 TABLE = {"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.2}
@@ -8,7 +8,7 @@ TABLE = {"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.2}
 
 def make(tracer=None):
     tracer = tracer if tracer is not None else QueryTracer()
-    return TracingSource(ListSource(TABLE, name="L"), tracer), tracer
+    return TracingSource(ArraySource(TABLE, name="L"), tracer), tracer
 
 
 def test_identity_is_transparent():
@@ -87,7 +87,7 @@ def test_access_counts_mirror_shared_counter():
 def test_traced_helper_shares_one_tracer():
     tracer = QueryTracer()
     wrapped = traced(
-        [ListSource(TABLE, name="L"), ListSource(TABLE, name="M")], tracer
+        [ArraySource(TABLE, name="L"), ArraySource(TABLE, name="M")], tracer
     )
     for source in wrapped:
         assert isinstance(source, TracingSource)

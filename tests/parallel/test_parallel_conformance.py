@@ -32,6 +32,7 @@ from tests.core.test_conformance import (
     pick_k,
     pick_rule,
 )
+from tests.per_row import per_row
 
 WORKER_COUNTS = (1, 2, 8)
 
@@ -45,7 +46,7 @@ ALGORITHMS = (
 
 
 def run_once(table, rule, k, runner, executor):
-    sources = sources_from_columns(table, backend="list")
+    sources = per_row(sources_from_columns(table))
     tracer = QueryTracer()
     result = runner(sources, rule, k, tracer=tracer, executor=executor)
     return result, tracer
@@ -138,7 +139,7 @@ def test_planner_top_k_is_byte_identical_under_an_executor(data, k_selector):
     k = pick_k(table, k_selector)
 
     def run(executor):
-        sources = sources_from_columns(table, backend="list")
+        sources = per_row(sources_from_columns(table))
         tracer = QueryTracer()
         result = top_k(
             sources, tnorms.MIN, k, tracer=tracer, executor=executor

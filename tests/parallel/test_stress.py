@@ -33,6 +33,7 @@ from repro.middleware.resilience import (
 )
 from repro.parallel import ParallelAccessExecutor
 from repro.scoring import tnorms
+from tests.per_row import per_row
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -67,7 +68,7 @@ def build_table(seed):
 def chaos_sources(table, seed):
     clock = VirtualClock()
     sources = []
-    for inner in sources_from_columns(table, backend="list"):
+    for inner in per_row(sources_from_columns(table)):
         faulty = FaultInjectingSource(
             inner, FaultProfile(seed=seed, **PROFILE_KW), clock=clock
         )
@@ -101,7 +102,7 @@ ALGORITHMS = (
 def test_parallel_chaos_is_exact_and_terminates(seed):
     table = build_table(seed)
     expected = grade_everything(
-        sources_from_columns(table, backend="list"), tnorms.MIN
+        sources_from_columns(table), tnorms.MIN
     ).top(K)
     algorithm_name, runner = ALGORITHMS[seed % len(ALGORITHMS)]
     with ParallelAccessExecutor(
@@ -152,7 +153,7 @@ def test_fuzzed_hook_failures_do_not_hang_the_fan_out():
     with ParallelAccessExecutor(WORKERS, before_access=flaky_hook) as executor:
         with pytest.raises(RuntimeError):
             threshold_top_k(
-                sources_from_columns(table, backend="list"),
+                per_row(sources_from_columns(table)),
                 tnorms.MIN,
                 K,
                 executor=executor,

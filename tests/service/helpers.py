@@ -11,7 +11,7 @@ import threading
 
 from repro.core.graded import GradedSet
 from repro.core.query import Atomic
-from repro.core.sources import ListSource
+from repro.core.sources import ArraySource
 from repro.middleware.engine import MiddlewareEngine
 from repro.middleware.interface import Subsystem
 from repro.middleware.list_subsystem import ListSubsystem
@@ -38,8 +38,11 @@ def build_engine(n=N, seed=7, clock=None):
     return engine
 
 
-class GateSource(ListSource):
+class GateSource(ArraySource):
     """A ranked list whose charged accesses block until the gate opens."""
+
+    #: TA reads it row by row, so every access passes the gated hooks
+    supports_columnar = False
 
     def __init__(self, graded, name, gate, started):
         super().__init__(graded, name=name)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fagin import fagin_top_k
-from repro.core.sources import ArraySource, ListSource, shared_object_codes
+from repro.core.sources import ArraySource, shared_object_codes
 from repro.core.threshold import nra_top_k, threshold_top_k
 from repro.errors import StorageError, UnknownObjectError
 from repro.kernels import ColumnCodes, ObjectCodes
@@ -36,6 +36,7 @@ from repro.storage import (
     verify_memmap,
 )
 from repro.storage.memmap import MANIFEST_NAME
+from tests.per_row import per_row
 from tests.strategies import graded_databases
 
 
@@ -102,12 +103,12 @@ def array_columns(table, m):
     ]
 
 
-def list_columns(table, m):
-    """The per-row reference: one ``ListSource`` per column."""
-    return [
-        ListSource({i: grades[column] for i, grades in table.items()}, name=f"c{column}")
+def per_row_columns(table, m):
+    """The per-row reference: one wrapped ``ArraySource`` per column."""
+    return per_row(
+        ArraySource({i: grades[column] for i, grades in table.items()}, name=f"c{column}")
         for column in range(m)
-    ]
+    )
 
 
 def reopen(sources):
@@ -179,7 +180,7 @@ def test_coded_layouts_match_array_sources(tmp_path_factory, database, selector)
             label = f"{name}/shards={shards}"
             reference_tracer = QueryTracer()
             reference = algorithm(array_columns(table, m), rule, k, None)
-            traced_reference = algorithm(list_columns(table, m), rule, k, reference_tracer)
+            traced_reference = algorithm(per_row_columns(table, m), rule, k, reference_tracer)
             coded = reopen(built)
             assert snapshot(algorithm(coded, rule, k, None)) == snapshot(reference), label
             tracer = QueryTracer()

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.core.sources import ArraySource, ListSource, WrapperSource
+from repro.core.sources import ArraySource, WrapperSource
 from repro.core.threshold import threshold_top_k
 from repro.errors import AccessError, UnknownObjectError
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
@@ -122,7 +122,7 @@ def test_merge_ties_nul_suffixed_ids_in_python_string_order(shards):
     # numpy <U keys drop a trailing NUL, which tied "a\x00" with "a"
     column = {"a\x00": 0.5, "a": 0.5, "b\x00": 0.5, "b": 0.5}
     source = column_source(column, shards=shards)
-    expected = list(ListSource(column).object_ids())
+    expected = list(ArraySource(column).object_ids())
     assert expected == ["a", "a\x00", "b", "b\x00"]
     assert list(source.object_ids()) == expected
 
@@ -139,8 +139,8 @@ def test_routerless_falls_back_to_probing():
     column = make_column(15)
     ids = list(column.keys())
     halves = [
-        ListSource({i: column[i] for i in ids[:8]}, name="s0"),
-        ListSource({i: column[i] for i in ids[8:]}, name="s1"),
+        ArraySource({i: column[i] for i in ids[:8]}, name="s0"),
+        ArraySource({i: column[i] for i in ids[8:]}, name="s1"),
     ]
     source = ShardedSource(halves, name="col", router=None)
     assert source.random_access(ids[10]) == column[ids[10]]
@@ -167,7 +167,6 @@ def test_partition_backends(tmp_path):
     want = reference.cursor().next_batch(30)
     for backend, directory in (
         ("array", None),
-        ("list", None),
         ("memmap", str(tmp_path / "shards")),
     ):
         source = column_source(
@@ -219,8 +218,8 @@ def test_empty_and_skewed_shards():
     column = make_column(10)
     ids = list(column.keys())
     shards = [
-        ListSource({i: column[i] for i in ids}, name="s0"),
-        ListSource({}, name="s1"),
+        ArraySource({i: column[i] for i in ids}, name="s0"),
+        ArraySource({}, name="s1"),
     ]
     source = ShardedSource(shards, name="col", router=lambda obj: 0)
     got = source.cursor().next_batch(10)

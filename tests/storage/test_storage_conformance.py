@@ -2,9 +2,9 @@
 
 The tentpole contract of the storage refactor: for every algorithm,
 answers, tie-breaks, charged access counts, and traces are
-byte-identical across {ListSource, ArraySource, MemmapSource,
-ShardedSource(K in 1, 2, 5)} x {per-row, native combine} x {1, 4
-workers}.  Hypothesis drives small adversarial databases (clustered
+byte-identical across {ArraySource behind a pass-through wrapper
+(TA's per-row path), MemmapSource, ShardedSource(K in 1, 2, 5)} x
+{per-row, native combine} x {1, 4 workers}.  Hypothesis drives small adversarial databases (clustered
 grade levels so cross-backend tie-breaking is constantly exercised);
 the reference run is always ArraySource / per-row combine / serial.
 """
@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from repro.core.fagin import fagin_top_k
 from repro.core.naive import naive_top_k
-from repro.core.sources import sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.observability import QueryTracer
 from repro.parallel import ParallelAccessExecutor
 from repro.scoring import means, tnorms
+from tests.per_row import columns
 from tests.strategies import COMBINES, with_combine
 from tests.strategies import graded_databases as shared_graded_databases
 
 # (label, backend, shards): every physical layout under test
 LAYOUTS = (
-    ("list", "list", 1),
+    ("per-row", "per-row", 1),
     ("memmap", "memmap", 1),
     ("sharded-k1", "array", 1),
     ("sharded-k2", "array", 2),
@@ -77,7 +77,7 @@ ALGORITHMS = (
 def run_once(algorithm, table, rule, k, *, backend, shards, combine, workers=1):
     # memmap layouts build into a temporary directory owned by the
     # sources themselves; nothing to clean up here
-    sources = sources_from_columns(table, backend=backend, shards=shards)
+    sources = columns(table, backend, shards=shards)
     rule = with_combine(rule, combine)
     tracer = QueryTracer()
     if workers == 1:

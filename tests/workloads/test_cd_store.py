@@ -62,3 +62,25 @@ def test_custom_query_colors():
 
     with pytest.raises(PlanError):
         engine.bind(Atomic("AlbumColor", "red"))
+
+
+def test_a_two_atom_ta_over_the_store_never_enters_the_per_row_loop(monkeypatch):
+    # the per-row loop peeks through its cursors; the bulk round slices
+    # the store's columnar bindings by object code instead
+    from repro.core.planner import Strategy
+    from repro.core.sources import SortedCursor
+
+    engine = build_store(generate_catalog(600, seed=6))
+    peeks = []
+    peek = SortedCursor.peek_batch_columns
+
+    def spy(self, n):
+        peeks.append(n)
+        return peek(self, n)
+
+    monkeypatch.setattr(SortedCursor, "peek_batch_columns", spy)
+    query = Atomic("AlbumColor", "red") & Atomic("AlbumColor", "blue")
+    result = engine.top_k(query, 10, prefer=Strategy.THRESHOLD)
+    assert result.algorithm == "threshold-ta"
+    assert result.sorted_depth > 0
+    assert peeks == []
