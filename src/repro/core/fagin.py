@@ -49,7 +49,7 @@ from repro.core.sources import (
 )
 from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
 from repro.errors import MonotonicityError, ScoringError
-from repro.kernels import GradeMatrix
+from repro.kernels import CodedBounds, GradeMatrix
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
@@ -396,7 +396,7 @@ class FaginAlgorithm:
                     getattr(error, "source_name", "random access"): str(error)
                 },
             )
-        bounds = GradeMatrix.from_known(self._known, self.m)
+        bounds = CodedBounds.from_known(self._known, self.m)
         k_total = min(len(self._emitted) + k, self.database_size)
         result = _nra_run(
             self.sources,

@@ -495,9 +495,10 @@ class ArraySource(GradedSource):
 
         Declines (False) unless ``codes`` is at least as old as the
         current index, is the same size and codes every id of this
-        source; N dict lookups, once per source.  A source only ever
-        moves to an older index, so a set of sources adopting their
-        oldest one converges.
+        source; N dict lookups, once per source — none when both were
+        built from the same ids in the same order, which code alike.  A
+        source only ever moves to an older index, so a set of sources
+        adopting their oldest one converges.
         """
         with _ADOPTION:  # check-then-act: concurrent queries adopt too
             current, sorted_codes, grade_by_code = self._coded
@@ -505,6 +506,9 @@ class ArraySource(GradedSource):
                 return True
             if codes.serial > current.serial or len(codes) != len(current):
                 return False
+            if codes.ids == current.ids:
+                self._coded = (codes, sorted_codes, grade_by_code)
+                return True
             try:
                 recode = codes.lookup(current.ids)
             except KeyError:

@@ -35,7 +35,7 @@ static property but a runtime one: a subsystem's random access can die
 mid-query (its circuit breaker opens, see
 :mod:`repro.middleware.resilience`).  The NRA core here is therefore a
 resumable continuation, :func:`_nra_run`, that can start from *any*
-accumulated bounds state (a :class:`~repro.kernels.GradeMatrix`); TA
+accumulated bounds state (a :class:`~repro.kernels.CodedBounds`); TA
 maintains that bookkeeping as it goes, and when a random probe fails
 degradably it hands its cursors, bottoms, and seen grades to the NRA
 continuation instead of aborting.  If sorted streams later die too, the
@@ -64,7 +64,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import GradeMatrix, ObjectCodes, _np, canonical_order
+from repro.kernels import CodedBounds, GradeMatrix, ObjectCodes, _np, canonical_order
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -115,7 +115,7 @@ def _nra_run(
     k: int,
     *,
     cursors,
-    bounds,
+    bounds: Optional[CodedBounds],
     bottoms: List[float],
     exhausted: List[bool],
     meter: CostMeter,
@@ -123,52 +123,68 @@ def _nra_run(
     exact_grades: bool = True,
     tol: float = 1e-12,
     theta: float = 1.0,
-    batch_size: int = 4096,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     algorithm: str = "nra",
     prior_failures: Optional[Dict[str, str]] = None,
     failed_sorted: Optional[Dict[int, str]] = None,
     tracer=None,
     phase_name: str = "nra",
     executor=None,
-    stop_check_growth: float = 2.0,
 ) -> TopKResult:
     """The NRA main loop, resumable from arbitrary accumulated state.
 
-    :func:`nra_top_k` calls it with fresh cursors and an empty
-    ``bounds`` state; the degradation paths of TA and A0 call it
-    mid-query with everything they already learned (their cursors keep
-    their positions, so sorted work is never re-paid).
+    :func:`nra_top_k` calls it with fresh cursors and no ``bounds``
+    (an empty state over the lists' shared object codes); the
+    degradation paths of TA and A0 call it mid-query with everything
+    they already learned (their cursors keep their positions, so sorted
+    work is never re-paid).
 
-    ``bounds`` is the seen set, a :class:`~repro.kernels.GradeMatrix`:
-    every bound it reports is exactly the per-object ``rule(...)`` fold,
-    ranked under the ``(-grade, str(id))`` answer order.
+    ``bounds`` is the seen set, a :class:`~repro.kernels.CodedBounds`
+    over the object codes the lists are read by: every bound it reports
+    is exactly the per-object ``rule(...)`` fold, ranked under the
+    ``(-grade, str(id))`` answer order.
 
-    The stopping condition is evaluated on a geometric schedule
-    controlled by ``stop_check_growth``: after a check at round r, the
-    next check happens at round ``max(int(r * stop_check_growth),
-    r + 1)``.  The default of 2.0 is the classic doubling schedule
-    (rounds 1, 2, 4, 8, ...) rather than checking after every access:
-    recomputing every seen object's upper bound is O(seen * m), and
-    checking each round would make the algorithm quadratic in the
-    database size.  A growth of g can overshoot the minimal stopping
-    depth by at most a factor of g (checking every round, g = 1, stops
-    at the minimal depth); the default leaves the cost's asymptotic
-    shape intact.
-
-    Because the stop test only ever runs at those scheduled rounds, the
-    rounds between two checks can be drained with one
-    ``next_batch_columns`` per list — there is no decision to make in
-    between, so bulk draining consumes (and charges) exactly the same
-    accesses as item-at-a-time draining.  ``batch_size`` merely caps how
-    many rounds one request may cover.
+    **Stopping depth.**  NRA stops after the first round at which the
+    k-th best lower bound covers the upper bound of every other object,
+    seen or not, and — for exact grades — the answers' own bounds have
+    converged; Fagin, Lotem and Naor prove NRA instance-optimal for
+    exactly that rule, and this loop stops there, not after it.  Each
+    super-round peeks a window of every list for free, by object code
+    (``_codes_range``), and records it in ``bounds`` with each cell
+    tagged by its round, so the state after any round of the window is
+    a row prefix under one mask.  The window starts at ``batch_size``
+    rows and doubles after every super-round that does not stop.  The
+    stop rule is tested at the window's end; only when it holds there is
+    the window searched for its first stopping round.  For θ = 1 with
+    exact grades the rule, once true, stays true as rounds are added
+    (lower bounds only rise, upper bounds only fall, and every object
+    entering the answer has converged bounds), so the search is a
+    bisection.  Otherwise an object can leave the answer while its
+    upper bound is still high, and the rule can fail again; there the
+    search bisects a necessary condition that is monotone — the k-th
+    best lower bound covers the unseen bound and the (k+1)-th best upper
+    bound — and tests the rounds after it in order.  Every probe runs
+    that partition check first, and ranks the answer canonically only
+    when the k-th lower bound is tied past k.  Exactly the rounds used
+    are then consumed, with one ``next_batch_columns`` per list, so
+    charges and faults land at consume, and the answers, costs and depth
+    are those of a test after every round.
 
     A sorted stream that fails with one of
-    :data:`DEGRADABLE_ACCESS_ERRORS` is marked dead: its bottom freezes
-    at the last grade it delivered (still a sound upper bound for its
-    unseen grades) and the loop continues on the surviving lists.  When
-    no list can progress and the stop test still fails, the best-effort
-    top k by *lower* bound is returned with ``grades_exact=False`` and a
-    ``partial-bounds`` :class:`~repro.core.result.DegradedResult`.
+    :data:`DEGRADABLE_ACCESS_ERRORS` is marked dead: the rows it did not
+    deliver leave the state, its bottom freezes at the last grade it
+    delivered (still a sound upper bound for its unseen grades), the
+    stop rule is tested on what the surviving lists delivered, and the
+    loop continues on them.  When no list can progress and the stop
+    test still fails, the best-effort top k by *lower* bound is returned
+    with ``grades_exact=False`` and a ``partial-bounds``
+    :class:`~repro.core.result.DegradedResult`.
+
+    Under a ``tracer`` the consumed rows are recorded as sorted
+    accesses, and ``nra.kth_lower``, ``nra.rivals_upper`` and
+    ``nra.buffer_objects`` are sampled at every window end that fails
+    the stop test and at the round that passes it, in depth order; the
+    search's probes record nothing.
 
     **θ-approximation (NRA-θ).**  ``theta >= 1.0`` relaxes the stop
     test to the Fagin–Lotem–Naor rule: accept as soon as ``theta *
@@ -184,92 +200,158 @@ def _nra_run(
     open) certifies whatever the accumulated bounds prove as an
     *anytime* certificate instead of returning bare partial answers.
     """
-    if stop_check_growth < 1.0:
-        raise ValueError(
-            f"stop_check_growth must be >= 1, got {stop_check_growth}"
-        )
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
+    if bounds is None:
+        bounds = CodedBounds(shared_object_codes(sources), m)
     #: lists whose sorted stream is dead, index -> reason; seeded by the
     #: caller when a stream already died before the continuation started
     #: (those indexes must also be pre-marked in ``exhausted``).
     sorted_failures: Dict[int, str] = dict(failed_sorted or {})
     answers: Optional[GradedSet] = None
+    #: the answer's view and the bounds it was read from
+    answered = None
     converged = True
     partial = False
     stop_kth = 0.0
     stop_bound = 0.0
-    rounds = 0
-    next_check = 1
+    #: the stop test, once passed, passes at every later round
+    monotone = theta == 1.0 and exact_grades
+    rounds = 0  # rounds consumed by this run
+    base = 0  # rounds consumed before the peeked window
+    #: the peeked window's grades, by list index
+    peeked: Dict[int, object] = {}
+    #: the k-th best lower bound after the rounds the search has tested
+    kth_at: Dict[int, float] = {}
+    window = batch_size
 
-    def view_bounds():
-        """The state's stop view, and the best overall grade any object
-        outside its top k — seen or not — could still have."""
-        view = bounds.stop_view(rule, bottoms, k)
-        unseen = rule(bottoms) if bounds.count < database_size else 0.0
-        return view, max(unseen, view.rival_upper)
+    def bottoms_after(t: int) -> List[float]:
+        """The list bottoms after round ``t`` of the peeked window."""
+        at = list(bottoms)
+        for i, grades in peeked.items():
+            row = t - base  # a list whose window ran short has run out
+            at[i] = float(grades[row - 1]) if row <= len(grades) else 0.0
+        return at
 
-    def evaluate_stop() -> Optional[GradedSet]:
-        nonlocal converged, stop_kth, stop_bound
-        if bounds.count < k:
-            return None
-        view, rivals_upper = view_bounds()
-        if tracer is not None:
-            tracer.sample("nra.kth_lower", view.kth_lower)
-            tracer.sample("nra.rivals_upper", rivals_upper)
-            tracer.sample("nra.buffer_objects", float(bounds.count))
-        if theta * view.kth_lower + tol < rivals_upper:
-            return None
-        gaps_converged = view.gap <= tol
-        if exact_grades and theta == 1.0 and not gaps_converged:
-            return None
-        converged = gaps_converged
-        stop_kth = view.kth_lower
-        stop_bound = rivals_upper
-        return GradedSet(zip(view.ids, view.lowers))
+    def unseen_bound(at: List[float], lower) -> float:
+        """The best grade an object no list has delivered could have."""
+        return rule(at) if lower.size < database_size else 0.0
 
-    with nullcontext() if tracer is None else tracer.phase(phase_name):
-        while answers is None:
-            # Drain everything up to the next scheduled stop check in one
-            # batch per list; nothing is decided between checks, so this is
-            # access-for-access identical to one-item rounds.
-            window = min(max(next_check - rounds, 1), batch_size)
-            progressed = False
-            drained = 0
-            # One round of sorted access across the surviving lists is m
-            # independent pulls: fan them out, then merge in list-index
-            # order so the accumulated state is identical to serial.
-            active = [i for i in range(m) if not exhausted[i]]
-            outcomes = fan_out(
-                executor,
-                [
-                    (lambda c=cursors[i], w=window: c.next_batch_columns(w))
-                    for i in active
-                ],
-            )
-            for i, outcome in zip(active, outcomes):
-                if outcome.error is not None:
-                    if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                        raise outcome.error
-                    # Dead stream: freeze its bottom (a sound upper bound
-                    # for everything it never delivered) and carry on.
-                    exhausted[i] = True
-                    sorted_failures[i] = str(outcome.error)
-                    if tracer is not None:
-                        tracer.event(
-                            "sorted-stream-failed",
-                            source=sources[i].name,
-                            reason=str(outcome.error),
-                        )
-                    continue
-                ids, grades = outcome.value
-                cursor = cursors[i]
-                if not ids:
-                    exhausted[i] = True
-                    bottoms[i] = 0.0
-                    continue
-                progressed = True
+    def bounds_after(t: int):
+        """``(lower, upper, unseen)``: every seen object's bounds after
+        round ``t``, and the unseen objects' bound."""
+        at = bottoms_after(t)
+        lower = bounds.lower_bounds(rule, t)
+        return lower, bounds.upper_bounds(rule, at, t), unseen_bound(at, lower)
+
+    def may_stop(t: int):
+        """``(lower, upper, unseen, kth)`` after round ``t`` if the k-th
+        best lower bound ``kth`` covers the unseen bound and the (k+1)-th
+        best upper bound, which some rival of the answer holds — the half
+        of the stop test that needs no ranking; None if not.  The k-th
+        best lower bound never falls as rounds are added, so the best one
+        known at an earlier round leaves only the rows above it to select
+        from; the upper bounds are folded only once it covers the unseen
+        bound."""
+        lower = bounds.lower_bounds(rule, t)
+        if lower.size < k:
+            return None
+        at = bottoms_after(t)
+        unseen = unseen_bound(at, lower)
+        floor = max((kth for r, kth in kth_at.items() if r <= t), default=0.0)
+        above = lower[lower > floor]
+        kth = _np.partition(above, above.size - k)[above.size - k] if above.size >= k else floor
+        kth_at[t] = kth
+        bar = theta * kth + tol
+        if unseen > bar:
+            return None
+        upper = bounds.upper_bounds(rule, at, t)
+        if _np.count_nonzero(upper > bar) > k:
+            return None
+        return lower, upper, unseen, kth
+
+    def stop_test(state):
+        """``(view, rivals_upper, passes)``: the canonical top k of a
+        ``(lower, upper, unseen)`` state, and the stop test's verdict on
+        it (seen objects >= k)."""
+        lower, upper, unseen = state
+        view = bounds.stop_view(lower, upper, k)
+        rivals_upper = max(unseen, view.rival_upper)
+        passes = theta * view.kth_lower + tol >= rivals_upper and (
+            view.gap <= tol or not monotone
+        )
+        return view, rivals_upper, passes
+
+    def stops(t: int) -> bool:
+        """Whether the stop test passes after round ``t``.  Unless the
+        k-th best lower bound is tied past k, the answer is the rows at
+        or above it, and the test is decided without ranking them."""
+        state = may_stop(t)
+        if state is None:
+            return False
+        lower, upper, _, kth = state
+        top = lower >= kth
+        if _np.count_nonzero(top) > k:
+            return stop_test(state[:3])[2]
+        if (upper[~top] > theta * kth + tol).any():
+            return False
+        return not monotone or bool((upper[top] - lower[top] <= tol).all())
+
+    def first_stop(end: int) -> Optional[int]:
+        """The first round in ``(base, end]`` that passes the stop test,
+        or None."""
+        low, high = base, end
+        if monotone:
+            if not stops(end):
+                return None
+            while high - low > 1:
+                middle = (low + high) // 2
+                if stops(middle):
+                    high = middle
+                else:
+                    low = middle
+            return high
+        if may_stop(end) is None:
+            return None
+        while high - low > 1:
+            middle = (low + high) // 2
+            if may_stop(middle) is None:
+                low = middle
+            else:
+                high = middle
+        return next((t for t in range(high, end + 1) if stops(t)), None)
+
+    def consume(take: int):
+        """Consume ``take`` rows of every live list with one
+        ``next_batch_columns`` each; returns the rows delivered (the
+        most any list shipped) and the lists that died."""
+        nonlocal depth
+        active = [i for i in range(m) if not exhausted[i]]
+        outcomes = fan_out(
+            executor,
+            [(lambda c=cursors[i]: c.next_batch_columns(take)) for i in active],
+        )
+        delivered, died = 0, []
+        for i, outcome in zip(active, outcomes):
+            if outcome.error is not None:
+                if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
+                    raise outcome.error
+                # Dead stream: freeze its bottom (a sound upper bound
+                # for everything it never delivered) and carry on.
+                exhausted[i] = True
+                sorted_failures[i] = str(outcome.error)
+                died.append(i)
+                if tracer is not None:
+                    tracer.event(
+                        "sorted-stream-failed",
+                        source=sources[i].name,
+                        reason=str(outcome.error),
+                    )
+                continue
+            ids, grades = outcome.value
+            cursor = cursors[i]
+            if ids:
                 if tracer is not None:
                     tracer.record_sorted_batch(
                         sources[i].name,
@@ -281,34 +363,105 @@ def _nra_run(
                     )
                 bottoms[i] = float(grades[-1])
                 depth = max(depth, cursor.position)
-                drained = max(drained, len(ids))
-                bounds.add_batch(i, ids, grades)
-            rounds += drained if progressed else 1
-            if rounds >= next_check or not progressed:
-                answers = evaluate_stop()
-                next_check = max(int(rounds * stop_check_growth), rounds + 1)
-            if not progressed and answers is None:
+                delivered = max(delivered, len(ids))
+            if len(ids) < take:  # the list has run out
+                exhausted[i] = True
+                bottoms[i] = 0.0
+        return delivered, died
+
+    def sample(view, rivals_upper) -> None:
+        if tracer is not None:
+            tracer.sample("nra.kth_lower", view.kth_lower)
+            tracer.sample("nra.rivals_upper", rivals_upper)
+            tracer.sample("nra.buffer_objects", float(bounds.count))
+
+    def answer(view, lower, upper) -> None:
+        nonlocal answers, answered
+        answers = GradedSet(zip(view.ids, view.lowers))
+        answered = view, lower, upper
+
+    def test_now() -> None:
+        """Test the stop rule on the consumed state: stop, or sample the
+        failure."""
+        nonlocal converged, stop_kth, stop_bound
+        state = bounds_after(rounds)
+        if state[0].size >= k:
+            view, rivals_upper, passes = stop_test(state)
+            sample(view, rivals_upper)
+            if passes:
+                answer(view, *state[:2])
+                converged = view.gap <= tol
+                stop_kth = view.kth_lower
+                stop_bound = rivals_upper
+
+    with nullcontext() if tracer is None else tracer.phase(phase_name):
+        while answers is None:
+            base = rounds
+            windows: List = [None] * m
+            for i in range(m):
+                if not exhausted[i]:
+                    windows[i] = sources[i]._codes_range(
+                        bounds.codes, cursors[i].position, window
+                    )
+                    peeked[i] = windows[i][1]
+            rows = max((len(w[0]) for w in windows if w is not None), default=0)
+            if rows == 0:
+                # No list has a row left: the reads that find them empty
+                # mark them exhausted (bottom 0), then a last stop test.
+                peeked.clear()
+                consume(1)
+                rounds += 1
+                test_now()
+                if answers is not None:
+                    break
                 # Nothing can progress.  Without failures every grade is
                 # known (the lists were fully drained), so the lower bounds
                 # are the true grades; with dead streams this is the
                 # best-effort ranking by lower bound.
-                view, rivals_upper = view_bounds()
-                answers = GradedSet(zip(view.ids, view.lowers))
+                lower, upper, unseen = bounds_after(rounds)
+                view = bounds.stop_view(lower, upper, k)
+                answer(view, lower, upper)
                 stop_kth = view.kth_lower
                 if sorted_failures:
                     partial = True
                     converged = False
-                    stop_bound = rivals_upper
+                    stop_bound = max(unseen, view.rival_upper)
                 else:
                     converged = True
                     stop_bound = stop_kth
+                break
+            bounds.read(windows, base)
+            found = first_stop(base + rows)
+            delivered, died = consume((found or base + rows) - base)
+            peeked.clear()  # ``bottoms`` now holds what the lists delivered
+            rounds = base + delivered
+            if died:
+                # Only what the lists delivered stays: the window again,
+                # without the dead lists' rows.
+                bounds.keep(base)
+                survivors = [
+                    None if i in died or w is None else (w[0][:delivered], w[1][:delivered])
+                    for i, w in enumerate(windows)
+                ]
+                bounds.read(survivors, base)
+                kth_at.clear()  # the state lost cells it was tested with
+            elif rounds < base + rows:
+                bounds.keep(rounds)
+            # the stop found, a test of what a dying stream left, or a
+            # failing window end's samples
+            if delivered and (found or died or tracer is not None):
+                test_now()
+            window *= 2
 
     failures: Dict[str, str] = dict(prior_failures or {})
     for i, reason in sorted_failures.items():
         failures[sources[i].name] = reason
     intervals: Dict = {}
     if failures or partial or theta > 1.0:
-        intervals = bounds.intervals(rule, bottoms, answers.objects())
+        view, lower, upper = answered
+        intervals = dict(
+            zip(view.ids, zip(lower[view.rows].tolist(), upper[view.rows].tolist()))
+        )
     degraded: Optional[DegradedResult] = None
     if failures:
         degraded = DegradedResult(
@@ -652,20 +805,19 @@ def threshold_top_k(
             seen_codes = _np.concatenate([codes for codes, _ in seen_log])
             overall.update(dict.fromkeys(object_codes.decode(seen_codes)))
             sorted_log[:] = [(i, object_codes.decode(c), g) for i, c, g in sorted_log]
-        bounds = GradeMatrix.from_known(
-            {object_id: {} for object_id in overall}, m
-        )
+        known: Dict[ObjectId, Dict[int, float]] = {object_id: {} for object_id in overall}
         for i, ids, grades in sorted_log:
-            bounds.add_batch(i, ids, grades)
+            for object_id, grade in zip(ids, grades.tolist()):
+                known[object_id][i] = grade
         for j, fetched in probe_log:
             for object_id, grade in fetched.items():
-                bounds.set_grade(object_id, j, grade)
+                known[object_id][j] = grade
         return _nra_run(
             sources,
             rule,
             k,
             cursors=cursors,
-            bounds=bounds,
+            bounds=CodedBounds.from_known(known, m),
             bottoms=bottoms,
             exhausted=[i in dead for i in range(m)],
             meter=meter,
@@ -834,20 +986,19 @@ def nra_top_k(
     exact_grades: bool = True,
     tol: float = 1e-12,
     theta: float = 1.0,
-    batch_size: int = 4096,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     tracer=None,
     executor=None,
-    stop_check_growth: float = 2.0,
 ) -> TopKResult:
     """Top k answers using sorted access only (NRA).
 
-    A thin wrapper over :func:`_nra_run` with fresh cursors and empty
-    state; see there for the batching/stop-schedule mechanics and the
-    behaviour when sorted streams die mid-run.
-
-    ``stop_check_growth`` controls the geometric stop-check schedule
-    (see :func:`_nra_run`); ``theta`` the Fagin–Lotem–Naor
-    θ-approximation knob (1.0 = exact; see :func:`_nra_run`).
+    A thin wrapper over :func:`_nra_run` with fresh cursors and an empty
+    state; see there for the
+    windows, the stopping depth — Fagin–Lotem–Naor's earliest, found
+    inside each peeked window — and the behaviour when sorted streams
+    die mid-run.  ``batch_size`` is the first window; ``theta`` the
+    Fagin–Lotem–Naor θ-approximation knob (1.0 = exact; see
+    :func:`_nra_run`).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -864,7 +1015,7 @@ def nra_top_k(
         rule,
         k,
         cursors=[s.cursor() for s in sources],
-        bounds=GradeMatrix(m),
+        bounds=None,
         bottoms=[1.0] * m,
         exhausted=[False] * m,
         meter=CostMeter(sources),
@@ -874,7 +1025,6 @@ def nra_top_k(
         batch_size=batch_size,
         tracer=tracer,
         executor=executor,
-        stop_check_growth=stop_check_growth,
     )
 
 

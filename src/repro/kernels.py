@@ -13,11 +13,17 @@ each stop check is a handful of numpy array operations through
 Its small interface is all the algorithm loops use: ``count``,
 ``add_batch``/``set_grade`` to record deliveries, ``grades_of`` (one
 object's m grades, ``None`` where unknown), ``scores``/``ranked``
-(lower bounds, unordered / best k), ``stop_view`` (the :class:`StopView`
-NRA's stop test reads), ``best_incomplete`` (CA's resolution target),
-``intervals`` and ``known_states`` (certificates and A0's paging
-hand-off, as plain ``{object_id: {column: grade}}`` data), and
-``from_known`` to rebuild a state from that data.
+(lower bounds, unordered / best k), ``best_incomplete`` (CA's
+resolution target), and ``from_known`` to build a state from plain
+``{object_id: {column: grade}}`` bookkeeping (A0's ``_known``).
+
+NRA holds the same bounds by object code instead: a
+:class:`CodedBounds` finds a row through a by-code array, not an id
+dict, and tags every cell with the round that delivered it, so one
+state answers the stop test (its ``stop_view``, the :class:`StopView`
+the test reads) at every depth it has peeked; ``known_states`` hands
+A0's paging state back as plain data.  Both states rank through
+:func:`top_rows`.
 
 TA keeps no bounds state: its bulk round works on dense int32 codes for
 a query's object ids — an :class:`ObjectCodes` index, or the
@@ -64,6 +70,30 @@ class StopView(NamedTuple):
     rival_upper: float
     #: the widest ``upper - lower`` among ``ids``
     gap: float
+    #: the state's rows of ``ids``
+    rows: object
+
+
+def top_rows(scores, k: int, strs_of):
+    """The (up to) ``k`` best rows by ``scores`` in the repo's canonical
+    answer order: grade descending, then ``str(object_id)`` ascending —
+    exactly ``GradedItem._sort_key`` — then row (first seen).
+    ``strs_of(rows)`` lists ``str(object_id)`` for an int array of rows;
+    it is asked only about the rows that can make the cut: those scoring
+    above the k-th best, and those tied with it (a bound state's lower
+    bounds tie at 0 by the thousand)."""
+    count = scores.size
+    rows = _np.arange(count)
+    if k < count:
+        kth = _np.partition(scores, count - k)[count - k]
+        above = _np.flatnonzero(scores > kth)
+        tied = _np.flatnonzero(scores == kth)
+        if tied.size > k - above.size:
+            strs = strs_of(tied)
+            keep = heapq.nsmallest(k - above.size, range(tied.size), key=strs.__getitem__)
+            tied = tied[_np.array(keep, dtype=_np.intp)]
+        rows = _np.sort(_np.concatenate((above, tied)))
+    return rows[canonical_order(strs_of(rows), scores[rows])]
 
 
 class GradeMatrix:
@@ -89,8 +119,8 @@ class GradeMatrix:
     @classmethod
     def from_known(cls, known: Dict, m: int, capacity: int = 1024) -> "GradeMatrix":
         """Build a matrix from ``{object_id: {column: grade}}``
-        bookkeeping (A0's ``_known``, TA's seen-set, cache snapshots),
-        preserving insertion order.  The matrix copies ``known``."""
+        bookkeeping (A0's ``_known``), preserving insertion order.  The
+        matrix copies ``known``."""
         matrix = cls(m, capacity=max(len(known), capacity))
         for object_id, grades in known.items():
             row = matrix.row_of(object_id)
@@ -153,10 +183,9 @@ class GradeMatrix:
         known = self.known() if rows is None else self._matrix[rows]
         return rule.combine_matrix(_np.where(_np.isnan(known), fill, known))
 
-    def lower_bounds(self, rule, rows=None):
-        """Every row's (or just ``rows``') lower bound: missing grades
-        pinned to 0."""
-        return self._fold(rule, 0.0, rows)
+    def lower_bounds(self, rule):
+        """Every row's lower bound: missing grades pinned to 0."""
+        return self._fold(rule, 0.0)
 
     def upper_bounds(self, rule, bottoms: Sequence[float], rows=None):
         """Every row's (or just ``rows``') upper bound: missing grades
@@ -168,25 +197,14 @@ class GradeMatrix:
         """True per row when every grade is known."""
         return ~_np.isnan(self.known()).any(axis=1)
 
-    def top_order(self, scores, k: int):
-        """The (up to) ``k`` best rows by ``scores`` in the repo's
-        canonical answer order: grade descending, then ``str(object_id)``
-        ascending — exactly ``GradedItem._sort_key`` — then first seen.
-        Only the rows that can make the cut are ordered: those scoring
-        above the k-th best, and of those tied with it the ones with the
-        smallest strings (a bound state's lower bounds tie at 0 by the
-        thousand)."""
+    def _strs_of(self, rows) -> List[str]:
         strs = self._strs
-        rows = _np.arange(self.count)
-        if k < self.count:
-            kth = _np.partition(scores, self.count - k)[self.count - k]
-            above = _np.flatnonzero(scores > kth)
-            tied = heapq.nsmallest(
-                k - above.size, _np.flatnonzero(scores == kth).tolist(), key=strs.__getitem__
-            )
-            rows = _np.sort(_np.concatenate((above, _np.array(tied, dtype=above.dtype))))
-        order = canonical_order([strs[row] for row in rows.tolist()], scores[rows])
-        return rows[order]
+        return [strs[row] for row in rows.tolist()]
+
+    def top_order(self, scores, k: int):
+        """The (up to) ``k`` best rows by ``scores``, canonical order
+        (:func:`top_rows`)."""
+        return top_rows(scores, k, self._strs_of)
 
     def scores(self, rule) -> Tuple[List, List[float]]:
         """Every seen object's lower bound (its exact grade once all m
@@ -198,21 +216,6 @@ class GradeMatrix:
         lower = self.lower_bounds(rule)
         top = self.top_order(lower, k)
         return [self.ids[row] for row in top.tolist()], lower[top].tolist()
-
-    def stop_view(self, rule, bottoms: Sequence[float], k: int) -> StopView:
-        lower = self.lower_bounds(rule)
-        upper = self.upper_bounds(rule, bottoms)
-        top = self.top_order(lower, k)
-        rest = _np.ones(self.count, dtype=bool)
-        rest[top] = False
-        lowers = lower[top].tolist()
-        return StopView(
-            [self.ids[row] for row in top.tolist()],
-            lowers,
-            lowers[k - 1] if 0 < k <= len(lowers) else 0.0,
-            float(upper[rest].max()) if rest.any() else 0.0,
-            float((upper[top] - lower[top]).max()) if top.size else 0.0,
-        )
 
     def best_incomplete(self, rule, bottoms: Sequence[float]) -> Optional[Tuple]:
         """``(object_id, upper bound)`` of the incomplete object with
@@ -226,25 +229,194 @@ class GradeMatrix:
         best = int(_np.argmax(upper))
         return self.ids[int(rows[best])], float(upper[best])
 
-    def intervals(self, rule, bottoms: Sequence[float], ids: Iterable) -> Dict:
-        """``{object_id: (lower, upper)}`` for the named seen objects."""
-        ids = list(ids)
-        rows = [self._rows[object_id] for object_id in ids]
-        lower = self.lower_bounds(rule, rows).tolist()
-        upper = self.upper_bounds(rule, bottoms, rows).tolist()
-        return {
-            object_id: bounds for object_id, bounds in zip(ids, zip(lower, upper))
-        }
+
+class CodedBounds:
+    """NRA's bounds state, held by object code, with every prefix depth
+    in it.
+
+    ``codes`` is the :class:`ObjectCodes` (or :class:`ColumnCodes`)
+    index the query's lists are read by.  A seen object's row is found
+    through a by-code row array, so recording a window is a handful of
+    array operations and ids are decoded only for the rows a ranking
+    has to tie-break.  Every learned cell carries the round that
+    delivered it — 0 for cells handed over by another algorithm — and
+    rows are kept in first-sighting order: by round, then by list
+    (handed-over rows first, in the order given).  The state after any
+    round ``t`` is therefore a row prefix under one ``learned <= t``
+    mask, which is how NRA tests its stop rule at rounds inside a window
+    it has peeked but not consumed.  Bounds are the per-object
+    ``rule(...)`` fold, as :class:`GradeMatrix`'s.
+    """
+
+    __slots__ = ("m", "codes", "count", "_row", "_code", "_first", "_grades", "_learned")
+
+    #: the round of a cell not learned
+    NEVER = _np.iinfo(_np.int64).max
+
+    def __init__(self, codes, m: int, capacity: int = 1024) -> None:
+        self.m = m
+        self.codes = codes
+        self.count = 0
+        #: row by code, -1 where the object has no row
+        self._row = _np.full(len(codes), -1, dtype=_np.intp)
+        capacity = max(capacity, 1)
+        #: per row: its code, and the round it was first sighted
+        self._code = _np.empty(capacity, dtype=_np.int64)
+        self._first = _np.empty(capacity, dtype=_np.int64)
+        self._grades = _np.full((capacity, m), _np.nan)
+        self._learned = _np.full((capacity, m), self.NEVER, dtype=_np.int64)
+
+    @classmethod
+    def from_known(cls, known: Dict, m: int) -> "CodedBounds":
+        """A state over a per-run index of ``{object_id: {column:
+        grade}}`` bookkeeping (A0's ``_known``, TA's seen-set), every
+        cell learned at round 0, rows in ``known``'s order."""
+        bounds = cls(ObjectCodes(known), m, capacity=len(known))
+        bounds.add(_np.arange(len(known)), 0)
+        for column in range(m):
+            cells = [
+                (code, grades[column])
+                for code, grades in enumerate(known.values())
+                if column in grades
+            ]
+            if cells:
+                coded, grades = zip(*cells)
+                bounds.learn(column, _np.array(coded), _np.array(grades), 0)
+        return bounds
+
+    def _ensure(self, needed: int) -> None:
+        capacity = self._code.size
+        if needed <= capacity:
+            return
+        size = max(needed, capacity * 2)
+        for name in ("_code", "_first"):
+            grown = _np.empty(size, dtype=_np.int64)
+            grown[: self.count] = getattr(self, name)[: self.count]
+            setattr(self, name, grown)
+        for name, fill in (("_grades", _np.nan), ("_learned", self.NEVER)):
+            old = getattr(self, name)
+            grown = _np.full((size, self.m), fill, dtype=old.dtype)
+            grown[: self.count] = old[: self.count]
+            setattr(self, name, grown)
+
+    def _rows_of(self, coded):
+        """``_row`` at ``coded``, after growing it to a per-run index
+        that has coded new ids."""
+        grow = len(self.codes) - self._row.size
+        if grow > 0:
+            self._row = _np.concatenate((self._row, _np.full(grow, -1, dtype=_np.intp)))
+        return self._row[coded]
+
+    def add(self, coded, first) -> None:
+        """Rows, in order, for ``coded`` (distinct, with no row yet),
+        first sighted at round ``first`` (0 hands over)."""
+        start, stop = self.count, self.count + coded.size
+        self._ensure(stop)
+        self._row[coded] = _np.arange(start, stop)
+        self._code[start:stop] = coded
+        self._first[start:stop] = first
+        self.count = stop
+
+    def learn(self, column: int, coded, grades, rounds) -> None:
+        """List ``column``'s grades of ``coded`` (objects with rows),
+        delivered at ``rounds``; a cell keeps its earliest round."""
+        rows = self._row[coded]
+        self._grades[rows, column] = grades
+        self._learned[rows, column] = _np.minimum(self._learned[rows, column], rounds)
+
+    def read(self, windows: Sequence, start: int) -> None:
+        """Record a window of sorted deliveries: ``windows[i]`` is list
+        i's next rows as (codes, grades), its row r delivered at round
+        ``start + r + 1``, or None for a list not read.  Objects seen for
+        the first time get rows in (round, list) order."""
+        m = self.m
+        lengths = [0 if window is None else len(window[0]) for window in windows]
+        matrix = _np.full((max(lengths, default=0), m), -1, dtype=_np.int64)
+        for column, window in enumerate(windows):
+            if lengths[column]:
+                matrix[: lengths[column], column] = window[0]
+        flat = matrix.ravel()
+        where = _np.flatnonzero(flat >= 0)  # -1 pads short windows
+        where = where[self._rows_of(flat[where]) < 0]
+        coded = flat[where]
+        # each new object's first sighting: the least position, found in
+        # the row array before the object's row is written there
+        self._row[coded] = _np.iinfo(_np.intp).max
+        _np.minimum.at(self._row, coded, where)
+        first = self._row[coded] == where
+        self.add(coded[first], start + 1 + where[first] // m)
+        for column, window in enumerate(windows):
+            if lengths[column]:
+                rounds = _np.arange(start + 1, start + 1 + lengths[column])
+                self.learn(column, window[0], window[1], rounds)
+
+    def rows_at(self, t: int) -> int:
+        """How many rows the state has after round ``t``."""
+        return int(_np.searchsorted(self._first[: self.count], t, side="right"))
+
+    def _known(self, t: Optional[int]):
+        """The grades of the rows seen after round ``t`` (by default, of
+        the whole state), and which of them were not learned by then."""
+        if t is None:
+            grades = self._grades[: self.count]
+            return grades, _np.isnan(grades)
+        rows = self.rows_at(t)
+        return self._grades[:rows], self._learned[:rows] > t
+
+    def lower_bounds(self, rule, t: Optional[int] = None):
+        """Every row's lower bound after round ``t`` (by default, of the
+        whole state): grades not learned by then pinned to 0."""
+        grades, missing = self._known(t)
+        return rule.combine_matrix(_np.where(missing, 0.0, grades))
+
+    def upper_bounds(self, rule, bottoms: Sequence[float], t: Optional[int] = None):
+        """Every row's upper bound after round ``t``: grades not learned
+        by then pinned to the list ``bottoms``."""
+        grades, missing = self._known(t)
+        fill = _np.asarray(bottoms, dtype=_np.float64)
+        return rule.combine_matrix(_np.where(missing, fill, grades))
+
+    def ids(self, rows) -> List:
+        return self.codes.decode(self._code[rows])
+
+    def _strs_of(self, rows) -> List[str]:
+        return [str(object_id) for object_id in self.ids(rows)]
+
+    def stop_view(self, lower, upper, k: int) -> StopView:
+        """What a stop test reads off the rows' ``lower`` and ``upper``
+        bounds (from :meth:`lower_bounds` and :meth:`upper_bounds`)."""
+        top = top_rows(lower, k, self._strs_of)
+        rest = _np.ones(lower.size, dtype=bool)
+        rest[top] = False
+        lowers = lower[top].tolist()
+        return StopView(
+            self.ids(top),
+            lowers,
+            lowers[k - 1] if 0 < k <= len(lowers) else 0.0,
+            float(upper[rest].max()) if rest.any() else 0.0,
+            float((upper[top] - lower[top]).max()) if top.size else 0.0,
+            top,
+        )
+
+    def keep(self, t: int) -> None:
+        """Forget every cell learned after round ``t``, and the rows
+        first seen after it."""
+        count, rows = self.count, self.rows_at(t)
+        self._row[self._code[rows:count]] = -1
+        self._grades[rows:count] = _np.nan
+        self._learned[rows:count] = self.NEVER
+        later = self._learned[:rows] > t
+        self._grades[:rows][later] = _np.nan
+        self._learned[:rows][later] = self.NEVER
+        self.count = rows
 
     def known_states(self) -> Dict:
-        """A plain-data copy of the seen set, ``{object_id: {column:
-        grade}}`` in first-seen order — independent of this state, which
-        :meth:`from_known` restores row for row."""
+        """A plain-data copy of the state, ``{object_id: {column:
+        grade}}`` in row order, which :meth:`from_known` restores."""
+        grades = self._grades[: self.count]
         return {
-            object_id: {
-                column: value for column, value in enumerate(row) if value == value
-            }
-            for object_id, row in zip(self.ids, self._matrix[: self.count].tolist())
+            object_id: {column: value for column, value in enumerate(row) if value == value}
+            for object_id, row in zip(self.ids(_np.arange(self.count)), grades.tolist())
         }
 
 

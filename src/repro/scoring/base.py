@@ -101,12 +101,14 @@ class ScoringFunction(ABC):
             raise ScoringError(f"{self.name}: cannot score an empty grade tuple")
         if n == 0:
             return _np.empty(0, dtype=_np.float64)
-        if not _np.isfinite(matrix).all() or matrix.min() < 0.0 or matrix.max() > 1.0:
+        # NaN fails both comparisons and ±inf one, so this is also the
+        # finiteness check
+        if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
             raise GradeError(
                 f"{self.name}: batch grades must lie in [0, 1] and be finite"
             )
         result = _np.asarray(self._combine_matrix(matrix), dtype=_np.float64)
-        if not _np.isfinite(result).all() or result.min() < 0.0 or result.max() > 1.0:
+        if not (result.min() >= 0.0 and result.max() <= 1.0):
             raise GradeError(
                 f"{self.name}: rule produced grades outside [0, 1]"
             )

@@ -10,8 +10,9 @@ degradation behavior — at every algorithm, over bare ArraySources
 serial and parallel.  ``combine`` below is that axis (``tests.strategies.COMBINES``:
 ``"scalar"`` is the per-row loop, ``"vector"`` the native form).
 Hypothesis drives the differential runs; deterministic tests pin down
-degradation parity, TA's window mechanics, the engine's bulk-round and
-per-row paths, and the ``stop_check_growth`` schedule.
+degradation parity, TA's window mechanics, and the engine's bulk-round
+and per-row paths.  NRA's stopping depth has its own suite
+(tests/core/test_nra_stop_depth.py).
 """
 
 import json
@@ -536,60 +537,6 @@ def test_traced_tau_is_sampled_once_per_row_with_the_stop_tests_value(theta):
         assert rule.calls == (len(seen) if backend == "per-row" else 0)
         trajectories.append(taus)
     assert trajectories[0] == trajectories[1]
-
-
-# ---------------------------------------------------------------------------
-# stop_check_growth (satellite): the documented doubling schedule.
-
-
-def nra_depth(growth, combine="vector", n=120, m=3, seed=3):
-    sources = sources_from_columns(independent(n, m, seed=seed))
-    result = nra_top_k(
-        sources, with_combine(tnorms.MIN, combine), 5, batch_size=1,
-        stop_check_growth=growth,
-    )
-    return result
-
-
-@pytest.mark.parametrize("growth", (0.0, 0.5, 0.999, -1.0))
-def test_stop_check_growth_below_one_rejected(growth):
-    with pytest.raises(ValueError):
-        nra_depth(growth)
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
-def test_stop_check_growth_overshoot_bound(seed):
-    """growth=1 checks the stop test every round and therefore stops at
-    the minimal depth d*; a schedule with factor g can overshoot the
-    last pre-d* check by at most a factor of g: depth <= g*d* + 1."""
-    minimal = nra_depth(1.0, seed=seed).sorted_depth
-    for growth in (1.5, 2.0, 4.0):
-        depth = nra_depth(growth, seed=seed).sorted_depth
-        assert minimal <= depth <= int(growth * minimal) + 1, (growth, minimal, depth)
-
-
-def test_stop_check_growth_default_is_doubling():
-    sources = sources_from_columns(independent(120, 3, seed=3))
-    default = nra_top_k(sources, tnorms.MIN, 5, batch_size=1)
-    assert default.sorted_depth == nra_depth(2.0).sorted_depth
-    assert [(i.object_id, i.grade) for i in default.answers] == [
-        (i.object_id, i.grade) for i in nra_depth(2.0).answers
-    ]
-
-
-@pytest.mark.parametrize("growth", (1.0, 1.5, 2.0, 4.0))
-def test_stop_check_growth_answers_and_kernels_agree(growth):
-    scalar = nra_depth(growth, combine="scalar")
-    vector = nra_depth(growth, combine="vector")
-    truth = nra_depth(1.0)
-    assert [(i.object_id, i.grade) for i in scalar.answers] == [
-        (i.object_id, i.grade) for i in truth.answers
-    ]
-    assert vector.sorted_depth == scalar.sorted_depth
-    assert vector.cost == scalar.cost
-    assert [(i.object_id, i.grade) for i in vector.answers] == [
-        (i.object_id, i.grade) for i in scalar.answers
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,26 @@ def test_separately_built_sources_converge_on_the_oldest_index():
     assert newer._adopt(oldest)
 
 
+def test_sources_over_the_same_id_order_adopt_without_a_lookup():
+    """Columns built from one id list code alike: adopting the older
+    index builds no id -> code table, and every access is unchanged."""
+    ids = [f"o{i}" for i in range(50)]
+    rng = np.random.default_rng(3)
+    sources = [ArraySource.from_arrays(ids, rng.random(50), name=f"A{i}") for i in range(3)]
+    graded = [source.as_graded_set() for source in sources]
+    oldest = sources[0]._coded[0]
+    assert shared_object_codes(sources[::-1]) is oldest
+    assert oldest._codes is None
+    assert [source._grades_of_many(ids).tolist() for source in sources] == [
+        [grades.grade(object_id) for object_id in ids] for grades in graded
+    ]
+    coded, by_ids = (
+        [(item.object_id, item.grade) for item in nra_top_k(stack, tnorms.MIN, 5).answers]
+        for stack in (sources, per_row(sources))
+    )
+    assert coded == by_ids
+
+
 def test_different_object_sets_decline_adoption_with_the_old_error():
     a = ArraySource.from_arrays(["x", "y", "z"], [0.9, 0.5, 0.1], name="A")
     b = ArraySource.from_arrays(["x", "y", "w"], [0.8, 0.6, 0.2], name="B")

@@ -5,7 +5,6 @@ their underlying module tests instead of re-run here.)
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 

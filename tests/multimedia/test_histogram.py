@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.multimedia.histogram import (

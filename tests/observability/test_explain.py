@@ -4,8 +4,6 @@ import filecmp
 import json
 import random
 
-import pytest
-
 from repro.cli import main
 from repro.core.query import Atomic
 from repro.core.sources import ArraySource
@@ -14,7 +12,6 @@ from repro.middleware.list_subsystem import ListSubsystem
 from repro.middleware.relational import BooleanSource, RelationalSubsystem
 from repro.observability import QueryTracer, validate_trace
 from repro.observability.explain import describe_sources, phase_breakdown
-from repro.scoring import tnorms
 
 N = 60
 

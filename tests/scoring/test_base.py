@@ -6,7 +6,6 @@ from repro.errors import GradeError, ScoringError
 from repro.scoring.base import (
     BinaryScoringFunction,
     FunctionScoring,
-    ScoringFunction,
     as_scoring_function,
 )
 from repro.scoring.tnorms import MIN
