@@ -222,10 +222,11 @@ class GradedSource(ABC):
     #: predicate such as Artist='Beatles').  The planner uses this to
     #: pick the Boolean-conjunct-first strategy of section 4.1.
     is_boolean = False
-    #: True when reads are free and accesses cannot fail, so TA may read
-    #: whole windows and probe grades ahead of charging for them (its
-    #: bulk round).  Wrappers leave it False: their side effects must
-    #: observe every access as it is charged.
+    #: True when reads are free and accesses cannot fail, so TA may
+    #: gather a whole window's probe grades ahead of charging for them.
+    #: Wrappers leave it False: TA's round then probes each row through
+    #: a charged ``random_access_many``, so their side effects observe
+    #: every access as it is charged.
     supports_columnar = False
 
     def __init__(self, name: str) -> None:
@@ -276,9 +277,10 @@ class GradedSource(ABC):
         TA's bulk round already read through the free
         :meth:`_grades_of_codes`.
 
-        The bulk round charges exactly the probes the per-row path would
-        have performed, here, so composite backends keep their
-        per-constituent accounting in sync with the paper's measure.
+        The bulk round charges here exactly the probes its charged
+        policy would have made through :meth:`random_access_many`, so
+        composite backends keep their per-constituent accounting in
+        sync with the paper's measure.
         Codes are decoded (lazily) only for :meth:`_attribute_random`;
         a source that attributes by code overrides this instead.
         """
@@ -417,9 +419,10 @@ class ArraySource(GradedSource):
 
     The base class charges one sorted access per delivered item and one
     random access per probed object, whichever access form the caller
-    uses.  A bare ArraySource is columnar, so TA reads a set of them (m >
-    1) in its bulk round; TA's per-row path serves only wrapped stacks
-    and m = 1 (:func:`~repro.core.threshold.threshold_top_k`).
+    uses.  A bare ArraySource is columnar, so over a set of them TA
+    gathers probe grades for free and charges them after the stop;
+    behind a wrapper the same round probes row by row, charged
+    (:func:`~repro.core.threshold.threshold_top_k`).
     """
 
     supports_columnar = True

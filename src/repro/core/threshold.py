@@ -64,7 +64,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import CodedBounds, GradeMatrix, ObjectCodes, _np, canonical_order
+from repro.kernels import CodedBounds, GradeMatrix, _np, canonical_order
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -509,56 +509,60 @@ def threshold_top_k(
 
     Sorted access is drained in bulk: each super-round peeks a window of
     upcoming items per list (free), replays TA's one-item-per-list
-    rounds over the windows in memory — issuing the random probes for
-    each round's newly seen objects as one bulk request per list — and
-    then consumes exactly the rounds processed with one
-    ``next_batch_columns`` per list.  The stopping rule is still
-    evaluated between rounds, so the access counts are identical to
-    item-at-a-time TA for every ``batch_size`` (1 reproduces the
-    per-item pattern exactly).
+    rounds over the windows in memory, and then consumes exactly the
+    rounds processed with one ``next_batch_columns`` per list.  The
+    stopping rule is still evaluated between rounds, so the access
+    counts are identical to item-at-a-time TA for every ``batch_size``
+    (1 reproduces the per-item pattern exactly).
 
-    There is one loop.  τ for every row of a window comes from one
-    ``combine_matrix`` call over the forward-filled bottoms matrix
-    (bit-identical to ``t(bottoms)`` per round; a rule without a native
-    batch form is therefore evaluated on up to one window of rows past
-    the stop row).  When m > 1 and every source ``supports_columnar``
-    (bare backends that cannot fail), the whole window is one
-    ``bulk_round`` of integer array operations over object codes, traced
-    or not: a set of ArraySources shares one ``ObjectCodes`` index,
-    memmap and sharded memmap lists partitioned alike share the codes
-    their storage wrote, any other set codes its ids per run.  Probe
-    grades are gathered by code and charged, probe for probe, as
-    ``random_access_many`` would charge them.  The bulk round's window
-    starts at ``batch_size`` rows and doubles after every super-round
-    that does not stop, so a stop at depth d takes about
-    ``log2(d / batch_size) + 1`` super-rounds and peeks fewer than
-    ``2d + batch_size`` rows per list.  The per-row path serves only
-    wrapped stacks and m = 1: it takes one TA round per row over fixed
-    windows of ``batch_size`` rows, with one ``random_access_many`` per
-    list per round, so wrapper accounting and fault behaviour observe
-    every probe, and every consume is at most ``batch_size`` rows.
+    There is one loop, ``bulk_round``: integer array operations over
+    object codes (a set of ArraySources shares one ``ObjectCodes``
+    index, memmap and sharded memmap lists partitioned alike share the
+    codes their storage wrote, any other set codes its ids per run).  τ
+    for every row of a window comes from one ``combine_matrix`` call
+    over the forward-filled bottoms matrix (bit-identical to
+    ``t(bottoms)`` per round; a rule without a native batch form is
+    therefore evaluated on up to one window of rows past the stop row).
+    What differs is only the probe policy, chosen from
+    ``supports_columnar``.  When every source is a bare columnar backend
+    (reads are free, accesses cannot fail), probe grades are gathered by
+    code for the whole window, the stop row is found from them, and the
+    probes up to it are charged, probe for probe, as
+    ``random_access_many`` would charge them; the window starts at
+    ``batch_size`` rows and doubles after every super-round that does
+    not stop, so a stop at depth d takes about ``log2(d / batch_size) +
+    1`` super-rounds and peeks fewer than ``2d + batch_size`` rows per
+    list.  Any other set (wrappers, promoted or sharded-over-wrapped
+    lists) probes each row's fresh objects with one charged
+    ``random_access_many`` per list and tests the stop after every row,
+    over fixed windows of ``batch_size`` rows, so wrapper accounting and
+    fault behaviour observe every probe, and every consume is at most
+    ``batch_size`` rows.
 
-    TA logs the sorted rows and probe results it has used, so when
-    ``degrade`` is True (the default) and a random probe fails with one
-    of :data:`DEGRADABLE_ACCESS_ERRORS` — e.g. the source's
-    random-access circuit breaker opened — the execution does not abort:
-    it consumes the sorted rows it already used, replays the log into a
-    bounds state and continues as an NRA run over the same cursors,
-    still returning correct top-k answers from sorted access alone; a
-    sorted stream that dies during a consume is frozen in place and
-    handed over the same way.  With ``degrade=False`` the error
-    propagates (the E20 ablation).
+    TA logs, by code, the sorted rows the lists delivered and the probe
+    results it has used, so when ``degrade`` is True (the default) and a
+    random probe fails with one of :data:`DEGRADABLE_ACCESS_ERRORS` —
+    e.g. the source's random-access circuit breaker opened — the
+    execution does not abort: it consumes the sorted rows it already
+    used, replays the log into a bounds state and continues as an NRA
+    run over the same cursors, still returning correct top-k answers
+    from sorted access alone.  A sorted stream that dies during a
+    consume delivers nothing: its rows stay out of the log, its bottom
+    stays at the last grade it delivered, its sorted records are
+    withdrawn from the trace, and it is handed over frozen in place the
+    same way.  With ``degrade=False`` the error propagates (the E20
+    ablation).
 
-    Under a ``tracer``, either path emits accesses at *logical* time, in
-    one order — each row's sorted deliveries as TA's round processes
-    them (even though the underlying cursor consumes them in bulk
-    afterwards), then the row's random probes — and samples the
-    threshold trajectory as ``ta.tau`` / ``ta.kth_grade`` once per
+    Under a ``tracer``, accesses are emitted at *logical* time, in one
+    order — each row's sorted deliveries as TA's round processes them
+    (even though the underlying cursor consumes them in bulk
+    afterwards), then the row's random probes — and the threshold
+    trajectory is sampled as ``ta.tau`` / ``ta.kth_grade`` once per
     round, with the value the stop test uses.  The tracer only records:
     a traced run executes exactly as an untraced one.
 
     ``executor`` is an optional
-    :class:`~repro.parallel.ParallelAccessExecutor`: each round's bulk
+    :class:`~repro.parallel.ParallelAccessExecutor`: each row's charged
     random probes (one request per list) and each super-round's sorted
     consumes fan out across its workers, with results merged in list
     order in the coordinating thread, so answers, cost, and traces are
@@ -590,38 +594,35 @@ def threshold_top_k(
     meter = CostMeter(sources)
 
     cursors = [s.cursor() for s in sources]
-    others = [[j for j in range(m) if j != i] for i in range(m)]
     #: the access failures this run outlives by handing over to NRA;
     #: anything else — everything, with ``degrade=False`` — propagates
     survivable = DEGRADABLE_ACCESS_ERRORS if degrade else ()
-    columnar = m > 1 and all(source.supports_columnar for source in sources)
+    #: the probe policy: gather for free, or probe each row charged
+    columnar = all(source.supports_columnar for source in sources)
+    #: each list's last delivered grade (1.0 before any)
     bottoms = [1.0] * m
-    #: overall grade of every object sorted access has delivered, in
-    #: first-seen (row-major) order — TA's seen-set.  An object enters
-    #: at first sight, before its probes, and gets its grade once they
-    #: return, so at a probe failure the keys are exactly the seen
-    #: objects in the order the NRA continuation must see them.
-    overall: Dict[ObjectId, float] = {}
-    #: the bulk round's object codes (None on the per-row path) and its
-    #: seen-set: a bitmap by code, and each window's (codes, grades);
+    #: the seen-set: a bitmap by code, and each round's (codes, overall
+    #: grades, per-list grades, first lists) in first-seen (row-major)
+    #: order — NaN where a probe failure left a grade unknown;
     #: ``sighting`` is scratch by code, UNSEEN between rounds.
-    object_codes = shared_object_codes(sources) if columnar else None
+    object_codes = shared_object_codes(sources)
     seen = _np.zeros(0, dtype=bool)
     sighting = _np.zeros(0, dtype=_np.intp)
     UNSEEN = _np.iinfo(_np.intp).max
-    seen_log = [(_np.empty(0, dtype=_np.int32), _np.empty(0))]
+    seen_log = [
+        (_np.empty(0, dtype=_np.int32), _np.empty(0), _np.empty((0, m)), _np.empty(0, dtype=_np.intp))
+    ]
+    #: the sorted rows the lists delivered, (list index, codes, grades);
+    #: with the seen log's probe grades, what a degrade to NRA replays.
+    delivered: List[tuple] = []
+    #: the window's sorted records per list, withdrawn if it dies
+    recorded: List[List[dict]] = []
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
     best_k: List[float] = []
     depth = 0
     stop = False
     stop_tau = 0.0
-    #: sorted deliveries TA has used, (list index, ids, grades) per
-    #: window slice (codes, not ids, in the bulk round) — replayed into
-    #: a bounds state if the run has to degrade to NRA.
-    sorted_log: List[tuple] = []
-    #: applied random-probe results, (list index, {id: grade}).
-    probe_log: List[tuple] = []
 
     def admit(heap: List[float], grade: float) -> None:
         if len(heap) < k:
@@ -629,40 +630,36 @@ def threshold_top_k(
         elif grade > heap[0]:
             heapq.heapreplace(heap, grade)
 
-    def trace_round(tau_row: float, heap: List[float], stopped: bool) -> None:
-        """A round's threshold samples, the value its stop test uses, and
-        the ``stop`` event if the round stopped; ``heap`` is the k best
-        grades once the round's objects are graded."""
-        tracer.sample("ta.tau", tau_row)
-        if len(heap) >= k:
-            tracer.sample("ta.kth_grade", heap[0])
-        if stopped:
-            relaxed = {"theta": theta} if theta > 1.0 else {}
-            tracer.event("stop", tau=tau_row, kth=heap[0], **relaxed)
-
     def bulk_round(windows, lengths, rows, tau):
         """One whole super-round as integer array operations over object
         codes.  The seen bitmap over the ``rows × m`` code matrix and one
         ``np.minimum.at`` into a by-code position array (no sort) give
-        the fresh objects in row-major first-seen order; one gather per
-        source and one ``combine_matrix`` score them.  Row r stops iff at
-        least k grades x among the kept k best and those graded through r
-        have ``θ·x ≥ τ[r]``: that is ``θ·kth ≥ τ[r]`` exactly, since IEEE
+        the fresh objects in row-major first-seen order; each one's grade
+        in the list that delivered it first comes from the window.
+
+        Its other grades come from the probe policy.  A columnar set
+        gathers them by code for the whole window, and one
+        ``combine_matrix`` scores them.  Row r stops iff at least k
+        grades x among the kept k best and those graded through r have
+        ``θ·x ≥ τ[r]``: that is ``θ·kth ≥ τ[r]`` exactly, since IEEE
         ``θ·x`` is monotone.  While τ never rises down the window a grade
         counts from the first row that has graded it and where τ has
         fallen to it, so the stop row is the k-th smallest of those rows
-        (a non-monotone rule scans the rows).  Only objects first
-        delivered at or before the stop row are committed and charged,
-        probe for probe as the per-row path, so costs and answers are
+        (a non-monotone rule scans the rows).  Any other set probes row
+        by row, with one charged ``random_access_many`` per list in list
+        order, scores the row's objects with ``rule(...)`` (bit-identical
+        to ``combine_matrix``) and tests the stop after it.  Either way
+        only objects first delivered at or before the stop row are
+        committed and charged, probe for probe, so costs and answers are
         identical.
 
-        Taken for bare columnar backends (reads are free to prefetch,
-        accesses cannot fail), traced or not; returns
-        ``(consumed_rows, stopped)``.  Under a tracer the consumed rows'
-        events are emitted from the same arrays, in the per-row path's
-        order, at logical access time.
+        Under a tracer the consumed rows' events are emitted row by row,
+        in one order, at logical access time.  Returns ``(consumed_rows,
+        stopped, failed)``: ``failed`` is None, or ``{source name:
+        reason}`` when a charged probe failed survivably; the cut-short
+        round's seen objects are then logged ungraded (NaN).
         """
-        nonlocal seen, sighting, stop_tau
+        nonlocal seen, sighting, stop_tau, recorded
         grow = len(object_codes) - seen.size
         if grow:  # a per-run index coded new ids
             seen = _np.concatenate((seen, _np.zeros(grow, bool)))
@@ -678,97 +675,139 @@ def threshold_top_k(
         sighting[sighted] = UNSEEN
         fresh = flat[where]
         fresh_row, first_list = _np.divmod(where, m)
-        grades, scores = _np.empty((fresh.size, m)), _np.empty(0)
-        if fresh.size:
-            for j, source in enumerate(sources):
-                grades[:, j] = source._grades_of_codes(object_codes, fresh)
-            scores = rule.combine_matrix(grades)
         through = _np.searchsorted(fresh_row, _np.arange(rows), side="right")
-        kept, reach = theta * _np.asarray(best_k), theta * scores
-        if (tau[1:] > tau[:-1]).any():  # a non-monotone rule: scan
+        grades, scores = _np.full((fresh.size, m), _np.nan), _np.full(fresh.size, _np.nan)
+        stop_row = rows
+        if columnar:
+            if fresh.size:
+                for j, source in enumerate(sources):
+                    grades[:, j] = source._grades_of_codes(object_codes, fresh)
+                scores = rule.combine_matrix(grades)
+            kept, reach = theta * _np.asarray(best_k), theta * scores
+            if (tau[1:] > tau[:-1]).any():  # a non-monotone rule: scan
 
-            def stops(row: int) -> bool:
-                bar = tau[row]
-                return (kept >= bar).sum() + (reach[: through[row]] >= bar).sum() >= k
+                def stops(row: int) -> bool:
+                    bar = tau[row]
+                    return (kept >= bar).sum() + (reach[: through[row]] >= bar).sum() >= k
 
-            stop_row = next((r for r in range(rows) if stops(r)), rows)
-        else:  # a grade counts from its row on, once τ has fallen to it
-            starts = _np.concatenate((
-                _np.searchsorted(-tau, -kept),
-                _np.maximum(fresh_row, _np.searchsorted(-tau, -reach)),
-            ))
-            stop_row = int(_np.partition(starts, k - 1)[k - 1]) if starts.size >= k else rows
+                stop_row = next((r for r in range(rows) if stops(r)), rows)
+            else:  # a grade counts from its row on, once τ has fallen to it
+                starts = _np.concatenate((
+                    _np.searchsorted(-tau, -kept),
+                    _np.maximum(fresh_row, _np.searchsorted(-tau, -reach)),
+                ))
+                stop_row = int(_np.partition(starts, k - 1)[k - 1]) if starts.size >= k else rows
+        else:  # each object's grade in its first list is the window's
+            for i, (_, window_grades) in enumerate(windows):
+                firsts = first_list == i
+                grades[firsts, i] = window_grades[fresh_row[firsts]]
         consumed = min(stop_row + 1, rows)
-        count = through[consumed - 1]
-        committed, committed_scores = fresh[:count], scores[:count]
-        if tracer is not None:  # the per-row path's events, in its order
-            window_ids = [object_codes.decode(codes[:consumed]) for codes, _ in windows]
-            grades_lists = [window_grades.tolist() for _, window_grades in windows]
-            fresh_ids, firsts = object_codes.decode(committed), first_list.tolist()
-            fresh_grades, fresh_scores = grades.tolist(), scores.tolist()
+        if tracer is not None or not columnar:  # row by row
+            ids = object_codes.decode(fresh[: through[consumed - 1]])
+            firsts, ends = first_list.tolist(), through.tolist()
+            if tracer is not None:
+                recorded = [[] for _ in range(m)]
+                window_ids = [object_codes.decode(codes[:consumed]) for codes, _ in windows]
+                grades_lists = [window_grades.tolist() for _, window_grades in windows]
             heap = list(best_k)  # the k best grades as the rows commit
             for row in range(consumed):
-                for i in range(m):
-                    if row < lengths[i]:
-                        tracer.record_sorted(
-                            sources[i].name,
-                            window_ids[i][row],
-                            grades_lists[i][row],
-                            position=cursors[i].position + row + 1,
-                        )
-                round_objects = range(through[row - 1] if row else 0, through[row])
-                for j in range(m):
-                    for f in round_objects:
-                        if firsts[f] != j:
-                            tracer.record_random(sources[j].name, fresh_ids[f], fresh_grades[f][j])
-                for f in round_objects:
-                    admit(heap, fresh_scores[f])
-                trace_round(float(tau[row]), heap, row == stop_row)
+                if tracer is not None:
+                    for i in range(m):
+                        if row < lengths[i]:
+                            recorded[i].append(tracer.record_sorted(
+                                sources[i].name,
+                                window_ids[i][row],
+                                grades_lists[i][row],
+                                position=cursors[i].position + row + 1,
+                            ))
+                start, end = ends[row - 1] if row else 0, ends[row]
+                targets = [(j, [f for f in range(start, end) if firsts[f] != j]) for j in range(m)]
+                targets = [(j, needed) for j, needed in targets if needed]
+                # Charged, the row's random probes are one bulk request
+                # per list: fan them out, merge grades (and emit trace
+                # events) in list order.  The first failure, taken in
+                # list order, is handled exactly as serial TA handles it;
+                # probes beyond it are discarded.
+                outcomes = [None] * len(targets) if columnar else fan_out(
+                    executor,
+                    [
+                        (lambda s=sources[j], n=[ids[f] for f in needed]: s.random_access_many(n))
+                        for j, needed in targets
+                    ],
+                    stop_on_error=True,
+                )
+                for (j, needed), outcome in zip(targets, outcomes):
+                    if outcome is not None:
+                        if outcome.error is not None:
+                            if not isinstance(outcome.error, survivable):
+                                raise outcome.error
+                            seen_log.append((fresh[:end], scores[:end], grades[:end], first_list[:end]))
+                            return row + 1, False, {sources[j].name: str(outcome.error)}
+                        for f in needed:
+                            grades[f, j] = outcome.value[ids[f]]
+                    if tracer is not None:
+                        for f in needed:
+                            tracer.record_random(sources[j].name, ids[f], grades[f, j])
+                if not columnar:
+                    for f in range(start, end):
+                        scores[f] = rule(grades[f].tolist())
+                for grade in scores[start:end].tolist():
+                    admit(heap, grade)
+                stopped = len(heap) >= k and theta * heap[0] >= tau[row]
+                if tracer is not None:  # the value the stop test used
+                    tracer.sample("ta.tau", float(tau[row]))
+                    if len(heap) >= k:
+                        tracer.sample("ta.kth_grade", heap[0])
+                    if stopped:
+                        relaxed = {"theta": theta} if theta > 1.0 else {}
+                        tracer.event("stop", tau=float(tau[row]), kth=heap[0], **relaxed)
+                if stopped:
+                    stop_row, consumed = row, row + 1
+                    break
+        count = through[consumed - 1]
+        committed, committed_scores = fresh[:count], scores[:count]
         seen[committed] = True
-        seen_log.append((committed, committed_scores))
+        seen_log.append((committed, committed_scores, grades[:count], first_list[:count]))
         if len(best_k) >= k:  # the rest cannot enter the heap
             committed_scores = committed_scores[committed_scores > best_k[0]]
         for grade in committed_scores.tolist():
             admit(best_k, grade)
-        for j, source in enumerate(sources):
-            probes = committed[first_list[:count] != j]  # all but the first list
-            source._record_random_probes(object_codes, probes)
-        for i, (_, window_grades) in enumerate(windows):
-            rows_used = min(consumed, lengths[i])
-            if rows_used:
-                bottoms[i] = float(window_grades[rows_used - 1])
+        if columnar:  # charge the gathered probes the stop row used
+            for j, source in enumerate(sources):
+                others = first_list[:count] != j  # all but the first list
+                source._record_random_probes(object_codes, committed[others])
         stop_tau = float(tau[consumed - 1])
-        return consumed, stop_row < rows
+        return consumed, stop_row < rows, None
 
     def consume(windows, rows: int) -> Dict[int, str]:
-        """Log the first ``rows`` rows of every window as used by TA,
-        then consume them with one ``next_batch_columns`` per list.
+        """Consume the first ``rows`` rows of every window with one
+        ``next_batch_columns`` per list.  A list's rows are logged, and
+        its bottom moves, only once it has delivered them.
 
         Returns ``{list index: reason}`` for the streams that died
-        shipping them (their rows are in TA's state, and so in the log,
-        regardless).
+        instead: they delivered nothing, so their sorted records of the
+        window are withdrawn from the trace.
         """
         nonlocal depth
-        takers = []
-        for i, (window_ids, window_grades) in enumerate(windows):
-            rows_used = min(rows, len(window_ids))
-            if rows_used:
-                takers.append((i, rows_used))
-                sorted_log.append(
-                    (i, window_ids[:rows_used], window_grades[:rows_used])
-                )
+        takers = [(i, min(rows, len(codes))) for i, (codes, _) in enumerate(windows)]
+        takers = [(i, used) for i, used in takers if used]
         outcomes = fan_out(
             executor,
             [(lambda c=cursors[i], t=t: c.next_batch_columns(t)) for i, t in takers],
         )
         died: Dict[int, str] = {}
-        for (i, _), outcome in zip(takers, outcomes):
+        for (i, used), outcome in zip(takers, outcomes):
             if outcome.error is not None:
                 if not isinstance(outcome.error, survivable):
                     raise outcome.error
                 died[i] = str(outcome.error)
                 continue
+            codes, grades = windows[i]
+            delivered.append((i, codes[:used], grades[:used]))
+            bottoms[i] = float(grades[used - 1])
             depth = max(depth, cursors[i].position)
+        if died and tracer is not None:
+            tracer.retract([event for i in died for event in recorded[i]])
         return died
 
     def fall_back(
@@ -776,13 +815,13 @@ def threshold_top_k(
         dead: Dict[int, str],
         unconsumed=None,
     ) -> TopKResult:
-        """Replay the access log into a bounds state and continue as NRA.
+        """Replay the log into a bounds state and continue as NRA.
 
         After a probe failure the rows TA already used are still
         ``unconsumed`` — ``(windows, rows)`` — and are consumed first; a
-        stream that dies shipping them, like one that died in the main
-        loop's consume (``dead``), is frozen in place and handed to the
-        continuation as already-exhausted.  The surviving lists carry
+        stream that dies shipping those rows, like one that died in the
+        main loop's consume (``dead``), is frozen in place and handed to
+        the continuation as already-exhausted.  The surviving lists carry
         the query.
         """
         if tracer is not None:
@@ -801,23 +840,24 @@ def threshold_top_k(
         # them in: that is the order a live per-object seen-set would
         # have, and NRA's stable (-grade, str(id)) ranking can tell it
         # from the log's list-major order when two ids share a ``str``.
-        if object_codes is not None:  # the bulk round keeps codes
-            seen_codes = _np.concatenate([codes for codes, _ in seen_log])
-            overall.update(dict.fromkeys(object_codes.decode(seen_codes)))
-            sorted_log[:] = [(i, object_codes.decode(c), g) for i, c, g in sorted_log]
-        known: Dict[ObjectId, Dict[int, float]] = {object_id: {} for object_id in overall}
-        for i, ids, grades in sorted_log:
-            for object_id, grade in zip(ids, grades.tolist()):
-                known[object_id][i] = grade
-        for j, fetched in probe_log:
-            for object_id, grade in fetched.items():
-                known[object_id][j] = grade
+        seen_codes = _np.concatenate([entry[0] for entry in seen_log])
+        known: Dict[int, Dict[int, float]] = {code: {} for code in seen_codes.tolist()}
+        replay = list(delivered)
+        for codes, _, grades, firsts in seen_log:  # the probes: all but each first list
+            for j in range(m):
+                cells = (firsts != j) & ~_np.isnan(grades[:, j])
+                replay.append((j, codes[cells], grades[cells, j]))
+        for i, codes, grades in replay:
+            for code, grade in zip(codes.tolist(), grades.tolist()):
+                known[code][i] = grade
         return _nra_run(
             sources,
             rule,
             k,
             cursors=cursors,
-            bounds=CodedBounds.from_known(known, m),
+            bounds=CodedBounds.from_known(
+                dict(zip(object_codes.decode(seen_codes), known.values())), m
+            ),
             bottoms=bottoms,
             exhausted=[i in dead for i in range(m)],
             meter=meter,
@@ -832,16 +872,14 @@ def threshold_top_k(
             executor=executor,
         )
 
-    window = batch_size  # the bulk round's, doubled after every round
+    window = batch_size  # doubled after every columnar round
     with nullcontext() if tracer is None else tracer.phase("ta"):
         while not stop:
             windows = [
-                cursor.peek_batch_columns(batch_size)
-                if object_codes is None
-                else source._codes_range(object_codes, cursor.position, window)
+                source._codes_range(object_codes, cursor.position, window)
                 for source, cursor in zip(sources, cursors)
             ]
-            lengths = [len(window_ids) for window_ids, _ in windows]
+            lengths = [len(codes) for codes, _ in windows]
             rows = max(lengths, default=0)
             if rows == 0:
                 break  # no list can progress: exhausted
@@ -849,7 +887,7 @@ def threshold_top_k(
             # batched fold: forward-fill each list's grades over rows it
             # cannot serve (its bottom freezes), then combine rows.
             bottoms_matrix = _np.empty((rows, m))
-            for i, (window_ids, window_grades) in enumerate(windows):
+            for i, (_, window_grades) in enumerate(windows):
                 length = lengths[i]
                 if length:
                     bottoms_matrix[:length, i] = window_grades
@@ -857,103 +895,20 @@ def threshold_top_k(
                 else:
                     bottoms_matrix[:, i] = bottoms[i]
             tau = rule.combine_matrix(bottoms_matrix)
-            if object_codes is not None:
-                consumed, stop = bulk_round(windows, lengths, rows, tau)
-                window *= 2
-            else:
-                grades_lists = [grades.tolist() for _, grades in windows]
-                tau = tau.tolist()
-                for row in range(rows):
-                    # One TA round: the row-th item of every list, with bulk
-                    # random probes for the objects this round saw first.
-                    # Under a tracer each delivery is recorded here, at
-                    # logical access time, not at the deferred bulk consume.
-                    fresh: List[tuple] = []
-                    fresh_known: Dict[ObjectId, Dict[int, float]] = {}
-                    for i in range(m):
-                        if row >= lengths[i]:
-                            continue
-                        object_id = windows[i][0][row]
-                        grade = grades_lists[i][row]
-                        if tracer is not None:
-                            tracer.record_sorted(
-                                sources[i].name,
-                                object_id,
-                                grade,
-                                position=cursors[i].position + row + 1,
-                            )
-                        bottoms[i] = grade
-                        if object_id not in overall:
-                            overall[object_id] = 0.0  # graded below, once probed
-                            fresh.append((object_id, i))
-                            fresh_known[object_id] = {i: grade}
-                        elif object_id in fresh_known:
-                            # Same object surfacing in two lists this round:
-                            # second delivery lands in its in-flight grades.
-                            fresh_known[object_id][i] = grade
-                    consumed = row + 1
-                    if fresh:
-                        needed: List[List[ObjectId]] = [[] for _ in range(m)]
-                        for object_id, first in fresh:
-                            for j in others[first]:
-                                needed[j].append(object_id)
-                        # The round's random probes are one bulk request per
-                        # list: fan them out, merge grades (and emit trace
-                        # events) in list order.  The first failure, taken
-                        # in list order, is handled exactly as serial TA
-                        # handles it; probes beyond it are discarded.
-                        targets = [(j, ids) for j, ids in enumerate(needed) if ids]
-                        probe_outcomes = fan_out(
-                            executor,
-                            [
-                                (lambda s=sources[j], i=ids: s.random_access_many(i))
-                                for j, ids in targets
-                            ],
-                            stop_on_error=True,
-                        )
-                        for (j, ids), outcome in zip(targets, probe_outcomes):
-                            if not outcome.ran:
-                                break
-                            if outcome.error is not None:
-                                if not isinstance(outcome.error, survivable):
-                                    raise outcome.error
-                                return fall_back(
-                                    {sources[j].name: str(outcome.error)},
-                                    {},
-                                    unconsumed=(windows, consumed),
-                                )
-                            fetched = outcome.value
-                            if tracer is not None:
-                                for object_id in ids:
-                                    tracer.record_random(
-                                        sources[j].name, object_id, fetched[object_id]
-                                    )
-                            probe_log.append((j, fetched))
-                            for object_id, grade in fetched.items():
-                                fresh_known[object_id][j] = grade
-                        for object_id, _ in fresh:
-                            known = fresh_known[object_id]
-                            grade = rule([known[j] for j in range(m)])
-                            overall[object_id] = grade
-                            admit(best_k, grade)
-                    stop = len(best_k) >= k and theta * best_k[0] >= tau[row]
-                    if tracer is not None:
-                        trace_round(tau[row], best_k, stop)
-                    if stop:
-                        stop_tau = tau[row]
-                        break
+            consumed, stop, failed = bulk_round(windows, lengths, rows, tau)
+            if failed is not None:
+                return fall_back(failed, {}, (windows, consumed))
             died = consume(windows, consumed)
             if died and not stop:
                 # A sorted stream died mid-round; its cursor is stuck, so the
                 # next peek would replay the same rows forever.  Hand the
                 # accumulated state to NRA with the dead list frozen out.
                 return fall_back({}, died)
+            if columnar:
+                window *= 2
 
-    if object_codes is None:
-        object_codes, codes = ObjectCodes(overall), _np.arange(len(overall))
-        grades = _np.fromiter(overall.values(), _np.float64, len(overall))
-    else:  # the bulk round decodes only the candidates below
-        codes, grades = (_np.concatenate(column) for column in zip(*seen_log))
+    codes = _np.concatenate([entry[0] for entry in seen_log])
+    grades = _np.concatenate([entry[1] for entry in seen_log])
     # only objects graded at least the k-th best grade can be answers
     cut = _np.partition(grades, -k)[-k] if grades.size > k else -_np.inf
     rows = _np.flatnonzero(grades >= cut)

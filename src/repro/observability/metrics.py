@@ -44,7 +44,8 @@ def _render(key: InstrumentKey) -> str:
 
 
 class Counter:
-    """A monotonically increasing tally."""
+    """A tally.  It only rises, except when a tracer takes back an
+    access it recorded (:meth:`QueryTracer.retract`)."""
 
     __slots__ = ("value", "_lock")
 
@@ -201,6 +202,15 @@ class MetricsRegistry:
     def series(self, name: str, **labels) -> Series:
         with self._lock:
             return self._series.setdefault(_key(name, labels), Series())
+
+    def move_steps(self, moved: Dict[int, int]) -> None:
+        """Renumber every series point whose step ``moved`` maps to a new
+        one (the tracer took back events before it)."""
+        with self._lock:
+            every = list(self._series.values())
+        for series in every:
+            with series._lock:
+                series.points = [(moved.get(step, step), value) for step, value in series.points]
 
     # -- read side -------------------------------------------------------------
     # Every read goes through the instruments' snapshot methods, which

@@ -142,9 +142,10 @@ class QueryTracer:
         object_id: ObjectId,
         grade: float,
         position: Optional[int] = None,
-    ) -> None:
-        """One sorted access: ``source`` delivered ``object_id`` at ``grade``."""
-        self._emit(
+    ) -> Dict[str, object]:
+        """One sorted access: ``source`` delivered ``object_id`` at
+        ``grade``; returns the event, which :meth:`retract` takes."""
+        event = self._emit(
             "sorted",
             source=source,
             object=object_id,
@@ -156,6 +157,7 @@ class QueryTracer:
             self.metrics.counter(
                 "accesses.sorted", source=source, phase=self.current_phase or "-"
             ).inc()
+        return event
 
     def record_random(self, source: str, object_id: ObjectId, grade: float) -> None:
         """One random access: ``source`` graded ``object_id`` on demand."""
@@ -179,6 +181,36 @@ class QueryTracer:
             self.record_sorted(
                 source, item.object_id, item.grade, position=start_position + offset + 1
             )
+
+    def retract(self, events: Sequence[Dict[str, object]]) -> None:
+        """Take back sorted-access ``events`` that did not happen after all.
+
+        TA records a row's sorted accesses at logical time, before the
+        bulk consume that delivers them; a stream that then refuses the
+        delivery has its records taken back here.  Later events move up
+        so the steps stay contiguous, and the metrics follow: the access
+        counters drop, and every series point moves with its sample.
+        """
+        if not events:
+            return
+        with self._lock:
+            gone = {id(event) for event in events}
+            start = min(int(event["step"]) for event in events)
+            kept = [event for event in self.events[start:] if id(event) not in gone]
+            moved = {}
+            for step, event in enumerate(kept, start):
+                moved[event["step"]] = step
+                event["step"] = step
+            self.events[start:] = kept
+            self._step = start + len(kept)
+            if self.metrics is not None:
+                for event in events:
+                    self.metrics.counter(
+                        "accesses.sorted",
+                        source=event["source"],
+                        phase=event.get("phase") or "-",
+                    ).inc(-1)
+                self.metrics.move_steps(moved)
 
     # -- resilience bridge -----------------------------------------------------
     def resilience_observer(self, source_name: str) -> Callable[[str, str], None]:

@@ -105,8 +105,9 @@ class ShardedSource(GradedSource):
     :class:`~repro.core.sources.ArraySource`.  Shards of any backend
     work — the merge peeks them through their own free bulk paths.  The
     source is columnar (``supports_columnar``) unless a shard is a
-    wrapper: TA's bulk round probes ahead of charging, which a wrapper's
-    side effects (faults, retries, tracing) must not see.
+    wrapper: over columnar sets TA gathers probe grades ahead of
+    charging, which a wrapper's side effects (faults, retries, tracing)
+    must not see, so a wrapped shard makes TA probe row by row, charged.
     """
 
     def __init__(

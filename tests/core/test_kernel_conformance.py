@@ -6,12 +6,12 @@ Every algorithm folds its bounds through one
 per-row loop.  The contract: the two forms are interchangeable — same
 answers, same tie-breaks, same charged access counts, same traces, same
 degradation behavior — at every algorithm, over bare ArraySources
-(columnar) and wrapped ones (TA's per-row path), traced and untraced,
+(columnar) and wrapped ones (TA's charged probes), traced and untraced,
 serial and parallel.  ``combine`` below is that axis (``tests.strategies.COMBINES``:
 ``"scalar"`` is the per-row loop, ``"vector"`` the native form).
 Hypothesis drives the differential runs; deterministic tests pin down
-degradation parity, TA's window mechanics, and the engine's bulk-round
-and per-row paths.  NRA's stopping depth has its own suite
+degradation parity, TA's window mechanics, and the engine over
+columnar and wrapped bindings.  NRA's stopping depth has its own suite
 (tests/core/test_nra_stop_depth.py).
 """
 
@@ -422,8 +422,10 @@ def test_ta_probe_failure_mid_window_with_a_stream_dying_in_the_consume(
 def test_ta_hands_nra_its_first_seen_order(backend):
     """Ids ``1`` and ``"1"`` tie on NRA's whole ``(-grade, str(id))``
     answer key, so their order shows the first-seen order of the state
-    TA handed over.  TA saw ``1`` first (row 0 of list 1; ``"1"`` is row
-    1 of list 0) — a per-list replay of the window would say ``"1"``."""
+    TA handed over.  List 1's random access breaks at row 1, after the
+    rows both lists delivered hold both ids; TA saw ``1`` first (row 0
+    of list 1; ``"1"`` is row 1 of list 0) — a per-list replay of the
+    rows would say ``"1"``."""
     table = {
         "a": [0.9, 0.1],
         "1": [0.75, 0.5],
@@ -436,11 +438,14 @@ def test_ta_hands_nra_its_first_seen_order(backend):
     }
     for combine in COMBINES:
         sources = columns(table, backend)
-        sources[1] = SortedStreamDies(sources[1], 2)
+        sources[1] = FaultInjectingSource(
+            sources[1], FaultProfile(break_random_after=1), clock=VirtualClock()
+        )
         result = threshold_top_k(
             sources, with_combine(means.MEAN, combine), 3, batch_size=3
         )
         assert result.algorithm == "threshold-ta+nra"
+        assert list(result.degraded.failed_sources) == ["faulty(A2)"]
         assert [(item.object_id, item.grade) for item in result.answers] == [
             (1, 0.625), ("1", 0.625), ("a", 0.5),
         ], combine

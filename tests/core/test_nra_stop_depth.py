@@ -12,9 +12,10 @@ stop test can pass at one round and fail at the next.
 
 NRA peeks each window for free and consumes only the rounds it uses.
 A sorted stream that dies at consume in the middle of a peeked window
-must leave no grade it did not deliver in the bounds: the tests rebuild
-the bounds from the trace — what was actually delivered and probed —
-and hold the run's partial-bounds report and certificate to them.
+must leave no grade it did not deliver in the bounds — in NRA's own
+windows and in the state TA hands over: the tests rebuild the bounds
+from the trace — what was actually delivered and probed — and hold the
+run's partial-bounds report and certificate to them.
 """
 
 import pytest
@@ -228,6 +229,14 @@ def assert_bounds_come_from_deliveries(result, sources, tracer, rule, table):
     truth = {object_id: rule(row) for object_id, row in table.items()}
     for object_id, (lower, upper) in expected.items():
         assert lower <= truth[object_id] <= upper
+    certificate = result.approximation
+    if certificate is not None and certificate.anytime and certificate.achieved != float("inf"):
+        excluded = max(
+            (grade for object_id, grade in truth.items() if object_id not in result.answers),
+            default=0.0,
+        )
+        for item in result.answers:
+            assert certificate.achieved * truth[item.object_id] >= excluded - 1e-12
 
 
 @pytest.mark.parametrize("limits", ((13, None, None), (13, 30, 45)), ids=("one", "all"))
@@ -248,15 +257,7 @@ def test_fresh_nra_keeps_only_what_a_dying_stream_delivered(limits):
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
     if limits[1] is not None:
         assert result.degraded.fallback == "partial-bounds"
-        certificate = result.approximation
-        assert certificate.anytime
-        truth = {object_id: tnorms.MIN(row) for object_id, row in table.items()}
-        excluded = max(
-            grade for object_id, grade in truth.items() if object_id not in result.answers
-        )
-        if certificate.achieved != float("inf"):
-            for item in result.answers:
-                assert certificate.achieved * truth[item.object_id] >= excluded - 1e-12
+        assert result.approximation.anytime
 
 
 def test_ta_continuation_keeps_only_what_a_dying_stream_delivered():
@@ -274,4 +275,27 @@ def test_ta_continuation_keeps_only_what_a_dying_stream_delivered():
     assert sorted(result.degraded.failed_sources) == ["A1", "faulty(A3)"]
     delivered = sources[0].counter.sorted_accesses
     assert delivered <= 21 < sources[1].counter.sorted_accesses
+    assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
+
+
+@pytest.mark.parametrize("batch_size", (3, 128))
+def test_ta_hand_off_keeps_only_what_a_dying_stream_delivered(batch_size):
+    """TA's own consume kills list 1 before it ships a row, and list 2
+    loses random access after 5 probes: the grades of list 1's peeked
+    rows never reach NRA (an object seen only there keeps just its
+    probed grades), list 1's bottom stays 1.0, and the trace takes back
+    its sorted records."""
+    table = independent(200, 3, seed=11)
+    sources = sources_from_columns(table)
+    sources[1] = SortedStreamDies(sources[1], 1)
+    sources[2] = FaultInjectingSource(
+        sources[2], FaultProfile(break_random_after=5), clock=VirtualClock()
+    )
+    tracer = QueryTracer()
+    result = threshold_top_k(sources, tnorms.MIN, 5, batch_size=batch_size, tracer=tracer)
+    assert result.algorithm == "threshold-ta+nra"
+    assert sorted(result.degraded.failed_sources) == ["A2", "faulty(A3)"]
+    assert sources[1].counter.sorted_accesses == 0
+    assert result.degraded.fallback == "partial-bounds"
+    assert result.approximation.anytime
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)

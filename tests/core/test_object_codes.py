@@ -5,7 +5,7 @@ TA's bulk round reads columnar sources by int32 object code.  A set of
 ``ArraySource`` s shares one index (the oldest, which the others adopt);
 sharded memmap sources share the codes their storage wrote, and other
 sharded sources get an index coded per run through their id-based
-hooks.  All must reproduce TA's per-row path over wrapped
+hooks.  All must reproduce TA's charged per-row probes over wrapped
 ``ArraySource`` s exactly: answers in order, their grades (down to the sign of a zero),
 costs, sorted depth, the θ certificate, and per-shard access
 attribution.
@@ -26,7 +26,7 @@ from repro.core.graded import GradedSet
 from repro.core.naive import naive_top_k
 from repro.core.sources import (
     ArraySource,
-    SortedCursor,
+    GradedSource,
     VerifyingSource,
     shared_object_codes,
     sources_from_columns,
@@ -104,7 +104,7 @@ def test_nul_suffixed_ids_tie_break_alike_in_every_algorithm(backend):
 
 
 # ----------------------------------------------------------------------
-# TA: bulk round over codes vs the per-row path over wrapped ArraySources
+# TA: the free gather over codes vs charged probes over wrapped ArraySources
 # ----------------------------------------------------------------------
 
 #: every int 0..19 next to its string twin, plus ids whose str ends in NUL
@@ -249,9 +249,10 @@ def test_the_bulk_round_doubles_its_window_and_the_per_row_path_does_not(
     monkeypatch, first
 ):
     # a bare columnar set peeks b, 2b, 4b, ... rows per list, so a stop
-    # at depth d takes ceil(log2(d/b + 1)) peeks; a wrapped set takes the
-    # per-row path and peeks b rows at a time; both charge every list
-    # exactly what item-at-a-time TA charges
+    # at depth d takes ceil(log2(d/b + 1)) peeks; a wrapped set probes
+    # row by row, charged, and peeks b rows at a time through the
+    # id-coding default window read; both charge every list exactly
+    # what item-at-a-time TA charges
     ids = list(range(3000))
     columns = np.random.default_rng(11).random((2, len(ids)))
 
@@ -262,19 +263,19 @@ def test_the_bulk_round_doubles_its_window_and_the_per_row_path_does_not(
         return result.sorted_depth, [s.counter.sorted_accesses for s in sources]
 
     bulk_peeks, row_peeks = [], []
-    codes_range, peek = ArraySource._codes_range, SortedCursor.peek_batch_columns
+    codes_range, coded_by_id = ArraySource._codes_range, GradedSource._codes_range
 
     def spy_codes_range(self, codes, start, count):
         bulk_peeks.append((self.name, count))
         return codes_range(self, codes, start, count)
 
-    def spy_peek(self, n):
-        row_peeks.append(n)
-        return peek(self, n)
+    def spy_coded_by_id(self, codes, start, count):
+        row_peeks.append(count)
+        return coded_by_id(self, codes, start, count)
 
     item_at_a_time = run(1, wrap=True)
     monkeypatch.setattr(ArraySource, "_codes_range", spy_codes_range)
-    monkeypatch.setattr(SortedCursor, "peek_batch_columns", spy_peek)
+    monkeypatch.setattr(GradedSource, "_codes_range", spy_coded_by_id)
     depth, counts = run(first)
     assert (depth, counts) == item_at_a_time
     assert depth > 2 * 128  # a stop past the second 128-row window
@@ -286,8 +287,8 @@ def test_the_bulk_round_doubles_its_window_and_the_per_row_path_does_not(
 
 
 def test_a_traced_run_over_arrays_never_leaves_the_bulk_round(monkeypatch):
-    # the per-row path probes through random_access_many, which reads
-    # grades by id; the bulk round gathers them by code and needs neither
+    # wrapped lists are probed through random_access_many, which reads
+    # grades by id; over arrays the round gathers them by code and needs neither
     ids = [f"o{i}" for i in range(60)]
     columns = np.random.default_rng(5).choice(GRADES, (3, 60)).tolist()
     reference = outcome(build("per-row", ids, columns, None), means.MEAN, 5, 7, 1.0, traced=True)

@@ -36,7 +36,7 @@ THETAS = (1.01, 1.05, 1.1, 1.5, 2.0)
 
 #: (combine, backend, workers) — a small cross-section of the execution
 #: matrix (``combine`` as in ``tests.strategies.COMBINES``; ``per-row``
-#: wraps the arrays, so TA takes its per-row path); the dedicated
+#: wraps the arrays, so TA probes row by row, charged); the dedicated
 #: combine/storage suites cover each axis in depth.
 CONFIGS = (
     ("scalar", "per-row", 1),

@@ -64,6 +64,36 @@ def test_samples_feed_metrics_series():
     assert tracer.samples("tau") == [(0, 0.9), (1, 0.7)]
 
 
+def test_retract_takes_back_sorted_records_and_renumbers_what_follows():
+    # the run as if L2's two records had never been made
+    def run(refused):
+        tracer = QueryTracer(metrics=MetricsRegistry())
+        withdrawn = []
+        with tracer.phase("ta"):
+            tracer.record_sorted("L1", "a", 0.9, position=1)
+            withdrawn.append(tracer.record_sorted("L2", "b", 0.8, position=1))
+            tracer.sample("ta.tau", 0.8)
+            withdrawn.append(tracer.record_sorted("L2", "c", 0.7, position=2))
+            tracer.record_random("L1", "b", 0.5)
+            tracer.sample("ta.tau", 0.7)
+            if refused:
+                tracer.retract(withdrawn)
+            tracer.event("degraded")
+        return tracer
+
+    tracer, clean = run(True), run(False)
+    assert [e["type"] for e in tracer.events].count("sorted") == 1
+    validate_trace(tracer.as_dict())
+    assert tracer.access_counts() == {"L1": (1, 1)}
+    assert tracer.samples("ta.tau") == [(2, 0.8), (4, 0.7)]
+    assert tracer.metrics.series("ta.tau").snapshot() == [(2, 0.8), (4, 0.7)]
+    assert tracer.metrics.counter_total("accesses.sorted") == 1
+    assert tracer.metrics.counter_total("accesses.random") == 1
+    assert tracer.step == len(tracer.events) == len(clean.events) - 2
+    tracer.retract([])
+    assert tracer.step == len(tracer.events)
+
+
 def test_access_counts_tally_per_source():
     tracer = QueryTracer()
     tracer.record_sorted("A", "x", 0.5)

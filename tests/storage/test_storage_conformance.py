@@ -3,7 +3,7 @@
 The tentpole contract of the storage refactor: for every algorithm,
 answers, tie-breaks, charged access counts, and traces are
 byte-identical across {ArraySource behind a pass-through wrapper
-(TA's per-row path), MemmapSource, ShardedSource(K in 1, 2, 5)} x
+(TA's charged per-row probes), MemmapSource, ShardedSource(K in 1, 2, 5)} x
 {per-row, native combine} x {1, 4 workers}.  Hypothesis drives small adversarial databases (clustered
 grade levels so cross-backend tie-breaking is constantly exercised);
 the reference run is always ArraySource / per-row combine / serial.

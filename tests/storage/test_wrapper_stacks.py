@@ -79,8 +79,8 @@ def test_peeks_stay_free_through_wrappers(tmp_path, kind):
 
 
 def test_wrapped_cursor_falls_back_from_columnar(tmp_path):
-    # SortedOnlySource does not advertise supports_columnar (TA keeps its
-    # per-row path over it), yet the cursor's columnar batch reads the
+    # SortedOnlySource does not advertise supports_columnar (TA probes
+    # row by row, charged, over it), yet the cursor's columnar batch reads the
     # wrapped backend's columns straight through it
     column = make_column(12)
     inner = backends(tmp_path, column)["sharded"]

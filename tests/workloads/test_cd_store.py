@@ -65,22 +65,24 @@ def test_custom_query_colors():
 
 
 def test_a_two_atom_ta_over_the_store_never_enters_the_per_row_loop(monkeypatch):
-    # the per-row loop peeks through its cursors; the bulk round slices
-    # the store's columnar bindings by object code instead
+    # the store's bindings are columnar, so TA's round gathers their
+    # probe grades by code and charges them after the stop; it never
+    # takes the charged per-row probes a wrapped binding gets
     from repro.core.planner import Strategy
-    from repro.core.sources import SortedCursor
+    from repro.core.sources import GradedSource
 
     engine = build_store(generate_catalog(600, seed=6))
-    peeks = []
-    peek = SortedCursor.peek_batch_columns
+    probes = []
+    probe = GradedSource.random_access_many
 
-    def spy(self, n):
-        peeks.append(n)
-        return peek(self, n)
+    def spy(self, object_ids):
+        probes.append(self.name)
+        return probe(self, object_ids)
 
-    monkeypatch.setattr(SortedCursor, "peek_batch_columns", spy)
+    monkeypatch.setattr(GradedSource, "random_access_many", spy)
     query = Atomic("AlbumColor", "red") & Atomic("AlbumColor", "blue")
     result = engine.top_k(query, 10, prefer=Strategy.THRESHOLD)
     assert result.algorithm == "threshold-ta"
     assert result.sorted_depth > 0
-    assert peeks == []
+    assert result.cost.random_access_cost > 0
+    assert probes == []
