@@ -49,7 +49,7 @@ from repro.core.sources import (
 )
 from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
 from repro.errors import MonotonicityError, ScoringError
-from repro.kernels import CodedBounds, GradeMatrix
+from repro.kernels import CodedBounds, _np
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
@@ -125,8 +125,9 @@ class FaginAlgorithm:
         self._cursors: List[SortedCursor] = [s.cursor() for s in self.sources]
         #: grades learned so far: object -> {source index -> grade}.
         #: next_k restartability depends on this plain mapping; the
-        #: compute phase and a degraded NRA continuation fold it through
-        #: a :class:`~repro.kernels.GradeMatrix` built from it.
+        #: compute phase folds it with one ``combine_matrix``, and a
+        #: degraded NRA continuation starts from a
+        #: :class:`~repro.kernels.CodedBounds` built from it.
         self._known: Dict[ObjectId, Dict[int, float]] = {}
         #: objects delivered by sorted access, per source
         self._seen_by_source: List[Set[ObjectId]] = [set() for _ in self.sources]
@@ -284,9 +285,11 @@ class FaginAlgorithm:
                         f"object {object_id!r} has incomplete grades after "
                         "the random-access phase"
                     )
-            # every grade is known, so the lower bounds are exact
-            bounds = GradeMatrix.from_known(self._known, self.m)
-            return GradedSet(zip(*bounds.scores(self.scoring)))
+            table = _np.array(
+                [[grades[i] for i in range(self.m)] for grades in self._known.values()],
+                dtype=_np.float64,
+            ).reshape(-1, self.m)
+            return GradedSet(zip(self._known, self.scoring.combine_matrix(table).tolist()))
 
     def _pruned_selection(self, k: int) -> GradedSet:
         """Phase 2+3 with upper-bound pruning of random accesses.

@@ -21,7 +21,7 @@ from repro.core.cost import CostMeter
 from repro.core.graded import GradedSet
 from repro.core.result import TopKResult
 from repro.core.sources import GradedSource, _fast_item, check_same_objects
-from repro.kernels import GradeMatrix
+from repro.kernels import ObjectCodes, _np, top_rows
 from repro.parallel import fan_out, raise_first_error
 from repro.scoring.base import as_scoring_function
 
@@ -62,14 +62,15 @@ def naive_top_k(
     :class:`~repro.parallel.ParallelAccessExecutor`; the m full-list
     drains are independent, so they fan out whole — the merge into the
     grade table happens in source order either way.  The grade table is
-    a :class:`~repro.kernels.GradeMatrix`, ranked in one fold.
+    one ``combine_matrix``, ranked by :func:`~repro.kernels.top_rows`.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     rule = as_scoring_function(scoring)
     database_size = check_same_objects(sources)
     meter = CostMeter(sources)
-    table = GradeMatrix(len(sources), capacity=database_size)
+    codes = ObjectCodes()  # rows in first-seen order
+    cells = []
     with nullcontext() if tracer is None else tracer.phase("naive-scan"):
         outcomes = fan_out(
             executor, [(lambda s=source: _drain(s)) for source in sources]
@@ -86,12 +87,19 @@ def naive_top_k(
                         ],
                         position,
                     )
-                table.add_batch(i, ids, grades)
+                cells.append((i, codes.encode(ids), grades))
 
     with nullcontext() if tracer is None else tracer.phase("naive-compute"):
         # A grade no list delivered (impossible once every list drained,
         # but cheap to honor) counts as 0: the lower bound.
-        answers = GradedSet(zip(*table.ranked(rule, min(k, database_size))))
+        table = _np.zeros((len(codes), len(sources)))
+        for i, coded, grades in cells:
+            table[coded, i] = grades
+        scores = rule.combine_matrix(table)
+        top = top_rows(
+            scores, min(k, database_size), lambda rows: [str(o) for o in codes.decode(rows)]
+        )
+        answers = GradedSet(zip(codes.decode(top), scores[top].tolist()))
 
     return TopKResult(
         answers=answers,

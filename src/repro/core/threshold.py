@@ -23,9 +23,10 @@ the library's extension algorithms and exercised by ablation E12:
 
 * **CA (combined algorithm)** — interpolates between the two when a
   random access costs ``ratio`` times a sorted access (the situation the
-  paper's cost-measure discussion anticipates): run NRA-style sorted
-  rounds, and only once every ``ratio`` rounds spend random accesses to
-  resolve the most promising incomplete object.
+  paper's cost-measure discussion anticipates): NRA's loop and stop
+  rule, plus a resolution policy — once every ``h = ⌊ratio⌋`` rounds,
+  random accesses complete the incomplete object with the highest upper
+  bound.
 
 All require a *monotone* scoring function, like A0.
 
@@ -46,12 +47,14 @@ lower/upper grade bounds and a structured
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cost import CostMeter
-from repro.core.graded import GradedSet, ObjectId
+from repro.core.graded import GradedSet
 from repro.core.result import (
     ApproximationCertificate,
     DegradedResult,
@@ -64,7 +67,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import CodedBounds, GradeMatrix, _np, canonical_order
+from repro.kernels import CodedBounds, _np, canonical_order
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -114,11 +117,11 @@ def _nra_run(
     rule: ScoringFunction,
     k: int,
     *,
-    cursors,
-    bounds: Optional[CodedBounds],
-    bottoms: List[float],
-    exhausted: List[bool],
-    meter: CostMeter,
+    cursors=None,
+    bounds: Optional[CodedBounds] = None,
+    bottoms: Optional[List[float]] = None,
+    exhausted: Optional[List[bool]] = None,
+    meter: Optional[CostMeter] = None,
     depth: int = 0,
     exact_grades: bool = True,
     tol: float = 1e-12,
@@ -130,14 +133,16 @@ def _nra_run(
     tracer=None,
     phase_name: str = "nra",
     executor=None,
+    resolve_every: Optional[int] = None,
 ) -> TopKResult:
     """The NRA main loop, resumable from arbitrary accumulated state.
 
-    :func:`nra_top_k` calls it with fresh cursors and no ``bounds``
-    (an empty state over the lists' shared object codes); the
-    degradation paths of TA and A0 call it mid-query with everything
-    they already learned (their cursors keep their positions, so sorted
-    work is never re-paid).
+    :func:`nra_top_k` and :func:`combined_top_k` start it fresh (no
+    ``cursors``: new cursors, bottoms 1.0, a new meter, and an empty
+    state over the lists' shared object codes); the degradation paths of
+    TA and A0 call it mid-query with everything they already learned
+    (their cursors keep their positions, so sorted work is never
+    re-paid).
 
     ``bounds`` is the seen set, a :class:`~repro.kernels.CodedBounds`
     over the object codes the lists are read by: every bound it reports
@@ -180,6 +185,18 @@ def _nra_run(
     with ``grades_exact=False`` and a ``partial-bounds``
     :class:`~repro.core.result.DegradedResult`.
 
+    **Resolutions (CA).**  With ``resolve_every`` = h the loop is
+    Fagin–Lotem–Naor's CA: after every h-th round r it resolves the
+    object that is incomplete after round r and has the highest upper
+    bound (the first-seen one on ties), with one charged
+    ``random_access`` per missing list in list order, and learns those
+    grades at round r.  A window is walked one resolution round at a
+    time: the rounds before r are searched for the first stopping round
+    as above; if none stops, the lists are consumed through r, the
+    resolution is made, and the stop rule is tested at r.  A resolution
+    is therefore made only once the run reaches its round, from
+    delivered rows alone, and a failing probe propagates.
+
     Under a ``tracer`` the consumed rows are recorded as sorted
     accesses, and ``nra.kth_lower``, ``nra.rivals_upper`` and
     ``nra.buffer_objects`` are sampled at every window end that fails
@@ -203,6 +220,9 @@ def _nra_run(
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
+    if cursors is None:  # a fresh run
+        cursors = [source.cursor() for source in sources]
+        bottoms, exhausted, meter = [1.0] * m, [False] * m, CostMeter(sources)
     if bounds is None:
         bounds = CodedBounds(shared_object_codes(sources), m)
     #: lists whose sorted stream is dead, index -> reason; seeded by the
@@ -224,6 +244,7 @@ def _nra_run(
     peeked: Dict[int, object] = {}
     #: the k-th best lower bound after the rounds the search has tested
     kth_at: Dict[int, float] = {}
+    tested: List[int] = []  # those rounds, in order
     window = batch_size
 
     def bottoms_after(t: int) -> List[float]:
@@ -259,9 +280,12 @@ def _nra_run(
             return None
         at = bottoms_after(t)
         unseen = unseen_bound(at, lower)
-        floor = max((kth for r, kth in kth_at.items() if r <= t), default=0.0)
+        before = bisect.bisect_right(tested, t)
+        floor = kth_at[tested[before - 1]] if before else 0.0
         above = lower[lower > floor]
         kth = _np.partition(above, above.size - k)[above.size - k] if above.size >= k else floor
+        if t not in kth_at:
+            tested.insert(before, t)
         kth_at[t] = kth
         bar = theta * kth + tol
         if unseen > bar:
@@ -298,10 +322,12 @@ def _nra_run(
             return False
         return not monotone or bool((upper[top] - lower[top] <= tol).all())
 
-    def first_stop(end: int) -> Optional[int]:
-        """The first round in ``(base, end]`` that passes the stop test,
+    def first_stop(start: int, end: int) -> Optional[int]:
+        """The first round in ``(start, end]`` that passes the stop test,
         or None."""
-        low, high = base, end
+        low, high = start, end
+        if high <= low:
+            return None
         if monotone:
             if not stops(end):
                 return None
@@ -324,8 +350,9 @@ def _nra_run(
 
     def consume(take: int):
         """Consume ``take`` rows of every live list with one
-        ``next_batch_columns`` each; returns the rows delivered (the
-        most any list shipped) and the lists that died."""
+        ``next_batch_columns`` each, counting them in ``got``; returns
+        the rows delivered (the most any list shipped) and the lists
+        that died."""
         nonlocal depth
         active = [i for i in range(m) if not exhausted[i]]
         outcomes = fan_out(
@@ -364,10 +391,35 @@ def _nra_run(
                 bottoms[i] = float(grades[-1])
                 depth = max(depth, cursor.position)
                 delivered = max(delivered, len(ids))
+                got[i] += len(ids)
             if len(ids) < take:  # the list has run out
                 exhausted[i] = True
                 bottoms[i] = 0.0
         return delivered, died
+
+    def resolve(r: int) -> List[tuple]:
+        """CA's resolution after round ``r``; returns the cells it
+        learned, as ``(column, codes, grades, round)``."""
+        best = bounds.best_incomplete(rule, bottoms_after(r), r)
+        if best is None:
+            return []
+        coded, missing = best
+        (object_id,) = bounds.codes.decode(coded)
+        outcomes = fan_out(
+            executor,
+            [(lambda s=sources[j]: s.random_access(object_id)) for j in missing],
+            stop_on_error=True,
+        )
+        learned = []
+        for j, outcome in zip(missing, outcomes):
+            if outcome.error is not None:
+                raise outcome.error
+            cells = (j, coded, [outcome.value], r)
+            bounds.learn(*cells)
+            learned.append(cells)
+            if tracer is not None:
+                tracer.record_random(sources[j].name, object_id, outcome.value)
+        return learned
 
     def sample(view, rivals_upper) -> None:
         if tracer is not None:
@@ -397,6 +449,7 @@ def _nra_run(
     with nullcontext() if tracer is None else tracer.phase(phase_name):
         while answers is None:
             base = rounds
+            got = [0] * m  # the rows each list delivered in this window
             windows: List = [None] * m
             for i in range(m):
                 if not exhausted[i]:
@@ -431,25 +484,41 @@ def _nra_run(
                     stop_bound = stop_kth
                 break
             bounds.read(windows, base)
-            found = first_stop(base + rows)
-            delivered, died = consume((found or base + rows) - base)
+            end, resolved, died, found = base + rows, [], [], None
+            # one stretch per resolution round r in the window, then its end
+            while rounds < end:
+                r, resolving = end, False
+                if resolve_every is not None:
+                    r = min(end, (rounds // resolve_every + 1) * resolve_every)
+                    resolving = r % resolve_every == 0
+                found = first_stop(rounds, r - 1 if resolving else r)
+                take = (found or r) - rounds
+                delivered, died = consume(take)
+                rounds += delivered
+                if found or died or delivered < take or not resolving:
+                    break
+                resolved += resolve(r)
+                if stops(r):
+                    found = r
+                    break
             peeked.clear()  # ``bottoms`` now holds what the lists delivered
-            rounds = base + delivered
             if died:
                 # Only what the lists delivered stays: the window again,
-                # without the dead lists' rows.
+                # cut to each list's deliveries, and the resolutions.
                 bounds.keep(base)
-                survivors = [
-                    None if i in died or w is None else (w[0][:delivered], w[1][:delivered])
-                    for i, w in enumerate(windows)
-                ]
-                bounds.read(survivors, base)
+                bounds.read(
+                    [None if w is None else (w[0][: got[i]], w[1][: got[i]]) for i, w in enumerate(windows)],
+                    base,
+                )
+                for cells in resolved:
+                    bounds.learn(*cells)
                 kth_at.clear()  # the state lost cells it was tested with
-            elif rounds < base + rows:
+                tested.clear()
+            elif rounds < end:
                 bounds.keep(rounds)
             # the stop found, a test of what a dying stream left, or a
             # failing window end's samples
-            if delivered and (found or died or tracer is not None):
+            if rounds > base and (found or died or tracer is not None):
                 test_now()
             window *= 2
 
@@ -964,16 +1033,10 @@ def nra_top_k(
     rule = as_scoring_function(scoring)
     if require_monotone:
         _require_monotone(rule, "NRA")
-    m = len(sources)
     return _nra_run(
         sources,
         rule,
         k,
-        cursors=[s.cursor() for s in sources],
-        bounds=None,
-        bottoms=[1.0] * m,
-        exhausted=[False] * m,
-        meter=CostMeter(sources),
         exact_grades=exact_grades,
         tol=tol,
         theta=theta,
@@ -1002,133 +1065,28 @@ def combined_top_k(
     ``h = ⌊c_R / c_S⌋``), so the random-access budget tracks the
     sorted-access budget scaled by the price ratio.
 
-    Correctness mirrors NRA: the algorithm stops once the k best
-    *exactly known* grades dominate both every incomplete object's upper
-    bound and the unseen threshold ``t(bottoms)``.
-
-    CA's sorted rounds are inherently one item per list (the resolution
-    budget is metered per round); the O(seen * m) work — the stop test
-    and the best-incomplete selection scan every seen object's upper
-    bound — goes through one :class:`~repro.kernels.GradeMatrix`.
+    CA is NRA plus that resolution policy: it runs :func:`_nra_run`'s
+    windowed loop and stops after the first round that passes NRA's
+    exact stop rule with no tolerance (the k-th best lower bound covers
+    every rival's upper bound, and the answers' bounds have met), so its
+    answers and grades are exact; see there for the windows and how a
+    resolution fits into them.  ``ratio`` must be a finite number >= 1.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if ratio < 1.0:
-        raise ValueError(f"ratio must be >= 1, got {ratio}")
+    if not 1.0 <= ratio < math.inf:
+        raise ValueError(f"ratio must be a finite number >= 1, got {ratio}")
     rule = as_scoring_function(scoring)
     if require_monotone:
         _require_monotone(rule, "CA")
-    database_size = check_same_objects(sources)
-    k = min(k, database_size)
-    m = len(sources)
-    meter = CostMeter(sources)
-
-    cursors = [s.cursor() for s in sources]
-    exhausted = [False] * m
-    bottoms = [1.0] * m
-    bounds = GradeMatrix(m)
-    complete: Dict[ObjectId, float] = {}
-    best_k: List[float] = []
-    resolve_every = max(1, int(ratio))
-    depth = 0
-    rounds = 0
-    next_check = 1
-
-    def record_complete(object_id: ObjectId, grade: float) -> None:
-        complete[object_id] = grade
-        if len(best_k) < k:
-            heapq.heappush(best_k, grade)
-        elif grade > best_k[0]:
-            heapq.heapreplace(best_k, grade)
-
-    def resolve_best_incomplete() -> None:
-        best = bounds.best_incomplete(rule, bottoms)
-        if best is None:
-            return
-        best_id = best[0]
-        grades = bounds.grades_of(best_id)
-        missing = [j for j in range(m) if grades[j] is None]
-        probe_outcomes = fan_out(
-            executor,
-            [
-                (lambda s=sources[j], o=best_id: s.random_access(o))
-                for j in missing
-            ],
-            stop_on_error=True,
-        )
-        for j, outcome in zip(missing, probe_outcomes):
-            if not outcome.ran:
-                break
-            if outcome.error is not None:
-                raise outcome.error
-            grades[j] = outcome.value
-            bounds.set_grade(best_id, j, outcome.value)
-            if tracer is not None:
-                tracer.record_random(sources[j].name, best_id, outcome.value)
-        record_complete(best_id, rule(grades))
-
-    def should_stop() -> bool:
-        if len(best_k) < k:
-            return False
-        kth = best_k[0] if k else 0.0  # k is 0 only over an empty database
-        if bounds.count < database_size and rule(bottoms) > kth:
-            return False
-        best = bounds.best_incomplete(rule, bottoms)
-        return best is None or best[1] <= kth
-
-    with nullcontext() if tracer is None else tracer.phase("ca"):
-        while True:
-            progressed = False
-            active = [i for i in range(m) if not exhausted[i]]
-            round_outcomes = fan_out(
-                executor,
-                [(lambda c=cursors[i]: c.next_batch_columns(1)) for i in active],
-                stop_on_error=True,
-            )
-            for i, outcome in zip(active, round_outcomes):
-                if not outcome.ran:
-                    break
-                if outcome.error is not None:
-                    raise outcome.error
-                ids, column = outcome.value
-                cursor = cursors[i]
-                if not ids:
-                    exhausted[i] = True
-                    bottoms[i] = 0.0
-                    continue
-                progressed = True
-                object_id, grade = ids[0], float(column[0])
-                if tracer is not None:
-                    tracer.record_sorted(
-                        sources[i].name,
-                        object_id,
-                        grade,
-                        position=cursor.position,
-                    )
-                bottoms[i] = grade
-                depth = max(depth, cursor.position)
-                bounds.set_grade(object_id, i, grade)
-                if object_id not in complete:
-                    grades = bounds.grades_of(object_id)
-                    if None not in grades:
-                        record_complete(object_id, rule(grades))
-            rounds += 1
-            if rounds % resolve_every == 0:
-                resolve_best_incomplete()
-            if rounds >= next_check or not progressed:
-                if should_stop():
-                    break
-                next_check = rounds * 2
-            if not progressed:
-                # Lists exhausted: every grade known via sorted access.
-                for object_id, grade in zip(*bounds.scores(rule)):
-                    if object_id not in complete:
-                        record_complete(object_id, grade)
-                break
-
-    return TopKResult(
-        answers=GradedSet(complete).top(k),
-        cost=meter.report(),
+    return _nra_run(
+        sources,
+        rule,
+        k,
+        tol=0.0,
+        resolve_every=int(ratio),
         algorithm="combined-ca",
-        sorted_depth=depth,
+        tracer=tracer,
+        phase_name="ca",
+        executor=executor,
     )

@@ -2,33 +2,26 @@
 
 The paper's algorithms (section 4) are bulk-synchronous: each round
 performs m accesses and then re-evaluates bounds over everything seen so
-far.  NRA, CA, the naive scan and A0's compute phase each run one loop
-over a *bounds state* — per seen object a lower bound (missing grades
--> 0) and an upper bound (missing grades -> the list bottoms) — and
-:class:`GradeMatrix` is that state: seen objects live in an
-``[n_seen, m]`` float64 matrix (NaN marks a grade not yet learned), and
+far.  NRA and CA run one windowed loop over a *bounds state* — per seen
+object a lower bound (missing grades -> 0) and an upper bound (missing
+grades -> the list bottoms) — and :class:`CodedBounds` is that state:
+seen objects live in an ``[n_seen, m]`` float64 matrix found through a
+by-code row array (an object's code in the :class:`ObjectCodes` or
+:class:`ColumnCodes` index its lists are read by, not an id dict), and
 each stop check is a handful of numpy array operations through
-``ScoringFunction.combine_matrix``.
+``ScoringFunction.combine_matrix``.  Every cell is tagged with the round
+that learned it, so one state answers the stop test (its ``stop_view``,
+the :class:`StopView` the test reads) and CA's resolution target
+(``best_incomplete``) at every depth it has peeked; ``from_known`` and
+``known_states`` convert it to and from plain ``{object_id: {column:
+grade}}`` bookkeeping (A0's ``_known``, TA's hand-off).
 
-Its small interface is all the algorithm loops use: ``count``,
-``add_batch``/``set_grade`` to record deliveries, ``grades_of`` (one
-object's m grades, ``None`` where unknown), ``scores``/``ranked``
-(lower bounds, unordered / best k), ``best_incomplete`` (CA's
-resolution target), and ``from_known`` to build a state from plain
-``{object_id: {column: grade}}`` bookkeeping (A0's ``_known``).
-
-NRA holds the same bounds by object code instead: a
-:class:`CodedBounds` finds a row through a by-code array, not an id
-dict, and tags every cell with the round that delivered it, so one
-state answers the stop test (its ``stop_view``, the :class:`StopView`
-the test reads) at every depth it has peeked; ``known_states`` hands
-A0's paging state back as plain data.  Both states rank through
-:func:`top_rows`.
-
-TA keeps no bounds state: its bulk round works on dense int32 codes for
-a query's object ids — an :class:`ObjectCodes` index, or the
-:class:`ColumnCodes` a memmap build wrote — and decodes ids only for its
-answer candidates, ranked by :func:`canonical_order`.
+The naive scan and A0's compute phase hold complete grade tables, so
+they fold them with one ``combine_matrix`` and rank with
+:func:`top_rows`, as the bounds state does.  TA keeps no bounds state:
+its bulk round works on dense int32 codes for a query's object ids and
+decodes ids only for its answer candidates, ranked by
+:func:`canonical_order`.
 
 Determinism contract
 --------------------
@@ -47,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
@@ -96,143 +89,9 @@ def top_rows(scores, k: int, strs_of):
     return rows[canonical_order(strs_of(rows), scores[rows])]
 
 
-class GradeMatrix:
-    """Columnar bounds state: an [n_seen, m] grade matrix with every
-    bound a numpy fold.
-
-    Rows are assigned in first-seen order; NaN marks a grade not yet
-    learned.  ``str(object_id)`` is cached per row because every ordering
-    in the repo tie-breaks on it ascending after grade descending
-    (``GradedItem._sort_key``).
-    """
-
-    __slots__ = ("m", "count", "ids", "_rows", "_strs", "_matrix")
-
-    def __init__(self, m: int, capacity: int = 1024) -> None:
-        self.m = m
-        self.count = 0
-        self.ids: List = []
-        self._rows: Dict = {}
-        self._strs: List[str] = []
-        self._matrix = _np.full((max(capacity, 1), m), _np.nan)
-
-    @classmethod
-    def from_known(cls, known: Dict, m: int, capacity: int = 1024) -> "GradeMatrix":
-        """Build a matrix from ``{object_id: {column: grade}}``
-        bookkeeping (A0's ``_known``), preserving insertion order.  The
-        matrix copies ``known``."""
-        matrix = cls(m, capacity=max(len(known), capacity))
-        for object_id, grades in known.items():
-            row = matrix.row_of(object_id)
-            for column, grade in grades.items():
-                matrix._matrix[row, column] = grade
-        return matrix
-
-    def _ensure(self, needed: int) -> None:
-        capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        grown = _np.full((max(needed, capacity * 2), self.m), _np.nan)
-        grown[: self.count] = self._matrix[: self.count]
-        self._matrix = grown
-
-    def row_of(self, object_id) -> int:
-        """The row for ``object_id``, assigning the next one if unseen."""
-        row = self._rows.get(object_id)
-        if row is None:
-            row = self.count
-            self._rows[object_id] = row
-            self.ids.append(object_id)
-            self._strs.append(str(object_id))
-            self._ensure(row + 1)
-            self.count = row + 1
-        return row
-
-    def __contains__(self, object_id) -> bool:
-        return object_id in self._rows
-
-    def set_grade(self, object_id, column: int, grade: float) -> None:
-        # Resolve the row BEFORE indexing: row_of may reallocate _matrix.
-        row = self.row_of(object_id)
-        self._matrix[row, column] = grade
-
-    def add_batch(self, column: int, ids: Sequence, grades) -> None:
-        """Record a sorted-access batch: ``grades[i]`` for ``ids[i]`` in
-        list ``column``.  Row creation follows delivery order."""
-        row_of = self.row_of
-        rows = _np.fromiter(
-            (row_of(object_id) for object_id in ids),
-            dtype=_np.intp,
-            count=len(ids),
-        )
-        self._matrix[rows, column] = grades
-
-    def known(self):
-        """The live [count, m] view of the grade matrix."""
-        return self._matrix[: self.count]
-
-    def grades_of(self, object_id) -> List[Optional[float]]:
-        """The object's m grades, ``None`` where not yet learned."""
-        values = self._matrix[self._rows[object_id]].tolist()
-        return [None if value != value else value for value in values]
-
-    def _fold(self, rule, fill, rows=None):
-        """``rule`` over every row (or just ``rows``), missing grades
-        read from ``fill``: a rule without a native batch form runs once
-        per row folded, so callers fold only the rows they read."""
-        known = self.known() if rows is None else self._matrix[rows]
-        return rule.combine_matrix(_np.where(_np.isnan(known), fill, known))
-
-    def lower_bounds(self, rule):
-        """Every row's lower bound: missing grades pinned to 0."""
-        return self._fold(rule, 0.0)
-
-    def upper_bounds(self, rule, bottoms: Sequence[float], rows=None):
-        """Every row's (or just ``rows``') upper bound: missing grades
-        pinned to the per-list bottom grades (the best an unseen entry
-        can still be)."""
-        return self._fold(rule, _np.asarray(bottoms, dtype=_np.float64), rows)
-
-    def complete_mask(self):
-        """True per row when every grade is known."""
-        return ~_np.isnan(self.known()).any(axis=1)
-
-    def _strs_of(self, rows) -> List[str]:
-        strs = self._strs
-        return [strs[row] for row in rows.tolist()]
-
-    def top_order(self, scores, k: int):
-        """The (up to) ``k`` best rows by ``scores``, canonical order
-        (:func:`top_rows`)."""
-        return top_rows(scores, k, self._strs_of)
-
-    def scores(self, rule) -> Tuple[List, List[float]]:
-        """Every seen object's lower bound (its exact grade once all m
-        grades are known), in first-seen order."""
-        return self.ids, self.lower_bounds(rule).tolist()
-
-    def ranked(self, rule, k: int) -> Tuple[List, List[float]]:
-        """The k best seen objects by lower bound, canonical order."""
-        lower = self.lower_bounds(rule)
-        top = self.top_order(lower, k)
-        return [self.ids[row] for row in top.tolist()], lower[top].tolist()
-
-    def best_incomplete(self, rule, bottoms: Sequence[float]) -> Optional[Tuple]:
-        """``(object_id, upper bound)`` of the incomplete object with
-        the highest upper bound, or ``None``.  argmax is the first
-        occurrence of the maximum in row (= first-seen) order, i.e. the
-        first-seen object wins ties."""
-        rows = _np.nonzero(~self.complete_mask())[0]
-        if not rows.size:
-            return None
-        upper = self.upper_bounds(rule, bottoms, rows)
-        best = int(_np.argmax(upper))
-        return self.ids[int(rows[best])], float(upper[best])
-
-
 class CodedBounds:
-    """NRA's bounds state, held by object code, with every prefix depth
-    in it.
+    """NRA's and CA's bounds state, held by object code, with every
+    prefix depth in it.
 
     ``codes`` is the :class:`ObjectCodes` (or :class:`ColumnCodes`)
     index the query's lists are read by.  A seen object's row is found
@@ -245,7 +104,7 @@ class CodedBounds:
     round ``t`` is therefore a row prefix under one ``learned <= t``
     mask, which is how NRA tests its stop rule at rounds inside a window
     it has peeked but not consumed.  Bounds are the per-object
-    ``rule(...)`` fold, as :class:`GradeMatrix`'s.
+    ``rule(...)`` fold.
     """
 
     __slots__ = ("m", "codes", "count", "_row", "_code", "_first", "_grades", "_learned")
@@ -263,8 +122,9 @@ class CodedBounds:
         #: per row: its code, and the round it was first sighted
         self._code = _np.empty(capacity, dtype=_np.int64)
         self._first = _np.empty(capacity, dtype=_np.int64)
-        self._grades = _np.full((capacity, m), _np.nan)
-        self._learned = _np.full((capacity, m), self.NEVER, dtype=_np.int64)
+        # column-major: every fold and mask runs down the m columns
+        self._grades = _np.full((capacity, m), _np.nan, order="F")
+        self._learned = _np.full((capacity, m), self.NEVER, dtype=_np.int64, order="F")
 
     @classmethod
     def from_known(cls, known: Dict, m: int) -> "CodedBounds":
@@ -295,7 +155,7 @@ class CodedBounds:
             setattr(self, name, grown)
         for name, fill in (("_grades", _np.nan), ("_learned", self.NEVER)):
             old = getattr(self, name)
-            grown = _np.full((size, self.m), fill, dtype=old.dtype)
+            grown = _np.full((size, self.m), fill, dtype=old.dtype, order="F")
             grown[: self.count] = old[: self.count]
             setattr(self, name, grown)
 
@@ -375,6 +235,19 @@ class CodedBounds:
         grades, missing = self._known(t)
         fill = _np.asarray(bottoms, dtype=_np.float64)
         return rule.combine_matrix(_np.where(missing, fill, grades))
+
+    def best_incomplete(self, rule, bottoms: Sequence[float], t: int):
+        """CA's resolution target after round ``t``: ``(codes, missing
+        columns)`` of the object with a grade not learned by then and the
+        highest upper bound (its code as a one-element array), the
+        first-seen one on ties; None if every object is complete."""
+        missing = self._known(t)[1]
+        incomplete = missing.any(axis=1)
+        if not incomplete.any():
+            return None
+        upper = self.upper_bounds(rule, bottoms, t)
+        row = int(_np.argmax(_np.where(incomplete, upper, -1.0)))
+        return self._code[row : row + 1], _np.flatnonzero(missing[row]).tolist()
 
     def ids(self, rows) -> List:
         return self.codes.decode(self._code[rows])

@@ -54,6 +54,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.graded import ObjectId
 from repro.core.sources import GradedSource, WrapperSource, iter_wrapper_chain
+from repro.parallel import deliver
 from repro.errors import (
     AccessError,
     CircuitOpenError,
@@ -349,12 +350,14 @@ class ResilientSource(WrapperSource):
         #: ("failures", "retries", "exhausted", "rejections",
         #: "deadline_exceeded") plus "circuit_open" when a breaker trips.
         #: The observability layer attaches one per resilient node; when
-        #: None (the default) nothing extra runs on the access path.
+        #: None (the default) nothing extra runs on the access path.  An
+        #: access made by a parallel fan-out's worker notifies it on the
+        #: coordinating thread, in submission order (``deliver``).
         self.observer: Optional[Callable[[str, str], None]] = None
 
     def _notify(self, kind: str, detail: str) -> None:
         if self.observer is not None:
-            self.observer(kind, detail)
+            deliver(self.observer, kind, detail)
 
     def _record_failure(self, breaker: CircuitBreaker, describe: str) -> None:
         """Record a failure, announcing a breaker that newly tripped."""

@@ -42,6 +42,11 @@ Determinism contract
   (thunks after a serial abort point have already run), which never
   affects answer exactness — only fault-free runs promise byte-equal
   cost, and the conformance suite pins exactly that.
+* Side effects a thunk announces through :func:`deliver` (the
+  resilience layer's observer events) are held by the worker and run
+  on the coordinating thread after the join, thunk by thunk in
+  submission order — where a serial run makes them — so traces do not
+  depend on which worker finished first.
 * ``max_workers=1`` (or ``executor=None``) runs every thunk inline in
   the calling thread: the serial fallback, with no pool and no threads.
 
@@ -92,6 +97,31 @@ class Outcome:
         if self.error is not None:
             return f"<Outcome error={self.error!r}>"
         return f"<Outcome value={self.value!r}>"
+
+
+#: per worker thread, while it runs a thunk: the calls :func:`deliver`
+#: holds for the coordinating thread
+_held = threading.local()
+
+
+def deliver(callback: Callable, *args) -> None:
+    """Call ``callback(*args)`` now or, from a worker of a parallel
+    fan-out, on the coordinating thread once the fan-out has joined, in
+    submission order."""
+    held = getattr(_held, "calls", None)
+    if held is None:
+        callback(*args)
+    else:
+        held.append(partial(callback, *args))
+
+
+def _run_held(thunk: AccessThunk, hook, index: int):
+    """:func:`_run_one` in a worker: its outcome, and the calls it held."""
+    _held.calls = held = []
+    try:
+        return _run_one(thunk, hook, index), held
+    finally:
+        _held.calls = None
 
 
 def _run_one(thunk: AccessThunk, hook, index: int) -> Outcome:
@@ -195,11 +225,17 @@ class ParallelAccessExecutor:
         thread = billed_thread()
         futures = [
             pool.submit(
-                run_billed_to, thread, partial(_run_one, thunk, hook, index)
+                run_billed_to, thread, partial(_run_held, thunk, hook, index)
             )
             for index, thunk in enumerate(thunks)
         ]
-        return [future.result() for future in futures]
+        outcomes = []
+        for future in futures:
+            outcome, held = future.result()
+            for call in held:
+                call()
+            outcomes.append(outcome)
+        return outcomes
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -24,8 +24,8 @@ Batch evaluation
 ----------------
 :meth:`ScoringFunction.combine_matrix` scores a whole ``[n, m]`` grade
 matrix at once — one row per object, one column per subquery — and is
-the scoring half of the bounds state (:class:`repro.kernels.GradeMatrix`)
-and of TA's threshold.  It is bit-identical to per-row ``__call__``, by
+the scoring half of the bounds state (:class:`repro.kernels.CodedBounds`),
+of the naive scan's and A0's grade tables, and of TA's threshold.  It is bit-identical to per-row ``__call__``, by
 construction: the base implementation loops :meth:`_combine` row by
 row, and a rule may override :meth:`_combine_matrix` (or
 :meth:`BinaryScoringFunction.pair_matrix`) with native numpy code only

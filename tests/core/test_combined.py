@@ -53,8 +53,9 @@ def test_ca_wins_under_random_expensive_charges():
 
 def test_ratio_validation_and_monotone_guard():
     table = independent(50, 2, seed=1)
-    with pytest.raises(ValueError):
-        combined_top_k(sources_from_columns(table), tnorms.MIN, 5, ratio=0.5)
+    for ratio in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="ratio"):
+            combined_top_k(sources_from_columns(table), tnorms.MIN, 5, ratio=ratio)
     with pytest.raises(ValueError):
         combined_top_k(sources_from_columns(table), tnorms.MIN, 0)
     bad = FunctionScoring(lambda g: 1 - min(g), "bad", is_monotone=False)

@@ -1,16 +1,16 @@
-"""The bounds states against a per-object fold.
+"""The bounds state against a per-object fold.
 
-Every method the algorithm loops read — GradeMatrix's ``scores``,
-``ranked``, ``best_incomplete`` and ``grades_of``, and NRA's
-CodedBounds' bounds, ``stop_view`` and ``known_states`` — is
-checked against the plain definition, written here over a
-``{object_id: {column: grade}}`` mapping: one ``rule([...])`` per
-object with missing grades read from 0 (lower bound) or from the list
-bottoms (upper bound), ranked by the canonical ``(-grade, str(id))``
-key, first-seen order breaking the remaining ties.  ``from_known`` must
-build a state that answers every question the same way, and a
-CodedBounds fed windows of sorted deliveries must hold, after every
-round, exactly the state those deliveries make.
+Every method the algorithm loops read from :class:`CodedBounds` — its
+lower and upper bounds, ``stop_view``, ``best_incomplete`` (CA's
+resolution target) and ``known_states`` — is checked against the plain
+definition, written here over a ``{object_id: {column: grade}}``
+mapping: one ``rule([...])`` per object with missing grades read from 0
+(lower bound) or from the list bottoms (upper bound), ranked by the
+canonical ``(-grade, str(id))`` key, first-seen order breaking the
+remaining ties.  A state built delivery by delivery and one built by
+``from_known`` must answer every question the same way, and a state fed
+windows of sorted deliveries must hold, after every round, exactly the
+state those deliveries make.
 
 Hypothesis draws the hostile inputs: ids ``1`` and ``"1"`` (which tie
 on ``str``), ±0.0, the smallest denormal, 1 - 2**-53, all-equal grades,
@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import CodedBounds, GradeMatrix
+from repro.kernels import CodedBounds, ObjectCodes
 from repro.scoring import means, tnorms
 from repro.scoring.base import FunctionScoring
 
@@ -91,25 +91,37 @@ def as_pairs(ids, grades):
     return list(zip(ids, grades))
 
 
-def check(matrix, known, m, bottoms, k):
-    __tracebackhide__ = True
-    assert matrix.count == len(known)
+def best_incomplete(known, m, upper):
+    """``(object_id, missing columns)`` of the incomplete object with the
+    highest upper bound, the first-seen one on ties; None if none."""
+    best = None
     for object_id, row in known.items():
-        assert object_id in matrix
-        assert matrix.grades_of(object_id) == [row.get(c) for c in range(m)]
-    for rule in RULES:
-        lower = fold(rule, known, m, [0.0] * m)
-        upper = fold(rule, known, m, bottoms)
-        assert as_pairs(*matrix.scores(rule)) == list(lower.items()), rule.name
+        if len(row) < m and (best is None or upper[object_id] > upper[best]):
+            best = object_id
+    if best is None:
+        return None
+    return best, [column for column in range(m) if column not in known[best]]
 
-        top = heapq.nsmallest(k, lower.items(), key=canonical)
-        assert as_pairs(*matrix.ranked(rule, k)) == top, rule.name
 
-        best = None
-        for object_id, row in known.items():
-            if len(row) < m and (best is None or upper[object_id] > best[1]):
-                best = (object_id, upper[object_id])
-        assert matrix.best_incomplete(rule, bottoms) == best, rule.name
+def resolution_target(bounds, rule, bottoms, t):
+    """:meth:`CodedBounds.best_incomplete` with its code decoded."""
+    found = bounds.best_incomplete(rule, bottoms, t)
+    if found is None:
+        return None
+    coded, missing = found
+    return bounds.codes.decode(coded)[0], missing
+
+
+def delivered(deliveries, m):
+    """A state built delivery batch by delivery batch, rows in delivery
+    order, from a capacity of one row (so it regrows)."""
+    codes = ObjectCodes(reference_known(deliveries))  # coded in first-seen order
+    bounds = CodedBounds(codes, m, capacity=1)
+    for column, batch in deliveries:
+        coded = codes.lookup([object_id for object_id, _ in batch])
+        bounds.add(coded[coded >= bounds.count], 0)  # its new objects, in order
+        bounds.learn(column, coded, np.array([grade for _, grade in batch]), 0)
+    return bounds
 
 
 def check_coded(bounds, known, m, bottoms, k):
@@ -117,9 +129,13 @@ def check_coded(bounds, known, m, bottoms, k):
     assert bounds.count == len(known)
     assert bounds.known_states() == known
     assert list(bounds.known_states()) == list(known)
+    assert bounds.ids(np.arange(bounds.count)) == list(known)
     for rule in RULES:
         lower = fold(rule, known, m, [0.0] * m)
         upper = fold(rule, known, m, bottoms)
+        assert bounds.lower_bounds(rule).tolist() == list(lower.values()), rule.name
+        assert bounds.upper_bounds(rule, bottoms).tolist() == list(upper.values()), rule.name
+        assert resolution_target(bounds, rule, bottoms, 0) == best_incomplete(known, m, upper)
         top = heapq.nsmallest(k, lower.items(), key=canonical)
         view = bounds.stop_view(bounds.lower_bounds(rule), bounds.upper_bounds(rule, bottoms), k)
         chosen = {object_id for object_id, _ in top}
@@ -138,24 +154,11 @@ def check_coded(bounds, known, m, bottoms, k):
 @given(instances())
 @example((1, [(0, [(1, 0.5), ("1", 0.5)])], [0.5], 5))
 @example((2, [(1, [("1", -0.0)]), (0, [(1, 0.0), ("1", DENORMAL)])], [0.0, 0.0], 1))
-def test_grade_matrix_is_the_per_object_fold(instance):
+def test_coded_bounds_are_the_per_object_fold(instance):
     m, deliveries, bottoms, k = instance
     known = reference_known(deliveries)
 
-    batched = GradeMatrix(m, capacity=1)  # forces regrowth
-    one_by_one = GradeMatrix(m)
-    for column, batch in deliveries:
-        batched.add_batch(
-            column,
-            [object_id for object_id, _ in batch],
-            [grade for _, grade in batch],
-        )
-        for object_id, grade in batch:
-            one_by_one.set_grade(object_id, column, grade)
-
-    for matrix in (batched, one_by_one):
-        check(matrix, known, m, bottoms, k)
-    check(GradeMatrix.from_known(known, m), known, m, bottoms, k)
+    check_coded(delivered(deliveries, m), known, m, bottoms, k)
     coded = CodedBounds.from_known(known, m)
     check_coded(coded, known, m, bottoms, k)
     # the hand-off round trip: a state rebuilt from a snapshot of itself
@@ -228,11 +231,15 @@ def test_coded_bounds_hold_the_state_after_every_round(run, data):
         ids = bounds.ids(np.arange(len(known)))
         assert ids == list(known)
         for rule in RULES:
+            upper = fold(rule, known, m, bottoms)
             assert bounds.lower_bounds(rule, rounds).tolist() == list(
                 fold(rule, known, m, [0.0] * m).values()
             ), rule.name
             assert bounds.upper_bounds(rule, bottoms, rounds).tolist() == list(
-                fold(rule, known, m, bottoms).values()
+                upper.values()
+            ), rule.name
+            assert resolution_target(bounds, rule, bottoms, rounds) == best_incomplete(
+                known, m, upper
             ), rule.name
     # forget what came after a round
     rounds = data.draw(st.integers(0, start))

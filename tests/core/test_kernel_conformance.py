@@ -1,8 +1,8 @@
 """Differential conformance for the one bounds state and its combines.
 
-Every algorithm folds its bounds through one
-:class:`~repro.kernels.GradeMatrix` and scores batches through
-``combine_matrix``, which is a rule's native numpy form or the exact
+NRA and CA fold their bounds through one
+:class:`~repro.kernels.CodedBounds`, and every algorithm scores batches
+through ``combine_matrix``, which is a rule's native numpy form or the exact
 per-row loop.  The contract: the two forms are interchangeable — same
 answers, same tie-breaks, same charged access counts, same traces, same
 degradation behavior — at every algorithm, over bare ArraySources

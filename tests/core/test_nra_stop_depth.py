@@ -13,7 +13,8 @@ stop test can pass at one round and fail at the next.
 NRA peeks each window for free and consumes only the rounds it uses.
 A sorted stream that dies at consume in the middle of a peeked window
 must leave no grade it did not deliver in the bounds — in NRA's own
-windows and in the state TA hands over: the tests rebuild the bounds
+windows, in CA's (which keep every grade their resolutions probed) and
+in the state TA hands over: the tests rebuild the bounds
 from the trace — what was actually delivered and probed — and hold the
 run's partial-bounds report and certificate to them.
 """
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sources import WrapperSource, sources_from_columns
-from repro.core.threshold import nra_top_k, threshold_top_k
+from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import TransientAccessError
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import VirtualClock
@@ -298,4 +299,25 @@ def test_ta_hand_off_keeps_only_what_a_dying_stream_delivered(batch_size):
     assert sources[1].counter.sorted_accesses == 0
     assert result.degraded.fallback == "partial-bounds"
     assert result.approximation.anytime
+    assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
+
+
+@pytest.mark.parametrize("limits", ((13, None, None), (13, 30, 45)), ids=("one", "all"))
+def test_ca_keeps_its_resolutions_when_a_stream_dies_mid_window(limits):
+    """CA (h = 3) resolves after rounds 3, 6, 9 and 12 of its first
+    window; list 0 then dies consuming rounds 13 to 15.  The window is
+    cut back to what each list delivered, and the grades the
+    resolutions probed stay learned."""
+    table = independent(200, 3, seed=7)
+    sources = sources_from_columns(table)
+    sources = [
+        source if limit is None else SortedStreamDies(source, limit)
+        for source, limit in zip(sources, limits)
+    ]
+    tracer = QueryTracer()
+    result = combined_top_k(sources, tnorms.MIN, 60, ratio=3, tracer=tracer)
+    assert sources[0].counter.sorted_accesses == 12
+    assert "A1" in result.degraded.failed_sources
+    probed = {event["object"] for event in tracer.events if event["type"] == "random"}
+    assert probed & set(result.answers.objects())
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)

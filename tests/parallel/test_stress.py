@@ -31,6 +31,7 @@ from repro.middleware.resilience import (
     RetryPolicy,
     VirtualClock,
 )
+from repro.observability import QueryTracer, attach_resilience_observers
 from repro.parallel import ParallelAccessExecutor
 from repro.scoring import tnorms
 from tests.per_row import per_row
@@ -135,6 +136,32 @@ def test_parallel_chaos_run_is_repeatable(seed):
         return list(result.answers.as_dict().items())
 
     assert run() == run()
+
+
+def test_resilience_events_are_traced_in_submission_order():
+    """Workers that finish in opposite orders write one trace: the
+    retries and failures a worker's access raises reach the tracer on
+    the coordinating thread, in submission order."""
+
+    def delayed(slow):
+        def hook(index):
+            if index == slow:
+                time.sleep(0.005)
+
+        return hook
+
+    traces = []
+    for slow in (0, 1):
+        sources = chaos_sources(build_table(3), 3)
+        tracer = QueryTracer()
+        attach_resilience_observers(sources, tracer)
+        with ParallelAccessExecutor(2, before_access=delayed(slow)) as executor:
+            threshold_top_k(
+                sources, tnorms.MIN, K, batch_size=1, tracer=tracer, executor=executor
+            )
+        traces.append(tracer.to_json())
+    assert '"resilience"' in traces[0]
+    assert traces[0] == traces[1]
 
 
 def test_fuzzed_hook_failures_do_not_hang_the_fan_out():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.evaluation import compile_query
 from repro.core.query import Atomic, Not, Scored
 from repro.errors import GradeError, ScoringError
-from repro.kernels import GradeMatrix
+from repro.kernels import CodedBounds, ObjectCodes, top_rows
 from repro.scoring import (
     conorm_catalog,
     mean_catalog,
@@ -177,19 +177,19 @@ def test_negate_matrix_matches_scalar(negation):
 
 
 # ---------------------------------------------------------------------------
-# GradeMatrix bound helpers, including all-NaN (never-seen) rows.
+# CodedBounds bound helpers, including all-NaN (never-seen) rows.
 
 
-def test_grade_matrix_bounds_with_all_nan_rows():
-    matrix = GradeMatrix(3, capacity=2)
-    matrix.set_grade("a", 0, 0.9)
-    matrix.set_grade("a", 2, 0.4)
-    matrix.row_of("b")  # b: no grades learned at all
-    matrix.set_grade("c", 1, 0.7)
+def test_coded_bounds_with_all_nan_rows():
+    bounds = CodedBounds(ObjectCodes(["a", "b", "c"]), 3, capacity=2)
+    bounds.add(np.arange(3), 0)  # b: no grades learned at all
+    bounds.learn(0, np.array([0]), np.array([0.9]), 0)
+    bounds.learn(2, np.array([0]), np.array([0.4]), 0)
+    bounds.learn(1, np.array([2]), np.array([0.7]), 0)
     bottoms = (0.5, 0.6, 0.3)
 
-    lower = matrix.lower_bounds(MIN)
-    upper = matrix.upper_bounds(MIN, bottoms)
+    lower = bounds.lower_bounds(MIN)
+    upper = bounds.upper_bounds(MIN, bottoms)
     # a: known (0.9, ?, 0.4) -> lower fills 0, upper fills bottom 0.6
     assert lower[0] == MIN([0.9, 0.0, 0.4]) == 0.0
     assert upper[0] == MIN([0.9, 0.6, 0.4])
@@ -200,19 +200,26 @@ def test_grade_matrix_bounds_with_all_nan_rows():
     assert lower[2] == 0.0
     assert upper[2] == MIN([0.5, 0.7, 0.3])
 
-    complete = matrix.complete_mask()
-    assert complete.tolist() == [False, False, False]
-    matrix.set_grade("a", 1, 1.0)
-    assert matrix.complete_mask().tolist() == [True, False, False]
-    assert matrix.lower_bounds(MIN)[0] == MIN([0.9, 1.0, 0.4])
+    # a's upper bound (0.4) beats b's and c's (0.3)
+    coded, missing = bounds.best_incomplete(MIN, bottoms, 0)
+    assert coded.tolist() == [0] and missing == [1]
+    bounds.learn(1, np.array([0]), np.array([1.0]), 1)
+    assert bounds.lower_bounds(MIN)[0] == MIN([0.9, 1.0, 0.4])
+    # complete now, a is no resolution target; b (0.3) beats c (0.3)
+    # on first sighting
+    coded, missing = bounds.best_incomplete(MIN, bottoms, 1)
+    assert coded.tolist() == [1] and missing == [0, 1, 2]
+    # ...but not at round 0, before a's last grade was learned
+    assert bounds.best_incomplete(MIN, bottoms, 0)[0].tolist() == [0]
 
 
-def test_grade_matrix_top_order_breaks_ties_like_graded_item():
-    matrix = GradeMatrix(1)
-    for object_id in ("b", "a", "c", "d"):
-        matrix.row_of(object_id)
+def test_top_rows_breaks_ties_like_graded_item():
+    ids = ["b", "a", "c", "d"]
+
+    def strs_of(rows):
+        return [ids[row] for row in rows.tolist()]
+
     scores = np.asarray([0.5, 0.5, 0.9, 0.5])
-    order = matrix.top_order(scores, 4)
-    assert [matrix.ids[row] for row in order] == ["c", "a", "b", "d"]
+    assert strs_of(top_rows(scores, 4, strs_of)) == ["c", "a", "b", "d"]
     # a cut inside the tied run orders only the rows that reach it
-    assert [matrix.ids[row] for row in matrix.top_order(scores, 2)] == ["c", "a"]
+    assert strs_of(top_rows(scores, 2, strs_of)) == ["c", "a"]
