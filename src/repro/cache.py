@@ -338,7 +338,8 @@ class QueryCache:
     """Thread-safe LRU cache of certified top-k fills.
 
     ``stats()`` exposes probe-level counters: ``hits`` (exact, prefix
-    and θ), ``theta_hits``, ``misses``, ``stale`` (entry found but its
+    and θ), ``theta_hits``, ``misses`` (a :meth:`probe` that served
+    nothing; :meth:`lookup` counts none), ``stale`` (entry found but its
     source fingerprints no longer match — evicted, never served), ``fills``,
     ``fill_races`` (a concurrent fill already stored an entry at least
     as deep; the late result was discarded), ``evictions`` (LRU), and
@@ -419,6 +420,19 @@ class QueryCache:
         touches θ entries, so exact traffic is byte-identical to a
         cache that never stored one.
         """
+        result, status = self.lookup(key, k, atoms, sources, tracer=tracer, theta=theta)
+        if result is None:
+            with self._lock:
+                self.misses += 1
+        return result, status
+
+    def lookup(
+        self, key: Tuple, k: int, atoms, sources, *, tracer=None, theta: float = 1.0
+    ) -> Tuple[Optional[TopKResult], str]:
+        """:meth:`probe` without counting a miss, for a caller that probes
+        again where the query executes (the query service at admission):
+        that probe serves a fill landed in between, or counts the one
+        miss the request makes."""
         with self._lock:
             present = key in self._entries
         entry = self._validated(key, atoms, sources)
@@ -447,8 +461,6 @@ class QueryCache:
             )
             if served is not None:
                 return served, "theta"
-        with self._lock:
-            self.misses += 1
         return None, "stale" if (present and entry is None) else "miss"
 
     @staticmethod

@@ -698,7 +698,9 @@ class MiddlewareEngine:
         result with its status, or ``(None, status)`` for
         ``"miss"``/``"stale"``/``"off"``.  The query service calls this
         at admission so hits skip the queue entirely; misses need a real
-        execution slot and are left to :meth:`top_k`.  ``theta`` mirrors
+        execution slot and are left to :meth:`top_k`, whose own probe
+        counts the miss (:meth:`~repro.cache.QueryCache.lookup`): one
+        request, one hit or one miss.  ``theta`` mirrors
         :meth:`top_k`'s knob: a θ > 1 probe may also be served by a
         qualifying θ-certified entry.
         """
@@ -709,7 +711,7 @@ class MiddlewareEngine:
 
         theta = float(theta) if theta is not None else self._theta
         sources = self.bind_all(query)
-        return cache.probe(
+        return cache.lookup(
             plan_key(query, self.semantics, prefer),
             k,
             query.atoms(),

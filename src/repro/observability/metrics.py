@@ -177,7 +177,8 @@ class MetricsRegistry:
 
     Creation and snapshots hold a registry-wide lock, so concurrent
     threads asking for the same (name, labels) always receive the same
-    instrument instance.
+    instrument instance.  Looking up an existing instrument takes no
+    lock and builds nothing.
     """
 
     def __init__(self) -> None:
@@ -187,21 +188,30 @@ class MetricsRegistry:
         self._histograms: Dict[InstrumentKey, Histogram] = {}
         self._series: Dict[InstrumentKey, Series] = {}
 
+    def _instrument(self, table: Dict, factory, name: str, labels: Dict[str, object]):
+        """The instrument at ``(name, labels)`` in ``table``; only a missing
+        one is built, under the registry lock, so every caller gets the
+        same instance and a lookup allocates nothing."""
+        key = _key(name, labels)
+        instrument = table.get(key)
+        if instrument is None:
+            with self._lock:
+                instrument = table.get(key)
+                if instrument is None:
+                    instrument = table[key] = factory()
+        return instrument
+
     def counter(self, name: str, **labels) -> Counter:
-        with self._lock:
-            return self._counters.setdefault(_key(name, labels), Counter())
+        return self._instrument(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        with self._lock:
-            return self._gauges.setdefault(_key(name, labels), Gauge())
+        return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        with self._lock:
-            return self._histograms.setdefault(_key(name, labels), Histogram())
+        return self._instrument(self._histograms, Histogram, name, labels)
 
     def series(self, name: str, **labels) -> Series:
-        with self._lock:
-            return self._series.setdefault(_key(name, labels), Series())
+        return self._instrument(self._series, Series, name, labels)
 
     def move_steps(self, moved: Dict[int, int]) -> None:
         """Renumber every series point whose step ``moved`` maps to a new

@@ -20,6 +20,7 @@ Example::
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from repro.errors import QuerySyntaxError
@@ -151,7 +152,22 @@ class _Parser:
         )
 
 
+#: distinct texts :func:`parse` keeps, least recently used dropped first
+#: (the ``svc-zipf`` benchmark cycles through 154)
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Statement:
     """Parse query text into a :class:`Statement` (raises
-    :class:`~repro.errors.QuerySyntaxError` with a position on error)."""
+    :class:`~repro.errors.QuerySyntaxError` with a position on error).
+
+    Memoized by exact text in one process-wide LRU of
+    :data:`PARSE_CACHE_SIZE` texts, so a repeated text skips tokenizing
+    and parsing and returns the identical ``Statement``: it is frozen and
+    shared between callers.  An error is raised afresh on every call and
+    never cached.  Only the text is the key, never a parsed tree, so
+    ``Year = 1999`` and ``Year = 1999.0`` stay apart although their
+    statements compare equal.  ``parse.__wrapped__`` is the unmemoized
+    parser."""
     return _Parser(tokenize(text)).statement()

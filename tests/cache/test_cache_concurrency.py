@@ -12,8 +12,9 @@ import random
 import threading
 
 from repro.core.planner import Strategy
-from repro.service import QueryService
+from repro.service import QueryService, ServiceConfig
 from tests.cache.helpers import answer_pairs, conjunction, engine_from_table
+from tests.service.helpers import build_gated_engine
 
 THREADS = 8
 ROUNDS = 25
@@ -203,3 +204,57 @@ def test_service_hammer_hits_plus_misses_cover_every_submit():
             == submits
         )
         assert metrics.counter_total("service.completed") == submits
+    stats = engine.cache.stats()
+    assert stats["hits"] + stats["misses"] == submits
+    assert stats["fills"] + stats["fill_races"] == stats["misses"]
+
+
+def test_one_worker_service_counts_one_cache_outcome_per_request():
+    """Admission looks the cache up without counting a miss; the worker's
+    probe counts it, so every request is one hit or one miss, and every
+    miss is one fill or one fill race."""
+    engine, _ = make_engine()
+    cache = engine.configure_cache()
+    query = conjunction(M)
+    requests = [
+        (query, 10, None),  # miss, fill
+        (query, 10, None),  # exact
+        (query, 4, None),  # prefix
+        (query, 20, None),  # too shallow: miss, deeper fill
+        (query, 10, Strategy.NRA),  # another plan key: miss, fill
+        (query, 10, Strategy.NRA),  # exact
+        (query, 20, None),  # exact
+    ]
+    with QueryService(engine, ServiceConfig(workers=1)) as service:
+        for request, k, prefer in requests:
+            service.submit(request, k, prefer=prefer).result(timeout=30)
+        engine.invalidate()
+        service.submit(query, 10).result(timeout=30)  # miss after a drop
+        metrics = service.metrics
+
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == len(requests) + 1
+    assert stats["fills"] + stats["fill_races"] == stats["misses"]
+    assert (stats["hits"], stats["misses"]) == (4, 4)
+    assert metrics.counter_total("service.cache.hit") == stats["hits"]
+    assert metrics.counter_total("service.cache.miss") == stats["misses"]
+
+
+def test_fill_landing_after_admission_is_served_without_a_second_miss():
+    engine, subsystem, query = build_gated_engine()
+    cache = engine.configure_cache()
+    with QueryService(engine, ServiceConfig(workers=1)) as service:
+        first = service.submit(query, 10)
+        assert subsystem.started.wait(timeout=30)  # the worker holds it
+        second = service.submit(query, 10)  # admission misses: no fill yet
+        subsystem.open()
+        first.result(timeout=30)
+        served = second.result(timeout=30)
+        metrics = service.metrics
+
+    assert served.extras["cache"]["tier"] == "exact"
+    assert metrics.counter_total("service.cache.served") == 1
+    assert metrics.counter_total("service.cache.miss") == 2
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["fills"]) == (1, 1, 1)
+    assert stats["fill_races"] == 0

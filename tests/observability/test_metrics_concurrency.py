@@ -7,8 +7,10 @@ service reads metrics mid-load) never crashes on a mutating list and
 never observes a torn instrument.
 """
 
+import sys
 import threading
 
+from repro.observability import metrics
 from repro.observability.metrics import MetricsRegistry
 
 WRITERS = 6
@@ -136,9 +138,38 @@ def test_concurrent_instrument_creation_yields_one_instance():
         grabbed[index] = registry.counter("shared", label="x")
         grabbed[index].inc()
 
-    hammer(work, WRITERS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between lookup and creation
+    try:
+        hammer(work, WRITERS)
+    finally:
+        sys.setswitchinterval(interval)
     assert all(instrument is grabbed[0] for instrument in grabbed)
     assert registry.counter_total("shared") == WRITERS
+
+
+def test_repeated_lookups_construct_no_new_instrument(monkeypatch):
+    built = []
+    for kind in ("Counter", "Gauge", "Histogram", "Series"):
+        base = getattr(metrics, kind)
+
+        def counted(base=base, kind=kind):
+            built.append(kind)
+            return base()
+
+        monkeypatch.setattr(metrics, kind, counted)
+    registry = MetricsRegistry()
+    lookups = (
+        lambda: registry.counter("requests", tenant="a"),
+        lambda: registry.gauge("depth"),
+        lambda: registry.histogram("latency", tenant="a"),
+        lambda: registry.series("tau", source="L"),
+    )
+    first = [lookup() for lookup in lookups]
+    assert built == ["Counter", "Gauge", "Histogram", "Series"]
+    for _ in range(5):
+        assert all(lookup() is instrument for lookup, instrument in zip(lookups, first))
+    assert len(built) == 4
 
 
 def test_series_properties_are_locked_copies():
