@@ -165,7 +165,7 @@ class FaginAlgorithm:
         :class:`GradedItem` boxing on array backends), replay the
         one-item-per-list round robin over the windows, and consume
         exactly the rows the round robin processed with one
-        ``next_batch_columns`` per list.  The per-item algorithm checks
+        ``advance`` per list.  The per-item algorithm checks
         the stopping condition between rounds and otherwise takes one
         item from every list, so draining whole rounds in bulk charges
         exactly the same sorted accesses.
@@ -221,7 +221,7 @@ class FaginAlgorithm:
                     [
                         (
                             lambda c=self._cursors[i],
-                            t=min(consumed, lengths[i]): c.next_batch_columns(t)
+                            t=min(consumed, lengths[i]): c.advance(t)
                         )
                         for i in takers
                     ],

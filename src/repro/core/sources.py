@@ -30,6 +30,7 @@ and ``shards``.
 from __future__ import annotations
 
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -129,7 +130,9 @@ class SortedCursor:
     ``_consume`` (delivery side effects, which may refuse the delivery
     by raising) before charging and advancing.  The ``_columns`` forms
     hand the (ids, float64 grades) window over as is; the others box it
-    into :class:`GradedItem` s.
+    into :class:`GradedItem` s.  ``advance(count)`` is the delivery for
+    a caller that already peeked the rows (by id or by code): the same
+    ``_consume``, charge and advance, without reading them again.
     """
 
     __slots__ = ("_source", "_position")
@@ -157,6 +160,18 @@ class SortedCursor:
             self._charge(len(ids))
             self._position += len(ids)
         return ids, grades
+
+    def advance(self, count: int) -> int:
+        """Deliver the next ``count`` rows, which the caller has peeked
+        (so they exist; 0 is the empty read at the end of the list):
+        what :meth:`next_batch_columns` does when it delivers ``count``
+        rows, without building their ids.  Returns ``count``."""
+        start = self._position
+        self._source._consume(start, count)
+        if count:
+            self._charge(count)
+            self._position += count
+        return count
 
     def _charge(self, count: int) -> None:
         self._source.counter.record_sorted(count)
@@ -397,6 +412,30 @@ class GradedSource(ABC):
 #: serializes :meth:`ArraySource._adopt`, so a source never moves to a
 #: newer index than one another thread adopted meanwhile
 _ADOPTION = threading.Lock()
+#: the live ArraySource indexes, by size, oldest first; weak, so an id
+#: list lives exactly as long as some source coded by it
+_POSITIONAL: Dict[int, List["weakref.ref[ObjectCodes]"]] = {}
+_POSITIONAL_LOCK = threading.Lock()
+
+
+def _positional_codes(ids: List[ObjectId], name: str) -> ObjectCodes:
+    """The index of an ArraySource built from ``ids`` (code = position):
+    the oldest live one over an equal id sequence, else a new one over
+    ``ids``, once they are checked distinct.  An equal sequence was
+    checked when its index was made, so the check runs once per index."""
+    with _POSITIONAL_LOCK:
+        live = [ref for ref in _POSITIONAL.get(len(ids), ()) if ref() is not None]
+        for ref in live:
+            codes = ref()
+            if codes is not None and codes.ids == ids:
+                return codes
+        if len(set(ids)) != len(ids):
+            raise AccessError(
+                f"source {name!r}: duplicate object ids in from_arrays input"
+            )
+        codes = ObjectCodes.positional(ids)
+        _POSITIONAL[len(ids)] = live + [weakref.ref(codes)]
+        return codes
 
 
 class ArraySource(GradedSource):
@@ -409,13 +448,15 @@ class ArraySource(GradedSource):
     backends are interchangeable object-for-object, not just
     grade-for-grade).  Sorted access is an array slice instead of one
     Python call per item, and grade validation is a single vectorized
-    check instead of N ``validate_grade`` calls.
+    check instead of N ``validate_grade`` calls.  No per-id work is
+    done beyond that: a sorted read decodes only the rows it returns.
 
     Grades are held by object code (:class:`~repro.kernels.ObjectCodes`),
     not in an id -> grade dict: a random access is one dict lookup and a
     gather, and TA's bulk round slices sorted codes and gathers grades
-    without touching ids.  Sources built separately over one object set
-    settle on one shared index (:func:`shared_object_codes`).
+    without touching ids.  Sources built from equal id sequences share
+    one index from construction; sources over one object set in other
+    orders settle on one at query time (:func:`shared_object_codes`).
 
     The base class charges one sorted access per delivered item and one
     random access per probed object, whichever access form the caller
@@ -456,7 +497,10 @@ class ArraySource(GradedSource):
         :class:`~repro.errors.GradeError` (a ``ValueError``) naming the
         first offending position.  Ids must be distinct (unlike the
         mapping constructor there is no dict to absorb duplicates, so
-        they are rejected loudly).
+        they are rejected loudly).  Sources built from equal id
+        sequences share one index from construction, checked distinct
+        once (:func:`_positional_codes`); the source keeps its own copy
+        of the ids, which its sorted reads decode through.
 
         ``presorted=True`` trusts the *order* of the input — skipping
         the construction sort — but still validates that the grades
@@ -466,13 +510,8 @@ class ArraySource(GradedSource):
         to match the canonical order; the grade order itself is always
         checked.
         """
-        ids = list(object_ids)
         source = cls.__new__(cls)
-        source._init_from_arrays(ids, grades, name, presorted=presorted)
-        if len(set(ids)) != len(ids):
-            raise AccessError(
-                f"source {name!r}: duplicate object ids in from_arrays input"
-            )
+        source._init_from_arrays(list(object_ids), grades, name, presorted=presorted)
         return source
 
     def _init_from_arrays(
@@ -485,23 +524,27 @@ class ArraySource(GradedSource):
                 f"source {name!r}: expected one grade per object, got "
                 f"{len(ids)} ids and shape {values.shape} grades"
             )
+        codes = _positional_codes(ids, name)
         order = _np.arange(len(ids)) if presorted else canonical_order(ids, values)
+        #: the input ids, and the input positions in sorted order
+        self._ids = ids
+        self._order = order.astype(_np.int32)
         self._sorted_grades = values[order]
-        self._sorted_ids: List[ObjectId] = [ids[j] for j in order.tolist()]
         #: ``(codes, sorted_codes, grade_by_code)``: an id's code is its
         #: input position until :meth:`_adopt` re-codes the source; one
         #: attribute, so a reader always sees one consistent snapshot.
-        self._coded = (ObjectCodes(ids), order.astype(_np.int32), values)
+        self._coded = (codes, self._order, values)
 
     def _adopt(self, codes: ObjectCodes) -> bool:
         """Re-code this source into the older index ``codes``.
 
         Declines (False) unless ``codes`` is at least as old as the
         current index, is the same size and codes every id of this
-        source; N dict lookups, once per source — none when both were
-        built from the same ids in the same order, which code alike.  A
-        source only ever moves to an older index, so a set of sources
-        adopting their oldest one converges.
+        source; N dict lookups, once per source.  (Sources built from
+        the same ids in the same order share an index from
+        construction, so they have nothing to adopt.)  A source only
+        ever moves to an older index, so a set of sources adopting their
+        oldest one converges.
         """
         with _ADOPTION:  # check-then-act: concurrent queries adopt too
             current, sorted_codes, grade_by_code = self._coded
@@ -509,9 +552,6 @@ class ArraySource(GradedSource):
                 return True
             if codes.serial > current.serial or len(codes) != len(current):
                 return False
-            if codes.ids == current.ids:
-                self._coded = (codes, sorted_codes, grade_by_code)
-                return True
             try:
                 recode = codes.lookup(current.ids)
             except KeyError:
@@ -523,7 +563,8 @@ class ArraySource(GradedSource):
 
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
         stop = start + count
-        return self._sorted_ids[start:stop], self._sorted_grades[start:stop]
+        ids = self._ids
+        return [ids[j] for j in self._order[start:stop].tolist()], self._sorted_grades[start:stop]
 
     def _grades_of_many(self, object_ids: Sequence[ObjectId]):
         codes, _, grade_by_code = self._coded
@@ -549,7 +590,7 @@ class ArraySource(GradedSource):
         return grade_by_code[coded]
 
     def __len__(self) -> int:
-        return len(self._sorted_ids)
+        return len(self._sorted_grades)
 
 
 class WrapperSource(GradedSource):
@@ -750,7 +791,9 @@ def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
 
     A set of :class:`ArraySource` s over one object set shares the
     oldest of their indexes, once every one has adopted it
-    (:meth:`ArraySource._adopt`).  A set whose storage wrote codes at
+    (:meth:`ArraySource._adopt`; tried again when a concurrent query
+    moved one of them to an older index meanwhile); built from one id
+    sequence, they already share it.  A set whose storage wrote codes at
     build time (memmap sources, or sharded sources over memmap shards)
     shares them when every universe has the same fingerprint: the same
     lookup ids, shard for shard.  Any other set — kNN, mixed, lists
@@ -759,11 +802,16 @@ def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
     that the sources' id-based hooks fill.
     """
     if all(isinstance(source, ArraySource) for source in sources):
-        oldest = min(
-            (source._coded[0] for source in sources), key=lambda codes: codes.serial
-        )
-        if all(source._adopt(oldest) for source in sources):
-            return oldest
+        oldest = None
+        while True:
+            current = min((source._coded[0] for source in sources), key=lambda codes: codes.serial)
+            if oldest is not None and current.serial >= oldest.serial:
+                break  # declined for another object set
+            # else a first try, or a retry after a concurrent query moved
+            # one of the sources to an older index than ``oldest``
+            oldest = current
+            if all(source._adopt(oldest) for source in sources):
+                return oldest
     stored = sources[0]._stored_codes()
     if stored is not None and all(source._owns_codes(stored) for source in sources):
         return stored

@@ -63,7 +63,7 @@ from repro.core.result import (
 from repro.core.sources import (
     DEFAULT_BATCH_SIZE,
     GradedSource,
-    _fast_item,
+    _boxed,
     check_same_objects,
     shared_object_codes,
 )
@@ -171,7 +171,7 @@ def _nra_run(
     bound — and tests the rounds after it in order.  Every probe runs
     that partition check first, and ranks the answer canonically only
     when the k-th lower bound is tied past k.  Exactly the rounds used
-    are then consumed, with one ``next_batch_columns`` per list, so
+    are then consumed, with one ``advance`` per list, so
     charges and faults land at consume, and the answers, costs and depth
     are those of a test after every round.
 
@@ -349,15 +349,18 @@ def _nra_run(
         return next((t for t in range(high, end + 1) if stops(t)), None)
 
     def consume(take: int):
-        """Consume ``take`` rows of every live list with one
-        ``next_batch_columns`` each, counting them in ``got``; returns
-        the rows delivered (the most any list shipped) and the lists
-        that died."""
+        """Consume ``take`` rows of every live list, or what is left of
+        its peeked window, with one ``advance`` each, counting them in
+        ``got``; returns the rows delivered (the most any list shipped)
+        and the lists that died."""
         nonlocal depth
         active = [i for i in range(m) if not exhausted[i]]
         outcomes = fan_out(
             executor,
-            [(lambda c=cursors[i]: c.next_batch_columns(take)) for i in active],
+            [
+                (lambda c=cursors[i], n=min(take, len(windows[i][0]) - got[i]): c.advance(n))
+                for i in active
+            ],
         )
         delivered, died = 0, []
         for i, outcome in zip(active, outcomes):
@@ -376,23 +379,19 @@ def _nra_run(
                         reason=str(outcome.error),
                     )
                 continue
-            ids, grades = outcome.value
-            cursor = cursors[i]
-            if ids:
+            count, position = outcome.value, cursors[i].position
+            if count:
                 if tracer is not None:
                     tracer.record_sorted_batch(
                         sources[i].name,
-                        [
-                            _fast_item(object_id, grade)
-                            for object_id, grade in zip(ids, grades.tolist())
-                        ],
-                        cursor.position - len(ids),
+                        _boxed(*sources[i]._columns_range(position - count, count)),
+                        position - count,
                     )
-                bottoms[i] = float(grades[-1])
-                depth = max(depth, cursor.position)
-                delivered = max(delivered, len(ids))
-                got[i] += len(ids)
-            if len(ids) < take:  # the list has run out
+                bottoms[i] = float(windows[i][1][got[i] + count - 1])
+                depth = max(depth, position)
+                delivered = max(delivered, count)
+                got[i] += count
+            if count < take:  # the list has run out
                 exhausted[i] = True
                 bottoms[i] = 0.0
         return delivered, died
@@ -579,7 +578,7 @@ def threshold_top_k(
     Sorted access is drained in bulk: each super-round peeks a window of
     upcoming items per list (free), replays TA's one-item-per-list
     rounds over the windows in memory, and then consumes exactly the
-    rounds processed with one ``next_batch_columns`` per list.  The
+    rounds processed with one ``advance`` per list.  The
     stopping rule is still evaluated between rounds, so the access
     counts are identical to item-at-a-time TA for every ``batch_size``
     (1 reproduces the per-item pattern exactly).
@@ -850,8 +849,8 @@ def threshold_top_k(
 
     def consume(windows, rows: int) -> Dict[int, str]:
         """Consume the first ``rows`` rows of every window with one
-        ``next_batch_columns`` per list.  A list's rows are logged, and
-        its bottom moves, only once it has delivered them.
+        ``advance`` per list.  A list's rows are logged, and its bottom
+        moves, only once it has delivered them.
 
         Returns ``{list index: reason}`` for the streams that died
         instead: they delivered nothing, so their sorted records of the
@@ -862,7 +861,7 @@ def threshold_top_k(
         takers = [(i, used) for i, used in takers if used]
         outcomes = fan_out(
             executor,
-            [(lambda c=cursors[i], t=t: c.next_batch_columns(t)) for i, t in takers],
+            [(lambda c=cursors[i], t=t: c.advance(t)) for i, t in takers],
         )
         died: Dict[int, str] = {}
         for (i, used), outcome in zip(takers, outcomes):

@@ -330,16 +330,19 @@ class ObjectCodes:
     ``ids`` decode list.
 
     ``ObjectCodes(ids)`` codes distinct ``ids`` by position.  The dict
-    is built on first use, so of a set of sources that settle on one
-    index only that index ever builds one.  :meth:`encode` gives an id
-    the next code the first time it sees it, which is how a per-run
-    index grows; :meth:`lookup` never grows.  An
-    :class:`~repro.core.sources.ArraySource` holds its grades by code,
-    and a set of them settles on the one index with the smallest
-    ``serial`` (the oldest), so TA's bulk round works on codes alone.
+    is built on first use, so of a set of sources that share one index
+    only that index ever builds one.  :meth:`encode` gives an id the
+    next code the first time it sees it, which is how a per-run index
+    grows; :meth:`lookup` never grows.  :meth:`positional` is the fixed
+    form, which :meth:`encode` never grows: the index of an
+    :class:`~repro.core.sources.ArraySource`, whose grades are held by
+    code, shared by every source built from an equal id sequence (and
+    adopted by sources over the same objects in another order: the one
+    with the smallest ``serial``, the oldest), so TA's bulk round works
+    on codes alone.
     """
 
-    __slots__ = ("serial", "ids", "_codes")
+    __slots__ = ("serial", "ids", "_codes", "_fixed", "__weakref__")
 
     _serials = itertools.count()
     #: codes are assigned per index, not read off stored columns
@@ -349,6 +352,16 @@ class ObjectCodes:
         self.serial = next(ObjectCodes._serials)
         self.ids: List = list(ids)
         self._codes: Optional[Dict] = None
+        self._fixed = False
+
+    @classmethod
+    def positional(cls, ids: List) -> "ObjectCodes":
+        """A fixed index over the distinct ``ids``, taking the list as
+        its own: code = position, and it never grows."""
+        codes = cls()
+        codes.ids = ids
+        codes._fixed = True
+        return codes
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -374,6 +387,7 @@ class ObjectCodes:
         codes = self._table()
         new = [object_id for object_id in dict.fromkeys(ids) if object_id not in codes]
         if new:
+            assert not self._fixed, f"a positional index never grows: {new[0]!r}"
             codes.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
             self.ids.extend(new)
         return self.lookup(ids)

@@ -9,8 +9,9 @@ schedule, the four failure shapes a remote repository exhibits:
 
 * **transient errors** — an access raises
   :class:`~repro.errors.TransientAccessError` and would succeed if
-  retried (failure streaks are capped by ``max_consecutive``, so a
-  retry policy with more attempts than the cap always gets through);
+  retried (each thread's failure streak on a source is capped by
+  ``max_consecutive``, so a retry policy with more attempts than the
+  cap always gets through, whatever other threads draw meanwhile);
 * **latency spikes** — an access stalls the injected clock before
   answering, exercising deadline budgets;
 * **permanent random-access death** — after ``break_random_after``
@@ -178,7 +179,10 @@ class FaultInjectingSource(WrapperSource):
         self.served = 0
         #: random probes served so far
         self.random_served = 0
-        self._consecutive = 0
+        #: the current failure streak, per thread: a query's retries
+        #: run in its own thread, and a neighbour's draws must not use
+        #: up the cap that guarantees them success
+        self._streak = threading.local()
 
     # -- the schedule ----------------------------------------------------------
     def _maybe_fail(self, kind: str, count: int = 1) -> None:
@@ -213,17 +217,18 @@ class FaultInjectingSource(WrapperSource):
         if profile.latency_rate and self._rng.random() < profile.latency_rate:
             self.injected.latency_spikes += 1
             self.clock.sleep(profile.latency)
+        streak = getattr(self._streak, "count", 0)
         if (
             profile.transient_rate
-            and self._consecutive < profile.max_consecutive
+            and streak < profile.max_consecutive
             and self._rng.random() < profile.transient_rate
         ):
-            self._consecutive += 1
+            self._streak.count = streak + 1
             self.injected.transients += 1
             raise TransientAccessError(
                 f"transient failure on {self._inner.name!r} ({kind} access)"
             )
-        self._consecutive = 0
+        self._streak.count = 0
 
     # -- charged access hooks --------------------------------------------------
     # Each holds the per-source lock for the whole access — a subsystem

@@ -324,13 +324,13 @@ def test_verifying_peek_records_no_delivery():
 
 
 def test_verifying_source_still_catches_order_violation_in_bulk():
-    class _Unsorted(ArraySource):
-        def __init__(self):
-            super().__init__({})
-            self._sorted_ids = ["a", "b"]
-            self._sorted_grades = np.array([0.3, 0.8])
+    # a subsystem that ships its rows in input order, grades rising
+    unsorted = ArraySource.from_arrays(["a", "b"], [0.3, 0.8])
+    unsorted._order = np.arange(2, dtype=np.int32)
+    unsorted._sorted_grades = np.array([0.3, 0.8])
+    assert unsorted._columns_range(0, 2)[0] == ["a", "b"]
 
-    verified = VerifyingSource(_Unsorted())
+    verified = VerifyingSource(unsorted)
     with pytest.raises(AccessError):
         verified.cursor().next_batch(2)
 

@@ -371,8 +371,9 @@ def test_separately_built_sources_converge_on_the_oldest_index():
         [source.random_access(object_id) for object_id in ids] for source in sources
     ] == single
     assert [source.as_graded_set() for source in sources] == graded
-    # a source never moves to a newer index
-    _, (newer,) = shuffled_sources(1)
+    # a source never moves to a newer index (one built from another
+    # order: built from an equal sequence it would share the oldest)
+    _, (newer,) = shuffled_sources(1, seed=6)
     assert not sources[0]._adopt(newer._coded[0])
     assert newer._adopt(oldest)
 
@@ -395,6 +396,23 @@ def test_sources_over_the_same_id_order_adopt_without_a_lookup():
         for stack in (sources, per_row(sources))
     )
     assert coded == by_ids
+
+
+def test_adoption_raced_by_another_query_still_shares_one_index(monkeypatch):
+    # another query moves B to the oldest index between this query's
+    # choice of index and B's adoption of it: B declines the newer one,
+    # and the query tries again with the oldest instead of reading by id
+    _, (oldest, a, b) = shuffled_sources(3)
+    adopt = ArraySource._adopt
+
+    def raced(self, codes):
+        if self is b and codes is a._coded[0]:
+            adopt(b, oldest._coded[0])
+        return adopt(self, codes)
+
+    monkeypatch.setattr(ArraySource, "_adopt", raced)
+    assert shared_object_codes([a, b]) is oldest._coded[0]
+    assert a._coded[0] is b._coded[0] is oldest._coded[0]
 
 
 def test_different_object_sets_decline_adoption_with_the_old_error():

@@ -10,6 +10,8 @@ wrapper over an array and a sharded source:
 * peeks and materialization charge nothing and move no wrapper state;
 * a consuming read delivers exactly what the peek before it showed and
   charges exactly one sorted access per delivered item;
+* ``advance`` (delivery by count, after a peek) moves exactly what the
+  columnar read of the same rows moves;
 * bulk random access is bit-equal to one probe at a time;
 * ``_grades_of_many`` names the first missing id in request order;
 * a consuming read past the end of the list still asks the repository
@@ -161,6 +163,32 @@ def test_consuming_reads_deliver_the_peeked_window_and_charge_it(source):
     # the boxed form of a second cursor is the same stream
     items = source.cursor().next_batch(N)
     assert [(item.object_id, item.grade) for item in items] == delivered
+
+
+@pytest.mark.parametrize("make", list(all_sources()))
+def test_advance_moves_what_a_columnar_read_moves(make, tmp_path):
+    # twins: one reads its rows as ids, the other peeks and advances by
+    # count; every wrapper's state, trace events included, stays equal
+    (tmp_path / "ids").mkdir()
+    (tmp_path / "count").mkdir()
+    by_ids, by_count = make(tmp_path / "ids"), make(tmp_path / "count")
+    ids_cursor, count_cursor = by_ids.cursor(), by_count.cursor()
+
+    def traces(source):
+        return [
+            node.tracer.to_json()
+            for node in iter_wrapper_chain(source)
+            if isinstance(node, TracingSource)
+        ]
+
+    for n in (1, 7, 0, 13, 2, N, 5):
+        ids, _ = ids_cursor.next_batch_columns(n)
+        peeked, _ = count_cursor.peek_batch_columns(n)
+        if n:
+            assert count_cursor.advance(len(peeked)) == len(ids)
+        assert count_cursor.position == ids_cursor.position
+        assert state(by_count) == state(by_ids)
+        assert traces(by_count) == traces(by_ids)
 
 
 def test_bulk_random_access_is_bit_equal_to_single_probes(source):

@@ -1,5 +1,7 @@
 """The fault injector: seeded schedules, caps, permanent failure modes."""
 
+import threading
+
 import pytest
 
 from repro.core.sources import ArraySource
@@ -51,6 +53,38 @@ def test_consecutive_failures_are_capped():
     source = wrap(FaultProfile(transient_rate=1.0, max_consecutive=2, seed=0))
     outcomes = drain_schedule(source, 9)
     assert outcomes == ["fail", "fail", "ok"] * 3
+
+
+def test_each_thread_keeps_its_own_failure_streak():
+    # Threads A and B take turns on one source in the order A, A, B, A,
+    # in lockstep, under rate 1.0 and cap 2.  A's third access is its
+    # third in a row, so it must get through whatever B drew meanwhile;
+    # with one streak for all threads B's draw would get through and A
+    # would fail a third time, past the cap its retries count on.
+    source = wrap(FaultProfile(transient_rate=1.0, max_consecutive=2, seed=0))
+    schedule = ["A", "A", "B", "A"]
+    outcomes = {"A": [], "B": []}
+    barrier = threading.Barrier(2, timeout=30)
+
+    def run(me):
+        for owner in schedule:
+            barrier.wait()
+            if owner == me:
+                try:
+                    source.random_access("x0")
+                except TransientAccessError:
+                    outcomes[me].append("fail")
+                else:
+                    outcomes[me].append("ok")
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(me,)) for me in outcomes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert outcomes == {"A": ["fail", "fail", "ok"], "B": ["fail"]}
+    assert source.injected.transients == 3
 
 
 def test_failed_access_charges_nothing():

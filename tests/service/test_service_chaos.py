@@ -46,13 +46,14 @@ def test_transient_faults_retried_to_clean_answers():
     finally:
         engine.close()
     assert not errors
-    # Serially, retries (max_attempts=4) always outlast the fault
-    # schedule's max_consecutive=2 streak cap.  But the cap's counter
-    # lives on the *shared* source: concurrent queries interleave their
-    # draws, so a retry loop can rarely have its forced-success draws
-    # absorbed by a neighbour and exhaust its attempts.  That must
-    # surface as an explicit degradation — never a silently wrong
-    # answer — and stays rare.
+    # Retries (max_attempts=4) outlast the fault schedule's
+    # max_consecutive=2 streak cap, which is kept per thread, so
+    # concurrent queries interleaving their draws on a shared source
+    # cannot use up each other's retries.  The source's circuit breaker
+    # is shared, though: failures from several threads in a row can
+    # rarely open it and degrade a query.  That must surface as an
+    # explicit degradation — never a silently wrong answer — and stays
+    # rare.
     clean = [r for r in results if r.degraded is None]
     assert len(clean) >= len(results) - 2
     for result in clean:
@@ -147,8 +148,8 @@ def test_faulty_and_clean_tenants_coexist():
     finally:
         engine.close()
     assert not errors
-    # As above: concurrent draws on the shared schedule can rarely
-    # exhaust one query's retries into an explicit degradation; every
+    # As above: failures of concurrent queries can rarely open the
+    # shared circuit breaker into an explicit degradation; every
     # non-degraded answer must be exact for both tenants.
     clean = [r for r in results if r.degraded is None]
     assert len(clean) >= len(results) - 2
