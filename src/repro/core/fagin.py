@@ -35,27 +35,33 @@ already-emitted objects.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from contextlib import nullcontext
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence
 
 from repro.core.cost import CostMeter
-from repro.core.graded import GradedSet, ObjectId
+from repro.core.graded import GradedSet
 from repro.core.result import TopKResult
 from repro.core.sources import (
     DEFAULT_BATCH_SIZE,
     GradedSource,
-    SortedCursor,
     check_same_objects,
+    shared_object_codes,
 )
 from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
-from repro.errors import MonotonicityError, ScoringError
-from repro.kernels import CodedBounds, _np
+from repro.errors import MonotonicityError
+from repro.kernels import CodedBounds, _np, top_rows
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
 
 class FaginAlgorithm:
     """Resumable evaluator for one monotone query over fixed sources.
+
+    The seen set is one :class:`~repro.kernels.CodedBounds` over the
+    lists' object codes, as for NRA and CA: rows in first-seen order, NaN
+    where a grade is not known yet.
 
     Parameters
     ----------
@@ -69,14 +75,33 @@ class FaginAlgorithm:
         When True (default), refuse a scoring function whose
         ``is_monotone`` flag is False — A0 is guaranteed correct only
         for monotone rules (section 4.2's first implementation issue).
+    prune_random_access:
+        One of the paper's "various improvements" to A0: in phase 2,
+        probe objects in decreasing upper-bound order (missing grades
+        replaced by the list bottoms) and stop as soon as the k-th best
+        exact grade dominates every remaining bound.  Sound for any
+        monotone rule; cheapest for min, where the bound is tight.
     batch_size:
         Window size for bulk sorted access.  Phase 1 peeks a window of
-        this many upcoming items per list (free), replays the paper's
-        one-item-per-list round robin over the windows in memory, and
-        then consumes exactly the items the round robin used with one
-        ``next_batch`` per list — so the access counts are identical to
-        item-at-a-time draining for every window size (1 reproduces the
-        per-item call pattern exactly).
+        this many upcoming rows per list (free), finds the row at which
+        the paper's one-item-per-list round robin would stop, and then
+        consumes exactly the rows up to it with one ``advance`` per list
+        — so the access counts are identical to item-at-a-time draining
+        for every window size (1 reproduces the per-item call pattern).
+    degrade:
+        When True (default), a random-access failure in phase 2 (an open
+        circuit, exhausted retries, a blown deadline) degrades the run
+        to NRA-style sorted-only processing over the state accumulated
+        so far instead of aborting the query.
+    tracer:
+        Optional QueryTracer; phases and accesses are emitted at logical
+        access time (the paper's phase structure), not at the deferred
+        bulk consumes.  None stays entirely off the path.
+    executor:
+        Optional ParallelAccessExecutor; phase 1's per-list consumes and
+        phase 2's per-list probes fan out across its workers and merge
+        in list order, so results and accounting match the serial path
+        exactly.  None keeps the serial path.
     """
 
     def __init__(
@@ -91,14 +116,7 @@ class FaginAlgorithm:
         tracer=None,
         executor=None,
     ) -> None:
-        #: optional QueryTracer; phases and accesses are emitted at
-        #: logical access time (see the paper's phase structure), not at
-        #: the deferred bulk consumes.  None stays entirely off the path.
         self.tracer = tracer
-        #: optional ParallelAccessExecutor; phase 1's per-list consumes
-        #: and phase 2's per-list bulk probes fan out across its workers
-        #: and merge in list order, so results and accounting match the
-        #: serial path exactly.  None keeps the classic serial path.
         self.executor = executor
         self.sources: List[GradedSource] = list(sources)
         self.database_size = check_same_objects(self.sources)
@@ -108,333 +126,290 @@ class FaginAlgorithm:
                 f"scoring function {self.scoring.name!r} is declared "
                 "non-monotone; A0 is only correct for monotone rules"
             )
-        #: One of the paper's "various improvements" to A0: in phase 2,
-        #: probe objects in decreasing upper-bound order (missing grades
-        #: replaced by the list bottoms) and stop as soon as the k-th
-        #: best exact grade dominates every remaining bound.  Sound for
-        #: any monotone rule; cheapest for min, where the bound is tight.
         self.prune_random_access = prune_random_access
-        #: When True (default), a random-access failure in phase 2 (an
-        #: open circuit, exhausted retries, a blown deadline) degrades
-        #: the run to NRA-style sorted-only processing over the state
-        #: accumulated so far instead of aborting the query.
         self.degrade = degrade
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
-        self._cursors: List[SortedCursor] = [s.cursor() for s in self.sources]
-        #: grades learned so far: object -> {source index -> grade}.
-        #: next_k restartability depends on this plain mapping; the
-        #: compute phase folds it with one ``combine_matrix``, and a
-        #: degraded NRA continuation starts from a
-        #: :class:`~repro.kernels.CodedBounds` built from it.
-        self._known: Dict[ObjectId, Dict[int, float]] = {}
-        #: objects delivered by sorted access, per source
-        self._seen_by_source: List[Set[ObjectId]] = [set() for _ in self.sources]
+        self.m = len(self.sources)
+        self._cursors = [s.cursor() for s in self.sources]
+        #: bare columnar lists: phase 2 gathers grades by code and
+        #: charges them, as TA's bulk round does
+        self._columnar = all(s.supports_columnar for s in self.sources)
+        codes = shared_object_codes(self.sources)
+        self._bounds = CodedBounds(codes, self.m)
         #: last grade delivered by each cursor (1.0 before any delivery)
-        self._bottoms: List[float] = [1.0 for _ in self.sources]
-        #: exact overall grades computed so far (pruned mode)
-        self._complete: Dict[ObjectId, float] = {}
-        #: objects already emitted by previous next_k calls
-        self._emitted: Set[ObjectId] = set()
-        self._emitted_set = GradedSet()
-        #: |L|: objects delivered by every source, counted incrementally
+        self._bottoms = [1.0] * self.m
+        #: by code: how many lists delivered the object by sorted access
+        #: (random-access fills do not count toward L — only what the
+        #: sorted streams delivered)
+        self._sightings = _np.zeros(len(codes), dtype=_np.int64)
+        #: by code: whether a page emitted the object
+        self._emitted = _np.zeros(len(codes), dtype=bool)
+        #: |L|: objects delivered by every list, counted incrementally
         self._matched = 0
-        #: sorted-access sightings per object (random-access fills do
-        #: not count toward L — only what the sorted streams delivered)
-        self._sightings: Dict[ObjectId, int] = {}
+        #: pruned mode: the complete rows, in the order they completed
+        self._completed: List[int] = []
+        #: the pages so far (``emitted`` is their union)
+        self._pages: List[GradedSet] = []
 
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        return len(self.sources)
+    def _grow(self) -> None:
+        """Widen the by-code arrays to a per-run index that coded new ids."""
+        grow = len(self._bounds.codes) - self._sightings.size
+        if grow > 0:
+            self._sightings = _np.pad(self._sightings, (0, grow))
+            self._emitted = _np.pad(self._emitted, (0, grow))
 
-    def _match_count(self) -> int:
-        """Objects output by *all* sources so far (the set L).
+    def _sorted_phase(self, needed: int) -> None:
+        """Round-robin sorted access until L holds ``needed`` objects.
 
-        Maintained incrementally by :meth:`_sorted_phase` — an object
-        joins L exactly when its sorted-access sightings reach m.
+        Bulk form of the paper's parallel scan: peek one window of codes
+        per list (charge-free, no ids built), find the row at which the
+        round robin stops, and consume exactly the rows up to it with one
+        ``advance`` per list.  An object joins L at the row of its m-th
+        sorted sighting, so the stop row is the (``needed`` − |L|)-th
+        smallest such row, found with ``np.partition`` as TA finds its
+        stop row.  The per-item algorithm checks the stopping condition
+        between rounds and otherwise takes one item from every list, so
+        this charges exactly the same sorted accesses.
+
+        A list's rows enter the state, count toward L and move its bottom
+        only once it has delivered them; a failed consume raises after
+        the other lists' rows are recorded, and a retry re-reads its rows.
         """
-        return self._matched
-
-    def _sorted_phase(self, needed_matches: int) -> None:
-        """Round-robin sorted access until L holds ``needed_matches`` objects.
-
-        Bulk form of the paper's parallel scan: peek one columnar window
-        per list (side-effect- and charge-free, no
-        :class:`GradedItem` boxing on array backends), replay the
-        one-item-per-list round robin over the windows, and consume
-        exactly the rows the round robin processed with one
-        ``advance`` per list.  The per-item algorithm checks
-        the stopping condition between rounds and otherwise takes one
-        item from every list, so draining whole rounds in bulk charges
-        exactly the same sorted accesses.
-        """
-        sightings = self._sightings
-        known = self._known
-        tracer = self.tracer
+        bounds, tracer, m = self._bounds, self.tracer, self.m
         with nullcontext() if tracer is None else tracer.phase("sorted-phase"):
-            while self._match_count() < needed_matches:
+            while self._matched < needed:
                 windows = [
-                    cursor.peek_batch_columns(self.batch_size)
-                    for cursor in self._cursors
+                    source._codes_range(bounds.codes, cursor.position, self.batch_size)
+                    for source, cursor in zip(self.sources, self._cursors)
                 ]
-                lengths = [len(window_ids) for window_ids, _ in windows]
-                grades_lists = [grades.tolist() for _, grades in windows]
-                rows = max(lengths, default=0)
-                if rows == 0:
+                lengths = [len(codes) for codes, _ in windows]
+                if not any(lengths):
                     break  # every list exhausted
-                consumed = 0
-                while consumed < rows and self._match_count() < needed_matches:
-                    row = consumed
-                    for i in range(self.m):
-                        if row >= lengths[i]:
-                            continue
-                        object_id = windows[i][0][row]
-                        grade = grades_lists[i][row]
-                        if tracer is not None:
+                self._grow()
+                sighted, inverse, count = _np.unique(
+                    _np.concatenate([codes for codes, _ in windows]),
+                    return_inverse=True,
+                    return_counts=True,
+                )
+                # the window row of each object's last sighting: where it
+                # joins L if it has not been delivered by the other lists
+                last = _np.zeros(sighted.size, dtype=_np.intp)
+                _np.maximum.at(last, inverse, _np.concatenate([_np.arange(n) for n in lengths]))
+                joins = last[self._sightings[sighted] + count == m]
+                short = needed - self._matched
+                rows = max(lengths)
+                if joins.size >= short:
+                    rows = int(_np.partition(joins, short - 1)[short - 1]) + 1
+                used = [min(rows, n) for n in lengths]
+                if tracer is not None:
+                    ids = [bounds.codes.decode(codes[:n]) for (codes, _), n in zip(windows, used)]
+                    for row, i in itertools.product(range(rows), range(m)):
+                        if row < used[i]:
                             tracer.record_sorted(
                                 self.sources[i].name,
-                                object_id,
-                                grade,
+                                ids[i][row],
+                                float(windows[i][1][row]),
                                 position=self._cursors[i].position + row + 1,
                             )
-                        if object_id not in self._seen_by_source[i]:
-                            self._seen_by_source[i].add(object_id)
-                            seen = sightings.get(object_id, 0) + 1
-                            sightings[object_id] = seen
-                            if seen == self.m:
-                                self._matched += 1
-                        grades_known = known.get(object_id)
-                        if grades_known is None:
-                            grades_known = known[object_id] = {}
-                        grades_known[i] = grade
-                        self._bottoms[i] = grade
-                    consumed += 1
-                takers = [
-                    i
-                    for i in range(self.m)
-                    if min(consumed, lengths[i]) > 0
-                ]
+                takers = [i for i in range(m) if used[i]]
                 outcomes = fan_out(
                     self.executor,
-                    [
-                        (
-                            lambda c=self._cursors[i],
-                            t=min(consumed, lengths[i]): c.advance(t)
-                        )
-                        for i in takers
-                    ],
+                    [(lambda c=self._cursors[i], n=used[i]: c.advance(n)) for i in takers],
                 )
-                for outcome in outcomes:
-                    if outcome.error is not None:
-                        raise outcome.error
+                failed = [outcome.error for outcome in outcomes if outcome.error is not None]
+                delivered = [i for i, outcome in zip(takers, outcomes) if outcome.error is None]
+                bounds.read(
+                    [
+                        (windows[i][0][: used[i]], windows[i][1][: used[i]]) if i in delivered else None
+                        for i in range(m)
+                    ],
+                    0,
+                )
+                for i in delivered:
+                    self._sightings[windows[i][0][: used[i]]] += 1  # once per list
+                    self._bottoms[i] = float(windows[i][1][used[i] - 1])
+                # no window object was delivered by all m lists before
+                self._matched += int(_np.count_nonzero(self._sightings[sighted] == m))
+                if failed:
+                    raise failed[0]
                 if tracer is not None:
                     tracer.sample("a0.matched", float(self._matched))
-                    tracer.sample("a0.seen", float(len(known)))
+                    tracer.sample("a0.seen", float(bounds.count))
+
+    def _probes(self, columns, thunks):
+        """Charged probes, one thunk per list in ``columns``, fanned out.
+
+        Yields ``(list, value)`` in list order; the first failure
+        propagates, tagged with the name of the list that raised it.
+        """
+        outcomes = fan_out(self.executor, thunks, stop_on_error=True)
+        for column, outcome in zip(columns, outcomes):
+            if outcome.error is not None:
+                if isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
+                    outcome.error.source_name = self.sources[column].name
+                raise outcome.error
+            yield column, outcome.value
 
     def _random_phase(self) -> None:
-        """Fill in every missing grade of every seen object.
+        """Fill in every missing grade, list by list in first-seen order.
 
-        One bulk random-access request per list: the paper's cost is one
-        access per (object, list) pair either way, the bulk call merely
-        amortizes the round trip.
+        The paper's cost is one random access per missing (object, list)
+        cell either way.  Over bare columnar lists the grades are
+        gathered by code, free, and charged probe for probe through
+        ``_record_random_probes``, as TA's bulk round does; over any
+        other lists (wrappers count, fail and retry per request) each
+        list gets one charged ``random_access_many``.
         """
-        tracer = self.tracer
+        bounds, tracer = self._bounds, self.tracer
         with nullcontext() if tracer is None else tracer.phase("random-phase"):
-            targets = []
-            for i, source in enumerate(self.sources):
-                missing = [
-                    object_id
-                    for object_id, grades in self._known.items()
-                    if i not in grades
-                ]
-                if missing:
-                    targets.append((i, source, missing))
-            outcomes = fan_out(
-                self.executor,
-                [
-                    (lambda s=source, ids=missing: s.random_access_many(ids))
-                    for _, source, missing in targets
-                ],
-                stop_on_error=True,
-            )
-            for (i, source, missing), outcome in zip(targets, outcomes):
-                if not outcome.ran:
-                    break
-                if outcome.error is not None:
-                    if isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                        outcome.error.source_name = source.name
-                    raise outcome.error
-                fetched = outcome.value
+            codes, grades = bounds.table()
+            targets = [(j, _np.flatnonzero(_np.isnan(grades[:, j]))) for j in range(self.m)]
+            named = tracer is not None or not self._columnar  # ids are needed
+            targets = [
+                (j, rows, bounds.ids(rows) if named else None)
+                for j, rows in targets
+                if rows.size
+            ]
+            if self._columnar:
+                fetched = []
+                for j, rows, _ in targets:
+                    source = self.sources[j]
+                    fetched.append(source._grades_of_codes(bounds.codes, codes[rows]))
+                    source._record_random_probes(bounds.codes, codes[rows])
+            else:
+                probes = self._probes(
+                    [j for j, _, _ in targets],
+                    [
+                        (lambda s=self.sources[j], n=ids: s.random_access_many(n))
+                        for j, _, ids in targets
+                    ],
+                )
+                fetched = (
+                    [values[object_id] for object_id in ids]
+                    for (_, _, ids), (_, values) in zip(targets, probes)
+                )
+            for (j, rows, ids), values in zip(targets, fetched):
+                grades[rows, j] = values
                 if tracer is not None:
-                    for object_id in missing:
-                        tracer.record_random(
-                            source.name, object_id, fetched[object_id]
-                        )
-                for object_id in missing:
-                    self._known[object_id][i] = fetched[object_id]
+                    for object_id, grade in zip(ids, grades[rows, j].tolist()):
+                        tracer.record_random(self.sources[j].name, object_id, grade)
 
-    def _compute_phase(self) -> GradedSet:
-        """Overall grades for every fully-known seen object."""
-        tracer = self.tracer
-        with nullcontext() if tracer is None else tracer.phase("compute-phase"):
-            for object_id, grades in self._known.items():
-                if len(grades) != self.m:
-                    raise ScoringError(
-                        f"object {object_id!r} has incomplete grades after "
-                        "the random-access phase"
-                    )
-            table = _np.array(
-                [[grades[i] for i in range(self.m)] for grades in self._known.values()],
-                dtype=_np.float64,
-            ).reshape(-1, self.m)
-            return GradedSet(zip(self._known, self.scoring.combine_matrix(table).tolist()))
+    def _top(self, rows, k: int) -> GradedSet:
+        """The next page: the k best of the complete ``rows``, in the
+        canonical order (grade, then ``str(id)``, then first seen), marked
+        emitted."""
+        bounds, k = self._bounds, min(k, rows.size)
+        if not k:
+            return GradedSet()
+        scores = bounds.lower_bounds(self.scoring)[rows]
+        picked = top_rows(
+            scores, k, lambda chosen: [str(o) for o in bounds.ids(rows[chosen])]
+        )
+        self._emitted[bounds.table()[0][rows[picked]]] = True
+        return GradedSet(zip(bounds.ids(rows[picked]), scores[picked].tolist()))
 
     def _pruned_selection(self, k: int) -> GradedSet:
-        """Phase 2+3 with upper-bound pruning of random accesses.
+        """Phases 2 and 3 with upper-bound pruning of random accesses.
 
         An incomplete object's best possible overall grade replaces each
         missing grade with that list's bottom (the lowest grade its
         sorted stream has shown): by monotonicity the true grade cannot
         exceed this bound.  Probing in decreasing bound order lets the
-        loop stop the moment the k-th exact fresh grade dominates every
-        remaining bound — the skipped objects provably cannot enter the
-        answer.
+        loop stop the moment the k-th best fresh exact grade dominates
+        every remaining bound — the skipped objects provably cannot enter
+        the answer.  Equal bounds probe in ``str(id)`` descending, then
+        first-seen order.
         """
-        import heapq
+        bounds, rule, tracer = self._bounds, self.scoring, self.tracer
+        codes, grades = bounds.table()
+        # complete for free anything sorted access has fully revealed
+        complete = ~_np.isnan(grades).any(axis=1)
+        self._completed += _np.setdiff1d(_np.flatnonzero(complete), self._completed).tolist()
 
-        # Complete for free anything sorted access has fully revealed.
-        for object_id, grades in self._known.items():
-            if object_id not in self._complete and len(grades) == self.m:
-                vector = [grades[i] for i in range(self.m)]
-                self._complete[object_id] = self.scoring(vector)
+        def fresh():
+            done = _np.array(self._completed, dtype=_np.intp)
+            return done[~self._emitted[codes[done]]]
 
-        fresh: Dict[ObjectId, float] = {
-            object_id: grade
-            for object_id, grade in self._complete.items()
-            if object_id not in self._emitted
-        }
-        # Min-heap of the k best fresh grades: the stopping threshold in
-        # O(log k) per probe instead of a re-sort of the fresh pool.
-        best_k = heapq.nlargest(k, fresh.values())
-        heapq.heapify(best_k)
-        while len(best_k) > k:
-            heapq.heappop(best_k)
+        # the fresh exact grades, ascending
+        best = sorted(bounds.lower_bounds(rule)[fresh()].tolist())
 
         def threshold() -> float:
-            return best_k[0] if len(best_k) >= k else -1.0
+            return best[-k] if len(best) >= k else -1.0
 
-        def upper_bound(grades: Dict[int, float]) -> float:
-            vector = [
-                grades.get(i, self._bottoms[i]) for i in range(self.m)
-            ]
-            return self.scoring(vector)
-
-        pending = sorted(
-            (
-                (upper_bound(grades), str(object_id), object_id)
-                for object_id, grades in self._known.items()
-                if object_id not in self._complete
-            ),
-            reverse=True,
+        upper = bounds.upper_bounds(rule, self._bottoms)
+        pending = _np.flatnonzero(~complete)
+        pending = pending[upper[pending] > threshold()]
+        ids, bounds_of = bounds.ids(pending), upper[pending].tolist()
+        strs = [str(object_id) for object_id in ids]
+        order = sorted(
+            range(pending.size), key=lambda p: (bounds_of[p], strs[p]), reverse=True
         )
-        tracer = self.tracer
         with nullcontext() if tracer is None else tracer.phase("pruned-selection"):
-            for bound, _, object_id in pending:
-                if bound <= threshold():
+            for p in order:
+                if bounds_of[p] <= threshold():
                     break
-                grades = self._known[object_id]
-                missing = [i for i in range(self.m) if i not in grades]
-                probe_outcomes = fan_out(
-                    self.executor,
-                    [
-                        (
-                            lambda s=self.sources[i], o=object_id: (
-                                s.random_access(o)
-                            )
-                        )
-                        for i in missing
-                    ],
-                    stop_on_error=True,
+                row, object_id = int(pending[p]), ids[p]
+                missing = _np.flatnonzero(_np.isnan(grades[row])).tolist()
+                probes = self._probes(
+                    missing,
+                    [(lambda s=self.sources[i]: s.random_access(object_id)) for i in missing],
                 )
-                for i, outcome in zip(missing, probe_outcomes):
-                    if not outcome.ran:
-                        break
-                    if outcome.error is not None:
-                        if isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                            outcome.error.source_name = self.sources[i].name
-                        raise outcome.error
-                    grades[i] = outcome.value
+                for i, grade in probes:
+                    grades[row, i] = grade
                     if tracer is not None:
-                        tracer.record_random(
-                            self.sources[i].name, object_id, grades[i]
-                        )
-                vector = [grades[i] for i in range(self.m)]
-                exact = self.scoring(vector)
-                self._complete[object_id] = exact
-                fresh[object_id] = exact
-                if len(best_k) < k:
-                    heapq.heappush(best_k, exact)
-                elif exact > best_k[0]:
-                    heapq.heapreplace(best_k, exact)
-        return GradedSet(fresh)
+                        tracer.record_random(self.sources[i].name, object_id, grade)
+                self._completed.append(row)
+                bisect.insort(best, rule(grades[row].tolist()))
+        return self._top(fresh(), k)
 
     def _degrade_to_nra(self, k: int, meter: CostMeter, error) -> TopKResult:
         """Continue as NRA over the state phase 1 (and any successful
         probes) already accumulated.
 
-        The NRA continuation shares this algorithm's cursors and
-        bottoms and starts from ``_known``, so no sorted access is
-        re-paid, and everything the continuation learns is read back
-        into ``_known`` for later ``next_k`` calls (which will
-        re-attempt random access and degrade again if it is still down).
+        The NRA continuation shares this algorithm's cursors and bottoms
+        and takes the state itself, every cell counted as handed over at
+        round 0, so no sorted access is re-paid, and everything the
+        continuation learns stays in the state for later ``next_k`` calls
+        (which will re-attempt random access and degrade again if it is
+        still down).
         """
+        failures = {getattr(error, "source_name", "random access"): str(error)}
         if self.tracer is not None:
             self.tracer.event(
-                "degraded",
-                algorithm="fagin-a0",
-                fallback="nra",
-                failures={
-                    getattr(error, "source_name", "random access"): str(error)
-                },
+                "degraded", algorithm="fagin-a0", fallback="nra", failures=failures
             )
-        bounds = CodedBounds.from_known(self._known, self.m)
-        k_total = min(len(self._emitted) + k, self.database_size)
+        bounds, emitted = self._bounds, self.emitted
+        bounds.hand_over()
         result = _nra_run(
             self.sources,
             self.scoring,
-            k_total,
+            min(len(emitted) + k, self.database_size),
             cursors=self._cursors,
             bounds=bounds,
             bottoms=self._bottoms,
-            exhausted=[False for _ in self.sources],
+            exhausted=[False] * self.m,
             meter=meter,
             depth=max(c.position for c in self._cursors),
             batch_size=self.batch_size,
             algorithm="fagin-a0+nra",
-            prior_failures={
-                getattr(error, "source_name", "random access"): str(error)
-            },
+            prior_failures=failures,
             tracer=self.tracer,
             phase_name="nra-fallback",
             executor=self.executor,
         )
-        self._known = bounds.known_states()
-        fresh = {
-            item.object_id: item.grade
-            for item in result.answers
-            if item.object_id not in self._emitted
-        }
-        batch = GradedSet(fresh).top(min(k, len(fresh))) if fresh else GradedSet()
-        for item in batch:
-            self._emitted.add(item.object_id)
-            self._emitted_set[item.object_id] = item.grade
+        self._grow()
+        fresh = [item for item in result.answers if item.object_id not in emitted]
+        batch = GradedSet(fresh[:k])
+        picked = [object_id in batch for object_id in bounds.ids(_np.arange(bounds.count))]
+        self._emitted[bounds.table()[0][_np.array(picked, dtype=bool)]] = True
+        self._pages.append(batch)
         degraded = result.degraded
-        if degraded is not None:
+        if degraded is not None:  # the bounds of this page's answers
             degraded.bounds = {
-                object_id: bounds
-                for object_id, bounds in degraded.bounds.items()
+                object_id: interval
+                for object_id, interval in degraded.bounds.items()
                 if object_id in batch
             }
         return TopKResult(
@@ -444,10 +419,9 @@ class FaginAlgorithm:
             sorted_depth=max(c.position for c in self._cursors),
             grades_exact=result.grades_exact,
             degraded=degraded,
-            extras={"objects_seen": len(self._known)},
+            extras={"objects_seen": self._bounds.count},
         )
 
-    # ------------------------------------------------------------------
     def next_k(self, k: int) -> TopKResult:
         """Return the next k best answers (continuing past prior calls).
 
@@ -458,27 +432,23 @@ class FaginAlgorithm:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         meter = CostMeter(self.sources)
-        total_needed = min(len(self._emitted) + k, self.database_size)
-        self._sorted_phase(total_needed)
+        emitted = sum(map(len, self._pages))
+        self._sorted_phase(min(emitted + k, self.database_size))
         sorted_phase_cost = meter.report().database_access_cost
         try:
             if self.prune_random_access:
-                fresh = self._pruned_selection(k)
+                batch = self._pruned_selection(k)
             else:
                 self._random_phase()
-                overall = self._compute_phase()
-                fresh = GradedSet(
-                    item for item in overall if item.object_id not in self._emitted
-                )
+                with nullcontext() if self.tracer is None else self.tracer.phase("compute-phase"):
+                    fresh = _np.flatnonzero(~self._emitted[self._bounds.table()[0]])
+                    batch = self._top(fresh, k)
         except DEGRADABLE_ACCESS_ERRORS as error:
             if not self.degrade:
                 raise
             return self._degrade_to_nra(k, meter, error)
         report = meter.report()
-        batch = fresh.top(min(k, len(fresh)))
-        for item in batch:
-            self._emitted.add(item.object_id)
-            self._emitted_set[item.object_id] = item.grade
+        self._pages.append(batch)
         return TopKResult(
             answers=batch,
             cost=report,
@@ -490,16 +460,15 @@ class FaginAlgorithm:
                 # the observability the paper's cost-modeling discussion
                 # (section 4.2) asks for.
                 "phase_sorted_cost": sorted_phase_cost,
-                "phase_random_cost": report.database_access_cost
-                - sorted_phase_cost,
-                "objects_seen": len(self._known),
+                "phase_random_cost": report.database_access_cost - sorted_phase_cost,
+                "objects_seen": self._bounds.count,
             },
         )
 
     @property
     def emitted(self) -> GradedSet:
         """Everything emitted so far, across all next_k calls."""
-        return GradedSet(self._emitted_set.as_dict())
+        return GradedSet(itertools.chain.from_iterable(self._pages))
 
 
 def fagin_top_k(

@@ -70,6 +70,20 @@ class GradedItem:
         return iter((self.object_id, self.grade))
 
 
+def _fast_item(object_id: ObjectId, grade: float) -> GradedItem:
+    """Build a :class:`GradedItem` bypassing ``__post_init__`` validation.
+
+    Only for grades already validated (in bulk, e.g. one vectorized check
+    at :class:`~repro.core.sources.ArraySource` construction, or on
+    insertion into a :class:`GradedSet`) — re-validating per item would
+    put a Python call back on the hot path.
+    """
+    item = object.__new__(GradedItem)
+    object.__setattr__(item, "object_id", object_id)
+    object.__setattr__(item, "grade", grade)
+    return item
+
+
 class GradedSet:
     """A graded (fuzzy) set: a finite map from objects to grades in [0, 1].
 
@@ -147,10 +161,12 @@ class GradedSet:
     # Sorted-list view
     # ------------------------------------------------------------------
     def _sorted_items(self) -> List[GradedItem]:
+        """The items in sorted-list order: ``GradedItem``'s order (grade
+        descending, then ``str(object_id)``), stable in insertion order.
+        Sorted on ``_best``'s key; the grades were validated on insert."""
         if self._sorted_cache is None:
-            self._sorted_cache = sorted(
-                GradedItem(obj, g) for obj, g in self._grades.items()
-            )
+            pairs = sorted(self._grades.items(), key=lambda pair: (-pair[1], str(pair[0])))
+            self._sorted_cache = [_fast_item(obj, g) for obj, g in pairs]
         return self._sorted_cache
 
     def __iter__(self) -> Iterator[GradedItem]:

@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as _np
 
 from repro.core.cost import AccessCounter
-from repro.core.graded import GradedItem, GradedSet, ObjectId
+from repro.core.graded import GradedItem, GradedSet, ObjectId, _fast_item
 from repro.errors import AccessError, GradeError, UnknownObjectError, UnsupportedAccessError
 from repro.kernels import ColumnCodes, ObjectCodes, canonical_order
 
@@ -92,19 +92,6 @@ def validate_grade_array(
                     f"exceeds {float(values[index])} at position {index}"
                 )
     return values
-
-
-def _fast_item(object_id: ObjectId, grade: float) -> GradedItem:
-    """Build a :class:`GradedItem` bypassing ``__post_init__`` validation.
-
-    Only for grades already validated in bulk (e.g. one vectorized check
-    at :class:`ArraySource` construction) — re-validating per item would
-    put a Python call back on the hot path the bulk protocol removes.
-    """
-    item = object.__new__(GradedItem)
-    object.__setattr__(item, "object_id", object_id)
-    object.__setattr__(item, "grade", grade)
-    return item
 
 
 class SortedCursor:

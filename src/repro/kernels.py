@@ -4,7 +4,8 @@ The paper's algorithms (section 4) are bulk-synchronous: each round
 performs m accesses and then re-evaluates bounds over everything seen so
 far.  NRA and CA run one windowed loop over a *bounds state* — per seen
 object a lower bound (missing grades -> 0) and an upper bound (missing
-grades -> the list bottoms) — and :class:`CodedBounds` is that state:
+grades -> the list bottoms) — and A0 keeps its seen set in the same
+state.  :class:`CodedBounds` is that state:
 seen objects live in an ``[n_seen, m]`` float64 matrix found through a
 by-code row array (an object's code in the :class:`ObjectCodes` or
 :class:`ColumnCodes` index its lists are read by, not an id dict), and
@@ -12,16 +13,18 @@ each stop check is a handful of numpy array operations through
 ``ScoringFunction.combine_matrix``.  Every cell is tagged with the round
 that learned it, so one state answers the stop test (its ``stop_view``,
 the :class:`StopView` the test reads) and CA's resolution target
-(``best_incomplete``) at every depth it has peeked; ``from_known`` and
-``known_states`` convert it to and from plain ``{object_id: {column:
-grade}}`` bookkeeping (A0's ``_known``, TA's hand-off).
+(``best_incomplete``) at every depth it has peeked.  ``from_known``
+builds one from plain ``{object_id: {column: grade}}`` bookkeeping (TA's
+hand-off); ``hand_over`` counts a state's every cell as handed over at
+round 0 (A0's hand-off, of the state itself).
 
-The naive scan and A0's compute phase hold complete grade tables, so
-they fold them with one ``combine_matrix`` and rank with
-:func:`top_rows`, as the bounds state does.  TA keeps no bounds state:
-its bulk round works on dense int32 codes for a query's object ids and
-decodes ids only for its answer candidates, ranked by
-:func:`canonical_order`.
+A0 fills the NaN cells of its state (``table``) before its compute
+phase, which scores the complete rows with ``lower_bounds`` and ranks
+them with :func:`top_rows`; the naive scan folds its complete grade
+table with one ``combine_matrix`` and ranks it the same way.  TA keeps
+no bounds state: its bulk round works on dense int32 codes for a
+query's object ids and decodes ids only for its answer candidates,
+ranked by :func:`canonical_order`.
 
 Determinism contract
 --------------------
@@ -129,8 +132,8 @@ class CodedBounds:
     @classmethod
     def from_known(cls, known: Dict, m: int) -> "CodedBounds":
         """A state over a per-run index of ``{object_id: {column:
-        grade}}`` bookkeeping (A0's ``_known``, TA's seen-set), every
-        cell learned at round 0, rows in ``known``'s order."""
+        grade}}`` bookkeeping (TA's seen-set), every cell learned at
+        round 0, rows in ``known``'s order."""
         bounds = cls(ObjectCodes(known), m, capacity=len(known))
         bounds.add(_np.arange(len(known)), 0)
         for column in range(m):
@@ -210,6 +213,20 @@ class CodedBounds:
                 rounds = _np.arange(start + 1, start + 1 + lengths[column])
                 self.learn(column, window[0], window[1], rounds)
 
+    def table(self):
+        """``(codes, grades)`` of every row, as views: the row's code,
+        and its ``[count, m]`` grades, NaN where not known.  A state that
+        never asks about rounds (A0's) fills grades in by writing them
+        into the view; :meth:`hand_over` then counts them as learned."""
+        return self._code[: self.count], self._grades[: self.count]
+
+    def hand_over(self) -> None:
+        """Count every row, and every grade it holds, as handed over at
+        round 0."""
+        count = self.count
+        self._first[:count] = 0
+        self._learned[:count] = _np.where(_np.isnan(self._grades[:count]), self.NEVER, 0)
+
     def rows_at(self, t: int) -> int:
         """How many rows the state has after round ``t``."""
         return int(_np.searchsorted(self._first[: self.count], t, side="right"))
@@ -282,15 +299,6 @@ class CodedBounds:
         self._grades[:rows][later] = _np.nan
         self._learned[:rows][later] = self.NEVER
         self.count = rows
-
-    def known_states(self) -> Dict:
-        """A plain-data copy of the state, ``{object_id: {column:
-        grade}}`` in row order, which :meth:`from_known` restores."""
-        grades = self._grades[: self.count]
-        return {
-            object_id: {column: value for column, value in enumerate(row) if value == value}
-            for object_id, row in zip(self.ids(_np.arange(self.count)), grades.tolist())
-        }
 
 
 def str_ranks(ids: Iterable):

@@ -5,8 +5,8 @@ import pytest
 from repro.core.fagin import FaginAlgorithm, fagin_top_k
 from repro.core.graded import GradedSet
 from repro.core.naive import grade_everything
-from repro.core.sources import sources_from_columns
-from repro.errors import MonotonicityError
+from repro.core.sources import ArraySource, WrapperSource, sources_from_columns
+from repro.errors import MonotonicityError, TransientAccessError
 from repro.scoring import means, tnorms
 from repro.scoring.base import FunctionScoring
 from repro.scoring.weighted import WeightedScoring
@@ -165,3 +165,53 @@ def test_resumption_never_rescans_sorted_prefixes():
     scratch = fagin_top_k(sources_from_columns(table), tnorms.MIN, 50)
     assert result.sorted_depth == scratch.sorted_depth
     assert cumulative <= scratch.database_access_cost * 1.15
+
+
+class FailsFirstConsume(WrapperSource):
+    """A sorted stream whose first delivery fails (nothing is delivered)."""
+
+    failed = False
+
+    def _consume(self, start, count):
+        if not self.failed:
+            self.failed = True
+            raise TransientAccessError(f"{self.name}: first delivery lost")
+        super()._consume(start, count)
+
+
+def test_rows_reread_after_a_failed_consume_are_sighted_once():
+    """Regression: a list whose consume failed delivers the same rows
+    again on the next call; a row it already showed must not count
+    toward L twice, or b (seen only by list 0, twice) would close L and
+    stop the scan before e, the true top object, is seen."""
+    first = {"b": 0.9, "e": 0.85, "a": 0.3, "c": 0.2}
+    second = {"a": 0.9, "c": 0.88, "e": 0.87, "b": 0.1}
+    sources = [
+        FailsFirstConsume(ArraySource(first, name="L0")),
+        ArraySource(second, name="L1"),
+    ]
+    algorithm = FaginAlgorithm(sources, tnorms.MIN, batch_size=1)
+    with pytest.raises(TransientAccessError):
+        algorithm.next_k(1)
+    result = algorithm.next_k(1)
+    assert [(item.object_id, item.grade) for item in result.answers] == [("e", 0.85)]
+
+
+def test_rows_of_a_failed_consume_are_delivered_on_the_retry():
+    """Regression: rows a list failed to deliver must not enter the
+    state or count toward L, or a retried page whose L is already full
+    answers without ever reading (and paying for) them."""
+    sources = [
+        FailsFirstConsume(ArraySource({"a": 0.9, "b": 0.5}, name="L0")),
+        ArraySource({"a": 0.8, "b": 0.4}, name="L1"),
+    ]
+    algorithm = FaginAlgorithm(sources, tnorms.MIN, batch_size=1)
+    with pytest.raises(TransientAccessError):
+        algorithm.next_k(1)
+    result = algorithm.next_k(1)
+    assert [(item.object_id, item.grade) for item in result.answers] == [("a", 0.8)]
+    # the retry's round: L0 delivers a at last, L1 goes on to b, and
+    # phase 2 probes b's grade in L0
+    assert result.cost.sorted_access_cost == 2
+    assert result.cost.random_access_cost == 1
+    assert result.sorted_depth == 2

@@ -105,3 +105,21 @@ def test_pruned_property_m3_mean(table, k):
         sources_from_columns(table), means.MEAN, k, prune_random_access=True
     )
     assert result.answers.same_grade_multiset(expected)
+
+
+def test_pruning_orders_twin_ids_tied_on_their_bound():
+    """Regression: ``1`` and ``"1"`` share ``str``, so two pending twins
+    tied on their upper bound once fell through to comparing the raw ids
+    (``TypeError``).  The probe order is bound, then ``str(id)``, both
+    descending, then first seen."""
+    table = {1: (0.8, 0.2), "1": (0.2, 0.8), 2: (0.5, 0.5)}
+    algorithm = FaginAlgorithm(
+        sources_from_columns(table), tnorms.MIN, prune_random_access=True, batch_size=1
+    )
+    first = algorithm.next_k(1)
+    # both twins are pending with bound min(0.8, 0.5) = 0.5, which the
+    # exact 0.5 of object 2 already covers: nothing is probed
+    assert [(item.object_id, item.grade) for item in first.answers] == [(2, 0.5)]
+    assert first.cost.random_access_cost == 0
+    second = algorithm.next_k(2)
+    assert [(item.object_id, item.grade) for item in second.answers] == [(1, 0.2), ("1", 0.2)]

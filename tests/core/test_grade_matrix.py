@@ -2,7 +2,7 @@
 
 Every method the algorithm loops read from :class:`CodedBounds` — its
 lower and upper bounds, ``stop_view``, ``best_incomplete`` (CA's
-resolution target) and ``known_states`` — is checked against the plain
+resolution target) and its ``table`` of grades — is checked against the plain
 definition, written here over a ``{object_id: {column: grade}}``
 mapping: one ``rule([...])`` per object with missing grades read from 0
 (lower bound) or from the list bottoms (upper bound), ranked by the
@@ -10,7 +10,8 @@ canonical ``(-grade, str(id))`` key, first-seen order breaking the
 remaining ties.  A state built delivery by delivery and one built by
 ``from_known`` must answer every question the same way, and a state fed
 windows of sorted deliveries must hold, after every round, exactly the
-state those deliveries make.
+state those deliveries make, and report the same bounds at round 0 once
+``hand_over`` counts every cell as handed over.
 
 Hypothesis draws the hostile inputs: ids ``1`` and ``"1"`` (which tie
 on ``str``), ±0.0, the smallest denormal, 1 - 2**-53, all-equal grades,
@@ -124,17 +125,42 @@ def delivered(deliveries, m):
     return bounds
 
 
+def check_bounds(bounds, known, m, bottoms, t=None):
+    """The state's rows (after round ``t``) report the per-object fold's
+    bounds, in first-seen order."""
+    __tracebackhide__ = True
+    assert bounds.ids(np.arange(len(known))) == list(known)
+    for rule in RULES:
+        assert bounds.lower_bounds(rule, t).tolist() == list(
+            fold(rule, known, m, [0.0] * m).values()
+        ), rule.name
+        assert bounds.upper_bounds(rule, bottoms, t).tolist() == list(
+            fold(rule, known, m, bottoms).values()
+        ), rule.name
+
+
+def check_table(bounds, known, m):
+    """The state's ``table`` is the plain state: the ids in first-seen
+    order, and every cell's grade, bit for bit, NaN where not known."""
+    __tracebackhide__ = True
+    codes, grades = bounds.table()
+    assert bounds.codes.decode(codes) == list(known)
+    expected = np.array(
+        [[row.get(c, np.nan) for c in range(m)] for row in known.values()], dtype=np.float64
+    ).reshape(-1, m)
+    missing = np.isnan(expected)
+    assert np.isnan(grades).tolist() == missing.tolist()
+    assert grades[~missing].view(np.int64).tolist() == expected[~missing].view(np.int64).tolist()
+
+
 def check_coded(bounds, known, m, bottoms, k):
     __tracebackhide__ = True
     assert bounds.count == len(known)
-    assert bounds.known_states() == known
-    assert list(bounds.known_states()) == list(known)
-    assert bounds.ids(np.arange(bounds.count)) == list(known)
+    check_table(bounds, known, m)
+    check_bounds(bounds, known, m, bottoms)
     for rule in RULES:
         lower = fold(rule, known, m, [0.0] * m)
         upper = fold(rule, known, m, bottoms)
-        assert bounds.lower_bounds(rule).tolist() == list(lower.values()), rule.name
-        assert bounds.upper_bounds(rule, bottoms).tolist() == list(upper.values()), rule.name
         assert resolution_target(bounds, rule, bottoms, 0) == best_incomplete(known, m, upper)
         top = heapq.nsmallest(k, lower.items(), key=canonical)
         view = bounds.stop_view(bounds.lower_bounds(rule), bounds.upper_bounds(rule, bottoms), k)
@@ -159,10 +185,7 @@ def test_coded_bounds_are_the_per_object_fold(instance):
     known = reference_known(deliveries)
 
     check_coded(delivered(deliveries, m), known, m, bottoms, k)
-    coded = CodedBounds.from_known(known, m)
-    check_coded(coded, known, m, bottoms, k)
-    # the hand-off round trip: a state rebuilt from a snapshot of itself
-    check_coded(CodedBounds.from_known(coded.known_states(), m), known, m, bottoms, k)
+    check_coded(CodedBounds.from_known(known, m), known, m, bottoms, k)
 
 
 @st.composite
@@ -228,16 +251,9 @@ def test_coded_bounds_hold_the_state_after_every_round(run, data):
     for rounds in range(start + 1):
         known = state_after(handed, lists, rounds)
         assert bounds.rows_at(rounds) == len(known)
-        ids = bounds.ids(np.arange(len(known)))
-        assert ids == list(known)
+        check_bounds(bounds, known, m, bottoms, rounds)
         for rule in RULES:
             upper = fold(rule, known, m, bottoms)
-            assert bounds.lower_bounds(rule, rounds).tolist() == list(
-                fold(rule, known, m, [0.0] * m).values()
-            ), rule.name
-            assert bounds.upper_bounds(rule, bottoms, rounds).tolist() == list(
-                upper.values()
-            ), rule.name
             assert resolution_target(bounds, rule, bottoms, rounds) == best_incomplete(
                 known, m, upper
             ), rule.name
@@ -245,5 +261,10 @@ def test_coded_bounds_hold_the_state_after_every_round(run, data):
     rounds = data.draw(st.integers(0, start))
     bounds.keep(rounds)
     known = state_after(handed, lists, rounds)
-    assert bounds.known_states() == known
-    assert list(bounds.known_states()) == list(known)
+    assert bounds.count == len(known)
+    check_table(bounds, known, m)
+    check_bounds(bounds, known, m, bottoms)
+    # handed over, the whole state is the state after round 0
+    bounds.hand_over()
+    assert bounds.rows_at(0) == len(known)
+    check_bounds(bounds, known, m, bottoms, 0)

@@ -114,9 +114,10 @@ def test_best_and_kth():
     st.booleans(),
 )
 def test_top_selects_exactly_the_sorted_prefix(pairs, sorted_first):
-    """top(k) / kth_grade(k) select; the full sort is the reference —
-    same objects, same grades (sign of zero included), same insertion
-    order, whether or not the sorted view is already cached."""
+    """Iteration, top(k) and kth_grade(k) against the full sort of the
+    items — same objects, same grades (sign of zero included), same
+    insertion order among full ties, whether or not the sorted view is
+    already cached."""
     gs = GradedSet(pairs)
     reference = sorted(GradedItem(obj, g) for obj, g in gs.as_dict().items())
     if sorted_first:
@@ -130,6 +131,9 @@ def test_top_selects_exactly_the_sorted_prefix(pairs, sorted_first):
         if k:
             kth = reference[k - 1].grade if n >= k else 0.0
             assert repr(gs.kth_grade(k)) == repr(kth)
+    assert [(type(i), i.object_id, repr(i.grade)) for i in gs] == [
+        (type(i), i.object_id, repr(i.grade)) for i in reference
+    ]
 
 
 # ----------------------------------------------------------------------

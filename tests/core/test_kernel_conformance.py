@@ -302,17 +302,21 @@ def test_a0_paging_after_degradation_matches_across_kernels():
         )
         for combine in COMBINES
     ]
-    for _ in range(3):
-        scalar_page, vector_page = (handle.next_k(4) for handle in handles)
+    # what each NRA continuation learned stays in the state the later
+    # pages start from, identically under either combine form: their
+    # answers, costs, depths and extras, and everything emitted, agree
+    for k in (4, 4, 4, 9):
+        scalar_page, vector_page = (handle.next_k(k) for handle in handles)
         assert [
             (item.object_id, item.grade) for item in vector_page.answers
         ] == [(item.object_id, item.grade) for item in scalar_page.answers]
         assert vector_page.cost == scalar_page.cost
-        # what the NRA continuation learned is read back into ``_known``
-        # identically under either combine form, first-seen order included
-        scalar_known, vector_known = (handle._known for handle in handles)
-        assert vector_known == scalar_known
-        assert list(vector_known) == list(scalar_known)
+        assert vector_page.sorted_depth == scalar_page.sorted_depth
+        assert vector_page.extras == scalar_page.extras
+        scalar_emitted, vector_emitted = (handle.emitted for handle in handles)
+        assert [(item.object_id, item.grade) for item in vector_emitted] == [
+            (item.object_id, item.grade) for item in scalar_emitted
+        ]
 
 
 class SortedStreamDies(WrapperSource):

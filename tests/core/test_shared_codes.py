@@ -13,6 +13,7 @@ over bare sources read no ids but their answers'.
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def test_ids_that_compare_equal_share_as_adoption_would():
     assert [type(i) for i in ints.object_ids()] == [int] * 3
     assert floats.random_access(1) == floats.random_access(1.0) == 0.8
     # the answers decode through the shared index, the oldest sequence
-    for algorithm in (threshold_top_k, nra_top_k, combined_top_k):
+    pruned_a0 = partial(fagin_top_k, prune_random_access=True)
+    for algorithm in (threshold_top_k, nra_top_k, combined_top_k, fagin_top_k, pruned_a0):
         result = algorithm([floats, ints], tnorms.MIN, 2)
         answers = [(item.object_id, item.grade) for item in result.answers]
         assert answers == [(1, 0.8), (2, 0.3)]
@@ -150,7 +152,7 @@ def test_concurrent_construction_from_one_list_matches_serial():
 def test_untraced_coded_runs_decode_only_their_answers(monkeypatch):
     ids = [f"o{i}" for i in range(3000)]
     grades = columns(ids, m=3, seed=9)  # continuous: no ties
-    algorithms = (threshold_top_k, nra_top_k)
+    algorithms = (threshold_top_k, nra_top_k, fagin_top_k)
 
     def run(algorithm, sources):
         result = algorithm(sources, tnorms.MIN, 10)
@@ -162,6 +164,9 @@ def test_untraced_coded_runs_decode_only_their_answers(monkeypatch):
     def refuse(self, start, count):
         raise AssertionError(f"{self.name} read its sorted list by id")
 
+    def refuse_probe(self, object_ids):
+        raise AssertionError(f"{self.name} was probed by id")
+
     decoded = []
     decode = ObjectCodes.decode
 
@@ -171,6 +176,8 @@ def test_untraced_coded_runs_decode_only_their_answers(monkeypatch):
         return ids_decoded
 
     monkeypatch.setattr(ArraySource, "_columns_range", refuse)
+    # TA's and A0's probes over bare sources gather grades by code
+    monkeypatch.setattr(ArraySource, "random_access_many", refuse_probe)
     monkeypatch.setattr(ObjectCodes, "decode", spy)
     for algorithm, expected in zip(algorithms, reference):
         decoded.clear()
