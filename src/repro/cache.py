@@ -57,9 +57,11 @@ hook, per atom or wholesale.
 
 Thread safety: a single lock guards the entry map and counters; entries
 are immutable once stored and replaced wholesale, so readers never see
-a torn entry.  Concurrent misses on one key fill independently and race
-to store (deepest k wins); the duplicate work is bounded by the number
-of racing threads and surfaced in the ``fill_races`` counter.
+a torn entry.  A probe finds, revalidates and counts its entry in one
+locked section, then builds the served result outside it.  Concurrent
+misses on one key fill independently and race to store (deepest k
+wins); the duplicate work is bounded by the number of racing threads
+and surfaced in the ``fill_races`` counter.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _child_keys(children, semantics, symmetric: bool) -> Tuple:
 
 def _node_key(node: Query, semantics: FuzzySemantics) -> Tuple:
     if isinstance(node, Atomic):
-        return ("atom", node.attribute, node._target_key())
+        return ("atom", node.attribute, node._target_key)
     if isinstance(node, Not):
         return ("not", _node_key(node.child, semantics))
     if isinstance(node, And):
@@ -153,14 +155,21 @@ def plan_key(
     *not* part of the key: the conformance suites prove answers, costs,
     and traces byte-identical across all of them, so results cached
     under one configuration are valid under every other.
+
+    Built once per query object and ``prefer``, and kept on the query
+    while ``semantics`` is the same object.
     """
-    return (
-        "v1",
-        semantics.name,
-        _rule_identity(semantics.conjunction),
-        _rule_identity(semantics.disjunction),
-        prefer.value if prefer is not None else None,
-        _node_key(query, semantics),
+    return query._derived(
+        ("plan_key", prefer),
+        semantics,
+        lambda: (
+            "v1",
+            semantics.name,
+            _rule_identity(semantics.conjunction),
+            _rule_identity(semantics.disjunction),
+            prefer.value if prefer is not None else None,
+            _node_key(query, semantics),
+        ),
     )
 
 
@@ -382,23 +391,22 @@ class QueryCache:
             }
 
     # -- lookup --------------------------------------------------------
-    def _validated(self, key: Tuple, atoms, sources) -> Optional[CacheEntry]:
-        """The entry for ``key`` if its fingerprints still hold, else
-        None (the entry is evicted and counted stale)."""
-        with self._lock:
-            entry = self._entries.get(key)
+    def _validated(self, key: Tuple, atoms, sources) -> Tuple[Optional[CacheEntry], str]:
+        """``key``'s entry if its fingerprints still hold, else None, and
+        the status of a probe that serves nothing: ``"stale"`` when the
+        fingerprints no longer hold (the entry is evicted and counted
+        stale), else ``"miss"``.  The caller holds the lock."""
+        entry = self._entries.get(key)
         if entry is None:
-            return None
+            return None, "miss"
         current = dict(zip(atoms, sources))
         for atom, stored in entry.fingerprints:
             source = current.get(atom)
             if source is None or not stored.matches(source):
-                with self._lock:
-                    if self._entries.get(key) is entry:
-                        del self._entries[key]
-                    self.stale += 1
-                return None
-        return entry
+                del self._entries[key]
+                self.stale += 1
+                return None, "stale"
+        return entry, "miss"
 
     def probe(
         self, key: Tuple, k: int, atoms, sources, *, tracer=None, theta: float = 1.0
@@ -434,34 +442,34 @@ class QueryCache:
         that probe serves a fill landed in between, or counts the one
         miss the request makes."""
         with self._lock:
-            present = key in self._entries
-        entry = self._validated(key, atoms, sources)
-        if entry is not None:
-            k_eff = min(k, entry.n)
-            if k_eff <= entry.k:
-                tier = "exact" if k_eff == entry.k else "prefix"
-                with self._lock:
-                    if self._entries.get(key) is entry:
-                        self._entries.move_to_end(key)
+            entry, status = self._validated(key, atoms, sources)
+            if entry is not None:
+                k_eff = min(k, entry.n)
+                if k_eff <= entry.k:
+                    self._entries.move_to_end(key)
                     self.hits += 1
-                result = self._served(entry, k_eff, tier)
-                if tracer is not None:
-                    tracer.event(
-                        "cache",
-                        tier=tier,
-                        key=entry.digest,
-                        k=k_eff,
-                        k_cached=entry.k,
-                        tau=entry.tau,
-                    )
-                return result, tier
+                else:
+                    entry = None
+        if entry is not None:
+            tier = "exact" if k_eff == entry.k else "prefix"
+            result = self._served(entry, k_eff, tier)
+            if tracer is not None:
+                tracer.event(
+                    "cache",
+                    tier=tier,
+                    key=entry.digest,
+                    k=k_eff,
+                    k_cached=entry.k,
+                    tau=entry.tau,
+                )
+            return result, tier
         if theta > 1.0:
             served = self._probe_theta(
                 key, k, atoms, sources, theta, tracer=tracer
             )
             if served is not None:
                 return served, "theta"
-        return None, "stale" if (present and entry is None) else "miss"
+        return None, status
 
     @staticmethod
     def _theta_key(key: Tuple, k_eff: int) -> Tuple:
@@ -478,18 +486,19 @@ class QueryCache:
     ) -> Optional[TopKResult]:
         n = len(sources[0]) if sources else 0
         theta_key = self._theta_key(key, min(k, n) if n else k)
-        entry = self._validated(theta_key, atoms, sources)
-        if entry is None or entry.certificate is None:
-            return None
-        # Serve only when the recorded proof covers the request: every
-        # cached answer is certified within ``achieved`` of anything
-        # excluded, so any θ' >= achieved is satisfied.  An infinite
-        # achieved ratio never qualifies.
-        if not entry.certificate.achieved <= theta:
-            return None
         with self._lock:
-            if self._entries.get(theta_key) is entry:
-                self._entries.move_to_end(theta_key)
+            entry, _ = self._validated(theta_key, atoms, sources)
+            # Serve only when the recorded proof covers the request:
+            # every cached answer is certified within ``achieved`` of
+            # anything excluded, so any θ' >= achieved is satisfied.  An
+            # infinite achieved ratio never qualifies.
+            if (
+                entry is None
+                or entry.certificate is None
+                or not entry.certificate.achieved <= theta
+            ):
+                return None
+            self._entries.move_to_end(theta_key)
             self.hits += 1
             self.theta_hits += 1
         result = self._served_theta(entry, theta)
@@ -519,7 +528,7 @@ class QueryCache:
             ),
         )
         result = TopKResult(
-            answers=GradedSet(dict(entry.answers)),
+            answers=GradedSet._from_validated(dict(entry.answers)),
             cost=entry.cost_report(),
             algorithm=entry.algorithm,
             sorted_depth=entry.sorted_depth,
@@ -538,10 +547,10 @@ class QueryCache:
 
     def _served(self, entry: CacheEntry, k_eff: int, tier: str) -> TopKResult:
         if tier == "exact":
-            answers = GradedSet(dict(entry.answers))
+            answers = GradedSet._from_validated(dict(entry.answers))
             cost = entry.cost_report()
         else:
-            answers = GradedSet(dict(entry.answers[:k_eff]))
+            answers = GradedSet._from_validated(dict(entry.answers[:k_eff]))
             cost = entry.zero_cost_report()
         result = TopKResult(
             answers=answers,

@@ -173,6 +173,9 @@ class CompiledScoring(ScoringFunction):
         self.is_monotone, self.is_strict = _structural_flags(node, semantics)
         positions = {atom: i for i, atom in enumerate(atoms)}
         self._scalar, self._matrix = _compile_node(node, positions, semantics)
+        #: facts the planner probes this rule for, each computed once
+        #: (the arity is fixed)
+        self.facts: dict = {}
 
     def _check_arity(self, count: int) -> None:
         if count != self.arity:

@@ -122,6 +122,19 @@ class GradedSet:
         for object_id, grade in pairs:
             self._grades[object_id] = validate_grade(grade)
 
+    @classmethod
+    def _from_validated(cls, grades: Dict[ObjectId, float]) -> "GradedSet":
+        """A graded set that takes ``grades`` as its own map, unchecked.
+
+        Only for a fresh dict of grades already validated, e.g. the
+        pairs a result cache recorded from a validated result; the
+        caller hands the dict over and keeps no reference to it.
+        """
+        result = cls.__new__(cls)
+        result._grades = grades
+        result._sorted_cache = None
+        return result
+
     # ------------------------------------------------------------------
     # Mapping-style access
     # ------------------------------------------------------------------

@@ -111,6 +111,18 @@ def _is_max_rule(rule: ScoringFunction, arity: int) -> bool:
     return True
 
 
+def _fact(test, rule: ScoringFunction, arity: int) -> bool:
+    """``test(rule, arity)``, kept on a compiled query's rule (its
+    ``facts``) so a repeated query probes the rule once."""
+    facts = getattr(rule, "facts", None)
+    if facts is None:
+        return test(rule, arity)
+    fact = facts.get(test)
+    if fact is None:
+        fact = facts[test] = test(rule, arity)
+    return fact
+
+
 def _boolean_selectivity(source: GradedSource) -> Optional[int]:
     """Number of grade-1 objects in a Boolean source, if it advertises one."""
     count = getattr(source, "positive_count", None)
@@ -163,7 +175,7 @@ def plan_top_k(
             2.0 * m * n ** ((m - 1) / m) * k_eff ** (1 / m) if m > 1 else float(k_eff),
             "sorted access only; works without random access",
         )
-    if _is_max_rule(rule, m):
+    if _fact(_is_max_rule, rule, m):
         offer(
             Strategy.DISJUNCTION,
             float(m * k_eff),
@@ -181,7 +193,7 @@ def plan_top_k(
             fa_sorted,  # TA never does more sorted access than A0
             "instance-optimal refinement of A0",
         )
-        if rule.is_monotone and _annihilates_at_zero(rule, m):
+        if rule.is_monotone and _fact(_annihilates_at_zero, rule, m):
             for i, source in enumerate(sources):
                 if not source.is_boolean:
                     continue

@@ -22,7 +22,8 @@ The AST is immutable; evaluation lives in :mod:`repro.core.evaluation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import WeightingError
 from repro.scoring.base import ScoringFunction, as_scoring_function
@@ -30,7 +31,15 @@ from repro.scoring.weighted import validate_weighting
 
 
 class Query:
-    """Base class for all query AST nodes."""
+    """Base class for all query AST nodes.
+
+    Nodes are immutable, so what is derived from one is computed once
+    and kept on it: its atoms, and through :meth:`_derived` the facts
+    other layers derive (plan keys, the compiled scoring function).  They are
+    found by the node's identity, never by value: ``Atomic("Year",
+    1999)`` and ``Atomic("Year", 1999.0)`` compare equal yet print and
+    key differently.  Copies and pickles leave them behind.
+    """
 
     def __and__(self, other: "Query") -> "And":
         return And(_merge(And, self, other))
@@ -45,7 +54,33 @@ class Query:
 
     def atoms(self) -> Tuple["Atomic", ...]:
         """All atomic leaves, left-to-right, duplicates preserved."""
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> Tuple["Atomic", ...]:
         return tuple(self._iter_atoms())
+
+    @cached_property
+    def _memo(self) -> Dict[object, tuple]:
+        return {}
+
+    def _derived(self, slot: object, owner: object, make: Callable[[], object]):
+        """``make()``, computed once and kept on this node under ``slot``
+        while ``owner`` (what the value also depends on, such as the
+        fuzzy semantics) is the same object.  A racing second computation
+        is equal and harmless."""
+        known = self._memo.get(slot)
+        if known is not None and known[0] is owner:
+            return known[1]
+        value = make()
+        self._memo[slot] = (owner, value)
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_atoms", None)
+        state.pop("_memo", None)
+        return state
 
     def _iter_atoms(self) -> Iterator["Atomic"]:
         raise NotImplementedError
@@ -75,6 +110,19 @@ def _merge(cls: type, left: Query, right: Query) -> Tuple[Query, ...]:
     return tuple(parts)
 
 
+def _key_of(target: object) -> object:
+    """The hashable stand-in an :class:`Atomic` compares and hashes its
+    target by: an array by shape and bytes, an unhashable value by its
+    ``repr``, anything else as itself."""
+    if hasattr(target, "tobytes") and hasattr(target, "shape"):
+        return ("ndarray", target.shape, target.tobytes())
+    try:
+        hash(target)
+    except TypeError:
+        return ("repr", repr(target))
+    return target
+
+
 @dataclass(frozen=True, eq=False)
 class Atomic(Query):
     """An atomic query ``attribute = target``.
@@ -86,32 +134,37 @@ class Atomic(Query):
 
     Equality and hashing use a normalized key so that array-valued
     targets (unhashable by default) still work in binding caches and
-    distinctness checks.
+    distinctness checks.  The key is taken at construction: mutating an
+    array (or list) target afterwards does not change it.
     """
 
     attribute: str
     target: object
 
-    def _target_key(self) -> object:
-        target = self.target
-        if hasattr(target, "tobytes") and hasattr(target, "shape"):
-            return ("ndarray", target.shape, target.tobytes())
-        try:
-            hash(target)
-        except TypeError:
-            return ("repr", repr(target))
-        return target
+    def __post_init__(self) -> None:
+        # Keyed once: binding caches, plan keys and cache fingerprints
+        # hash an atom many times per request.
+        key = _key_of(self.target)
+        object.__setattr__(self, "_target_key", key)
+        object.__setattr__(self, "_hash", hash((self.attribute, key)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Atomic):
             return NotImplemented
         return (
             self.attribute == other.attribute
-            and self._target_key() == other._target_key()
+            and self._target_key == other._target_key
         )
 
     def __hash__(self) -> int:
-        return hash((self.attribute, self._target_key()))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild, never copy the key: string hashes differ per process.
+        return type(self), (self.attribute, self.target)
+
+    def atoms(self) -> Tuple["Atomic", ...]:
+        return (self,)  # not kept: an atom holding itself is a cycle
 
     def _iter_atoms(self) -> Iterator["Atomic"]:
         yield self

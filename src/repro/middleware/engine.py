@@ -584,9 +584,17 @@ class MiddlewareEngine:
     # Evaluation
     # ------------------------------------------------------------------
     def _compile(self, query: Query):
-        compiled = compile_query(query, self.semantics)
-        self._guard_user_rules(query)
-        return compiled
+        """The query's :class:`~repro.core.evaluation.CompiledScoring`,
+        built and guarded once per query object and kept on it while
+        the engine's semantics is the same object."""
+        semantics = self.semantics
+
+        def guarded():
+            compiled = compile_query(query, semantics)
+            self._guard_user_rules(query)
+            return compiled
+
+        return query._derived("compiled", semantics, guarded)
 
     def _guard_user_rules(self, query: Query) -> None:
         """Run the monotonicity guard over user-defined Scored rules."""

@@ -97,8 +97,13 @@ class QueryTicket:
     :class:`~repro.core.result.TopKResult` (possibly carrying a
     ``degraded`` report) or raises the stored error
     (:class:`~repro.errors.ShedError` for shed work, the original
-    exception for failed work).
+    exception for failed work).  A ticket built with its ``result`` (an
+    admission-time cache hit) is born done and shares one set event
+    instead of allocating its own.
     """
+
+    _born_done = threading.Event()
+    _born_done.set()
 
     def __init__(
         self,
@@ -113,6 +118,7 @@ class QueryTicket:
         deadline_at: Optional[float] = None,
         submitted_at: float = 0.0,
         trace=None,
+        result: Optional[TopKResult] = None,
     ) -> None:
         self.query = query
         self.k = k
@@ -128,9 +134,13 @@ class QueryTicket:
         self.status = QUEUED
         #: per-request QueryTracer when tracing was requested
         self.trace = trace
-        self._event = threading.Event()
-        self._result: Optional[TopKResult] = None
+        self._event = threading.Event() if result is None else self._born_done
+        self._result = result
         self._error: Optional[BaseException] = None
+        if result is not None:
+            # Born complete (a cache hit): it never runs or waits.
+            self.started_at = self.finished_at = submitted_at
+            self.status = DONE
 
     # -- completion (service-side) --------------------------------------------
     def _complete(self, result: TopKResult) -> None:
@@ -217,6 +227,7 @@ class QueryService:
         )
         self._seq = 0
         self._seq_lock = threading.Lock()
+        self._hit_meters: Dict[tuple, tuple] = {}
         self._closing = False
         self._closed = False
         self._close_lock = threading.Lock()
@@ -447,14 +458,13 @@ class QueryService:
             )
         except ReproError:
             return None
-        if status in ("exact", "prefix", "theta"):
-            self._count("service.cache.hit", tenant=tenant, tier=status)
-        else:
+        if result is None:
             self._count("service.cache.miss", tenant=tenant)
             if status == "stale":
                 self._count("service.cache.stale", tenant=tenant)
-        if result is None:
             return None
+        hit, admitted, completed, latency = self._hit_instruments(tenant, status)
+        hit.inc()
         now = self.clock.now()
         with self._seq_lock:
             self._seq += 1
@@ -469,16 +479,27 @@ class QueryService:
             theta=theta,
             submitted_at=now,
             trace=trace_obj,
+            result=result,
         )
-        ticket.started_at = now
-        ticket.finished_at = now
-        self._count("service.admitted", tenant=tenant)
-        self._count("service.completed", tenant=tenant)
-        self.metrics.histogram(
-            "service.latency_seconds", tenant=tenant
-        ).observe(0.0)
-        ticket._complete(result)
+        admitted.inc()
+        completed.inc()
+        latency.observe(0.0)
         return ticket
+
+    def _hit_instruments(self, tenant: str, tier: str) -> tuple:
+        """The hit counter of ``tier`` and the admitted and completed
+        counters and latency histogram of ``tenant``, looked up once per
+        (tenant, tier)."""
+        instruments = self._hit_meters.get((tenant, tier))
+        if instruments is None:
+            metrics = self.metrics
+            instruments = self._hit_meters[(tenant, tier)] = (
+                metrics.counter("service.cache.hit", tenant=tenant, tier=tier),
+                metrics.counter("service.admitted", tenant=tenant),
+                metrics.counter("service.completed", tenant=tenant),
+                metrics.histogram("service.latency_seconds", tenant=tenant),
+            )
+        return instruments
 
     def _make_trace(self, trace: Optional[bool]):
         wanted = self.config.trace_requests if trace is None else trace

@@ -109,13 +109,25 @@ def lower_condition(
 
 
 def compile_statement(statement: Statement) -> Query:
-    """The core query of a parsed statement."""
-    scoring = (
-        resolve_scoring(statement.scoring_name)
-        if statement.scoring_name is not None
-        else None
-    )
-    return lower_condition(statement.condition, scoring)
+    """The core query of a parsed statement.
+
+    Lowered once per ``Statement`` object and kept on it, so a text
+    repeated through :func:`~repro.sql.parser.parse`'s memo gets back
+    the identical ``Query``, and with it everything memoized on that
+    query.  The memo goes by the statement's identity, not its value:
+    ``Year = 1999`` and ``Year = 1999.0`` parse to equal but distinct
+    statements, and each lowers to its own target type.
+    """
+    query = statement.__dict__.get("_query")
+    if query is None:
+        scoring = (
+            resolve_scoring(statement.scoring_name)
+            if statement.scoring_name is not None
+            else None
+        )
+        query = lower_condition(statement.condition, scoring)
+        object.__setattr__(statement, "_query", query)
+    return query
 
 
 def compile_sql(text: str) -> Query:

@@ -3,8 +3,9 @@
 A repeated text returns the identical :class:`Statement` the parser built
 the first time; a malformed text raises afresh on every call; the memo
 is bounded by a module constant and safe under concurrent callers.
-Lowering is not memoized: statements that compare equal may still lower
-to different queries (an ``int`` against a ``float`` target).
+Statements that compare equal may still lower to different queries (an
+``int`` against a ``float`` target), so lowering is memoized only per
+statement object (``tests/sql/test_prepared_queries.py``).
 """
 
 import random
@@ -94,7 +95,7 @@ def test_int_and_float_targets_lower_to_their_own_type():
     as_int = "SELECT * FROM albums WHERE Year = 1999"
     as_float = "SELECT * FROM albums WHERE Year = 1999.0"
     # Equal (and equally hashed) statements: a lowering memo keyed on
-    # the Statement would hand one text the other's query.
+    # the Statement's value would hand one text the other's query.
     assert parse(as_int) == parse(as_float)
     assert hash(parse(as_int)) == hash(parse(as_float))
     for text, kind in ((as_int, int), (as_float, float)) * 2:
