@@ -77,7 +77,7 @@ from repro.core.graded import GradedSet
 from repro.core.query import And, Atomic, Not, Or, Query, Scored, Weighted
 from repro.core.result import TopKResult
 from repro.core.sources import GradedSource, iter_wrapper_chain
-from repro.scoring.base import FunctionScoring
+from repro.scoring.base import FunctionScoring, ScoringFunction
 from repro.scoring.zadeh import FuzzySemantics
 
 __all__ = [
@@ -96,16 +96,23 @@ __all__ = [
 def _rule_identity(rule) -> Tuple:
     """A hashable identity for a scoring rule.
 
-    Catalog rules carry parameter-bearing names (``weighted[min](0.7,
-    0.3)`` embeds its weights; ``owa[...]`` likewise), so class + name
-    identifies them.  User-defined :class:`FunctionScoring` rules fall
-    back to object identity: two distinct instances never alias — the
-    safe direction for a cache — at the price of a miss when the same
-    lambda is re-wrapped.
+    A catalog rule is its class, name and exact parameters: the numbers,
+    weight tuples and base rules it was built with.  Names round their
+    parameters for display (``owa(0.333, 0.667)``, ``hamacher(p=0.5)``),
+    so two rules can share a name and still differ.  A rule without
+    parameters keys as class + name alone.  User-defined
+    :class:`FunctionScoring` rules fall back to object identity: two
+    distinct instances never alias — the safe direction for a cache — at
+    the price of a miss when the same lambda is re-wrapped.
     """
     if isinstance(rule, FunctionScoring):
         return ("function", rule.name, id(rule))
-    return (type(rule).__qualname__, rule.name)
+    parameters = tuple(
+        (field, _rule_identity(value) if isinstance(value, ScoringFunction) else value)
+        for field, value in sorted(vars(rule).items())
+        if isinstance(value, (float, tuple, ScoringFunction))
+    )
+    return (type(rule).__qualname__, rule.name) + parameters
 
 
 def _child_keys(children, semantics, symmetric: bool) -> Tuple:

@@ -396,9 +396,6 @@ class GradedSource(ABC):
         return f"<{type(self).__name__} {self.name!r} n={len(self)}>"
 
 
-#: serializes :meth:`ArraySource._adopt`, so a source never moves to a
-#: newer index than one another thread adopted meanwhile
-_ADOPTION = threading.Lock()
 #: the live ArraySource indexes, by size, oldest first; weak, so an id
 #: list lives exactly as long as some source coded by it
 _POSITIONAL: Dict[int, List["weakref.ref[ObjectCodes]"]] = {}
@@ -443,7 +440,7 @@ class ArraySource(GradedSource):
     gather, and TA's bulk round slices sorted codes and gathers grades
     without touching ids.  Sources built from equal id sequences share
     one index from construction; sources over one object set in other
-    orders settle on one at query time (:func:`shared_object_codes`).
+    orders are read through a per-run index (:func:`shared_object_codes`).
 
     The base class charges one sorted access per delivered item and one
     random access per probed object, whichever access form the caller
@@ -511,42 +508,15 @@ class ArraySource(GradedSource):
                 f"source {name!r}: expected one grade per object, got "
                 f"{len(ids)} ids and shape {values.shape} grades"
             )
-        codes = _positional_codes(ids, name)
-        order = _np.arange(len(ids)) if presorted else canonical_order(ids, values)
-        #: the input ids, and the input positions in sorted order
+        #: the input ids, coded by their input position
+        self._codes = _positional_codes(ids, name)
         self._ids = ids
+        order = _np.arange(len(ids)) if presorted else canonical_order(ids, values)
+        #: the input positions (codes) in sorted order
         self._order = order.astype(_np.int32)
         self._sorted_grades = values[order]
-        #: ``(codes, sorted_codes, grade_by_code)``: an id's code is its
-        #: input position until :meth:`_adopt` re-codes the source; one
-        #: attribute, so a reader always sees one consistent snapshot.
-        self._coded = (codes, self._order, values)
-
-    def _adopt(self, codes: ObjectCodes) -> bool:
-        """Re-code this source into the older index ``codes``.
-
-        Declines (False) unless ``codes`` is at least as old as the
-        current index, is the same size and codes every id of this
-        source; N dict lookups, once per source.  (Sources built from
-        the same ids in the same order share an index from
-        construction, so they have nothing to adopt.)  A source only
-        ever moves to an older index, so a set of sources adopting their
-        oldest one converges.
-        """
-        with _ADOPTION:  # check-then-act: concurrent queries adopt too
-            current, sorted_codes, grade_by_code = self._coded
-            if current is codes:
-                return True
-            if codes.serial > current.serial or len(codes) != len(current):
-                return False
-            try:
-                recode = codes.lookup(current.ids)
-            except KeyError:
-                return False
-            by_new_code = _np.empty_like(grade_by_code)
-            by_new_code[recode] = grade_by_code
-            self._coded = (codes, recode[sorted_codes], by_new_code)
-            return True
+        #: grades by input position, so by code
+        self._grade_by_code = values
 
     def _columns_range(self, start: int, count: int) -> Tuple[List[ObjectId], "object"]:
         stop = start + count
@@ -554,27 +524,24 @@ class ArraySource(GradedSource):
         return [ids[j] for j in self._order[start:stop].tolist()], self._sorted_grades[start:stop]
 
     def _grades_of_many(self, object_ids: Sequence[ObjectId]):
-        codes, _, grade_by_code = self._coded
         try:
-            coded = codes.lookup(object_ids)
+            coded = self._codes.lookup(object_ids)
         except KeyError as exc:
             raise UnknownObjectError(
                 f"source {self.name!r} holds no object {exc.args[0]!r}"
             ) from None
-        return grade_by_code[coded]
+        return self._grade_by_code[coded]
 
     def _codes_range(self, codes: ObjectCodes, start: int, count: int):
-        own, sorted_codes, _ = self._coded
-        if codes is not own:
+        if codes is not self._codes:
             return super()._codes_range(codes, start, count)
         stop = start + count
-        return sorted_codes[start:stop], self._sorted_grades[start:stop]
+        return self._order[start:stop], self._sorted_grades[start:stop]
 
     def _grades_of_codes(self, codes: ObjectCodes, coded):
-        own, _, grade_by_code = self._coded
-        if codes is not own:
+        if codes is not self._codes:
             return super()._grades_of_codes(codes, coded)
-        return grade_by_code[coded]
+        return self._grade_by_code[coded]
 
     def __len__(self) -> int:
         return len(self._sorted_grades)
@@ -776,30 +743,20 @@ def shared_object_codes(sources: Sequence[GradedSource]) -> ObjectCodes:
     """The :class:`~repro.kernels.ObjectCodes` index a query's sources
     are read by in TA's bulk round.
 
-    A set of :class:`ArraySource` s over one object set shares the
-    oldest of their indexes, once every one has adopted it
-    (:meth:`ArraySource._adopt`; tried again when a concurrent query
-    moved one of them to an older index meanwhile); built from one id
-    sequence, they already share it.  A set whose storage wrote codes at
+    A set of :class:`ArraySource` s coded by one index — built from
+    equal id sequences — shares it.  A set whose storage wrote codes at
     build time (memmap sources, or sharded sources over memmap shards)
     shares them when every universe has the same fingerprint: the same
-    lookup ids, shard for shard.  Any other set — kNN, mixed, lists
-    partitioned differently, memmaps built before codes were stored, or
-    sources over different object sets — gets a fresh per-run index
-    that the sources' id-based hooks fill.
+    lookup ids, shard for shard.  Any other set — ArraySources built
+    from differently ordered ids, kNN, mixed, lists partitioned
+    differently, memmaps built before codes were stored, or sources
+    over different object sets — gets a fresh per-run index that the
+    sources' id-based hooks fill.
     """
-    if all(isinstance(source, ArraySource) for source in sources):
-        oldest = None
-        while True:
-            current = min((source._coded[0] for source in sources), key=lambda codes: codes.serial)
-            if oldest is not None and current.serial >= oldest.serial:
-                break  # declined for another object set
-            # else a first try, or a retry after a concurrent query moved
-            # one of the sources to an older index than ``oldest``
-            oldest = current
-            if all(source._adopt(oldest) for source in sources):
-                return oldest
-    stored = sources[0]._stored_codes()
+    first = sources[0]
+    if all(isinstance(s, ArraySource) and s._codes is first._codes for s in sources):
+        return first._codes
+    stored = first._stored_codes()
     if stored is not None and all(source._owns_codes(stored) for source in sources):
         return stored
     return ObjectCodes()

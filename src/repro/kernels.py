@@ -42,7 +42,6 @@ per-object fold.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as _np
@@ -344,20 +343,16 @@ class ObjectCodes:
     grows; :meth:`lookup` never grows.  :meth:`positional` is the fixed
     form, which :meth:`encode` never grows: the index of an
     :class:`~repro.core.sources.ArraySource`, whose grades are held by
-    code, shared by every source built from an equal id sequence (and
-    adopted by sources over the same objects in another order: the one
-    with the smallest ``serial``, the oldest), so TA's bulk round works
-    on codes alone.
+    code, shared from construction by every source built from an equal
+    id sequence, so TA's bulk round over them works on codes alone.
     """
 
-    __slots__ = ("serial", "ids", "_codes", "_fixed", "__weakref__")
+    __slots__ = ("ids", "_codes", "_fixed", "__weakref__")
 
-    _serials = itertools.count()
     #: codes are assigned per index, not read off stored columns
     fingerprint = None
 
     def __init__(self, ids: Iterable = ()) -> None:
-        self.serial = next(ObjectCodes._serials)
         self.ids: List = list(ids)
         self._codes: Optional[Dict] = None
         self._fixed = False

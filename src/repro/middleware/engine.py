@@ -50,7 +50,7 @@ from repro.core.fagin import FaginAlgorithm
 from repro.core.planner import Strategy, execute, plan_top_k, trace_plan
 from repro.core.query import Atomic, Query, Scored
 from repro.core.result import TopKResult
-from repro.core.sources import GradedSource
+from repro.core.sources import ArraySource, GradedSource
 from repro.errors import PlanError
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.idmap import IdMapping, MappedSource
@@ -438,7 +438,12 @@ class MiddlewareEngine:
         # one directory per relocation: a rebound atom never overwrites
         # an earlier build that a live binding may still map
         self._storage_seq += 1
-        ids, grades = source._columns_range(0, len(source))
+        if isinstance(source, ArraySource):
+            # in input order: relocated atoms keep the id sequence their
+            # native bindings were built from, so they share its index
+            ids, grades = source._ids, source._grade_by_code
+        else:
+            ids, grades = source._columns_range(0, len(source))
         (relocated,) = build_sources(
             ids,
             grades[:, None],

@@ -7,17 +7,20 @@ broken rule instead of a downstream mismatch.
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
 from repro.cache import QueryCache, key_digest, plan_key
 from repro.core.planner import Strategy
 from repro.core.query import Atomic, Scored, Weighted
-from repro.scoring import means, tnorms
+from repro.scoring import conorms, means, tnorms
 from repro.scoring.base import FunctionScoring
+from repro.scoring.owa import OwaScoring
+from repro.scoring.weighted import WeightedScoring
 from repro.scoring.zadeh import ZADEH
 
-from tests.cache.helpers import conjunction, engine_from_table
+from tests.cache.helpers import answer_pairs, atom, conjunction, engine_from_table
 
 A = Atomic("a", "x")
 B = Atomic("b", "x")
@@ -72,6 +75,32 @@ def test_function_scoring_rules_never_alias():
     assert key == plan_key(Scored(first, (B, A)), ZADEH)
 
 
+#: pairs of catalog rules whose display names round their parameters
+#: to one name although the parameters differ
+ROUNDED_NAME_PAIRS = [
+    (OwaScoring, (0.3331, 0.6669), (0.3334, 0.6666)),
+    (means.WeightedArithmeticMean, (0.3331, 0.6669), (0.3334, 0.6666)),
+    (partial(WeightedScoring, tnorms.MIN), (0.6669, 0.3331), (0.6666, 0.3334)),
+    (tnorms.HamacherTNorm, 0.1234561, 0.1234564),
+    (means.PowerMean, 2.0000001, 2.0000002),
+    (lambda p: conorms.DualConorm(tnorms.YagerTNorm(p)), 2.0000001, 2.0000002),
+]
+
+
+@pytest.mark.parametrize(
+    "make, first, second",
+    ROUNDED_NAME_PAIRS,
+    ids=["owa", "weighted-mean", "weighted-min", "hamacher", "power-mean", "dual-yager"],
+)
+def test_parameterised_rules_key_by_their_exact_parameters(make, first, second):
+    # The names agree, so a key of class + name alone would alias them.
+    assert make(first).name == make(second).name
+    key = plan_key(Scored(make(first), (A, B)), ZADEH)
+    assert key != plan_key(Scored(make(second), (A, B)), ZADEH)
+    # equal parameters still key alike across instances
+    assert key == plan_key(Scored(make(first), (A, B)), ZADEH)
+
+
 def test_digest_is_hash_seed_independent():
     key = plan_key(A & B, ZADEH)
     # sha1 over repr — byte-stable across processes and PYTHONHASHSEED,
@@ -97,6 +126,19 @@ def test_tau_is_the_kth_grade():
     served = engine.top_k(conjunction(2), k=7)
     answers = list(result.answers)
     assert served.extras["cache"]["tau"] == answers[-1].grade
+
+
+@pytest.mark.parametrize("rule", (OwaScoring, means.WeightedArithmeticMean))
+def test_a_rule_differing_past_its_display_name_is_not_served(rule):
+    first, second = rule((0.3331, 0.6669)), rule((0.3334, 0.6666))
+    query = Scored(second, (atom(0), atom(1)))
+    engine, _ = small_engine()
+    engine.top_k(Scored(first, (atom(0), atom(1))), k=5)
+    served = engine.top_k(query, k=5)
+    cold = small_engine()[0].top_k(query, k=5)
+    assert "cache" not in served.extras
+    assert answer_pairs(served) == answer_pairs(cold)
+    assert served.cost == cold.cost
 
 
 def test_lru_eviction_drops_the_oldest():

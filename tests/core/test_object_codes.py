@@ -1,11 +1,12 @@
 """Dense object codes: :class:`~repro.kernels.ObjectCodes` and TA's bulk
 round over them.
 
-TA's bulk round reads columnar sources by int32 object code.  A set of
-``ArraySource`` s shares one index (the oldest, which the others adopt);
-sharded memmap sources share the codes their storage wrote, and other
-sharded sources get an index coded per run through their id-based
-hooks.  All must reproduce TA's charged per-row probes over wrapped
+TA's bulk round reads columnar sources by int32 object code.
+``ArraySource`` s built from one id sequence share one index from
+construction; sharded memmap sources share the codes their storage
+wrote, and other sets (differently ordered ArraySources, other sharded
+sources) get an index coded per run through their id-based hooks.
+All must reproduce TA's charged per-row probes over wrapped
 ``ArraySource`` s exactly: answers in order, their grades (down to the sign of a zero),
 costs, sorted depth, the θ certificate, and per-shard access
 attribution.
@@ -174,7 +175,7 @@ def build(kind, ids, columns, directory):
     if kind == "per-row":
         return per_row(ArraySource(dict(zip(ids, c)), name=n) for n, c in zip(names, columns))
     if kind == "array":
-        # built separately: the bulk round makes them adopt one index
+        # built separately from one id list: they share its index
         return [ArraySource.from_arrays(ids, c, name=n) for n, c in zip(names, columns)]
     backend = kind.split("-")[1]
     return build_sources(
@@ -224,7 +225,7 @@ def test_bulk_round_over_codes_matches_the_per_row_path(instance):
     assert traced_reference[:-1] == reference[:-1]
     array = build("array", ids, columns, None)
     assert run(array) == reference
-    assert len({id(source._coded[0]) for source in array}) == 1
+    assert len({id(source._codes) for source in array}) == 1
     assert run(build("array", ids, columns, None), traced=True) == traced_reference
     kinds = []
     if not any(str(i).endswith("\x00") for i in ids):
@@ -335,7 +336,7 @@ def test_a_non_monotone_rule_matches_the_per_row_path():
 
 
 # ----------------------------------------------------------------------
-# Adoption
+# Differently ordered sources: the per-run index
 # ----------------------------------------------------------------------
 
 
@@ -355,70 +356,35 @@ def shuffled_sources(count, n=60, seed=5):
     return ids, sources
 
 
-def test_separately_built_sources_converge_on_the_oldest_index():
+def test_differently_ordered_sources_are_read_through_a_per_run_index():
     ids, sources = shuffled_sources(3)
+    own = [source._codes for source in sources]
+    assert len({id(codes) for codes in own}) == 3
     before = [source._grades_of_many(ids).tolist() for source in sources]
     single = [[source.random_access(object_id) for object_id in ids] for source in sources]
     graded = [source.as_graded_set() for source in sources]
-    oldest = sources[0]._coded[0]
-    assert len({id(source._coded[0]) for source in sources}) == 3
-
-    threshold_top_k(sources[::-1], tnorms.MIN, 5)
-    assert all(source._coded[0] is oldest for source in sources)
-    assert shared_object_codes(sources) is oldest
+    per_run = shared_object_codes(sources)
+    assert type(per_run) is ObjectCodes and all(per_run is not codes for codes in own)
+    for algorithm in (threshold_top_k, nra_top_k, combined_top_k, fagin_top_k):
+        coded, by_ids = (
+            algorithm(stack, tnorms.MIN, 5) for stack in (sources, per_row(sources))
+        )
+        assert [(i.object_id, i.grade) for i in coded.answers] == [
+            (i.object_id, i.grade) for i in by_ids.answers
+        ]
+        assert coded.cost == by_ids.cost
+    # a query never re-codes a source: every read is unchanged
+    assert [source._codes for source in sources] == own
     assert [source._grades_of_many(ids).tolist() for source in sources] == before
     assert [
         [source.random_access(object_id) for object_id in ids] for source in sources
     ] == single
     assert [source.as_graded_set() for source in sources] == graded
-    # a source never moves to a newer index (one built from another
-    # order: built from an equal sequence it would share the oldest)
-    _, (newer,) = shuffled_sources(1, seed=6)
-    assert not sources[0]._adopt(newer._coded[0])
-    assert newer._adopt(oldest)
 
 
-def test_sources_over_the_same_id_order_adopt_without_a_lookup():
-    """Columns built from one id list code alike: adopting the older
-    index builds no id -> code table, and every access is unchanged."""
-    ids = [f"o{i}" for i in range(50)]
-    rng = np.random.default_rng(3)
-    sources = [ArraySource.from_arrays(ids, rng.random(50), name=f"A{i}") for i in range(3)]
-    graded = [source.as_graded_set() for source in sources]
-    oldest = sources[0]._coded[0]
-    assert shared_object_codes(sources[::-1]) is oldest
-    assert oldest._codes is None
-    assert [source._grades_of_many(ids).tolist() for source in sources] == [
-        [grades.grade(object_id) for object_id in ids] for grades in graded
-    ]
-    coded, by_ids = (
-        [(item.object_id, item.grade) for item in nra_top_k(stack, tnorms.MIN, 5).answers]
-        for stack in (sources, per_row(sources))
-    )
-    assert coded == by_ids
-
-
-def test_adoption_raced_by_another_query_still_shares_one_index(monkeypatch):
-    # another query moves B to the oldest index between this query's
-    # choice of index and B's adoption of it: B declines the newer one,
-    # and the query tries again with the oldest instead of reading by id
-    _, (oldest, a, b) = shuffled_sources(3)
-    adopt = ArraySource._adopt
-
-    def raced(self, codes):
-        if self is b and codes is a._coded[0]:
-            adopt(b, oldest._coded[0])
-        return adopt(self, codes)
-
-    monkeypatch.setattr(ArraySource, "_adopt", raced)
-    assert shared_object_codes([a, b]) is oldest._coded[0]
-    assert a._coded[0] is b._coded[0] is oldest._coded[0]
-
-
-def test_different_object_sets_decline_adoption_with_the_old_error():
+def test_different_object_sets_raise_the_old_error():
     a = ArraySource.from_arrays(["x", "y", "z"], [0.9, 0.5, 0.1], name="A")
     b = ArraySource.from_arrays(["x", "y", "w"], [0.8, 0.6, 0.2], name="B")
-    assert not b._adopt(a._coded[0])
     with pytest.raises(UnknownObjectError) as error:
         threshold_top_k([a, b], tnorms.MIN, 3)
     assert str(error.value) == "\"source 'A' holds no object 'w'\""
@@ -427,11 +393,10 @@ def test_different_object_sets_decline_adoption_with_the_old_error():
     assert str(error.value) == "\"source 'B' holds no object 'z'\""
 
 
-def test_concurrent_queries_over_unadopted_sources_match_serial():
-    """8 threads run TA over shared sources that have not adopted an
-    index yet.  Every thread walks pairs from the newest sources to the
-    oldest, so sources keep moving to older indexes while other threads
-    query them: every answer and cost must equal the serial run's."""
+def test_concurrent_queries_over_differently_ordered_sources_match_serial():
+    """8 threads run TA over shared sources that each code the objects
+    by their own input order, so every query reads them through its own
+    per-run index: every answer and cost must equal the serial run's."""
     count = 12
     pairs = [(i, i + 1) for i in reversed(range(count - 1))]
     pairs += [(i, i + 2) for i in reversed(range(count - 2))]
@@ -459,7 +424,7 @@ def test_concurrent_queries_over_unadopted_sources_match_serial():
         finished.append(offset)
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
             _, sources = shuffled_sources(count, n=300)
@@ -472,7 +437,6 @@ def test_concurrent_queries_over_unadopted_sources_match_serial():
             for thread in threads:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
-            assert len({id(source._coded[0]) for source in sources}) == 1
     finally:
         sys.setswitchinterval(interval)
     assert len(finished) == 4 * 8

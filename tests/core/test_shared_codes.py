@@ -3,10 +3,10 @@ construction, and the coded algorithms decode ids only at the edges.
 
 An ``ArraySource`` codes its objects by input position.  Sources built
 from equal id sequences share one fixed
-:class:`~repro.kernels.ObjectCodes` (the oldest live one), so there is
-nothing to adopt at query time and the duplicate-id check runs once per
-index.  Each source keeps its own copy of the ids, and a sorted read
-decodes only the rows it returns through it.  TA, NRA and A0 consume
+:class:`~repro.kernels.ObjectCodes` (the oldest live one) from
+construction, so a query never re-codes a source and the duplicate-id
+check runs once per index.  Each source keeps its own copy of the ids,
+and a sorted read decodes only the rows it returns through it.  TA, NRA and A0 consume
 what they peeked by count (``SortedCursor.advance``), so untraced runs
 over bare sources read no ids but their answers'.
 """
@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.fagin import fagin_top_k
 from repro.core.graded import GradedSet
+from repro.core.query import Atomic, Scored
 from repro.core.sources import ArraySource, VerifyingSource, shared_object_codes
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import AccessError, UnknownObjectError
@@ -27,6 +28,8 @@ from repro.kernels import ObjectCodes
 from repro.observability import QueryTracer
 from repro.observability.tracer import traced
 from repro.scoring import means, tnorms
+from repro.workloads.cd_store import build_store, generate_catalog
+from repro.workloads.image_corpus import build_image_database
 from tests.per_row import per_row
 
 
@@ -43,8 +46,8 @@ def test_sources_from_equal_sequences_share_one_fixed_index():
     first = ArraySource.from_arrays(ids, columns(ids)[0], name="A")
     again = ArraySource.from_arrays(list(ids), columns(ids)[1], name="B")
     mapped = ArraySource(dict(zip(ids, columns(ids)[2].tolist())), name="C")
-    codes = first._coded[0]
-    assert again._coded[0] is codes and mapped._coded[0] is codes
+    codes = first._codes
+    assert again._codes is codes and mapped._codes is codes
     assert codes.ids == ids and codes.ids is not ids  # the caller's list is not kept
     assert codes._codes is None  # no id -> code table until an id-shaped access
     assert shared_object_codes([mapped, again, first]) is codes
@@ -63,8 +66,8 @@ def test_duplicate_ids_raise_on_every_call_even_beside_a_live_index():
             with pytest.raises(AccessError, match="duplicate object ids"):
                 ArraySource.from_arrays(duplicated, [0.1, 0.2, 0.3], name="dup")
     again = ArraySource.from_arrays(["a", "b", "c"], [0.3, 0.2, 0.1], name="ok2")
-    assert again._coded[0] is valid._coded[0]
-    assert valid._coded[0].ids == ["a", "b", "c"]
+    assert again._codes is valid._codes
+    assert valid._codes.ids == ["a", "b", "c"]
     # a grade error is still reported first, as before
     with pytest.raises(ValueError, match="not a finite number"):
         ArraySource.from_arrays(["a", "a"], [0.1, 2.0], name="both")
@@ -76,8 +79,8 @@ def test_a_mutated_list_is_not_shared_and_the_built_source_is_unchanged():
     ids[0] = "z"
     ids.append("d")
     second = ArraySource.from_arrays(ids[:3], [0.9, 0.5, 0.1], name="second")
-    assert second._coded[0] is not first._coded[0]
-    assert first._coded[0].ids == ["a", "b", "c"]
+    assert second._codes is not first._codes
+    assert first._codes.ids == ["a", "b", "c"]
     assert list(first.object_ids()) == ["a", "b", "c"]
     assert first.as_graded_set() == GradedSet({"a": 0.9, "b": 0.5, "c": 0.1})
     assert first.random_access("a") == 0.9
@@ -87,13 +90,14 @@ def test_a_mutated_list_is_not_shared_and_the_built_source_is_unchanged():
 
 
 def test_ids_that_compare_equal_share_as_adoption_would():
-    # 1 == 1.0 (and they hash alike), so [1, 2] and [1.0, 2.0] code
-    # alike and share, as adoption shares them; "1" != 1 never shares
+    # 1 == 1.0 (and they hash alike), so [1, 2] and [1.0, 2.0] are equal
+    # sequences and share one index from construction; "1" != 1 never
+    # shares
     ints = ArraySource.from_arrays([1, 2, 3], [0.9, 0.4, 0.2], name="ints")
     floats = ArraySource.from_arrays([1.0, 2.0, 3.0], [0.8, 0.3, 0.5], name="floats")
     strs = ArraySource.from_arrays(["1", "2", "3"], [0.8, 0.3, 0.5], name="strs")
-    assert floats._coded[0] is ints._coded[0]
-    assert strs._coded[0] is not ints._coded[0]
+    assert floats._codes is ints._codes
+    assert strs._codes is not ints._codes
     # every source's sorted reads return its own ids
     assert [type(i) for i in floats.object_ids()] == [float] * 3
     assert [type(i) for i in ints.object_ids()] == [int] * 3
@@ -146,7 +150,7 @@ def test_concurrent_construction_from_one_list_matches_serial():
     assert sorted(results) == list(range(8))
     assert all(result == serial for result in results.values())
     # every thread's eight columns coded by one index, the same for all
-    assert len({id(source._coded[0]) for sources in built.values() for source in sources}) == 1
+    assert len({id(source._codes) for sources in built.values() for source in sources}) == 1
 
 
 def test_untraced_coded_runs_decode_only_their_answers(monkeypatch):
@@ -189,7 +193,8 @@ def test_untraced_coded_runs_decode_only_their_answers(monkeypatch):
 
 def test_reads_and_traced_wrapped_runs_do_not_depend_on_sharing():
     # the same columns, built from one list (one shared index) and from
-    # per-column shuffles of it (an index each, adopted at query time)
+    # per-column shuffles of it (an index each, read through a per-run
+    # index)
     ids = [f"o{i}" for i in range(200)]
     grades = np.random.default_rng(4).choice([0.0, 0.25, 0.5, 0.75, 1.0], (3, 200))
 
@@ -203,8 +208,8 @@ def test_reads_and_traced_wrapped_runs_do_not_depend_on_sharing():
         return sources
 
     shared, apart = build(ids, grades), shuffled()
-    assert len({id(source._coded[0]) for source in shared}) == 1
-    assert len({id(source._coded[0]) for source in apart}) == 3
+    assert len({id(source._codes) for source in shared}) == 1
+    assert len({id(source._codes) for source in apart}) == 3
     for a, b in zip(shared, apart):
         assert a.as_graded_set() == b.as_graded_set()
         assert list(a.object_ids()) == list(b.object_ids())
@@ -224,3 +229,43 @@ def test_reads_and_traced_wrapped_runs_do_not_depend_on_sharing():
     for algorithm in (threshold_top_k, nra_top_k, combined_top_k, fagin_top_k):
         for wrap in wraps:
             assert run(build(ids, grades), algorithm, wrap) == run(shuffled(), algorithm, wrap)
+
+
+@pytest.mark.parametrize(
+    "build, atoms",
+    [
+        (
+            lambda: build_store(generate_catalog(1000, seed=0)),
+            (
+                Atomic("Artist", "Beatles"),
+                Atomic("AlbumColor", "red"),
+                Atomic("AlbumColor", "blue"),
+            ),
+        ),
+        (
+            lambda: build_image_database(300, seed=0),
+            (Atomic("Color", "red"), Atomic("Shape", "round")),
+        ),
+    ],
+    ids=["cds", "images"],
+)
+def test_relocated_array_bindings_share_one_index_from_construction(build, atoms):
+    # --backend array rebuilds every binding from its native one in
+    # input order, so the relocated atoms keep the native id sequence
+    # and share its index before any query runs
+    native, relocated = build(), build()
+    relocated.configure_storage("array")
+    native_bound = [native.bind(atom) for atom in atoms]
+    bound = [relocated.bind(atom) for atom in atoms]
+    codes = shared_object_codes(bound)
+    assert codes is shared_object_codes(native_bound)
+    assert codes._fixed and all(source._codes is codes for source in bound)
+
+    def run(engine, query):
+        tracer = engine.configure_observability(QueryTracer())
+        result = engine.top_k(query, 5)
+        answers = [(item.object_id, item.grade) for item in result.answers]
+        return answers, result.cost, tracer.to_json()
+
+    for query in (atoms[0] & atoms[1], Scored(means.MEAN, atoms)):
+        assert run(relocated, query) == run(native, query)
