@@ -51,7 +51,7 @@ from repro.core.sources import (
 )
 from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
 from repro.errors import MonotonicityError
-from repro.kernels import CodedBounds, _np, top_rows
+from repro.kernels import CodedBounds, _np
 from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
@@ -175,7 +175,8 @@ class FaginAlgorithm:
 
         A list's rows enter the state, count toward L and move its bottom
         only once it has delivered them; a failed consume raises after
-        the other lists' rows are recorded, and a retry re-reads its rows.
+        the other lists' rows are recorded and its own sorted records are
+        withdrawn from the trace, and a retry re-reads its rows.
         """
         bounds, tracer, m = self._bounds, self.tracer, self.m
         with nullcontext() if tracer is None else tracer.phase("sorted-phase"):
@@ -203,16 +204,17 @@ class FaginAlgorithm:
                 if joins.size >= short:
                     rows = int(_np.partition(joins, short - 1)[short - 1]) + 1
                 used = [min(rows, n) for n in lengths]
+                recorded: List[list] = [[] for _ in range(m)]
                 if tracer is not None:
                     ids = [bounds.codes.decode(codes[:n]) for (codes, _), n in zip(windows, used)]
                     for row, i in itertools.product(range(rows), range(m)):
                         if row < used[i]:
-                            tracer.record_sorted(
+                            recorded[i].append(tracer.record_sorted(
                                 self.sources[i].name,
                                 ids[i][row],
                                 float(windows[i][1][row]),
                                 position=self._cursors[i].position + row + 1,
-                            )
+                            ))
                 takers = [i for i in range(m) if used[i]]
                 outcomes = fan_out(
                     self.executor,
@@ -220,6 +222,8 @@ class FaginAlgorithm:
                 )
                 failed = [outcome.error for outcome in outcomes if outcome.error is not None]
                 delivered = [i for i, outcome in zip(takers, outcomes) if outcome.error is None]
+                if failed and tracer is not None:  # what the failed lists did not deliver
+                    tracer.retract([e for i in takers if i not in delivered for e in recorded[i]])
                 bounds.read(
                     [
                         (windows[i][0][: used[i]], windows[i][1][: used[i]]) if i in delivered else None
@@ -300,15 +304,9 @@ class FaginAlgorithm:
         """The next page: the k best of the complete ``rows``, in the
         canonical order (grade, then ``str(id)``, then first seen), marked
         emitted."""
-        bounds, k = self._bounds, min(k, rows.size)
-        if not k:
-            return GradedSet()
-        scores = bounds.lower_bounds(self.scoring)[rows]
-        picked = top_rows(
-            scores, k, lambda chosen: [str(o) for o in bounds.ids(rows[chosen])]
-        )
-        self._emitted[bounds.table()[0][rows[picked]]] = True
-        return GradedSet(zip(bounds.ids(rows[picked]), scores[picked].tolist()))
+        picked, ids, grades = self._bounds.ranked(self.scoring, k, rows)
+        self._emitted[self._bounds.table()[0][picked]] = True
+        return GradedSet(zip(ids, grades))
 
     def _pruned_selection(self, k: int) -> GradedSet:
         """Phases 2 and 3 with upper-bound pruning of random accesses.

@@ -37,11 +37,11 @@ mid-query (its circuit breaker opens, see
 :mod:`repro.middleware.resilience`).  The NRA core here is therefore a
 resumable continuation, :func:`_nra_run`, that can start from *any*
 accumulated bounds state (a :class:`~repro.kernels.CodedBounds`); TA
-maintains that bookkeeping as it goes, and when a random probe fails
-degradably it hands its cursors, bottoms, and seen grades to the NRA
-continuation instead of aborting.  If sorted streams later die too, the
-continuation returns a best-effort partial answer carrying NRA
-lower/upper grade bounds and a structured
+keeps its seen set in that state as it goes, and when a random probe
+fails degradably it hands the state itself, with its cursors and
+bottoms, to the NRA continuation instead of aborting.  If sorted
+streams later die too, the continuation returns a best-effort partial
+answer carrying NRA lower/upper grade bounds and a structured
 :class:`~repro.core.result.DegradedResult` report.
 """
 
@@ -67,7 +67,7 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.kernels import CodedBounds, _np, canonical_order
+from repro.kernels import CodedBounds, _np
 from repro.parallel import fan_out
 from repro.errors import (
     CircuitOpenError,
@@ -607,19 +607,25 @@ def threshold_top_k(
     fault behaviour observe every probe, and every consume is at most
     ``batch_size`` rows.
 
-    TA logs, by code, the sorted rows the lists delivered and the probe
-    results it has used, so when ``degrade`` is True (the default) and a
-    random probe fails with one of :data:`DEGRADABLE_ACCESS_ERRORS` —
-    e.g. the source's random-access circuit breaker opened — the
-    execution does not abort: it consumes the sorted rows it already
-    used, replays the log into a bounds state and continues as an NRA
-    run over the same cursors, still returning correct top-k answers
-    from sorted access alone.  A sorted stream that dies during a
-    consume delivers nothing: its rows stay out of the log, its bottom
-    stays at the last grade it delivered, its sorted records are
-    withdrawn from the trace, and it is handed over frozen in place the
-    same way.  With ``degrade=False`` the error propagates (the E20
-    ablation).
+    The seen set is one :class:`~repro.kernels.CodedBounds` over the
+    lists' object codes, as for A0, NRA and CA: each round's fresh
+    objects come from its ``fresh`` scan, and the objects first sighted
+    at or before the stop row become rows, in first-seen order, holding
+    the grades TA used.  The answer is the state's ``ranked`` top k.
+    When ``degrade`` is True (the default) and a random probe fails
+    with one of :data:`DEGRADABLE_ACCESS_ERRORS` — e.g. the source's
+    random-access circuit breaker opened — the execution does not
+    abort: it consumes the sorted rows it already used, learns what the
+    lists delivered, and hands the state itself to an NRA run over the
+    same cursors, still returning correct top-k answers from sorted
+    access alone.  A sorted stream that dies during a consume delivers
+    nothing: the grades its window gave the objects it sighted first
+    leave the state, its bottom stays at the last grade it delivered,
+    its sorted records are withdrawn from the trace, and it is handed
+    over frozen in place the same way.  A stream that dies at the
+    consume of the round TA stops at changes nothing: that round is
+    answered with the grades TA used.  With ``degrade=False`` the error
+    propagates (the E20 ablation).
 
     Under a ``tracer``, accesses are emitted at *logical* time, in one
     order — each row's sorted deliveries as TA's round processes them
@@ -669,20 +675,17 @@ def threshold_top_k(
     columnar = all(source.supports_columnar for source in sources)
     #: each list's last delivered grade (1.0 before any)
     bottoms = [1.0] * m
-    #: the seen-set: a bitmap by code, and each round's (codes, overall
-    #: grades, per-list grades, first lists) in first-seen (row-major)
-    #: order — NaN where a probe failure left a grade unknown;
-    #: ``sighting`` is scratch by code, UNSEEN between rounds.
-    object_codes = shared_object_codes(sources)
-    seen = _np.zeros(0, dtype=bool)
-    sighting = _np.zeros(0, dtype=_np.intp)
-    UNSEEN = _np.iinfo(_np.intp).max
-    seen_log = [
-        (_np.empty(0, dtype=_np.int32), _np.empty(0), _np.empty((0, m)), _np.empty(0, dtype=_np.intp))
-    ]
-    #: the sorted rows the lists delivered, (list index, codes, grades);
-    #: with the seen log's probe grades, what a degrade to NRA replays.
-    delivered: List[tuple] = []
+    #: the seen set: rows in first-seen (row-major) order holding the
+    #: grades TA used, NaN where a probe failure left one unknown; sized
+    #: for eight first windows' sightings, so a stop within the first
+    #: four (doubling) windows grows it at most once
+    bounds = CodedBounds(
+        shared_object_codes(sources), m, capacity=min(8 * batch_size * m, database_size)
+    )
+    object_codes = bounds.codes
+    #: the newest rows' first row, and the list that sighted each first
+    #: (set by every round's commit)
+    newest = (0, None)
     #: the window's sorted records per list, withdrawn if it dies
     recorded: List[List[dict]] = []
     # Min-heap of the k best overall grades seen so far, so the stopping
@@ -692,18 +695,20 @@ def threshold_top_k(
     stop = False
     stop_tau = 0.0
 
-    def admit(heap: List[float], grade: float) -> None:
-        if len(heap) < k:
-            heapq.heappush(heap, grade)
-        elif grade > heap[0]:
-            heapq.heapreplace(heap, grade)
+    def admit(heap: List[float], grades: List[float]) -> None:
+        """Admit ``grades`` to ``heap`` in order, keeping the k best."""
+        push, replace = heapq.heappush, heapq.heapreplace
+        for grade in grades:
+            if len(heap) < k:
+                push(heap, grade)
+            elif grade > heap[0]:
+                replace(heap, grade)
 
     def bulk_round(windows, lengths, rows, tau):
         """One whole super-round as integer array operations over object
-        codes.  The seen bitmap over the ``rows × m`` code matrix and one
-        ``np.minimum.at`` into a by-code position array (no sort) give
-        the fresh objects in row-major first-seen order; each one's grade
-        in the list that delivered it first comes from the window.
+        codes.  The state's ``fresh`` scan gives the objects without a
+        row in row-major first-seen order; each one's grade in the list
+        that delivered it first comes from the window.
 
         Its other grades come from the probe policy.  A columnar set
         gathers them by code for the whole window, and one
@@ -719,29 +724,17 @@ def threshold_top_k(
         to ``combine_matrix``) and tests the stop after it.  Either way
         only objects first delivered at or before the stop row are
         committed and charged, probe for probe, so costs and answers are
-        identical.
+        identical, and only they become rows of the state.
 
         Under a tracer the consumed rows' events are emitted row by row,
         in one order, at logical access time.  Returns ``(consumed_rows,
         stopped, failed)``: ``failed`` is None, or ``{source name:
         reason}`` when a charged probe failed survivably; the cut-short
-        round's seen objects are then logged ungraded (NaN).
+        round's seen objects then become rows with the grades learned so
+        far (NaN for the rest).
         """
-        nonlocal seen, sighting, stop_tau, recorded
-        grow = len(object_codes) - seen.size
-        if grow:  # a per-run index coded new ids
-            seen = _np.concatenate((seen, _np.zeros(grow, bool)))
-            sighting = _np.concatenate((sighting, _np.full(grow, UNSEEN)))
-        matrix = _np.full((rows, m), -1, dtype=_np.int32)
-        for i, (codes, _) in enumerate(windows):
-            matrix[: lengths[i], i] = codes
-        flat = matrix.ravel()
-        where = _np.flatnonzero((flat >= 0) & ~seen[flat])  # -1 pads short windows
-        sighted = flat[where]
-        _np.minimum.at(sighting, sighted, where)  # each object's first sighting
-        where = where[sighting[sighted] == where]
-        sighting[sighted] = UNSEEN
-        fresh = flat[where]
+        nonlocal stop_tau, recorded
+        fresh, where = bounds.fresh(windows)
         fresh_row, first_list = _np.divmod(where, m)
         through = _np.searchsorted(fresh_row, _np.arange(rows), side="right")
         grades, scores = _np.full((fresh.size, m), _np.nan), _np.full(fresh.size, _np.nan)
@@ -809,7 +802,7 @@ def threshold_top_k(
                         if outcome.error is not None:
                             if not isinstance(outcome.error, survivable):
                                 raise outcome.error
-                            seen_log.append((fresh[:end], scores[:end], grades[:end], first_list[:end]))
+                            commit(fresh, grades, first_list, end)
                             return row + 1, False, {sources[j].name: str(outcome.error)}
                         for f in needed:
                             grades[f, j] = outcome.value[ids[f]]
@@ -819,8 +812,7 @@ def threshold_top_k(
                 if not columnar:
                     for f in range(start, end):
                         scores[f] = rule(grades[f].tolist())
-                for grade in scores[start:end].tolist():
-                    admit(heap, grade)
+                admit(heap, scores[start:end].tolist())
                 stopped = len(heap) >= k and theta * heap[0] >= tau[row]
                 if tracer is not None:  # the value the stop test used
                     tracer.sample("ta.tau", float(tau[row]))
@@ -834,12 +826,10 @@ def threshold_top_k(
                     break
         count = through[consumed - 1]
         committed, committed_scores = fresh[:count], scores[:count]
-        seen[committed] = True
-        seen_log.append((committed, committed_scores, grades[:count], first_list[:count]))
+        commit(fresh, grades, first_list, count)
         if len(best_k) >= k:  # the rest cannot enter the heap
             committed_scores = committed_scores[committed_scores > best_k[0]]
-        for grade in committed_scores.tolist():
-            admit(best_k, grade)
+        admit(best_k, committed_scores.tolist())
         if columnar:  # charge the gathered probes the stop row used
             for j, source in enumerate(sources):
                 others = first_list[:count] != j  # all but the first list
@@ -847,10 +837,17 @@ def threshold_top_k(
         stop_tau = float(tau[consumed - 1])
         return consumed, stop_row < rows, None
 
+    def commit(fresh, grades, first_list, count: int) -> None:
+        """Add the first ``count`` fresh objects as rows holding their
+        ``grades``, the ones TA used."""
+        nonlocal newest
+        newest = (bounds.count, first_list[:count])
+        bounds.add(fresh[:count], 0, grades[:count])
+
     def consume(windows, rows: int) -> Dict[int, str]:
         """Consume the first ``rows`` rows of every window with one
-        ``advance`` per list.  A list's rows are logged, and its bottom
-        moves, only once it has delivered them.
+        ``advance`` per list.  A list's bottom moves only once it has
+        delivered them.
 
         Returns ``{list index: reason}`` for the streams that died
         instead: they delivered nothing, so their sorted records of the
@@ -870,27 +867,28 @@ def threshold_top_k(
                     raise outcome.error
                 died[i] = str(outcome.error)
                 continue
-            codes, grades = windows[i]
-            delivered.append((i, codes[:used], grades[:used]))
-            bottoms[i] = float(grades[used - 1])
+            bottoms[i] = float(windows[i][1][used - 1])
             depth = max(depth, cursors[i].position)
         if died and tracer is not None:
             tracer.retract([event for i in died for event in recorded[i]])
         return died
 
     def fall_back(
-        prior_failures: Dict[str, str],
-        dead: Dict[int, str],
-        unconsumed=None,
+        prior_failures: Dict[str, str], windows, rows: int, dead=None
     ) -> TopKResult:
-        """Replay the log into a bounds state and continue as NRA.
+        """Hand the state to NRA and continue as an NRA run.
 
-        After a probe failure the rows TA already used are still
-        ``unconsumed`` — ``(windows, rows)`` — and are consumed first; a
-        stream that dies shipping those rows, like one that died in the
-        main loop's consume (``dead``), is frozen in place and handed to
-        the continuation as already-exhausted.  The surviving lists carry
-        the query.
+        The state holds what the first ``rows`` rows of the last
+        ``windows`` showed TA.  After a probe failure those rows are not
+        consumed yet (``dead`` is None) and are consumed first.  A list
+        that dies shipping them, like one that died in the main loop's
+        consume (``dead``), delivered none of them: the grades its window
+        gave the objects it sighted first leave the state, and it is
+        handed to the continuation frozen in place, as already
+        exhausted.  What the other lists delivered is learned (a list
+        grades an object alike under sorted and random access), every
+        cell counts as handed over at round 0, and the surviving lists
+        carry the query.
         """
         if tracer is not None:
             tracer.event(
@@ -899,33 +897,24 @@ def threshold_top_k(
                 fallback="nra",
                 failures={
                     **prior_failures,
-                    **{sources[i].name: reason for i, reason in dead.items()},
+                    **{sources[i].name: reason for i, reason in (dead or {}).items()},
                 },
             )
-        if unconsumed is not None:
-            dead = consume(*unconsumed)
-        # Rows are created in TA's first-seen order before the log fills
-        # them in: that is the order a live per-object seen-set would
-        # have, and NRA's stable (-grade, str(id)) ranking can tell it
-        # from the log's list-major order when two ids share a ``str``.
-        seen_codes = _np.concatenate([entry[0] for entry in seen_log])
-        known: Dict[int, Dict[int, float]] = {code: {} for code in seen_codes.tolist()}
-        replay = list(delivered)
-        for codes, _, grades, firsts in seen_log:  # the probes: all but each first list
-            for j in range(m):
-                cells = (firsts != j) & ~_np.isnan(grades[:, j])
-                replay.append((j, codes[cells], grades[cells, j]))
-        for i, codes, grades in replay:
-            for code, grade in zip(codes.tolist(), grades.tolist()):
-                known[code][i] = grade
+        if dead is None:
+            dead = consume(windows, rows)
+        start, firsts = newest
+        for i, (codes, grades) in enumerate(windows):
+            if i in dead:
+                bounds.table()[1][start + _np.flatnonzero(firsts == i), i] = _np.nan
+            else:
+                bounds.learn(i, codes[:rows], grades[:rows], 0)
+        bounds.hand_over()
         return _nra_run(
             sources,
             rule,
             k,
             cursors=cursors,
-            bounds=CodedBounds.from_known(
-                dict(zip(object_codes.decode(seen_codes), known.values())), m
-            ),
+            bounds=bounds,
             bottoms=bottoms,
             exhausted=[i in dead for i in range(m)],
             meter=meter,
@@ -965,24 +954,18 @@ def threshold_top_k(
             tau = rule.combine_matrix(bottoms_matrix)
             consumed, stop, failed = bulk_round(windows, lengths, rows, tau)
             if failed is not None:
-                return fall_back(failed, {}, (windows, consumed))
+                return fall_back(failed, windows, consumed)
             died = consume(windows, consumed)
             if died and not stop:
                 # A sorted stream died mid-round; its cursor is stuck, so the
                 # next peek would replay the same rows forever.  Hand the
-                # accumulated state to NRA with the dead list frozen out.
-                return fall_back({}, died)
+                # state to NRA with the dead list frozen out.
+                return fall_back({}, windows, consumed, died)
             if columnar:
                 window *= 2
 
-    codes = _np.concatenate([entry[0] for entry in seen_log])
-    grades = _np.concatenate([entry[1] for entry in seen_log])
-    # only objects graded at least the k-th best grade can be answers
-    cut = _np.partition(grades, -k)[-k] if grades.size > k else -_np.inf
-    rows = _np.flatnonzero(grades >= cut)
-    picked, candidates = object_codes.decode(codes[rows]), grades[rows]
-    top = canonical_order(picked, candidates)[:k]
-    answers = GradedSet(zip([picked[i] for i in top.tolist()], candidates[top].tolist()))
+    _, ids, grades = bounds.ranked(rule, k)
+    answers = GradedSet(zip(ids, grades))
     certificate: Optional[ApproximationCertificate] = None
     if theta > 1.0:
         # TA's reported grades are exact, so the k-th answer grade IS

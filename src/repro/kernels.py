@@ -2,29 +2,27 @@
 
 The paper's algorithms (section 4) are bulk-synchronous: each round
 performs m accesses and then re-evaluates bounds over everything seen so
-far.  NRA and CA run one windowed loop over a *bounds state* — per seen
-object a lower bound (missing grades -> 0) and an upper bound (missing
-grades -> the list bottoms) — and A0 keeps its seen set in the same
-state.  :class:`CodedBounds` is that state:
+far.  A0, TA, NRA and CA keep one *bounds state* — per seen object the
+grades learned so far, a lower bound (missing grades -> 0) and an upper
+bound (missing grades -> the list bottoms).  :class:`CodedBounds` is that
+state:
 seen objects live in an ``[n_seen, m]`` float64 matrix found through a
 by-code row array (an object's code in the :class:`ObjectCodes` or
 :class:`ColumnCodes` index its lists are read by, not an id dict), and
 each stop check is a handful of numpy array operations through
 ``ScoringFunction.combine_matrix``.  Every cell is tagged with the round
-that learned it, so one state answers the stop test (its ``stop_view``,
+that learned it, so one state answers NRA's stop test (its ``stop_view``,
 the :class:`StopView` the test reads) and CA's resolution target
-(``best_incomplete``) at every depth it has peeked.  ``from_known``
-builds one from plain ``{object_id: {column: grade}}`` bookkeeping (TA's
-hand-off); ``hand_over`` counts a state's every cell as handed over at
-round 0 (A0's hand-off, of the state itself).
+(``best_incomplete``) at every depth it has peeked.
 
-A0 fills the NaN cells of its state (``table``) before its compute
-phase, which scores the complete rows with ``lower_bounds`` and ranks
-them with :func:`top_rows`; the naive scan folds its complete grade
-table with one ``combine_matrix`` and ranks it the same way.  TA keeps
-no bounds state: its bulk round works on dense int32 codes for a
-query's object ids and decodes ids only for its answer candidates,
-ranked by :func:`canonical_order`.
+A0 and TA never ask about rounds.  TA finds a window's new objects with
+``fresh`` and ``add``s those it commits, holding the grades it used; A0
+``read``s its sorted rows and fills the NaN cells of ``table`` by random
+access.  Their answer is ``ranked``: the lower bounds of complete rows,
+ranked with :func:`top_rows`.  When random access dies, ``hand_over``
+counts every cell as learned at round 0 and the state itself carries on
+as NRA's.  The naive scan folds its complete grade table with one
+``combine_matrix`` and ranks it with :func:`top_rows` too.
 
 Determinism contract
 --------------------
@@ -81,13 +79,12 @@ def top_rows(scores, k: int, strs_of):
     rows = _np.arange(count)
     if k < count:
         kth = _np.partition(scores, count - k)[count - k]
-        above = _np.flatnonzero(scores > kth)
-        tied = _np.flatnonzero(scores == kth)
-        if tied.size > k - above.size:
+        rows = _np.flatnonzero(scores >= kth)
+        if rows.size > k:  # ties at the k-th grade: the least strs make it
+            above, tied = rows[scores[rows] > kth], rows[scores[rows] == kth]
             strs = strs_of(tied)
             keep = heapq.nsmallest(k - above.size, range(tied.size), key=strs.__getitem__)
-            tied = tied[_np.array(keep, dtype=_np.intp)]
-        rows = _np.sort(_np.concatenate((above, tied)))
+            rows = _np.sort(_np.concatenate((above, tied[_np.array(keep, dtype=_np.intp)])))
     return rows[canonical_order(strs_of(rows), scores[rows])]
 
 
@@ -121,43 +118,22 @@ class CodedBounds:
         #: row by code, -1 where the object has no row
         self._row = _np.full(len(codes), -1, dtype=_np.intp)
         capacity = max(capacity, 1)
+        # Rows past ``count`` are uninitialised; ``add`` sets them up.
         #: per row: its code, and the round it was first sighted
         self._code = _np.empty(capacity, dtype=_np.int64)
         self._first = _np.empty(capacity, dtype=_np.int64)
         # column-major: every fold and mask runs down the m columns
-        self._grades = _np.full((capacity, m), _np.nan, order="F")
-        self._learned = _np.full((capacity, m), self.NEVER, dtype=_np.int64, order="F")
-
-    @classmethod
-    def from_known(cls, known: Dict, m: int) -> "CodedBounds":
-        """A state over a per-run index of ``{object_id: {column:
-        grade}}`` bookkeeping (TA's seen-set), every cell learned at
-        round 0, rows in ``known``'s order."""
-        bounds = cls(ObjectCodes(known), m, capacity=len(known))
-        bounds.add(_np.arange(len(known)), 0)
-        for column in range(m):
-            cells = [
-                (code, grades[column])
-                for code, grades in enumerate(known.values())
-                if column in grades
-            ]
-            if cells:
-                coded, grades = zip(*cells)
-                bounds.learn(column, _np.array(coded), _np.array(grades), 0)
-        return bounds
+        self._grades = _np.empty((capacity, m), order="F")
+        self._learned = _np.empty((capacity, m), dtype=_np.int64, order="F")
 
     def _ensure(self, needed: int) -> None:
         capacity = self._code.size
         if needed <= capacity:
             return
         size = max(needed, capacity * 2)
-        for name in ("_code", "_first"):
-            grown = _np.empty(size, dtype=_np.int64)
-            grown[: self.count] = getattr(self, name)[: self.count]
-            setattr(self, name, grown)
-        for name, fill in (("_grades", _np.nan), ("_learned", self.NEVER)):
+        for name in ("_code", "_first", "_grades", "_learned"):
             old = getattr(self, name)
-            grown = _np.full((size, self.m), fill, dtype=old.dtype, order="F")
+            grown = _np.empty((size,) + old.shape[1:], dtype=old.dtype, order="F")
             grown[: self.count] = old[: self.count]
             setattr(self, name, grown)
 
@@ -169,14 +145,18 @@ class CodedBounds:
             self._row = _np.concatenate((self._row, _np.full(grow, -1, dtype=_np.intp)))
         return self._row[coded]
 
-    def add(self, coded, first) -> None:
+    def add(self, coded, first, grades=_np.nan) -> None:
         """Rows, in order, for ``coded`` (distinct, with no row yet),
-        first sighted at round ``first`` (0 hands over)."""
+        first sighted at round ``first`` (0 hands over), holding
+        ``grades`` (an ``[n, m]`` array, NaN where not known) that no
+        round has learned yet."""
         start, stop = self.count, self.count + coded.size
         self._ensure(stop)
         self._row[coded] = _np.arange(start, stop)
         self._code[start:stop] = coded
         self._first[start:stop] = first
+        self._grades[start:stop] = grades
+        self._learned[start:stop] = self.NEVER
         self.count = stop
 
     def learn(self, column: int, coded, grades, rounds) -> None:
@@ -186,11 +166,12 @@ class CodedBounds:
         self._grades[rows, column] = grades
         self._learned[rows, column] = _np.minimum(self._learned[rows, column], rounds)
 
-    def read(self, windows: Sequence, start: int) -> None:
-        """Record a window of sorted deliveries: ``windows[i]`` is list
-        i's next rows as (codes, grades), its row r delivered at round
-        ``start + r + 1``, or None for a list not read.  Objects seen for
-        the first time get rows in (round, list) order."""
+    def fresh(self, windows: Sequence):
+        """The objects of a window that have no row, each at its first
+        sighting: ``windows[i]`` is list i's next rows as (codes, grades),
+        or None for a list not read.  Returns their codes and flat
+        positions ``row * m + list``, in that (row-major) order; the row
+        array is left as it was found."""
         m = self.m
         lengths = [0 if window is None else len(window[0]) for window in windows]
         matrix = _np.full((max(lengths, default=0), m), -1, dtype=_np.int64)
@@ -198,18 +179,25 @@ class CodedBounds:
             if lengths[column]:
                 matrix[: lengths[column], column] = window[0]
         flat = matrix.ravel()
-        where = _np.flatnonzero(flat >= 0)  # -1 pads short windows
-        where = where[self._rows_of(flat[where]) < 0]
+        where = _np.flatnonzero((flat >= 0) & (self._rows_of(flat) < 0))  # -1 pads
         coded = flat[where]
-        # each new object's first sighting: the least position, found in
-        # the row array before the object's row is written there
+        # the least position of each object, found in its row array slot
         self._row[coded] = _np.iinfo(_np.intp).max
         _np.minimum.at(self._row, coded, where)
-        first = self._row[coded] == where
-        self.add(coded[first], start + 1 + where[first] // m)
+        where = where[self._row[coded] == where]
+        self._row[coded] = -1
+        return flat[where], where
+
+    def read(self, windows: Sequence, start: int) -> None:
+        """Record a window of sorted deliveries (as :meth:`fresh` takes
+        it), list i's row r delivered at round ``start + r + 1``.
+        Objects seen for the first time get rows in (round, list)
+        order."""
+        coded, where = self.fresh(windows)
+        self.add(coded, start + 1 + where // self.m)
         for column, window in enumerate(windows):
-            if lengths[column]:
-                rounds = _np.arange(start + 1, start + 1 + lengths[column])
+            if window is not None and len(window[0]):
+                rounds = _np.arange(start + 1, start + 1 + len(window[0]))
                 self.learn(column, window[0], window[1], rounds)
 
     def table(self):
@@ -271,6 +259,15 @@ class CodedBounds:
     def _strs_of(self, rows) -> List[str]:
         return [str(object_id) for object_id in self.ids(rows)]
 
+    def ranked(self, rule, k: int, rows=None):
+        """The (up to) ``k`` best of ``rows`` (by default, every row) by
+        lower bound, in the canonical answer order of :func:`top_rows`:
+        their rows, ids and lower bounds."""
+        rows = _np.arange(self.count) if rows is None else rows
+        scores = self.lower_bounds(rule)[rows]
+        top = top_rows(scores, k, lambda chosen: self._strs_of(rows[chosen]))
+        return rows[top], self.ids(rows[top]), scores[top].tolist()
+
     def stop_view(self, lower, upper, k: int) -> StopView:
         """What a stop test reads off the rows' ``lower`` and ``upper``
         bounds (from :meth:`lower_bounds` and :meth:`upper_bounds`)."""
@@ -292,8 +289,6 @@ class CodedBounds:
         first seen after it."""
         count, rows = self.count, self.rows_at(t)
         self._row[self._code[rows:count]] = -1
-        self._grades[rows:count] = _np.nan
-        self._learned[rows:count] = self.NEVER
         later = self._learned[:rows] > t
         self._grades[:rows][later] = _np.nan
         self._learned[:rows][later] = self.NEVER

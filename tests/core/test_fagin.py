@@ -7,10 +7,14 @@ from repro.core.graded import GradedSet
 from repro.core.naive import grade_everything
 from repro.core.sources import ArraySource, WrapperSource, sources_from_columns
 from repro.errors import MonotonicityError, TransientAccessError
+from repro.middleware.faults import FaultInjectingSource, FaultProfile
+from repro.middleware.resilience import VirtualClock
+from repro.observability import QueryTracer
 from repro.scoring import means, tnorms
 from repro.scoring.base import FunctionScoring
 from repro.scoring.weighted import WeightedScoring
 from repro.workloads.graded_lists import independent
+from tests.core.test_nra_stop_depth import assert_records_are_the_charged_deliveries
 
 
 def oracle_top(sources, scoring, k):
@@ -215,3 +219,37 @@ def test_rows_of_a_failed_consume_are_delivered_on_the_retry():
     assert result.cost.sorted_access_cost == 2
     assert result.cost.random_access_cost == 1
     assert result.sorted_depth == 2
+
+
+def test_a_failed_consume_leaves_no_sorted_record():
+    """A list whose consume fails delivered nothing, so the trace takes
+    back its sorted records of that window: after the failed page and
+    after each retry, every source's records are exactly its charged
+    sorted accesses.  List 1 dies past 5 accesses; L0's first consume
+    fails and its retry delivers."""
+    table = independent(200, 2, seed=5)
+    sources = sources_from_columns(table)
+    sources[1] = FaultInjectingSource(
+        sources[1], FaultProfile(kill_after=5), clock=VirtualClock()
+    )
+    tracer = QueryTracer()
+    algorithm = FaginAlgorithm(sources, tnorms.MIN, batch_size=8, tracer=tracer)
+    for _ in range(2):
+        with pytest.raises(TransientAccessError):
+            algorithm.next_k(3)
+        assert_records_are_the_charged_deliveries(tracer, sources)
+    assert sources[0].counter.sorted_accesses == 16
+    assert sources[1].counter.sorted_accesses == 0
+
+    sources = [
+        FailsFirstConsume(ArraySource({"a": 0.9, "b": 0.5}, name="L0")),
+        ArraySource({"a": 0.8, "b": 0.4}, name="L1"),
+    ]
+    tracer = QueryTracer()
+    algorithm = FaginAlgorithm(sources, tnorms.MIN, batch_size=1, tracer=tracer)
+    with pytest.raises(TransientAccessError):
+        algorithm.next_k(1)
+    assert_records_are_the_charged_deliveries(tracer, sources)
+    algorithm.next_k(1)
+    assert sources[0].counter.sorted_accesses == 1
+    assert_records_are_the_charged_deliveries(tracer, sources)

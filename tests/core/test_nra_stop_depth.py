@@ -16,16 +16,20 @@ must leave no grade it did not deliver in the bounds — in NRA's own
 windows, in CA's (which keep every grade their resolutions probed) and
 in the state TA hands over: the tests rebuild the bounds
 from the trace — what was actually delivered and probed — and hold the
-run's partial-bounds report and certificate to them.
+run's partial-bounds report and certificate to them.  TA hands over its
+own state, over the index it read by; a stream that dies at the consume
+of the round TA stops at leaves that round's answer as it was.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import threshold
 from repro.core.sources import WrapperSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import TransientAccessError
+from repro.kernels import ObjectCodes
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import VirtualClock
 from repro.observability import QueryTracer
@@ -206,6 +210,19 @@ def learned_from(tracer, sources):
     return known, [bottoms[name] for name in names]
 
 
+def assert_records_are_the_charged_deliveries(tracer, sources):
+    """Each source's sorted records in the trace are exactly the sorted
+    accesses it was charged: positions 1, 2, ... in order."""
+    __tracebackhide__ = True
+    for source in sources:
+        records = [
+            event["position"]
+            for event in tracer.events
+            if event["type"] == "sorted" and event["source"] == source.name
+        ]
+        assert records == list(range(1, source.counter.sorted_accesses + 1)), source.name
+
+
 def assert_bounds_come_from_deliveries(result, sources, tracer, rule, table):
     __tracebackhide__ = True
     known, bottoms = learned_from(tracer, sources)
@@ -220,13 +237,7 @@ def assert_bounds_come_from_deliveries(result, sources, tracer, rule, table):
     assert result.degraded.bounds == expected
     if result.approximation is not None:
         assert result.approximation.intervals == expected
-    for source in sources:  # the records are exactly the charged deliveries
-        records = [
-            event["position"]
-            for event in tracer.events
-            if event["type"] == "sorted" and event["source"] == source.name
-        ]
-        assert records == list(range(1, source.counter.sorted_accesses + 1))
+    assert_records_are_the_charged_deliveries(tracer, sources)
     truth = {object_id: rule(row) for object_id, row in table.items()}
     for object_id, (lower, upper) in expected.items():
         assert lower <= truth[object_id] <= upper
@@ -300,6 +311,83 @@ def test_ta_hand_off_keeps_only_what_a_dying_stream_delivered(batch_size):
     assert result.degraded.fallback == "partial-bounds"
     assert result.approximation.anytime
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
+
+
+@pytest.mark.parametrize(
+    "table, breaks_after",
+    (
+        (independent(200, 3, seed=11), 5),
+        # row 0 shows "a" in both lists and a's probe in list 1 fails:
+        # its grade there is known from that delivery alone
+        ({"a": [0.9, 0.8], "b": [0.5, 0.1], "c": [0.1, 0.7]}, 0),
+    ),
+    ids=("independent", "delivered-not-probed"),
+)
+def test_ta_hands_nra_its_own_state_over_the_index_it_read_by(monkeypatch, table, breaks_after):
+    """Over a wrapped set TA reads by a per-run index.  When the last
+    list's random access breaks, the continuation's bounds are TA's own
+    state, over that same index — the hand-off builds no second
+    ``ObjectCodes`` — and the state holds exactly the grades the trace
+    shows delivered or probed, in first-seen order."""
+    sources = [WrapperSource(source) for source in sources_from_columns(table)]
+    sources[-1] = FaultInjectingSource(
+        sources[-1], FaultProfile(break_random_after=breaks_after), clock=VirtualClock()
+    )
+    built, handed = [], []
+    build = ObjectCodes.__init__
+
+    def counted(codes, *args):
+        built.append(codes)
+        build(codes, *args)
+
+    monkeypatch.setattr(ObjectCodes, "__init__", counted)
+    continue_as_nra = threshold._nra_run
+
+    def hand_over(*args, bounds, **kwargs):
+        codes, grades = bounds.table()
+        state = {
+            object_id: {column: grade for column, grade in enumerate(row) if grade == grade}
+            for object_id, row in zip(bounds.codes.decode(codes), grades.tolist())
+        }
+        handed.append((bounds, state, learned_from(tracer, sources)[0]))
+        return continue_as_nra(*args, bounds=bounds, **kwargs)
+
+    monkeypatch.setattr(threshold, "_nra_run", hand_over)
+    tracer = QueryTracer()
+    result = threshold_top_k(sources, tnorms.MIN, 2, batch_size=4, tracer=tracer)
+    assert result.algorithm == "threshold-ta+nra"
+    assert list(result.degraded.failed_sources) == [sources[-1].name]
+    (index,) = built  # the per-run index TA read by
+    ((bounds, state, seen),) = handed
+    assert bounds.codes is index
+    assert len(index) == len(set(index.ids))
+    assert state == seen and list(state) == list(seen)
+    assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
+
+
+def test_ta_answers_the_stop_round_a_dying_stream_did_not_deliver():
+    """List 0 dies at the consume of the round TA stops at.  TA still
+    answers that round with the grades it used, list 0's peeked ones
+    among them (list 0 sights each row's objects first), exactly as the
+    fault-free run does; list 0 is charged no sorted access and its
+    sorted records leave the trace."""
+    table = independent(200, 3, seed=11)
+    clean = threshold_top_k(
+        [WrapperSource(source) for source in sources_from_columns(table)], tnorms.MIN, 5
+    )
+    sources = sources_from_columns(table)
+    sources[0] = SortedStreamDies(sources[0], 0)
+    tracer = QueryTracer()
+    result = threshold_top_k(sources, tnorms.MIN, 5, tracer=tracer)
+    assert result.algorithm == "threshold-ta"
+    assert result.degraded is None
+    assert 0 < clean.sorted_depth == result.sorted_depth
+    assert [(item.object_id, item.grade) for item in result.answers] == [
+        (item.object_id, item.grade) for item in clean.answers
+    ]
+    assert result.cost.random_access_cost == clean.cost.random_access_cost
+    assert sources[0].counter.sorted_accesses == 0
+    assert_records_are_the_charged_deliveries(tracer, sources)
 
 
 @pytest.mark.parametrize("limits", ((13, None, None), (13, 30, 45)), ids=("one", "all"))
