@@ -49,10 +49,9 @@ from repro.core.sources import (
     check_same_objects,
     shared_object_codes,
 )
-from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, _nra_run
+from repro.core.threshold import DEGRADABLE_ACCESS_ERRORS, SortedFrontier, _nra_run, _probes
 from repro.errors import MonotonicityError
 from repro.kernels import CodedBounds, _np
-from repro.parallel import fan_out
 from repro.scoring.base import ScoringFunction, as_scoring_function
 
 
@@ -132,14 +131,14 @@ class FaginAlgorithm:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.m = len(self.sources)
-        self._cursors = [s.cursor() for s in self.sources]
+        #: the lists' cursors and bottoms; A0 keeps no list dead, since
+        #: every call re-reads each list from its cursor
+        self._frontier = SortedFrontier(self.sources)
         #: bare columnar lists: phase 2 gathers grades by code and
         #: charges them, as TA's bulk round does
         self._columnar = all(s.supports_columnar for s in self.sources)
         codes = shared_object_codes(self.sources)
         self._bounds = CodedBounds(codes, self.m)
-        #: last grade delivered by each cursor (1.0 before any delivery)
-        self._bottoms = [1.0] * self.m
         #: by code: how many lists delivered the object by sorted access
         #: (random-access fills do not count toward L — only what the
         #: sorted streams delivered)
@@ -178,12 +177,12 @@ class FaginAlgorithm:
         the other lists' rows are recorded and its own sorted records are
         withdrawn from the trace, and a retry re-reads its rows.
         """
-        bounds, tracer, m = self._bounds, self.tracer, self.m
+        bounds, tracer, m, cursors = self._bounds, self.tracer, self.m, self._frontier.cursors
         with nullcontext() if tracer is None else tracer.phase("sorted-phase"):
             while self._matched < needed:
                 windows = [
                     source._codes_range(bounds.codes, cursor.position, self.batch_size)
-                    for source, cursor in zip(self.sources, self._cursors)
+                    for source, cursor in zip(self.sources, cursors)
                 ]
                 lengths = [len(codes) for codes, _ in windows]
                 if not any(lengths):
@@ -213,17 +212,15 @@ class FaginAlgorithm:
                                 self.sources[i].name,
                                 ids[i][row],
                                 float(windows[i][1][row]),
-                                position=self._cursors[i].position + row + 1,
+                                position=cursors[i].position + row + 1,
                             ))
-                takers = [i for i in range(m) if used[i]]
-                outcomes = fan_out(
-                    self.executor,
-                    [(lambda c=self._cursors[i], n=used[i]: c.advance(n)) for i in takers],
+                takes = {i: n for i, n in enumerate(used) if n}
+                failed = self._frontier.advance(
+                    [grades for _, grades in windows], takes, self.executor, Exception
                 )
-                failed = [outcome.error for outcome in outcomes if outcome.error is not None]
-                delivered = [i for i, outcome in zip(takers, outcomes) if outcome.error is None]
+                delivered = [i for i in takes if i not in failed]
                 if failed and tracer is not None:  # what the failed lists did not deliver
-                    tracer.retract([e for i in takers if i not in delivered for e in recorded[i]])
+                    tracer.retract([e for i in failed for e in recorded[i]])
                 bounds.read(
                     [
                         (windows[i][0][: used[i]], windows[i][1][: used[i]]) if i in delivered else None
@@ -233,28 +230,13 @@ class FaginAlgorithm:
                 )
                 for i in delivered:
                     self._sightings[windows[i][0][: used[i]]] += 1  # once per list
-                    self._bottoms[i] = float(windows[i][1][used[i] - 1])
                 # no window object was delivered by all m lists before
                 self._matched += int(_np.count_nonzero(self._sightings[sighted] == m))
                 if failed:
-                    raise failed[0]
+                    raise next(iter(failed.values()))
                 if tracer is not None:
                     tracer.sample("a0.matched", float(self._matched))
                     tracer.sample("a0.seen", float(bounds.count))
-
-    def _probes(self, columns, thunks):
-        """Charged probes, one thunk per list in ``columns``, fanned out.
-
-        Yields ``(list, value)`` in list order; the first failure
-        propagates, tagged with the name of the list that raised it.
-        """
-        outcomes = fan_out(self.executor, thunks, stop_on_error=True)
-        for column, outcome in zip(columns, outcomes):
-            if outcome.error is not None:
-                if isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                    outcome.error.source_name = self.sources[column].name
-                raise outcome.error
-            yield column, outcome.value
 
     def _random_phase(self) -> None:
         """Fill in every missing grade, list by list in first-seen order.
@@ -283,10 +265,11 @@ class FaginAlgorithm:
                     fetched.append(source._grades_of_codes(bounds.codes, codes[rows]))
                     source._record_random_probes(bounds.codes, codes[rows])
             else:
-                probes = self._probes(
-                    [j for j, _, _ in targets],
+                probes = _probes(
+                    self.executor,
+                    self.sources,
                     [
-                        (lambda s=self.sources[j], n=ids: s.random_access_many(n))
+                        (j, lambda s=self.sources[j], n=ids: s.random_access_many(n))
                         for j, _, ids in targets
                     ],
                 )
@@ -336,7 +319,7 @@ class FaginAlgorithm:
         def threshold() -> float:
             return best[-k] if len(best) >= k else -1.0
 
-        upper = bounds.upper_bounds(rule, self._bottoms)
+        upper = bounds.upper_bounds(rule, self._frontier.bottoms)
         pending = _np.flatnonzero(~complete)
         pending = pending[upper[pending] > threshold()]
         ids, bounds_of = bounds.ids(pending), upper[pending].tolist()
@@ -350,9 +333,10 @@ class FaginAlgorithm:
                     break
                 row, object_id = int(pending[p]), ids[p]
                 missing = _np.flatnonzero(_np.isnan(grades[row])).tolist()
-                probes = self._probes(
-                    missing,
-                    [(lambda s=self.sources[i]: s.random_access(object_id)) for i in missing],
+                probes = _probes(
+                    self.executor,
+                    self.sources,
+                    [(i, lambda s=self.sources[i]: s.random_access(object_id)) for i in missing],
                 )
                 for i, grade in probes:
                     grades[row, i] = grade
@@ -366,30 +350,29 @@ class FaginAlgorithm:
         """Continue as NRA over the state phase 1 (and any successful
         probes) already accumulated.
 
-        The NRA continuation shares this algorithm's cursors and bottoms
-        and takes the state itself, every cell counted as handed over at
-        round 0, so no sorted access is re-paid, and everything the
-        continuation learns stays in the state for later ``next_k`` calls
-        (which will re-attempt random access and degrade again if it is
-        still down).
+        The NRA continuation takes two objects, the state itself, every
+        cell counted as handed over at round 0, and this algorithm's
+        frontier, with no list dead, so no sorted access is re-paid, and
+        everything the continuation learns stays in the state for later
+        ``next_k`` calls (which will re-attempt random access and
+        degrade again if it is still down).  ``error`` names its failed
+        list by its ``source_name`` tag.
         """
-        failures = {getattr(error, "source_name", "random access"): str(error)}
+        failures = {error.source_name: str(error)}
         if self.tracer is not None:
             self.tracer.event(
                 "degraded", algorithm="fagin-a0", fallback="nra", failures=failures
             )
-        bounds, emitted = self._bounds, self.emitted
+        bounds, emitted, frontier = self._bounds, self.emitted, self._frontier
         bounds.hand_over()
+        frontier.dead.clear()
         result = _nra_run(
             self.sources,
             self.scoring,
             min(len(emitted) + k, self.database_size),
-            cursors=self._cursors,
+            frontier=frontier,
             bounds=bounds,
-            bottoms=self._bottoms,
-            exhausted=[False] * self.m,
             meter=meter,
-            depth=max(c.position for c in self._cursors),
             batch_size=self.batch_size,
             algorithm="fagin-a0+nra",
             prior_failures=failures,
@@ -414,7 +397,7 @@ class FaginAlgorithm:
             answers=batch,
             cost=meter.report(),
             algorithm="fagin-a0+nra",
-            sorted_depth=max(c.position for c in self._cursors),
+            sorted_depth=self._frontier.depth,
             grades_exact=result.grades_exact,
             degraded=degraded,
             extras={"objects_seen": self._bounds.count},
@@ -451,7 +434,7 @@ class FaginAlgorithm:
             answers=batch,
             cost=report,
             algorithm="fagin-a0",
-            sorted_depth=max(c.position for c in self._cursors),
+            sorted_depth=self._frontier.depth,
             extras={
                 # Per-phase breakdown: what sorted access cost before a
                 # single random probe happened, and what phase 2 added —

@@ -38,8 +38,9 @@ mid-query (its circuit breaker opens, see
 resumable continuation, :func:`_nra_run`, that can start from *any*
 accumulated bounds state (a :class:`~repro.kernels.CodedBounds`); TA
 keeps its seen set in that state as it goes, and when a random probe
-fails degradably it hands the state itself, with its cursors and
-bottoms, to the NRA continuation instead of aborting.  If sorted
+fails degradably it hands the state itself, with its
+:class:`SortedFrontier` (cursors, bottoms, dead lists), to the NRA
+continuation instead of aborting.  If sorted
 streams later die too, the continuation returns a best-effort partial
 answer carrying NRA lower/upper grade bounds and a structured
 :class:`~repro.core.result.DegradedResult` report.
@@ -112,24 +113,85 @@ def _certify(tracer, **fields) -> ApproximationCertificate:
     return certificate
 
 
+class SortedFrontier:
+    """The sorted-access state A0, TA, NRA and CA share: each list's
+    cursor, its bottom — the last grade it delivered, 1.0 before any, a
+    sound upper bound for every grade it has not shown — and the lists
+    whose sorted stream died, with their reasons.
+
+    A cursor moves only on a charged delivery, so the sorted depth is
+    the largest cursor position.  What a list that ran out reads as is
+    each algorithm's own: TA's τ keeps its last delivered grade, NRA's
+    bounds read 0.
+    """
+
+    __slots__ = ("cursors", "bottoms", "dead")
+
+    def __init__(self, sources: Sequence[GradedSource]) -> None:
+        self.cursors = [source.cursor() for source in sources]
+        self.bottoms = [1.0] * len(sources)
+        self.dead: Dict[int, str] = {}
+
+    @property
+    def depth(self) -> int:
+        return max(cursor.position for cursor in self.cursors)
+
+    def advance(self, grades, takes: Dict[int, int], executor, survivable) -> Dict[int, Exception]:
+        """Deliver ``takes[i]`` rows of each list ``i`` in ``takes`` (in
+        list order; 0 is the empty read at the end of a list) with one
+        ``SortedCursor.advance`` each, fanned out on ``executor``.
+        ``grades[i]`` holds list ``i``'s peeked grades from its cursor
+        on; a list's bottom moves to the last of them it delivered, and
+        only once it has delivered.
+
+        A failure in ``survivable`` kills its list, which delivered
+        nothing: it joins ``dead`` and is returned as ``{list: error}``.
+        Any other failure propagates, the first in list order.
+        """
+        outcomes = fan_out(
+            executor, [(lambda c=self.cursors[i], n=n: c.advance(n)) for i, n in takes.items()]
+        )
+        died: Dict[int, Exception] = {}
+        for (i, n), outcome in zip(takes.items(), outcomes):
+            error = outcome.error
+            if error is None:
+                if n:
+                    self.bottoms[i] = float(grades[i][n - 1])
+            elif isinstance(error, survivable):
+                died[i] = error
+                self.dead[i] = str(error)
+            else:
+                raise error
+        return died
+
+
+def _probes(executor, sources: Sequence[GradedSource], requests):
+    """Charged random probes, one ``(list, thunk)`` request per list in
+    list order, fanned out on ``executor``.  Yields ``(list, value)`` in
+    list order; the first failure raises, tagged with its list's name as
+    ``source_name``, and the probes after it are discarded."""
+    outcomes = fan_out(executor, [thunk for _, thunk in requests], stop_on_error=True)
+    for (i, _), outcome in zip(requests, outcomes):
+        if outcome.error is not None:
+            outcome.error.source_name = sources[i].name
+            raise outcome.error
+        yield i, outcome.value
+
+
 def _nra_run(
     sources: Sequence[GradedSource],
     rule: ScoringFunction,
     k: int,
     *,
-    cursors=None,
+    frontier: Optional[SortedFrontier] = None,
     bounds: Optional[CodedBounds] = None,
-    bottoms: Optional[List[float]] = None,
-    exhausted: Optional[List[bool]] = None,
     meter: Optional[CostMeter] = None,
-    depth: int = 0,
     exact_grades: bool = True,
     tol: float = 1e-12,
     theta: float = 1.0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     algorithm: str = "nra",
     prior_failures: Optional[Dict[str, str]] = None,
-    failed_sorted: Optional[Dict[int, str]] = None,
     tracer=None,
     phase_name: str = "nra",
     executor=None,
@@ -138,11 +200,11 @@ def _nra_run(
     """The NRA main loop, resumable from arbitrary accumulated state.
 
     :func:`nra_top_k` and :func:`combined_top_k` start it fresh (no
-    ``cursors``: new cursors, bottoms 1.0, a new meter, and an empty
-    state over the lists' shared object codes); the degradation paths of
-    TA and A0 call it mid-query with everything they already learned
-    (their cursors keep their positions, so sorted work is never
-    re-paid).
+    ``frontier``: a new frontier and meter, and an empty state over the
+    lists' shared object codes); the degradation paths of TA and A0 call
+    it mid-query with the two objects that hold what they learned, the
+    ``bounds`` and the ``frontier`` (its cursors keep their positions,
+    so sorted work is never re-paid; its dead lists are read no more).
 
     ``bounds`` is the seen set, a :class:`~repro.kernels.CodedBounds`
     over the object codes the lists are read by: every bound it reports
@@ -220,15 +282,13 @@ def _nra_run(
     database_size = check_same_objects(sources)
     k = min(k, database_size)
     m = len(sources)
-    if cursors is None:  # a fresh run
-        cursors = [source.cursor() for source in sources]
-        bottoms, exhausted, meter = [1.0] * m, [False] * m, CostMeter(sources)
+    if frontier is None:  # a fresh run
+        frontier, meter = SortedFrontier(sources), CostMeter(sources)
     if bounds is None:
         bounds = CodedBounds(shared_object_codes(sources), m)
-    #: lists whose sorted stream is dead, index -> reason; seeded by the
-    #: caller when a stream already died before the continuation started
-    #: (those indexes must also be pre-marked in ``exhausted``).
-    sorted_failures: Dict[int, str] = dict(failed_sorted or {})
+    cursors, bottoms = frontier.cursors, frontier.bottoms
+    #: the lists read no more: dead, or run out (bottom 0)
+    exhausted = [i in frontier.dead for i in range(m)]
     answers: Optional[GradedSet] = None
     #: the answer's view and the bounds it was read from
     answered = None
@@ -350,45 +410,31 @@ def _nra_run(
 
     def consume(take: int):
         """Consume ``take`` rows of every live list, or what is left of
-        its peeked window, with one ``advance`` each, counting them in
-        ``got``; returns the rows delivered (the most any list shipped)
-        and the lists that died."""
-        nonlocal depth
-        active = [i for i in range(m) if not exhausted[i]]
-        outcomes = fan_out(
-            executor,
-            [
-                (lambda c=cursors[i], n=min(take, len(windows[i][0]) - got[i]): c.advance(n))
-                for i in active
-            ],
+        its peeked window, counting them in ``got``; returns the rows
+        delivered (the most any list shipped) and the lists that died.
+        A dead list's bottom freezes at its last delivered grade, a
+        sound upper bound for everything it never delivered."""
+        takes = {i: min(take, len(windows[i][0]) - got[i]) for i in range(m) if not exhausted[i]}
+        died = frontier.advance(
+            {i: windows[i][1][got[i]:] for i in takes}, takes, executor, DEGRADABLE_ACCESS_ERRORS
         )
-        delivered, died = 0, []
-        for i, outcome in zip(active, outcomes):
-            if outcome.error is not None:
-                if not isinstance(outcome.error, DEGRADABLE_ACCESS_ERRORS):
-                    raise outcome.error
-                # Dead stream: freeze its bottom (a sound upper bound
-                # for everything it never delivered) and carry on.
+        delivered = 0
+        for i, count in takes.items():
+            if i in died:
                 exhausted[i] = True
-                sorted_failures[i] = str(outcome.error)
-                died.append(i)
                 if tracer is not None:
                     tracer.event(
-                        "sorted-stream-failed",
-                        source=sources[i].name,
-                        reason=str(outcome.error),
+                        "sorted-stream-failed", source=sources[i].name, reason=str(died[i])
                     )
                 continue
-            count, position = outcome.value, cursors[i].position
             if count:
                 if tracer is not None:
+                    position = cursors[i].position - count
                     tracer.record_sorted_batch(
                         sources[i].name,
-                        _boxed(*sources[i]._columns_range(position - count, count)),
-                        position - count,
+                        _boxed(*sources[i]._columns_range(position, count)),
+                        position,
                     )
-                bottoms[i] = float(windows[i][1][got[i] + count - 1])
-                depth = max(depth, position)
                 delivered = max(delivered, count)
                 got[i] += count
             if count < take:  # the list has run out
@@ -404,20 +450,15 @@ def _nra_run(
             return []
         coded, missing = best
         (object_id,) = bounds.codes.decode(coded)
-        outcomes = fan_out(
-            executor,
-            [(lambda s=sources[j]: s.random_access(object_id)) for j in missing],
-            stop_on_error=True,
-        )
         learned = []
-        for j, outcome in zip(missing, outcomes):
-            if outcome.error is not None:
-                raise outcome.error
-            cells = (j, coded, [outcome.value], r)
+        for j, grade in _probes(
+            executor, sources, [(j, lambda s=sources[j]: s.random_access(object_id)) for j in missing]
+        ):
+            cells = (j, coded, [grade], r)
             bounds.learn(*cells)
             learned.append(cells)
             if tracer is not None:
-                tracer.record_random(sources[j].name, object_id, outcome.value)
+                tracer.record_random(sources[j].name, object_id, grade)
         return learned
 
     def sample(view, rivals_upper) -> None:
@@ -474,7 +515,7 @@ def _nra_run(
                 view = bounds.stop_view(lower, upper, k)
                 answer(view, lower, upper)
                 stop_kth = view.kth_lower
-                if sorted_failures:
+                if frontier.dead:
                     partial = True
                     converged = False
                     stop_bound = max(unseen, view.rival_upper)
@@ -522,7 +563,7 @@ def _nra_run(
             window *= 2
 
     failures: Dict[str, str] = dict(prior_failures or {})
-    for i, reason in sorted_failures.items():
+    for i, reason in frontier.dead.items():
         failures[sources[i].name] = reason
     intervals: Dict = {}
     if failures or partial or theta > 1.0:
@@ -554,7 +595,7 @@ def _nra_run(
         answers=answers,
         cost=meter.report(),
         algorithm=algorithm,
-        sorted_depth=depth,
+        sorted_depth=frontier.depth,
         grades_exact=converged,
         degraded=degraded,
         approximation=certificate,
@@ -616,16 +657,15 @@ def threshold_top_k(
     with one of :data:`DEGRADABLE_ACCESS_ERRORS` — e.g. the source's
     random-access circuit breaker opened — the execution does not
     abort: it consumes the sorted rows it already used, learns what the
-    lists delivered, and hands the state itself to an NRA run over the
-    same cursors, still returning correct top-k answers from sorted
-    access alone.  A sorted stream that dies during a consume delivers
-    nothing: the grades its window gave the objects it sighted first
-    leave the state, its bottom stays at the last grade it delivered,
-    its sorted records are withdrawn from the trace, and it is handed
-    over frozen in place the same way.  A stream that dies at the
-    consume of the round TA stops at changes nothing: that round is
-    answered with the grades TA used.  With ``degrade=False`` the error
-    propagates (the E20 ablation).
+    lists delivered, and hands two objects, the state and its
+    :class:`SortedFrontier`, to an NRA run, still returning correct
+    top-k answers from sorted access alone.  A sorted stream that dies
+    during a consume, the stop round's included, delivers nothing: the
+    grades its window gave the objects it sighted first leave the state,
+    its bottom stays at the last grade it delivered, its sorted records
+    are withdrawn from the trace, and it is handed over dead, frozen in
+    place, the same way.  With ``degrade=False`` the error propagates
+    (the E20 ablation).
 
     Under a ``tracer``, accesses are emitted at *logical* time, in one
     order — each row's sorted deliveries as TA's round processes them
@@ -667,14 +707,13 @@ def threshold_top_k(
     m = len(sources)
     meter = CostMeter(sources)
 
-    cursors = [s.cursor() for s in sources]
+    frontier = SortedFrontier(sources)
+    cursors, bottoms = frontier.cursors, frontier.bottoms
     #: the access failures this run outlives by handing over to NRA;
     #: anything else — everything, with ``degrade=False`` — propagates
     survivable = DEGRADABLE_ACCESS_ERRORS if degrade else ()
     #: the probe policy: gather for free, or probe each row charged
     columnar = all(source.supports_columnar for source in sources)
-    #: each list's last delivered grade (1.0 before any)
-    bottoms = [1.0] * m
     #: the seen set: rows in first-seen (row-major) order holding the
     #: grades TA used, NaN where a probe failure left one unknown; sized
     #: for eight first windows' sightings, so a stop within the first
@@ -691,7 +730,6 @@ def threshold_top_k(
     # Min-heap of the k best overall grades seen so far, so the stopping
     # test is O(log k) per object instead of a re-sort per round.
     best_k: List[float] = []
-    depth = 0
     stop = False
     stop_tau = 0.0
 
@@ -728,10 +766,10 @@ def threshold_top_k(
 
         Under a tracer the consumed rows' events are emitted row by row,
         in one order, at logical access time.  Returns ``(consumed_rows,
-        stopped, failed)``: ``failed`` is None, or ``{source name:
-        reason}`` when a charged probe failed survivably; the cut-short
-        round's seen objects then become rows with the grades learned so
-        far (NaN for the rest).
+        stopped, error)``: ``error`` is None, or the error a charged
+        probe failed with survivably, tagged with its list's
+        ``source_name``; the cut-short round's seen objects then become
+        rows with the grades learned so far (NaN for the rest).
         """
         nonlocal stop_tau, recorded
         fresh, where = bounds.fresh(windows)
@@ -785,30 +823,26 @@ def threshold_top_k(
                 targets = [(j, [f for f in range(start, end) if firsts[f] != j]) for j in range(m)]
                 targets = [(j, needed) for j, needed in targets if needed]
                 # Charged, the row's random probes are one bulk request
-                # per list: fan them out, merge grades (and emit trace
-                # events) in list order.  The first failure, taken in
-                # list order, is handled exactly as serial TA handles it;
-                # probes beyond it are discarded.
-                outcomes = [None] * len(targets) if columnar else fan_out(
+                # per list, merged (and traced) in list order; the first
+                # failure in list order hands over.
+                probed = ((j, None) for j, _ in targets) if columnar else _probes(
                     executor,
+                    sources,
                     [
-                        (lambda s=sources[j], n=[ids[f] for f in needed]: s.random_access_many(n))
+                        (j, lambda s=sources[j], n=[ids[f] for f in needed]: s.random_access_many(n))
                         for j, needed in targets
                     ],
-                    stop_on_error=True,
                 )
-                for (j, needed), outcome in zip(targets, outcomes):
-                    if outcome is not None:
-                        if outcome.error is not None:
-                            if not isinstance(outcome.error, survivable):
-                                raise outcome.error
-                            commit(fresh, grades, first_list, end)
-                            return row + 1, False, {sources[j].name: str(outcome.error)}
-                        for f in needed:
-                            grades[f, j] = outcome.value[ids[f]]
-                    if tracer is not None:
-                        for f in needed:
-                            tracer.record_random(sources[j].name, ids[f], grades[f, j])
+                try:
+                    for (j, needed), (_, values) in zip(targets, probed):
+                        if values is not None:
+                            grades[needed, j] = [values[ids[f]] for f in needed]
+                        if tracer is not None:
+                            for f in needed:
+                                tracer.record_random(sources[j].name, ids[f], grades[f, j])
+                except survivable as error:
+                    commit(fresh, grades, first_list, end)
+                    return row + 1, False, error
                 if not columnar:
                     for f in range(start, end):
                         scores[f] = rule(grades[f].tolist())
@@ -844,86 +878,58 @@ def threshold_top_k(
         newest = (bounds.count, first_list[:count])
         bounds.add(fresh[:count], 0, grades[:count])
 
-    def consume(windows, rows: int) -> Dict[int, str]:
-        """Consume the first ``rows`` rows of every window with one
-        ``advance`` per list.  A list's bottom moves only once it has
-        delivered them.
+    def fall_back(error, windows, takes: Dict[int, int]) -> TopKResult:
+        """Hand the state and the frontier to NRA and continue as an NRA
+        run.
 
-        Returns ``{list index: reason}`` for the streams that died
-        instead: they delivered nothing, so their sorted records of the
-        window are withdrawn from the trace.
+        The state holds what the last ``windows`` showed TA through the
+        rows it used, ``takes[i]`` of list ``i``.  After a failed probe
+        (``error``, tagged with its list's ``source_name``) those rows
+        are not consumed yet and are consumed first.  A list that dies
+        shipping them, like one that died in the main loop's consume,
+        delivered none of them: its sorted records of the window leave
+        the trace, the grades its window gave the objects it sighted
+        first leave the state, and the frontier hands it over dead,
+        frozen in place.  What the other lists delivered is learned (a
+        list grades an object alike under sorted and random access),
+        every cell counts as handed over at round 0, and the surviving
+        lists carry the query.
         """
-        nonlocal depth
-        takers = [(i, min(rows, len(codes))) for i, (codes, _) in enumerate(windows)]
-        takers = [(i, used) for i, used in takers if used]
-        outcomes = fan_out(
-            executor,
-            [(lambda c=cursors[i], t=t: c.advance(t)) for i, t in takers],
-        )
-        died: Dict[int, str] = {}
-        for (i, used), outcome in zip(takers, outcomes):
-            if outcome.error is not None:
-                if not isinstance(outcome.error, survivable):
-                    raise outcome.error
-                died[i] = str(outcome.error)
-                continue
-            bottoms[i] = float(windows[i][1][used - 1])
-            depth = max(depth, cursors[i].position)
-        if died and tracer is not None:
-            tracer.retract([event for i in died for event in recorded[i]])
-        return died
-
-    def fall_back(
-        prior_failures: Dict[str, str], windows, rows: int, dead=None
-    ) -> TopKResult:
-        """Hand the state to NRA and continue as an NRA run.
-
-        The state holds what the first ``rows`` rows of the last
-        ``windows`` showed TA.  After a probe failure those rows are not
-        consumed yet (``dead`` is None) and are consumed first.  A list
-        that dies shipping them, like one that died in the main loop's
-        consume (``dead``), delivered none of them: the grades its window
-        gave the objects it sighted first leave the state, and it is
-        handed to the continuation frozen in place, as already
-        exhausted.  What the other lists delivered is learned (a list
-        grades an object alike under sorted and random access), every
-        cell counts as handed over at round 0, and the surviving lists
-        carry the query.
-        """
+        failures = {} if error is None else {error.source_name: str(error)}
         if tracer is not None:
             tracer.event(
                 "degraded",
                 algorithm="threshold-ta",
                 fallback="nra",
                 failures={
-                    **prior_failures,
-                    **{sources[i].name: reason for i, reason in (dead or {}).items()},
+                    **failures,
+                    **{sources[i].name: reason for i, reason in frontier.dead.items()},
                 },
             )
-        if dead is None:
-            dead = consume(windows, rows)
+        if error is not None:
+            frontier.advance([grades for _, grades in windows], takes, executor, survivable)
+        dead = frontier.dead
+        if dead and tracer is not None:
+            tracer.retract([event for i in dead for event in recorded[i]])
         start, firsts = newest
         for i, (codes, grades) in enumerate(windows):
             if i in dead:
                 bounds.table()[1][start + _np.flatnonzero(firsts == i), i] = _np.nan
             else:
-                bounds.learn(i, codes[:rows], grades[:rows], 0)
+                used = takes.get(i, 0)
+                bounds.learn(i, codes[:used], grades[:used], 0)
         bounds.hand_over()
         return _nra_run(
             sources,
             rule,
             k,
-            cursors=cursors,
+            frontier=frontier,
             bounds=bounds,
-            bottoms=bottoms,
-            exhausted=[i in dead for i in range(m)],
             meter=meter,
-            depth=depth,
             theta=theta,
             batch_size=batch_size,
             algorithm="threshold-ta+nra",
-            prior_failures=prior_failures,
-            failed_sorted=dead,
+            prior_failures=failures,
             tracer=tracer,
             phase_name="nra-fallback",
             executor=executor,
@@ -952,15 +958,14 @@ def threshold_top_k(
                 else:
                     bottoms_matrix[:, i] = bottoms[i]
             tau = rule.combine_matrix(bottoms_matrix)
-            consumed, stop, failed = bulk_round(windows, lengths, rows, tau)
-            if failed is not None:
-                return fall_back(failed, windows, consumed)
-            died = consume(windows, consumed)
-            if died and not stop:
-                # A sorted stream died mid-round; its cursor is stuck, so the
-                # next peek would replay the same rows forever.  Hand the
-                # state to NRA with the dead list frozen out.
-                return fall_back({}, windows, consumed, died)
+            consumed, stop, error = bulk_round(windows, lengths, rows, tau)
+            takes = {i: min(consumed, n) for i, n in enumerate(lengths) if n}
+            if error is not None or frontier.advance(
+                [grades for _, grades in windows], takes, executor, survivable
+            ):
+                # a probe failed, or a sorted stream died: its cursor is
+                # stuck, so the next peek would replay the same rows
+                return fall_back(error, windows, takes)
             if columnar:
                 window *= 2
 
@@ -978,7 +983,7 @@ def threshold_top_k(
         answers=answers,
         cost=meter.report(),
         algorithm="threshold-ta",
-        sorted_depth=depth,
+        sorted_depth=frontier.depth,
         approximation=certificate,
     )
 

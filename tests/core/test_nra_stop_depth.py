@@ -17,8 +17,14 @@ windows, in CA's (which keep every grade their resolutions probed) and
 in the state TA hands over: the tests rebuild the bounds
 from the trace — what was actually delivered and probed — and hold the
 run's partial-bounds report and certificate to them.  TA hands over its
-own state, over the index it read by; a stream that dies at the consume
-of the round TA stops at leaves that round's answer as it was.
+own state, over the index it read by, also when a stream dies at the
+consume of the round TA stops at.
+
+A kill-after sweep runs all four algorithms with one list killed after
+every possible number of served accesses, serially and on two workers:
+the trace records only charged deliveries, the sorted depth is the
+deepest cursor, a dead list is named, and both executions agree byte
+for byte.
 """
 
 import pytest
@@ -26,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import threshold
+from repro.core.fagin import fagin_top_k
 from repro.core.sources import WrapperSource, sources_from_columns
 from repro.core.threshold import combined_top_k, nra_top_k, threshold_top_k
 from repro.errors import TransientAccessError
@@ -33,6 +40,7 @@ from repro.kernels import ObjectCodes
 from repro.middleware.faults import FaultInjectingSource, FaultProfile
 from repro.middleware.resilience import VirtualClock
 from repro.observability import QueryTracer
+from repro.parallel import ParallelAccessExecutor
 from repro.scoring import means, tnorms
 from repro.workloads.graded_lists import independent
 
@@ -365,29 +373,23 @@ def test_ta_hands_nra_its_own_state_over_the_index_it_read_by(monkeypatch, table
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
 
 
-def test_ta_answers_the_stop_round_a_dying_stream_did_not_deliver():
-    """List 0 dies at the consume of the round TA stops at.  TA still
-    answers that round with the grades it used, list 0's peeked ones
-    among them (list 0 sights each row's objects first), exactly as the
-    fault-free run does; list 0 is charged no sorted access and its
-    sorted records leave the trace."""
+def test_ta_hands_over_a_stream_that_dies_at_the_stop_round():
+    """List 0 dies at the consume of the round TA stops at.  It delivered
+    nothing, so TA hands over to NRA as for a death in any other round:
+    the dead list is named, charged no sorted access, and its sorted
+    records leave the trace, and the answer's bounds are what the lists
+    delivered and probed."""
     table = independent(200, 3, seed=11)
-    clean = threshold_top_k(
-        [WrapperSource(source) for source in sources_from_columns(table)], tnorms.MIN, 5
-    )
     sources = sources_from_columns(table)
     sources[0] = SortedStreamDies(sources[0], 0)
     tracer = QueryTracer()
     result = threshold_top_k(sources, tnorms.MIN, 5, tracer=tracer)
-    assert result.algorithm == "threshold-ta"
-    assert result.degraded is None
-    assert 0 < clean.sorted_depth == result.sorted_depth
-    assert [(item.object_id, item.grade) for item in result.answers] == [
-        (item.object_id, item.grade) for item in clean.answers
-    ]
-    assert result.cost.random_access_cost == clean.cost.random_access_cost
+    named = [event.get("name") for event in tracer.events]
+    assert "stop" in named and named.index("stop") < named.index("degraded")
+    assert result.algorithm == "threshold-ta+nra"
+    assert sources[0].name in result.degraded.failed_sources
     assert sources[0].counter.sorted_accesses == 0
-    assert_records_are_the_charged_deliveries(tracer, sources)
+    assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
 
 
 @pytest.mark.parametrize("limits", ((13, None, None), (13, 30, 45)), ids=("one", "all"))
@@ -409,3 +411,67 @@ def test_ca_keeps_its_resolutions_when_a_stream_dies_mid_window(limits):
     probed = {event["object"] for event in tracer.events if event["type"] == "random"}
     assert probed & set(result.answers.objects())
     assert_bounds_come_from_deliveries(result, sources, tracer, tnorms.MIN, table)
+
+
+# ---------------------------------------------------------------------------
+# Every kill point, for every algorithm, serial and on two workers.
+
+SWEPT = {
+    "ta": lambda sources, **run: threshold_top_k(sources, tnorms.MIN, 5, **run),
+    "nra": lambda sources, **run: nra_top_k(sources, tnorms.MIN, 5, **run),
+    "ca": lambda sources, **run: combined_top_k(sources, tnorms.MIN, 5, ratio=3, **run),
+    "a0": lambda sources, **run: fagin_top_k(sources, tnorms.MIN, 5, **run),
+}
+
+
+def kill_after_sweep(algorithm, executor=None):
+    """Run ``algorithm`` with the last of three lists killed after n
+    served accesses, for n = 0, 1, ... until the kill no longer fires,
+    checking each run; returns, per n, the run's answers (or error),
+    cost and trace JSON.
+
+    The killed list is the last one, so no probe follows its failure
+    in list order and a parallel fan-out charges nothing a serial one
+    skips."""
+    table = independent(200, 3, seed=3)
+    runs, fired = [], True
+    while fired:
+        sources = sources_from_columns(table)
+        sources[-1] = dying = FaultInjectingSource(
+            sources[-1], FaultProfile(kill_after=len(runs)), clock=VirtualClock()
+        )
+        tracer = QueryTracer()
+        try:
+            outcome = SWEPT[algorithm](sources, tracer=tracer, executor=executor)
+        except TransientAccessError as error:
+            outcome = error
+        fired = dying.injected.dead_refusals > 0
+        assert_records_are_the_charged_deliveries(tracer, sources)
+        if isinstance(outcome, Exception):
+            assert fired
+            if algorithm == "a0":  # A0's sorted phase propagates the failure
+                assert all(source.counter.random_accesses == 0 for source in sources)
+            else:  # so does a CA resolution's probe, tagged with its list
+                assert algorithm == "ca" and outcome.source_name == dying.name
+            answered = str(outcome)
+        else:
+            assert outcome.sorted_depth == max(s.counter.sorted_accesses for s in sources)
+            assert (outcome.degraded is not None) == fired
+            if fired:
+                assert dying.name in outcome.degraded.failed_sources
+            answered = [(item.object_id, item.grade) for item in outcome.answers]
+        costs = [source.counter.snapshot() for source in sources]
+        runs.append((answered, costs, tracer.to_json()))
+    return runs
+
+
+@pytest.mark.parametrize("algorithm", sorted(SWEPT))
+def test_kill_after_sweep(algorithm):
+    assert len(kill_after_sweep(algorithm)) > 1
+
+
+@pytest.mark.parametrize("algorithm", sorted(SWEPT))
+def test_kill_after_sweep_on_two_workers_matches_serial(algorithm):
+    with ParallelAccessExecutor(2) as executor:
+        parallel = kill_after_sweep(algorithm, executor)
+    assert parallel == kill_after_sweep(algorithm)
