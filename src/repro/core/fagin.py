@@ -131,8 +131,10 @@ class FaginAlgorithm:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.m = len(self.sources)
-        #: the lists' cursors and bottoms; A0 keeps no list dead, since
-        #: every call re-reads each list from its cursor
+        #: the lists' cursors and bottoms; a failed sorted consume, like
+        #: an NRA continuation, records its list in ``dead``, and
+        #: ``_degrade_to_nra`` clears them before the hand-off, because
+        #: every ``next_k`` re-reads each list from its cursor
         self._frontier = SortedFrontier(self.sources)
         #: bare columnar lists: phase 2 gathers grades by code and
         #: charges them, as TA's bulk round does

@@ -836,7 +836,8 @@ def threshold_top_k(
                 try:
                     for (j, needed), (_, values) in zip(targets, probed):
                         if values is not None:
-                            grades[needed, j] = [values[ids[f]] for f in needed]
+                            for f in needed:
+                                grades[f, j] = values[ids[f]]
                         if tracer is not None:
                             for f in needed:
                                 tracer.record_random(sources[j].name, ids[f], grades[f, j])
